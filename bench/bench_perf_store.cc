@@ -1,14 +1,18 @@
-// P7 — persistence subsystem: snapshot encode / store put / store get /
-// decode+restore throughput as the session grows (attribute count), and
-// the registry's spill path — re-admission latency of a Lookup served
-// from disk vs. one served from RAM. Ends with the round-trip equivalence
-// cross-check (restore, continue, byte-compare against the never-
-// snapshotted session). Honours PPDM_PAPER_SCALE=1 and
-// PPDM_BENCH_RECORDS=N (CI smoke).
+// P7 — persistence subsystem: the byte codec under every snapshot and
+// every served ingest (CRC32, double-array encode/decode, ingest frame
+// encode + verify, at the served ingest shape), then snapshot encode /
+// store put / store get / decode+restore throughput as the session grows
+// (attribute count), and the registry's spill path — re-admission latency
+// of a Lookup served from disk vs. one served from RAM. Ends with the
+// round-trip equivalence cross-check (restore, continue, byte-compare
+// against the never-snapshotted session). Honours PPDM_PAPER_SCALE=1 and
+// PPDM_BENCH_RECORDS=N (CI smoke); the codec rows and a machine
+// fingerprint go to PPDM_BENCH_JSON as NDJSON.
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,8 +22,12 @@
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "bench/bench_util.h"
+#include "common/strings.h"
 #include "data/row_batch.h"
+#include "engine/simd.h"
+#include "net/frame.h"
 #include "perturb/randomizer.h"
+#include "store/codec.h"
 #include "store/session_codec.h"
 #include "store/snapshot_store.h"
 #include "store/spill_store.h"
@@ -54,6 +62,93 @@ bool Identical(const reconstruct::Reconstruction& a,
          a.sample_count == b.sample_count;
 }
 
+/// Keeps timed results observable so the calls cannot be elided.
+volatile std::size_t g_sink = 0;
+
+/// Best of five timings of `calls` back-to-back calls of `fn`, in
+/// microseconds per call: one timing spans milliseconds, not one call.
+double BestUsPerCall(std::size_t calls, const std::function<void()>& fn) {
+  double best = 0.0;
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const double seconds = bench::WallSeconds([&] {
+      for (std::size_t i = 0; i < calls; ++i) fn();
+    });
+    const double us = 1e6 * seconds / static_cast<double>(calls);
+    if (repeat == 0 || us < best) best = us;
+  }
+  return best;
+}
+
+/// One codec row: the table line plus its NDJSON record.
+void CodecRow(const std::string& label, std::size_t bytes, double us) {
+  const double mb_per_s = static_cast<double>(bytes) / us;  // bytes/µs
+  std::printf("%-36s %10.2f %12.0f\n", label.c_str(), us, mb_per_s);
+  bench::EmitBenchJson("perf_store", label,
+                       {{"bytes", static_cast<double>(bytes)},
+                        {"us_per_call", us},
+                        {"mb_per_s", mb_per_s}});
+}
+
+/// The byte layer at the served ingest shape: 1024 rows of the 9-field
+/// schema, 9,216 doubles, a 73,728-byte array.
+void RunCodecRows() {
+  std::size_t num_cols = 0;
+  const std::vector<double> values = bench::PerturbedRowMajor(
+      1024, synth::Function::kF1, 20000607, 99, &num_cols);
+  store::Writer writer;
+  writer.PutU64(values.size() / num_cols);
+  writer.PutU64(num_cols);
+  writer.PutDoubleArray(values);
+  const std::string body = writer.Take();
+  const std::string array_bytes = body.substr(16);  // count + elements
+  constexpr std::size_t kCalls = 200;
+
+  bench::EmitBenchJson(
+      "perf_store",
+      StrFormat("machine: %s, simd %s, %s",
+#ifdef __clang__
+                "clang " __clang_version__,
+#else
+                "gcc " __VERSION__,
+#endif
+                engine::simd::PathName(engine::simd::ActivePath()),
+#ifdef NDEBUG
+                "NDEBUG"
+#else
+                "assertions on"
+#endif
+                ),
+      {{"cores", static_cast<double>(std::thread::hardware_concurrency())}});
+  std::printf("%-36s %10s %12s\n", "codec case", "us/call", "MB/s");
+  const std::string payload = body.substr(16 + 8);  // elements alone
+  CodecRow("crc32 73728 B", payload.size(), BestUsPerCall(kCalls, [&] {
+             g_sink = g_sink + store::Crc32(payload);
+           }));
+  CodecRow("double array encode 9216", array_bytes.size(),
+           BestUsPerCall(kCalls, [&] {
+             store::Writer w;
+             w.PutDoubleArray(values);
+             g_sink = g_sink + w.bytes().size();
+           }));
+  CodecRow("double array decode 9216", array_bytes.size(),
+           BestUsPerCall(kCalls, [&] {
+             store::Reader reader(array_bytes);
+             g_sink = g_sink + reader.ReadDoubleArray().value().size();
+           }));
+  CodecRow("ingest frame encode+verify", body.size(),
+           BestUsPerCall(kCalls, [&] {
+             const std::string frame =
+                 net::EncodeFrame(net::Verb::kIngest, 1, 1, 0, body);
+             const net::FrameHeader header =
+                 net::DecodeHeader(frame, net::kDefaultMaxBodyBytes).value();
+             g_sink = g_sink +
+                      net::VerifyBody(header, std::string_view(frame).substr(
+                                                  header.header_size))
+                          .ok();
+           }));
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main() {
@@ -63,6 +158,7 @@ int main() {
   const std::size_t records = config.train_records;
   std::printf("records=%zu  K=%zu  hardware threads=%u\n\n", records,
               kIntervals, std::thread::hardware_concurrency());
+  RunCodecRows();
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ppdm_bench_store").string();

@@ -90,6 +90,7 @@ Result<std::uint64_t> Client::Ingest(std::uint64_t tenant, std::uint64_t rows,
                                      const std::vector<double>& values,
                                      std::uint32_t ttl_ms) {
   store::Writer writer;
+  writer.Reserve(3 * sizeof(std::uint64_t) + values.size() * sizeof(double));
   writer.PutU64(rows);
   writer.PutU64(cols);
   writer.PutDoubleArray(values);

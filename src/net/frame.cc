@@ -48,27 +48,26 @@ constexpr std::size_t V2HeaderSize(std::size_t trace_chars) {
 std::string EncodeFrame(std::uint32_t verb, std::uint64_t request_id,
                         std::uint64_t tenant, std::uint32_t ttl_ms,
                         std::string_view body, std::uint64_t trace_id) {
+  // One allocation for the whole frame, and the body is appended once.
   store::Writer writer;
+  writer.Reserve(
+      (trace_id == 0 ? kHeaderSize : V2HeaderSize(kMaxTraceHexChars)) +
+      body.size());
   writer.PutU32(kFrameMagic);
   writer.PutU32(trace_id == 0 ? 1u : 2u);  // v1 unless a trace id rides
   writer.PutU32(verb);
   writer.PutU64(request_id);
   writer.PutU64(tenant);
   writer.PutU32(ttl_ms);
-  std::string frame;
   if (trace_id != 0) {
     writer.PutU32(kMaxTraceHexChars);
-    frame = writer.Take();
-    frame += StrFormat("%016llx", static_cast<unsigned long long>(trace_id));
-  } else {
-    frame = writer.Take();
+    writer.PutRaw(
+        StrFormat("%016llx", static_cast<unsigned long long>(trace_id)));
   }
-  store::Writer tail;
-  tail.PutU64(body.size());
-  tail.PutU32(store::Crc32(body));
-  frame += tail.Take();
-  frame.append(body.data(), body.size());
-  return frame;
+  writer.PutU64(body.size());
+  writer.PutU32(store::Crc32(body));
+  writer.PutRaw(body);
+  return writer.Take();
 }
 
 std::size_t HeaderBytesNeeded(std::string_view bytes) {
@@ -207,11 +206,11 @@ Result<Frame> DecodeFrame(std::string_view bytes,
 std::string EncodeResponseBody(const Status& status,
                                std::string_view payload) {
   store::Writer writer;
+  writer.Reserve(12 + status.message().size() + payload.size());
   writer.PutU32(static_cast<std::uint32_t>(status.code()));
   writer.PutString(status.message());
-  std::string body = writer.Take();
-  body.append(payload.data(), payload.size());
-  return body;
+  writer.PutRaw(payload);
+  return writer.Take();
 }
 
 Result<ResponseBody> DecodeResponseBody(std::string_view body) {

@@ -4,10 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "common/strings.h"
@@ -16,11 +18,21 @@
 #include "store/session_codec.h"
 
 namespace ppdm::net {
+
+/// An ingest body, [u64 rows][u64 cols][double array], decoded straight
+/// out of the connection's input buffer into the doubles the session's
+/// RowBatch views.
+struct IngestBody {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::vector<double> values;
+};
+
 namespace {
 
-/// Read chunk per POLLIN wakeup; frames larger than this assemble across
-/// chunks in the connection's input buffer.
-constexpr std::size_t kReadChunk = 64 * 1024;
+/// Free space guaranteed in a connection's input buffer before each
+/// read; frames larger than this assemble across reads.
+constexpr std::size_t kMinReadRoom = 64 * 1024;
 
 /// Poll timeouts: long when idle (the self-pipe delivers wakeups), short
 /// while draining so the exit condition is re-checked promptly.
@@ -29,6 +41,86 @@ constexpr int kDrainPollMs = 20;
 
 obs::Counter* NetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
+}
+
+/// A connection's received, not yet parsed bytes. The loop reads straight
+/// into the free tail, and parsing advances a read offset instead of
+/// erasing the front on every pass. The storage is left uninitialized: a
+/// growing std::string would zero every byte before read() overwrote it.
+class InputBuffer {
+ public:
+  std::string_view unread() const {
+    return std::string_view(data_.get() + begin_, end_ - begin_);
+  }
+
+  /// Makes at least `min_room` bytes free at the tail, compacting or
+  /// growing first if needed, and returns the free tail.
+  std::pair<char*, std::size_t> Room(std::size_t min_room) {
+    if (capacity_ - end_ < min_room) {
+      const std::size_t used = end_ - begin_;
+      if (capacity_ - used >= min_room) {
+        Compact();
+      } else {
+        const std::size_t capacity = std::max(2 * capacity_, used + min_room);
+        std::unique_ptr<char[]> grown(new char[capacity]);
+        if (used > 0) std::memcpy(grown.get(), data_.get() + begin_, used);
+        data_ = std::move(grown);
+        capacity_ = capacity;
+        begin_ = 0;
+        end_ = used;
+      }
+    }
+    return {data_.get() + end_, capacity_ - end_};
+  }
+
+  /// Appends the `count` bytes just read into Room()'s tail.
+  void Commit(std::size_t count) { end_ += count; }
+
+  /// Drops `count` parsed bytes from the front. Moves the rest down only
+  /// once everything is consumed (a free reset) or the offset passes half
+  /// the capacity, so a burst of small frames costs no per-frame copy.
+  void Consume(std::size_t count) {
+    begin_ += count;
+    if (begin_ == end_) {
+      begin_ = end_ = 0;
+    } else if (begin_ > capacity_ / 2) {
+      Compact();
+    }
+  }
+
+ private:
+  void Compact() {
+    if (begin_ == 0) return;
+    std::memmove(data_.get(), data_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+
+  std::unique_ptr<char[]> data_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
+Result<IngestBody> DecodeIngestBody(std::string_view body) {
+  store::Reader reader(body);
+  IngestBody ingest;
+  PPDM_ASSIGN_OR_RETURN(ingest.rows, reader.ReadU64());
+  PPDM_ASSIGN_OR_RETURN(ingest.cols, reader.ReadU64());
+  PPDM_ASSIGN_OR_RETURN(ingest.values, reader.ReadDoubleArray());
+  // Exact shape match, division-only so rows*cols can never overflow:
+  // values.size() == rows*cols iff size/rows == cols && size%rows == 0.
+  const std::size_t size = ingest.values.size();
+  if (ingest.cols == 0 ||
+      (ingest.rows == 0
+           ? size != 0
+           : (size / ingest.rows != ingest.cols || size % ingest.rows != 0))) {
+    return Status::InvalidArgument(
+        StrFormat("ingest shape %llux%llu does not match %zu values",
+                  static_cast<unsigned long long>(ingest.rows),
+                  static_cast<unsigned long long>(ingest.cols), size));
+  }
+  return ingest;
 }
 
 }  // namespace
@@ -45,7 +137,7 @@ struct Server::Connection {
   Socket sock;
 
   // Event-loop thread only.
-  std::string inbuf;
+  InputBuffer inbuf;
   bool close_after_flush = false;
   bool paused = false;
 
@@ -312,11 +404,11 @@ void Server::AcceptReady() {
 }
 
 bool Server::ReadReady(const std::shared_ptr<Connection>& conn) {
-  char buf[kReadChunk];
   while (true) {
-    const ssize_t n = ::read(conn->sock.fd(), buf, sizeof(buf));
+    const auto [room, room_size] = conn->inbuf.Room(kMinReadRoom);
+    const ssize_t n = ::read(conn->sock.fd(), room, room_size);
     if (n > 0) {
-      conn->inbuf.append(buf, static_cast<std::size_t>(n));
+      conn->inbuf.Commit(static_cast<std::size_t>(n));
       bytes_read_->Increment(static_cast<std::uint64_t>(n));
       continue;
     }
@@ -338,15 +430,13 @@ bool Server::ShouldPause(const Connection& conn) const {
 }
 
 void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
-  std::size_t pos = 0;
   bool paused = false;
   while (!conn->close_after_flush) {
     if (ShouldPause(*conn)) {
       paused = true;
       break;
     }
-    const std::string_view rest =
-        std::string_view(conn->inbuf).substr(pos);
+    const std::string_view rest = conn->inbuf.unread();
     // Headers are variable-length since protocol v2 (optional trace id):
     // HeaderBytesNeeded answers "wait for more" vs. "judge now".
     if (HeaderBytesNeeded(rest) > 0) break;
@@ -372,16 +462,17 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       conn->close_after_flush = true;
       break;
     }
-    pos += header_size + body.size();
-    Dispatch(conn, header.value(), std::string(body));
+    // Dispatch copies what it keeps of the body before the bytes are
+    // released.
+    Dispatch(conn, header.value(), body);
+    conn->inbuf.Consume(header_size + body.size());
   }
   if (paused && !conn->paused) read_pauses_->Increment();
   conn->paused = paused;
-  if (pos > 0) conn->inbuf.erase(0, pos);
 }
 
 void Server::Dispatch(const std::shared_ptr<Connection>& conn,
-                      const FrameHeader& header, std::string body) {
+                      const FrameHeader& header, std::string_view body) {
   verb_requests_[KnownVerb(header.verb) ? header.verb : 0]->Increment();
   if (!KnownVerb(header.verb)) {
     // Framing is intact — the connection survives an unknown verb.
@@ -453,11 +544,20 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
   // become children of the request span, whichever worker runs them.
   obs::ScopedTraceContext request_ctx(
       obs::TraceContext{trace_id, request_span.span_id});
-  auto handle = service_->Submit<std::string>(
-      [this, header, body = std::move(body)]() {
-        return HandleVerb(header, body);
-      },
-      submit);
+  // The body leaves the input buffer here, in the one copy the job owns:
+  // an ingest is decoded straight into the doubles its RowBatch views,
+  // every other verb keeps its bytes.
+  std::function<Result<std::string>()> job;
+  if (static_cast<Verb>(header.verb) == Verb::kIngest) {
+    job = [this, tenant = header.tenant, ingest = DecodeIngestBody(body)] {
+      return HandleIngest(tenant, ingest);
+    };
+  } else {
+    job = [this, header, body = std::string(body)] {
+      return HandleVerb(header, body);
+    };
+  }
+  auto handle = service_->Submit<std::string>(std::move(job), submit);
   handle.OnComplete([this, conn, header, started, tenant_name, trace_id,
                      request_span](const Result<std::string>& result) mutable {
     // Shed / expired / cancelled / handler errors all arrive here as the
@@ -558,16 +658,15 @@ Result<std::string> Server::HandleVerb(const FrameHeader& header,
   switch (static_cast<Verb>(header.verb)) {
     case Verb::kOpen:
       return HandleOpen(header.tenant, body);
-    case Verb::kIngest:
-      return HandleIngest(header.tenant, body);
     case Verb::kReconstruct:
       return HandleReconstruct(header.tenant);
     case Verb::kSnapshot:
       return HandleSnapshot(header.tenant);
     case Verb::kClose:
       return HandleClose(header.tenant);
-    case Verb::kStats:
-      break;  // answered inline in Dispatch
+    case Verb::kIngest:  // decoded in Dispatch, run by HandleIngest
+    case Verb::kStats:   // answered inline in Dispatch
+      break;
   }
   return Status::Internal(
       StrFormat("verb %s reached the worker path",
@@ -641,24 +740,10 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
   return writer.Take();
 }
 
-Result<std::string> Server::HandleIngest(std::uint64_t tenant,
-                                         const std::string& body) {
-  store::Reader reader(body);
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t rows, reader.ReadU64());
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t cols, reader.ReadU64());
-  PPDM_ASSIGN_OR_RETURN(const std::vector<double> values,
-                        reader.ReadDoubleArray());
-  // Exact shape match, division-only so rows*cols can never overflow:
-  // values.size() == rows*cols iff size/rows == cols && size%rows == 0.
-  if (cols == 0 ||
-      (rows == 0 ? !values.empty()
-                 : (values.size() / rows != cols ||
-                    values.size() % rows != 0))) {
-    return Status::InvalidArgument(
-        StrFormat("ingest shape %llux%llu does not match %zu values",
-                  static_cast<unsigned long long>(rows),
-                  static_cast<unsigned long long>(cols), values.size()));
-  }
+Result<std::string> Server::HandleIngest(
+    std::uint64_t tenant, const Result<IngestBody>& decoded) {
+  PPDM_RETURN_IF_ERROR(decoded.status());
+  const auto& [rows, cols, values] = decoded.value();
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
                         LookupTenant(tenant));
   const std::size_t width = session->spec().schema.NumFields();

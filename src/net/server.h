@@ -63,6 +63,9 @@
 
 namespace ppdm::net {
 
+/// A decoded ingest request (defined in server.cc).
+struct IngestBody;
+
 /// Everything a daemon needs up front. Validated by Server::Start.
 struct ServerOptions {
   /// Bind address; loopback by default (an operator opts into exposure).
@@ -163,8 +166,10 @@ class Server {
   bool ShouldPause(const Connection& conn) const;
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
+  /// Routes one parsed frame; `body` views the connection's input buffer
+  /// and is copied before this returns.
   void Dispatch(const std::shared_ptr<Connection>& conn,
-                const FrameHeader& header, std::string body);
+                const FrameHeader& header, std::string_view body);
   void EnqueueResponse(const std::shared_ptr<Connection>& conn,
                        const FrameHeader& request, const Status& status,
                        std::string_view payload);
@@ -176,7 +181,7 @@ class Server {
   Result<std::string> HandleOpen(std::uint64_t tenant,
                                  const std::string& body);
   Result<std::string> HandleIngest(std::uint64_t tenant,
-                                   const std::string& body);
+                                   const Result<IngestBody>& decoded);
   Result<std::string> HandleReconstruct(std::uint64_t tenant);
   Result<std::string> HandleSnapshot(std::uint64_t tenant);
   Result<std::string> HandleClose(std::uint64_t tenant);

@@ -18,26 +18,105 @@ obs::Counter& CrcFailuresCounter() {
   return counter;
 }
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Arrays travel as the little-endian bytes of their elements, which on a
+// little-endian host are the elements' own bytes: one memcpy each way.
+// Big-endian hosts keep the element loop.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+constexpr bool kLittleEndianHost = true;
+#else
+constexpr bool kLittleEndianHost = false;
+#endif
+
+// Slicing-by-8 tables for the IEEE polynomial: tables[0] is the classic
+// bytewise table, and tables[k][b] is the CRC register after byte b is
+// followed by k zero bytes, so one step folds eight input bytes with
+// eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+/// Little-endian u32 at `p`, whatever the host order or alignment (the
+/// compiler folds the shifts into one load on a little-endian host).
+inline std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Appends `values` as the little-endian bytes of each 8-byte element.
+template <typename T>
+void AppendLeArray(const std::vector<T>& values, std::string* buf) {
+  static_assert(sizeof(T) == 8, "u64 and IEEE-754 double elements");
+  if constexpr (kLittleEndianHost) {
+    buf->append(reinterpret_cast<const char*>(values.data()),
+                values.size() * sizeof(T));
+  } else {
+    for (const T& value : values) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (int shift = 0; shift < 64; shift += 8) {
+        buf->push_back(static_cast<char>((bits >> shift) & 0xFFu));
+      }
+    }
+  }
+}
+
+/// Fills `*out` from `out->size()` little-endian 8-byte elements at
+/// `bytes` (the caller has bounds-checked them).
+template <typename T>
+void CopyLeArray(const char* bytes, std::vector<T>* out) {
+  static_assert(sizeof(T) == 8, "u64 and IEEE-754 double elements");
+  if constexpr (kLittleEndianHost) {
+    if (!out->empty()) std::memcpy(out->data(), bytes, out->size() * sizeof(T));
+  } else {
+    for (T& value : *out) {
+      std::uint64_t bits = 0;
+      for (int i = 0; i < 8; ++i) {
+        bits |= static_cast<std::uint64_t>(
+                    static_cast<unsigned char>(bytes[i]))
+                << (8 * i);
+      }
+      std::memcpy(&value, &bits, sizeof(bits));
+      bytes += 8;
+    }
+  }
 }
 
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = LoadLe32(bytes) ^ crc;
+    const std::uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -55,15 +134,19 @@ void Writer::PutU8(std::uint8_t value) {
 }
 
 void Writer::PutU32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<char>((value >> shift) & 0xFFu));
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void Writer::PutU64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<char>((value >> shift) & 0xFFu));
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void Writer::PutDouble(double value) {
@@ -75,17 +158,21 @@ void Writer::PutDouble(double value) {
 
 void Writer::PutString(std::string_view value) {
   PutU64(value.size());
-  buf_.append(value.data(), value.size());
+  PutRaw(value);
+}
+
+void Writer::PutRaw(std::string_view bytes) {
+  buf_.append(bytes.data(), bytes.size());
 }
 
 void Writer::PutU64Array(const std::vector<std::uint64_t>& values) {
   PutU64(values.size());
-  for (std::uint64_t v : values) PutU64(v);
+  AppendLeArray(values, &buf_);
 }
 
 void Writer::PutDoubleArray(const std::vector<double>& values) {
   PutU64(values.size());
-  for (double v : values) PutDouble(v);
+  AppendLeArray(values, &buf_);
 }
 
 void Writer::BeginSection(std::uint32_t tag) {
@@ -201,9 +288,8 @@ Result<std::vector<std::uint64_t>> Reader::ReadU64Array() {
         static_cast<unsigned long long>(count), remaining()));
   }
   std::vector<std::uint64_t> values(static_cast<std::size_t>(count));
-  for (std::uint64_t& v : values) {
-    PPDM_ASSIGN_OR_RETURN(v, ReadU64());
-  }
+  CopyLeArray(bytes_.data() + pos_, &values);
+  pos_ += values.size() * 8;
   return values;
 }
 
@@ -215,9 +301,8 @@ Result<std::vector<double>> Reader::ReadDoubleArray() {
         static_cast<unsigned long long>(count), remaining()));
   }
   std::vector<double> values(static_cast<std::size_t>(count));
-  for (double& v : values) {
-    PPDM_ASSIGN_OR_RETURN(v, ReadDouble());
-  }
+  CopyLeArray(bytes_.data() + pos_, &values);
+  pos_ += values.size() * 8;
   return values;
 }
 

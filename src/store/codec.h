@@ -12,6 +12,11 @@
 // as the little-endian bytes of their IEEE-754 bit pattern, so a
 // round-trip is bit-exact and files are exchangeable across hosts
 // (distributed PPDM sites share aggregated statistics this way).
+//
+// The CRC is the IEEE CRC-32 computed slicing-by-8 (eight table lookups
+// per eight input bytes). Arrays are bulk-copied on little-endian hosts
+// and built element by element on big-endian ones; both produce the same
+// bytes.
 
 #ifndef PPDM_STORE_CODEC_H_
 #define PPDM_STORE_CODEC_H_
@@ -48,9 +53,19 @@ class Writer {
   void PutDouble(double value);
   /// u64 byte count followed by the raw bytes.
   void PutString(std::string_view value);
-  /// u64 element count followed by the elements.
+  /// The raw bytes alone, no length prefix (the reader must know the
+  /// length from elsewhere).
+  void PutRaw(std::string_view bytes);
+  /// u64 element count followed by the elements. On a little-endian host
+  /// the elements go in with one bulk copy; a big-endian host swaps them
+  /// one at a time. The bytes are the same either way.
   void PutU64Array(const std::vector<std::uint64_t>& values);
   void PutDoubleArray(const std::vector<double>& values);
+
+  /// Grows the buffer so `bytes` more can be appended without
+  /// reallocating (a caller that knows its final size pays one
+  /// allocation).
+  void Reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
 
   /// Opens a CRC-guarded section tagged `tag`. Everything appended until
   /// EndSection() becomes the section payload.
@@ -94,6 +109,9 @@ class Reader {
   Result<std::uint64_t> ReadU64();
   Result<double> ReadDouble();
   Result<std::string> ReadString();
+  /// A count, then that many elements. A count the remaining bytes cannot
+  /// hold is kIoError before anything is allocated; the elements then
+  /// arrive as one bulk copy on a little-endian host.
   Result<std::vector<std::uint64_t>> ReadU64Array();
   Result<std::vector<double>> ReadDoubleArray();
 

@@ -281,6 +281,38 @@ TEST(FrameTest, ResponseEnvelopeRoundTripsStatusAndPayload) {
   EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// A fixed ingest body of 2 benchmark-schema rows, values from a formula
+/// (no generator) so its bytes depend on the codec alone.
+std::string GoldenIngestBody() {
+  std::vector<double> values;
+  for (int i = 0; i < 18; ++i) values.push_back(1000.0 * i - 0.375 * i * i);
+  store::Writer writer;
+  writer.PutU64(2);
+  writer.PutU64(9);
+  writer.PutDoubleArray(values);
+  return writer.Take();
+}
+
+// Wire-format pins, computed with the bytewise-CRC, element-loop codec the
+// protocol first shipped with. A failure here means the frame bytes
+// changed: that needs a kProtocolVersion bump, not a new pin.
+TEST(FrameTest, IngestAndResponseFrameBytesArePinned) {
+  const std::string body = GoldenIngestBody();
+  const std::string v1 = EncodeFrame(Verb::kIngest, /*request_id=*/42,
+                                     /*tenant=*/7, /*ttl_ms=*/1500, body);
+  EXPECT_EQ(v1.size(), 212u);
+  EXPECT_EQ(store::Crc32(v1), 0x994EB1F9u);
+  const std::string v2 = EncodeFrame(Verb::kIngest, 42, 7, 1500, body,
+                                     /*trace_id=*/0x0123456789abcdefULL);
+  EXPECT_EQ(v2.size(), 232u);
+  EXPECT_EQ(store::Crc32(v2), 0x1F39C74Bu);
+  const std::string response = EncodeFrame(
+      Verb::kIngest, 42, 7, 0,
+      EncodeResponseBody(Status::InvalidArgument("ingest shape 2x9"), body));
+  EXPECT_EQ(response.size(), 240u);
+  EXPECT_EQ(store::Crc32(response), 0x676FFE18u);
+}
+
 // ------------------------------------------------------------ rate limiter
 
 TEST(RateLimiterTest, BucketRefillsAtRateUnderAFakeClock) {
@@ -770,6 +802,84 @@ TEST(ServerTest, PipelinedFramesUnderATinyWindowAllAnswerInOrder) {
         << envelope.value().status.ToString();
   }
   ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// The input buffer under every shape of arrival: a burst of small frames
+// (many frames parsed out of one buffer), frames far larger than one
+// read, and the whole stream cut into odd-sized writes so headers and
+// bodies split anywhere. Inline execution parses every buffered frame in
+// one pass; on workers a window of 1 pauses after each frame, so the read
+// offset walks the buffer one frame per wakeup. Both answer in request
+// order, with the tenant's running record count.
+TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(6000, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  // A large frame followed by a run of small ones: once the large one is
+  // parsed, the read offset sits past half the buffer with the small
+  // frames still unread, which moves them down mid-stream.
+  std::vector<std::size_t> batch_rows;
+  batch_rows.push_back(num_rows / 2);  // ~216 KB body
+  for (int i = 0; i < 600; ++i) batch_rows.push_back(1 + i % 3);
+  batch_rows.push_back(num_rows / 3);
+  for (int i = 0; i < 600; ++i) batch_rows.push_back(2);
+
+  std::string stream;
+  std::vector<std::uint64_t> expected_counts;
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < batch_rows.size(); ++b) {
+    const std::size_t take = batch_rows[b];
+    store::Writer writer;
+    writer.PutU64(take);
+    writer.PutU64(num_cols);
+    writer.PutDoubleArray(std::vector<double>(
+        rows.begin(),
+        rows.begin() + static_cast<std::ptrdiff_t>(take * num_cols)));
+    stream += EncodeFrame(Verb::kIngest, /*request_id=*/1000 + b, 1, 0,
+                          writer.Take(), /*trace_id=*/b % 2 == 0 ? 0 : b);
+    total += take;
+    expected_counts.push_back(total);
+  }
+
+  for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    ServerOptions options = LoopbackOptions(threads);
+    options.connection_window = 1;
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1)).ok());
+
+    // Writes of 1, 7, 4093, 65537, ... bytes, cycling.
+    const std::size_t cuts[] = {1, 7, 4093, 65537, 13, 100003};
+    std::size_t pos = 0;
+    for (std::size_t i = 0; pos < stream.size(); ++i) {
+      const std::size_t len = std::min(cuts[i % 6], stream.size() - pos);
+      ASSERT_TRUE(client.value()
+                      .SendRaw(std::string_view(stream).substr(pos, len))
+                      .ok());
+      pos += len;
+    }
+    for (std::size_t b = 0; b < batch_rows.size(); ++b) {
+      Result<Frame> response = client.value().ReadFrame();
+      ASSERT_TRUE(response.ok()) << b << ": " << response.status().ToString();
+      EXPECT_EQ(response.value().header.request_id, 1000 + b);
+      Result<ResponseBody> envelope =
+          DecodeResponseBody(response.value().body);
+      ASSERT_TRUE(envelope.ok());
+      ASSERT_TRUE(envelope.value().status.ok())
+          << envelope.value().status.ToString();
+      store::Reader reader(envelope.value().payload);
+      EXPECT_EQ(reader.ReadU64().value(), expected_counts[b])
+          << "frame " << b;
+    }
+    // Nothing past the sent frames was parsed: the connection still
+    // answers the next request, not a protocol error.
+    EXPECT_TRUE(client.value().Stats().ok());
+    ASSERT_TRUE(server.value()->Stop().ok());
+  }
 }
 
 TEST(ServerTest, DrainCheckpointsEveryTenantAndResumeRestoresThemExactly) {

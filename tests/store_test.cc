@@ -7,13 +7,16 @@
 // transparently re-admits, equivalence with a never-evicted registry —
 // race-checked under ThreadSanitizer in CI).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,7 +113,151 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
          a.sample_count == b.sample_count;
 }
 
+// ------------------------------------------------------------------ crc32
+
+/// The bytewise-table IEEE CRC-32 the codec first shipped with: the
+/// reference the slicing-by-8 Crc32 must reproduce bit for bit.
+std::uint32_t ReferenceCrc32(const void* data, std::size_t size) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string bytes(size, '\0');
+  for (char& byte : bytes) byte = static_cast<char>(rng() & 0xFFu);
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(std::string_view()), 0u);
+  const std::string ones(std::size_t{1} << 20, '\xFF');
+  EXPECT_EQ(Crc32(ones), 0x956BAC74u);
+  EXPECT_EQ(ReferenceCrc32(ones.data(), ones.size()), 0x956BAC74u);
+}
+
+// Every length 0..257 at every start offset 0..7 covers each unaligned
+// head and each tail the eight-byte steps leave behind.
+TEST(Crc32Test, MatchesTheBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::string buffer = RandomBytes(257 + 8, 0xC0FFEE);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const char* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, len), ReferenceCrc32(start, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  // One ingest-body-sized buffer (1024 rows of 9 doubles).
+  const std::string body = RandomBytes(73728, 0xB0D1);
+  EXPECT_EQ(Crc32(body), ReferenceCrc32(body.data(), body.size()));
+}
+
 // ------------------------------------------------------------------ codec
+
+/// Doubles from every IEEE-754 class: signed zeros, infinities, NaNs
+/// with payload bits, denormals, then seeded random bit patterns.
+std::vector<double> AwkwardDoubles(std::size_t random_count,
+                                   std::uint64_t seed) {
+  const auto from_bits = [](std::uint64_t bits) {
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+  };
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      from_bits(0x7FF0000000000001ull),  // signalling NaN, low payload bit
+      from_bits(0xFFF8DEADBEEF1234ull),  // negative quiet NaN with payload
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      from_bits(0x000FFFFFFFFFFFFFull),  // largest denormal
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -1.5,
+  };
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0; i < random_count; ++i) {
+    values.push_back(from_bits(rng()));
+  }
+  return values;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(CodecTest, BulkArraysWriteTheBytesOfElementPuts) {
+  for (std::size_t count : {0, 1, 7, 8, 9, 1000}) {
+    const std::vector<double> doubles =
+        AwkwardDoubles(count, 17 + count);
+    std::vector<std::uint64_t> words(count);
+    std::mt19937_64 rng(31 + count);
+    for (std::uint64_t& word : words) word = rng();
+
+    // A one-byte prefix puts each array at an odd offset.
+    Writer bulk;
+    bulk.PutU8(0x5A);
+    bulk.PutDoubleArray(doubles);
+    bulk.PutU64Array(words);
+    Writer elementwise;
+    elementwise.PutU8(0x5A);
+    elementwise.PutU64(doubles.size());
+    for (double value : doubles) elementwise.PutDouble(value);
+    elementwise.PutU64(words.size());
+    for (std::uint64_t word : words) elementwise.PutU64(word);
+    EXPECT_EQ(bulk.bytes(), elementwise.bytes()) << count << " elements";
+
+    Reader reader(bulk.bytes());
+    ASSERT_TRUE(reader.ReadU8().ok());
+    const Result<std::vector<double>> read_doubles = reader.ReadDoubleArray();
+    ASSERT_TRUE(read_doubles.ok()) << read_doubles.status().ToString();
+    EXPECT_TRUE(SameBits(read_doubles.value(), doubles))
+        << count << " elements";
+    const Result<std::vector<std::uint64_t>> read_words =
+        reader.ReadU64Array();
+    ASSERT_TRUE(read_words.ok()) << read_words.status().ToString();
+    EXPECT_EQ(read_words.value(), words);
+    EXPECT_TRUE(reader.AtEnd());
+  }
+}
+
+TEST(CodecTest, HostileArrayCountsAreStatusErrors) {
+  for (std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 61,
+                              ~std::uint64_t{0}}) {
+    Writer writer;
+    writer.PutU64(count);
+    writer.PutDouble(1.0);
+    writer.PutDouble(2.0);
+    EXPECT_EQ(Reader(writer.bytes()).ReadDoubleArray().status().code(),
+              StatusCode::kIoError)
+        << count;
+    EXPECT_EQ(Reader(writer.bytes()).ReadU64Array().status().code(),
+              StatusCode::kIoError)
+        << count;
+  }
+}
 
 TEST(CodecTest, PrimitivesAreLittleEndianOnTheWire) {
   Writer writer;
@@ -152,6 +299,7 @@ TEST(CodecTest, EveryTruncationIsAStatusError) {
   writer.BeginSection(0x31415926);
   writer.PutString("payload");
   writer.PutU64Array({7, 8, 9});
+  writer.PutDoubleArray(AwkwardDoubles(3, 5));
   writer.EndSection();
   const std::string full = writer.bytes();
 
@@ -166,6 +314,7 @@ TEST(CodecTest, EveryTruncationIsAStatusError) {
         Reader payload = section.value();
         status = payload.ReadString().status();
         if (status.ok()) status = payload.ReadU64Array().status();
+        if (status.ok()) status = payload.ReadDoubleArray().status();
       }
     }
     EXPECT_FALSE(status.ok()) << "prefix of " << len << " bytes";
@@ -439,6 +588,47 @@ TEST(DatasetSnapshotTest, PeekReportsWithoutRebuilding) {
   EXPECT_EQ(info.value().records, 300u);
   EXPECT_EQ(info.value().batches, 1u);
   EXPECT_EQ(info.value().attributes, 2u);
+}
+
+// Format pins, computed with the bytewise-CRC, element-loop codec the
+// snapshot format first shipped with. A failure here means the snapshot
+// bytes changed: that needs a kFormatVersion bump, not a new pin.
+TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 8);
+  const std::size_t cols = spec.schema.NumFields();
+  // Row values from a formula, not a generator, so the pin depends on
+  // nothing but the session's binning and the codec.
+  std::vector<double> rows;
+  for (std::size_t i = 0; i < 32 * cols; ++i) {
+    rows.push_back(2500.0 * static_cast<double>(i % 61) +
+                   0.125 * static_cast<double>(i));
+  }
+  auto session = api::DatasetSession::Open(spec);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(
+      session.value()->Ingest(data::RowBatch(rows.data(), 32, cols)).ok());
+  const std::string snapshot = EncodeDatasetSession(*session.value());
+  EXPECT_EQ(snapshot.size(), 837u);
+  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0xCFA7CE06u);
+
+  // A non-empty double array: an attribute state with carried masses.
+  api::AttributeState state(
+      0.0, 100.0, 10,
+      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 100.0),
+      reconstruct::ReconstructionOptions{});
+  for (int i = 0; i < 300; ++i) {
+    state.stats().Add(state.BinOf(i % 130 - 15.0), 0);
+  }
+  std::vector<double> masses;
+  for (int i = 0; i < 10; ++i) {
+    masses.push_back(0.01 * (i + 1) - 0.0003 * i * i);
+  }
+  state.set_last_masses(masses);
+  Writer writer;
+  EncodeAttributeState(state, &writer);
+  EXPECT_EQ(writer.bytes().size(), 346u);
+  EXPECT_EQ(ReferenceCrc32(writer.bytes().data(), writer.bytes().size()),
+            0x6EDC8ED4u);
 }
 
 // --------------------------------------------------------- snapshot store
