@@ -1,10 +1,10 @@
 // P6 — dataset-level sessions: single-pass record ingest vs. N
-// per-attribute ingest passes over the same arriving batches (the
-// motivating cost of an attribute-shaped serving layer), ReconstructAll
-// latency as the attribute count grows, and a cross-check that the
-// dataset path's estimates are byte-identical to N independent
-// per-attribute sessions (the equivalence contract). Honours
-// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke).
+// one-attribute sessions each making its own pass over the same arriving
+// batches (the motivating cost of an attribute-shaped serving layer),
+// ReconstructAll latency as the attribute count grows, and a cross-check
+// that the dataset path's estimates are byte-identical to N one-attribute
+// sessions (the equivalence contract). Honours PPDM_PAPER_SCALE=1 and
+// PPDM_BENCH_RECORDS=N (CI smoke).
 
 #include <algorithm>
 #include <cstdio>
@@ -16,10 +16,8 @@
 
 #include "api/dataset_session.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
-#include "perturb/randomizer.h"
 #include "synth/generator.h"
 
 namespace {
@@ -46,6 +44,14 @@ api::DatasetSessionSpec SpecFor(const data::Schema& schema,
   return spec;
 }
 
+// `spec`'s attribute `index` alone, over the same schema and settings.
+api::DatasetSessionSpec OneAttribute(const api::DatasetSessionSpec& spec,
+                                     std::size_t index) {
+  api::DatasetSessionSpec one = spec;
+  one.attributes = {spec.attributes[index]};
+  return one;
+}
+
 }  // namespace
 
 int main() {
@@ -59,27 +65,11 @@ int main() {
               std::thread::hardware_concurrency());
 
   // Perturbed records, flattened row-major — the provider arrival shape.
-  // (Not bench::PerturbedRowMajor: the per-attribute reference path below
-  // also needs the column-major Dataset.)
-  synth::GeneratorOptions gen;
-  gen.num_records = records;
-  gen.function = config.function;
-  gen.seed = config.seed;
-  const data::Dataset train = synth::Generate(gen);
-  perturb::RandomizerOptions noise;
-  noise.kind = perturb::NoiseKind::kUniform;
-  noise.privacy_fraction = 1.0;
-  noise.seed = config.seed + 0x9E1517BULL;
-  const perturb::Randomizer randomizer(train.schema(), noise);
-  const data::Dataset perturbed = randomizer.Perturb(train);
-  const std::size_t cols = perturbed.NumCols();
-  std::vector<double> rows(records * cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < records; ++r) {
-      rows[r * cols + c] = column[r];
-    }
-  }
+  std::size_t cols = 0;
+  const std::vector<double> rows = bench::PerturbedRowMajor(
+      records, config.function, config.seed, config.seed + 0x9E1517BULL,
+      &cols);
+  const data::Schema schema = synth::BenchmarkSchema();
   const data::RowBatch all_rows(rows.data(), records, cols);
 
   engine::BatchOptions options;
@@ -91,8 +81,8 @@ int main() {
   // ------------------------------------- single-pass vs. N-pass ingest
   // Record batches of kBatchRecords arrive row-major. The dataset session
   // folds each batch into all A attributes in one pass; the per-attribute
-  // alternative must scatter each batch into A column buffers and run A
-  // independent ingests — N passes over every arriving batch.
+  // alternative hands each batch to A one-attribute sessions — N passes
+  // over every arriving batch.
   bench::ThroughputReporter reporter("records");
   char label[64];
   double dataset_seconds_4 = 0.0;
@@ -103,7 +93,7 @@ int main() {
     const double dataset_seconds =
         reporter.Measure(label, records, baseline, [&] {
           auto session =
-              service.value()->OpenDatasetSession(SpecFor(train.schema(),
+              service.value()->OpenDatasetSession(SpecFor(schema,
                                                           attrs));
           for (std::size_t offset = 0; offset < records;
                offset += kBatchRecords) {
@@ -118,26 +108,20 @@ int main() {
                   attrs);
     const double per_attr_seconds =
         reporter.Measure(label, records, baseline, [&] {
-          std::vector<std::unique_ptr<api::ReconstructionSession>> sessions;
-          const api::DatasetSessionSpec spec = SpecFor(train.schema(), attrs);
+          std::vector<std::unique_ptr<api::DatasetSession>> sessions;
+          const api::DatasetSessionSpec spec = SpecFor(schema, attrs);
           for (std::size_t a = 0; a < attrs; ++a) {
             auto session =
-                service.value()->OpenSession(spec.AttributeSession(a));
+                service.value()->OpenDatasetSession(OneAttribute(spec, a));
             if (!session.ok()) std::abort();
             sessions.push_back(std::move(session.value()));
           }
-          std::vector<double> column(kBatchRecords);
           for (std::size_t offset = 0; offset < records;
                offset += kBatchRecords) {
-            const std::size_t take =
-                std::min(kBatchRecords, records - offset);
-            for (std::size_t a = 0; a < attrs; ++a) {
-              for (std::size_t r = 0; r < take; ++r) {
-                column[r] = rows[(offset + r) * cols + a];
-              }
-              if (!sessions[a]->Ingest(column.data(), take).ok()) {
-                std::abort();
-              }
+            const data::RowBatch batch = all_rows.Slice(
+                offset, std::min(kBatchRecords, records - offset));
+            for (const auto& session : sessions) {
+              if (!session->Ingest(batch).ok()) std::abort();
             }
           }
         });
@@ -153,7 +137,7 @@ int main() {
   for (std::size_t attrs :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     auto session =
-        service.value()->OpenDatasetSession(SpecFor(train.schema(), attrs));
+        service.value()->OpenDatasetSession(SpecFor(schema, attrs));
     if (!session.ok() || !session.value()->Ingest(all_rows).ok()) return 1;
     if (!session.value()->ReconstructAll().ok()) return 1;  // prime warm
     std::snprintf(label, sizeof(label), "ReconstructAll warm A=%zu", attrs);
@@ -163,10 +147,10 @@ int main() {
   }
 
   // ------------------------------------------------ equivalence check
-  // Dataset-path estimates == N independent per-attribute sessions, byte
-  // for byte, with and without a pool.
+  // Dataset-path estimates == N one-attribute sessions fed the same
+  // batches, byte for byte, with and without a pool.
   const std::size_t check_attrs = 4;
-  const api::DatasetSessionSpec spec = SpecFor(train.schema(), check_attrs);
+  const api::DatasetSessionSpec spec = SpecFor(schema, check_attrs);
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     engine::BatchOptions check_options;
@@ -187,21 +171,19 @@ int main() {
     if (!estimates.ok()) return 1;
     for (std::size_t a = 0; a < check_attrs; ++a) {
       auto session =
-          check_service.value()->OpenSession(spec.AttributeSession(a));
-      if (!session.value()->Ingest(perturbed.Column(a)).ok()) return 1;
-      const auto independent = session.value()->Reconstruct();
+          check_service.value()->OpenDatasetSession(OneAttribute(spec, a));
+      if (!session.ok() || !session.value()->Ingest(all_rows).ok()) return 1;
+      const auto independent = session.value()->ReconstructAll();
       if (!independent.ok()) return 1;
+      const reconstruct::Reconstruction& solo = independent.value()[0];
       identical =
           identical &&
-          independent.value().masses.size() ==
-              estimates.value()[a].masses.size() &&
-          std::memcmp(independent.value().masses.data(),
-                      estimates.value()[a].masses.data(),
-                      independent.value().masses.size() * sizeof(double)) ==
-              0;
+          solo.masses.size() == estimates.value()[a].masses.size() &&
+          std::memcmp(solo.masses.data(), estimates.value()[a].masses.data(),
+                      solo.masses.size() * sizeof(double)) == 0;
     }
   }
-  std::printf("\ndataset-path masses byte-identical to per-attribute "
+  std::printf("\ndataset-path masses byte-identical to one-attribute "
               "sessions: %s\n",
               identical ? "yes" : "NO — EQUIVALENCE VIOLATION");
   if (dataset_seconds_4 > 0.0 && per_attr_seconds_4 > 0.0) {

@@ -91,11 +91,11 @@ int main() {
   }
 
   // ------------------------------------------- E-step SIMD path sweep
-  // Single-threaded so the rows isolate the kernel speedup (off = the
-  // pre-dispatch sequential loops, the anchor). scalar and avx2 must be
-  // byte-identical; off may differ from them by summation-order rounding.
+  // Single-threaded so the rows isolate the kernel speedup (scalar, the
+  // lane-blocked reference, is the anchor). scalar and avx2 must be
+  // byte-identical.
   namespace simd = engine::simd;
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   const engine::Batch single({1, 16384});
   std::vector<reconstruct::Reconstruction> simd_results;
@@ -181,13 +181,15 @@ int main() {
   }
   std::printf("\nEM masses byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO — DETERMINISM VIOLATION");
-  // scalar vs avx2 (entries 1..) must agree bitwise; the off row (entry 0)
-  // is excluded — its summation order legitimately differs.
+  // Every dispatched path must agree bitwise with the scalar reference,
+  // and the single-threaded engine with the multi-threaded sweep.
   bool simd_identical = true;
-  for (std::size_t i = 2; i < simd_results.size(); ++i) {
+  for (std::size_t i = 1; i < simd_results.size(); ++i) {
     simd_identical =
-        simd_identical && SameMasses(simd_results[1], simd_results[i]);
+        simd_identical && SameMasses(simd_results[0], simd_results[i]);
   }
+  simd_identical =
+      simd_identical && SameMasses(simd_results[0], em_results[0]);
   std::printf("EM masses byte-identical across SIMD paths: %s\n",
               simd_identical ? "yes" : "NO — DETERMINISM VIOLATION");
   return identical && simd_identical ? 0 : 1;

@@ -56,10 +56,9 @@ int main() {
   RunCase(&reporter, /*binned=*/false, 10000, 20);
   RunCase(&reporter, /*binned=*/false, 50000, 20);
 
-  // SIMD path sweep on the hottest binned cell: off anchors (the
-  // pre-dispatch sequential loops), scalar shows the lane-blocking gain,
-  // avx2 the vector gain on top.
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  // SIMD path sweep on the hottest binned cell: scalar (the lane-blocked
+  // reference) anchors, avx2 shows the vector gain on top.
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   const std::vector<double> w = MakePerturbed(100000);
   const perturb::NoiseModel noise =

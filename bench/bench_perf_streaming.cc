@@ -1,19 +1,20 @@
-// P5 — streaming serving API: ingest throughput (records/s) of the
-// session's fold-on-arrival path at 1/2/4/8 threads, time-to-first-estimate
-// for a client that polls early vs. waiting for the whole batch, and the
-// cost of a warm-started refresh vs. a cold batch fit. Honours
-// PPDM_PAPER_SCALE=1 for the paper's 100k-record runs, and cross-checks
-// that the streamed estimate is byte-identical to the batch FitParallel
-// (the streaming determinism contract).
+// P5 — streaming serving API: ingest throughput (records/s) of a
+// one-attribute DatasetSession's fold-on-arrival path at 1/2/4/8 threads,
+// time-to-first-estimate for a client that polls early vs. waiting for the
+// whole batch, and the cost of a warm-started refresh vs. a cold batch
+// fit. Honours PPDM_PAPER_SCALE=1 for the paper's 100k-record runs, and
+// cross-checks that the streamed estimate is byte-identical to the batch
+// FitParallel (the streaming determinism contract).
 
 #include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "api/dataset_session.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "bench/bench_util.h"
+#include "data/row_batch.h"
 #include "engine/batch.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
@@ -25,18 +26,27 @@ using namespace ppdm;
 
 constexpr std::size_t kIntervals = 100;
 constexpr std::size_t kBatchRecords = 2048;
+constexpr std::size_t kShardSize = 512;
 
-api::SessionSpec SalarySpec(const data::Schema& schema,
-                            std::size_t shard_size) {
-  const data::FieldSpec& field = schema.Field(synth::kSalary);
-  api::SessionSpec spec;
-  spec.lo = field.lo;
-  spec.hi = field.hi;
-  spec.intervals = kIntervals;
-  spec.noise = perturb::NoiseKind::kUniform;
-  spec.privacy_fraction = 1.0;
-  spec.shard_size = shard_size;
+// A one-attribute session over a one-field schema holding the salary
+// domain, so a slice of the perturbed salary column is a row-major batch.
+api::DatasetSessionSpec SalarySpec(const data::Schema& schema) {
+  api::DatasetSessionSpec spec;
+  spec.schema = data::Schema({schema.Field(synth::kSalary)});
+  api::AttributeSpec attr;
+  attr.column = 0;
+  attr.intervals = kIntervals;
+  attr.noise = perturb::NoiseKind::kUniform;
+  attr.privacy_fraction = 1.0;
+  spec.attributes.push_back(attr);
+  spec.shard_size = kShardSize;
   return spec;
+}
+
+// Folds `count` salary values starting at `values` into `session`.
+bool IngestSalary(api::DatasetSession& session, const double* values,
+                  std::size_t count) {
+  return session.Ingest(data::RowBatch(values, count, 1)).ok();
 }
 
 }  // namespace
@@ -75,7 +85,7 @@ int main() {
 
   // -------------------------------------------------- ingest throughput
   // Fold-on-arrival cost alone: batches of kBatchRecords through
-  // Session::Ingest, no reconstruction.
+  // DatasetSession::Ingest, no reconstruction.
   for (std::size_t threads : thread_counts) {
     engine::BatchOptions options;
     options.num_threads = threads;
@@ -85,12 +95,12 @@ int main() {
                   threads);
     reporter.Measure(label, stream.size(), "ingest", [&] {
       auto session =
-          service.value()->OpenSession(SalarySpec(train.schema(), 512));
+          service.value()->OpenDatasetSession(SalarySpec(train.schema()));
       for (std::size_t offset = 0; offset < stream.size();
            offset += kBatchRecords) {
         const std::size_t take =
             std::min(kBatchRecords, stream.size() - offset);
-        if (!session.value()->Ingest(stream.data() + offset, take).ok()) {
+        if (!IngestSalary(*session.value(), stream.data() + offset, take)) {
           std::abort();
         }
       }
@@ -102,35 +112,34 @@ int main() {
   // and fit everything; the session fits from one batch's counts.
   reporter.Measure("first estimate: batch all", stream.size(), "", [&] {
     const reconstruct::Reconstruction r =
-        reconstructor.FitParallel(stream, partition, nullptr, 512);
+        reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
     (void)r;
   });
   reporter.Measure("first estimate: stream 1 batch", kBatchRecords, "", [&] {
-    auto session = api::ReconstructionSession::Open(
-        SalarySpec(train.schema(), 512));
-    if (!session.value()->Ingest(stream.data(), kBatchRecords).ok()) {
+    auto session = api::DatasetSession::Open(SalarySpec(train.schema()));
+    if (!IngestSalary(*session.value(), stream.data(), kBatchRecords)) {
       std::abort();
     }
-    const auto r = session.value()->Reconstruct();
+    const auto r = session.value()->ReconstructAll();
     (void)r;
   });
 
   // ---------------------------------------- refresh: warm vs. cold fit
   // The steady-state serving cost: all records ingested, one more
-  // Reconstruct(). Warm-started EM restarts from the previous estimate.
-  auto warm_session =
-      api::ReconstructionSession::Open(SalarySpec(train.schema(), 512));
-  if (!warm_session.ok() || !warm_session.value()->Ingest(stream).ok()) {
+  // ReconstructAll(). Warm-started EM restarts from the previous estimate.
+  auto warm_session = api::DatasetSession::Open(SalarySpec(train.schema()));
+  if (!warm_session.ok() ||
+      !IngestSalary(*warm_session.value(), stream.data(), stream.size())) {
     return 1;
   }
-  (void)warm_session.value()->Reconstruct();  // prime the estimate
+  (void)warm_session.value()->ReconstructAll();  // prime the estimate
   reporter.Measure("refresh: cold batch fit", stream.size(), "refresh", [&] {
     const reconstruct::Reconstruction r =
-        reconstructor.FitParallel(stream, partition, nullptr, 512);
+        reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
     (void)r;
   });
   reporter.Measure("refresh: warm-started", stream.size(), "refresh", [&] {
-    const auto r = warm_session.value()->Reconstruct();
+    const auto r = warm_session.value()->ReconstructAll();
     (void)r;
   });
 
@@ -138,26 +147,27 @@ int main() {
   // Streamed (many batches) == batch FitParallel, byte for byte, with and
   // without a pool.
   const reconstruct::Reconstruction batch_fit =
-      reconstructor.FitParallel(stream, partition, nullptr, 512);
+      reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     engine::BatchOptions options;
     options.num_threads = threads;
     auto service = api::Service::Create(options);
     auto session =
-        service.value()->OpenSession(SalarySpec(train.schema(), 512));
+        service.value()->OpenDatasetSession(SalarySpec(train.schema()));
     for (std::size_t offset = 0; offset < stream.size();
          offset += kBatchRecords) {
       const std::size_t take = std::min(kBatchRecords,
                                         stream.size() - offset);
-      if (!session.value()->Ingest(stream.data() + offset, take).ok()) {
+      if (!IngestSalary(*session.value(), stream.data() + offset, take)) {
         return 1;
       }
     }
-    const auto streamed = session.value()->Reconstruct();
+    const auto streamed = session.value()->ReconstructAll();
     identical = identical && streamed.ok() &&
-                streamed.value().masses.size() == batch_fit.masses.size() &&
-                std::memcmp(streamed.value().masses.data(),
+                streamed.value()[0].masses.size() ==
+                    batch_fit.masses.size() &&
+                std::memcmp(streamed.value()[0].masses.data(),
                             batch_fit.masses.data(),
                             batch_fit.masses.size() * sizeof(double)) == 0;
   }

@@ -5,7 +5,9 @@
 #ifndef PPDM_BENCH_BENCH_UTIL_H_
 #define PPDM_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -135,11 +137,12 @@ inline double WallSeconds(const std::function<void()>& fn) {
 /// `repeats` times and keeps the fastest, the usual guard against noisy
 /// neighbours on shared machines.
 ///
-/// Every repeat's wall time is also fed into the process metrics
-/// registry as ppdm_bench_run_seconds{case="<label>"}, so the destructor
-/// can print a per-case p50/p99 summary over the repeat samples and
-/// PPDM_BENCH_METRICS=1 dumps the full Prometheus text exposition —
-/// engine/store counters included — after the rows.
+/// Every repeat's wall time is kept per case, so the destructor can print
+/// exact per-case p50/p99 order statistics over the repeat samples. It is
+/// also fed into the process metrics registry as
+/// ppdm_bench_run_seconds{case="<label>"}, and PPDM_BENCH_METRICS=1 dumps
+/// the full Prometheus text exposition — engine/store counters included —
+/// after the rows.
 /// A non-empty `bench` additionally emits one NDJSON row per Measure()
 /// (EmitBenchJson: seconds, items/sec, items/sec/core, cores, speedup) so
 /// dashboards scrape the perf sweeps without parsing the table.
@@ -169,20 +172,18 @@ class ThroughputReporter {
   double Measure(const std::string& label, std::size_t items,
                  const std::string& baseline_of,
                  const std::function<void()>& fn, std::size_t cores = 1) {
-    obs::Histogram* const samples =
+    obs::Histogram* const histogram =
         obs::MetricsRegistry::Global().GetHistogram(
             "ppdm_bench_run_seconds",
             obs::Histogram::LatencyBucketsSeconds(),
             "case=\"" + label + "\"");
-    if (cases_.empty() || cases_.back().second != samples) {
-      cases_.emplace_back(label, samples);
-    }
-    double seconds = WallSeconds(fn);
-    samples->Observe(seconds);
-    for (int r = 1; r < repeats_; ++r) {
-      const double again = WallSeconds(fn);
-      samples->Observe(again);
-      if (again < seconds) seconds = again;
+    std::vector<double>& samples = SamplesFor(label);
+    double seconds = 0.0;
+    for (int r = 0; r < std::max(repeats_, 1); ++r) {
+      const double run = WallSeconds(fn);
+      histogram->Observe(run);
+      samples.push_back(run);
+      if (r == 0 || run < seconds) seconds = run;
     }
     // A sub-clock-resolution run (seconds == 0) can neither anchor nor
     // receive a meaningful speedup; such rows print "-" instead.
@@ -216,30 +217,47 @@ class ThroughputReporter {
     return seconds;
   }
 
-  /// Per-case p50/p99 across the repeat samples (bucket-interpolated, the
-  /// same numbers the exposition's _bucket series carry). With few
-  /// repeats the quantiles are coarse — they bound, not pinpoint.
+  /// Per-case p50/p99 across the repeat samples: exact order statistics
+  /// (nearest rank) of the recorded wall times. With few repeats p99 is
+  /// the slowest run.
   void PrintLatencySummary() const {
     if (cases_.empty()) return;
     std::printf("\n%-36s %12s %12s %8s\n", "case (repeat samples)",
                 "p50 ms", "p99 ms", "n");
     for (const auto& [label, samples] : cases_) {
-      if (samples->Count() == 0) continue;
-      std::printf("%-36s %12.3f %12.3f %8llu\n", label.c_str(),
-                  1e3 * samples->Quantile(0.5),
-                  1e3 * samples->Quantile(0.99),
-                  static_cast<unsigned long long>(samples->Count()));
+      if (samples.empty()) continue;
+      std::vector<double> sorted = samples;
+      std::sort(sorted.begin(), sorted.end());
+      std::printf("%-36s %12.3f %12.3f %8zu\n", label.c_str(),
+                  1e3 * NearestRank(sorted, 0.5),
+                  1e3 * NearestRank(sorted, 0.99), sorted.size());
     }
   }
 
  private:
+  /// The q-quantile of ascending `sorted` by nearest rank: the smallest
+  /// sample with at least a q share of the samples at or below it.
+  static double NearestRank(const std::vector<double>& sorted, double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+  }
+
+  /// The sample list of `label`, created in measurement order on first
+  /// use; a repeated label appends to its existing list.
+  std::vector<double>& SamplesFor(const std::string& label) {
+    for (auto& [name, samples] : cases_) {
+      if (name == label) return samples;
+    }
+    return cases_.emplace_back(label, std::vector<double>{}).second;
+  }
+
   std::string unit_;
   int repeats_;
   std::string bench_;  // NDJSON bench id; empty = table only
   std::map<std::string, double> baselines_;
-  /// Measurement order, one entry per distinct label (repeated labels
-  /// resolve to the same histogram and are recorded once).
-  std::vector<std::pair<std::string, const obs::Histogram*>> cases_;
+  /// Repeat wall times per case, in measurement order.
+  std::vector<std::pair<std::string, std::vector<double>>> cases_;
 };
 
 }  // namespace ppdm::bench

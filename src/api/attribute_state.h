@@ -1,7 +1,6 @@
-// Per-attribute streaming reconstruction state — the unit both session
-// shapes are built from. A ReconstructionSession owns one AttributeState;
-// a DatasetSession owns one per tracked attribute and folds a record
-// batch into all of them in a single pass.
+// Per-attribute streaming reconstruction state — the unit a session is
+// built from. A DatasetSession owns one per tracked attribute and folds a
+// record batch into all of them in a single pass.
 //
 // An AttributeState bundles the fixed layout of one attribute's streaming
 // reconstruction (interval partition, noise-aware reconstructor, the

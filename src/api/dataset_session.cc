@@ -54,6 +54,27 @@ obs::Counter& IngestRejectedCounter() {
   return counter;
 }
 
+// The per-attribute checks: the field's domain with the declared interval
+// count, the providers' noise, and EM tuning a streaming fold can honour.
+Status ValidateAttribute(const data::FieldSpec& field,
+                         const AttributeSpec& attr) {
+  PPDM_RETURN_IF_ERROR(ValidateDomain(field.lo, field.hi, attr.intervals));
+  perturb::RandomizerOptions as_noise;
+  as_noise.kind = attr.noise;
+  as_noise.privacy_fraction = attr.privacy_fraction;
+  as_noise.confidence = attr.confidence;
+  PPDM_RETURN_IF_ERROR(ValidateNoise(as_noise));
+  if (!attr.reconstruction.binned) {
+    // Streaming folds binned counts on arrival; the per-sample FitExact
+    // path needs every raw observation and cannot be honoured here. Reject
+    // rather than silently diverge from the batch result.
+    return Status::InvalidArgument(
+        "streaming sessions require reconstruction.binned (the per-sample "
+        "exact path needs the full column)");
+  }
+  return ValidateReconstruction(attr.reconstruction);
+}
+
 }  // namespace
 
 Status DatasetSessionSpec::Validate() const {
@@ -77,7 +98,7 @@ Status DatasetSessionSpec::Validate() const {
           attr.column));
     }
     seen[attr.column] = true;
-    const Status s = AttributeSession(a).Validate();
+    const Status s = ValidateAttribute(schema.Field(attr.column), attr);
     if (!s.ok()) {
       return Status::InvalidArgument(
           StrFormat("attribute %zu ('%s'): %s", a,
@@ -88,36 +109,20 @@ Status DatasetSessionSpec::Validate() const {
   return Status::Ok();
 }
 
-SessionSpec DatasetSessionSpec::AttributeSession(std::size_t index) const {
-  const AttributeSpec& attr = attributes[index];
-  const data::FieldSpec& field = schema.Field(attr.column);
-  SessionSpec spec;
-  spec.lo = field.lo;
-  spec.hi = field.hi;
-  spec.intervals = attr.intervals;
-  spec.noise = attr.noise;
-  spec.privacy_fraction = attr.privacy_fraction;
-  spec.confidence = attr.confidence;
-  spec.reconstruction = attr.reconstruction;
-  spec.shard_size = shard_size;
-  spec.warm_start = warm_start;
-  return spec;
-}
-
 DatasetSession::DatasetSession(const DatasetSessionSpec& spec,
                                engine::ThreadPool* pool)
     : spec_(spec), pool_(pool) {
   states_.reserve(spec_.attributes.size());
   columns_.reserve(spec_.attributes.size());
-  for (std::size_t a = 0; a < spec_.attributes.size(); ++a) {
-    const SessionSpec attr = spec_.AttributeSession(a);
-    states_.emplace_back(attr.lo, attr.hi, attr.intervals,
+  for (const AttributeSpec& attr : spec_.attributes) {
+    const data::FieldSpec& field = spec_.schema.Field(attr.column);
+    states_.emplace_back(field.lo, field.hi, attr.intervals,
                          perturb::NoiseForPrivacy(attr.noise,
                                                   attr.privacy_fraction,
-                                                  attr.hi - attr.lo,
+                                                  field.Range(),
                                                   attr.confidence),
                          attr.reconstruction);
-    columns_.push_back(spec_.attributes[a].column);
+    columns_.push_back(attr.column);
   }
 }
 

@@ -1,16 +1,21 @@
-// Dataset-level streaming reconstruction — the record-oriented serving
-// shape of the paper's server. Providers submit whole perturbed *records*;
-// an attribute-shaped serving layer (one ReconstructionSession per column)
-// pays N ingest passes over every arriving batch. A DatasetSession owns
-// one AttributeState per tracked attribute and folds a record batch into
-// all of them in a SINGLE pass over the rows: row-major arrival,
-// column-major fold, sharded over the pool.
+// Streaming reconstruction — the serving shape of the paper's server.
+// Providers submit perturbed *records* in batches over time, and the miner
+// wants an estimate of the true distributions at any point, not only after
+// the last record. A DatasetSession owns one AttributeState per tracked
+// attribute and folds a record batch into all of them in a SINGLE pass
+// over the rows (row-major arrival, column-major fold, sharded over the
+// pool), binning each perturbed value once, on arrival; ReconstructAll()
+// runs EM on demand. A one-attribute session is the single-column case.
 //
 // Determinism: each ingestion shard accumulates its own integer ShardStats
 // per attribute and the shards merge in ascending order, so the per-
-// attribute counts — and therefore every ReconstructAll() estimate — are
-// byte-identical to N independent per-attribute sessions fed the same
-// columns, at any thread count (property-tested in tests/api_test.cc).
+// attribute counts are identical for every batching. A cold
+// ReconstructAll() is therefore byte-identical to the batch
+// BayesReconstructor::FitParallel over each concatenated column, and every
+// estimate equals that of N one-attribute sessions fed the same batches,
+// at any thread count (property-tested in tests/api_test.cc). Refreshes
+// after the first warm-start EM from the previous estimate, which is what
+// makes periodic re-estimation cheap as the stream grows.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
 // service jobs, and a SessionRegistry may evict (drop) the session while
@@ -30,7 +35,6 @@
 #include <vector>
 
 #include "api/attribute_state.h"
-#include "api/session.h"
 #include "common/status.h"
 #include "data/row_batch.h"
 #include "data/schema.h"
@@ -76,17 +80,15 @@ struct DatasetSessionSpec {
   /// Affects only throughput, never the counts.
   std::size_t shard_size = 16384;
 
-  /// Warm-start refreshes from each attribute's previous estimate.
+  /// Warm-start refreshes from each attribute's previous estimate. Off,
+  /// every ReconstructAll() runs cold from the uniform prior (and so stays
+  /// byte-identical to the batch path at any point in the stream).
   bool warm_start = true;
 
-  /// kOk, or kInvalidArgument naming the offending attribute/field.
+  /// kOk, or kInvalidArgument naming the offending attribute/field: a
+  /// column out of range or repeated, an invalid domain or interval
+  /// count, invalid noise, `binned == false`, or invalid EM tuning.
   Status Validate() const;
-
-  /// The per-attribute SessionSpec an independent ReconstructionSession
-  /// over attributes[index] would use — the equivalence contract between
-  /// the dataset path and N single-attribute sessions, and what Open uses
-  /// to build each AttributeState.
-  SessionSpec AttributeSession(std::size_t index) const;
 };
 
 /// The mutable half of a DatasetSession, detached for persistence: what a
@@ -135,10 +137,12 @@ class DatasetSession {
   /// Safe to call concurrently with ReconstructAll().
   Status Ingest(const data::RowBatch& rows);
 
-  /// Fans one warm-started FitFromCounts per attribute over the pool and
-  /// returns the estimates in spec order. Byte-identical to calling
-  /// Reconstruct() on N independent per-attribute sessions with the same
-  /// ingestion history, at any thread count.
+  /// Fans one FitFromCounts per attribute over the pool and returns the
+  /// estimates in spec order. The first call (or every call with
+  /// warm_start off) starts from the uniform prior and is byte-identical
+  /// to FitParallel over each concatenated column; later calls warm-start
+  /// from the previous estimate. An empty session yields the uniform
+  /// distribution. Byte-identical at any thread count.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
 
   /// Records ingested so far.

@@ -43,7 +43,6 @@
 #include <utility>
 
 #include "api/dataset_session.h"
-#include "api/session.h"
 #include "api/spec.h"
 #include "common/status.h"
 #include "engine/batch.h"
@@ -203,7 +202,7 @@ class Service {
   const engine::BatchOptions& options() const { return options_; }
 
   /// The pool jobs run on; nullptr for a synchronous service. Borrow it
-  /// for session-parallel work (e.g. ReconstructionSession ingestion).
+  /// for session-parallel work (e.g. DatasetSession ingestion).
   engine::ThreadPool* pool() const { return pool_.get(); }
 
   /// Enqueues `job` and returns its handle. The job runs at most once, on
@@ -281,13 +280,6 @@ class Service {
 
   /// Jobs admitted but not yet picked up by a worker.
   std::size_t pending() const;
-
-  /// Opens a streaming reconstruction session backed by this service's
-  /// pool (Ingest fans out; Reconstruct's EM runs chunked over it).
-  Result<std::unique_ptr<ReconstructionSession>> OpenSession(
-      const SessionSpec& spec) const {
-    return ReconstructionSession::Open(spec, pool_.get());
-  }
 
   /// Opens a dataset-level session backed by this service's pool: record
   /// batches fold into every attribute in one pass, ReconstructAll fans

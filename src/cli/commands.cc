@@ -15,7 +15,6 @@
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "common/fault.h"
@@ -30,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
-#include "reconstruct/by_class.h"
 #include "reconstruct/reconstructor.h"
 #include "stats/histogram.h"
 #include "store/session_codec.h"
@@ -97,7 +95,7 @@ Result<perturb::Randomizer> RandomizerFromFlags(const Args& args,
 }
 
 // --threads / --shard-size: the parallel execution engine. --threads=0
-// (the default) keeps the sequential reference code paths.
+// (the default) runs the same decompositions inline.
 Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
   PPDM_ASSIGN_OR_RETURN(const long long threads, args.GetInt("threads", 0));
   if (threads < 0) {
@@ -317,11 +315,11 @@ const char* UsageText() {
       "\n"
       "ppdm <command> --help prints this usage and exits 0.\n"
       "\n"
-      "Every command also accepts --simd=off|scalar|avx2, pinning the EM /\n"
+      "Every command also accepts --simd=scalar|avx2, pinning the EM /\n"
       "ingest kernel dispatch (overrides the PPDM_SIMD env var; default is\n"
-      "avx2 when the build and CPU support it, else scalar). All paths are\n"
+      "avx2 when the build and CPU support it, else scalar). Both paths are\n"
       "byte-identical — the flag exists for benchmarking and for pinning a\n"
-      "known path in CI; 'off' keeps the pre-dispatch sequential loops.\n"
+      "known path in CI; any other value is an error.\n"
       "\n"
       "serve-sim simulates the paper's server: providers submit perturbed\n"
       "records in batches of B; a DatasetSession folds each record batch\n"
@@ -389,12 +387,12 @@ const char* UsageText() {
       "For train/reconstruct, --noise/--privacy must describe the noise\n"
       "the input file was perturbed with (0 for unperturbed data).\n"
       "--threads=T runs the parallel engine with T workers; 0 (the\n"
-      "default) keeps the sequential reference implementation, whose\n"
-      "stream/summation layout differs from the engine's. For any\n"
-      "T >= 1 results are identical for a fixed --shard-size.\n"
-      "--shard-size shapes the perturb and single-attribute\n"
-      "reconstruct decompositions; train and --by-class parallelize\n"
-      "the per-attribute/per-class fan-out and do not use it.\n";
+      "default) runs inline. reconstruct, --by-class and train give\n"
+      "bit-identical results at every thread count, and --shard-size\n"
+      "does not change reconstruction bits. Only perturb's noise-stream\n"
+      "layout differs: --threads=0 draws one stream per attribute, while\n"
+      "T >= 1 draws one per (attribute, shard) and is identical for every\n"
+      "T at a fixed --shard-size.\n";
 }
 
 Status RunGenerate(const Args& args, std::ostream& out) {
@@ -504,9 +502,6 @@ Status RunReconstruct(const Args& args, std::ostream& out) {
   if (args.Has("by-class")) {
     recons = batch.ReconstructByClassParallel(dataset.value(), col.value(),
                                               partition, reconstructor);
-  } else if (batch.pool() == nullptr) {
-    recons.push_back(reconstruct::ReconstructCombined(
-        dataset.value(), col.value(), partition, reconstructor));
   } else {
     recons.push_back(batch.ReconstructParallel(
         dataset.value().Column(col.value()), partition, reconstructor));
@@ -1627,8 +1622,8 @@ Status RunCommand(const Args& args, std::ostream& out) {
     out << UsageText();
     return Status::Ok();
   }
-  // --simd=off|scalar|avx2 pins the kernel dispatch for this run (it
-  // overrides PPDM_SIMD). All paths are byte-identical; the flag exists
+  // --simd=scalar|avx2 pins the kernel dispatch for this run (it
+  // overrides PPDM_SIMD). Both paths are byte-identical; the flag exists
   // for benchmarking and for pinning a known path in CI.
   if (args.Has("simd")) {
     PPDM_RETURN_IF_ERROR(

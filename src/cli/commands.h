@@ -5,7 +5,7 @@
 //   reconstruct  recover one attribute's distribution from perturbed CSV
 //   train        train + evaluate a classifier from (perturbed) CSV
 //   serve-sim    simulate the streaming server: batches of perturbed
-//                records arrive over time, a ReconstructionSession folds
+//                records arrive over time, a DatasetSession folds
 //                them in, and periodic refreshes re-estimate by
 //                warm-started EM; --checkpoint-dir snapshots the session
 //                so a later --resume continues where a crash stopped

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // PPDM_SIMD=off|scalar|avx2 pins the kernel dispatch path. Resolve it
+  // PPDM_SIMD=scalar|avx2 pins the kernel dispatch path. Resolve it
   // eagerly so a typo fails loudly here instead of silently running the
   // default path (library users get the lenient lazy resolve instead).
   if (ppdm::Status simd = ppdm::engine::simd::InitFromEnv(); !simd.ok()) {

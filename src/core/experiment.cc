@@ -35,8 +35,8 @@ ExperimentData PrepareData(const ExperimentConfig& config,
 
   // The engine's sharded perturbation lays noise streams out per
   // (attribute, shard) instead of per attribute, so it is only used when
-  // the config opts into parallel execution — the default reproduces the
-  // sequential reference bit for bit.
+  // the config opts into parallel execution — the default keeps the
+  // per-attribute streams the experiment suites' accuracy bounds sit on.
   data::Dataset perturbed = config.batch.num_threads == 0
                                 ? randomizer.Perturb(train)
                                 : batch.PerturbShards(randomizer, train);

@@ -32,11 +32,12 @@ struct ExperimentConfig {
   tree::TreeOptions tree;
   std::uint64_t seed = 1;
 
-  /// Parallel execution engine configuration. num_threads == 0 (default)
-  /// keeps the sequential reference paths, bit-identical to the original
-  /// single-threaded implementation; num_threads >= 1 routes perturbation
-  /// and the reconstruction fan-out through the engine, whose results are
-  /// identical for every positive thread count.
+  /// Parallel execution engine configuration. Reconstruction and tree
+  /// training are bit-identical at every thread count. The perturbation
+  /// is not: num_threads == 0 (default) draws one noise stream per
+  /// attribute (Randomizer::Perturb), while num_threads >= 1 draws one per
+  /// (attribute, shard) via Batch::PerturbShards, identical for every
+  /// positive thread count at a fixed shard_size.
   engine::BatchOptions batch;
 };
 

@@ -2,10 +2,14 @@
 // points that shard high-fanout aggregate work (millions of perturbed
 // records in, one reconstruction out) over a thread pool.
 //
-// Determinism contract: every job's output depends only on its inputs and
-// BatchOptions::shard_size, never on num_threads. Jobs decompose work at a
-// fixed grain and merge per-shard results in shard order; see
-// thread_pool.h for the underlying rules.
+// Determinism contract: no job's output depends on num_threads. Jobs
+// decompose work at a fixed grain and merge per-shard results in shard
+// order; see thread_pool.h for the underlying rules. Reconstruction jobs
+// do not depend on shard_size either (integer counts merge exactly and the
+// EM chunk grain is a constant), so they equal the single-threaded
+// BayesReconstructor::Fit bit for bit. Only PerturbShards' noise streams
+// are laid out per (attribute, shard), so its output depends on
+// shard_size.
 
 #ifndef PPDM_ENGINE_BATCH_H_
 #define PPDM_ENGINE_BATCH_H_
@@ -29,9 +33,9 @@ struct BatchOptions {
   /// same sharded code paths, no pool); results are identical either way.
   std::size_t num_threads = 0;
 
-  /// Records per ingestion/perturbation shard. Part of the deterministic
-  /// decomposition: outputs depend on this value but not on num_threads.
-  /// 0 = a single shard.
+  /// Records per ingestion/perturbation shard. 0 = a single shard.
+  /// PerturbShards' output depends on it (one noise stream per shard);
+  /// reconstruction outputs do not.
   std::size_t shard_size = 16384;
 };
 
@@ -60,7 +64,8 @@ class Batch {
                               const data::Dataset& dataset) const;
 
   /// Parallel EM reconstruction of one perturbed column: sharded binning
-  /// plus chunked E-step. Bit-identical for every num_threads.
+  /// plus chunked E-step. Bit-identical to BayesReconstructor::Fit for
+  /// every num_threads and shard_size.
   reconstruct::Reconstruction ReconstructParallel(
       const std::vector<double>& perturbed,
       const reconstruct::Partition& partition,

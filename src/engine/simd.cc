@@ -24,7 +24,7 @@ std::atomic<int> g_path{kUnresolved};
 // ppdm_simd_path{path="..."} — an info gauge: 1 on the active path's
 // label, 0 on the others, so a scrape names the dispatched kernels.
 void PublishPathGauge(Path active) {
-  static constexpr Path kAll[] = {Path::kOff, Path::kScalar, Path::kAvx2};
+  static constexpr Path kAll[] = {Path::kScalar, Path::kAvx2};
   for (Path p : kAll) {
     obs::MetricsRegistry::Global()
         .GetGauge("ppdm_simd_path",
@@ -46,7 +46,6 @@ Path ResolveLazily() {
   const char* env = std::getenv("PPDM_SIMD");
   if (env == nullptr) return DefaultPath();
   const std::string name(env);
-  if (name == "off") return Path::kOff;
   if (name == "scalar") return Path::kScalar;
   if (name == "avx2") {
     if (Avx2Supported()) return Path::kAvx2;
@@ -56,7 +55,7 @@ Path ResolveLazily() {
     return Path::kScalar;
   }
   std::fprintf(stderr,
-               "ppdm: PPDM_SIMD='%s' is not off|scalar|avx2; using the "
+               "ppdm: PPDM_SIMD='%s' is not scalar|avx2; using the "
                "default path\n",
                env);
   return DefaultPath();
@@ -66,8 +65,6 @@ Path ResolveLazily() {
 
 const char* PathName(Path path) {
   switch (path) {
-    case Path::kOff:
-      return "off";
     case Path::kScalar:
       return "scalar";
     case Path::kAvx2:
@@ -111,11 +108,10 @@ Status SetPath(Path path) {
 }
 
 Status SetPathFromString(const std::string& name) {
-  if (name == "off") return SetPath(Path::kOff);
   if (name == "scalar") return SetPath(Path::kScalar);
   if (name == "avx2") return SetPath(Path::kAvx2);
   return Status::InvalidArgument("simd path '" + name +
-                                 "' is not off|scalar|avx2");
+                                 "' is not scalar|avx2");
 }
 
 Status InitFromEnv() {

@@ -1,10 +1,7 @@
 // Runtime-dispatched SIMD kernels for the EM / ingest hot loops.
 //
-// Three code paths, selectable per process:
+// Two code paths, selectable per process:
 //
-//   kOff    — the pre-SIMD sequential loops (left in the callers); kept as
-//             an escape hatch that reproduces the historical accumulation
-//             order bit for bit.
 //   kScalar — lane-blocked scalar kernels: fixed-width 4-lane blocked
 //             accumulation with a deterministic reduction tree. This is
 //             the bit-exact reference the vector path is tested against.
@@ -18,7 +15,10 @@
 // Both simd.cc and simd_avx2.cc are compiled with -ffp-contract=off so the
 // compiler can never fuse a mul+add into an FMA in one path but not the
 // other. The default path is kAvx2 when the build and the CPU support it,
-// else kScalar; PPDM_SIMD=off|scalar|avx2 (env) or --simd (CLI) force one.
+// else kScalar; PPDM_SIMD=scalar|avx2 (env) or --simd (CLI) force one.
+// Every EM fit — Fit, FitParallel, FitFromCounts — runs the same
+// lane-blocked kernels over the same fixed chunk decomposition, so the
+// path never changes an output bit.
 
 #ifndef PPDM_ENGINE_SIMD_H_
 #define PPDM_ENGINE_SIMD_H_
@@ -35,7 +35,6 @@ namespace ppdm::engine::simd {
 
 /// Dispatchable code path for the blocked kernels.
 enum class Path {
-  kOff,     ///< historical sequential loops (no lane blocking)
   kScalar,  ///< lane-blocked scalar — the bit-exact reference
   kAvx2,    ///< lane-blocked AVX2 — byte-identical to kScalar
 };
@@ -49,7 +48,7 @@ inline std::size_t PadLanes(std::size_t n) {
   return (n + kLanes - 1) / kLanes * kLanes;
 }
 
-/// "off" / "scalar" / "avx2".
+/// "scalar" / "avx2".
 const char* PathName(Path path);
 
 /// True when this binary carries AVX2 code *and* the CPU executes it.
@@ -64,7 +63,8 @@ Path ActivePath();
 /// InvalidArgument when `path` is kAvx2 on a build/CPU without AVX2.
 Status SetPath(Path path);
 
-/// Parses "off"/"scalar"/"avx2" and forces that path.
+/// Parses "scalar"/"avx2" and forces that path; any other name is
+/// InvalidArgument.
 Status SetPathFromString(const std::string& name);
 
 /// Explicit PPDM_SIMD resolution with a hard error for bad values — the
@@ -76,8 +76,7 @@ Status InitFromEnv();
 // ------------------------------------------------------------ the kernels
 //
 // Every kernel takes the target `path` explicitly (resolve ActivePath()
-// once outside the hot loop). Passing kOff is a programmer error — the
-// off path keeps its historical loops in the caller.
+// once outside the hot loop).
 
 /// Lane-blocked dot product Σ a[i]·b[i] over `n` entries; `n` must be a
 /// multiple of kLanes (pad with zeros — +0.0 contributions are exact).

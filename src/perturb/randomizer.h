@@ -39,7 +39,7 @@ class Randomizer {
   const NoiseModel& ModelFor(std::size_t col) const;
 
   /// Returns a perturbed copy; labels are never perturbed (paper setting).
-  /// Sequential reference implementation: one noise stream per attribute.
+  /// Sequential layout: one noise stream per attribute.
   data::Dataset Perturb(const data::Dataset& dataset) const;
 
   /// Sharded perturbation: rows are cut into shards of `shard_size`
@@ -47,6 +47,11 @@ class Randomizer {
   /// stream, derived via Rng::Fork(stream_index) so no two cells ever share
   /// one. Output depends only on (seed, shard_size) — identical for every
   /// pool size — but differs from the sequential overload's stream layout.
+  /// The two layouts stay distinct on purpose: they are different samples
+  /// of the same noise, and the experiment suites' accuracy bounds are
+  /// pinned on the sequential one's draws (routing it through the sharded
+  /// streams dropped integration_test's Fn5 by-class accuracy to 0.9085,
+  /// below its 0.915 bound).
   data::Dataset Perturb(const data::Dataset& dataset,
                         engine::ThreadPool* pool,
                         std::size_t shard_size) const;

@@ -43,8 +43,8 @@ std::vector<Reconstruction> ReconstructByClassParallel(
   const std::vector<std::vector<double>> values =
       SplitColumnByClass(perturbed, col);
   std::vector<Reconstruction> out(values.size());
-  // One task per class; each fit is the sequential reference path writing
-  // its own slot, so the fan-out cannot perturb any output bit.
+  // One task per class; each fit runs inline on its worker and writes its
+  // own slot, so the fan-out cannot perturb any output bit.
   engine::ParallelFor(pool, values.size(), [&](std::size_t c) {
     out[c] = reconstructor.Fit(values[c], partition);
   });

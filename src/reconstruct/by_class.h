@@ -26,9 +26,9 @@ std::vector<Reconstruction> ReconstructByClass(
     const Partition& partition, const BayesReconstructor& reconstructor);
 
 /// Per-class fan-out of ReconstructByClass over a pool: each class's EM runs
-/// as one independent task. Every per-class fit uses the sequential
-/// reference path, so the result is bit-identical to ReconstructByClass for
-/// any pool size (nullptr runs inline).
+/// as one independent task writing its own slot, so the result is
+/// bit-identical to ReconstructByClass for any pool size (nullptr runs
+/// inline).
 std::vector<Reconstruction> ReconstructByClassParallel(
     const data::Dataset& perturbed, std::size_t col,
     const Partition& partition, const BayesReconstructor& reconstructor,

@@ -34,9 +34,10 @@ obs::Histogram& EmIterationsHistogram() {
   return histogram;
 }
 
-// E-step grain of the parallel binned path: w-bins per chunk. Fixed (never
-// derived from the thread count) so the partial-sum tree — and therefore
-// every output bit — is invariant under the pool size.
+// E-step grain: kernel-table rows (w-bins, or samples on the exact path)
+// per chunk. Fixed (never derived from the thread count or the shard size)
+// so the partial-sum tree — and therefore every output bit — is invariant
+// under the pool size.
 constexpr std::size_t kEmChunkBins = 32;
 
 // Row grain for embarrassingly parallel per-row work (kernel rows).
@@ -70,15 +71,13 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
 
 // Shared EM loop over a prebuilt likelihood table: `weights[j]` perturbed
 // observations sit in table row j. The E-step is decomposed into fixed
-// chunks of `em_chunk` observations; per-chunk partial sums are folded in
-// ascending chunk order, so for a fixed em_chunk the output is
-// bit-identical regardless of `pool` (nullptr runs the identical
-// decomposition inline). em_chunk == 0 keeps everything in one chunk,
-// reproducing the sequential accumulation order exactly.
+// chunks of kEmChunkBins rows; per-chunk partial sums are folded in
+// ascending chunk order, so the output is bit-identical regardless of
+// `pool` (nullptr runs the identical decomposition inline). This is the
+// only E-step: Fit, FitParallel and FitFromCounts all run it.
 //
 // The inner product and scale-accumulate run on the dispatched SIMD path
-// (engine::simd::ActivePath()): kOff preserves the historical sequential
-// accumulation bit for bit; kScalar and kAvx2 share one lane-blocked
+// (engine::simd::ActivePath()); kScalar and kAvx2 share one lane-blocked
 // decomposition and are byte-identical to each other. Mass vectors live in
 // stride-wide buffers whose padding lanes hold exact zeros, so the blocked
 // kernels never need a remainder tail (the padded products are +0.0 —
@@ -90,7 +89,7 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
 Reconstruction RunEm(const std::vector<double>& weights,
                      const KernelTable& table, double total_weight,
                      const ReconstructionOptions& options,
-                     engine::ThreadPool* pool, std::size_t em_chunk,
+                     engine::ThreadPool* pool,
                      const std::vector<double>* initial = nullptr) {
   obs::ScopedTimer fit_timer(&EmFitSecondsHistogram());
   PPDM_CHECK_EQ(weights.size(), table.wbins);
@@ -118,7 +117,7 @@ Reconstruction RunEm(const std::vector<double>& weights,
   std::vector<double> next(stride, 0.0);
 
   const std::vector<engine::ChunkRange> chunks =
-      engine::MakeChunks(weights.size(), em_chunk);
+      engine::MakeChunks(weights.size(), kEmChunkBins);
   // Per-chunk accumulators in one arena, each chunk's slice rounded up to
   // a whole number of cache lines and the arena 64-byte-aligned, so pool
   // threads never write into each other's cache lines (no false sharing).
@@ -134,15 +133,7 @@ Reconstruction RunEm(const std::vector<double>& weights,
       for (std::size_t j = chunks[c].begin; j < chunks[c].end; ++j) {
         if (weights[j] == 0.0) continue;
         const double* row = &kernel[j * stride];
-        double denom;
-        if (path == simd::Path::kOff) {
-          denom = 0.0;
-          for (std::size_t k = 0; k < num_intervals; ++k) {
-            denom += row[k] * p[k];
-          }
-        } else {
-          denom = simd::Dot(row, p.data(), stride, path);
-        }
+        const double denom = simd::Dot(row, p.data(), stride, path);
         if (denom <= kTinyDensity) {
           // No component reaches this observation (clamped edge bin under
           // bounded noise): attribute it wholly to the nearest interval.
@@ -151,14 +142,8 @@ Reconstruction RunEm(const std::vector<double>& weights,
           continue;
         }
         ll += weights[j] * std::log(denom);
-        const double scale = weights[j] / denom;
-        if (path == simd::Path::kOff) {
-          for (std::size_t k = 0; k < num_intervals; ++k) {
-            local[k] += scale * row[k] * p[k];
-          }
-        } else {
-          simd::ScaleAdd(local, row, p.data(), scale, stride, path);
-        }
+        simd::ScaleAdd(local, row, p.data(), weights[j] / denom, stride,
+                       path);
       }
       partial_ll[c] = ll;
     });
@@ -224,14 +209,13 @@ KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
   std::vector<double> mids(num_intervals);
   for (std::size_t k = 0; k < num_intervals; ++k) mids[k] = partition.Mid(k);
 
-  // The batch CDF kernel only exists for uniform noise; Gaussian (erf) and
-  // the historical kOff path evaluate the scalar CDF per cell.
-  const bool batch_cdf = noise.kind() == perturb::NoiseKind::kUniform &&
-                         simd::ActivePath() != simd::Path::kOff;
+  // The batch CDF kernel only exists for uniform noise; Gaussian (erf)
+  // evaluates the scalar CDF per cell.
+  const bool batch_cdf = noise.kind() == perturb::NoiseKind::kUniform;
   const double alpha = noise.scale();
 
   const std::vector<engine::ChunkRange> rows =
-      engine::MakeChunks(num_wbins, pool == nullptr ? 0 : kKernelChunkRows);
+      engine::MakeChunks(num_wbins, kKernelChunkRows);
   engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
     std::vector<double> upper(num_intervals), lower(num_intervals);
     for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
@@ -303,18 +287,7 @@ BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
 
 Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
                                        const Partition& partition) const {
-  if (noise_.kind() == perturb::NoiseKind::kNone) {
-    return HistogramMasses(perturbed, partition);
-  }
-  if (perturbed.empty()) {
-    Reconstruction out;
-    out.masses = UniformMasses(partition.intervals());
-    return out;
-  }
-  // em_chunk 0 = one chunk: reproduces the sequential reference bitwise.
-  return options_.binned
-             ? FitBinned(perturbed, partition, nullptr, 0, 0)
-             : FitExact(perturbed, partition, nullptr, 0);
+  return FitParallel(perturbed, partition, nullptr, 0);
 }
 
 Reconstruction BayesReconstructor::FitParallel(
@@ -329,8 +302,8 @@ Reconstruction BayesReconstructor::FitParallel(
     return out;
   }
   return options_.binned
-             ? FitBinned(perturbed, partition, pool, shard_size, kEmChunkBins)
-             : FitExact(perturbed, partition, pool, shard_size);
+             ? FitBinned(perturbed, partition, pool, shard_size)
+             : FitExact(perturbed, partition, pool);
 }
 
 stats::Histogram BayesReconstructor::PerturbedBinning(
@@ -354,8 +327,7 @@ KernelTable BayesReconstructor::BuildKernelTable(
 
 Reconstruction BayesReconstructor::FitBinned(
     const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t shard_size,
-    std::size_t em_chunk) const {
+    engine::ThreadPool* pool, std::size_t shard_size) const {
   // Sharded ingestion: per-shard integer bin counts merged in shard order
   // are exactly the sequential histogram, for every pool size. The bin
   // index is computed by the dispatched batch kernel, which reproduces
@@ -369,8 +341,7 @@ Reconstruction BayesReconstructor::FitBinned(
   const KernelTable table =
       BuildBinnedKernelTable(whist, partition, noise_, pool);
   return RunEm(ingested.BinWeights(), table,
-               static_cast<double>(perturbed.size()), options_, pool,
-               em_chunk);
+               static_cast<double>(perturbed.size()), options_, pool);
 }
 
 Reconstruction BayesReconstructor::FitFromCounts(
@@ -401,15 +372,14 @@ Reconstruction BayesReconstructor::FitFromCounts(
     built = BuildBinnedKernelTable(whist, partition, noise_, pool);
     kernel = &built;
   }
-  // kEmChunkBins matches FitParallel's decomposition, so a cold start
+  // RunEm's one decomposition is FitParallel's too, so a cold start
   // (initial == nullptr) reproduces the batch masses bit for bit.
-  return RunEm(weights, *kernel, total_weight, options_, pool, kEmChunkBins,
-               initial);
+  return RunEm(weights, *kernel, total_weight, options_, pool, initial);
 }
 
 Reconstruction BayesReconstructor::FitExact(
     const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t em_chunk) const {
+    engine::ThreadPool* pool) const {
   const std::size_t num_intervals = partition.intervals();
   std::vector<double> weights(perturbed.size(), 1.0);
   // Ad-hoc per-sample table: row j holds f_Y(w_j − m_k). Same padded
@@ -420,8 +390,8 @@ Reconstruction BayesReconstructor::FitExact(
   table.stride = simd::PadLanes(num_intervals);
   table.kernel.assign(table.wbins * table.stride, 0.0);
   table.fallback.resize(table.wbins);
-  const std::vector<engine::ChunkRange> rows = engine::MakeChunks(
-      perturbed.size(), pool == nullptr ? 0 : kKernelChunkRows);
+  const std::vector<engine::ChunkRange> rows =
+      engine::MakeChunks(perturbed.size(), kKernelChunkRows);
   engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
     for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
       table.fallback[j] = partition.IntervalOf(perturbed[j]);
@@ -432,7 +402,7 @@ Reconstruction BayesReconstructor::FitExact(
     }
   });
   return RunEm(weights, table, static_cast<double>(perturbed.size()),
-               options_, pool, em_chunk);
+               options_, pool);
 }
 
 }  // namespace ppdm::reconstruct

@@ -108,17 +108,18 @@ class BayesReconstructor {
   /// Reconstructs the distribution of X over `partition` from the
   /// perturbed values w_i = x_i + y_i. With kNone noise this degenerates
   /// to the exact histogram of the samples. An empty sample yields the
-  /// uniform distribution (the EM prior).
+  /// uniform distribution (the EM prior). Same as
+  /// FitParallel(perturbed, partition, nullptr, 0), bit for bit.
   Reconstruction Fit(const std::vector<double>& perturbed,
                      const Partition& partition) const;
 
-  /// Engine entry point: sharded ingestion plus a fixed-grain chunked
-  /// E-step. For a given `shard_size` the result is bit-identical for every
-  /// pool size (including pool == nullptr, which runs the same decomposition
-  /// inline) — per-chunk partial sums are folded in chunk order, so the
-  /// floating-point summation tree never depends on the thread count. The
-  /// regrouped summation makes the masses differ from Fit()'s sequential
-  /// accumulation by at most rounding noise.
+  /// Engine entry point: sharded ingestion plus the fixed-grain chunked
+  /// E-step every fit uses. The result is bit-identical for every pool
+  /// (pool == nullptr runs the same decomposition inline), every
+  /// `shard_size`, and every SIMD path, so it equals Fit() exactly:
+  /// ingestion shards merge integer counts, and the E-step's chunk grain
+  /// is a constant whose partial sums fold in chunk order. `shard_size`
+  /// only sets the ingestion grain (0 = one shard).
   Reconstruction FitParallel(const std::vector<double>& perturbed,
                              const Partition& partition,
                              engine::ThreadPool* pool,
@@ -166,12 +167,11 @@ class BayesReconstructor {
  private:
   Reconstruction FitBinned(const std::vector<double>& perturbed,
                            const Partition& partition,
-                           engine::ThreadPool* pool, std::size_t shard_size,
-                           std::size_t em_chunk) const;
+                           engine::ThreadPool* pool,
+                           std::size_t shard_size) const;
   Reconstruction FitExact(const std::vector<double>& perturbed,
                           const Partition& partition,
-                          engine::ThreadPool* pool,
-                          std::size_t em_chunk) const;
+                          engine::ThreadPool* pool) const;
 
   perturb::NoiseModel noise_;
   ReconstructionOptions options_;

@@ -103,8 +103,8 @@ class Builder {
     assigned_.assign(dataset_.NumCols(),
                      std::vector<std::uint16_t>(dataset_.NumRows(), 0));
     // Fan the per-attribute reconstructions out over the pool: each column
-    // writes only assigned_[col] and runs the sequential reference
-    // reconstruction, so the result is independent of the pool size.
+    // writes only assigned_[col] and runs its reconstruction inline on its
+    // worker, so the result is independent of the pool size.
     engine::ParallelFor(pool_, dataset_.NumCols(), [this](std::size_t col) {
       PrecomputeColumn(col);
     });

@@ -1,15 +1,16 @@
 // Tests for the session-oriented serving API: spec validation (invalid
 // requests come back as kInvalidArgument, never a PPDM_CHECK abort),
-// streaming ingest equivalence (Ingest in 1 batch == many batches ==
-// batch FitParallel, byte for byte, at every thread count), EM warm-start
-// behaviour, and the async job service (N concurrent submissions return
-// exactly the sequential results).
+// streaming ingest equivalence (a DatasetSession fed 1 batch == many
+// batches == per-column batch FitParallel, byte for byte, at every thread
+// count), EM warm-start behaviour, and the async job service (N
+// concurrent submissions return exactly the sequential results).
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +23,6 @@
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "perturb/randomizer.h"
@@ -149,32 +149,6 @@ TEST(SpecValidationTest, ValidateDomainRejectsDegenerateRanges) {
   EXPECT_TRUE(ValidateDomain(0.0, 1.0, 2).ok());
 }
 
-TEST(SessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
-  SessionSpec bad_domain;
-  bad_domain.lo = 5.0;
-  bad_domain.hi = 5.0;
-  EXPECT_EQ(bad_domain.Validate().code(), StatusCode::kInvalidArgument);
-
-  SessionSpec zero_intervals;
-  zero_intervals.intervals = 0;
-  EXPECT_EQ(zero_intervals.Validate().code(), StatusCode::kInvalidArgument);
-
-  SessionSpec bad_privacy;
-  bad_privacy.privacy_fraction = -1.0;
-  EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
-
-  // Streaming cannot honour the per-sample exact EM path: the session
-  // would silently diverge from FitParallel, so the spec is rejected.
-  SessionSpec exact_path;
-  exact_path.reconstruction.binned = false;
-  EXPECT_EQ(exact_path.Validate().code(), StatusCode::kInvalidArgument);
-
-  // Open surfaces the same status instead of crashing.
-  const auto session = ReconstructionSession::Open(zero_intervals);
-  EXPECT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-}
-
 // -------------------------------------------------------------- streaming
 
 // Perturbed benchmark data shared by the streaming tests.
@@ -193,19 +167,31 @@ struct StreamFixture {
     perturbed = randomizer->Perturb(*original);
   }
 
-  /// A session spec matching the salary attribute's noise calibration.
-  SessionSpec SalarySpec(std::size_t intervals = 24) const {
-    const data::FieldSpec& field =
-        original->schema().Field(synth::kSalary);
-    SessionSpec spec;
-    spec.lo = field.lo;
-    spec.hi = field.hi;
-    spec.intervals = intervals;
-    spec.noise = perturb::NoiseKind::kUniform;
-    spec.privacy_fraction = 1.0;
-    spec.confidence = 0.95;
+  /// A one-attribute session spec over a one-field schema holding the
+  /// salary domain, matching the salary attribute's noise calibration.
+  DatasetSessionSpec SalarySpec(std::size_t intervals = 24) const {
+    DatasetSessionSpec spec;
+    spec.schema = data::Schema({original->schema().Field(synth::kSalary)});
+    AttributeSpec attr;
+    attr.column = 0;
+    attr.intervals = intervals;
+    attr.noise = perturb::NoiseKind::kUniform;
+    attr.privacy_fraction = 1.0;
+    attr.confidence = 0.95;
+    spec.attributes.push_back(attr);
     spec.shard_size = 512;
     return spec;
+  }
+
+  /// The batch reference a SalarySpec() session must reproduce:
+  /// FitParallel over the whole perturbed salary column.
+  reconstruct::Reconstruction SalaryBatchFit() const {
+    const reconstruct::Partition partition = reconstruct::Partition::ForField(
+        original->schema().Field(synth::kSalary), 24);
+    const reconstruct::BayesReconstructor reconstructor(
+        randomizer->ModelFor(synth::kSalary), {});
+    return reconstructor.FitParallel(perturbed->Column(synth::kSalary),
+                                     partition, nullptr, 512);
   }
 
   std::optional<data::Dataset> original;
@@ -219,6 +205,20 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
          a.chi_square_trace == b.chi_square_trace &&
          a.log_likelihood_trace == b.log_likelihood_trace &&
          a.sample_count == b.sample_count;
+}
+
+/// Folds `count` values of one column into a one-attribute session over a
+/// one-field schema: the column is already a row-major batch.
+Status IngestColumn(DatasetSession* session, const double* values,
+                    std::size_t count) {
+  return session->Ingest(data::RowBatch(values, count, 1));
+}
+
+/// The single estimate of a one-attribute session.
+Result<reconstruct::Reconstruction> ReconstructOne(DatasetSession* session) {
+  PPDM_ASSIGN_OR_RETURN(std::vector<reconstruct::Reconstruction> estimates,
+                        session->ReconstructAll());
+  return std::move(estimates.at(0));
 }
 
 TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
@@ -240,20 +240,14 @@ TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
                                other.layout()));
 }
 
-// The acceptance property: Ingest in 1 batch vs. many batches vs. batch
-// FitParallel produce identical masses, at 1, 2, and 8 threads (and with
-// no pool at all).
-TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
+// The acceptance property: a one-attribute session fed 1 batch vs. many
+// batches vs. batch FitParallel produce identical masses, at 1, 2, and 8
+// threads (and with no pool at all).
+TEST(DatasetSessionTest, OneAttributeIngestEquivalenceProperty) {
   const StreamFixture fx;
-  const SessionSpec spec = fx.SalarySpec();
+  const DatasetSessionSpec spec = fx.SalarySpec();
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-
-  // Batch reference: the engine's parallel fit, reference decomposition.
-  const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+  const reconstruct::Reconstruction batch = fx.SalaryBatchFit();
   EXPECT_GT(batch.iterations, 0u);
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -263,24 +257,27 @@ TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
     engine::ThreadPool* p = threads > 0 ? &*pool : nullptr;
 
     // One batch.
-    auto one = ReconstructionSession::Open(spec, p);
+    auto one = DatasetSession::Open(spec, p);
     ASSERT_TRUE(one.ok());
-    ASSERT_TRUE(one.value()->Ingest(column).ok());
-    const auto one_est = one.value()->Reconstruct();
+    ASSERT_TRUE(IngestColumn(one.value().get(), column.data(), column.size())
+                    .ok());
+    const auto one_est = ReconstructOne(one.value().get());
     ASSERT_TRUE(one_est.ok());
 
     // Many uneven batches.
-    auto many = ReconstructionSession::Open(spec, p);
+    auto many = DatasetSession::Open(spec, p);
     ASSERT_TRUE(many.ok());
     std::size_t offset = 0, step = 1;
     while (offset < column.size()) {
       const std::size_t take = std::min(step, column.size() - offset);
-      ASSERT_TRUE(many.value()->Ingest(column.data() + offset, take).ok());
+      ASSERT_TRUE(
+          IngestColumn(many.value().get(), column.data() + offset, take)
+              .ok());
       offset += take;
       step = step * 3 + 1;  // 1, 4, 13, 40, ... uneven on purpose
     }
     EXPECT_EQ(many.value()->record_count(), column.size());
-    const auto many_est = many.value()->Reconstruct();
+    const auto many_est = ReconstructOne(many.value().get());
     ASSERT_TRUE(many_est.ok());
 
     EXPECT_TRUE(ReconstructionsIdentical(batch, one_est.value()))
@@ -296,52 +293,35 @@ TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
   }
 }
 
-TEST(ReconstructionSessionTest, EmptySessionYieldsUniformPrior) {
+TEST(DatasetSessionTest, EmptySessionYieldsUniformPrior) {
   const StreamFixture fx;
-  auto session = ReconstructionSession::Open(fx.SalarySpec(16));
+  auto session = DatasetSession::Open(fx.SalarySpec(16));
   ASSERT_TRUE(session.ok());
-  const auto estimate = session.value()->Reconstruct();
+  const auto estimate = ReconstructOne(session.value().get());
   ASSERT_TRUE(estimate.ok());
   ASSERT_EQ(estimate.value().masses.size(), 16u);
   for (double m : estimate.value().masses) EXPECT_DOUBLE_EQ(m, 1.0 / 16.0);
   EXPECT_EQ(estimate.value().sample_count, 0u);
 }
 
-TEST(ReconstructionSessionTest, RejectsNonFiniteValues) {
-  const StreamFixture fx;
-  auto session = ReconstructionSession::Open(fx.SalarySpec());
-  ASSERT_TRUE(session.ok());
-  const std::vector<double> bad{1.0, std::nan(""), 2.0};
-  const Status s = session.value()->Ingest(bad);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.value()->record_count(), 0u);  // nothing folded
-}
-
-TEST(ReconstructionSessionTest, WarmStartRefreshConvergesFaster) {
+TEST(DatasetSessionTest, WarmStartRefreshConvergesFaster) {
   const StreamFixture fx;
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  auto session = ReconstructionSession::Open(fx.SalarySpec());
+  auto session = DatasetSession::Open(fx.SalarySpec());
   ASSERT_TRUE(session.ok());
 
   const std::size_t half = column.size() / 2;
-  ASSERT_TRUE(session.value()->Ingest(column.data(), half).ok());
-  const auto first = session.value()->Reconstruct();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(session.value()->has_estimate());
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data(), half).ok());
+  ASSERT_TRUE(ReconstructOne(session.value().get()).ok());
 
-  ASSERT_TRUE(
-      session.value()->Ingest(column.data() + half, column.size() - half)
-          .ok());
-  const auto refreshed = session.value()->Reconstruct();
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data() + half,
+                           column.size() - half)
+                  .ok());
+  const auto refreshed = ReconstructOne(session.value().get());
   ASSERT_TRUE(refreshed.ok());
 
   // Cold fit over the same full column, for comparison.
-  const SessionSpec spec = fx.SalarySpec();
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-  const reconstruct::Reconstruction cold =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+  const reconstruct::Reconstruction cold = fx.SalaryBatchFit();
 
   // The warm start begins near the answer: it must not iterate longer
   // than the cold fit, and must land on (essentially) the same estimate.
@@ -352,44 +332,41 @@ TEST(ReconstructionSessionTest, WarmStartRefreshConvergesFaster) {
   }
 }
 
-TEST(ReconstructionSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
+TEST(DatasetSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
   const StreamFixture fx;
-  SessionSpec spec = fx.SalarySpec();
+  DatasetSessionSpec spec = fx.SalarySpec();
   spec.warm_start = false;
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  auto session = ReconstructionSession::Open(spec);
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
-
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
 
   const std::size_t half = column.size() / 2;
-  ASSERT_TRUE(session.value()->Ingest(column.data(), half).ok());
-  ASSERT_TRUE(session.value()->Reconstruct().ok());  // does not perturb later fits
-  ASSERT_TRUE(
-      session.value()->Ingest(column.data() + half, column.size() - half)
-          .ok());
-  const auto second = session.value()->Reconstruct();
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data(), half).ok());
+  // The first refresh does not perturb later fits.
+  ASSERT_TRUE(ReconstructOne(session.value().get()).ok());
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data() + half,
+                           column.size() - half)
+                  .ok());
+  const auto second = ReconstructOne(session.value().get());
   ASSERT_TRUE(second.ok());
-
-  const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
-  EXPECT_TRUE(ReconstructionsIdentical(batch, second.value()));
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), second.value()));
 }
 
-TEST(ReconstructionSessionTest, NoNoiseSessionIsExactHistogram) {
-  SessionSpec spec;
-  spec.lo = 0.0;
-  spec.hi = 1.0;
-  spec.intervals = 4;
-  spec.noise = perturb::NoiseKind::kNone;
-  spec.privacy_fraction = 0.0;
-  auto session = ReconstructionSession::Open(spec);
+TEST(DatasetSessionTest, NoNoiseSessionIsExactHistogram) {
+  DatasetSessionSpec spec;
+  spec.schema = data::Schema({{"x", data::AttributeKind::kContinuous, 0.0,
+                               1.0}});
+  AttributeSpec attr;
+  attr.intervals = 4;
+  attr.noise = perturb::NoiseKind::kNone;
+  attr.privacy_fraction = 0.0;
+  spec.attributes.push_back(attr);
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
+  const std::vector<double> values{0.1, 0.1, 0.4, 0.6, 0.6, 0.6, 0.9, 0.9};
   ASSERT_TRUE(
-      session.value()->Ingest({0.1, 0.1, 0.4, 0.6, 0.6, 0.6, 0.9, 0.9}).ok());
-  const auto estimate = session.value()->Reconstruct();
+      IngestColumn(session.value().get(), values.data(), values.size()).ok());
+  const auto estimate = ReconstructOne(session.value().get());
   ASSERT_TRUE(estimate.ok());
   const std::vector<double> expected{0.25, 0.125, 0.375, 0.25};
   EXPECT_EQ(estimate.value().masses, expected);
@@ -448,11 +425,32 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   bad_privacy.attributes[0].privacy_fraction = -1.0;
   EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
 
-  // Streaming cannot honour the per-sample exact EM path (see the
-  // SessionSpec test of the same name).
+  // A domain the schema accepts (lo < hi) but no partition can cover.
+  DatasetSessionSpec infinite_domain = BenchmarkDatasetSpec(1);
+  infinite_domain.schema = data::Schema(
+      {{"x", data::AttributeKind::kContinuous, 0.0,
+        std::numeric_limits<double>::infinity()}});
+  const Status infinite = infinite_domain.Validate();
+  EXPECT_EQ(infinite.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(infinite.message().find("finite non-empty interval"),
+            std::string::npos)
+      << infinite.message();
+
+  DatasetSessionSpec bad_epsilon = BenchmarkDatasetSpec(1);
+  bad_epsilon.attributes[0].reconstruction.chi_square_epsilon = -1.0;
+  EXPECT_EQ(bad_epsilon.Validate().code(), StatusCode::kInvalidArgument);
+
+  // Streaming cannot honour the per-sample exact EM path: the session
+  // would silently diverge from FitParallel, so the spec is rejected,
+  // and the message names the attribute.
   DatasetSessionSpec exact_path = BenchmarkDatasetSpec(1);
   exact_path.attributes[0].reconstruction.binned = false;
-  EXPECT_EQ(exact_path.Validate().code(), StatusCode::kInvalidArgument);
+  const Status exact = exact_path.Validate();
+  EXPECT_EQ(exact.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(exact.message().find("attribute 0 ('salary'): streaming "
+                                 "sessions require reconstruction.binned"),
+            std::string::npos)
+      << exact.message();
 
   // Open surfaces the same status instead of crashing.
   const auto session = DatasetSession::Open(bad_column);
@@ -462,10 +460,20 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   EXPECT_TRUE(BenchmarkDatasetSpec(4).Validate().ok());
 }
 
+/// A one-attribute spec over the full schema: `spec`'s attribute `index`
+/// alone, with the same shard and warm-start settings.
+DatasetSessionSpec OneAttribute(const DatasetSessionSpec& spec,
+                                std::size_t index) {
+  DatasetSessionSpec one = spec;
+  one.attributes = {spec.attributes[index]};
+  return one;
+}
+
 // The acceptance property: a dataset session ingesting record batches is
-// byte-identical to N independent per-attribute sessions ingesting the
-// same columns — at 0, 1, 2, and 8 threads, for an uneven batching.
-TEST(DatasetSessionTest, ReconstructAllMatchesIndependentSessions) {
+// byte-identical to per-column batch FitParallel on its first refresh, and
+// to N one-attribute sessions fed the same batches on every refresh — at
+// 0, 1, 2, and 8 threads, for an uneven batching.
+TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
   const StreamFixture fx;
   const std::size_t num_attrs = 4;
   const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
@@ -473,6 +481,26 @@ TEST(DatasetSessionTest, ReconstructAllMatchesIndependentSessions) {
   const std::size_t num_rows = fx.perturbed->NumRows();
   const data::RowBatch all_rows(rows.data(), num_rows,
                                 fx.perturbed->NumCols());
+  const auto ingest_unevenly = [&](DatasetSession* session) {
+    std::size_t offset = 0, step = 1;
+    while (offset < num_rows) {
+      const std::size_t take = std::min(step, num_rows - offset);
+      ASSERT_TRUE(session->Ingest(all_rows.Slice(offset, take)).ok());
+      offset += take;
+      step = step * 3 + 1;
+    }
+  };
+
+  // Per-column batch reference for the cold first refresh.
+  std::vector<reconstruct::Reconstruction> batch_fits;
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    const reconstruct::Partition partition = reconstruct::Partition::ForField(
+        spec.schema.Field(a), spec.attributes[a].intervals);
+    const reconstruct::BayesReconstructor reconstructor(
+        fx.randomizer->ModelFor(a), spec.attributes[a].reconstruction);
+    batch_fits.push_back(reconstructor.FitParallel(
+        fx.perturbed->Column(a), partition, nullptr, spec.shard_size));
+  }
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
                               std::size_t{2}, std::size_t{8}}) {
@@ -483,29 +511,26 @@ TEST(DatasetSessionTest, ReconstructAllMatchesIndependentSessions) {
     // Dataset path: uneven record batches, one ingest pass each.
     auto dataset_session = DatasetSession::Open(spec, p);
     ASSERT_TRUE(dataset_session.ok());
-    std::size_t offset = 0, step = 1;
-    while (offset < num_rows) {
-      const std::size_t take = std::min(step, num_rows - offset);
-      ASSERT_TRUE(
-          dataset_session.value()->Ingest(all_rows.Slice(offset, take)).ok());
-      offset += take;
-      step = step * 3 + 1;
-    }
+    ingest_unevenly(dataset_session.value().get());
     EXPECT_EQ(dataset_session.value()->record_count(), num_rows);
     // Two refreshes: the second exercises the warm-started fan-out.
-    ASSERT_TRUE(dataset_session.value()->ReconstructAll().ok());
+    const auto cold = dataset_session.value()->ReconstructAll();
+    ASSERT_TRUE(cold.ok());
     const auto estimates = dataset_session.value()->ReconstructAll();
     ASSERT_TRUE(estimates.ok());
     ASSERT_EQ(estimates.value().size(), num_attrs);
 
-    // Reference: independent per-attribute sessions over the columns,
-    // with the same double-refresh history.
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      auto solo = ReconstructionSession::Open(spec.AttributeSession(a), p);
+      EXPECT_TRUE(ReconstructionsIdentical(batch_fits[a], cold.value()[a]))
+          << "attribute " << a << ", threads " << threads;
+
+      // One-attribute session over the same batches, with the same
+      // double-refresh history.
+      auto solo = DatasetSession::Open(OneAttribute(spec, a), p);
       ASSERT_TRUE(solo.ok());
-      ASSERT_TRUE(solo.value()->Ingest(fx.perturbed->Column(a)).ok());
-      ASSERT_TRUE(solo.value()->Reconstruct().ok());
-      const auto independent = solo.value()->Reconstruct();
+      ingest_unevenly(solo.value().get());
+      ASSERT_TRUE(ReconstructOne(solo.value().get()).ok());
+      const auto independent = ReconstructOne(solo.value().get());
       ASSERT_TRUE(independent.ok());
       EXPECT_TRUE(ReconstructionsIdentical(independent.value(),
                                            estimates.value()[a]))
@@ -902,10 +927,9 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
   auto service = Service::Create(options);
   ASSERT_TRUE(service.ok());
 
-  const SessionSpec spec = fx.SalarySpec();
-  auto opened = service.value()->OpenSession(spec);
+  auto opened = service.value()->OpenDatasetSession(fx.SalarySpec());
   ASSERT_TRUE(opened.ok());
-  ReconstructionSession* session = opened.value().get();
+  DatasetSession* session = opened.value().get();
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
 
   std::vector<JobHandle<bool>> ingests;
@@ -914,7 +938,8 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
     const std::size_t take = std::min(kBatch, column.size() - offset);
     ingests.push_back(service.value()->Submit<bool>(
         [session, &column, offset, take]() -> Result<bool> {
-          PPDM_RETURN_IF_ERROR(session->Ingest(column.data() + offset, take));
+          PPDM_RETURN_IF_ERROR(
+              IngestColumn(session, column.data() + offset, take));
           return true;
         }));
   }
@@ -924,17 +949,11 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
   JobHandle<reconstruct::Reconstruction> fit =
       service.value()->Submit<reconstruct::Reconstruction>(
           [session]() -> Result<reconstruct::Reconstruction> {
-            return session->Reconstruct();
+            return ReconstructOne(session);
           });
   const auto streamed = fit.Wait();
   ASSERT_TRUE(streamed.ok());
-
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-  const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
-  EXPECT_TRUE(ReconstructionsIdentical(batch, streamed.value()));
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), streamed.value()));
 }
 
 // ------------------------------------------- service admission control

@@ -11,6 +11,7 @@
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "data/csv.h"
+#include "engine/simd.h"
 #include "synth/generator.h"
 
 namespace ppdm::cli {
@@ -211,6 +212,54 @@ TEST_F(CliFixture, ReconstructPrintsMasses) {
                   .ok())
       << output;
   EXPECT_NE(output.find("EM iterations"), std::string::npos);
+}
+
+TEST_F(CliFixture, ReconstructIsThreadAndShardInvariant) {
+  // One EM decomposition: the inline run (--threads=0) prints exactly
+  // what the engine prints at any worker count and any shard size.
+  const std::string raw = Track(Path("inv_raw.csv"));
+  const std::string noisy = Track(Path("inv_noisy.csv"));
+  std::string output;
+  ASSERT_TRUE(
+      Run({"generate", ("--out=" + raw).c_str(), "--records=3000"}, &output)
+          .ok());
+  ASSERT_TRUE(Run({"perturb", ("--in=" + raw).c_str(),
+                   ("--out=" + noisy).c_str()},
+                  &output)
+                  .ok());
+  const std::string in = "--in=" + noisy;
+  std::string inline_run;
+  ASSERT_TRUE(Run({"reconstruct", in.c_str(), "--attribute=salary",
+                   "--intervals=40", "--threads=0"},
+                  &inline_run)
+                  .ok());
+  for (const char* shard : {"--shard-size=0", "--shard-size=700"}) {
+    std::string engine_run;
+    ASSERT_TRUE(Run({"reconstruct", in.c_str(), "--attribute=salary",
+                     "--intervals=40", "--threads=3", shard},
+                    &engine_run)
+                    .ok());
+    EXPECT_EQ(engine_run, inline_run) << shard;
+  }
+}
+
+TEST_F(CliFixture, SimdOffIsRejected) {
+  // The kernel dispatch has two paths; 'off' is an unknown name, so the
+  // command fails (ppdm exits nonzero) before doing any work.
+  const engine::simd::Path saved = engine::simd::ActivePath();
+  const std::string out = Track(Path("simd_off.csv"));
+  std::string output;
+  const Status s = Run({"generate", ("--out=" + out).c_str(),
+                        "--records=10", "--simd=off"},
+                       &output);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("scalar|avx2"), std::string::npos)
+      << s.message();
+  EXPECT_TRUE(Run({"generate", ("--out=" + out).c_str(), "--records=10",
+                   "--simd=scalar"},
+                  &output)
+                  .ok());
+  ASSERT_TRUE(engine::simd::SetPath(saved).ok());
 }
 
 TEST_F(CliFixture, ReconstructRejectsUnknownAttribute) {

@@ -4,10 +4,12 @@
 // yields byte-identical results for every number of worker threads.
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,8 +248,29 @@ TEST(SimdTest, SetPathFromStringRejectsUnknownNames) {
   EXPECT_FALSE(simd::SetPathFromString("sse9").ok());
   EXPECT_TRUE(simd::SetPathFromString("scalar").ok());
   EXPECT_EQ(simd::ActivePath(), simd::Path::kScalar);
-  EXPECT_TRUE(simd::SetPathFromString("off").ok());
-  EXPECT_EQ(simd::ActivePath(), simd::Path::kOff);
+  // "off" is not a path: rejected like any other unknown name, naming the
+  // accepted values, and the active path stays where it was.
+  const Status off = simd::SetPathFromString("off");
+  EXPECT_EQ(off.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(off.message().find("scalar|avx2"), std::string::npos)
+      << off.message();
+  EXPECT_EQ(simd::ActivePath(), simd::Path::kScalar);
+}
+
+TEST(SimdTest, StrictEnvResolveRejectsOff) {
+  PathGuard guard;
+  const char* previous = std::getenv("PPDM_SIMD");
+  const std::string saved = previous == nullptr ? "" : previous;
+  setenv("PPDM_SIMD", "off", 1);
+  const Status status = simd::InitFromEnv();
+  if (previous == nullptr) {
+    unsetenv("PPDM_SIMD");
+  } else {
+    setenv("PPDM_SIMD", saved.c_str(), 1);
+  }
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("scalar|avx2"), std::string::npos)
+      << status.message();
 }
 
 TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
@@ -266,7 +289,7 @@ TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
                 {-0.3, 1.3, -1e18, 1e18, -0.3000000000000001,
                  1.2999999999999998, 0.0, 1.0});
 
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
@@ -314,7 +337,7 @@ TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
       IngestSharded(values, nullptr, 1, bin_of, hist.bins(), nullptr, 0);
 
   ThreadPool pool(4);
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
@@ -408,27 +431,40 @@ TEST(BatchTest, ReconstructParallelIsThreadCountInvariant) {
   }
 }
 
-TEST(BatchTest, ReconstructParallelTracksSequentialFitClosely) {
-  // The chunked summation regroups floating-point adds, so the engine is
-  // not bit-equal to the sequential Fit — but it must agree to rounding
-  // noise on every mass.
+TEST(BatchTest, ReconstructParallelEqualsFitBitwise) {
+  // One E-step decomposition: the engine at num_threads = 0 (inline) and
+  // at 4 workers, at any shard_size, is Fit() bit for bit — masses and
+  // both traces.
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kAge), 20);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kAge), {});
   const std::vector<double>& column = fx.perturbed->Column(synth::kAge);
-
-  const reconstruct::Reconstruction sequential =
-      reconstructor.Fit(column, partition);
-  BatchOptions options;
-  options.num_threads = 4;
-  options.shard_size = 256;
-  const reconstruct::Reconstruction parallel =
-      Batch(options).ReconstructParallel(column, partition, reconstructor);
-  ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
-  for (std::size_t k = 0; k < sequential.masses.size(); ++k) {
-    EXPECT_NEAR(parallel.masses[k], sequential.masses[k], 1e-9);
+  for (const bool binned : {true, false}) {
+    reconstruct::ReconstructionOptions recon;
+    recon.binned = binned;
+    const reconstruct::BayesReconstructor reconstructor(
+        fx.randomizer->ModelFor(synth::kAge), recon);
+    const reconstruct::Reconstruction sequential =
+        reconstructor.Fit(column, partition);
+    EXPECT_GT(sequential.iterations, 0u);
+    for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+      for (std::size_t shard_size : {std::size_t{0}, std::size_t{256}}) {
+        BatchOptions options;
+        options.num_threads = threads;
+        options.shard_size = shard_size;
+        const reconstruct::Reconstruction parallel =
+            Batch(options).ReconstructParallel(column, partition,
+                                               reconstructor);
+        EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel))
+            << "binned " << binned << " num_threads " << threads
+            << " shard_size " << shard_size;
+        ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
+        EXPECT_EQ(std::memcmp(parallel.masses.data(),
+                              sequential.masses.data(),
+                              sequential.masses.size() * sizeof(double)),
+                  0);
+      }
+    }
   }
 }
 
@@ -446,8 +482,7 @@ TEST(BatchTest, ReconstructParallelEmptyInputYieldsUniform) {
 }
 
 TEST(BatchTest, ReconstructParallelSingleShard) {
-  // shard_size 0 = one shard; must agree with the multi-shard run up to
-  // EM summation regrouping and bit-exactly with the sequential Fit.
+  // shard_size 0 = one shard: a valid distribution like any other grain.
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kLoan), 15);

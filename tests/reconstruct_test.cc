@@ -393,21 +393,47 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SimdDeterminismProperty, OffPathStaysFiniteAndClose) {
-  // kOff preserves the historical sequential loops; its masses may differ
-  // from the blocked paths by summation-order rounding only.
+// The one-decomposition invariant: Fit is FitParallel with no pool, so the
+// two agree bytewise — masses and log-likelihood trace — for both EM
+// forms, every pool size, every shard size and every SIMD path. 100
+// intervals under U(0.3) give 160 w-bins, so the binned E-step spans
+// several kEmChunkBins chunks (the exact E-step spans many more).
+TEST(SimdDeterminismProperty, FitEqualsFitParallelBytewise) {
   PathGuard guard;
+  std::vector<simd::Path> paths{simd::Path::kScalar};
+  if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const std::vector<double> w = PlateauPerturbed(4000, noise);
-  const Partition p(0.0, 1.0, 20);
-  const BayesReconstructor rec(noise, {});
-  ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
-  const Reconstruction blocked = rec.Fit(w, p);
-  ASSERT_TRUE(simd::SetPath(simd::Path::kOff).ok());
-  const Reconstruction off = rec.Fit(w, p);
-  ASSERT_EQ(off.masses.size(), blocked.masses.size());
-  for (std::size_t k = 0; k < off.masses.size(); ++k) {
-    EXPECT_NEAR(off.masses[k], blocked.masses[k], 1e-9) << "interval " << k;
+  const std::vector<double> w = PlateauPerturbed(1500, noise);
+  const Partition p(0.0, 1.0, 100);
+  engine::ThreadPool pool1(1), pool2(2), pool8(8);
+  engine::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool8};
+  for (const bool binned : {true, false}) {
+    ReconstructionOptions options;
+    options.binned = binned;
+    const BayesReconstructor rec(noise, options);
+    ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
+    const Reconstruction reference = rec.Fit(w, p);
+    ASSERT_GT(reference.iterations, 1u);
+    for (simd::Path path : paths) {
+      ASSERT_TRUE(simd::SetPath(path).ok());
+      const Reconstruction fit = rec.Fit(w, p);
+      EXPECT_TRUE(BytesEqual(fit.masses, reference.masses))
+          << "binned=" << binned << " path=" << simd::PathName(path);
+      for (engine::ThreadPool* pool : pools) {
+        for (std::size_t shard_size : {std::size_t{0}, std::size_t{512},
+                                       std::size_t{16384}}) {
+          const Reconstruction got = rec.FitParallel(w, p, pool, shard_size);
+          const std::size_t threads = pool == nullptr ? 0 : pool->size();
+          EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
+              << "binned=" << binned << " path=" << simd::PathName(path)
+              << " threads=" << threads << " shard_size=" << shard_size;
+          EXPECT_TRUE(BytesEqual(got.log_likelihood_trace,
+                                 fit.log_likelihood_trace))
+              << "binned=" << binned << " path=" << simd::PathName(path)
+              << " threads=" << threads << " shard_size=" << shard_size;
+        }
+      }
+    }
   }
 }
 
