@@ -1,16 +1,23 @@
 // P4 — throughput scaling of the parallel execution engine at 1/2/4/8
 // worker threads: sharded perturbation, the single-column binned EM
 // reconstruction, and the per-attribute/per-class reconstruction fan-out
-// that dominates tree training. Honours PPDM_PAPER_SCALE=1 for the paper's
-// 100k-record runs, and cross-checks that every thread count produced
-// byte-identical reconstruction masses (the engine's determinism contract).
+// that dominates tree training; plus the cost of one EM refresh in µs per
+// fit (cold and warm kernel table, and the served refresh layout of 18
+// Gaussian 200-interval tables cycling). Honours PPDM_PAPER_SCALE=1 for
+// the paper's 100k-record runs, and cross-checks that every thread count
+// produced byte-identical reconstruction masses (the engine's determinism
+// contract). PPDM_BENCH_JSON=FILE appends the rows and a machine
+// fingerprint as NDJSON.
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/random.h"
 #include "engine/batch.h"
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
@@ -23,6 +30,31 @@
 namespace {
 
 using namespace ppdm;
+
+// Runs `fits` EM fits, fit i through `fit_once(i)` (returning its
+// iteration count), best of 5 repeats; prints and emits µs per fit and
+// iterations per fit.
+void MeasureFits(const std::string& label, std::size_t fits,
+                 const std::function<std::size_t(std::size_t)>& fit_once) {
+  double best = 0.0;
+  std::size_t iterations = 0;
+  for (int r = 0; r < 5; ++r) {
+    iterations = 0;
+    const double seconds = bench::WallSeconds([&] {
+      for (std::size_t i = 0; i < fits; ++i) iterations += fit_once(i);
+    });
+    if (r == 0 || seconds < best) best = seconds;
+  }
+  const double us_per_fit = 1e6 * best / static_cast<double>(fits);
+  const double iterations_per_fit =
+      static_cast<double>(iterations) / static_cast<double>(fits);
+  std::printf("%-36s %10.2f %14.2f\n", label.c_str(), us_per_fit,
+              iterations_per_fit);
+  bench::EmitBenchJson("perf_engine", label,
+                       {{"us_per_fit", us_per_fit},
+                        {"iterations_per_fit", iterations_per_fit},
+                        {"fits", static_cast<double>(fits)}});
+}
 
 bool SameMasses(const reconstruct::Reconstruction& a,
                 const reconstruct::Reconstruction& b) {
@@ -54,6 +86,7 @@ int main() {
   const perturb::Randomizer randomizer(train.schema(), noise);
 
   const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
+  bench::EmitMachineFingerprint("perf_engine");
   bench::ThroughputReporter reporter("records", 3, "perf_engine");
   char label[64];
 
@@ -112,11 +145,15 @@ int main() {
   (void)simd::SetPath(simd::Avx2Supported() ? simd::Path::kAvx2
                                             : simd::Path::kScalar);
 
-  // --------------------------------- kernel-cache warm-refresh speedup
-  // A streaming refresh pays O(wbins·K) to rebuild the likelihood table
-  // unless the cached one still matches. Cold rebuilds every call; warm
-  // reuses one prebuilt table — the speedup is what AttributeState's
+  // --------------------------------------- EM refresh cost per fit
+  // A refresh's EM costs wbins × K × iterations, independent of the
+  // record count, so these rows report µs per fit and iterations per fit
+  // rather than records/s. Cold rebuilds the O(wbins + K) likelihood table
+  // every call; warm reuses one prebuilt table — what AttributeState's
   // cache buys a warm-started session refresh.
+  std::printf("\n%-36s %10s %14s\n", "EM refresh case", "us/fit",
+              "iterations/fit");
+  constexpr std::size_t kRefreshFits = 20;
   for (const auto kind :
        {perturb::NoiseKind::kUniform, perturb::NoiseKind::kGaussian}) {
     engine::ThreadPool pool(1);
@@ -131,29 +168,77 @@ int main() {
         whist.bins(), &pool, 16384);
     const std::vector<double> weights = counts.BinWeights();
     const double total = static_cast<double>(salary.size());
-    const reconstruct::KernelTable table = rec.BuildKernelTable(partition,
-                                                                &pool);
+    const reconstruct::KernelTable table = rec.BuildKernelTable(partition);
     // Warm-start from the converged masses so both rows time a
     // short refresh (the steady-state shape), not a cold convergence.
     const std::vector<double> masses =
         rec.FitFromCounts(weights, total, partition, &pool, nullptr, &table)
             .masses;
-    const std::string anchor = std::string("refresh-") + kind_name;
     std::snprintf(label, sizeof(label), "refresh cold %s (rebuild)",
                   kind_name);
-    reporter.Measure(label, salary.size(), anchor, [&] {
-      const reconstruct::Reconstruction r = rec.FitFromCounts(
-          weights, total, partition, &pool, &masses, nullptr);
-      (void)r;
+    MeasureFits(label, kRefreshFits, [&](std::size_t) {
+      return rec.FitFromCounts(weights, total, partition, &pool, &masses,
+                               nullptr)
+          .iterations;
     });
     std::snprintf(label, sizeof(label), "refresh warm %s (cached)",
                   kind_name);
-    reporter.Measure(label, salary.size(), anchor, [&] {
-      const reconstruct::Reconstruction r = rec.FitFromCounts(
-          weights, total, partition, &pool, &masses, &table);
-      (void)r;
+    MeasureFits(label, kRefreshFits, [&](std::size_t) {
+      return rec.FitFromCounts(weights, total, partition, &pool, &masses,
+                               &table)
+          .iterations;
     });
   }
+
+  // The served refresh layout: 2 tenants × 9 Gaussian attributes at 200
+  // intervals, each a warm one-refresh fit from its own cached table and
+  // its own counts, cycled through all 18 like a daemon reconstructing
+  // after every batch, so the tables compete for cache as they do there.
+  {
+    struct RefreshSlot {
+      reconstruct::Partition partition;
+      reconstruct::BayesReconstructor rec;
+      reconstruct::KernelTable table;
+      std::vector<double> weights;
+      std::vector<double> masses;
+    };
+    std::vector<RefreshSlot> slots;
+    for (std::uint64_t tenant = 0; tenant < 2; ++tenant) {
+      Rng noise_rng(config.seed + 0x5EED + tenant);
+      for (std::size_t col = 0; col < train.NumCols(); ++col) {
+        const data::FieldSpec& field = train.schema().Field(col);
+        const reconstruct::Partition p =
+            reconstruct::Partition::ForField(field, 200);
+        const reconstruct::BayesReconstructor rec(
+            perturb::NoiseForPrivacy(perturb::NoiseKind::kGaussian, 1.0,
+                                     field.Range(), 0.95),
+            {});
+        const stats::Histogram whist = rec.PerturbedBinning(p);
+        std::vector<double> weights(whist.bins(), 0.0);
+        for (double x : train.Column(col)) {
+          weights[whist.BinOf(x + rec.noise().Sample(&noise_rng))] += 1.0;
+        }
+        reconstruct::KernelTable table = rec.BuildKernelTable(p);
+        std::vector<double> masses =
+            rec.FitFromCounts(weights, static_cast<double>(train.NumRows()),
+                              p, nullptr, nullptr, &table)
+                .masses;
+        slots.push_back({p, rec, std::move(table), std::move(weights),
+                         std::move(masses)});
+      }
+    }
+    const double total = static_cast<double>(train.NumRows());
+    constexpr std::size_t kCycles = 20;
+    MeasureFits("refresh-em warm gauss K=200 x18", kCycles * slots.size(),
+                [&](std::size_t i) {
+                  const RefreshSlot& slot = slots[i % slots.size()];
+                  return slot.rec
+                      .FitFromCounts(slot.weights, total, slot.partition,
+                                     nullptr, &slot.masses, &slot.table)
+                      .iterations;
+                });
+  }
+  std::printf("\n");
 
   // ----------------------- per-attribute / per-class fan-out (ByClass)
   // The trainer's root-time precompute: 9 attributes × 2 classes = 18

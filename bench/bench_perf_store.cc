@@ -22,9 +22,7 @@
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "bench/bench_util.h"
-#include "common/strings.h"
 #include "data/row_batch.h"
-#include "engine/simd.h"
 #include "net/frame.h"
 #include "perturb/randomizer.h"
 #include "store/codec.h"
@@ -103,22 +101,7 @@ void RunCodecRows() {
   const std::string array_bytes = body.substr(16);  // count + elements
   constexpr std::size_t kCalls = 200;
 
-  bench::EmitBenchJson(
-      "perf_store",
-      StrFormat("machine: %s, simd %s, %s",
-#ifdef __clang__
-                "clang " __clang_version__,
-#else
-                "gcc " __VERSION__,
-#endif
-                engine::simd::PathName(engine::simd::ActivePath()),
-#ifdef NDEBUG
-                "NDEBUG"
-#else
-                "assertions on"
-#endif
-                ),
-      {{"cores", static_cast<double>(std::thread::hardware_concurrency())}});
+  bench::EmitMachineFingerprint("perf_store");
   std::printf("%-36s %10s %12s\n", "codec case", "us/call", "MB/s");
   const std::string payload = body.substr(16 + 8);  // elements alone
   CodecRow("crc32 73728 B", payload.size(), BestUsPerCall(kCalls, [&] {

@@ -14,9 +14,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/experiment.h"
+#include "engine/simd.h"
 #include "obs/metrics.h"
 #include "perturb/randomizer.h"
 #include "synth/generator.h"
@@ -120,6 +123,27 @@ inline void EmitBenchJson(
       std::fclose(file);
     }
   }
+}
+
+/// The machine context of a bench run as one NDJSON row: compiler, the
+/// dispatched SIMD path, whether assertions are compiled in, and cores.
+inline void EmitMachineFingerprint(const std::string& bench) {
+  EmitBenchJson(
+      bench,
+      StrFormat("machine: %s, simd %s, %s",
+#ifdef __clang__
+                "clang " __clang_version__,
+#else
+                "gcc " __VERSION__,
+#endif
+                engine::simd::PathName(engine::simd::ActivePath()),
+#ifdef NDEBUG
+                "NDEBUG"
+#else
+                "assertions on"
+#endif
+                ),
+      {{"cores", static_cast<double>(std::thread::hardware_concurrency())}});
 }
 
 /// Wall-clock seconds spent running `fn` once.

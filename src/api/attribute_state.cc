@@ -7,7 +7,7 @@
 namespace ppdm::api {
 namespace {
 
-// Kernel-cache effectiveness: hits skip the O(wbins·K) table rebuild on a
+// Kernel-cache effectiveness: hits skip the O(wbins + K) table rebuild on a
 // warm-start refresh, builds paid for it (first fit or layout change).
 obs::Counter& KernelCacheHitsCounter() {
   static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
@@ -44,8 +44,7 @@ void AttributeState::RestoreAccumulation(engine::ShardStats stats,
 
 std::shared_ptr<const reconstruct::KernelTable>
 AttributeState::ResolveKernelTable(
-    std::shared_ptr<const reconstruct::KernelTable> cached,
-    engine::ThreadPool* pool) const {
+    std::shared_ptr<const reconstruct::KernelTable> cached) const {
   if (cached != nullptr &&
       cached->Matches(noise_model(), partition_, layout_)) {
     KernelCacheHitsCounter().Increment();
@@ -53,7 +52,7 @@ AttributeState::ResolveKernelTable(
   }
   KernelCacheBuildsCounter().Increment();
   return std::make_shared<const reconstruct::KernelTable>(
-      reconstructor_.BuildKernelTable(partition_, pool));
+      reconstructor_.BuildKernelTable(partition_));
 }
 
 std::size_t AttributeState::ApproxHeapBytes() const {

@@ -55,13 +55,16 @@ class AttributeState {
   const std::vector<double>& last_masses() const { return last_masses_; }
   void set_last_masses(std::vector<double> masses);
 
-  /// The kernel table of the last fit, or null before the first one. The
-  /// table depends only on the fixed layout, so warm-start refreshes reuse
-  /// it and skip the O(wbins·K) rebuild; reconstruct::KernelTable::Matches
-  /// is still checked before every reuse (a stale table is rebuilt, never
-  /// trusted). shared_ptr so the owning session can fit from the table
-  /// outside its lock while a concurrent caller swaps the cache.
-  /// Owner's lock required for both accessors.
+  /// The kernel table of the last fit, or null before the first one: the
+  /// shift-invariant strip of reconstruct::KernelTable, O(wbins + K)
+  /// doubles (two tail rows plus one value per diagonal). The table
+  /// depends only on the fixed layout, so warm-start refreshes reuse it
+  /// and skip the O(wbins + K) CDF rebuild;
+  /// reconstruct::KernelTable::Matches is still checked before every
+  /// reuse (a stale table is rebuilt, never trusted). shared_ptr so the
+  /// owning session can fit from the table outside its lock while a
+  /// concurrent caller swaps the cache. Owner's lock required for both
+  /// accessors.
   std::shared_ptr<const reconstruct::KernelTable> kernel_cache() const {
     return kernel_cache_;
   }
@@ -77,8 +80,7 @@ class AttributeState {
   /// counters; the returned table's contents never depend on which branch
   /// ran, so reconstruction bits are cache-independent.
   std::shared_ptr<const reconstruct::KernelTable> ResolveKernelTable(
-      std::shared_ptr<const reconstruct::KernelTable> cached,
-      engine::ThreadPool* pool) const;
+      std::shared_ptr<const reconstruct::KernelTable> cached) const;
 
   /// Installs restored accumulation (snapshot decode / registry
   /// re-admission). Preconditions — validated by the decoding caller,

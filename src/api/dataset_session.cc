@@ -321,7 +321,7 @@ DatasetSession::ReconstructAll() {
   // Reconstruct() byte for byte.
   std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
-    kernels[a] = states_[a].ResolveKernelTable(std::move(kernels[a]), pool_);
+    kernels[a] = states_[a].ResolveKernelTable(std::move(kernels[a]));
     estimates[a] = states_[a].reconstructor().FitFromCounts(
         weights[a], totals[a], states_[a].partition(), pool_,
         warm[a].empty() ? nullptr : &warm[a], kernels[a].get());

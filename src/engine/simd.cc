@@ -137,20 +137,21 @@ void ScaleAdd(double* acc, const double* a, const double* b, double scale,
   }
 }
 
-void UniformCdfShift(const double* mids, std::size_t n, double shift,
-                     double alpha, double* out) {
-  if (ActivePath() == Path::kAvx2) {
-    internal::UniformCdfShiftAvx2(mids, n, shift, alpha, out);
+void Dot4(const double* const rows[4], const double* b, std::size_t n,
+          double out[4], Path path) {
+  if (path == Path::kAvx2) {
+    internal::Dot4Avx2(rows, b, n, out);
   } else {
-    internal::UniformCdfShiftScalar(mids, n, shift, alpha, out);
+    internal::Dot4Scalar(rows, b, n, out);
   }
 }
 
-void Sub(const double* a, const double* b, std::size_t n, double* out) {
-  if (ActivePath() == Path::kAvx2) {
-    internal::SubAvx2(a, b, n, out);
+void ScaleAdd4(double* acc, const double* const rows[4], const double* b,
+               const double scales[4], std::size_t n, Path path) {
+  if (path == Path::kAvx2) {
+    internal::ScaleAdd4Avx2(acc, rows, b, scales, n);
   } else {
-    internal::SubScalar(a, b, n, out);
+    internal::ScaleAdd4Scalar(acc, rows, b, scales, n);
   }
 }
 
@@ -189,21 +190,16 @@ void ScaleAddScalar(double* acc, const double* a, const double* b,
   }
 }
 
-void UniformCdfShiftScalar(const double* mids, std::size_t n, double shift,
-                           double alpha, double* out) {
-  const double two_alpha = 2.0 * alpha;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double y = shift - mids[i];
-    double t = (y + alpha) / two_alpha;
-    if (y <= -alpha) t = 0.0;
-    if (y >= alpha) t = 1.0;
-    out[i] = t;
-  }
+void Dot4Scalar(const double* const rows[4], const double* b, std::size_t n,
+                double out[4]) {
+  for (std::size_t r = 0; r < 4; ++r) out[r] = DotScalar(rows[r], b, n);
 }
 
-void SubScalar(const double* a, const double* b, std::size_t n,
-               double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+void ScaleAdd4Scalar(double* acc, const double* const rows[4],
+                     const double* b, const double scales[4], std::size_t n) {
+  for (std::size_t r = 0; r < 4; ++r) {
+    ScaleAddScalar(acc, rows[r], b, scales[r], n);
+  }
 }
 
 void BinIndicesScalar(const double* values, std::size_t n, double lo,

@@ -18,7 +18,11 @@
 // else kScalar; PPDM_SIMD=scalar|avx2 (env) or --simd (CLI) force one.
 // Every EM fit — Fit, FitParallel, FitFromCounts — runs the same
 // lane-blocked kernels over the same fixed chunk decomposition, so the
-// path never changes an output bit.
+// path never changes an output bit. The E-step reads each kernel row as a
+// stride-wide window of reconstruct::KernelTable (for binned fits, a
+// shift-invariant strip of O(wbins + K) doubles that stays cache-resident)
+// and takes its live rows four at a time through Dot4/ScaleAdd4, which
+// equal four single-row Dot/ScaleAdd calls bit for bit.
 
 #ifndef PPDM_ENGINE_SIMD_H_
 #define PPDM_ENGINE_SIMD_H_
@@ -88,16 +92,18 @@ double Dot(const double* a, const double* b, std::size_t n, Path path);
 void ScaleAdd(double* acc, const double* a, const double* b, double scale,
               std::size_t n, Path path);
 
-/// out[i] = UniformCdf(shift − mids[i]) for noise U[−alpha, +alpha]:
-///   y ≤ −alpha → 0,  y ≥ alpha → 1,  else (y + alpha) / (2·alpha),
-/// evaluated exactly as perturb::NoiseModel::Cdf does, elementwise over
-/// `n` entries (any n — the vector path handles the tail scalarly, which
-/// is exact because the op is elementwise).
-void UniformCdfShift(const double* mids, std::size_t n, double shift,
-                     double alpha, double* out);
+/// Dot() of four rows against one shared `b`: out[r] = Dot(rows[r], b, n)
+/// bit for bit. The vector path keeps four independent accumulators, so
+/// the four rows' add chains overlap instead of serializing; each row
+/// keeps its own lane order and reduction tree.
+void Dot4(const double* const rows[4], const double* b, std::size_t n,
+          double out[4], Path path);
 
-/// out[i] = a[i] − b[i], elementwise (exact in any path).
-void Sub(const double* a, const double* b, std::size_t n, double* out);
+/// ScaleAdd() of four rows into one accumulator, applied to each element
+/// in row order — bit for bit the four single-row calls made in sequence
+/// (elementwise, so only the per-element operation order matters).
+void ScaleAdd4(double* acc, const double* const rows[4], const double* b,
+               const double scales[4], std::size_t n, Path path);
 
 /// Equi-width clamped bin index per value, the exact integer function
 /// stats::Histogram::BinOf computes:
@@ -113,9 +119,10 @@ namespace internal {
 double DotScalar(const double* a, const double* b, std::size_t n);
 void ScaleAddScalar(double* acc, const double* a, const double* b,
                     double scale, std::size_t n);
-void UniformCdfShiftScalar(const double* mids, std::size_t n, double shift,
-                           double alpha, double* out);
-void SubScalar(const double* a, const double* b, std::size_t n, double* out);
+void Dot4Scalar(const double* const rows[4], const double* b, std::size_t n,
+                double out[4]);
+void ScaleAdd4Scalar(double* acc, const double* const rows[4],
+                     const double* b, const double scales[4], std::size_t n);
 void BinIndicesScalar(const double* values, std::size_t n, double lo,
                       double hi, double width, std::size_t bins,
                       std::uint32_t* out);
@@ -126,9 +133,10 @@ bool Avx2Compiled();
 double DotAvx2(const double* a, const double* b, std::size_t n);
 void ScaleAddAvx2(double* acc, const double* a, const double* b,
                   double scale, std::size_t n);
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out);
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out);
+void Dot4Avx2(const double* const rows[4], const double* b, std::size_t n,
+              double out[4]);
+void ScaleAdd4Avx2(double* acc, const double* const rows[4], const double* b,
+                   const double scales[4], std::size_t n);
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,
                     double hi, double width, std::size_t bins,
                     std::uint32_t* out);

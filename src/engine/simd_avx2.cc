@@ -46,36 +46,55 @@ void ScaleAddAvx2(double* acc, const double* a, const double* b,
   }
 }
 
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out) {
-  const __m256d vshift = _mm256_set1_pd(shift);
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  const __m256d vneg_alpha = _mm256_set1_pd(-alpha);
-  const __m256d vtwo_alpha = _mm256_set1_pd(2.0 * alpha);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d y = _mm256_sub_pd(vshift, _mm256_loadu_pd(mids + i));
-    __m256d t = _mm256_div_pd(_mm256_add_pd(y, valpha), vtwo_alpha);
-    t = _mm256_blendv_pd(t, vzero, _mm256_cmp_pd(y, vneg_alpha, _CMP_LE_OQ));
-    t = _mm256_blendv_pd(t, vone, _mm256_cmp_pd(y, valpha, _CMP_GE_OQ));
-    _mm256_storeu_pd(out + i, t);
+void Dot4Avx2(const double* const rows[4], const double* b, std::size_t n,
+              double out[4]) {
+  PPDM_CHECK_EQ(n % kLanes, 0u);
+  // One accumulator per row, each the exact DotAvx2 chain; the four chains
+  // are independent, so their adds overlap in the pipeline.
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const __m256d vb = _mm256_loadu_pd(b + i);
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(rows[0] + i), vb));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(rows[1] + i), vb));
+    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_loadu_pd(rows[2] + i), vb));
+    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_loadu_pd(rows[3] + i), vb));
   }
-  if (i < n) {
-    // Elementwise op: the scalar tail is exact.
-    UniformCdfShiftScalar(mids + i, n - i, shift, alpha, out + i);
-  }
+  // The (l0+l1)+(l2+l3) tree for all four rows at once: hadd forms the
+  // pair sums l0+l1 and l2+l3 of two rows, the cross-lane add joins them.
+  const __m256d pairs01 = _mm256_hadd_pd(acc0, acc1);
+  const __m256d pairs23 = _mm256_hadd_pd(acc2, acc3);
+  const __m256d low = _mm256_permute2f128_pd(pairs01, pairs23, 0x20);
+  const __m256d high = _mm256_permute2f128_pd(pairs01, pairs23, 0x31);
+  _mm256_storeu_pd(out, _mm256_add_pd(low, high));
 }
 
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
+void ScaleAdd4Avx2(double* acc, const double* const rows[4], const double* b,
+                   const double scales[4], std::size_t n) {
+  PPDM_CHECK_EQ(n % kLanes, 0u);
+  const __m256d vs0 = _mm256_set1_pd(scales[0]);
+  const __m256d vs1 = _mm256_set1_pd(scales[1]);
+  const __m256d vs2 = _mm256_set1_pd(scales[2]);
+  const __m256d vs3 = _mm256_set1_pd(scales[3]);
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const __m256d vb = _mm256_loadu_pd(b + i);
+    __m256d sum = _mm256_loadu_pd(acc + i);
+    sum = _mm256_add_pd(
+        sum, _mm256_mul_pd(_mm256_mul_pd(vs0, _mm256_loadu_pd(rows[0] + i)),
+                           vb));
+    sum = _mm256_add_pd(
+        sum, _mm256_mul_pd(_mm256_mul_pd(vs1, _mm256_loadu_pd(rows[1] + i)),
+                           vb));
+    sum = _mm256_add_pd(
+        sum, _mm256_mul_pd(_mm256_mul_pd(vs2, _mm256_loadu_pd(rows[2] + i)),
+                           vb));
+    sum = _mm256_add_pd(
+        sum, _mm256_mul_pd(_mm256_mul_pd(vs3, _mm256_loadu_pd(rows[3] + i)),
+                           vb));
+    _mm256_storeu_pd(acc + i, sum);
   }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
 }
 
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,
@@ -115,13 +134,14 @@ void ScaleAddAvx2(double* acc, const double* a, const double* b,
   ScaleAddScalar(acc, a, b, scale, n);
 }
 
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out) {
-  UniformCdfShiftScalar(mids, n, shift, alpha, out);
+void Dot4Avx2(const double* const rows[4], const double* b, std::size_t n,
+              double out[4]) {
+  Dot4Scalar(rows, b, n, out);
 }
 
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out) {
-  SubScalar(a, b, n, out);
+void ScaleAdd4Avx2(double* acc, const double* const rows[4], const double* b,
+                   const double scales[4], std::size_t n) {
+  ScaleAdd4Scalar(acc, rows, b, scales, n);
 }
 
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,

@@ -40,7 +40,7 @@ obs::Histogram& EmIterationsHistogram() {
 // under the pool size.
 constexpr std::size_t kEmChunkBins = 32;
 
-// Row grain for embarrassingly parallel per-row work (kernel rows).
+// Row grain of the exact fit's per-sample kernel rows.
 constexpr std::size_t kKernelChunkRows = 64;
 
 // Floor applied to warm-start masses before renormalization: EM can never
@@ -81,7 +81,13 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
 // decomposition and are byte-identical to each other. Mass vectors live in
 // stride-wide buffers whose padding lanes hold exact zeros, so the blocked
 // kernels never need a remainder tail (the padded products are +0.0 —
-// exact).
+// exact, whatever the table's padding lanes hold).
+//
+// Within a chunk the live rows (nonzero weight, ascending j) go four at a
+// time through Dot4/ScaleAdd4, which equal four single-row Dot/ScaleAdd
+// calls bit for bit; a group holding a dead row (no component density)
+// and the last 1–3 rows take the single-row kernels. Every row therefore
+// sees the same operations in the same order as a one-row-at-a-time loop.
 //
 // `initial` (optional) seeds the iteration in place of the uniform prior —
 // the warm-start path of streaming sessions. Floored and renormalized so no
@@ -95,7 +101,6 @@ Reconstruction RunEm(const std::vector<double>& weights,
   PPDM_CHECK_EQ(weights.size(), table.wbins);
   const std::size_t num_intervals = table.intervals;
   const std::size_t stride = table.stride;
-  const std::vector<double>& kernel = table.kernel;
   const std::vector<std::size_t>& fallback = table.fallback;
   const simd::Path path = simd::ActivePath();
 
@@ -130,20 +135,50 @@ Reconstruction RunEm(const std::vector<double>& weights,
       double* local = partial_arena.data() + c * acc_stride;
       std::fill(local, local + acc_stride, 0.0);
       double ll = 0.0;
-      for (std::size_t j = chunks[c].begin; j < chunks[c].end; ++j) {
-        if (weights[j] == 0.0) continue;
-        const double* row = &kernel[j * stride];
-        const double denom = simd::Dot(row, p.data(), stride, path);
+      // One row's E-step given its density `denom` — the single-row path.
+      const auto apply_row = [&](std::size_t j, const double* row,
+                                 double denom) {
         if (denom <= kTinyDensity) {
           // No component reaches this observation (clamped edge bin under
           // bounded noise): attribute it wholly to the nearest interval.
           local[fallback[j]] += weights[j];
           ll += weights[j] * std::log(kTinyDensity);
-          continue;
+          return;
         }
         ll += weights[j] * std::log(denom);
         simd::ScaleAdd(local, row, p.data(), weights[j] / denom, stride,
                        path);
+      };
+      std::size_t live[kEmChunkBins];
+      std::size_t num_live = 0;
+      for (std::size_t j = chunks[c].begin; j < chunks[c].end; ++j) {
+        if (weights[j] != 0.0) live[num_live++] = j;
+      }
+      std::size_t i = 0;
+      for (; i + 4 <= num_live; i += 4) {
+        const double* rows[4];
+        for (std::size_t r = 0; r < 4; ++r) rows[r] = table.Row(live[i + r]);
+        double denoms[4];
+        simd::Dot4(rows, p.data(), stride, denoms, path);
+        bool has_dead_row = false;
+        for (double d : denoms) has_dead_row |= d <= kTinyDensity;
+        if (has_dead_row) {
+          for (std::size_t r = 0; r < 4; ++r) {
+            apply_row(live[i + r], rows[r], denoms[r]);
+          }
+          continue;
+        }
+        double scales[4];
+        for (std::size_t r = 0; r < 4; ++r) {
+          const double w = weights[live[i + r]];
+          ll += w * std::log(denoms[r]);
+          scales[r] = w / denoms[r];
+        }
+        simd::ScaleAdd4(local, rows, p.data(), scales, stride, path);
+      }
+      for (; i < num_live; ++i) {
+        const double* row = table.Row(live[i]);
+        apply_row(live[i], row, simd::Dot(row, p.data(), stride, path));
       }
       partial_ll[c] = ll;
     });
@@ -178,25 +213,22 @@ Reconstruction RunEm(const std::vector<double>& weights,
   return out;
 }
 
-// Builds the binned-EM component likelihood table (see KernelTable):
-// kernel[j*stride + k] is P(W ∈ w-bin j | X = m_k), integrated exactly
-// over the w bin via the noise CDF. Integration (rather than a midpoint
-// pdf evaluation) kills the half-bin boundary bias that bounded noise
-// would otherwise exhibit. Each row is independent and writes only its
-// own slots, so the table is identical for every pool size; uniform-noise
-// CDF rows go through the dispatched batch kernel, whose scalar and
-// vector variants compute the very operations NoiseModel::Cdf does — the
-// table contents are therefore identical on every SIMD path too.
+// Builds the binned-EM component likelihood table in its shift-invariant
+// layout (see KernelTable). Every stored entry is P(W ∈ w-bin j | X = m_k)
+// at one cell, integrated exactly over the w bin via the noise CDF.
+// Integration (rather than a midpoint pdf evaluation) kills the half-bin
+// boundary bias that bounded noise would otherwise exhibit. The tail rows
+// 0 and wbins−1 are evaluated per cell; each interior diagonal once, at
+// its topmost interior cell — so the strip is column 0 of rows wbins−2
+// down to 2, followed by row 1. Sequential scalar NoiseModel::Cdf calls,
+// so the table is identical for every pool size and SIMD path.
 KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
                                    const Partition& partition,
-                                   const perturb::NoiseModel& noise,
-                                   engine::ThreadPool* pool) {
+                                   const perturb::NoiseModel& noise) {
   KernelTable table;
   table.wbins = whist.bins();
   table.intervals = partition.intervals();
   table.stride = simd::PadLanes(table.intervals);
-  table.kernel.assign(table.wbins * table.stride, 0.0);
-  table.fallback.resize(table.wbins);
   table.noise_kind = noise.kind();
   table.noise_scale = noise.scale();
   table.partition_lo = partition.lo();
@@ -206,49 +238,47 @@ KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
 
   const std::size_t num_wbins = table.wbins;
   const std::size_t num_intervals = table.intervals;
-  std::vector<double> mids(num_intervals);
-  for (std::size_t k = 0; k < num_intervals; ++k) mids[k] = partition.Mid(k);
+  const std::size_t stride = table.stride;
+  // P(W ∈ w-bin j | X = m_k); the outermost bins also absorb the clamped
+  // tails.
+  const auto cell = [&](std::size_t j, std::size_t k) {
+    const double mid = partition.Mid(k);
+    const double u =
+        j + 1 == num_wbins ? 1.0 : noise.Cdf(whist.BinHi(j) - mid);
+    const double l = j == 0 ? 0.0 : noise.Cdf(whist.BinLo(j) - mid);
+    return u - l;
+  };
 
-  // The batch CDF kernel only exists for uniform noise; Gaussian (erf)
-  // evaluates the scalar CDF per cell.
-  const bool batch_cdf = noise.kind() == perturb::NoiseKind::kUniform;
-  const double alpha = noise.scale();
-
-  const std::vector<engine::ChunkRange> rows =
-      engine::MakeChunks(num_wbins, kKernelChunkRows);
-  engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
-    std::vector<double> upper(num_intervals), lower(num_intervals);
-    for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
-      const double bin_lo = whist.BinLo(j);
-      const double bin_hi = whist.BinHi(j);
-      table.fallback[j] = partition.IntervalOf(whist.BinMid(j));
-      double* row = &table.kernel[j * table.stride];
-      if (batch_cdf) {
-        // The outermost bins also absorb the clamped tails.
-        if (j + 1 == num_wbins) {
-          std::fill(upper.begin(), upper.end(), 1.0);
-        } else {
-          simd::UniformCdfShift(mids.data(), num_intervals, bin_hi, alpha,
-                                upper.data());
-        }
-        if (j == 0) {
-          std::fill(lower.begin(), lower.end(), 0.0);
-        } else {
-          simd::UniformCdfShift(mids.data(), num_intervals, bin_lo, alpha,
-                                lower.data());
-        }
-        simd::Sub(upper.data(), lower.data(), num_intervals, row);
-      } else {
-        for (std::size_t k = 0; k < num_intervals; ++k) {
-          const double mid = mids[k];
-          const double u =
-              j + 1 == num_wbins ? 1.0 : noise.Cdf(bin_hi - mid);
-          const double l = j == 0 ? 0.0 : noise.Cdf(bin_lo - mid);
-          row[k] = u - l;
-        }
-      }
+  // Row 0 at [0, stride), row wbins−1 at [stride, 2·stride) (one shared
+  // row when wbins == 1), then the strip. Interior row j reads the strip
+  // window starting at wbins − 2 − j; the last stride − K strip entries
+  // are read only by padding lanes and stay zero.
+  const std::size_t num_interior = num_wbins >= 2 ? num_wbins - 2 : 0;
+  const std::size_t strip_begin = (num_wbins >= 2 ? 2 : 1) * stride;
+  const std::size_t strip_size =
+      num_interior == 0 ? 0 : num_interior + stride - 1;
+  table.kernel.assign(strip_begin + strip_size, 0.0);
+  table.row_offset.resize(num_wbins);
+  table.fallback.resize(num_wbins);
+  for (std::size_t j = 0; j < num_wbins; ++j) {
+    table.fallback[j] = partition.IntervalOf(whist.BinMid(j));
+    table.row_offset[j] = strip_begin + num_wbins - 2 - j;
+  }
+  table.row_offset[0] = 0;
+  table.row_offset[num_wbins - 1] = strip_begin - stride;
+  for (const std::size_t j : {std::size_t{0}, num_wbins - 1}) {
+    double* row = table.kernel.data() + table.row_offset[j];
+    for (std::size_t k = 0; k < num_intervals; ++k) row[k] = cell(j, k);
+  }
+  if (num_interior > 0) {
+    double* strip = table.kernel.data() + strip_begin;
+    for (std::size_t s = 0; s + 1 < num_interior; ++s) {
+      strip[s] = cell(num_wbins - 2 - s, 0);
     }
-  });
+    for (std::size_t k = 0; k < num_intervals; ++k) {
+      strip[num_interior - 1 + k] = cell(1, k);
+    }
+  }
   return table;
 }
 
@@ -263,12 +293,16 @@ bool KernelTable::Matches(const perturb::NoiseModel& noise,
          intervals == partition.intervals() && whist_lo == whist.lo() &&
          whist_hi == whist.hi() && wbins == whist.bins() &&
          stride == engine::simd::PadLanes(intervals) &&
-         kernel.size() == wbins * stride && fallback.size() == wbins;
+         fallback.size() == wbins && row_offset.size() == wbins &&
+         std::all_of(row_offset.begin(), row_offset.end(),
+                     [&](std::size_t offset) {
+                       return offset + stride <= kernel.size();
+                     });
 }
 
 std::size_t KernelTable::ApproxHeapBytes() const {
   return kernel.capacity() * sizeof(double) +
-         fallback.capacity() * sizeof(std::size_t);
+         (row_offset.capacity() + fallback.capacity()) * sizeof(std::size_t);
 }
 
 double Reconstruction::CdfAtEdge(std::size_t k) const {
@@ -320,9 +354,9 @@ stats::Histogram BayesReconstructor::PerturbedBinning(
 }
 
 KernelTable BayesReconstructor::BuildKernelTable(
-    const Partition& partition, engine::ThreadPool* pool) const {
+    const Partition& partition) const {
   return BuildBinnedKernelTable(PerturbedBinning(partition), partition,
-                                noise_, pool);
+                                noise_);
 }
 
 Reconstruction BayesReconstructor::FitBinned(
@@ -338,8 +372,7 @@ Reconstruction BayesReconstructor::FitBinned(
       perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
       whist.width(), whist.bins(), pool, shard_size);
 
-  const KernelTable table =
-      BuildBinnedKernelTable(whist, partition, noise_, pool);
+  const KernelTable table = BuildBinnedKernelTable(whist, partition, noise_);
   return RunEm(ingested.BinWeights(), table,
                static_cast<double>(perturbed.size()), options_, pool);
 }
@@ -369,7 +402,7 @@ Reconstruction BayesReconstructor::FitFromCounts(
   // contents are identical — the result never depends on the cache.
   KernelTable built;
   if (kernel == nullptr || !kernel->Matches(noise_, partition, whist)) {
-    built = BuildBinnedKernelTable(whist, partition, noise_, pool);
+    built = BuildBinnedKernelTable(whist, partition, noise_);
     kernel = &built;
   }
   // RunEm's one decomposition is FitParallel's too, so a cold start
@@ -382,19 +415,21 @@ Reconstruction BayesReconstructor::FitExact(
     engine::ThreadPool* pool) const {
   const std::size_t num_intervals = partition.intervals();
   std::vector<double> weights(perturbed.size(), 1.0);
-  // Ad-hoc per-sample table: row j holds f_Y(w_j − m_k). Same padded
-  // layout as the binned table so RunEm's blocked kernels apply.
+  // Ad-hoc per-sample table: row j holds f_Y(w_j − m_k), dense at
+  // offset j * stride with zero padding, so RunEm's one E-step applies.
   KernelTable table;
   table.wbins = perturbed.size();
   table.intervals = num_intervals;
   table.stride = simd::PadLanes(num_intervals);
   table.kernel.assign(table.wbins * table.stride, 0.0);
+  table.row_offset.resize(table.wbins);
   table.fallback.resize(table.wbins);
   const std::vector<engine::ChunkRange> rows =
       engine::MakeChunks(perturbed.size(), kKernelChunkRows);
   engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
     for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
       table.fallback[j] = partition.IntervalOf(perturbed[j]);
+      table.row_offset[j] = j * table.stride;
       double* row = &table.kernel[j * table.stride];
       for (std::size_t k = 0; k < num_intervals; ++k) {
         row[k] = noise_.Pdf(perturbed[j] - partition.Mid(k));

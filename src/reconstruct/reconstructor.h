@@ -64,23 +64,47 @@ struct Reconstruction {
   double CdfAtEdge(std::size_t k) const;
 };
 
-/// Precomputed component-likelihood table of the binned EM:
-/// `kernel[j * stride + k]` holds P(W ∈ w-bin j | X = m_k), integrated
-/// exactly over the w bin via the noise CDF. Rows are padded from
-/// `intervals` to `stride` (a SIMD lane multiple) with exact zeros, so the
-/// blocked E-step kernels run without a remainder tail. `fallback[j]` is
-/// the interval absorbing bin j if every component density vanishes there.
+/// Precomputed component-likelihood table of the EM: row j, read as
+/// `Row(j)[k]` for k < stride, holds P(W ∈ w-bin j | X = m_k), integrated
+/// exactly over the w bin via the noise CDF. Rows are `stride` wide (the
+/// intervals padded to a SIMD lane multiple) so the blocked E-step kernels
+/// run without a remainder tail; the padding lanes meet the E-step's mass
+/// vector, whose padding is exact zeros, so whatever they hold contributes
+/// +0.0. `fallback[j]` is the interval absorbing bin j if every component
+/// density vanishes there.
+///
+/// Rows are windows into `kernel` starting at `row_offset[j]`. The binned
+/// layout aligns w-bins with the partition grid, so an interior entry
+/// depends only on the diagonal d = j − k: `kernel` holds the two tail
+/// rows 0 and wbins−1 per cell (they absorb the clamped tails), then one
+/// strip with a single value per diagonal, read backwards by k so that
+/// row j is the contiguous window starting at strip index wbins − 2 − j.
+/// Diagonal d is evaluated once, at its topmost interior cell
+/// (j₀ = max(1, d), k₀ = j₀ − d), with the per-cell formula
+/// Cdf(BinHi(j₀) − Mid(k₀)) − Cdf(BinLo(j₀) − Mid(k₀)). Building costs
+/// O(wbins + K) CDF evaluations and the table is O(wbins + K) doubles, so
+/// it stays cache-resident through the E-step. On grids whose edges and
+/// midpoints are exact in binary every cell of a diagonal is that very
+/// value; elsewhere cells differ from a per-cell evaluation by a few ulps.
+/// The per-sample table of the exact (non-binned) fit is dense instead:
+/// `row_offset[j] = j * stride`.
 ///
 /// The table depends only on (noise params, partition edges, w-hist
 /// edges) — the key fields below — never on the counts, the thread count,
 /// or the dispatched SIMD path, so warm-start refreshes can cache it
-/// (api::AttributeState does) and skip the O(wbins·K) rebuild.
+/// (api::AttributeState does) and skip the rebuild.
 struct KernelTable {
   std::size_t wbins = 0;      ///< perturbed-value bins (table rows)
   std::size_t intervals = 0;  ///< partition intervals (logical columns)
-  std::size_t stride = 0;     ///< row stride: intervals padded to a lane multiple
-  std::vector<double> kernel;          ///< wbins × stride, padding zero
-  std::vector<std::size_t> fallback;   ///< absorbing interval per row
+  std::size_t stride = 0;     ///< row width: intervals padded to a lane multiple
+  std::vector<double> kernel;            ///< row storage (see above)
+  std::vector<std::size_t> row_offset;   ///< start of row j in `kernel`
+  std::vector<std::size_t> fallback;     ///< absorbing interval per row
+
+  /// Row j: `stride` doubles starting at kernel[row_offset[j]].
+  const double* Row(std::size_t j) const {
+    return kernel.data() + row_offset[j];
+  }
 
   // Cache key — the inputs the table was built from.
   perturb::NoiseKind noise_kind = perturb::NoiseKind::kNone;
@@ -143,7 +167,7 @@ class BayesReconstructor {
   /// warm-starts EM from a previous estimate instead of the uniform prior:
   /// masses are floored at a tiny positive value and renormalized so a
   /// zero in the old estimate can never absorb an interval permanently.
-  /// A non-null `kernel` skips rebuilding the O(wbins·K) likelihood table
+  /// A non-null `kernel` skips rebuilding the O(wbins + K) likelihood table
   /// when it matches this fit's layout (stale tables are rebuilt, never
   /// trusted); the table's contents are identical to a fresh build, so
   /// the result is byte-identical with or without the cache.
@@ -157,9 +181,8 @@ class BayesReconstructor {
   /// Builds the binned-EM likelihood table for `partition` — what
   /// FitFromCounts does internally when handed no cached table. Depends
   /// only on the reconstructor's noise model and the partition layout;
-  /// deterministic for every pool size and SIMD path.
-  KernelTable BuildKernelTable(const Partition& partition,
-                               engine::ThreadPool* pool) const;
+  /// deterministic for every SIMD path.
+  KernelTable BuildKernelTable(const Partition& partition) const;
 
   const perturb::NoiseModel& noise() const { return noise_; }
   const ReconstructionOptions& options() const { return options_; }

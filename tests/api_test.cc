@@ -224,16 +224,16 @@ Result<reconstruct::Reconstruction> ReconstructOne(DatasetSession* session) {
 TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
   const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.25);
   const AttributeState state(0.0, 1.0, 12, noise, {});
-  const auto built = state.ResolveKernelTable(nullptr, nullptr);
+  const auto built = state.ResolveKernelTable(nullptr);
   ASSERT_NE(built, nullptr);
   EXPECT_TRUE(built->Matches(state.noise_model(), state.partition(),
                              state.layout()));
   // Matching cache: the same table comes back — the rebuild is skipped.
-  const auto hit = state.ResolveKernelTable(built, nullptr);
+  const auto hit = state.ResolveKernelTable(built);
   EXPECT_EQ(hit.get(), built.get());
   // A table built for a different layout is stale: rebuilt, never reused.
   const AttributeState other(0.0, 1.0, 24, noise, {});
-  const auto rebuilt = other.ResolveKernelTable(built, nullptr);
+  const auto rebuilt = other.ResolveKernelTable(built);
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_NE(rebuilt.get(), built.get());
   EXPECT_TRUE(rebuilt->Matches(other.noise_model(), other.partition(),

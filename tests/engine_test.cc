@@ -4,6 +4,7 @@
 // yields byte-identical results for every number of worker threads.
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -324,6 +325,48 @@ TEST(SimdTest, DotAndScaleAddByteIdenticalScalarVsAvx2) {
   simd::ScaleAdd(acc2.data(), a.data(), b.data(), 1.7, n,
                  simd::Path::kAvx2);
   EXPECT_EQ(std::memcmp(acc1.data(), acc2.data(), n * sizeof(double)), 0);
+}
+
+TEST(SimdTest, FourRowKernelsEqualFourSingleRowCalls) {
+  // Dot4/ScaleAdd4 are the E-step's four-row kernels: on every path they
+  // must reproduce four single-row Dot/ScaleAdd calls on that same path
+  // byte for byte — the per-row lane order, reduction tree and (for the
+  // accumulate) the row order applied to each element.
+  std::vector<simd::Path> paths{simd::Path::kScalar};
+  if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
+  Rng rng(47);
+  for (const std::size_t logical : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{157}, std::size_t{200}}) {
+    const std::size_t n = simd::PadLanes(logical);
+    std::vector<std::vector<double>> rows(4, std::vector<double>(n, 0.0));
+    std::vector<double> b(n, 0.0);
+    for (std::size_t i = 0; i < logical; ++i) {
+      // Magnitudes spread over many binades so reassociation would show.
+      for (auto& row : rows) {
+        row[i] = rng.UniformReal(0.0, 1.0) *
+                 std::ldexp(1.0, static_cast<int>(rng.UniformInt(-30, 30)));
+      }
+      b[i] = rng.UniformReal(0.0, 2.0);
+    }
+    const double* row_ptrs[4] = {rows[0].data(), rows[1].data(),
+                                 rows[2].data(), rows[3].data()};
+    const double scales[4] = {1.7, 3.0e-9, 0.1, 12345.678};
+    for (simd::Path path : paths) {
+      double dots[4];
+      simd::Dot4(row_ptrs, b.data(), n, dots, path);
+      std::vector<double> acc4(n, 0.5), acc1(n, 0.5);
+      simd::ScaleAdd4(acc4.data(), row_ptrs, b.data(), scales, n, path);
+      for (std::size_t r = 0; r < 4; ++r) {
+        const double single = simd::Dot(row_ptrs[r], b.data(), n, path);
+        EXPECT_EQ(std::memcmp(&dots[r], &single, sizeof(double)), 0)
+            << "path=" << simd::PathName(path) << " n=" << n << " row=" << r;
+        simd::ScaleAdd(acc1.data(), row_ptrs[r], b.data(), scales[r], n,
+                       path);
+      }
+      EXPECT_EQ(std::memcmp(acc4.data(), acc1.data(), n * sizeof(double)), 0)
+          << "path=" << simd::PathName(path) << " n=" << n;
+    }
+  }
 }
 
 TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -443,7 +444,7 @@ TEST(KernelTableTest, CachedTableIsByteIdenticalToFreshBuild) {
   const NoiseModel noise = NoiseModel::Uniform(0.3);
   const Partition p(0.0, 1.0, 20);
   const BayesReconstructor rec(noise, {});
-  const KernelTable table = rec.BuildKernelTable(p, nullptr);
+  const KernelTable table = rec.BuildKernelTable(p);
   EXPECT_TRUE(table.Matches(noise, p, rec.PerturbedBinning(p)));
   EXPECT_EQ(table.stride, simd::PadLanes(p.intervals()));
   EXPECT_GT(table.ApproxHeapBytes(), 0u);
@@ -462,7 +463,7 @@ TEST(KernelTableTest, StaleTableIsRebuiltNotTrusted) {
   const NoiseModel noise = NoiseModel::Uniform(0.3);
   const BayesReconstructor rec(noise, {});
   const Partition old_p(0.0, 1.0, 10);
-  const KernelTable stale = rec.BuildKernelTable(old_p, nullptr);
+  const KernelTable stale = rec.BuildKernelTable(old_p);
 
   const Partition new_p(0.0, 1.0, 20);
   EXPECT_FALSE(stale.Matches(noise, new_p, rec.PerturbedBinning(new_p)));
@@ -476,6 +477,278 @@ TEST(KernelTableTest, StaleTableIsRebuiltNotTrusted) {
   const Reconstruction without =
       rec.FitFromCounts(weights, total, new_p, nullptr, nullptr, nullptr);
   EXPECT_TRUE(BytesEqual(with_stale.masses, without.masses));
+}
+
+// P(W ∈ w-bin j | X = m_k) evaluated at cell (j, k) on its own — the
+// per-cell formula a dense table stores. The outermost bins absorb the
+// clamped tails.
+double CellKernel(const NoiseModel& noise, const stats::Histogram& whist,
+                  const Partition& p, std::size_t j, std::size_t k) {
+  const double mid = p.Mid(k);
+  const double u =
+      j + 1 == whist.bins() ? 1.0 : noise.Cdf(whist.BinHi(j) - mid);
+  const double l = j == 0 ? 0.0 : noise.Cdf(whist.BinLo(j) - mid);
+  return u - l;
+}
+
+// A dense wbins × stride table holding CellKernel at every cell, with the
+// key fields and fallbacks of the built table, so FitFromCounts takes it
+// as a valid cached table.
+KernelTable DenseCellTable(const BayesReconstructor& rec, const Partition& p) {
+  const stats::Histogram whist = rec.PerturbedBinning(p);
+  KernelTable dense = rec.BuildKernelTable(p);
+  dense.kernel.assign(dense.wbins * dense.stride, 0.0);
+  for (std::size_t j = 0; j < dense.wbins; ++j) {
+    dense.row_offset[j] = j * dense.stride;
+    for (std::size_t k = 0; k < dense.intervals; ++k) {
+      dense.kernel[j * dense.stride + k] =
+          CellKernel(rec.noise(), whist, p, j, k);
+    }
+  }
+  return dense;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(KernelTableTest, StripEqualsPerDiagonalDefinition) {
+  // Tail rows hold their own cells; every interior cell holds its
+  // diagonal's value, evaluated at the diagonal's topmost interior cell
+  // (j0 = max(1, d), k0 = j0 - d for d = j - k). [20, 80] makes the bin
+  // width inexact in binary for most K, so this pins the definition, not
+  // an accident of exact arithmetic.
+  for (const NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
+    const NoiseModel noise = perturb::NoiseForPrivacy(kind, 1.0, 60.0, 0.95);
+    const BayesReconstructor rec(noise, {});
+    for (const std::size_t intervals :
+         {std::size_t{1}, std::size_t{3}, std::size_t{30}, std::size_t{198},
+          std::size_t{200}}) {
+      const Partition p(20.0, 80.0, intervals);
+      const stats::Histogram whist = rec.PerturbedBinning(p);
+      const KernelTable table = rec.BuildKernelTable(p);
+      ASSERT_TRUE(table.Matches(noise, p, whist));
+      const std::size_t wbins = table.wbins;
+      // O(wbins + K) storage: two tail rows plus one strip.
+      EXPECT_LE(table.kernel.size(), wbins + 3 * table.stride);
+      for (std::size_t j = 0; j < wbins; ++j) {
+        const double* row = table.Row(j);
+        for (std::size_t k = 0; k < intervals; ++k) {
+          double expected;
+          if (j == 0 || j + 1 == wbins) {
+            expected = CellKernel(noise, whist, p, j, k);
+          } else {
+            const auto d = static_cast<std::ptrdiff_t>(j) -
+                           static_cast<std::ptrdiff_t>(k);
+            const std::size_t j0 = d >= 1 ? static_cast<std::size_t>(d) : 1;
+            const std::size_t k0 = static_cast<std::size_t>(
+                static_cast<std::ptrdiff_t>(j0) - d);
+            expected = CellKernel(noise, whist, p, j0, k0);
+          }
+          ASSERT_TRUE(SameBits(row[k], expected))
+              << perturb::NoiseKindName(kind) << " K=" << intervals
+              << " j=" << j << " k=" << k << ": " << row[k] << " vs "
+              << expected;
+          // Within a few ulps of the cell's own evaluation.
+          EXPECT_NEAR(row[k], CellKernel(noise, whist, p, j, k), 4e-15);
+        }
+        for (std::size_t k = intervals; k < table.stride; ++k) {
+          EXPECT_TRUE(std::isfinite(row[k]) && row[k] >= 0.0)
+              << "padding lane j=" << j << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTableTest, ExactWidthStripEqualsPerCellFormula) {
+  // [0, 64] in 16 intervals: width 4, every bin edge and midpoint exact, so
+  // each cell's CDF argument equals its diagonal representative's and the
+  // strip reproduces the per-cell table bit for bit.
+  const Partition p(0.0, 64.0, 16);
+  for (const NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
+    const NoiseModel noise = perturb::NoiseForPrivacy(kind, 1.0, 64.0, 0.95);
+    const BayesReconstructor rec(noise, {});
+    const stats::Histogram whist = rec.PerturbedBinning(p);
+    const KernelTable table = rec.BuildKernelTable(p);
+    for (std::size_t j = 0; j < table.wbins; ++j) {
+      for (std::size_t k = 0; k < table.intervals; ++k) {
+        ASSERT_TRUE(
+            SameBits(table.Row(j)[k], CellKernel(noise, whist, p, j, k)))
+            << perturb::NoiseKindName(kind) << " j=" << j << " k=" << k;
+      }
+    }
+  }
+}
+
+// The E-step one row at a time, in RunEm's fixed 32-row chunks with the
+// chunk partials folded in order: the reference the four-row E-step must
+// reproduce bit for bit.
+Reconstruction SingleRowEm(const KernelTable& table,
+                           const std::vector<double>& weights, double total,
+                           const ReconstructionOptions& options) {
+  constexpr double kTiny = 1e-300;
+  const simd::Path path = simd::ActivePath();
+  const std::size_t stride = table.stride;
+  std::vector<double> p(stride, 0.0);
+  for (std::size_t k = 0; k < table.intervals; ++k) {
+    p[k] = 1.0 / static_cast<double>(table.intervals);
+  }
+  Reconstruction out;
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+    std::vector<double> next(stride, 0.0);
+    double log_likelihood = 0.0;
+    for (std::size_t begin = 0; begin < table.wbins; begin += 32) {
+      std::vector<double> local(stride, 0.0);
+      double ll = 0.0;
+      for (std::size_t j = begin; j < std::min(begin + 32, table.wbins);
+           ++j) {
+        const double w = weights[j];
+        if (w == 0.0) continue;
+        const double denom = simd::Dot(table.Row(j), p.data(), stride, path);
+        if (denom <= kTiny) {
+          local[table.fallback[j]] += w;
+          ll += w * std::log(kTiny);
+          continue;
+        }
+        ll += w * std::log(denom);
+        simd::ScaleAdd(local.data(), table.Row(j), p.data(), w / denom,
+                       stride, path);
+      }
+      for (std::size_t k = 0; k < table.intervals; ++k) next[k] += local[k];
+      log_likelihood += ll;
+    }
+    for (std::size_t k = 0; k < table.intervals; ++k) next[k] /= total;
+    double mass = 0.0;
+    for (std::size_t k = 0; k < table.intervals; ++k) mass += next[k];
+    for (std::size_t k = 0; k < table.intervals; ++k) next[k] /= mass;
+    const double chi2 = stats::ChiSquareDistance(next, p);
+    out.log_likelihood_trace.push_back(log_likelihood);
+    out.chi_square_trace.push_back(chi2);
+    p.swap(next);
+    ++out.iterations;
+    if (chi2 < options.chi_square_epsilon) break;
+  }
+  out.masses.assign(p.begin(), p.begin() + table.intervals);
+  return out;
+}
+
+TEST(KernelTableTest, FourRowEStepEqualsSingleRowEm) {
+  PathGuard guard;
+  std::vector<simd::Path> paths{simd::Path::kScalar};
+  if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
+  engine::ThreadPool pool(2);
+  ReconstructionOptions options;
+  options.max_iterations = 40;
+
+  struct Layout {
+    NoiseModel noise;
+    Partition partition;
+  };
+  // U(0.25) over [0,1]/10: 16 w-bins, row 0 dead (no density reaches it).
+  // Gaussian over the refresh layout: 712 w-bins, 23 chunks.
+  const std::vector<Layout> layouts = {
+      {NoiseModel::Uniform(0.25), Partition(0.0, 1.0, 10)},
+      {NoiseModel::Uniform(0.3), Partition(0.0, 1.0, 100)},
+      {perturb::NoiseForPrivacy(NoiseKind::kGaussian, 1.0, 60.0, 0.95),
+       Partition(20.0, 80.0, 200)},
+  };
+  for (const Layout& layout : layouts) {
+    const BayesReconstructor rec(layout.noise, options);
+    const KernelTable table = rec.BuildKernelTable(layout.partition);
+    std::vector<double> weights(table.wbins, 0.0);
+    Rng rng(91);
+    for (std::size_t j = 0; j < table.wbins; ++j) {
+      // Zero-weight rows interleaved with live ones (every third row, plus
+      // random gaps), so live groups straddle dead stretches and chunks
+      // end on 1–3-row remainders.
+      if (j % 3 != 1 && rng.UniformDouble() < 0.8) {
+        weights[j] = static_cast<double>(rng.UniformInt(1, 50));
+      }
+    }
+    // First live group {0, 2, 3, 5}: row 0 is a fallback row.
+    weights[0] = 5.0;
+    weights[1] = 0.0;
+    weights[2] = 3.0;
+    weights[3] = 1.0;
+    weights[4] = 0.0;
+    weights[5] = 2.0;
+    if (table.wbins == 16) {
+      for (std::size_t k = 0; k < table.stride; ++k) {
+        ASSERT_EQ(table.Row(0)[k], 0.0) << "row 0 must be dead";
+      }
+    }
+    double total = 0.0;
+    for (double w : weights) total += w;
+
+    for (simd::Path path : paths) {
+      ASSERT_TRUE(simd::SetPath(path).ok());
+      const Reconstruction want = SingleRowEm(table, weights, total, options);
+      for (engine::ThreadPool* maybe_pool : {static_cast<engine::ThreadPool*>(
+                                                 nullptr),
+                                             &pool}) {
+        const Reconstruction got = rec.FitFromCounts(
+            weights, total, layout.partition, maybe_pool, nullptr, &table);
+        const std::string where =
+            std::string("path=") + simd::PathName(path) +
+            " wbins=" + std::to_string(table.wbins) +
+            " pool=" + (maybe_pool == nullptr ? "none" : "2");
+        EXPECT_EQ(got.iterations, want.iterations) << where;
+        EXPECT_TRUE(BytesEqual(got.masses, want.masses)) << where;
+        EXPECT_TRUE(
+            BytesEqual(got.log_likelihood_trace, want.log_likelihood_trace))
+            << where;
+        EXPECT_TRUE(BytesEqual(got.chi_square_trace, want.chi_square_trace))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
+  // The nine benchmark attributes at 200 intervals under Gaussian noise:
+  // the strip moves table entries by a few ulps where a bin width is
+  // inexact; the fitted masses must stay within 1e-12 of a fit over the
+  // dense per-cell table, cold and warm-started.
+  const data::Schema schema = synth::BenchmarkSchema();
+  for (std::size_t col = 0; col < schema.NumFields(); ++col) {
+    const data::FieldSpec& field = schema.Field(col);
+    const Partition p(field.lo, field.hi, 200);
+    const BayesReconstructor rec(
+        perturb::NoiseForPrivacy(NoiseKind::kGaussian, 1.0, field.Range(),
+                                 0.95),
+        {});
+    const KernelTable dense = DenseCellTable(rec, p);
+    const stats::Histogram whist = rec.PerturbedBinning(p);
+    ASSERT_TRUE(dense.Matches(rec.noise(), p, whist));
+
+    synth::GeneratorOptions gen;
+    gen.num_records = 4000;
+    gen.seed = 7 + col;
+    const data::Dataset data = synth::Generate(gen);
+    Rng rng(101 + col);
+    std::vector<double> weights(whist.bins(), 0.0);
+    for (double x : data.Column(col)) {
+      weights[whist.BinOf(x + rec.noise().Sample(&rng))] += 1.0;
+    }
+    const double total = static_cast<double>(data.NumRows());
+
+    const Reconstruction cold_strip =
+        rec.FitFromCounts(weights, total, p, nullptr);
+    const Reconstruction cold_dense =
+        rec.FitFromCounts(weights, total, p, nullptr, nullptr, &dense);
+    const Reconstruction warm_strip =
+        rec.FitFromCounts(weights, total, p, nullptr, &cold_strip.masses);
+    const Reconstruction warm_dense = rec.FitFromCounts(
+        weights, total, p, nullptr, &cold_strip.masses, &dense);
+    ASSERT_EQ(cold_strip.masses.size(), 200u);
+    for (std::size_t k = 0; k < 200; ++k) {
+      EXPECT_NEAR(cold_strip.masses[k], cold_dense.masses[k], 1e-12)
+          << field.name << " k=" << k;
+      EXPECT_NEAR(warm_strip.masses[k], warm_dense.masses[k], 1e-12)
+          << field.name << " k=" << k;
+    }
+  }
 }
 
 // ------------------------------------------------- degenerate-input paths
