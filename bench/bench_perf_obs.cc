@@ -60,7 +60,7 @@ int main() {
   reporter.Measure("counter.increment", ops, "counter.increment", [&] {
     for (std::size_t i = 0; i < ops; ++i) cached->Increment();
   });
-  const std::string labels = obs::RenderLabelSet({{"tenant", "t0"}});
+  const obs::LabelSet labels{{"tenant", "t0"}};
   reporter.Measure("counter.lookup_inc", ops, "counter.increment", [&] {
     for (std::size_t i = 0; i < ops; ++i) {
       registry.GetCounter("bench_labeled_total", labels)->Increment();

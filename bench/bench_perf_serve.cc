@@ -81,10 +81,10 @@ int main() {
 
     obs::Histogram* ingest_hist = metrics.GetHistogram(
         "ppdm_bench_serve_ingest_seconds",
-        obs::Histogram::LatencyBucketsSeconds(), "case=\"" + label + "\"");
+        obs::Histogram::LatencyBucketsSeconds(), {{"case", label}});
     obs::Histogram* reconstruct_hist = metrics.GetHistogram(
         "ppdm_bench_serve_reconstruct_seconds",
-        obs::Histogram::LatencyBucketsSeconds(), "case=\"" + label + "\"");
+        obs::Histogram::LatencyBucketsSeconds(), {{"case", label}});
     std::atomic<std::uint64_t> requests{0};
     std::atomic<bool> failed{false};
 

@@ -199,8 +199,7 @@ class ThroughputReporter {
     obs::Histogram* const histogram =
         obs::MetricsRegistry::Global().GetHistogram(
             "ppdm_bench_run_seconds",
-            obs::Histogram::LatencyBucketsSeconds(),
-            "case=\"" + label + "\"");
+            obs::Histogram::LatencyBucketsSeconds(), {{"case", label}});
     std::vector<double>& samples = SamplesFor(label);
     double seconds = 0.0;
     for (int r = 0; r < std::max(repeats_, 1); ++r) {

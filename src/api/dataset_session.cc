@@ -19,7 +19,7 @@ namespace {
 
 // Session telemetry, recorded per call (one batch, one refresh) — the
 // sharded fold itself is untouched. Latencies also land in the global
-// trace ring, so `ppdm metrics --spans` shows recent ingests/refreshes.
+// trace ring, so a `--trace-out` dump shows recent ingests/refreshes.
 obs::Histogram& IngestSecondsHistogram() {
   static obs::Histogram& histogram =
       *obs::MetricsRegistry::Global().GetHistogram(

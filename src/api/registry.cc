@@ -1,5 +1,6 @@
 #include "api/registry.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -287,24 +288,18 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::TryLookup(
 bool SessionRegistry::Close(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   const bool resident = entries_.erase(name) != 0;
-  bool dropped = false;
+  bool existed = resident;
   if (options_.spill != nullptr && options_.spill->Contains(name)) {
-    if (options_.spill->Drop(name).ok()) {
-      dropped = true;
-    } else {
-      // The capture survives the failed Drop: it still blocks the name
-      // (NameTakenLocked) and must stay accounted in the spill stats
-      // until a later Close succeeds. The failure is visible in the
-      // counter; the name did exist, so report true.
-      ++spill_failures_;
-      return true;
-    }
+    // The name did exist either way. A failed Drop leaves the capture on
+    // disk, where it still blocks the name (NameTakenLocked) until a later
+    // Close retries the Drop, but the session is closed: it leaves the
+    // open set and the spill ledger, and the failure shows in the counter.
+    existed = true;
+    if (!options_.spill->Drop(name).ok()) ++spill_failures_;
   }
-  // Either the capture was dropped or none exists — clear any (possibly
-  // stale) spill accounting for the name.
   spilled_.erase(name);
   UpdateGaugesLocked();
-  return resident || dropped;
+  return existed;
 }
 
 std::size_t SessionRegistry::SweepExpired() {
@@ -312,6 +307,16 @@ std::size_t SessionRegistry::SweepExpired() {
   const std::size_t evicted = SweepExpiredLocked();
   UpdateGaugesLocked();
   return evicted;
+}
+
+std::vector<std::string> SessionRegistry::OpenNames() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> names;
+  names.reserve(entries_.size() + spilled_.size());
+  for (const auto& [name, entry] : entries_) names.push_back(name);
+  for (const auto& [name, bytes] : spilled_) names.push_back(name);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 void SessionRegistry::UpdateGaugesLocked() const {

@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "api/dataset_session.h"
 #include "common/status.h"
@@ -150,6 +151,11 @@ class SessionRegistry {
 
   /// Evicts every TTL-expired session now; returns how many.
   std::size_t SweepExpired();
+
+  /// Every name open in this registry, sorted: resident in RAM, or
+  /// demoted by it to the spill tier and not since re-admitted or closed.
+  /// A capture on disk that this registry never held is not listed.
+  std::vector<std::string> OpenNames() const;
 
   /// Occupancy, eviction, and spill counters.
   struct Stats {

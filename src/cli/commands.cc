@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -14,7 +12,6 @@
 
 #include "api/dataset_session.h"
 #include "api/registry.h"
-#include "api/service.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "common/fault.h"
@@ -24,7 +21,6 @@
 #include "engine/batch.h"
 #include "engine/simd.h"
 #include "net/client.h"
-#include "net/frame.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,7 +29,6 @@
 #include "stats/histogram.h"
 #include "store/session_codec.h"
 #include "store/snapshot_store.h"
-#include "store/spill_store.h"
 #include "synth/generator.h"
 #include "tree/trainer.h"
 
@@ -113,33 +108,26 @@ Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
   return options;
 }
 
-// The flag names every command that builds a StreamSimSpec accepts
-// (serve-sim, snapshot, metrics, loadgen). One list, so a new stream
-// flag lands in every CheckKnown at once instead of drifting per
-// command.
-std::vector<std::string> StreamFlagNames() {
-  return {"attribute",  "attrs",     "function", "noise",   "privacy",
-          "confidence", "intervals", "seed",     "threads", "shard-size",
-          "simd"};
-}
-
-// StreamFlagNames() + the command's own flags, for CheckKnown.
+// The command's own flags plus the stream flags every command that
+// builds a StreamSimSpec accepts (serve-sim, loadgen), for CheckKnown.
+// One list, so a new stream flag lands in every CheckKnown at once
+// instead of drifting per command.
 std::vector<std::string> WithStreamFlags(std::vector<std::string> own) {
-  std::vector<std::string> known = StreamFlagNames();
-  known.insert(known.end(), std::make_move_iterator(own.begin()),
-               std::make_move_iterator(own.end()));
-  return known;
+  own.insert(own.end(),
+             {"attribute", "attrs", "function", "noise", "privacy",
+              "confidence", "intervals", "seed", "threads", "shard-size",
+              "simd"});
+  return own;
 }
 
-// The shared shape of the streaming simulations (serve-sim, snapshot):
-// which benchmark columns are tracked, the dataset-session spec over
-// them, the provider noise, and the engine configuration.
+// The shared shape of the provider streams (serve-sim, loadgen): the
+// dataset-session spec over the tracked benchmark columns (it also
+// carries each attribute's noise calibration), the generator function,
+// and the --seed the generator and noise streams derive from.
 struct StreamSimSpec {
   api::DatasetSessionSpec session;
-  std::vector<std::size_t> columns;
-  perturb::RandomizerOptions noise;
-  engine::BatchOptions batch;
   synth::Function function = synth::Function::kF1;
+  std::uint64_t seed = 0;
 };
 
 // Builds a StreamSimSpec from the --attrs/--attribute/--noise/--privacy/
@@ -147,14 +135,18 @@ struct StreamSimSpec {
 Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
   StreamSimSpec sim;
   PPDM_ASSIGN_OR_RETURN(sim.function, FunctionFromFlag(args));
-  PPDM_ASSIGN_OR_RETURN(sim.batch, BatchFromFlags(args));
-  PPDM_ASSIGN_OR_RETURN(sim.noise, NoiseOptionsFromFlags(args));
+  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch,
+                        BatchFromFlags(args));
+  PPDM_ASSIGN_OR_RETURN(const perturb::RandomizerOptions noise,
+                        NoiseOptionsFromFlags(args));
+  sim.seed = noise.seed;
   PPDM_ASSIGN_OR_RETURN(const long long intervals,
                         args.GetInt("intervals", 30));
   const data::Schema schema = synth::BenchmarkSchema();
 
   // Tracked attributes: the first --attrs benchmark columns, or the one
   // named by --attribute.
+  std::vector<std::size_t> columns;
   PPDM_ASSIGN_OR_RETURN(const long long attrs, args.GetInt("attrs", 0));
   if (attrs < 0 || attrs > static_cast<long long>(schema.NumFields())) {
     return Status::InvalidArgument(
@@ -166,70 +158,123 @@ Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
           "--attrs and --attribute are alternatives; pass one");
     }
     for (long long c = 0; c < attrs; ++c) {
-      sim.columns.push_back(static_cast<std::size_t>(c));
+      columns.push_back(static_cast<std::size_t>(c));
     }
   } else {
     const std::string attribute = args.GetString("attribute", "salary");
     PPDM_ASSIGN_OR_RETURN(const std::size_t col, schema.IndexOf(attribute));
-    sim.columns.push_back(col);
+    columns.push_back(col);
   }
 
   sim.session.schema = schema;
-  for (std::size_t col : sim.columns) {
+  for (std::size_t col : columns) {
     api::AttributeSpec attr;
     attr.column = col;
     attr.intervals =
         static_cast<std::size_t>(std::max<long long>(intervals, 0));
-    attr.noise = sim.noise.kind;
-    attr.privacy_fraction = sim.noise.privacy_fraction;
-    attr.confidence = sim.noise.confidence;
+    attr.noise = noise.kind;
+    attr.privacy_fraction = noise.privacy_fraction;
+    attr.confidence = noise.confidence;
     sim.session.attributes.push_back(attr);
   }
-  sim.session.shard_size = sim.batch.shard_size;
+  sim.session.shard_size = batch.shard_size;
+  PPDM_RETURN_IF_ERROR(sim.session.Validate());
   return sim;
 }
 
-// Provider side of the simulations: copies one true record batch into
-// `scratch`, folds the tracked columns into `truth` (when non-null), and
-// adds each tracked attribute's calibrated noise per record — the server
-// sees only the perturbed rows.
-data::RowBatch PerturbTracked(const data::RowBatch& true_rows,
-                              const api::DatasetSession& session,
-                              const std::vector<std::size_t>& columns,
-                              std::vector<stats::Histogram>* truth,
-                              Rng* noise_rng,
-                              std::vector<double>* scratch) {
-  scratch->assign(true_rows.values(),
-                  true_rows.values() +
-                      true_rows.num_rows() * true_rows.num_cols());
-  for (std::size_t r = 0; r < true_rows.num_rows(); ++r) {
-    double* row = scratch->data() + r * true_rows.num_cols();
-    for (std::size_t a = 0; a < columns.size(); ++a) {
-      if (truth != nullptr) (*truth)[a].Add(row[columns[a]]);
-      row[columns[a]] += session.noise_model(a).Sample(noise_rng);
+// Provider side of a served stream (serve-sim, loadgen): one tenant's
+// seeded true-record stream, with each tracked attribute's noise added
+// per record before the batch leaves the provider — the daemon sees only
+// perturbed rows. The noise is calibrated from `sim.session`, exactly as
+// the daemon's session calibrates its EM, so the two always agree. No
+// Dataset is ever materialized.
+class ProviderStream {
+ public:
+  ProviderStream(const StreamSimSpec& sim, std::size_t records,
+                 std::uint64_t seed)
+      : stream_([&] {
+          synth::GeneratorOptions gen;
+          gen.num_records = records;
+          gen.function = sim.function;
+          gen.seed = seed;
+          return gen;
+        }()),
+        noise_rng_(seed ^ 0x9E3779B97F4A7C15ULL) {
+    for (const api::AttributeSpec& attr : sim.session.attributes) {
+      columns_.push_back(attr.column);
+      models_.push_back(perturb::NoiseForPrivacy(
+          attr.noise, attr.privacy_fraction,
+          sim.session.schema.Field(attr.column).Range(), attr.confidence));
     }
   }
-  return data::RowBatch(scratch->data(), true_rows.num_rows(),
-                        true_rows.num_cols());
-}
 
-// Serve-sim wall-clock instruments: one sample per refresh and per whole
-// stream. The per-batch ingest path is timed inside DatasetSession
-// (ppdm_session_ingest_seconds), not here.
-obs::Histogram& ServeRefreshHistogram() {
-  static obs::Histogram& histogram =
-      *obs::MetricsRegistry::Global().GetHistogram(
-          "ppdm_serve_refresh_seconds",
-          obs::Histogram::LatencyBucketsSeconds());
-  return histogram;
-}
+  bool Done() const { return stream_.Done(); }
 
-obs::Histogram& ServeStreamHistogram() {
-  static obs::Histogram& histogram =
-      *obs::MetricsRegistry::Global().GetHistogram(
-          "ppdm_serve_stream_seconds",
-          obs::Histogram::LatencyBucketsSeconds());
-  return histogram;
+  // The next (up to) `batch_records` records, perturbed into values();
+  // folds the tracked columns' true values into `truth` when non-null.
+  data::RowBatch Next(std::size_t batch_records,
+                      std::vector<stats::Histogram>* truth) {
+    const data::RowBatch true_rows = stream_.Next(batch_records);
+    values_.assign(true_rows.values(),
+                   true_rows.values() +
+                       true_rows.num_rows() * true_rows.num_cols());
+    for (std::size_t r = 0; r < true_rows.num_rows(); ++r) {
+      double* row = values_.data() + r * true_rows.num_cols();
+      for (std::size_t a = 0; a < columns_.size(); ++a) {
+        if (truth != nullptr) (*truth)[a].Add(row[columns_[a]]);
+        row[columns_[a]] += models_[a].Sample(&noise_rng_);
+      }
+    }
+    return data::RowBatch(values_.data(), true_rows.num_rows(),
+                          true_rows.num_cols());
+  }
+
+  // The perturbed rows of the last Next(), row-major.
+  const std::vector<double>& values() const { return values_; }
+
+ private:
+  synth::RecordStream stream_;
+  Rng noise_rng_;
+  std::vector<std::size_t> columns_;
+  std::vector<perturb::NoiseModel> models_;
+  std::vector<double> values_;
+};
+
+// The daemon flags served and serve-sim share: the worker pool and shard
+// decomposition (--threads, --shard-size), --max-pending, --registry-mb,
+// --checkpoint-dir, --resume and --slow-ms. --faults arms the
+// process-wide fault points for this run, on top of whatever PPDM_FAULTS
+// armed at startup (the chaos harness uses both).
+Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
+  if (args.Has("faults")) {
+    PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
+  }
+  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch,
+                        BatchFromFlags(args));
+  PPDM_ASSIGN_OR_RETURN(const long long max_pending,
+                        args.GetInt("max-pending", 0));
+  PPDM_ASSIGN_OR_RETURN(const long long registry_mb,
+                        args.GetInt("registry-mb", 0));
+  if (max_pending < 0 || registry_mb < 0) {
+    return Status::InvalidArgument(
+        "--max-pending and --registry-mb must be >= 0");
+  }
+  net::ServerOptions options;
+  options.num_threads = batch.num_threads;
+  options.shard_size = batch.shard_size;
+  options.max_pending = static_cast<std::size_t>(max_pending);
+  options.registry_max_bytes = static_cast<std::size_t>(registry_mb) << 20;
+  options.checkpoint_dir = args.GetString("checkpoint-dir", "");
+  options.resume = args.Has("resume");
+  if (options.resume && options.checkpoint_dir.empty()) {
+    return Status::InvalidArgument("--resume needs --checkpoint-dir");
+  }
+  PPDM_ASSIGN_OR_RETURN(options.slow_request_ms,
+                        args.GetDouble("slow-ms", 0.0));
+  if (options.slow_request_ms < 0.0) {
+    return Status::InvalidArgument("--slow-ms must be >= 0");
+  }
+  return options;
 }
 
 // "p50 1.23 / p99 4.56 ms (7 samples)" for the final report, or "n/a"
@@ -256,9 +301,11 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::Ok();
 }
 
-// --metrics-out=FILE: the full Prometheus-style exposition at exit.
-Status WriteMetricsFile(const std::string& path) {
-  return WriteTextFile(path, obs::MetricsRegistry::Global().RenderText());
+// --trace-out=FILE: the span ring as Chrome trace-event JSON, written
+// after the drain so the final requests' spans are in it.
+Status WriteTraceFile(const std::string& path) {
+  return WriteTextFile(
+      path, obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
 }
 
 }  // namespace
@@ -288,18 +335,10 @@ const char* UsageText() {
       "              [--checkpoint-dir=DIR] [--checkpoint-every-batches=K]\n"
       "              [--resume] [--max-pending=N] [--faults=SPEC]\n"
       "              [--trace-out=FILE] [--slow-ms=N]\n"
+      "              [--metrics-out=FILE]\n"
       "  snapshot    --dir=DIR                      list stored snapshots\n"
-      "              --dir=DIR --name=NAME [--records=N] [--batch-records=B]\n"
-      "              [--reconstruct] [stream flags as in serve-sim]\n"
-      "                                             simulate + persist\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
-      "  metrics     [--records=N] [--batch-records=B] [--spans]\n"
-      "              [stream flags as in serve-sim]\n"
-      "                                             exposition dump\n"
-      "  trace       [--records=N] [--batch-records=B] [--out=FILE]\n"
-      "              [--threads=T] [stream flags as in serve-sim]\n"
-      "                                             Chrome trace dump\n"
       "  served      [--host=H] [--port=P] [--threads=T] [--shard-size=N]\n"
       "              [--max-pending=N] [--max-connections=N]\n"
       "              [--connection-window=N] [--max-body-mb=M]\n"
@@ -321,36 +360,37 @@ const char* UsageText() {
       "byte-identical — the flag exists for benchmarking and for pinning a\n"
       "known path in CI; any other value is an error.\n"
       "\n"
-      "serve-sim simulates the paper's server: providers submit perturbed\n"
-      "records in batches of B; a DatasetSession folds each record batch\n"
-      "into every tracked attribute in one pass and every R batches all\n"
-      "estimates are refreshed (EM warm-started), reporting reconstruction\n"
-      "error against the true distributions. --attrs=A tracks the first A\n"
-      "benchmark attributes (--attribute tracks one by name); the session\n"
-      "lives in a SessionRegistry whose byte budget --registry-mb=M (0 =\n"
-      "unbounded) is reported with occupancy/evictions at the end.\n"
-      "--checkpoint-dir=DIR wires a snapshot store under the registry\n"
-      "(evictions spill instead of destroying state) and persists the\n"
-      "session there — every K batches with --checkpoint-every-batches=K,\n"
-      "and always at stream end. --resume re-admits the checkpoint and\n"
-      "streams N further records, simulating crash recovery.\n"
-      "\n"
-      "Periodic serve-sim checkpoints run as async service jobs; a new\n"
-      "checkpoint supersedes (cancels) a still-pending one. --max-pending=N\n"
-      "bounds the service's admitted-but-unstarted job queue (jobs past it\n"
-      "are shed with ResourceExhausted; 0 = unbounded). --faults=SPEC arms\n"
-      "deterministic fault points (same grammar as the PPDM_FAULTS env\n"
-      "var), e.g. --faults='store.put.io=every:50;spill.demote=once'.\n"
+      "serve-sim plays the paper's setting end to end: it starts the\n"
+      "served daemon in-process on an ephemeral loopback port and is its\n"
+      "one data provider (tenant t0, one connection). The provider\n"
+      "perturbs its own records; the daemon sees only perturbed batches\n"
+      "of B, folds each into every tracked attribute, and every R batches\n"
+      "(and after the last) a reconstruct verb refreshes all estimates\n"
+      "(EM warm-started), reported against the true distributions.\n"
+      "--attrs=A tracks the first A benchmark attributes (--attribute\n"
+      "tracks one by name). The daemon flags mean what they mean for\n"
+      "served: --registry-mb=M is the registry byte budget (0 =\n"
+      "unbounded), reported with occupancy/evictions at the end;\n"
+      "--checkpoint-dir=DIR gives the daemon its snapshot store\n"
+      "(evictions spill instead of destroying state); a snapshot verb\n"
+      "runs every K batches with --checkpoint-every-batches=K, and the\n"
+      "daemon's drain checkpoints t0 at stream end. --resume re-admits\n"
+      "the checkpoint and streams N further records on top of it,\n"
+      "simulating crash recovery; the checkpoint's attributes,\n"
+      "intervals and noise override the stream flags. --max-pending=N\n"
+      "bounds the daemon service's admitted-but-unstarted job queue\n"
+      "(jobs past it are shed with ResourceExhausted; 0 = unbounded).\n"
+      "--faults=SPEC arms deterministic fault points (same grammar as\n"
+      "the PPDM_FAULTS env var), e.g. --faults='store.put.io=every:50;spill.demote=once'.\n"
       "Triggers: every:N, prob:P[:SEED], once, off; append ,permanent for\n"
-      "a non-retryable injected failure. serve-sim exits nonzero when the\n"
-      "session ends in a permanent-error state (final checkpoint failed).\n"
+      "a non-retryable injected failure. serve-sim and served exit\n"
+      "nonzero when the final drain checkpoint fails.\n"
       "\n"
-      "snapshot/restore are the operator surface of the same store: \n"
-      "'snapshot --dir' lists what a directory holds; with --name it\n"
-      "simulates a perturbed stream (same flags as serve-sim) and persists\n"
-      "the session; 'restore' rebuilds a session from its snapshot,\n"
-      "reports it, and with --reconstruct re-estimates from the restored\n"
-      "counts (--print-masses prints the distributions).\n"
+      "snapshot/restore are the operator surface of the same store:\n"
+      "'snapshot --dir' lists what a directory holds; 'restore' rebuilds\n"
+      "a session from its snapshot, reports it, and with --reconstruct\n"
+      "re-estimates from the restored counts (--print-masses prints the\n"
+      "distributions). A daemon stores tenant N as tN.\n"
       "\n"
       "served is the real network daemon: it speaks the length-prefixed\n"
       "frame protocol (open/ingest/reconstruct/snapshot/close/stats) on\n"
@@ -366,22 +406,16 @@ const char* UsageText() {
       "R rounds, optional snapshot verb every K rounds) and reports QPS\n"
       "and client-side p50/p99; --masses-out writes every tenant's\n"
       "reconstruction at full precision for byte-identity checks and\n"
-      "--stats-out saves the daemon's stats-verb exposition.\n"
+      "--stats-out saves the daemon's stats-verb exposition. Tenant 0 of\n"
+      "loadgen streams exactly what serve-sim streams for the same flags.\n"
       "\n"
-      "metrics runs a small in-process stream through every instrumented\n"
-      "layer and prints the process metrics registry in Prometheus text\n"
-      "exposition format (--spans appends the recent trace spans).\n"
-      "serve-sim accepts --metrics-out=FILE to write the same exposition\n"
-      "at stream end.\n"
-      "\n"
-      "trace runs the same small stream through the async service (so the\n"
-      "request -> queue/run -> engine fan-out -> store levels all appear)\n"
-      "and prints the span ring as Chrome trace-event JSON — load it at\n"
-      "chrome://tracing or ui.perfetto.dev (--out=FILE writes it instead).\n"
-      "served/serve-sim accept --trace-out=FILE for the same JSON at exit,\n"
-      "and --slow-ms=N logs the rendered span tree of any request (or\n"
-      "refresh) that takes at least N ms. loadgen --trace-out=FILE saves\n"
-      "the daemon's ring via the stats verb's trace flag.\n"
+      "serve-sim --metrics-out=FILE writes the process metrics registry in\n"
+      "Prometheus text exposition format at exit. served/serve-sim accept\n"
+      "--trace-out=FILE for the span ring as Chrome trace-event JSON at\n"
+      "exit — load it at chrome://tracing or ui.perfetto.dev — and\n"
+      "--slow-ms=N logs the rendered span tree of any request that takes\n"
+      "at least N ms. loadgen --trace-out=FILE saves the daemon's ring via\n"
+      "the stats verb's trace flag.\n"
       "\n"
       "All CSV files use the benchmark schema (salary..loan, class).\n"
       "For train/reconstruct, --noise/--privacy must describe the noise\n"
@@ -572,6 +606,25 @@ Status RunTrain(const Args& args, std::ostream& out) {
   return Status::Ok();
 }
 
+// The spec of capture `name` in `dir`, or nullopt when there is none.
+// Only reads the store: re-admitting the capture is the daemon's job.
+Result<std::optional<api::DatasetSessionSpec>> CheckpointedSpec(
+    const std::string& dir, const std::string& name) {
+  PPDM_ASSIGN_OR_RETURN(const store::SnapshotStore store,
+                        store::SnapshotStore::Open(dir));
+  if (!store.Contains(name)) return std::optional<api::DatasetSessionSpec>();
+  PPDM_ASSIGN_OR_RETURN(const std::string bytes, store.Get(name));
+  Result<std::unique_ptr<api::DatasetSession>> session =
+      store::DecodeDatasetSession(bytes);
+  if (!session.ok()) {
+    return Status::IoError(StrFormat(
+        "checkpoint '%s' in %s exists but cannot be re-admitted (%s); "
+        "delete it or run without --resume",
+        name.c_str(), dir.c_str(), session.status().message().c_str()));
+  }
+  return std::optional<api::DatasetSessionSpec>(session.value()->spec());
+}
+
 Status RunServeSim(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown(WithStreamFlags(
           {"records", "batch-records", "refresh", "registry-mb",
@@ -580,20 +633,8 @@ Status RunServeSim(const Args& args, std::ostream& out) {
       !s.ok()) {
     return s;
   }
-  PPDM_ASSIGN_OR_RETURN(const double slow_ms, args.GetDouble("slow-ms", 0.0));
-  if (slow_ms < 0.0) {
-    return Status::InvalidArgument("--slow-ms must be >= 0");
-  }
-  // --faults arms the process-wide fault points for this run, on top of
-  // whatever PPDM_FAULTS armed at startup (the chaos harness uses both).
-  if (args.Has("faults")) {
-    PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
-  }
-  PPDM_ASSIGN_OR_RETURN(const long long max_pending,
-                        args.GetInt("max-pending", 0));
-  if (max_pending < 0) {
-    return Status::InvalidArgument("--max-pending must be >= 0");
-  }
+  PPDM_ASSIGN_OR_RETURN(const net::ServerOptions options,
+                        ServerOptionsFromFlags(args));
   PPDM_ASSIGN_OR_RETURN(const long long records,
                         args.GetInt("records", 20000));
   PPDM_ASSIGN_OR_RETURN(const long long batch_records,
@@ -603,265 +644,148 @@ Status RunServeSim(const Args& args, std::ostream& out) {
     return Status::InvalidArgument(
         "--records, --batch-records and --refresh must be positive");
   }
-  PPDM_ASSIGN_OR_RETURN(const long long registry_mb,
-                        args.GetInt("registry-mb", 0));
-  if (registry_mb < 0) {
-    return Status::InvalidArgument("--registry-mb must be >= 0");
-  }
-  const std::string checkpoint_dir = args.GetString("checkpoint-dir", "");
   PPDM_ASSIGN_OR_RETURN(const long long checkpoint_every,
                         args.GetInt("checkpoint-every-batches", 0));
   if (checkpoint_every < 0) {
     return Status::InvalidArgument(
         "--checkpoint-every-batches must be >= 0");
   }
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
+  if (checkpoint_every > 0 && options.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
         "--checkpoint-every-batches needs --checkpoint-dir");
   }
-  const bool resume = args.Has("resume");
-  if (resume && checkpoint_dir.empty()) {
-    return Status::InvalidArgument("--resume needs --checkpoint-dir");
-  }
-  // The dataset-session spec is the validated contract; everything below
-  // it is deterministic in (seed, shard_size).
   PPDM_ASSIGN_OR_RETURN(StreamSimSpec sim, StreamSimSpecFromFlags(args));
-
-  // The snapshot store (when checkpointing) doubles as the registry's
-  // spill tier: budget/TTL evictions demote instead of destroying.
-  // Declared before the service on purpose: async checkpoint jobs capture
-  // the store, and locals destroy LIFO — the service destructor drains
-  // those jobs while the store is still alive.
-  std::optional<store::SnapshotStore> snapshots;
-  std::optional<store::SessionSpillStore> spill;
-  if (!checkpoint_dir.empty()) {
-    PPDM_ASSIGN_OR_RETURN(store::SnapshotStore opened,
-                          store::SnapshotStore::Open(checkpoint_dir));
-    snapshots = std::move(opened);
-    spill.emplace(*snapshots);
+  constexpr std::uint64_t kTenant = 0;
+  // The daemon re-admits a resumed tenant's capture whatever spec the open
+  // verb carries, so after a resume the checkpointed spec is
+  // authoritative (it may track different attributes, intervals or noise
+  // than today's flags): the provider perturbs with its calibration and
+  // the truth histograms use its partitions.
+  if (options.resume) {
+    PPDM_ASSIGN_OR_RETURN(
+        std::optional<api::DatasetSessionSpec> checkpointed,
+        CheckpointedSpec(options.checkpoint_dir, net::TenantName(kTenant)));
+    if (checkpointed.has_value()) sim.session = std::move(*checkpointed);
   }
-  api::ServiceOptions service_options;
-  service_options.max_pending = static_cast<std::size_t>(max_pending);
-  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::Service> service,
-                        api::Service::Create(sim.batch, service_options));
-  api::SessionRegistryOptions registry_options;
-  registry_options.max_bytes =
-      static_cast<std::size_t>(registry_mb) << 20;
-  registry_options.spill = spill ? &*spill : nullptr;
-  api::SessionRegistry registry(registry_options, service->pool());
 
-  const std::string session_name = "serve-sim";
-  std::shared_ptr<api::DatasetSession> session;
-  bool resumed = false;
-  if (snapshots && snapshots->Contains(session_name)) {
-    if (resume) {
-      // Transparent re-admission through the registry's spill path.
-      session = registry.Lookup(session_name);
-      if (session == nullptr) {
-        return Status::IoError(StrFormat(
-            "checkpoint '%s' in %s exists but cannot be re-admitted "
-            "(corrupt?); delete it or run without --resume",
-            session_name.c_str(), checkpoint_dir.c_str()));
-      }
-      resumed = true;
-    } else {
-      // A fresh (non-resume) run supersedes the stale checkpoint; the
-      // name must be free for Open below.
-      PPDM_RETURN_IF_ERROR(snapshots->Delete(session_name));
-    }
-  } else if (resume) {
+  // The daemon runs in-process on an ephemeral loopback port, and this
+  // command is its one client: tenant 0 over one connection. Checkpoint,
+  // spill and drain logic are the daemon's own.
+  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<net::Server> server,
+                        net::Server::Start(options));
+  PPDM_ASSIGN_OR_RETURN(net::Client client,
+                        net::Client::Connect(options.host, server->port()));
+  PPDM_ASSIGN_OR_RETURN(const net::OpenResult opened,
+                        client.Open(kTenant, sim.session));
+  if (opened.resumed) {
+    out << StrFormat("resumed '%s' from %s: %llu records already folded\n",
+                     net::TenantName(kTenant).c_str(),
+                     options.checkpoint_dir.c_str(),
+                     static_cast<unsigned long long>(opened.record_count));
+  } else if (options.resume) {
     out << "no checkpoint to resume; starting a fresh session\n";
-  }
-  if (session == nullptr) {
-    PPDM_ASSIGN_OR_RETURN(session, registry.Open(session_name, sim.session));
-  }
-  // After a resume the checkpointed spec is authoritative (it may track
-  // different attributes or noise than today's flags): re-derive the
-  // columns, and report the calibration PerturbTracked will actually
-  // apply (session->noise_model) rather than the flag-derived one.
-  if (resumed) {
-    sim.columns.clear();
-    for (const api::AttributeSpec& attr : session->spec().attributes) {
-      sim.columns.push_back(attr.column);
-    }
-    const api::AttributeSpec& first = session->spec().attributes.front();
-    sim.noise.kind = first.noise;
-    sim.noise.privacy_fraction = first.privacy_fraction;
-    sim.noise.confidence = first.confidence;
-  }
-
-  // Provider side, simulated: stream true records and add each tracked
-  // attribute's calibrated noise per record — the server sees only the
-  // perturbed rows. No Dataset is ever materialized. A resumed run
-  // offsets the generator seed by the batches already folded so it
-  // streams fresh records, not a replay.
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed + (resumed ? session->batch_count() : 0);
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-
-  // True per-attribute distributions, for the error column of the report.
-  // After a resume they cover only the new stream — the tv column then
-  // compares the all-records estimate against the new records' truth,
-  // which agree in distribution (same generator function).
-  std::vector<stats::Histogram> truth;
-  for (std::size_t a = 0; a < sim.columns.size(); ++a) {
-    const reconstruct::Partition& partition = session->partition(a);
-    truth.emplace_back(partition.lo(), partition.hi(),
-                       partition.intervals());
-  }
-
-  if (resumed) {
-    out << StrFormat(
-        "resumed '%s' from %s: %llu records in %llu batches already "
-        "folded\n",
-        session_name.c_str(), checkpoint_dir.c_str(),
-        static_cast<unsigned long long>(session->record_count()),
-        static_cast<unsigned long long>(session->batch_count()));
   }
   out << StrFormat(
       "serving %zu attribute(s) (%s noise, privacy %.0f%%): %lld records "
       "in batches of %lld, refresh every %lld batches\n",
-      sim.columns.size(), perturb::NoiseKindName(sim.noise.kind).c_str(),
-      100.0 * sim.noise.privacy_fraction, records, batch_records,
+      sim.session.attributes.size(),
+      perturb::NoiseKindName(sim.session.attributes.front().noise).c_str(),
+      100.0 * sim.session.attributes.front().privacy_fraction, records,
+      batch_records,
       refresh);
   out << StrFormat("%10s %10s %8s %10s %12s\n", "batch", "records",
                    "EM iter", "tv(truth)", "refresh ms");
 
-  obs::ScopedTimer stream_timer(&ServeStreamHistogram());
-  std::vector<double> perturbed;
-  std::uint64_t checkpoints_written = 0;
-  // Periodic checkpoints run as async service jobs: the frontend encodes
-  // the session's state at the checkpoint instant (encoding must not race
-  // the next Ingest) and a pool job performs the store I/O. A checkpoint
-  // falling due while the previous is still pending supersedes it — the
-  // older job's token is cancelled so a slow store degrades to "fewer,
-  // fresher checkpoints" instead of an unbounded backlog of stale state.
-  struct CheckpointJob {
-    std::size_t batch;
-    api::JobHandle<bool> handle;
-    std::shared_ptr<api::CancellationToken> cancel;
-  };
-  std::vector<CheckpointJob> checkpoint_jobs;
-  std::size_t batch_index =
-      resumed ? static_cast<std::size_t>(session->batch_count()) : 0;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    const data::RowBatch batch = PerturbTracked(
-        true_rows, *session, sim.columns, &truth, &noise_rng, &perturbed);
-    // Route each batch's access through Lookup so the registry's recency
-    // and lookup counters reflect the traffic. (With one session and no
-    // TTL it can never miss; eviction pressure needs a second tenant.)
-    (void)registry.Lookup(session_name);
-    PPDM_RETURN_IF_ERROR(session->Ingest(batch));
-    ++batch_index;
+  // A resumed run offsets the generator seed by the records already
+  // folded, so it streams fresh records, not a replay. The true
+  // per-attribute distributions feed the report's error column; after a
+  // resume they cover only the new stream, which agrees in distribution
+  // with the folded one (same generator function).
+  ProviderStream provider(sim, static_cast<std::size_t>(records),
+                          sim.seed + opened.record_count);
+  std::vector<stats::Histogram> truth;
+  for (const api::AttributeSpec& attr : sim.session.attributes) {
+    const data::FieldSpec& field = sim.session.schema.Field(attr.column);
+    truth.emplace_back(field.lo, field.hi, attr.intervals);
+  }
 
-    if (snapshots && checkpoint_every > 0 &&
-        batch_index % static_cast<std::size_t>(checkpoint_every) == 0) {
-      if (!checkpoint_jobs.empty() && !checkpoint_jobs.back().handle.Poll()) {
-        checkpoint_jobs.back().cancel->Cancel();
+  const auto started = std::chrono::steady_clock::now();
+  std::uint64_t record_count = opened.record_count;
+  std::size_t batches = 0;
+  std::size_t checkpoints_sent = 0;
+  std::size_t checkpoints_failed = 0;
+  Status last_checkpoint_failure = Status::Ok();
+  while (!provider.Done()) {
+    const data::RowBatch batch = provider.Next(
+        static_cast<std::size_t>(batch_records), &truth);
+    PPDM_ASSIGN_OR_RETURN(record_count,
+                          client.Ingest(kTenant, batch.num_rows(),
+                                        batch.num_cols(), provider.values()));
+    ++batches;
+    if (checkpoint_every > 0 &&
+        batches % static_cast<std::size_t>(checkpoint_every) == 0) {
+      // A failed checkpoint is reported, not fatal: the stream keeps
+      // serving and the daemon's drain takes the final capture.
+      ++checkpoints_sent;
+      if (const Status s = client.Snapshot(kTenant).status(); !s.ok()) {
+        ++checkpoints_failed;
+        last_checkpoint_failure = s;
       }
-      auto cancel = std::make_shared<api::CancellationToken>();
-      api::SubmitOptions submit;
-      submit.cancel = cancel;
-      api::JobHandle<bool> handle = service->Submit<bool>(
-          [store = &*snapshots, name = session_name,
-           bytes = store::EncodeDatasetSession(*session)]() -> Result<bool> {
-            PPDM_RETURN_IF_ERROR(store->Put(name, bytes));
-            return true;
-          },
-          submit);
-      checkpoint_jobs.push_back(
-          {batch_index, std::move(handle), std::move(cancel)});
     }
-
-    const bool last = stream.Done();
-    if (batch_index % static_cast<std::size_t>(refresh) != 0 && !last) {
+    if (batches % static_cast<std::size_t>(refresh) != 0 &&
+        !provider.Done()) {
       continue;
     }
-    // Refresh from the frontend thread: the per-attribute fits fan out
-    // over the service pool this way. (A real server would Submit() the
-    // refresh and keep ingesting, but this loop blocks on the estimate
-    // anyway, and a job occupies one worker, which would serialize the
-    // fan-out and misreport the refresh latency.)
-    obs::ScopedTimer refresh_timer(&ServeRefreshHistogram());
-    // Each refresh is its own trace: the serve.refresh root span plus the
-    // engine fan-out / EM spans beneath it, so --trace-out yields one
-    // tree per refresh and --slow-ms can name the slow one.
-    const std::uint64_t refresh_trace = obs::NewTraceId();
-    Result<std::vector<reconstruct::Reconstruction>> refreshed = [&] {
-      obs::ScopedTraceContext trace_scope(
-          obs::TraceContext{refresh_trace, 0});
-      obs::ScopedSpan refresh_span("serve.refresh");
-      return session->ReconstructAll();
-    }();
-    PPDM_RETURN_IF_ERROR(refreshed.status());
-    const std::vector<reconstruct::Reconstruction>& estimates =
-        refreshed.value();
-    const double fit_ms = 1e3 * refresh_timer.Stop();
-    if (slow_ms > 0.0 && fit_ms >= slow_ms) {
-      std::fprintf(stderr, "[serve-sim] slow refresh (%.1f ms >= %.1f ms)\n%s",
-                   fit_ms, slow_ms,
-                   obs::RenderSpanTree(obs::TraceRing::Global().Snapshot(),
-                                       refresh_trace)
-                       .c_str());
+    const auto refresh_started = std::chrono::steady_clock::now();
+    PPDM_ASSIGN_OR_RETURN(const std::vector<net::AttributeEstimate> estimates,
+                          client.Reconstruct(kTenant));
+    const double refresh_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - refresh_started)
+            .count();
+    if (estimates.size() != truth.size()) {
+      return Status::Internal(StrFormat(
+          "reconstruct returned %zu attribute(s), the stream tracks %zu",
+          estimates.size(), truth.size()));
     }
-    std::size_t max_iterations = 0;
+    std::uint64_t max_iterations = 0;
     double tv_sum = 0.0;
     for (std::size_t a = 0; a < estimates.size(); ++a) {
+      if (estimates[a].masses.size() != truth[a].bins()) {
+        return Status::Internal(StrFormat(
+            "reconstruct returned %zu interval(s) for attribute %zu, the "
+            "stream tracks %zu",
+            estimates[a].masses.size(), a, truth[a].bins()));
+      }
       max_iterations = std::max(max_iterations, estimates[a].iterations);
       tv_sum += stats::TotalVariation(estimates[a].masses,
                                       truth[a].Masses());
     }
-    out << StrFormat("%10zu %10zu %8zu %10.4f %12.2f\n", batch_index,
-                     static_cast<std::size_t>(session->record_count()),
-                     max_iterations,
+    out << StrFormat("%10zu %10llu %8llu %10.4f %12.2f\n", batches,
+                     static_cast<unsigned long long>(record_count),
+                     static_cast<unsigned long long>(max_iterations),
                      tv_sum / static_cast<double>(estimates.size()),
-                     fit_ms);
+                     refresh_ms);
   }
-  const double total_ms = 1e3 * stream_timer.Stop();
-  // Quiesce the async checkpoints: Drain blocks new submissions and waits
-  // for every in-flight job, then the settled handles are tallied. A
-  // cancelled job was superseded by a fresher checkpoint — expected
-  // degradation, not an error.
-  service->Drain();
-  std::uint64_t checkpoint_cancelled = 0;
-  std::uint64_t checkpoint_failed = 0;
-  Status last_checkpoint_failure = Status::Ok();
-  for (const CheckpointJob& job : checkpoint_jobs) {
-    const Result<bool> settled = job.handle.Wait();
-    if (settled.ok()) {
-      ++checkpoints_written;
-    } else if (settled.status().code() == StatusCode::kCancelled) {
-      ++checkpoint_cancelled;
-    } else {
-      ++checkpoint_failed;
-      last_checkpoint_failure = settled.status();
-    }
-  }
-  service->Resume();
-  // The stream survived; make that durable before reporting. This is
-  // never redundant with a batch-aligned checkpoint: the final refresh
-  // above updated every attribute's warm-start masses after it. Its
-  // failure is the session ending in a permanent-error state — reported
-  // below and returned as the command's status after the report.
-  Status final_checkpoint = Status::Ok();
-  if (snapshots) {
-    final_checkpoint =
-        snapshots->Put(session_name, store::EncodeDatasetSession(*session));
-    if (final_checkpoint.ok()) ++checkpoints_written;
-  }
+  const double total_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+  // The daemon's drain: in-flight requests finish, then every open
+  // tenant is checkpointed. A failed final capture ends the session in a
+  // permanent-error state: the report below still prints, and the failure
+  // is the command's status.
+  const Status stopped = server->Stop();
+
   out << StrFormat(
-      "stream complete: %zu records, %zu batches, %.2f ms total "
+      "stream complete: %llu records, %zu batches, %.2f ms total "
       "(threads=%zu, warm-started refreshes)\n",
-      static_cast<std::size_t>(session->record_count()), batch_index,
-      total_ms, sim.batch.num_threads);
-  const api::SessionRegistry::Stats registry_stats = registry.GetStats();
+      static_cast<unsigned long long>(record_count), batches, total_ms,
+      options.num_threads);
+  const api::SessionRegistry::Stats registry_stats = server->registry_stats();
   const std::string budget =
-      registry_mb == 0 ? "unbounded" : StrFormat("%lld MiB", registry_mb);
+      options.registry_max_bytes == 0
+          ? "unbounded"
+          : StrFormat("%zu MiB", options.registry_max_bytes >> 20);
   out << StrFormat(
       "registry: %zu session(s), %.1f KiB resident (budget %s), "
       "%llu eviction(s), %zu spilled session(s), %.1f KiB on disk\n",
@@ -882,171 +806,103 @@ Status RunServeSim(const Args& args, std::ostream& out) {
       static_cast<unsigned long long>(registry_stats.ttl_evictions),
       static_cast<unsigned long long>(registry_stats.spills),
       static_cast<unsigned long long>(registry_stats.readmissions));
-  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  auto& metrics = obs::MetricsRegistry::Global();
   out << StrFormat(
       "latency: ingest %s, refresh %s\n",
       LatencyCell(metrics.FindHistogram("ppdm_session_ingest_seconds"))
           .c_str(),
-      LatencyCell(metrics.FindHistogram("ppdm_serve_refresh_seconds"))
+      LatencyCell(metrics.FindHistogram("ppdm_session_reconstruct_seconds"))
           .c_str());
-  if (snapshots) {
+  if (!options.checkpoint_dir.empty()) {
     out << StrFormat(
-        "store: %s — %llu checkpoint write(s), %llu spill(s), "
+        "store: %s — %zu checkpoint write(s), %llu spill(s), "
         "%llu readmission(s), %llu spill failure(s)\n",
-        checkpoint_dir.c_str(),
-        static_cast<unsigned long long>(checkpoints_written),
+        options.checkpoint_dir.c_str(),
+        checkpoints_sent - checkpoints_failed + server->drained_checkpoints(),
         static_cast<unsigned long long>(registry_stats.spills),
         static_cast<unsigned long long>(registry_stats.readmissions),
         static_cast<unsigned long long>(registry_stats.spill_failures));
   }
   // Resilience tallies: job dispositions, store retries, injected faults,
   // and sessions retained in a degraded (unspillable) state.
-  auto& metric_registry = obs::MetricsRegistry::Global();
   out << StrFormat(
       "resilience: %llu job(s) (%llu shed, %llu expired, %llu cancelled), "
       "%llu retry(ies), %llu giveup(s), %llu fault(s) injected, "
       "%zu degraded session(s)\n",
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_service_jobs_total")->Value()),
+          metrics.GetCounter("ppdm_service_jobs_total")->Value()),
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_service_shed_jobs_total")
-              ->Value()),
+          metrics.GetCounter("ppdm_service_shed_jobs_total")->Value()),
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_service_expired_jobs_total")
-              ->Value()),
+          metrics.GetCounter("ppdm_service_expired_jobs_total")->Value()),
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_service_cancelled_jobs_total")
-              ->Value()),
+          metrics.GetCounter("ppdm_service_cancelled_jobs_total")->Value()),
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_retry_attempts_total")->Value()),
+          metrics.GetCounter("ppdm_retry_attempts_total")->Value()),
       static_cast<unsigned long long>(
-          metric_registry.GetCounter("ppdm_retry_giveups_total")->Value()),
+          metrics.GetCounter("ppdm_retry_giveups_total")->Value()),
       static_cast<unsigned long long>(fault::TotalInjected()),
       registry_stats.degraded_sessions);
-  if (!checkpoint_jobs.empty()) {
-    out << StrFormat(
-        "checkpoint jobs: %zu submitted, %llu superseded, %llu failed\n",
-        checkpoint_jobs.size(),
-        static_cast<unsigned long long>(checkpoint_cancelled),
-        static_cast<unsigned long long>(checkpoint_failed));
-    if (checkpoint_failed > 0) {
+  if (checkpoints_sent > 0) {
+    out << StrFormat("checkpoint verbs: %zu sent, %zu failed\n",
+                     checkpoints_sent, checkpoints_failed);
+    if (checkpoints_failed > 0) {
       out << StrFormat("  last failure: %s\n",
                        last_checkpoint_failure.ToString().c_str());
     }
   }
-  if (!final_checkpoint.ok()) {
+  if (!stopped.ok()) {
     out << StrFormat("final checkpoint FAILED: %s\n",
-                     final_checkpoint.ToString().c_str());
+                     stopped.ToString().c_str());
   }
   const std::string metrics_out = args.GetString("metrics-out", "");
   if (!metrics_out.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteMetricsFile(metrics_out));
+    PPDM_RETURN_IF_ERROR(WriteTextFile(metrics_out, metrics.RenderText()));
     out << StrFormat("metrics exposition written to %s\n",
                      metrics_out.c_str());
   }
   const std::string trace_out = args.GetString("trace-out", "");
   if (!trace_out.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteTextFile(
-        trace_out,
-        obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot())));
+    PPDM_RETURN_IF_ERROR(WriteTraceFile(trace_out));
     out << StrFormat("chrome trace written to %s\n", trace_out.c_str());
   }
-  // A session whose final durable capture failed ended in a
-  // permanent-error state: the report above still printed, but the
-  // command exits nonzero.
-  return final_checkpoint;
+  return stopped;
 }
 
 Status RunSnapshot(const Args& args, std::ostream& out) {
-  if (Status s = args.CheckKnown(WithStreamFlags(
-          {"dir", "name", "records", "batch-records", "reconstruct"}));
-      !s.ok()) {
-    return s;
-  }
+  if (Status s = args.CheckKnown({"dir", "simd"}); !s.ok()) return s;
   const std::string dir = args.GetString("dir", "");
   if (dir.empty()) return Status::InvalidArgument("snapshot needs --dir");
   PPDM_ASSIGN_OR_RETURN(const store::SnapshotStore store,
                         store::SnapshotStore::Open(dir));
-
-  if (!args.Has("name")) {
-    // List mode: one row per snapshot; corrupt files are reported, not
-    // fatal — an operator inspecting a damaged store must see the rest.
-    PPDM_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                          store.List());
-    out << StrFormat("%-24s %8s %10s %8s %6s %10s\n", "name", "version",
-                     "records", "batches", "attrs", "bytes");
-    for (const std::string& name : names) {
-      const Result<std::string> bytes = store.Get(name);
-      if (!bytes.ok()) {
-        out << StrFormat("%-24s unreadable: %s\n", name.c_str(),
-                         bytes.status().message().c_str());
-        continue;
-      }
-      const Result<store::SnapshotInfo> info =
-          store::PeekDatasetSession(bytes.value());
-      if (!info.ok()) {
-        out << StrFormat("%-24s corrupt: %s\n", name.c_str(),
-                         info.status().message().c_str());
-        continue;
-      }
-      out << StrFormat("%-24s %8u %10llu %8llu %6zu %10zu\n", name.c_str(),
-                       info.value().version,
-                       static_cast<unsigned long long>(info.value().records),
-                       static_cast<unsigned long long>(info.value().batches),
-                       info.value().attributes, bytes.value().size());
+  // One row per snapshot; corrupt files are reported, not fatal — an
+  // operator inspecting a damaged store must see the rest.
+  PPDM_ASSIGN_OR_RETURN(const std::vector<std::string> names, store.List());
+  out << StrFormat("%-24s %8s %10s %8s %6s %10s\n", "name", "version",
+                   "records", "batches", "attrs", "bytes");
+  for (const std::string& name : names) {
+    const Result<std::string> bytes = store.Get(name);
+    if (!bytes.ok()) {
+      out << StrFormat("%-24s unreadable: %s\n", name.c_str(),
+                       bytes.status().message().c_str());
+      continue;
     }
-    out << StrFormat("%zu snapshot(s), %.1f KiB in %s\n", names.size(),
-                     static_cast<double>(store.TotalBytes()) / 1024.0,
-                     dir.c_str());
-    return Status::Ok();
+    const Result<store::SnapshotInfo> info =
+        store::PeekDatasetSession(bytes.value());
+    if (!info.ok()) {
+      out << StrFormat("%-24s corrupt: %s\n", name.c_str(),
+                       info.status().message().c_str());
+      continue;
+    }
+    out << StrFormat("%-24s %8u %10llu %8llu %6zu %10zu\n", name.c_str(),
+                     info.value().version,
+                     static_cast<unsigned long long>(info.value().records),
+                     static_cast<unsigned long long>(info.value().batches),
+                     info.value().attributes, bytes.value().size());
   }
-
-  // Create mode: simulate the perturbed stream and persist the session.
-  const std::string name = args.GetString("name", "");
-  PPDM_ASSIGN_OR_RETURN(const long long records,
-                        args.GetInt("records", 20000));
-  PPDM_ASSIGN_OR_RETURN(const long long batch_records,
-                        args.GetInt("batch-records", 4096));
-  if (records <= 0 || batch_records <= 0) {
-    return Status::InvalidArgument(
-        "--records and --batch-records must be positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const StreamSimSpec sim,
-                        StreamSimSpecFromFlags(args));
-  std::optional<engine::ThreadPool> pool;
-  if (sim.batch.num_threads > 0) pool.emplace(sim.batch.num_threads);
-  PPDM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<api::DatasetSession> session,
-      api::DatasetSession::Open(sim.session, pool ? &*pool : nullptr));
-
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    PPDM_RETURN_IF_ERROR(session->Ingest(
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed)));
-  }
-  if (args.Has("reconstruct")) {
-    // Bake an estimate in so the snapshot carries warm-start masses.
-    PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
-  }
-  const std::string bytes = store::EncodeDatasetSession(*session);
-  PPDM_RETURN_IF_ERROR(store.Put(name, bytes));
-  out << StrFormat(
-      "snapshot '%s': %llu records, %llu batches, %zu attribute(s), "
-      "%.1f KiB -> %s\n",
-      name.c_str(),
-      static_cast<unsigned long long>(session->record_count()),
-      static_cast<unsigned long long>(session->batch_count()),
-      session->num_attributes(), static_cast<double>(bytes.size()) / 1024.0,
-      dir.c_str());
+  out << StrFormat("%zu snapshot(s), %.1f KiB in %s\n", names.size(),
+                   static_cast<double>(store.TotalBytes()) / 1024.0,
+                   dir.c_str());
   return Status::Ok();
 }
 
@@ -1112,137 +968,6 @@ Status RunRestore(const Args& args, std::ostream& out) {
   return Status::Ok();
 }
 
-Status RunMetrics(const Args& args, std::ostream& out) {
-  if (Status s = args.CheckKnown(
-          WithStreamFlags({"records", "batch-records", "spans"}));
-      !s.ok()) {
-    return s;
-  }
-  PPDM_ASSIGN_OR_RETURN(const long long records,
-                        args.GetInt("records", 2000));
-  PPDM_ASSIGN_OR_RETURN(const long long batch_records,
-                        args.GetInt("batch-records", 500));
-  if (records <= 0 || batch_records <= 0) {
-    return Status::InvalidArgument(
-        "--records and --batch-records must be positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const StreamSimSpec sim,
-                        StreamSimSpecFromFlags(args));
-
-  // A small in-process stream through every instrumented layer — service
-  // job, session ingest + refresh, engine fan-out (with --threads), store
-  // codec round trip — so the exposition below is populated, not empty.
-  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::Service> service,
-                        api::Service::Create(sim.batch));
-  PPDM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<api::DatasetSession> session,
-      api::DatasetSession::Open(sim.session, service->pool()));
-
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    PPDM_RETURN_IF_ERROR(session->Ingest(
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed)));
-  }
-  PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
-  const std::string bytes = store::EncodeDatasetSession(*session);
-  PPDM_RETURN_IF_ERROR(
-      store::DecodeDatasetSession(bytes, service->pool()).status());
-
-  out << obs::MetricsRegistry::Global().RenderText();
-  if (args.Has("spans")) {
-    out << "\n# recent trace spans (oldest first)\n";
-    out << obs::RenderSpans(obs::TraceRing::Global().Snapshot());
-  }
-  return Status::Ok();
-}
-
-Status RunTrace(const Args& args, std::ostream& out) {
-  if (Status s = args.CheckKnown(
-          WithStreamFlags({"records", "batch-records", "out"}));
-      !s.ok()) {
-    return s;
-  }
-  PPDM_ASSIGN_OR_RETURN(const long long records,
-                        args.GetInt("records", 2000));
-  PPDM_ASSIGN_OR_RETURN(const long long batch_records,
-                        args.GetInt("batch-records", 500));
-  if (records <= 0 || batch_records <= 0) {
-    return Status::InvalidArgument(
-        "--records and --batch-records must be positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const StreamSimSpec sim,
-                        StreamSimSpecFromFlags(args));
-
-  // The same small stream as `ppdm metrics`, but each batch travels as a
-  // traced request through the async service — so the dump shows the full
-  // causal ladder (cli.request → service.queue/service.run →
-  // session.ingest → engine.parallel_for), not just flat spans.
-  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::Service> service,
-                        api::Service::Create(sim.batch));
-  PPDM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<api::DatasetSession> session,
-      api::DatasetSession::Open(sim.session, service->pool()));
-
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
-  const auto traced = [&](const char* verb,
-                          std::function<Result<bool>()> job) -> Status {
-    const std::uint64_t trace_id = obs::NewTraceId();
-    obs::PendingSpan request_span =
-        obs::BeginSpan("cli.request", obs::TraceContext{trace_id, 0},
-                       obs::RenderLabelSet({{"verb", verb}}));
-    const Result<bool> settled = [&] {
-      obs::ScopedTraceContext ctx(
-          obs::TraceContext{trace_id, request_span.span_id});
-      return service->Submit<bool>(std::move(job)).Wait();
-    }();
-    obs::EndSpan(&request_span);
-    return settled.status();
-  };
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    const data::RowBatch rows =
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed);
-    PPDM_RETURN_IF_ERROR(traced("ingest", [&]() -> Result<bool> {
-      PPDM_RETURN_IF_ERROR(session->Ingest(rows));
-      return true;
-    }));
-  }
-  PPDM_RETURN_IF_ERROR(traced("reconstruct", [&]() -> Result<bool> {
-    PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
-    return true;
-  }));
-
-  const std::string json =
-      obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot());
-  const std::string out_path = args.GetString("out", "");
-  if (!out_path.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteTextFile(out_path, json));
-    out << StrFormat("chrome trace written to %s (%zu spans)\n",
-                     out_path.c_str(),
-                     obs::TraceRing::Global().Snapshot().size());
-  } else {
-    out << json;
-  }
-  return Status::Ok();
-}
-
 namespace {
 
 // SIGTERM/SIGINT → graceful drain: the handler forwards to whichever
@@ -1272,58 +997,32 @@ Status RunServed(const Args& args, std::ostream& out) {
       !s.ok()) {
     return s;
   }
-  if (args.Has("faults")) {
-    PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
-  }
-  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch,
-                        BatchFromFlags(args));
-  net::ServerOptions options;
+  PPDM_ASSIGN_OR_RETURN(net::ServerOptions options,
+                        ServerOptionsFromFlags(args));
   options.host = args.GetString("host", "127.0.0.1");
   PPDM_ASSIGN_OR_RETURN(const long long port, args.GetInt("port", 0));
   if (port < 0 || port > 65535) {
     return Status::InvalidArgument("--port must be in 0..65535");
   }
   options.port = static_cast<int>(port);
-  options.num_threads = batch.num_threads;
-  options.shard_size = batch.shard_size;
-  PPDM_ASSIGN_OR_RETURN(const long long max_pending,
-                        args.GetInt("max-pending", 0));
   PPDM_ASSIGN_OR_RETURN(const long long max_connections,
                         args.GetInt("max-connections", 64));
   PPDM_ASSIGN_OR_RETURN(const long long window,
                         args.GetInt("connection-window", 16));
   PPDM_ASSIGN_OR_RETURN(const long long max_body_mb,
                         args.GetInt("max-body-mb", 64));
-  PPDM_ASSIGN_OR_RETURN(const long long registry_mb,
-                        args.GetInt("registry-mb", 0));
-  if (max_pending < 0 || registry_mb < 0) {
-    return Status::InvalidArgument(
-        "--max-pending and --registry-mb must be >= 0");
-  }
   if (max_connections <= 0 || window <= 0 || max_body_mb <= 0) {
     return Status::InvalidArgument(
         "--max-connections, --connection-window and --max-body-mb must be "
         "positive");
   }
-  options.max_pending = static_cast<std::size_t>(max_pending);
   options.max_connections = static_cast<std::size_t>(max_connections);
   options.connection_window = static_cast<std::size_t>(window);
   options.max_body_bytes = static_cast<std::uint64_t>(max_body_mb) << 20;
-  options.registry_max_bytes = static_cast<std::size_t>(registry_mb) << 20;
-  options.checkpoint_dir = args.GetString("checkpoint-dir", "");
-  options.resume = args.Has("resume");
-  if (options.resume && options.checkpoint_dir.empty()) {
-    return Status::InvalidArgument("--resume needs --checkpoint-dir");
-  }
   PPDM_ASSIGN_OR_RETURN(options.tenant_rate,
                         args.GetDouble("tenant-rate", 0.0));
   PPDM_ASSIGN_OR_RETURN(options.tenant_burst,
                         args.GetDouble("tenant-burst", 0.0));
-  PPDM_ASSIGN_OR_RETURN(options.slow_request_ms,
-                        args.GetDouble("slow-ms", 0.0));
-  if (options.slow_request_ms < 0.0) {
-    return Status::InvalidArgument("--slow-ms must be >= 0");
-  }
   const std::string served_trace_out = args.GetString("trace-out", "");
 
   // A broken client pipe must be an EPIPE on that connection, never a
@@ -1378,10 +1077,7 @@ Status RunServed(const Args& args, std::ostream& out) {
                      stopped.ToString().c_str());
   }
   if (!served_trace_out.empty()) {
-    // Dumped after the drain so the final requests' spans are in the ring.
-    PPDM_RETURN_IF_ERROR(WriteTextFile(
-        served_trace_out,
-        obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot())));
+    PPDM_RETURN_IF_ERROR(WriteTraceFile(served_trace_out));
     out << StrFormat("chrome trace written to %s\n",
                      served_trace_out.c_str());
   }
@@ -1459,48 +1155,31 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
       error_requests.fetch_add(1, std::memory_order_relaxed);
       return tolerate ? Status::Ok() : s;
     };
-    const perturb::Randomizer randomizer(sim.session.schema, sim.noise);
     struct TenantStream {
       std::uint64_t id;
-      synth::RecordStream stream;
-      Rng noise_rng;
+      ProviderStream provider;
       std::uint64_t rounds = 0;
     };
     std::vector<TenantStream> streams;
     for (const std::uint64_t t : mine) {
       PPDM_RETURN_IF_ERROR(note(client.Open(t, sim.session, ttl).status()));
-      synth::GeneratorOptions gen;
-      gen.num_records = static_cast<std::size_t>(records);
-      gen.function = sim.function;
-      gen.seed = sim.noise.seed + t * 1000003ULL;
-      streams.push_back(TenantStream{t, synth::RecordStream(gen),
-                                     Rng(gen.seed ^ 0x9E3779B97F4A7C15ULL)});
+      streams.push_back(TenantStream{
+          t, ProviderStream(sim, static_cast<std::size_t>(records),
+                            sim.seed + t * 1000003ULL)});
     }
-    std::vector<double> perturbed;
     bool progress = true;
     while (progress) {
       progress = false;
       for (TenantStream& ts : streams) {
-        if (ts.stream.Done()) continue;
+        if (ts.provider.Done()) continue;
         progress = true;
-        const data::RowBatch true_rows =
-            ts.stream.Next(static_cast<std::size_t>(batch_records));
-        // Provider-side perturbation with the same flag-derived
-        // calibration the daemon's session evaluates during EM.
-        perturbed.assign(true_rows.values(),
-                         true_rows.values() +
-                             true_rows.num_rows() * true_rows.num_cols());
-        for (std::size_t r = 0; r < true_rows.num_rows(); ++r) {
-          double* row = perturbed.data() + r * true_rows.num_cols();
-          for (const std::size_t col : sim.columns) {
-            row[col] += randomizer.ModelFor(col).Sample(&ts.noise_rng);
-          }
-        }
+        const data::RowBatch batch = ts.provider.Next(
+            static_cast<std::size_t>(batch_records), /*truth=*/nullptr);
         Status ingested;
         {
           obs::ScopedTimer timer(ingest_hist);
-          ingested = client.Ingest(ts.id, true_rows.num_rows(),
-                                   true_rows.num_cols(), perturbed, ttl)
+          ingested = client.Ingest(ts.id, batch.num_rows(), batch.num_cols(),
+                                   ts.provider.values(), ttl)
                          .status();
         }
         PPDM_RETURN_IF_ERROR(note(ingested));
@@ -1636,8 +1315,6 @@ Status RunCommand(const Args& args, std::ostream& out) {
   if (args.command() == "serve-sim") return RunServeSim(args, out);
   if (args.command() == "snapshot") return RunSnapshot(args, out);
   if (args.command() == "restore") return RunRestore(args, out);
-  if (args.command() == "metrics") return RunMetrics(args, out);
-  if (args.command() == "trace") return RunTrace(args, out);
   if (args.command() == "served") return RunServed(args, out);
   if (args.command() == "loadgen") return RunLoadgen(args, out);
   if (args.command() == "help") {

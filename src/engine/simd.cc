@@ -27,8 +27,7 @@ void PublishPathGauge(Path active) {
   static constexpr Path kAll[] = {Path::kScalar, Path::kAvx2};
   for (Path p : kAll) {
     obs::MetricsRegistry::Global()
-        .GetGauge("ppdm_simd_path",
-                  std::string("path=\"") + PathName(p) + "\"")
+        .GetGauge("ppdm_simd_path", {{"path", PathName(p)}})
         ->Set(p == active ? 1 : 0);
   }
 }

@@ -172,7 +172,7 @@ Server::Server(const ServerOptions& options)
   for (std::uint32_t v = 0; v <= 6; ++v) {
     verb_requests_[v] = obs::MetricsRegistry::Global().GetCounter(
         "ppdm_net_requests_total",
-        StrFormat("verb=\"%s\"", v == 0 ? "unknown" : VerbName(v).c_str()));
+        {{"verb", v == 0 ? std::string("unknown") : VerbName(v)}});
   }
 }
 
@@ -261,21 +261,11 @@ Status Server::Stop() {
   return stop_status_;
 }
 
-std::size_t Server::tenant_count() const {
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  return tenants_.size();
-}
-
 Status Server::CheckpointAll() {
   drained_checkpoints_ = 0;
   if (!snapshots_.has_value()) return Status::Ok();
-  std::set<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(tenants_mu_);
-    names = tenants_;
-  }
   Status first_failure = Status::Ok();
-  for (const std::string& name : names) {
+  for (const std::string& name : registry_->OpenNames()) {
     Result<std::shared_ptr<api::DatasetSession>> session =
         registry_->TryLookup(name);
     if (!session.ok()) {
@@ -692,11 +682,8 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
                         store::DecodeDatasetSessionSpec(&reader));
   const std::string name = TenantName(tenant);
 
-  bool known;
-  {
-    std::lock_guard<std::mutex> lock(tenants_mu_);
-    known = tenants_.count(name) > 0;
-  }
+  const std::vector<std::string> open = registry_->OpenNames();
+  const bool known = std::binary_search(open.begin(), open.end(), name);
   if (!known && !options_.resume && snapshots_.has_value() &&
       snapshots_->Contains(name)) {
     // A fresh (non-resume) daemon must not silently resurrect a previous
@@ -730,10 +717,6 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
     return looked.status();  // corrupt or unreadable capture
   }
 
-  {
-    std::lock_guard<std::mutex> lock(tenants_mu_);
-    tenants_.insert(name);
-  }
   store::Writer writer;
   writer.PutU8(resumed ? 1 : 0);
   writer.PutU64(session->record_count());
@@ -798,10 +781,6 @@ Result<std::string> Server::HandleClose(std::uint64_t tenant) {
   if (!registry_->Close(name)) {
     return Status::NotFound(StrFormat(
         "tenant %llu is not open", static_cast<unsigned long long>(tenant)));
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenants_mu_);
-    tenants_.erase(name);
   }
   limiter_.Forget(tenant);
   return std::string();

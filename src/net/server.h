@@ -46,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,7 +137,12 @@ class Server {
   Status Stop();
 
   /// Tenants opened and not yet closed (RAM or spill tier).
-  std::size_t tenant_count() const;
+  std::size_t tenant_count() const { return registry_->OpenNames().size(); }
+
+  /// The tenant registry's occupancy, eviction and spill counters.
+  api::SessionRegistry::Stats registry_stats() const {
+    return registry_->GetStats();
+  }
 
   /// Tenants checkpointed by the last Stop().
   std::size_t drained_checkpoints() const { return drained_checkpoints_; }
@@ -198,9 +202,6 @@ class Server {
   std::optional<store::SnapshotStore> snapshots_;
   std::optional<store::SessionSpillStore> spill_;
   std::unique_ptr<api::SessionRegistry> registry_;
-
-  mutable std::mutex tenants_mu_;
-  std::set<std::string> tenants_;  // guarded by tenants_mu_
 
   // Thread-safe: Admit on the event loop, Forget from close-verb workers.
   TenantRateLimiter limiter_;

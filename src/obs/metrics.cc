@@ -246,45 +246,29 @@ std::string MetricsRegistry::AdmitSeriesLocked(const std::string& name,
   return kOverflowLabels;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& labels) {
+MetricsRegistry::Instrument* MetricsRegistry::Get(
+    Kind kind, const std::string& name, const LabelSet& labels,
+    std::vector<double>* bounds) {
+  const std::string rendered = RenderLabelSet(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  return GetOrCreateLocked(Kind::kCounter, name,
-                           AdmitSeriesLocked(name, labels), nullptr)
-      ->counter.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetOrCreateLocked(Kind::kGauge, name,
-                           AdmitSeriesLocked(name, labels), nullptr)
-      ->gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds,
-                                         const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetOrCreateLocked(Kind::kHistogram, name,
-                           AdmitSeriesLocked(name, labels), &bounds)
-      ->histogram.get();
+  return GetOrCreateLocked(kind, name, AdmitSeriesLocked(name, rendered),
+                           bounds);
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const LabelSet& labels) {
-  return GetCounter(name, RenderLabelSet(labels));
+  return Get(Kind::kCounter, name, labels, nullptr)->counter.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const LabelSet& labels) {
-  return GetGauge(name, RenderLabelSet(labels));
+  return Get(Kind::kGauge, name, labels, nullptr)->gauge.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds,
                                          const LabelSet& labels) {
-  return GetHistogram(name, std::move(bounds), RenderLabelSet(labels));
+  return Get(Kind::kHistogram, name, labels, &bounds)->histogram.get();
 }
 
 void MetricsRegistry::set_max_series_per_family(std::size_t max) {
@@ -298,10 +282,11 @@ std::size_t MetricsRegistry::max_series_per_family() const {
 }
 
 const Histogram* MetricsRegistry::FindHistogram(
-    const std::string& name, const std::string& labels) const {
+    const std::string& name, const LabelSet& labels) const {
+  const std::string rendered = RenderLabelSet(labels);
   std::lock_guard<std::mutex> lock(mu_);
   for (const Instrument& instrument : instruments_) {
-    if (instrument.name == name && instrument.labels == labels) {
+    if (instrument.name == name && instrument.labels == rendered) {
       return instrument.histogram.get();
     }
   }

@@ -232,8 +232,8 @@ class ScopedTimer {
 /// Process-wide instrument registry with Prometheus-style exposition.
 ///
 /// Names follow the Prometheus grammar ([a-zA-Z_][a-zA-Z0-9_]*); the
-/// optional `labels` string is the rendered label body without braces,
-/// e.g. `kind="uniform"`. (name, labels) identifies the instrument:
+/// optional label set (empty for an unlabeled series) is canonicalised
+/// via RenderLabelSet. (name, rendered labels) identifies the instrument:
 /// re-Get'ing returns the same pointer, so function-local statics in
 /// instrumented code are cheap and safe. Getting an existing name with a
 /// mismatched kind or bucket layout returns the existing instrument (the
@@ -247,26 +247,19 @@ class MetricsRegistry {
   /// The process-wide registry (leaky singleton; never destroyed).
   static MetricsRegistry& Global();
 
-  Counter* GetCounter(const std::string& name,
-                      const std::string& labels = "");
-  Gauge* GetGauge(const std::string& name, const std::string& labels = "");
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<double> bounds,
-                          const std::string& labels = "");
-
-  /// Labeled-family getters: identity is (name, canonical label render),
-  /// so {a,b} and {b,a} resolve to one series. Cardinality is hard-
-  /// bounded: each family admits at most max_series_per_family() labeled
-  /// series; once full, further *new* label sets all resolve to the
-  /// family's shared `overflow="true"` series (and bump
-  /// ppdm_obs_series_overflow_total) instead of evicting anything —
-  /// existing series keep their pointers and identity forever, so a
-  /// hostile tenant churning label values cannot unbound the exposition
-  /// or invalidate a cached instrument pointer.
-  Counter* GetCounter(const std::string& name, const LabelSet& labels);
-  Gauge* GetGauge(const std::string& name, const LabelSet& labels);
+  /// Getters: identity is (name, canonical label render), so {a,b} and
+  /// {b,a} resolve to one series. Cardinality is hard-bounded: each
+  /// family admits at most max_series_per_family() labeled series; once
+  /// full, further *new* label sets all resolve to the family's shared
+  /// `overflow="true"` series (and bump ppdm_obs_series_overflow_total)
+  /// instead of evicting anything — existing series keep their pointers
+  /// and identity forever, so a hostile tenant churning label values
+  /// cannot unbound the exposition or invalidate a cached instrument
+  /// pointer.
+  Counter* GetCounter(const std::string& name, const LabelSet& labels = {});
+  Gauge* GetGauge(const std::string& name, const LabelSet& labels = {});
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
-                          const LabelSet& labels);
+                          const LabelSet& labels = {});
 
   /// Per-family cap on distinct labeled series (unlabeled series are
   /// exempt; the overflow series doesn't count toward it).
@@ -281,7 +274,7 @@ class MetricsRegistry {
   /// by reporters that render percentiles for instruments someone else
   /// owns (bench_util's ThroughputReporter).
   const Histogram* FindHistogram(const std::string& name,
-                                 const std::string& labels = "") const;
+                                 const LabelSet& labels = {}) const;
 
   /// Prometheus text exposition: `# TYPE` per family, then one
   /// `name{labels} value` line per sample — counters and gauges one line
@@ -306,6 +299,10 @@ class MetricsRegistry {
   };
 
   Instrument* FindLocked(const std::string& name, const std::string& labels);
+  /// Canonicalises `labels`, admits the series, and returns its
+  /// instrument (created on first use).
+  Instrument* Get(Kind kind, const std::string& name, const LabelSet& labels,
+                  std::vector<double>* bounds);
   Instrument* GetOrCreateLocked(Kind kind, const std::string& name,
                                 const std::string& labels,
                                 std::vector<double>* bounds);

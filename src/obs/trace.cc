@@ -275,38 +275,6 @@ void RecordSpan(const char* name, std::chrono::steady_clock::time_point start,
   }
 }
 
-std::string RenderSpans(const std::vector<SpanEvent>& events) {
-  std::string out;
-  char line[256];
-  // Starts print relative to the oldest span so the column is readable.
-  std::uint64_t base = 0;
-  for (const SpanEvent& event : events) {
-    if (base == 0 || event.start_ns < base) base = event.start_ns;
-  }
-  for (const SpanEvent& event : events) {
-    std::snprintf(line, sizeof(line), "%-32s t+%12.3fms %10.3fms thread %u",
-                  event.name.c_str(),
-                  static_cast<double>(event.start_ns - base) * 1e-6,
-                  static_cast<double>(event.duration_ns) * 1e-6,
-                  event.thread);
-    out += line;
-    if (event.trace_id != 0) {
-      std::snprintf(line, sizeof(line), " trace=%s span=%llu parent=%llu",
-                    HexId(event.trace_id).c_str(),
-                    static_cast<unsigned long long>(event.span_id),
-                    static_cast<unsigned long long>(event.parent_id));
-      out += line;
-    }
-    if (!event.labels.empty()) {
-      out += " {";
-      out += event.labels;
-      out += "}";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 std::string RenderChromeTrace(const std::vector<SpanEvent>& events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[160];

@@ -194,10 +194,6 @@ void RecordSpan(const char* name,
                 Histogram* histogram = nullptr,
                 TraceRing* ring = &TraceRing::Global());
 
-/// Renders `events` as one fixed-width text line each (the `ppdm metrics
-/// --spans` dump). Spans that belong to a trace get their ids appended.
-std::string RenderSpans(const std::vector<SpanEvent>& events);
-
 /// Renders `events` as Chrome trace-event JSON (chrome://tracing /
 /// Perfetto "traceEvents" format, complete "X" phases in microseconds).
 /// Trace/span/parent ids and labels ride in each event's args.

@@ -2,6 +2,9 @@
 // end-to-end workflows over temp CSV files.
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +13,7 @@
 
 #include "cli/args.h"
 #include "cli/commands.h"
+#include "common/fault.h"
 #include "data/csv.h"
 #include "engine/simd.h"
 #include "synth/generator.h"
@@ -105,7 +109,7 @@ TEST_F(CliFixture, HelpFlagSucceedsOnEverySubcommand) {
   // alongside flags the command does not know.
   for (const char* command :
        {"generate", "perturb", "reconstruct", "train", "serve-sim",
-        "snapshot", "restore", "metrics", "served", "loadgen", "help"}) {
+        "snapshot", "restore", "served", "loadgen", "help"}) {
     SCOPED_TRACE(command);
     std::string output;
     EXPECT_TRUE(Run({command, "--help"}, &output).ok());
@@ -350,6 +354,172 @@ TEST_F(CliFixture, ServeSimRejectsInvalidSpec) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Run({"serve-sim", "--registry-mb=-1"}, &output).code(),
             StatusCode::kInvalidArgument);
+}
+
+// serve-sim is a client of an in-process daemon, so its checkpoints are
+// the daemon's: tenant 0 is stored as t0, and a --resume re-admits it
+// through the open verb and keeps counting on top of the folded records.
+TEST_F(CliFixture, ServeSimCheckpointResumesAsTenantZero) {
+  const std::string dir = Path("resume_ckpt");
+  std::filesystem::remove_all(dir);
+  const std::string dir_flag = "--checkpoint-dir=" + dir;
+  std::string output;
+  ASSERT_TRUE(Run({"serve-sim", "--records=3000", "--batch-records=500",
+                   "--refresh=4", "--attrs=2", "--threads=2",
+                   dir_flag.c_str(), "--checkpoint-every-batches=3"},
+                  &output)
+                  .ok())
+      << output;
+  EXPECT_NE(output.find("stream complete: 3000 records, 6 batches"),
+            std::string::npos)
+      << output;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/t0.snap"));
+  ASSERT_TRUE(Run({"serve-sim", "--resume", "--records=1500",
+                   "--batch-records=500", "--refresh=4", "--attrs=2",
+                   "--threads=2", dir_flag.c_str()},
+                  &output)
+                  .ok())
+      << output;
+  EXPECT_NE(output.find("resumed 't0'"), std::string::npos) << output;
+  EXPECT_NE(output.find("3000 records already folded"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("stream complete: 4500 records"), std::string::npos)
+      << output;
+  std::filesystem::remove_all(dir);
+}
+
+// The daemon re-admits the capture whatever spec the open verb carries,
+// so a resume adopts the checkpointed spec: flags naming other attributes,
+// intervals or noise neither crash the report nor perturb with a
+// calibration the session's EM does not assume. The capture equals the
+// one a resume with the checkpointed run's own flags leaves.
+TEST_F(CliFixture, ServeSimResumeAdoptsTheCheckpointedSpec) {
+  const char* stream[] = {"--attrs=4", "--intervals=12", "--noise=gaussian",
+                          "--privacy=0.5"};
+  std::string captures[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string dir = Path(std::string("adopt_ckpt") +
+                                 static_cast<char>('0' + i));
+    std::filesystem::remove_all(dir);
+    const std::string dir_flag = "--checkpoint-dir=" + dir;
+    std::vector<const char*> argv = {"serve-sim", dir_flag.c_str(),
+                                     "--records=2000", "--batch-records=500",
+                                     "--refresh=2"};
+    argv.insert(argv.end(), std::begin(stream), std::end(stream));
+    std::string output;
+    ASSERT_TRUE(Run(argv, &output).ok()) << output;
+
+    // i = 0 resumes with default stream flags (one attribute, 30 uniform
+    // intervals, 100% privacy); i = 1 repeats the first run's.
+    argv = {"serve-sim", dir_flag.c_str(), "--resume", "--records=1000",
+            "--batch-records=500", "--refresh=2"};
+    if (i == 1) argv.insert(argv.end(), std::begin(stream), std::end(stream));
+    ASSERT_TRUE(Run(argv, &output).ok()) << output;
+    EXPECT_NE(output.find("resumed 't0'"), std::string::npos) << output;
+    EXPECT_NE(output.find("serving 4 attribute(s) (gaussian noise, "
+                          "privacy 50%)"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("stream complete: 3000 records"),
+              std::string::npos)
+        << output;
+
+    ASSERT_TRUE(
+        Run({"restore", ("--dir=" + dir).c_str(), "--name=t0"}, &output)
+            .ok())
+        << output;
+    EXPECT_NE(output.find("3000 records"), std::string::npos) << output;
+    EXPECT_NE(output.find("12 intervals, gaussian noise, privacy 50%"),
+              std::string::npos)
+        << output;
+    std::ifstream file(dir + "/t0.snap", std::ios::binary);
+    captures[i].assign(std::istreambuf_iterator<char>(file),
+                       std::istreambuf_iterator<char>());
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_FALSE(captures[0].empty());
+  EXPECT_TRUE(captures[0] == captures[1]);
+}
+
+TEST_F(CliFixture, ServeSimResumeOfACorruptCaptureIsAStatus) {
+  const std::string dir = Path("corrupt_ckpt");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream file(dir + "/t0.snap", std::ios::binary);
+    file << "not a snapshot";
+  }
+  std::string output;
+  const Status status =
+      Run({"serve-sim", ("--checkpoint-dir=" + dir).c_str(), "--resume",
+           "--records=1000"},
+          &output);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("cannot be re-admitted"),
+            std::string::npos)
+      << status.ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliFixture, ServeSimFailedFinalCheckpointIsTheCommandStatus) {
+  const std::string dir = Path("permanent_ckpt");
+  std::filesystem::remove_all(dir);
+  const std::string dir_flag = "--checkpoint-dir=" + dir;
+  std::string output;
+  const Status status =
+      Run({"serve-sim", "--records=2000", "--batch-records=500",
+           "--attrs=2", "--threads=2", dir_flag.c_str(),
+           "--checkpoint-every-batches=2",
+           "--faults=store.put.io=prob:1,permanent"},
+          &output);
+  fault::DisarmAll();
+  EXPECT_FALSE(status.ok());
+  // The stream still finished and reported before the failure surfaced.
+  EXPECT_NE(output.find("stream complete: 2000 records"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("checkpoint verbs: 2 sent, 2 failed"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("final checkpoint FAILED"), std::string::npos)
+      << output;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliFixture, ServeSimCaptureIsThreadCountInvariant) {
+  std::string captures[2];
+  const char* threads[2] = {"--threads=0", "--threads=2"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string dir = Path(std::string("threads_ckpt") + threads[i]);
+    std::filesystem::remove_all(dir);
+    const std::string dir_flag = "--checkpoint-dir=" + dir;
+    std::string output;
+    ASSERT_TRUE(Run({"serve-sim", "--records=4000", "--batch-records=500",
+                     "--refresh=3", "--attrs=3", "--noise=gaussian",
+                     "--intervals=40", threads[i], dir_flag.c_str(),
+                     "--checkpoint-every-batches=2"},
+                    &output)
+                    .ok())
+        << output;
+    std::ifstream file(dir + "/t0.snap", std::ios::binary);
+    ASSERT_TRUE(file.good()) << threads[i];
+    captures[i].assign(std::istreambuf_iterator<char>(file),
+                       std::istreambuf_iterator<char>());
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_FALSE(captures[0].empty());
+  EXPECT_TRUE(captures[0] == captures[1]);
+}
+
+TEST_F(CliFixture, SnapshotOnlyLists) {
+  const std::string dir = Path("list_only");
+  std::filesystem::remove_all(dir);
+  std::string output;
+  EXPECT_EQ(Run({"snapshot", ("--dir=" + dir).c_str(), "--name=x"}, &output)
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok());
+  EXPECT_NE(output.find("0 snapshot(s)"), std::string::npos) << output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CliFixture, PerturbRejectsInvalidNoiseSpec) {

@@ -955,6 +955,104 @@ TEST(ServerTest, DrainCheckpointsEveryTenantAndResumeRestoresThemExactly) {
   ASSERT_TRUE(restarted.value()->Stop().ok());
 }
 
+// The open set is the registry's: under a one-byte budget only the most
+// recently touched tenant stays resident, the rest live in the spill
+// tier, and drain must still checkpoint every open (and no closed)
+// tenant — then a resumed daemon re-admits each one exactly.
+TEST(ServerTest, DrainUnderATightBudgetCheckpointsEveryOpenTenant) {
+  TempDir dir;
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(600, &num_cols);
+  const std::size_t share = rows.size() / num_cols / 3;
+  const auto slice = [&](std::uint64_t tenant) {
+    return std::vector<double>(
+        rows.begin() + tenant * share * num_cols,
+        rows.begin() + (tenant + 1) * share * num_cols);
+  };
+
+  ServerOptions options = LoopbackOptions(2);
+  options.checkpoint_dir = dir.path;
+  options.registry_max_bytes = 1;
+  std::map<std::uint64_t, std::vector<AttributeEstimate>> expected;
+  {
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client = Client::Connect("127.0.0.1",
+                                            server.value()->port());
+    ASSERT_TRUE(client.ok());
+    for (std::uint64_t tenant = 0; tenant < 3; ++tenant) {
+      ASSERT_TRUE(client.value().Open(tenant, spec).ok());
+      ASSERT_TRUE(
+          client.value().Ingest(tenant, share, num_cols, slice(tenant)).ok());
+    }
+    // Re-opening a spilled tenant is idempotent: a non-resume daemon must
+    // not mistake its own spill capture for a stale one and delete it.
+    Result<OpenResult> reopened = client.value().Open(0, spec);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(reopened.value().resumed);
+    EXPECT_EQ(reopened.value().record_count, share);
+    ASSERT_TRUE(client.value().CloseTenant(1).ok());
+    ASSERT_TRUE(client.value().Ingest(2, share, num_cols, slice(2)).ok());
+
+    EXPECT_EQ(server.value()->tenant_count(), 2u);
+    const api::SessionRegistry::Stats stats = server.value()->registry_stats();
+    EXPECT_EQ(stats.open_sessions, 1u);
+    EXPECT_EQ(stats.spilled_sessions, 1u);
+    ASSERT_TRUE(server.value()->Stop().ok());
+    EXPECT_EQ(server.value()->drained_checkpoints(), 2u);
+    EXPECT_FALSE(fs::exists(dir.path + "/t1.snap"));
+
+    // Ground truth: the same tenants on an unbounded, storeless daemon.
+    Result<std::unique_ptr<Server>> control =
+        Server::Start(LoopbackOptions(2));
+    ASSERT_TRUE(control.ok());
+    Result<Client> control_client =
+        Client::Connect("127.0.0.1", control.value()->port());
+    ASSERT_TRUE(control_client.ok());
+    for (const std::uint64_t tenant : {0u, 2u}) {
+      ASSERT_TRUE(control_client.value().Open(tenant, spec).ok());
+      for (int copies = tenant == 2 ? 2 : 1; copies > 0; --copies) {
+        ASSERT_TRUE(control_client.value()
+                        .Ingest(tenant, share, num_cols, slice(tenant))
+                        .ok());
+      }
+      Result<std::vector<AttributeEstimate>> estimates =
+          control_client.value().Reconstruct(tenant);
+      ASSERT_TRUE(estimates.ok());
+      expected[tenant] = std::move(estimates).value();
+    }
+    ASSERT_TRUE(control.value()->Stop().ok());
+  }
+
+  options.resume = true;
+  Result<std::unique_ptr<Server>> restarted = Server::Start(options);
+  ASSERT_TRUE(restarted.ok());
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          restarted.value()->port());
+  ASSERT_TRUE(client.ok());
+  for (const auto& [tenant, estimates_expected] : expected) {
+    SCOPED_TRACE("tenant " + std::to_string(tenant));
+    Result<OpenResult> opened = client.value().Open(tenant, spec);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_TRUE(opened.value().resumed);
+    Result<std::vector<AttributeEstimate>> estimates =
+        client.value().Reconstruct(tenant);
+    ASSERT_TRUE(estimates.ok()) << estimates.status().ToString();
+    ASSERT_EQ(estimates.value().size(), estimates_expected.size());
+    for (std::size_t a = 0; a < estimates.value().size(); ++a) {
+      EXPECT_EQ(estimates.value()[a].masses, estimates_expected[a].masses)
+          << "attribute " << a;
+    }
+  }
+  // The closed tenant stays closed: its open is brand new.
+  Result<OpenResult> fresh = client.value().Open(1, spec);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh.value().resumed);
+  EXPECT_EQ(fresh.value().record_count, 0u);
+  ASSERT_TRUE(restarted.value()->Stop().ok());
+}
+
 TEST(ServerTest, CloseDropsTheTenantAndWithoutResumeStaleCapturesDie) {
   TempDir dir;
   ServerOptions options = LoopbackOptions(0);

@@ -782,6 +782,74 @@ TEST(SpillRegistryTest, EvictionSpillsAndLookupTransparentlyReadmits) {
   EXPECT_TRUE(registry.Open("a", spec).ok());
 }
 
+// A spill tier whose Drop fails while `fail_drop` is set.
+class DropFailingSpill : public api::SessionSpill {
+ public:
+  explicit DropFailingSpill(SessionSpillStore* inner) : inner_(inner) {}
+  Result<std::uint64_t> Spill(const std::string& name,
+                              const api::DatasetSession& session) override {
+    return inner_->Spill(name, session);
+  }
+  Result<std::shared_ptr<api::DatasetSession>> Admit(
+      const std::string& name, engine::ThreadPool* pool) override {
+    return inner_->Admit(name, pool);
+  }
+  bool Contains(const std::string& name) const override {
+    return inner_->Contains(name);
+  }
+  Status Drop(const std::string& name) override {
+    if (fail_drop) return Status::IoError("injected drop failure");
+    return inner_->Drop(name);
+  }
+  bool fail_drop = false;
+
+ private:
+  SessionSpillStore* inner_;
+};
+
+// Close closes the name even when its spilled capture cannot be deleted:
+// the name leaves OpenNames() and the spill ledger (a drain must not
+// checkpoint a closed tenant), the failure is counted, the orphaned
+// capture still blocks the name, and a later Close retries the Drop.
+TEST(SpillRegistryTest, CloseWithAFailedDropStillClosesTheName) {
+  TempDir dir;
+  SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
+  SessionSpillStore store(snapshots);
+  DropFailingSpill spill(&store);
+
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const std::size_t per_session =
+      api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
+  api::SessionRegistryOptions options;
+  options.max_bytes = per_session + per_session / 2;  // room for one
+  options.spill = &spill;
+  api::SessionRegistry registry(options);
+
+  ASSERT_TRUE(registry.Open("a", spec).ok());
+  ASSERT_TRUE(registry.Open("b", spec).ok());  // spills "a"
+  ASSERT_EQ(registry.OpenNames(), (std::vector<std::string>{"a", "b"}));
+  ASSERT_TRUE(snapshots.Contains("a"));
+
+  spill.fail_drop = true;
+  EXPECT_TRUE(registry.Close("a"));
+  EXPECT_EQ(registry.OpenNames(), std::vector<std::string>{"b"});
+  {
+    const api::SessionRegistry::Stats stats = registry.GetStats();
+    EXPECT_EQ(stats.spill_failures, 1u);
+    EXPECT_EQ(stats.spilled_sessions, 0u);
+    EXPECT_EQ(stats.spilled_bytes, 0u);
+  }
+  EXPECT_TRUE(snapshots.Contains("a"));
+  EXPECT_EQ(registry.Open("a", spec).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  spill.fail_drop = false;
+  EXPECT_TRUE(registry.Close("a"));
+  EXPECT_FALSE(snapshots.Contains("a"));
+  EXPECT_FALSE(registry.Close("a"));
+  EXPECT_TRUE(registry.Open("a", spec).ok());
+}
+
 // The acceptance property: traffic through a budget-starved registry with
 // a spill tier produces byte-identical estimates to an unbounded registry
 // — sessions keep all their evidence across demote/re-admit cycles.
