@@ -5,7 +5,9 @@
 #include <chrono>
 #include <csignal>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <thread>
@@ -108,22 +110,10 @@ Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
   return options;
 }
 
-// The command's own flags plus the stream flags every command that
-// builds a StreamSimSpec accepts (serve-sim, loadgen), for CheckKnown.
-// One list, so a new stream flag lands in every CheckKnown at once
-// instead of drifting per command.
-std::vector<std::string> WithStreamFlags(std::vector<std::string> own) {
-  own.insert(own.end(),
-             {"attribute", "attrs", "function", "noise", "privacy",
-              "confidence", "intervals", "seed", "threads", "shard-size",
-              "simd"});
-  return own;
-}
-
-// The shared shape of the provider streams (serve-sim, loadgen): the
-// dataset-session spec over the tracked benchmark columns (it also
-// carries each attribute's noise calibration), the generator function,
-// and the --seed the generator and noise streams derive from.
+// The shared shape of loadgen's provider streams: the dataset-session
+// spec over the tracked benchmark columns (it also carries each
+// attribute's noise calibration), the generator function, and the --seed
+// the generator and noise streams derive from.
 struct StreamSimSpec {
   api::DatasetSessionSpec session;
   synth::Function function = synth::Function::kF1;
@@ -182,12 +172,12 @@ Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
   return sim;
 }
 
-// Provider side of a served stream (serve-sim, loadgen): one tenant's
-// seeded true-record stream, with each tracked attribute's noise added
-// per record before the batch leaves the provider — the daemon sees only
-// perturbed rows. The noise is calibrated from `sim.session`, exactly as
-// the daemon's session calibrates its EM, so the two always agree. No
-// Dataset is ever materialized.
+// Provider side of a served stream: one tenant's seeded true-record
+// stream, with each tracked attribute's noise added per record before
+// the batch leaves the provider — the daemon sees only perturbed rows.
+// The noise is calibrated from `sim.session`, exactly as the daemon's
+// session calibrates its EM, so the two always agree. No Dataset is ever
+// materialized.
 class ProviderStream {
  public:
   ProviderStream(const StreamSimSpec& sim, std::size_t records,
@@ -201,19 +191,19 @@ class ProviderStream {
         }()),
         noise_rng_(seed ^ 0x9E3779B97F4A7C15ULL) {
     for (const api::AttributeSpec& attr : sim.session.attributes) {
+      const data::FieldSpec& field = sim.session.schema.Field(attr.column);
       columns_.push_back(attr.column);
       models_.push_back(perturb::NoiseForPrivacy(
-          attr.noise, attr.privacy_fraction,
-          sim.session.schema.Field(attr.column).Range(), attr.confidence));
+          attr.noise, attr.privacy_fraction, field.Range(), attr.confidence));
+      truth_.emplace_back(field.lo, field.hi, attr.intervals);
     }
   }
 
   bool Done() const { return stream_.Done(); }
 
   // The next (up to) `batch_records` records, perturbed into values();
-  // folds the tracked columns' true values into `truth` when non-null.
-  data::RowBatch Next(std::size_t batch_records,
-                      std::vector<stats::Histogram>* truth) {
+  // folds the tracked columns' true values into truth().
+  data::RowBatch Next(std::size_t batch_records) {
     const data::RowBatch true_rows = stream_.Next(batch_records);
     values_.assign(true_rows.values(),
                    true_rows.values() +
@@ -221,7 +211,7 @@ class ProviderStream {
     for (std::size_t r = 0; r < true_rows.num_rows(); ++r) {
       double* row = values_.data() + r * true_rows.num_cols();
       for (std::size_t a = 0; a < columns_.size(); ++a) {
-        if (truth != nullptr) (*truth)[a].Add(row[columns_[a]]);
+        truth_[a].Add(row[columns_[a]]);
         row[columns_[a]] += models_[a].Sample(&noise_rng_);
       }
     }
@@ -232,17 +222,22 @@ class ProviderStream {
   // The perturbed rows of the last Next(), row-major.
   const std::vector<double>& values() const { return values_; }
 
+  // The tracked columns' true distributions over every record streamed,
+  // on the spec's partitions: what a reconstruction is scored against.
+  const std::vector<stats::Histogram>& truth() const { return truth_; }
+
  private:
   synth::RecordStream stream_;
   Rng noise_rng_;
   std::vector<std::size_t> columns_;
   std::vector<perturb::NoiseModel> models_;
+  std::vector<stats::Histogram> truth_;
   std::vector<double> values_;
 };
 
-// The daemon flags served and serve-sim share: the worker pool and shard
-// decomposition (--threads, --shard-size), --max-pending, --registry-mb,
-// --checkpoint-dir, --resume and --slow-ms. --faults arms the
+// The daemon flags served and an in-process loadgen share: the worker
+// pool and shard decomposition (--threads, --shard-size), --max-pending,
+// --registry-mb, --checkpoint-dir, --resume and --slow-ms. --faults arms the
 // process-wide fault points for this run, on top of whatever PPDM_FAULTS
 // armed at startup (the chaos harness uses both).
 Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
@@ -279,12 +274,12 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
 
 // "p50 1.23 / p99 4.56 ms (7 samples)" for the final report, or "n/a"
 // when the histogram never saw a sample (e.g. metrics timing disabled).
-std::string LatencyCell(const obs::Histogram* histogram) {
-  if (histogram == nullptr || histogram->Count() == 0) return "n/a";
+std::string LatencyCell(const obs::Histogram& histogram) {
+  if (histogram.Count() == 0) return "n/a";
   return StrFormat("p50 %.2f / p99 %.2f ms (%llu sample(s))",
-                   1e3 * histogram->Quantile(0.5),
-                   1e3 * histogram->Quantile(0.99),
-                   static_cast<unsigned long long>(histogram->Count()));
+                   1e3 * histogram.Quantile(0.5),
+                   1e3 * histogram.Quantile(0.99),
+                   static_cast<unsigned long long>(histogram.Count()));
 }
 
 Status WriteTextFile(const std::string& path, const std::string& text) {
@@ -299,13 +294,6 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
     return Status::IoError(StrFormat("short write to %s", path.c_str()));
   }
   return Status::Ok();
-}
-
-// --trace-out=FILE: the span ring as Chrome trace-event JSON, written
-// after the drain so the final requests' spans are in it.
-Status WriteTraceFile(const std::string& path) {
-  return WriteTextFile(
-      path, obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
 }
 
 }  // namespace
@@ -327,15 +315,6 @@ const char* UsageText() {
       "              [--noise=...] [--privacy=F] [--confidence=C]\n"
       "              [--intervals=K] [--print-tree]\n"
       "              [--threads=T] [--shard-size=N]\n"
-      "  serve-sim   [--records=N] [--batch-records=B] [--refresh=R]\n"
-      "              [--attribute=NAME | --attrs=A] [--function=1..5]\n"
-      "              [--noise=...] [--privacy=F] [--confidence=C]\n"
-      "              [--intervals=K] [--registry-mb=M] [--seed=S]\n"
-      "              [--threads=T] [--shard-size=N]\n"
-      "              [--checkpoint-dir=DIR] [--checkpoint-every-batches=K]\n"
-      "              [--resume] [--max-pending=N] [--faults=SPEC]\n"
-      "              [--trace-out=FILE] [--slow-ms=N]\n"
-      "              [--metrics-out=FILE]\n"
       "  snapshot    --dir=DIR                      list stored snapshots\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
@@ -345,12 +324,17 @@ const char* UsageText() {
       "              [--registry-mb=M] [--checkpoint-dir=DIR] [--resume]\n"
       "              [--tenant-rate=R] [--tenant-burst=B] [--faults=SPEC]\n"
       "              [--trace-out=FILE] [--slow-ms=N]\n"
-      "  loadgen     --port=P [--host=H] [--tenants=N] [--records=N]\n"
+      "  loadgen     [--port=P] [--host=H] [--tenants=N] [--records=N]\n"
       "              [--batch-records=B] [--refresh=R] [--connections=C]\n"
-      "              [--snapshot-every=K] [--ttl-ms=T] [--masses-out=FILE]\n"
-      "              [--stats-out=FILE] [--trace-out=FILE]\n"
-      "              [--tolerate-errors] [--close]\n"
-      "              [stream flags as in serve-sim]\n"
+      "              [--attribute=NAME | --attrs=A] [--function=1..5]\n"
+      "              [--noise=...] [--privacy=F] [--confidence=C]\n"
+      "              [--intervals=K] [--seed=S] [--threads=T]\n"
+      "              [--shard-size=N] [--snapshot-every=K] [--ttl-ms=T]\n"
+      "              [--masses-out=FILE] [--stats-out=FILE]\n"
+      "              [--trace-out=FILE] [--tolerate-errors] [--close]\n"
+      "              without --port: [--registry-mb=M] [--max-pending=N]\n"
+      "              [--checkpoint-dir=DIR] [--resume] [--faults=SPEC]\n"
+      "              [--slow-ms=N]\n"
       "\n"
       "ppdm <command> --help prints this usage and exits 0.\n"
       "\n"
@@ -360,31 +344,27 @@ const char* UsageText() {
       "byte-identical — the flag exists for benchmarking and for pinning a\n"
       "known path in CI; any other value is an error.\n"
       "\n"
-      "serve-sim plays the paper's setting end to end: it starts the\n"
-      "served daemon in-process on an ephemeral loopback port and is its\n"
-      "one data provider (tenant t0, one connection). The provider\n"
-      "perturbs its own records; the daemon sees only perturbed batches\n"
-      "of B, folds each into every tracked attribute, and every R batches\n"
-      "(and after the last) a reconstruct verb refreshes all estimates\n"
-      "(EM warm-started), reported against the true distributions.\n"
-      "--attrs=A tracks the first A benchmark attributes (--attribute\n"
-      "tracks one by name). The daemon flags mean what they mean for\n"
-      "served: --registry-mb=M is the registry byte budget (0 =\n"
-      "unbounded), reported with occupancy/evictions at the end;\n"
-      "--checkpoint-dir=DIR gives the daemon its snapshot store\n"
-      "(evictions spill instead of destroying state); a snapshot verb\n"
-      "runs every K batches with --checkpoint-every-batches=K, and the\n"
-      "daemon's drain checkpoints t0 at stream end. --resume re-admits\n"
-      "the checkpoint and streams N further records on top of it,\n"
-      "simulating crash recovery; the checkpoint's attributes,\n"
-      "intervals and noise override the stream flags. --max-pending=N\n"
-      "bounds the daemon service's admitted-but-unstarted job queue\n"
-      "(jobs past it are shed with ResourceExhausted; 0 = unbounded).\n"
-      "--faults=SPEC arms deterministic fault points (same grammar as\n"
-      "the PPDM_FAULTS env var), e.g. --faults='store.put.io=every:50;spill.demote=once'.\n"
+      "loadgen plays the paper's data providers: N seeded tenants over C\n"
+      "connections perturb their own records and send batches of B, an\n"
+      "ingest verb each. Every R batches and after its last, a tenant's\n"
+      "reconstruct verb refreshes its warm-started estimates, printed\n"
+      "with their error against the true distributions (R=0: none). With\n"
+      "--port it drives a running daemon. Without it, it hosts the daemon\n"
+      "in-process on an ephemeral loopback port, takes served's daemon\n"
+      "flags (an error with --port), drains it at the end and reports its\n"
+      "registry, store and resilience counters; --resume then streams N\n"
+      "further records per tenant on top of its checkpoint, whose spec\n"
+      "overrides the stream flags. --snapshot-every=K sends a snapshot\n"
+      "verb every K batches; --masses-out writes every tenant's estimate\n"
+      "at full precision, --stats-out the stats-verb exposition and\n"
+      "--trace-out the span ring as Chrome trace-event JSON.\n"
+      "\n"
+      "--faults=SPEC arms deterministic fault points (same grammar as the\n"
+      "PPDM_FAULTS env var), e.g. --faults='store.put.io=every:50'.\n"
       "Triggers: every:N, prob:P[:SEED], once, off; append ,permanent for\n"
-      "a non-retryable injected failure. serve-sim and served exit\n"
-      "nonzero when the final drain checkpoint fails.\n"
+      "a non-retryable injected failure. A daemon whose final drain\n"
+      "checkpoint fails exits nonzero. --slow-ms=N logs the span tree of\n"
+      "any daemon request that takes at least N ms.\n"
       "\n"
       "snapshot/restore are the operator surface of the same store:\n"
       "'snapshot --dir' lists what a directory holds; 'restore' rebuilds\n"
@@ -401,21 +381,8 @@ const char* UsageText() {
       "--tenant-rate/--tenant-burst token-bucket each tenant's requests.\n"
       "SIGTERM drains: in-flight requests finish, every open tenant is\n"
       "checkpointed to --checkpoint-dir, and a restart with --resume\n"
-      "re-admits them. loadgen drives a running daemon with N seeded\n"
-      "tenants over C connections (ingest every batch, reconstruct every\n"
-      "R rounds, optional snapshot verb every K rounds) and reports QPS\n"
-      "and client-side p50/p99; --masses-out writes every tenant's\n"
-      "reconstruction at full precision for byte-identity checks and\n"
-      "--stats-out saves the daemon's stats-verb exposition. Tenant 0 of\n"
-      "loadgen streams exactly what serve-sim streams for the same flags.\n"
-      "\n"
-      "serve-sim --metrics-out=FILE writes the process metrics registry in\n"
-      "Prometheus text exposition format at exit. served/serve-sim accept\n"
-      "--trace-out=FILE for the span ring as Chrome trace-event JSON at\n"
-      "exit — load it at chrome://tracing or ui.perfetto.dev — and\n"
-      "--slow-ms=N logs the rendered span tree of any request that takes\n"
-      "at least N ms. loadgen --trace-out=FILE saves the daemon's ring via\n"
-      "the stats verb's trace flag.\n"
+      "re-admits them. served --trace-out=FILE writes the span ring as\n"
+      "Chrome trace-event JSON at exit.\n"
       "\n"
       "All CSV files use the benchmark schema (salary..loan, class).\n"
       "For train/reconstruct, --noise/--privacy must describe the noise\n"
@@ -625,250 +592,6 @@ Result<std::optional<api::DatasetSessionSpec>> CheckpointedSpec(
   return std::optional<api::DatasetSessionSpec>(session.value()->spec());
 }
 
-Status RunServeSim(const Args& args, std::ostream& out) {
-  if (Status s = args.CheckKnown(WithStreamFlags(
-          {"records", "batch-records", "refresh", "registry-mb",
-           "checkpoint-dir", "checkpoint-every-batches", "resume",
-           "metrics-out", "trace-out", "slow-ms", "faults", "max-pending"}));
-      !s.ok()) {
-    return s;
-  }
-  PPDM_ASSIGN_OR_RETURN(const net::ServerOptions options,
-                        ServerOptionsFromFlags(args));
-  PPDM_ASSIGN_OR_RETURN(const long long records,
-                        args.GetInt("records", 20000));
-  PPDM_ASSIGN_OR_RETURN(const long long batch_records,
-                        args.GetInt("batch-records", 1000));
-  PPDM_ASSIGN_OR_RETURN(const long long refresh, args.GetInt("refresh", 5));
-  if (records <= 0 || batch_records <= 0 || refresh <= 0) {
-    return Status::InvalidArgument(
-        "--records, --batch-records and --refresh must be positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const long long checkpoint_every,
-                        args.GetInt("checkpoint-every-batches", 0));
-  if (checkpoint_every < 0) {
-    return Status::InvalidArgument(
-        "--checkpoint-every-batches must be >= 0");
-  }
-  if (checkpoint_every > 0 && options.checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-every-batches needs --checkpoint-dir");
-  }
-  PPDM_ASSIGN_OR_RETURN(StreamSimSpec sim, StreamSimSpecFromFlags(args));
-  constexpr std::uint64_t kTenant = 0;
-  // The daemon re-admits a resumed tenant's capture whatever spec the open
-  // verb carries, so after a resume the checkpointed spec is
-  // authoritative (it may track different attributes, intervals or noise
-  // than today's flags): the provider perturbs with its calibration and
-  // the truth histograms use its partitions.
-  if (options.resume) {
-    PPDM_ASSIGN_OR_RETURN(
-        std::optional<api::DatasetSessionSpec> checkpointed,
-        CheckpointedSpec(options.checkpoint_dir, net::TenantName(kTenant)));
-    if (checkpointed.has_value()) sim.session = std::move(*checkpointed);
-  }
-
-  // The daemon runs in-process on an ephemeral loopback port, and this
-  // command is its one client: tenant 0 over one connection. Checkpoint,
-  // spill and drain logic are the daemon's own.
-  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<net::Server> server,
-                        net::Server::Start(options));
-  PPDM_ASSIGN_OR_RETURN(net::Client client,
-                        net::Client::Connect(options.host, server->port()));
-  PPDM_ASSIGN_OR_RETURN(const net::OpenResult opened,
-                        client.Open(kTenant, sim.session));
-  if (opened.resumed) {
-    out << StrFormat("resumed '%s' from %s: %llu records already folded\n",
-                     net::TenantName(kTenant).c_str(),
-                     options.checkpoint_dir.c_str(),
-                     static_cast<unsigned long long>(opened.record_count));
-  } else if (options.resume) {
-    out << "no checkpoint to resume; starting a fresh session\n";
-  }
-  out << StrFormat(
-      "serving %zu attribute(s) (%s noise, privacy %.0f%%): %lld records "
-      "in batches of %lld, refresh every %lld batches\n",
-      sim.session.attributes.size(),
-      perturb::NoiseKindName(sim.session.attributes.front().noise).c_str(),
-      100.0 * sim.session.attributes.front().privacy_fraction, records,
-      batch_records,
-      refresh);
-  out << StrFormat("%10s %10s %8s %10s %12s\n", "batch", "records",
-                   "EM iter", "tv(truth)", "refresh ms");
-
-  // A resumed run offsets the generator seed by the records already
-  // folded, so it streams fresh records, not a replay. The true
-  // per-attribute distributions feed the report's error column; after a
-  // resume they cover only the new stream, which agrees in distribution
-  // with the folded one (same generator function).
-  ProviderStream provider(sim, static_cast<std::size_t>(records),
-                          sim.seed + opened.record_count);
-  std::vector<stats::Histogram> truth;
-  for (const api::AttributeSpec& attr : sim.session.attributes) {
-    const data::FieldSpec& field = sim.session.schema.Field(attr.column);
-    truth.emplace_back(field.lo, field.hi, attr.intervals);
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  std::uint64_t record_count = opened.record_count;
-  std::size_t batches = 0;
-  std::size_t checkpoints_sent = 0;
-  std::size_t checkpoints_failed = 0;
-  Status last_checkpoint_failure = Status::Ok();
-  while (!provider.Done()) {
-    const data::RowBatch batch = provider.Next(
-        static_cast<std::size_t>(batch_records), &truth);
-    PPDM_ASSIGN_OR_RETURN(record_count,
-                          client.Ingest(kTenant, batch.num_rows(),
-                                        batch.num_cols(), provider.values()));
-    ++batches;
-    if (checkpoint_every > 0 &&
-        batches % static_cast<std::size_t>(checkpoint_every) == 0) {
-      // A failed checkpoint is reported, not fatal: the stream keeps
-      // serving and the daemon's drain takes the final capture.
-      ++checkpoints_sent;
-      if (const Status s = client.Snapshot(kTenant).status(); !s.ok()) {
-        ++checkpoints_failed;
-        last_checkpoint_failure = s;
-      }
-    }
-    if (batches % static_cast<std::size_t>(refresh) != 0 &&
-        !provider.Done()) {
-      continue;
-    }
-    const auto refresh_started = std::chrono::steady_clock::now();
-    PPDM_ASSIGN_OR_RETURN(const std::vector<net::AttributeEstimate> estimates,
-                          client.Reconstruct(kTenant));
-    const double refresh_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - refresh_started)
-            .count();
-    if (estimates.size() != truth.size()) {
-      return Status::Internal(StrFormat(
-          "reconstruct returned %zu attribute(s), the stream tracks %zu",
-          estimates.size(), truth.size()));
-    }
-    std::uint64_t max_iterations = 0;
-    double tv_sum = 0.0;
-    for (std::size_t a = 0; a < estimates.size(); ++a) {
-      if (estimates[a].masses.size() != truth[a].bins()) {
-        return Status::Internal(StrFormat(
-            "reconstruct returned %zu interval(s) for attribute %zu, the "
-            "stream tracks %zu",
-            estimates[a].masses.size(), a, truth[a].bins()));
-      }
-      max_iterations = std::max(max_iterations, estimates[a].iterations);
-      tv_sum += stats::TotalVariation(estimates[a].masses,
-                                      truth[a].Masses());
-    }
-    out << StrFormat("%10zu %10llu %8llu %10.4f %12.2f\n", batches,
-                     static_cast<unsigned long long>(record_count),
-                     static_cast<unsigned long long>(max_iterations),
-                     tv_sum / static_cast<double>(estimates.size()),
-                     refresh_ms);
-  }
-  const double total_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
-  // The daemon's drain: in-flight requests finish, then every open
-  // tenant is checkpointed. A failed final capture ends the session in a
-  // permanent-error state: the report below still prints, and the failure
-  // is the command's status.
-  const Status stopped = server->Stop();
-
-  out << StrFormat(
-      "stream complete: %llu records, %zu batches, %.2f ms total "
-      "(threads=%zu, warm-started refreshes)\n",
-      static_cast<unsigned long long>(record_count), batches, total_ms,
-      options.num_threads);
-  const api::SessionRegistry::Stats registry_stats = server->registry_stats();
-  const std::string budget =
-      options.registry_max_bytes == 0
-          ? "unbounded"
-          : StrFormat("%zu MiB", options.registry_max_bytes >> 20);
-  out << StrFormat(
-      "registry: %zu session(s), %.1f KiB resident (budget %s), "
-      "%llu eviction(s), %zu spilled session(s), %.1f KiB on disk\n",
-      registry_stats.open_sessions,
-      static_cast<double>(registry_stats.approx_bytes) / 1024.0,
-      budget.c_str(),
-      static_cast<unsigned long long>(registry_stats.evictions),
-      registry_stats.spilled_sessions,
-      static_cast<double>(registry_stats.spilled_bytes) / 1024.0);
-  // Cumulative traffic counters — monotone over the registry's lifetime,
-  // unlike the occupancy numbers above.
-  out << StrFormat(
-      "registry traffic: %llu lookup(s) (%llu hit(s), %llu miss(es)), "
-      "%llu ttl eviction(s), %llu spill(s), %llu readmission(s)\n",
-      static_cast<unsigned long long>(registry_stats.lookups),
-      static_cast<unsigned long long>(registry_stats.hits),
-      static_cast<unsigned long long>(registry_stats.misses),
-      static_cast<unsigned long long>(registry_stats.ttl_evictions),
-      static_cast<unsigned long long>(registry_stats.spills),
-      static_cast<unsigned long long>(registry_stats.readmissions));
-  auto& metrics = obs::MetricsRegistry::Global();
-  out << StrFormat(
-      "latency: ingest %s, refresh %s\n",
-      LatencyCell(metrics.FindHistogram("ppdm_session_ingest_seconds"))
-          .c_str(),
-      LatencyCell(metrics.FindHistogram("ppdm_session_reconstruct_seconds"))
-          .c_str());
-  if (!options.checkpoint_dir.empty()) {
-    out << StrFormat(
-        "store: %s — %zu checkpoint write(s), %llu spill(s), "
-        "%llu readmission(s), %llu spill failure(s)\n",
-        options.checkpoint_dir.c_str(),
-        checkpoints_sent - checkpoints_failed + server->drained_checkpoints(),
-        static_cast<unsigned long long>(registry_stats.spills),
-        static_cast<unsigned long long>(registry_stats.readmissions),
-        static_cast<unsigned long long>(registry_stats.spill_failures));
-  }
-  // Resilience tallies: job dispositions, store retries, injected faults,
-  // and sessions retained in a degraded (unspillable) state.
-  out << StrFormat(
-      "resilience: %llu job(s) (%llu shed, %llu expired, %llu cancelled), "
-      "%llu retry(ies), %llu giveup(s), %llu fault(s) injected, "
-      "%zu degraded session(s)\n",
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_service_jobs_total")->Value()),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_service_shed_jobs_total")->Value()),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_service_expired_jobs_total")->Value()),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_service_cancelled_jobs_total")->Value()),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_retry_attempts_total")->Value()),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("ppdm_retry_giveups_total")->Value()),
-      static_cast<unsigned long long>(fault::TotalInjected()),
-      registry_stats.degraded_sessions);
-  if (checkpoints_sent > 0) {
-    out << StrFormat("checkpoint verbs: %zu sent, %zu failed\n",
-                     checkpoints_sent, checkpoints_failed);
-    if (checkpoints_failed > 0) {
-      out << StrFormat("  last failure: %s\n",
-                       last_checkpoint_failure.ToString().c_str());
-    }
-  }
-  if (!stopped.ok()) {
-    out << StrFormat("final checkpoint FAILED: %s\n",
-                     stopped.ToString().c_str());
-  }
-  const std::string metrics_out = args.GetString("metrics-out", "");
-  if (!metrics_out.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteTextFile(metrics_out, metrics.RenderText()));
-    out << StrFormat("metrics exposition written to %s\n",
-                     metrics_out.c_str());
-  }
-  const std::string trace_out = args.GetString("trace-out", "");
-  if (!trace_out.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteTraceFile(trace_out));
-    out << StrFormat("chrome trace written to %s\n", trace_out.c_str());
-  }
-  return stopped;
-}
-
 Status RunSnapshot(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"dir", "simd"}); !s.ok()) return s;
   const std::string dir = args.GetString("dir", "");
@@ -1076,26 +799,49 @@ Status RunServed(const Args& args, std::ostream& out) {
     out << StrFormat("final checkpoint FAILED: %s\n",
                      stopped.ToString().c_str());
   }
+  // Written after the drain so the final requests' spans are in it.
   if (!served_trace_out.empty()) {
-    PPDM_RETURN_IF_ERROR(WriteTraceFile(served_trace_out));
+    PPDM_RETURN_IF_ERROR(WriteTextFile(
+        served_trace_out,
+        obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot())));
     out << StrFormat("chrome trace written to %s\n",
                      served_trace_out.c_str());
   }
   return stopped;
 }
 
+// Flags that configure the in-process daemon. A daemon reached with
+// --port was configured on its own command line, so they are an error
+// there.
+constexpr const char* kDaemonFlags[] = {"registry-mb", "checkpoint-dir",
+                                        "resume",      "max-pending",
+                                        "faults",      "slow-ms"};
+
 Status RunLoadgen(const Args& args, std::ostream& out) {
-  if (Status s = args.CheckKnown(WithStreamFlags(
-          {"host", "port", "tenants", "records", "batch-records", "refresh",
-           "connections", "snapshot-every", "ttl-ms", "masses-out",
-           "stats-out", "trace-out", "tolerate-errors", "close"}));
-      !s.ok()) {
-    return s;
-  }
+  std::vector<std::string> known = {
+      "host", "port", "tenants", "records", "batch-records", "refresh",
+      "connections", "snapshot-every", "ttl-ms", "masses-out", "stats-out",
+      "trace-out", "tolerate-errors", "close",
+      // the stream flags
+      "attribute", "attrs", "function", "noise", "privacy", "confidence",
+      "intervals", "seed", "threads", "shard-size", "simd"};
+  known.insert(known.end(), std::begin(kDaemonFlags), std::end(kDaemonFlags));
+  PPDM_RETURN_IF_ERROR(args.CheckKnown(known));
+  const bool in_process = !args.Has("port");
   const std::string host = args.GetString("host", "127.0.0.1");
-  PPDM_ASSIGN_OR_RETURN(const long long port, args.GetInt("port", 0));
-  if (port <= 0 || port > 65535) {
-    return Status::InvalidArgument("loadgen needs --port=1..65535");
+  PPDM_ASSIGN_OR_RETURN(long long port, args.GetInt("port", 0));
+  if (!in_process) {
+    if (port <= 0 || port > 65535) {
+      return Status::InvalidArgument("loadgen --port must be 1..65535");
+    }
+    for (const char* flag : kDaemonFlags) {
+      if (args.Has(flag)) {
+        return Status::InvalidArgument(StrFormat(
+            "--%s configures the in-process daemon; a daemon reached with "
+            "--port takes it on its own command line",
+            flag));
+      }
+    }
   }
   PPDM_ASSIGN_OR_RETURN(const long long tenants, args.GetInt("tenants", 4));
   PPDM_ASSIGN_OR_RETURN(const long long records,
@@ -1119,112 +865,183 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   }
   const bool tolerate = args.Has("tolerate-errors");
   const std::uint32_t ttl = static_cast<std::uint32_t>(ttl_ms);
-  // A daemon that dies mid-run must surface as an EPIPE Status on the
-  // worker, not a SIGPIPE that kills the load driver.
-  std::signal(SIGPIPE, SIG_IGN);
   PPDM_ASSIGN_OR_RETURN(const StreamSimSpec sim,
                         StreamSimSpecFromFlags(args));
 
-  auto& metrics = obs::MetricsRegistry::Global();
-  obs::Histogram* ingest_hist =
-      metrics.GetHistogram("ppdm_loadgen_ingest_seconds",
-                           obs::Histogram::LatencyBucketsSeconds());
-  obs::Histogram* reconstruct_hist =
-      metrics.GetHistogram("ppdm_loadgen_reconstruct_seconds",
-                           obs::Histogram::LatencyBucketsSeconds());
+  // Without --port the daemon runs in-process on an ephemeral loopback
+  // port; its checkpoint, spill and drain logic are its own.
+  net::ServerOptions options;
+  std::unique_ptr<net::Server> server;
+  if (in_process) {
+    PPDM_ASSIGN_OR_RETURN(options, ServerOptionsFromFlags(args));
+    if (snapshot_every > 0 && options.checkpoint_dir.empty()) {
+      return Status::InvalidArgument("--snapshot-every needs --checkpoint-dir");
+    }
+    options.host = host;
+    PPDM_ASSIGN_OR_RETURN(server, net::Server::Start(options));
+    port = server->port();
+  }
+  // A daemon that dies mid-run must surface as an EPIPE Status, not a
+  // SIGPIPE that kills the load driver.
+  std::signal(SIGPIPE, SIG_IGN);
   std::atomic<std::uint64_t> ok_requests{0};
   std::atomic<std::uint64_t> error_requests{0};
-  std::atomic<std::uint64_t> snapshot_errors{0};
+  // A failed request under --tolerate-errors is counted and skipped;
+  // without it the first failure aborts the run.
+  auto note = [&](const Status& s) -> Status {
+    (s.ok() ? ok_requests : error_requests)
+        .fetch_add(1, std::memory_order_relaxed);
+    return s.ok() || tolerate ? Status::Ok() : s;
+  };
+
+  // Tenants open on one control connection, which later carries the
+  // post-run scrapes. Tenant t's stream is seeded from --seed, t and the
+  // records the daemon already folded for it, so two runs with the same
+  // flags send byte-identical traffic (the drain/resume CI check relies
+  // on this) and a resumed tenant streams fresh records instead of
+  // replaying its first ones.
+  PPDM_ASSIGN_OR_RETURN(net::Client control,
+                        net::Client::Connect(host, static_cast<int>(port)));
+  struct TenantStream {
+    std::uint64_t id;
+    ProviderStream provider;
+    std::uint64_t records;
+    std::uint64_t rounds = 0;
+  };
+  std::vector<TenantStream> streams;
+  for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(tenants); ++t) {
+    const std::string name = net::TenantName(t);
+    StreamSimSpec spec = sim;
+    // The daemon re-admits a resumed tenant's capture whatever spec the
+    // open verb carries, so the checkpointed spec is authoritative: the
+    // provider perturbs with its calibration and scores against its
+    // partitions.
+    if (options.resume) {
+      PPDM_ASSIGN_OR_RETURN(
+          std::optional<api::DatasetSessionSpec> checkpointed,
+          CheckpointedSpec(options.checkpoint_dir, name));
+      if (checkpointed.has_value()) spec.session = std::move(*checkpointed);
+    }
+    const Result<net::OpenResult> opened = control.Open(t, spec.session, ttl);
+    PPDM_RETURN_IF_ERROR(note(opened.status()));
+    const std::uint64_t folded = opened.ok() ? opened.value().record_count : 0;
+    if (opened.ok() && opened.value().resumed) {
+      out << StrFormat("resumed '%s': %llu records already folded, ",
+                       name.c_str(), static_cast<unsigned long long>(folded));
+    } else {
+      out << StrFormat("opened '%s', ", name.c_str());
+    }
+    const api::AttributeSpec& first = spec.session.attributes.front();
+    out << StrFormat("serving %zu attribute(s) (%s noise, privacy %.0f%%)\n",
+                     spec.session.attributes.size(),
+                     perturb::NoiseKindName(first.noise).c_str(),
+                     100.0 * first.privacy_fraction);
+    streams.push_back(TenantStream{
+        t,
+        ProviderStream(spec, static_cast<std::size_t>(records),
+                       sim.seed + t * 1000003ULL + folded),
+        folded});
+  }
+  out << StrFormat("%6s %10s %10s %8s %10s %12s\n", "tenant", "batch",
+                   "records", "EM iter", "tv(truth)", "refresh ms");
+
+  obs::Histogram ingest_hist(obs::Histogram::LatencyBucketsSeconds());
+  obs::Histogram reconstruct_hist(obs::Histogram::LatencyBucketsSeconds());
+  std::atomic<std::uint64_t> snapshots_sent{0};
+  std::atomic<std::uint64_t> snapshots_failed{0};
+  std::mutex out_mu;  // workers share `out`
 
   // One worker thread per connection; tenants round-robin across workers,
   // and each worker interleaves its tenants batch by batch, so the daemon
-  // sees sustained concurrent multi-tenant traffic. All streams are
-  // seeded per tenant — two loadgen runs with the same flags send
-  // byte-identical ingest traffic (the drain/resume CI check relies on
-  // this).
-  auto worker = [&](const std::vector<std::uint64_t>& mine) -> Status {
+  // sees sustained concurrent multi-tenant traffic.
+  const std::size_t workers =
+      static_cast<std::size_t>(std::min(tenants, connections));
+  auto worker = [&](std::size_t w) -> Status {
     PPDM_ASSIGN_OR_RETURN(net::Client client,
                           net::Client::Connect(host, static_cast<int>(port)));
-    // A failed request under --tolerate-errors is counted and skipped;
-    // without it the first failure aborts the worker.
-    auto note = [&](const Status& s) -> Status {
-      if (s.ok()) {
-        ok_requests.fetch_add(1, std::memory_order_relaxed);
-        return Status::Ok();
-      }
-      error_requests.fetch_add(1, std::memory_order_relaxed);
-      return tolerate ? Status::Ok() : s;
-    };
-    struct TenantStream {
-      std::uint64_t id;
-      ProviderStream provider;
-      std::uint64_t rounds = 0;
-    };
-    std::vector<TenantStream> streams;
-    for (const std::uint64_t t : mine) {
-      PPDM_RETURN_IF_ERROR(note(client.Open(t, sim.session, ttl).status()));
-      streams.push_back(TenantStream{
-          t, ProviderStream(sim, static_cast<std::size_t>(records),
-                            sim.seed + t * 1000003ULL)});
-    }
-    bool progress = true;
-    while (progress) {
+    for (bool progress = true; progress;) {
       progress = false;
-      for (TenantStream& ts : streams) {
+      for (std::size_t t = w; t < streams.size(); t += workers) {
+        TenantStream& ts = streams[t];
         if (ts.provider.Done()) continue;
         progress = true;
-        const data::RowBatch batch = ts.provider.Next(
-            static_cast<std::size_t>(batch_records), /*truth=*/nullptr);
-        Status ingested;
-        {
-          obs::ScopedTimer timer(ingest_hist);
-          ingested = client.Ingest(ts.id, batch.num_rows(), batch.num_cols(),
-                                   ts.provider.values(), ttl)
-                         .status();
-        }
-        PPDM_RETURN_IF_ERROR(note(ingested));
+        const data::RowBatch batch =
+            ts.provider.Next(static_cast<std::size_t>(batch_records));
+        const Result<std::uint64_t> ingested = [&] {
+          obs::ScopedTimer timer(&ingest_hist);
+          return client.Ingest(ts.id, batch.num_rows(), batch.num_cols(),
+                               ts.provider.values(), ttl);
+        }();
+        PPDM_RETURN_IF_ERROR(note(ingested.status()));
+        if (ingested.ok()) ts.records = ingested.value();
         ++ts.rounds;
-        if (refresh > 0 &&
-            ts.rounds % static_cast<std::uint64_t>(refresh) == 0) {
-          Status reconstructed;
-          {
-            obs::ScopedTimer timer(reconstruct_hist);
-            reconstructed = client.Reconstruct(ts.id, ttl).status();
-          }
-          PPDM_RETURN_IF_ERROR(note(reconstructed));
-        }
         if (snapshot_every > 0 &&
             ts.rounds % static_cast<std::uint64_t>(snapshot_every) == 0) {
           // Snapshot failures never abort the run: under chaos the store
-          // is the component being shot at, and the daemon keeps serving.
-          if (const Status s = client.Snapshot(ts.id, ttl).status(); s.ok()) {
+          // is the component being shot at, and the daemon keeps serving
+          // (its drain takes the final capture).
+          snapshots_sent.fetch_add(1, std::memory_order_relaxed);
+          if (client.Snapshot(ts.id, ttl).ok()) {
             ok_requests.fetch_add(1, std::memory_order_relaxed);
           } else {
-            snapshot_errors.fetch_add(1, std::memory_order_relaxed);
+            snapshots_failed.fetch_add(1, std::memory_order_relaxed);
           }
         }
-      }
-    }
-    if (args.Has("close")) {
-      for (const TenantStream& ts : streams) {
-        PPDM_RETURN_IF_ERROR(note(client.CloseTenant(ts.id, ttl)));
+        // A reconstruct every R rounds and after the tenant's last batch.
+        if (refresh == 0 ||
+            (ts.rounds % static_cast<std::uint64_t>(refresh) != 0 &&
+             !ts.provider.Done())) {
+          continue;
+        }
+        const auto refresh_started = std::chrono::steady_clock::now();
+        const Result<std::vector<net::AttributeEstimate>> reconstructed =
+            client.Reconstruct(ts.id, ttl);
+        const double refresh_s =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          refresh_started)
+                .count();
+        reconstruct_hist.Observe(refresh_s);
+        PPDM_RETURN_IF_ERROR(note(reconstructed.status()));
+        if (!reconstructed.ok()) continue;
+        const std::vector<net::AttributeEstimate>& estimates =
+            reconstructed.value();
+        const std::vector<stats::Histogram>& truth = ts.provider.truth();
+        if (estimates.size() != truth.size()) {
+          return Status::Internal(StrFormat(
+              "reconstruct returned %zu attribute(s), the stream tracks %zu",
+              estimates.size(), truth.size()));
+        }
+        std::uint64_t max_iterations = 0;
+        double tv_sum = 0.0;
+        for (std::size_t a = 0; a < estimates.size(); ++a) {
+          if (estimates[a].masses.size() != truth[a].bins()) {
+            return Status::Internal(StrFormat(
+                "reconstruct returned %zu interval(s) for attribute %zu, "
+                "the stream tracks %zu",
+                estimates[a].masses.size(), a, truth[a].bins()));
+          }
+          max_iterations = std::max(max_iterations, estimates[a].iterations);
+          tv_sum +=
+              stats::TotalVariation(estimates[a].masses, truth[a].Masses());
+        }
+        const std::lock_guard<std::mutex> lock(out_mu);
+        out << StrFormat("%6s %10llu %10llu %8llu %10.4f %12.2f\n",
+                         net::TenantName(ts.id).c_str(),
+                         static_cast<unsigned long long>(ts.rounds),
+                         static_cast<unsigned long long>(ts.records),
+                         static_cast<unsigned long long>(max_iterations),
+                         tv_sum / static_cast<double>(estimates.size()),
+                         1e3 * refresh_s);
       }
     }
     return Status::Ok();
   };
 
-  std::vector<std::vector<std::uint64_t>> shares(
-      static_cast<std::size_t>(connections));
-  for (long long t = 0; t < tenants; ++t) {
-    shares[static_cast<std::size_t>(t % connections)].push_back(
-        static_cast<std::uint64_t>(t));
-  }
   const auto started = std::chrono::steady_clock::now();
-  std::vector<Status> results(shares.size());
+  std::vector<Status> results(workers);
   std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < shares.size(); ++w) {
-    threads.emplace_back(
-        [&, w] { results[w] = worker(shares[w]); });
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] { results[w] = worker(w); });
   }
   for (std::thread& thread : threads) thread.join();
   const double elapsed =
@@ -1235,38 +1052,49 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
     PPDM_RETURN_IF_ERROR(result);
   }
 
-  const std::uint64_t ok = ok_requests.load(std::memory_order_relaxed);
-  const std::uint64_t errors = error_requests.load(std::memory_order_relaxed);
+  std::uint64_t total_records = 0;
+  std::uint64_t total_batches = 0;
+  for (const TenantStream& ts : streams) {
+    total_records += ts.records;
+    total_batches += ts.rounds;
+    if (args.Has("close")) {
+      PPDM_RETURN_IF_ERROR(note(control.CloseTenant(ts.id, ttl)));
+    }
+  }
+  const std::uint64_t ok = ok_requests.load();
   out << StrFormat(
-      "loadgen: %lld tenant(s) over %zu connection(s), %llu request(s) ok, "
-      "%llu error(s), %llu snapshot error(s) in %.2f s -> %.0f req/s\n",
-      tenants, shares.size(), static_cast<unsigned long long>(ok),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(
-          snapshot_errors.load(std::memory_order_relaxed)),
-      elapsed, elapsed > 0 ? static_cast<double>(ok) / elapsed : 0.0);
-  out << StrFormat(
-      "latency: ingest %s, reconstruct %s\n",
-      LatencyCell(metrics.FindHistogram("ppdm_loadgen_ingest_seconds"))
-          .c_str(),
-      LatencyCell(metrics.FindHistogram("ppdm_loadgen_reconstruct_seconds"))
-          .c_str());
+      "stream complete: %llu records, %llu batches; %llu request(s) ok, "
+      "%llu error(s) in %.2f s -> %.0f req/s\n",
+      static_cast<unsigned long long>(total_records),
+      static_cast<unsigned long long>(total_batches),
+      static_cast<unsigned long long>(ok),
+      static_cast<unsigned long long>(error_requests.load()), elapsed,
+      elapsed > 0 ? static_cast<double>(ok) / elapsed : 0.0);
+  out << StrFormat("latency: ingest %s, reconstruct %s\n",
+                   LatencyCell(ingest_hist).c_str(),
+                   LatencyCell(reconstruct_hist).c_str());
+  if (snapshots_sent.load() > 0) {
+    out << StrFormat("checkpoint verbs: %llu sent, %llu failed\n",
+                     static_cast<unsigned long long>(snapshots_sent.load()),
+                     static_cast<unsigned long long>(snapshots_failed.load()));
+  }
 
-  // --masses-out: one deterministic cold reconstruct per tenant, written
-  // with full precision — the byte-identity artifact the drain/resume CI
-  // check diffs across daemon generations.
+  // --masses-out: one reconstruct per tenant, written with full
+  // precision — the byte-identity artifact the drain/resume CI check
+  // diffs across daemon generations. --stats-out saves the stats verb's
+  // exposition and --trace-out the daemon's span ring as Chrome
+  // trace-event JSON.
   const std::string masses_out = args.GetString("masses-out", "");
   if (!masses_out.empty()) {
-    PPDM_ASSIGN_OR_RETURN(net::Client client,
-                          net::Client::Connect(host, static_cast<int>(port)));
     std::string text;
-    for (long long t = 0; t < tenants; ++t) {
+    for (const TenantStream& ts : streams) {
       PPDM_ASSIGN_OR_RETURN(
           const std::vector<net::AttributeEstimate> estimates,
-          client.Reconstruct(static_cast<std::uint64_t>(t), ttl));
+          control.Reconstruct(ts.id, ttl));
       for (std::size_t a = 0; a < estimates.size(); ++a) {
         for (std::size_t k = 0; k < estimates[a].masses.size(); ++k) {
-          text += StrFormat("t%lld a%zu %zu %.17g\n", t, a, k,
+          text += StrFormat("t%llu a%zu %zu %.17g\n",
+                            static_cast<unsigned long long>(ts.id), a, k,
                             estimates[a].masses[k]);
         }
       }
@@ -1276,22 +1104,78 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   }
   const std::string stats_out = args.GetString("stats-out", "");
   if (!stats_out.empty()) {
-    PPDM_ASSIGN_OR_RETURN(net::Client client,
-                          net::Client::Connect(host, static_cast<int>(port)));
-    PPDM_ASSIGN_OR_RETURN(const std::string exposition, client.Stats(ttl));
+    PPDM_ASSIGN_OR_RETURN(const std::string exposition, control.Stats(ttl));
     PPDM_RETURN_IF_ERROR(WriteTextFile(stats_out, exposition));
     out << StrFormat("daemon stats written to %s\n", stats_out.c_str());
   }
   const std::string trace_out = args.GetString("trace-out", "");
   if (!trace_out.empty()) {
-    PPDM_ASSIGN_OR_RETURN(net::Client client,
-                          net::Client::Connect(host, static_cast<int>(port)));
-    PPDM_ASSIGN_OR_RETURN(const std::string trace_json, client.Trace(ttl));
+    PPDM_ASSIGN_OR_RETURN(const std::string trace_json, control.Trace(ttl));
     PPDM_RETURN_IF_ERROR(WriteTextFile(trace_out, trace_json));
     out << StrFormat("daemon chrome trace written to %s\n",
                      trace_out.c_str());
   }
-  return Status::Ok();
+  if (!in_process) return Status::Ok();
+
+  // The in-process daemon's drain: in-flight requests finish, then every
+  // open tenant is checkpointed. A failed final capture ends the session
+  // in a permanent-error state: the report below still prints, and the
+  // failure is the command's status.
+  const Status stopped = server->Stop();
+  const api::SessionRegistry::Stats registry = server->registry_stats();
+  const std::string budget =
+      options.registry_max_bytes == 0
+          ? "unbounded"
+          : StrFormat("%zu MiB", options.registry_max_bytes >> 20);
+  auto count = [](std::uint64_t n) {
+    return static_cast<unsigned long long>(n);
+  };
+  out << StrFormat(
+      "registry: %zu session(s), %.1f KiB resident (budget %s), "
+      "%llu eviction(s), %zu spilled session(s), %.1f KiB on disk\n",
+      registry.open_sessions,
+      static_cast<double>(registry.approx_bytes) / 1024.0, budget.c_str(),
+      count(registry.evictions), registry.spilled_sessions,
+      static_cast<double>(registry.spilled_bytes) / 1024.0);
+  // Cumulative traffic counters — monotone over the registry's lifetime,
+  // unlike the occupancy numbers above.
+  out << StrFormat(
+      "registry traffic: %llu lookup(s) (%llu hit(s), %llu miss(es)), "
+      "%llu ttl eviction(s), %llu spill(s), %llu readmission(s)\n",
+      count(registry.lookups), count(registry.hits), count(registry.misses),
+      count(registry.ttl_evictions), count(registry.spills),
+      count(registry.readmissions));
+  if (!options.checkpoint_dir.empty()) {
+    out << StrFormat(
+        "store: %s — %llu checkpoint write(s), %llu spill(s), "
+        "%llu readmission(s), %llu spill failure(s)\n",
+        options.checkpoint_dir.c_str(),
+        count(snapshots_sent.load() - snapshots_failed.load() +
+              server->drained_checkpoints()),
+        count(registry.spills), count(registry.readmissions),
+        count(registry.spill_failures));
+  }
+  // Resilience tallies: job dispositions, store retries, injected faults,
+  // and sessions retained in a degraded (unspillable) state.
+  auto counter = [&](const char* name) {
+    return count(obs::MetricsRegistry::Global().GetCounter(name)->Value());
+  };
+  out << StrFormat(
+      "resilience: %llu job(s) (%llu shed, %llu expired, %llu cancelled), "
+      "%llu retry(ies), %llu giveup(s), %llu fault(s) injected, "
+      "%zu degraded session(s)\n",
+      counter("ppdm_service_jobs_total"),
+      counter("ppdm_service_shed_jobs_total"),
+      counter("ppdm_service_expired_jobs_total"),
+      counter("ppdm_service_cancelled_jobs_total"),
+      counter("ppdm_retry_attempts_total"),
+      counter("ppdm_retry_giveups_total"), count(fault::TotalInjected()),
+      registry.degraded_sessions);
+  if (!stopped.ok()) {
+    out << StrFormat("final checkpoint FAILED: %s\n",
+                     stopped.ToString().c_str());
+  }
+  return stopped;
 }
 
 Status RunCommand(const Args& args, std::ostream& out) {
@@ -1312,7 +1196,6 @@ Status RunCommand(const Args& args, std::ostream& out) {
   if (args.command() == "perturb") return RunPerturb(args, out);
   if (args.command() == "reconstruct") return RunReconstruct(args, out);
   if (args.command() == "train") return RunTrain(args, out);
-  if (args.command() == "serve-sim") return RunServeSim(args, out);
   if (args.command() == "snapshot") return RunSnapshot(args, out);
   if (args.command() == "restore") return RunRestore(args, out);
   if (args.command() == "served") return RunServed(args, out);

@@ -4,25 +4,18 @@
 //   perturb      provider-side randomization of a CSV
 //   reconstruct  recover one attribute's distribution from perturbed CSV
 //   train        train + evaluate a classifier from (perturbed) CSV
-//   serve-sim    simulate the streaming server: batches of perturbed
-//                records arrive over time, a DatasetSession folds
-//                them in, and periodic refreshes re-estimate by
-//                warm-started EM; --checkpoint-dir snapshots the session
-//                so a later --resume continues where a crash stopped
-//   snapshot     list the snapshots in a store directory, or simulate a
-//                perturbed stream and persist the resulting session
+//   snapshot     list the snapshots in a store directory
 //   restore      rebuild a session from a snapshot and report (optionally
 //                reconstruct) its state
-//   metrics      run a small in-process stream through every instrumented
-//                layer and dump the process metrics registry in
-//                Prometheus text exposition format (--spans appends the
-//                recent trace spans)
 //   served       the real network daemon: serve the frame protocol
 //                (open/ingest/reconstruct/snapshot/close/stats) to TCP
 //                clients until SIGTERM, then drain and checkpoint every
 //                tenant; --resume re-admits them on restart
-//   loadgen      drive a running daemon with N tenants of sustained
-//                ingest/reconstruct traffic and report QPS + p50/p99
+//   loadgen      the data providers: N tenants stream perturbed batches
+//                (ingest every batch, warm-started reconstruct every R,
+//                reported against the true distributions) to the daemon
+//                at --port, or without --port to a daemon it hosts
+//                in-process and drains at the end
 //
 // `ppdm <command> --help` prints this usage and exits 0.
 //
@@ -54,10 +47,8 @@ Status RunGenerate(const Args& args, std::ostream& out);
 Status RunPerturb(const Args& args, std::ostream& out);
 Status RunReconstruct(const Args& args, std::ostream& out);
 Status RunTrain(const Args& args, std::ostream& out);
-Status RunServeSim(const Args& args, std::ostream& out);
 Status RunSnapshot(const Args& args, std::ostream& out);
 Status RunRestore(const Args& args, std::ostream& out);
-Status RunMetrics(const Args& args, std::ostream& out);
 Status RunServed(const Args& args, std::ostream& out);
 Status RunLoadgen(const Args& args, std::ostream& out);
 

@@ -281,18 +281,6 @@ std::size_t MetricsRegistry::max_series_per_family() const {
   return max_series_per_family_;
 }
 
-const Histogram* MetricsRegistry::FindHistogram(
-    const std::string& name, const LabelSet& labels) const {
-  const std::string rendered = RenderLabelSet(labels);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Instrument& instrument : instruments_) {
-    if (instrument.name == name && instrument.labels == rendered) {
-      return instrument.histogram.get();
-    }
-  }
-  return nullptr;
-}
-
 std::string MetricsRegistry::RenderText() const {
   std::lock_guard<std::mutex> lock(mu_);
   // Group instruments into families (same name, different labels) and

@@ -270,12 +270,6 @@ class MetricsRegistry {
   void set_max_series_per_family(std::size_t max);
   std::size_t max_series_per_family() const;
 
-  /// The already-registered histogram, or null — the read-only side used
-  /// by reporters that render percentiles for instruments someone else
-  /// owns (bench_util's ThroughputReporter).
-  const Histogram* FindHistogram(const std::string& name,
-                                 const LabelSet& labels = {}) const;
-
   /// Prometheus text exposition: `# TYPE` per family, then one
   /// `name{labels} value` line per sample — counters and gauges one line
   /// each, histograms the cumulative `_bucket{le=...}` series plus

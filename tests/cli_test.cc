@@ -5,17 +5,22 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/dataset_session.h"
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "common/fault.h"
 #include "data/csv.h"
+#include "engine/shard_stats.h"
 #include "engine/simd.h"
+#include "store/session_codec.h"
+#include "store/snapshot_store.h"
 #include "synth/generator.h"
 
 namespace ppdm::cli {
@@ -108,8 +113,8 @@ TEST_F(CliFixture, HelpFlagSucceedsOnEverySubcommand) {
   // command would otherwise demand flags (generate needs --out) and even
   // alongside flags the command does not know.
   for (const char* command :
-       {"generate", "perturb", "reconstruct", "train", "serve-sim",
-        "snapshot", "restore", "served", "loadgen", "help"}) {
+       {"generate", "perturb", "reconstruct", "train", "snapshot",
+        "restore", "served", "loadgen", "help"}) {
     SCOPED_TRACE(command);
     std::string output;
     EXPECT_TRUE(Run({command, "--help"}, &output).ok());
@@ -141,9 +146,36 @@ TEST_F(CliFixture, ServedValidatesItsFlags) {
   EXPECT_FALSE(Run({"served", "--resume"}, &output).ok());
   EXPECT_FALSE(Run({"served", "--port=99999"}, &output).ok());
   EXPECT_FALSE(Run({"served", "--no-such-flag=1"}, &output).ok());
-  // loadgen refuses to run without a daemon port.
-  EXPECT_FALSE(Run({"loadgen"}, &output).ok());
   EXPECT_FALSE(Run({"loadgen", "--port=7001", "--tenants=0"}, &output).ok());
+  EXPECT_FALSE(Run({"loadgen", "--port=0"}, &output).ok());
+}
+
+// The daemon flags configure the daemon loadgen hosts without --port; a
+// daemon reached with --port was configured on its own command line, so
+// they are an error there, naming the flag, before any connection.
+TEST_F(CliFixture, LoadgenRejectsDaemonFlagsWithPort) {
+  for (const char* flag :
+       {"--registry-mb=4", "--checkpoint-dir=/nonexistent", "--resume",
+        "--max-pending=2", "--faults=store.put.io=once", "--slow-ms=5"}) {
+    SCOPED_TRACE(flag);
+    std::string output;
+    const Status status = Run({"loadgen", "--port=7001", flag}, &output);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    const std::string name = std::string(flag).substr(
+        0, std::string(flag).find('='));
+    EXPECT_NE(status.message().find(name + " configures the in-process"),
+              std::string::npos)
+        << status.ToString();
+  }
+  // Rejected before --faults could arm anything.
+  EXPECT_FALSE(fault::AnyArmed());
+  // Without --port the same flags configure the hosted daemon.
+  std::string output;
+  EXPECT_TRUE(Run({"loadgen", "--tenants=1", "--records=0",
+                   "--registry-mb=4", "--max-pending=2", "--slow-ms=5"},
+                  &output)
+                  .ok())
+      << output;
 }
 
 TEST_F(CliFixture, UnknownCommandFails) {
@@ -311,11 +343,15 @@ TEST_F(CliFixture, TrainRejectsUnknownMode) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(CliFixture, ServeSimStreamsAndReports) {
+// Without --port, loadgen hosts the daemon in-process on an ephemeral
+// loopback port, drains it at the end and reports its registry, store
+// and resilience counters.
+TEST_F(CliFixture, InProcessLoadgenStreamsAndReports) {
   std::string output;
-  ASSERT_TRUE(Run({"serve-sim", "--records=3000", "--batch-records=500",
-                   "--refresh=2", "--attribute=age", "--privacy=0.5",
-                   "--intervals=10", "--threads=2"},
+  ASSERT_TRUE(Run({"loadgen", "--tenants=1", "--connections=1",
+                   "--records=3000", "--batch-records=500", "--refresh=2",
+                   "--attribute=age", "--privacy=0.5", "--intervals=10",
+                   "--threads=2"},
                   &output)
                   .ok())
       << output;
@@ -324,11 +360,12 @@ TEST_F(CliFixture, ServeSimStreamsAndReports) {
             std::string::npos);
 }
 
-TEST_F(CliFixture, ServeSimMultiAttributeReportsRegistry) {
+TEST_F(CliFixture, InProcessLoadgenMultiAttributeReportsRegistry) {
   std::string output;
-  ASSERT_TRUE(Run({"serve-sim", "--records=2000", "--batch-records=500",
-                   "--refresh=2", "--attrs=3", "--privacy=0.5",
-                   "--intervals=8", "--registry-mb=4"},
+  ASSERT_TRUE(Run({"loadgen", "--tenants=1", "--connections=1",
+                   "--records=2000", "--batch-records=500", "--refresh=2",
+                   "--attrs=3", "--privacy=0.5", "--intervals=8",
+                   "--registry-mb=4"},
                   &output)
                   .ok())
       << output;
@@ -339,34 +376,35 @@ TEST_F(CliFixture, ServeSimMultiAttributeReportsRegistry) {
   EXPECT_NE(output.find("budget 4 MiB"), std::string::npos);
 }
 
-TEST_F(CliFixture, ServeSimRejectsInvalidSpec) {
+TEST_F(CliFixture, InProcessLoadgenRejectsInvalidSpec) {
   std::string output;
   // Invalid specs come back as kInvalidArgument — not a CHECK abort.
-  EXPECT_EQ(Run({"serve-sim", "--intervals=0"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--intervals=0"}, &output).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Run({"serve-sim", "--confidence=1.5"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--confidence=1.5"}, &output).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Run({"serve-sim", "--privacy=-1"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--privacy=-1"}, &output).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Run({"serve-sim", "--batch-records=0"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--batch-records=0"}, &output).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Run({"serve-sim", "--attrs=99"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--attrs=99"}, &output).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Run({"serve-sim", "--registry-mb=-1"}, &output).code(),
+  EXPECT_EQ(Run({"loadgen", "--registry-mb=-1"}, &output).code(),
             StatusCode::kInvalidArgument);
 }
 
-// serve-sim is a client of an in-process daemon, so its checkpoints are
-// the daemon's: tenant 0 is stored as t0, and a --resume re-admits it
-// through the open verb and keeps counting on top of the folded records.
-TEST_F(CliFixture, ServeSimCheckpointResumesAsTenantZero) {
+// The in-process daemon's checkpoints are its own: tenant 0 is stored as
+// t0, and a --resume re-admits it through the open verb and keeps
+// counting on top of the folded records.
+TEST_F(CliFixture, InProcessLoadgenCheckpointResumesAsTenantZero) {
   const std::string dir = Path("resume_ckpt");
   std::filesystem::remove_all(dir);
   const std::string dir_flag = "--checkpoint-dir=" + dir;
   std::string output;
-  ASSERT_TRUE(Run({"serve-sim", "--records=3000", "--batch-records=500",
-                   "--refresh=4", "--attrs=2", "--threads=2",
-                   dir_flag.c_str(), "--checkpoint-every-batches=3"},
+  ASSERT_TRUE(Run({"loadgen", "--tenants=1", "--connections=1",
+                   "--records=3000", "--batch-records=500", "--refresh=4",
+                   "--attrs=2", "--threads=2", dir_flag.c_str(),
+                   "--snapshot-every=3"},
                   &output)
                   .ok())
       << output;
@@ -374,9 +412,9 @@ TEST_F(CliFixture, ServeSimCheckpointResumesAsTenantZero) {
             std::string::npos)
       << output;
   EXPECT_TRUE(std::filesystem::exists(dir + "/t0.snap"));
-  ASSERT_TRUE(Run({"serve-sim", "--resume", "--records=1500",
-                   "--batch-records=500", "--refresh=4", "--attrs=2",
-                   "--threads=2", dir_flag.c_str()},
+  ASSERT_TRUE(Run({"loadgen", "--tenants=1", "--connections=1", "--resume",
+                   "--records=1500", "--batch-records=500", "--refresh=4",
+                   "--attrs=2", "--threads=2", dir_flag.c_str()},
                   &output)
                   .ok())
       << output;
@@ -388,12 +426,81 @@ TEST_F(CliFixture, ServeSimCheckpointResumesAsTenantZero) {
   std::filesystem::remove_all(dir);
 }
 
+// The binned counts of every attribute of capture `name` in `dir`.
+std::vector<std::vector<double>> CaptureCounts(const std::string& dir,
+                                               const std::string& name) {
+  const Result<store::SnapshotStore> store = store::SnapshotStore::Open(dir);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return {};
+  const Result<std::string> bytes = store.value().Get(name);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!bytes.ok()) return {};
+  Result<std::unique_ptr<api::DatasetSession>> session =
+      store::DecodeDatasetSession(bytes.value());
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return {};
+  std::vector<std::vector<double>> counts;
+  for (const engine::ShardStats& stats :
+       session.value()->ExportState().stats) {
+    counts.push_back(stats.BinWeights());
+  }
+  return counts;
+}
+
+// A resumed tenant's stream is seeded past the records the daemon had
+// already folded for it, so it streams fresh records. Replaying its first
+// batches instead would leave every binned count exactly doubled.
+TEST_F(CliFixture, InProcessLoadgenResumeStreamsFreshRecords) {
+  const std::string dir = Path("replay_ckpt");
+  std::filesystem::remove_all(dir);
+  const std::string dir_flag = "--checkpoint-dir=" + dir;
+  const std::vector<const char*> stream = {
+      "loadgen",      "--tenants=2", "--connections=1", "--records=2000",
+      "--batch-records=500", "--refresh=2", "--attrs=2", dir_flag.c_str()};
+  std::string output;
+  ASSERT_TRUE(Run(stream, &output).ok()) << output;
+  const std::vector<std::vector<double>> first[2] = {
+      CaptureCounts(dir, "t0"), CaptureCounts(dir, "t1")};
+
+  std::vector<const char*> resume = stream;
+  resume.push_back("--resume");
+  ASSERT_TRUE(Run(resume, &output).ok()) << output;
+  EXPECT_NE(output.find("resumed 't1': 2000 records already folded"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("stream complete: 8000 records, 8 batches"),
+            std::string::npos)
+      << output;
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE(t);
+    const std::vector<std::vector<double>> resumed =
+        CaptureCounts(dir, "t" + std::to_string(t));
+    ASSERT_EQ(resumed.size(), 2u);
+    ASSERT_EQ(first[t].size(), 2u);
+    for (std::size_t a = 0; a < resumed.size(); ++a) {
+      ASSERT_EQ(resumed[a].size(), first[t][a].size());
+      double before = 0.0;
+      double after = 0.0;
+      bool doubled = true;
+      for (std::size_t k = 0; k < resumed[a].size(); ++k) {
+        before += first[t][a][k];
+        after += resumed[a][k];
+        doubled = doubled && resumed[a][k] == 2.0 * first[t][a][k];
+      }
+      EXPECT_EQ(before, 2000.0);
+      EXPECT_EQ(after, 4000.0);
+      EXPECT_FALSE(doubled) << "attribute " << a << " replayed";
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // The daemon re-admits the capture whatever spec the open verb carries,
 // so a resume adopts the checkpointed spec: flags naming other attributes,
 // intervals or noise neither crash the report nor perturb with a
 // calibration the session's EM does not assume. The capture equals the
 // one a resume with the checkpointed run's own flags leaves.
-TEST_F(CliFixture, ServeSimResumeAdoptsTheCheckpointedSpec) {
+TEST_F(CliFixture, InProcessLoadgenResumeAdoptsTheCheckpointedSpec) {
   const char* stream[] = {"--attrs=4", "--intervals=12", "--noise=gaussian",
                           "--privacy=0.5"};
   std::string captures[2];
@@ -402,16 +509,18 @@ TEST_F(CliFixture, ServeSimResumeAdoptsTheCheckpointedSpec) {
                                  static_cast<char>('0' + i));
     std::filesystem::remove_all(dir);
     const std::string dir_flag = "--checkpoint-dir=" + dir;
-    std::vector<const char*> argv = {"serve-sim", dir_flag.c_str(),
-                                     "--records=2000", "--batch-records=500",
-                                     "--refresh=2"};
+    std::vector<const char*> argv = {
+        "loadgen",        "--tenants=1",         "--connections=1",
+        dir_flag.c_str(), "--records=2000",      "--batch-records=500",
+        "--refresh=2"};
     argv.insert(argv.end(), std::begin(stream), std::end(stream));
     std::string output;
     ASSERT_TRUE(Run(argv, &output).ok()) << output;
 
     // i = 0 resumes with default stream flags (one attribute, 30 uniform
     // intervals, 100% privacy); i = 1 repeats the first run's.
-    argv = {"serve-sim", dir_flag.c_str(), "--resume", "--records=1000",
+    argv = {"loadgen",        "--tenants=1", "--connections=1",
+            dir_flag.c_str(), "--resume",    "--records=1000",
             "--batch-records=500", "--refresh=2"};
     if (i == 1) argv.insert(argv.end(), std::begin(stream), std::end(stream));
     ASSERT_TRUE(Run(argv, &output).ok()) << output;
@@ -441,7 +550,7 @@ TEST_F(CliFixture, ServeSimResumeAdoptsTheCheckpointedSpec) {
   EXPECT_TRUE(captures[0] == captures[1]);
 }
 
-TEST_F(CliFixture, ServeSimResumeOfACorruptCaptureIsAStatus) {
+TEST_F(CliFixture, InProcessLoadgenResumeOfACorruptCaptureIsAStatus) {
   const std::string dir = Path("corrupt_ckpt");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -451,8 +560,8 @@ TEST_F(CliFixture, ServeSimResumeOfACorruptCaptureIsAStatus) {
   }
   std::string output;
   const Status status =
-      Run({"serve-sim", ("--checkpoint-dir=" + dir).c_str(), "--resume",
-           "--records=1000"},
+      Run({"loadgen", "--tenants=1", ("--checkpoint-dir=" + dir).c_str(),
+           "--resume", "--records=1000"},
           &output);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("cannot be re-admitted"),
@@ -461,15 +570,15 @@ TEST_F(CliFixture, ServeSimResumeOfACorruptCaptureIsAStatus) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(CliFixture, ServeSimFailedFinalCheckpointIsTheCommandStatus) {
+TEST_F(CliFixture, InProcessLoadgenFailedFinalCheckpointIsTheCommandStatus) {
   const std::string dir = Path("permanent_ckpt");
   std::filesystem::remove_all(dir);
   const std::string dir_flag = "--checkpoint-dir=" + dir;
   std::string output;
   const Status status =
-      Run({"serve-sim", "--records=2000", "--batch-records=500",
-           "--attrs=2", "--threads=2", dir_flag.c_str(),
-           "--checkpoint-every-batches=2",
+      Run({"loadgen", "--tenants=1", "--connections=1", "--records=2000",
+           "--batch-records=500", "--attrs=2", "--threads=2",
+           dir_flag.c_str(), "--snapshot-every=2",
            "--faults=store.put.io=prob:1,permanent"},
           &output);
   fault::DisarmAll();
@@ -485,7 +594,7 @@ TEST_F(CliFixture, ServeSimFailedFinalCheckpointIsTheCommandStatus) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(CliFixture, ServeSimCaptureIsThreadCountInvariant) {
+TEST_F(CliFixture, InProcessLoadgenCaptureIsThreadCountInvariant) {
   std::string captures[2];
   const char* threads[2] = {"--threads=0", "--threads=2"};
   for (int i = 0; i < 2; ++i) {
@@ -493,10 +602,10 @@ TEST_F(CliFixture, ServeSimCaptureIsThreadCountInvariant) {
     std::filesystem::remove_all(dir);
     const std::string dir_flag = "--checkpoint-dir=" + dir;
     std::string output;
-    ASSERT_TRUE(Run({"serve-sim", "--records=4000", "--batch-records=500",
-                     "--refresh=3", "--attrs=3", "--noise=gaussian",
-                     "--intervals=40", threads[i], dir_flag.c_str(),
-                     "--checkpoint-every-batches=2"},
+    ASSERT_TRUE(Run({"loadgen", "--tenants=1", "--connections=1",
+                     "--records=4000", "--batch-records=500", "--refresh=3",
+                     "--attrs=3", "--noise=gaussian", "--intervals=40",
+                     threads[i], dir_flag.c_str(), "--snapshot-every=2"},
                     &output)
                     .ok())
         << output;

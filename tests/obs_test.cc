@@ -143,8 +143,6 @@ TEST(MetricsRegistryTest, IdentityIsNamePlusLabels) {
   // First registration wins, even with different bounds.
   EXPECT_EQ(h, registry.GetHistogram("obs_test_ids_seconds", {5.0}));
   EXPECT_EQ(h->bounds().size(), 2u);
-  EXPECT_EQ(registry.FindHistogram("obs_test_ids_seconds"), h);
-  EXPECT_EQ(registry.FindHistogram("obs_test_absent_seconds"), nullptr);
 }
 
 TEST(MetricsRegistryTest, ResetAllZeroesButKeepsPointers) {
