@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "api/dataset_session.h"
-#include "api/service.h"
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
+#include "engine/thread_pool.h"
 #include "synth/generator.h"
 
 namespace {
@@ -72,11 +72,7 @@ int main() {
   const data::Schema schema = synth::BenchmarkSchema();
   const data::RowBatch all_rows(rows.data(), records, cols);
 
-  engine::BatchOptions options;
-  options.num_threads = 4;
-  options.shard_size = kShardSize;
-  auto service = api::Service::Create(options);
-  if (!service.ok()) return 1;
+  engine::ThreadPool pool(4);
 
   // ------------------------------------- single-pass vs. N-pass ingest
   // Record batches of kBatchRecords arrive row-major. The dataset session
@@ -93,8 +89,7 @@ int main() {
     const double dataset_seconds =
         reporter.Measure(label, records, baseline, [&] {
           auto session =
-              service.value()->OpenDatasetSession(SpecFor(schema,
-                                                          attrs));
+              api::DatasetSession::Open(SpecFor(schema, attrs), &pool);
           for (std::size_t offset = 0; offset < records;
                offset += kBatchRecords) {
             const std::size_t take =
@@ -112,7 +107,7 @@ int main() {
           const api::DatasetSessionSpec spec = SpecFor(schema, attrs);
           for (std::size_t a = 0; a < attrs; ++a) {
             auto session =
-                service.value()->OpenDatasetSession(OneAttribute(spec, a));
+                api::DatasetSession::Open(OneAttribute(spec, a), &pool);
             if (!session.ok()) std::abort();
             sessions.push_back(std::move(session.value()));
           }
@@ -136,8 +131,7 @@ int main() {
   // ReconstructAll() as the tracked attribute count grows.
   for (std::size_t attrs :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    auto session =
-        service.value()->OpenDatasetSession(SpecFor(schema, attrs));
+    auto session = api::DatasetSession::Open(SpecFor(schema, attrs), &pool);
     if (!session.ok() || !session.value()->Ingest(all_rows).ok()) return 1;
     if (!session.value()->ReconstructAll().ok()) return 1;  // prime warm
     std::snprintf(label, sizeof(label), "ReconstructAll warm A=%zu", attrs);
@@ -153,12 +147,9 @@ int main() {
   const api::DatasetSessionSpec spec = SpecFor(schema, check_attrs);
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    engine::BatchOptions check_options;
-    check_options.num_threads = threads;
-    check_options.shard_size = kShardSize;
-    auto check_service = api::Service::Create(check_options);
-    auto dataset_session =
-        check_service.value()->OpenDatasetSession(spec);
+    std::unique_ptr<engine::ThreadPool> check_pool =
+        threads == 0 ? nullptr : std::make_unique<engine::ThreadPool>(threads);
+    auto dataset_session = api::DatasetSession::Open(spec, check_pool.get());
     for (std::size_t offset = 0; offset < records;
          offset += kBatchRecords) {
       const std::size_t take = std::min(kBatchRecords, records - offset);
@@ -171,7 +162,7 @@ int main() {
     if (!estimates.ok()) return 1;
     for (std::size_t a = 0; a < check_attrs; ++a) {
       auto session =
-          check_service.value()->OpenDatasetSession(OneAttribute(spec, a));
+          api::DatasetSession::Open(OneAttribute(spec, a), check_pool.get());
       if (!session.ok() || !session.value()->Ingest(all_rows).ok()) return 1;
       const auto independent = session.value()->ReconstructAll();
       if (!independent.ok()) return 1;

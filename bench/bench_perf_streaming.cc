@@ -8,14 +8,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "api/dataset_session.h"
-#include "api/service.h"
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
-#include "engine/batch.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
 #include "synth/generator.h"
@@ -87,15 +87,12 @@ int main() {
   // Fold-on-arrival cost alone: batches of kBatchRecords through
   // DatasetSession::Ingest, no reconstruction.
   for (std::size_t threads : thread_counts) {
-    engine::BatchOptions options;
-    options.num_threads = threads;
-    auto service = api::Service::Create(options);
-    if (!service.ok()) return 1;
+    engine::ThreadPool pool(threads);
     std::snprintf(label, sizeof(label), "ingest b=%zu t=%zu", kBatchRecords,
                   threads);
     reporter.Measure(label, stream.size(), "ingest", [&] {
       auto session =
-          service.value()->OpenDatasetSession(SalarySpec(train.schema()));
+          api::DatasetSession::Open(SalarySpec(train.schema()), &pool);
       for (std::size_t offset = 0; offset < stream.size();
            offset += kBatchRecords) {
         const std::size_t take =
@@ -150,11 +147,10 @@ int main() {
       reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    engine::BatchOptions options;
-    options.num_threads = threads;
-    auto service = api::Service::Create(options);
+    std::unique_ptr<engine::ThreadPool> pool =
+        threads == 0 ? nullptr : std::make_unique<engine::ThreadPool>(threads);
     auto session =
-        service.value()->OpenDatasetSession(SalarySpec(train.schema()));
+        api::DatasetSession::Open(SalarySpec(train.schema()), pool.get());
     for (std::size_t offset = 0; offset < stream.size();
          offset += kBatchRecords) {
       const std::size_t take = std::min(kBatchRecords,

@@ -236,10 +236,10 @@ class ProviderStream {
 };
 
 // The daemon flags served and an in-process loadgen share: the worker
-// pool and shard decomposition (--threads, --shard-size), --max-pending,
-// --registry-mb, --checkpoint-dir, --resume and --slow-ms. --faults arms the
-// process-wide fault points for this run, on top of whatever PPDM_FAULTS
-// armed at startup (the chaos harness uses both).
+// pool (--threads), --max-pending, --registry-mb, --checkpoint-dir,
+// --resume and --slow-ms. --faults arms the process-wide fault points for
+// this run, on top of whatever PPDM_FAULTS armed at startup (the chaos
+// harness uses both).
 Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
   if (args.Has("faults")) {
     PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
@@ -256,7 +256,6 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
   }
   net::ServerOptions options;
   options.num_threads = batch.num_threads;
-  options.shard_size = batch.shard_size;
   options.max_pending = static_cast<std::size_t>(max_pending);
   options.registry_max_bytes = static_cast<std::size_t>(registry_mb) << 20;
   options.checkpoint_dir = args.GetString("checkpoint-dir", "");
@@ -318,12 +317,12 @@ const char* UsageText() {
       "  snapshot    --dir=DIR                      list stored snapshots\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
-      "  served      [--host=H] [--port=P] [--threads=T] [--shard-size=N]\n"
-      "              [--max-pending=N] [--max-connections=N]\n"
-      "              [--connection-window=N] [--max-body-mb=M]\n"
-      "              [--registry-mb=M] [--checkpoint-dir=DIR] [--resume]\n"
-      "              [--tenant-rate=R] [--tenant-burst=B] [--faults=SPEC]\n"
-      "              [--trace-out=FILE] [--slow-ms=N]\n"
+      "  served      [--host=H] [--port=P] [--threads=T] [--max-pending=N]\n"
+      "              [--max-connections=N] [--connection-window=N]\n"
+      "              [--max-body-mb=M] [--registry-mb=M]\n"
+      "              [--checkpoint-dir=DIR] [--resume] [--tenant-rate=R]\n"
+      "              [--tenant-burst=B] [--faults=SPEC] [--trace-out=FILE]\n"
+      "              [--slow-ms=N]\n"
       "  loadgen     [--port=P] [--host=H] [--tenants=N] [--records=N]\n"
       "              [--batch-records=B] [--refresh=R] [--connections=C]\n"
       "              [--attribute=NAME | --attrs=A] [--function=1..5]\n"
@@ -713,10 +712,10 @@ void ServedSignalHandler(int) {
 
 Status RunServed(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown(
-          {"host", "port", "threads", "shard-size", "max-pending",
-           "max-connections", "connection-window", "max-body-mb",
-           "registry-mb", "checkpoint-dir", "resume", "tenant-rate",
-           "tenant-burst", "faults", "simd", "trace-out", "slow-ms"});
+          {"host", "port", "threads", "max-pending", "max-connections",
+           "connection-window", "max-body-mb", "registry-mb",
+           "checkpoint-dir", "resume", "tenant-rate", "tenant-burst",
+           "faults", "simd", "trace-out", "slow-ms"});
       !s.ok()) {
     return s;
   }
@@ -1161,13 +1160,12 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
     return count(obs::MetricsRegistry::Global().GetCounter(name)->Value());
   };
   out << StrFormat(
-      "resilience: %llu job(s) (%llu shed, %llu expired, %llu cancelled), "
+      "resilience: %llu job(s) (%llu shed, %llu expired), "
       "%llu retry(ies), %llu giveup(s), %llu fault(s) injected, "
       "%zu degraded session(s)\n",
       counter("ppdm_service_jobs_total"),
       counter("ppdm_service_shed_jobs_total"),
       counter("ppdm_service_expired_jobs_total"),
-      counter("ppdm_service_cancelled_jobs_total"),
       counter("ppdm_retry_attempts_total"),
       counter("ppdm_retry_giveups_total"), count(fault::TotalInjected()),
       registry.degraded_sessions);

@@ -196,13 +196,8 @@ Status Server::Init() {
     spill_.emplace(std::move(store));
   }
 
-  engine::BatchOptions batch;
-  batch.num_threads = options_.num_threads;
-  batch.shard_size = options_.shard_size;
-  api::ServiceOptions service_options;
-  service_options.max_pending = options_.max_pending;
-  PPDM_ASSIGN_OR_RETURN(service_,
-                        api::Service::Create(batch, service_options));
+  PPDM_ASSIGN_OR_RETURN(service_, api::Service::Create(options_.num_threads,
+                                                       options_.max_pending));
 
   api::SessionRegistryOptions registry_options;
   registry_options.max_bytes = options_.registry_max_bytes;
@@ -507,10 +502,10 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
 
   conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
   global_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  api::SubmitOptions submit;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   if (header.ttl_ms > 0) {
-    submit = api::SubmitOptions::After(
-        std::chrono::microseconds(std::uint64_t{header.ttl_ms} * 1000));
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(header.ttl_ms);
   }
   const std::string tenant_name = TenantName(header.tenant);
   obs::MetricsRegistry::Global()
@@ -537,7 +532,7 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
   // The body leaves the input buffer here, in the one copy the job owns:
   // an ingest is decoded straight into the doubles its RowBatch views,
   // every other verb keeps its bytes.
-  std::function<Result<std::string>()> job;
+  api::Service::Job job;
   if (static_cast<Verb>(header.verb) == Verb::kIngest) {
     job = [this, tenant = header.tenant, ingest = DecodeIngestBody(body)] {
       return HandleIngest(tenant, ingest);
@@ -547,11 +542,11 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
       return HandleVerb(header, body);
     };
   }
-  auto handle = service_->Submit<std::string>(std::move(job), submit);
-  handle.OnComplete([this, conn, header, started, tenant_name, trace_id,
-                     request_span](const Result<std::string>& result) mutable {
-    // Shed / expired / cancelled / handler errors all arrive here as the
-    // result's Status and travel back inside the response envelope.
+  service_->Submit(std::move(job), deadline,
+                   [this, conn, header, started, tenant_name, trace_id,
+                    request_span](const Result<std::string>& result) mutable {
+    // Shed / expired / handler errors all arrive here as the result's
+    // Status and travel back inside the response envelope.
     obs::EndSpan(&request_span);
     if (obs::TimingEnabled()) {
       const double seconds =
@@ -691,30 +686,42 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
     PPDM_RETURN_IF_ERROR(snapshots_->Delete(name));
   }
 
-  bool resumed = false;
+  bool resumed = true;
   std::shared_ptr<api::DatasetSession> session;
   Result<std::shared_ptr<api::DatasetSession>> looked =
       registry_->TryLookup(name);
   if (looked.ok()) {
     // Already open this life, or re-admitted from a capture (the resume
-    // path). Open is idempotent either way.
+    // path). Open is idempotent either way, for the same spec.
     session = std::move(looked.value());
-    resumed = true;
   } else if (looked.status().code() == StatusCode::kNotFound) {
     Result<std::shared_ptr<api::DatasetSession>> opened =
         registry_->Open(name, spec);
     if (opened.ok()) {
       session = std::move(opened.value());
+      resumed = false;
     } else if (opened.status().code() == StatusCode::kFailedPrecondition) {
       // Lost an open race against a concurrent request for the same
       // tenant; serve the winner's session.
       PPDM_ASSIGN_OR_RETURN(session, registry_->TryLookup(name));
-      resumed = true;
     } else {
       return opened.status();
     }
   } else {
     return looked.status();  // corrupt or unreadable capture
+  }
+  if (resumed) {
+    // A reopen that asks for other attributes, intervals or noise must
+    // not be served the old ones.
+    store::Writer requested;
+    store::EncodeDatasetSessionSpec(spec, &requested);
+    store::Writer current;
+    store::EncodeDatasetSessionSpec(session->spec(), &current);
+    if (requested.bytes() != current.bytes()) {
+      return Status::FailedPrecondition(StrFormat(
+          "tenant %llu is open with a different spec (close it first)",
+          static_cast<unsigned long long>(tenant)));
+    }
   }
 
   store::Writer writer;

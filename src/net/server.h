@@ -8,17 +8,19 @@
 //     (bounded by max_connections), reads bytes into per-connection
 //     buffers, parses frames, and flushes per-connection write queues.
 //   * Request execution runs as api::Service jobs on the engine pool.
-//     Completion callbacks enqueue the response on the connection's
-//     outbox and wake the loop through a self-pipe. num_threads == 0
-//     degenerates to a synchronous service (jobs run inline on the event
-//     loop) — same byte-exact behaviour, no concurrency.
+//     Each job's completion callback enqueues the response on the
+//     connection's outbox and wakes the loop through a self-pipe.
+//     num_threads == 0 degenerates to a synchronous service (jobs run
+//     inline on the event loop) — same byte-exact behaviour, no
+//     concurrency.
 //
 // Admission, backpressure, degradation (mapping straight onto the PR 7
 // primitives):
 //   * Per-tenant token-bucket rate limiting: an empty bucket is a
 //     protocol-level kResourceExhausted response, no work queued.
-//   * ServiceOptions::max_pending sheds excess jobs — the shed Status
-//     travels back as the response envelope, the connection lives on.
+//   * max_pending sheds excess jobs at the service's admission gate —
+//     the shed Status travels back as the response envelope, the
+//     connection lives on.
 //   * A frame's ttl_ms becomes the job's deadline: expired requests
 //     answer kDeadlineExceeded without running.
 //   * Backpressure: the loop stops *reading* a connection (and stops
@@ -75,8 +77,6 @@ struct ServerOptions {
   /// Worker pool size (api::Service); 0 runs requests inline on the
   /// event loop.
   std::size_t num_threads = 0;
-  /// Engine shard size for session ingest/reconstruct decomposition.
-  std::size_t shard_size = 16384;
 
   /// Admitted-but-unstarted job bound (service shedding) and the
   /// server-wide read-pause high-water mark; 0 = unbounded.

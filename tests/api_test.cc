@@ -8,10 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "api/service.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
 #include "synth/generator.h"
@@ -740,15 +743,11 @@ TEST(SessionRegistryTest, OversizedSessionEvictsDeterministically) {
 // another closes / reopens / budget-evicts it from the registry. The
 // worker's shared_ptr must keep the evicted session fully functional.
 TEST(SessionRegistryTest, EvictionRacingIngestAndReconstructIsSafe) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
-  ASSERT_TRUE(service.ok());
-
+  engine::ThreadPool pool(2);
   SessionRegistryOptions registry_options;
   // A budget of one byte forces every Open beyond the newest to evict.
   registry_options.max_bytes = 1;
-  SessionRegistry registry(registry_options, service.value()->pool());
+  SessionRegistry registry(registry_options, &pool);
   const DatasetSessionSpec spec = BenchmarkDatasetSpec(2, /*intervals=*/8);
 
   ASSERT_TRUE(registry.Open("hot", spec).ok());
@@ -784,135 +783,121 @@ TEST(SessionRegistryTest, EvictionRacingIngestAndReconstructIsSafe) {
 
 // ---------------------------------------------------------------- service
 
+// Test-side stand-in for a Submit caller's completion handling: records
+// the Result `done` delivers and how many times it was called, so each
+// case can check the exactly-once contract.
+class DoneLatch {
+ public:
+  Service::Done Callback() {
+    return [this](const Result<std::string>& result) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++calls_;
+      result_.emplace(result);
+      cv_.notify_all();
+    };
+  }
+
+  /// True once `done` has been called. Never blocks.
+  bool fired() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_ > 0;
+  }
+
+  /// Blocks until `done` has been called and returns what it delivered.
+  Result<std::string> Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return calls_ > 0; });
+    return *result_;
+  }
+
+  int calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int calls_ = 0;
+  std::optional<Result<std::string>> result_;
+};
+
+Service::Job Returning(std::string value) {
+  return [value = std::move(value)] { return Result<std::string>(value); };
+}
+
 TEST(ServiceTest, CreateRejectsInvalidEngineOptions) {
-  engine::BatchOptions options;
-  options.num_threads = 1u << 20;
-  const auto service = Service::Create(options);
+  const auto service = Service::Create(1u << 20, /*max_pending=*/0);
   EXPECT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, SynchronousServiceCompletesInline) {
-  auto service = Service::Create(engine::BatchOptions{});  // 0 threads
+  auto service = Service::Create(0, 0);
   ASSERT_TRUE(service.ok());
   EXPECT_EQ(service.value()->pool(), nullptr);
-  JobHandle<int> handle = service.value()->Submit<int>(
-      [] { return Result<int>(41 + 1); });
-  EXPECT_TRUE(handle.Poll());
-  ASSERT_TRUE(handle.Wait().ok());
-  EXPECT_EQ(handle.Wait().value(), 42);
+  DoneLatch done;
+  service.value()->Submit(Returning("42"), std::nullopt, done.Callback());
+  EXPECT_TRUE(done.fired());  // before Submit returned
+  ASSERT_TRUE(done.Wait().ok());
+  EXPECT_EQ(done.Wait().value(), "42");
+  EXPECT_EQ(done.calls(), 1);
 }
 
 TEST(ServiceTest, ErrorsTravelThroughResult) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
+  auto service = Service::Create(2, 0);
   ASSERT_TRUE(service.ok());
-  JobHandle<int> handle = service.value()->Submit<int>([]() -> Result<int> {
-    return Status::FailedPrecondition("model not loaded");
-  });
-  const Result<int> result = handle.Wait();
+  DoneLatch done;
+  service.value()->Submit(
+      []() -> Result<std::string> {
+        return Status::FailedPrecondition("model not loaded");
+      },
+      std::nullopt, done.Callback());
+  const Result<std::string> result = done.Wait();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ServiceTest, OnCompleteFiresExactlyOnce) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
-  ASSERT_TRUE(service.ok());
-  std::atomic<int> fired{0};
-  JobHandle<int> handle =
-      service.value()->Submit<int>([] { return Result<int>(7); });
-  handle.OnComplete([&fired](const Result<int>& r) {
-    if (r.ok() && r.value() == 7) ++fired;
-  });
-  // Wait() returning does not order against the callback (the worker may
-  // still be inside it); synchronize on the callback's own effect.
-  handle.Wait();
-  while (fired.load() == 0) std::this_thread::yield();
-  EXPECT_EQ(fired.load(), 1);
-
-  // Registering after completion fires immediately.
-  std::atomic<int> late{0};
-  handle.OnComplete([&late](const Result<int>&) { ++late; });
-  EXPECT_EQ(late.load(), 1);
-}
-
-TEST(ServiceTest, MultipleOnCompleteRegistrationsAllFire) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
-  ASSERT_TRUE(service.ok());
-  std::atomic<bool> release{false};
-  JobHandle<int> handle =
-      service.value()->Submit<int>([&release]() -> Result<int> {
-        while (!release.load()) std::this_thread::yield();
-        return 5;
-      });
-  // Both registrations happen strictly before completion (the job is
-  // gated on `release`), so they must chain, not overwrite.
-  std::atomic<int> first{0};
-  std::atomic<int> second{0};
-  JobHandle<int> copy = handle;
-  handle.OnComplete([&first](const Result<int>& r) {
-    if (r.ok()) first += r.value();
-  });
-  copy.OnComplete([&second](const Result<int>& r) {
-    if (r.ok()) second += r.value();
-  });
-  release = true;
-  handle.Wait();
-  while (first.load() == 0 || second.load() == 0) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(first.load(), 5);
-  EXPECT_EQ(second.load(), 5);
 }
 
 // The acceptance property: N concurrent reconstruction jobs return results
 // identical to running the same jobs sequentially.
 TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
   const StreamFixture fx;
-  engine::BatchOptions options;
-  options.num_threads = 4;
-  options.shard_size = 512;
-  auto service = Service::Create(options);
+  constexpr std::size_t kShardSize = 512;
+  auto service = Service::Create(4, 0);
   ASSERT_TRUE(service.ok());
 
   const std::vector<std::size_t> columns{
       synth::kSalary, synth::kCommission, synth::kAge, synth::kHvalue,
       synth::kSalary, synth::kAge};
-
-  // Sequential reference.
-  std::vector<reconstruct::Reconstruction> sequential;
-  for (std::size_t col : columns) {
+  const auto fit = [&fx](std::size_t col) {
     const data::FieldSpec& field = fx.original->schema().Field(col);
     const reconstruct::Partition partition(field.lo, field.hi, 20);
     const reconstruct::BayesReconstructor reconstructor(
         fx.randomizer->ModelFor(col), {});
-    sequential.push_back(reconstructor.FitParallel(
-        fx.perturbed->Column(col), partition, nullptr, options.shard_size));
-  }
+    return reconstructor.FitParallel(fx.perturbed->Column(col), partition,
+                                     nullptr, kShardSize);
+  };
 
-  // Concurrent submission of the same jobs.
-  std::vector<JobHandle<reconstruct::Reconstruction>> handles;
-  for (std::size_t col : columns) {
-    handles.push_back(service.value()->Submit<reconstruct::Reconstruction>(
-        [&fx, col, &options]() -> Result<reconstruct::Reconstruction> {
-          const data::FieldSpec& field = fx.original->schema().Field(col);
-          const reconstruct::Partition partition(field.lo, field.hi, 20);
-          const reconstruct::BayesReconstructor reconstructor(
-              fx.randomizer->ModelFor(col), {});
-          return reconstructor.FitParallel(fx.perturbed->Column(col),
-                                           partition, nullptr,
-                                           options.shard_size);
-        }));
+  // Sequential reference.
+  std::vector<reconstruct::Reconstruction> sequential;
+  for (std::size_t col : columns) sequential.push_back(fit(col));
+
+  // Concurrent submission of the same jobs; each writes its own slot.
+  std::vector<reconstruct::Reconstruction> concurrent(columns.size());
+  std::vector<DoneLatch> done(columns.size());
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    service.value()->Submit(
+        [&fit, &concurrent, &columns, j]() -> Result<std::string> {
+          concurrent[j] = fit(columns[j]);
+          return std::string();
+        },
+        std::nullopt, done[j].Callback());
   }
-  for (std::size_t j = 0; j < handles.size(); ++j) {
-    const Result<reconstruct::Reconstruction> r = handles[j].Wait();
-    ASSERT_TRUE(r.ok()) << "job " << j;
-    EXPECT_TRUE(ReconstructionsIdentical(sequential[j], r.value()))
+  service.value()->Drain();
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    ASSERT_TRUE(done[j].Wait().ok()) << "job " << j;
+    EXPECT_EQ(done[j].calls(), 1) << "job " << j;
+    EXPECT_TRUE(ReconstructionsIdentical(sequential[j], concurrent[j]))
         << "job " << j;
   }
 }
@@ -921,49 +906,45 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
   // A miniature server loop: ingest jobs and a final reconstruct job all
   // flow through Submit; the estimate matches the batch fit bit for bit.
   const StreamFixture fx;
-  engine::BatchOptions options;
-  options.num_threads = 4;
-  options.shard_size = 512;
-  auto service = Service::Create(options);
+  auto service = Service::Create(4, 0);
   ASSERT_TRUE(service.ok());
 
-  auto opened = service.value()->OpenDatasetSession(fx.SalarySpec());
+  auto opened = DatasetSession::Open(fx.SalarySpec(), service.value()->pool());
   ASSERT_TRUE(opened.ok());
   DatasetSession* session = opened.value().get();
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
 
-  std::vector<JobHandle<bool>> ingests;
   constexpr std::size_t kBatch = 700;
+  std::vector<DoneLatch> ingests((column.size() + kBatch - 1) / kBatch);
   for (std::size_t offset = 0; offset < column.size(); offset += kBatch) {
     const std::size_t take = std::min(kBatch, column.size() - offset);
-    ingests.push_back(service.value()->Submit<bool>(
-        [session, &column, offset, take]() -> Result<bool> {
+    service.value()->Submit(
+        [session, &column, offset, take]() -> Result<std::string> {
           PPDM_RETURN_IF_ERROR(
               IngestColumn(session, column.data() + offset, take));
-          return true;
-        }));
+          return std::string();
+        },
+        std::nullopt, ingests[offset / kBatch].Callback());
   }
-  for (auto& h : ingests) ASSERT_TRUE(h.Wait().ok());
+  for (DoneLatch& ingest : ingests) ASSERT_TRUE(ingest.Wait().ok());
   EXPECT_EQ(session->record_count(), column.size());
 
-  JobHandle<reconstruct::Reconstruction> fit =
-      service.value()->Submit<reconstruct::Reconstruction>(
-          [session]() -> Result<reconstruct::Reconstruction> {
-            return ReconstructOne(session);
-          });
-  const auto streamed = fit.Wait();
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), streamed.value()));
+  reconstruct::Reconstruction streamed;
+  DoneLatch fit;
+  service.value()->Submit(
+      [session, &streamed]() -> Result<std::string> {
+        PPDM_ASSIGN_OR_RETURN(streamed, ReconstructOne(session));
+        return std::string();
+      },
+      std::nullopt, fit.Callback());
+  ASSERT_TRUE(fit.Wait().ok());
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), streamed));
 }
 
 // ------------------------------------------- service admission control
 
 TEST(ServiceTest, BoundedQueueShedsWithResourceExhausted) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  ServiceOptions limits;
-  limits.max_pending = 1;
-  auto service = Service::Create(options, limits);
+  auto service = Service::Create(2, /*max_pending=*/1);
   ASSERT_TRUE(service.ok());
 
   // Park both workers so admitted jobs stay pending, then fill the
@@ -972,139 +953,127 @@ TEST(ServiceTest, BoundedQueueShedsWithResourceExhausted) {
   // would (correctly) shed its sibling.
   std::atomic<bool> release{false};
   std::atomic<int> started{0};
-  std::vector<JobHandle<int>> blockers;
+  std::vector<DoneLatch> blockers(2);
   for (int i = 0; i < 2; ++i) {
-    blockers.push_back(
-        service.value()->Submit<int>([&release, &started]() -> Result<int> {
+    service.value()->Submit(
+        [&release, &started]() -> Result<std::string> {
           ++started;
           while (!release.load()) std::this_thread::yield();
-          return 1;
-        }));
+          return std::string("1");
+        },
+        std::nullopt, blockers[i].Callback());
     while (started.load() < i + 1) std::this_thread::yield();
   }
-  JobHandle<int> queued =
-      service.value()->Submit<int>([] { return Result<int>(2); });
-  EXPECT_EQ(service.value()->pending(), 1u);
+  DoneLatch queued;
+  service.value()->Submit(Returning("2"), std::nullopt, queued.Callback());
 
   // The queue is full: the next submission must shed, not block or grow.
-  JobHandle<int> shed =
-      service.value()->Submit<int>([] { return Result<int>(3); });
-  EXPECT_TRUE(shed.Poll());  // completed immediately, without running
+  bool ran = false;
+  DoneLatch shed;
+  service.value()->Submit(
+      [&ran]() -> Result<std::string> {
+        ran = true;
+        return std::string("3");
+      },
+      std::nullopt, shed.Callback());
+  EXPECT_TRUE(shed.fired());  // completed inline, without running
   EXPECT_EQ(shed.Wait().status().code(), StatusCode::kResourceExhausted);
 
   release = true;
-  for (auto& h : blockers) EXPECT_TRUE(h.Wait().ok());
+  service.value()->Drain();  // every `done` has returned
+  for (DoneLatch& blocker : blockers) {
+    EXPECT_TRUE(blocker.Wait().ok());
+    EXPECT_EQ(blocker.calls(), 1);
+  }
   ASSERT_TRUE(queued.Wait().ok());
-  EXPECT_EQ(queued.Wait().value(), 2);
-  EXPECT_EQ(service.value()->pending(), 0u);
+  EXPECT_EQ(queued.Wait().value(), "2");
+  EXPECT_EQ(queued.calls(), 1);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(shed.calls(), 1);
 }
 
 TEST(ServiceTest, ExpiredDeadlineCompletesWithoutRunning) {
-  auto service = Service::Create(engine::BatchOptions{});  // inline
-  ASSERT_TRUE(service.ok());
-  SubmitOptions opts;
-  opts.deadline =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  bool ran = false;
-  JobHandle<int> handle = service.value()->Submit<int>(
-      [&ran]() -> Result<int> {
-        ran = true;
-        return 1;
-      },
-      opts);
-  EXPECT_EQ(handle.Wait().status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(ran);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto service = Service::Create(threads, 0);
+    ASSERT_TRUE(service.ok());
+    bool ran = false;
+    DoneLatch expired;
+    service.value()->Submit(
+        [&ran]() -> Result<std::string> {
+          ran = true;
+          return std::string("1");
+        },
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
+        expired.Callback());
+    EXPECT_EQ(expired.Wait().status().code(), StatusCode::kDeadlineExceeded);
 
-  // A live deadline lets the job through.
-  JobHandle<int> fine = service.value()->Submit<int>(
-      [] { return Result<int>(4); },
-      SubmitOptions::After(std::chrono::microseconds(60'000'000)));
-  ASSERT_TRUE(fine.Wait().ok());
-  EXPECT_EQ(fine.Wait().value(), 4);
+    // A live deadline lets the job through.
+    DoneLatch fine;
+    service.value()->Submit(
+        Returning("4"),
+        std::chrono::steady_clock::now() + std::chrono::seconds(60),
+        fine.Callback());
+    ASSERT_TRUE(fine.Wait().ok());
+    EXPECT_EQ(fine.Wait().value(), "4");
+
+    service.value()->Drain();  // every `done` has returned
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(expired.calls(), 1);
+    EXPECT_EQ(fine.calls(), 1);
+  }
 }
 
-TEST(ServiceTest, CancelledTokenCompletesWithoutRunning) {
-  auto service = Service::Create(engine::BatchOptions{});  // inline
-  ASSERT_TRUE(service.ok());
-  SubmitOptions opts;
-  opts.cancel = std::make_shared<CancellationToken>();
-  opts.cancel->Cancel();
-  bool ran = false;
-  JobHandle<int> handle = service.value()->Submit<int>(
-      [&ran]() -> Result<int> {
-        ran = true;
-        return 1;
-      },
-      opts);
-  EXPECT_EQ(handle.Wait().status().code(), StatusCode::kCancelled);
-  EXPECT_FALSE(ran);
-}
+TEST(ServiceTest, DrainRefusesNewJobsWithUnavailable) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto service = Service::Create(threads, 0);
+    ASSERT_TRUE(service.ok());
+    DoneLatch before;
+    service.value()->Submit(Returning("1"), std::nullopt, before.Callback());
+    ASSERT_TRUE(before.Wait().ok());
 
-TEST(ServiceTest, WaitForTimesOutThenDeliversTheResult) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
-  ASSERT_TRUE(service.ok());
-  std::atomic<bool> release{false};
-  JobHandle<int> handle =
-      service.value()->Submit<int>([&release]() -> Result<int> {
-        while (!release.load()) std::this_thread::yield();
-        return 9;
-      });
-  EXPECT_FALSE(
-      handle.WaitFor(std::chrono::microseconds(1000)).has_value());
-  release = true;
-  const std::optional<Result<int>> settled =
-      handle.WaitFor(std::chrono::microseconds(60'000'000));
-  ASSERT_TRUE(settled.has_value());
-  ASSERT_TRUE(settled->ok());
-  EXPECT_EQ(settled->value(), 9);
-}
-
-TEST(ServiceTest, DrainBlocksSubmissionsUntilResume) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
-  ASSERT_TRUE(service.ok());
-  ASSERT_TRUE(
-      service.value()->Submit<int>([] { return Result<int>(1); }).Wait().ok());
-
-  // Drain returns only once every in-flight job has completed; while
-  // draining, new submissions shed with a retryable code.
-  service.value()->Drain();
-  JobHandle<int> refused =
-      service.value()->Submit<int>([] { return Result<int>(2); });
-  EXPECT_EQ(refused.Wait().status().code(), StatusCode::kUnavailable);
-
-  service.value()->Resume();
-  JobHandle<int> accepted =
-      service.value()->Submit<int>([] { return Result<int>(3); });
-  ASSERT_TRUE(accepted.Wait().ok());
-  EXPECT_EQ(accepted.Wait().value(), 3);
+    // Drain returns only once every in-flight job has completed; after
+    // it, new submissions shed inline with a retryable code.
+    service.value()->Drain();
+    bool ran = false;
+    DoneLatch refused;
+    service.value()->Submit(
+        [&ran]() -> Result<std::string> {
+          ran = true;
+          return std::string("2");
+        },
+        std::nullopt, refused.Callback());
+    EXPECT_TRUE(refused.fired());
+    EXPECT_EQ(refused.Wait().status().code(), StatusCode::kUnavailable);
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(before.calls(), 1);
+    EXPECT_EQ(refused.calls(), 1);
+  }
 }
 
 TEST(ServiceTest, DrainWaitsForInFlightJobs) {
-  engine::BatchOptions options;
-  options.num_threads = 2;
-  auto service = Service::Create(options);
+  auto service = Service::Create(2, 0);
   ASSERT_TRUE(service.ok());
   std::atomic<bool> release{false};
   std::atomic<bool> finished{false};
-  JobHandle<int> handle = service.value()->Submit<int>(
-      [&release, &finished]() -> Result<int> {
+  DoneLatch done;
+  service.value()->Submit(
+      [&release, &finished]() -> Result<std::string> {
         while (!release.load()) std::this_thread::yield();
         finished = true;
-        return 1;
-      });
+        return std::string("1");
+      },
+      std::nullopt, done.Callback());
   std::thread releaser([&release] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     release = true;
   });
   service.value()->Drain();  // must not return before the job completes
   EXPECT_TRUE(finished.load());
+  EXPECT_EQ(done.calls(), 1);  // `done` returned before Drain did
   releaser.join();
-  service.value()->Resume();
-  EXPECT_TRUE(handle.Wait().ok());
+  EXPECT_TRUE(done.Wait().ok());
 }
 
 // ------------------------------------------------------------- experiment

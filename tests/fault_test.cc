@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "data/row_batch.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "store/snapshot_store.h"
 #include "store/spill_store.h"
@@ -532,22 +534,28 @@ TEST_F(FaultTest, CorruptCaptureSurfacesDecodeStatusAndCloseDiscardsIt) {
 // ------------------------------------------------ service admission chaos
 
 TEST_F(FaultTest, EnqueueFaultShedsTheJobAsAStatus) {
-  auto service = api::Service::Create(engine::BatchOptions{});
+  auto service = api::Service::Create(0, 0);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE(fault::ArmFromSpec("service.enqueue=once").ok());
   bool ran = false;
-  api::JobHandle<int> shed = service.value()->Submit<int>([&ran] {
-    ran = true;
-    return Result<int>(1);
-  });
-  EXPECT_TRUE(shed.Poll());
-  EXPECT_EQ(shed.Wait().status().code(), StatusCode::kUnavailable);
+  std::optional<Result<std::string>> shed;
+  service.value()->Submit(
+      [&ran] {
+        ran = true;
+        return Result<std::string>("1");
+      },
+      std::nullopt, [&shed](const Result<std::string>& r) { shed = r; });
+  ASSERT_TRUE(shed.has_value());  // completed before Submit returned
+  EXPECT_EQ(shed->status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(ran);
   // The next submission (disarmed `once`) runs normally.
-  api::JobHandle<int> fine =
-      service.value()->Submit<int>([] { return Result<int>(2); });
-  ASSERT_TRUE(fine.Wait().ok());
-  EXPECT_EQ(fine.Wait().value(), 2);
+  std::optional<Result<std::string>> fine;
+  service.value()->Submit([] { return Result<std::string>("2"); },
+                          std::nullopt,
+                          [&fine](const Result<std::string>& r) { fine = r; });
+  ASSERT_TRUE(fine.has_value());
+  ASSERT_TRUE(fine->ok());
+  EXPECT_EQ(fine->value(), "2");
 }
 
 // ------------------------------------------- nothing aborts, everything
@@ -594,12 +602,15 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
   EXPECT_TRUE(a.value()->ReconstructAll().ok());
 
   // Service: every submission sheds as a Status, none runs, none aborts.
-  auto service = api::Service::Create(engine::BatchOptions{});
+  auto service = api::Service::Create(0, 0);
   ASSERT_TRUE(service.ok());
   for (int i = 0; i < 8; ++i) {
-    api::JobHandle<int> handle =
-        service.value()->Submit<int>([] { return Result<int>(1); });
-    EXPECT_FALSE(handle.Wait().ok());
+    std::optional<Result<std::string>> settled;
+    service.value()->Submit(
+        [] { return Result<std::string>("1"); }, std::nullopt,
+        [&settled](const Result<std::string>& r) { settled = r; });
+    ASSERT_TRUE(settled.has_value());
+    EXPECT_FALSE(settled->ok());
   }
   EXPECT_GT(fault::TotalInjected(), 0u);
 }
@@ -611,17 +622,16 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
 // re-admit on the "a" touch). Returns the final reconstruction of "a".
 Result<std::vector<reconstruct::Reconstruction>> RunSpillStream(
     std::size_t num_threads, const std::string& dir) {
-  engine::BatchOptions batch;
-  batch.num_threads = num_threads;
-  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::Service> service,
-                        api::Service::Create(batch));
+  std::unique_ptr<engine::ThreadPool> pool =
+      num_threads == 0 ? nullptr
+                       : std::make_unique<engine::ThreadPool>(num_threads);
   PPDM_ASSIGN_OR_RETURN(store::SnapshotStore snapshots,
                         store::SnapshotStore::Open(dir));
   store::SessionSpillStore spill(snapshots);
   api::SessionRegistryOptions options;
   options.max_bytes = 1;
   options.spill = &spill;
-  api::SessionRegistry registry(options, service->pool());
+  api::SessionRegistry registry(options, pool.get());
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
 
   std::size_t cols = 0;

@@ -109,7 +109,6 @@ ServerOptions LoopbackOptions(std::size_t threads = 0) {
   ServerOptions options;
   options.port = 0;  // ephemeral
   options.num_threads = threads;
-  options.shard_size = 256;
   return options;
 }
 
@@ -1087,6 +1086,63 @@ TEST(ServerTest, CloseDropsTheTenantAndWithoutResumeStaleCapturesDie) {
     EXPECT_EQ(opened.value().record_count, 0u);
     ASSERT_TRUE(server.value()->Stop().ok());
   }
+}
+
+// Open is idempotent only for the spec the tenant holds: a reopen that
+// asks for other attributes, intervals or noise is refused, both while
+// the tenant is open and after drain → resume re-admits its capture.
+TEST(ServerTest, ReopenWithADifferentSpecIsRefused) {
+  TempDir dir;
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  api::DatasetSessionSpec noisier = spec;
+  noisier.attributes[1].privacy_fraction = 0.5;
+  const std::vector<api::DatasetSessionSpec> others = {
+      BenchmarkDatasetSpec(1), BenchmarkDatasetSpec(2, /*intervals=*/20),
+      noisier};
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(64, &num_cols);
+
+  const auto expect_only_spec_reopens = [&](Client& client) {
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      SCOPED_TRACE("other spec " + std::to_string(i));
+      Result<OpenResult> refused = client.Open(7, others[i]);
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(refused.status().message().find("tenant 7"),
+                std::string::npos)
+          << refused.status().ToString();
+    }
+    Result<OpenResult> again = client.Open(7, spec);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again.value().resumed);
+    EXPECT_EQ(again.value().record_count, 64u);
+  };
+
+  ServerOptions options = LoopbackOptions(2);
+  options.checkpoint_dir = dir.path;
+  {
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client = Client::Connect("127.0.0.1",
+                                            server.value()->port());
+    ASSERT_TRUE(client.ok());
+    Result<OpenResult> opened = client.value().Open(7, spec);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_FALSE(opened.value().resumed);
+    ASSERT_TRUE(client.value().Ingest(7, 64, num_cols, rows).ok());
+    expect_only_spec_reopens(client.value());
+    ASSERT_TRUE(server.value()->Stop().ok());
+    EXPECT_EQ(server.value()->drained_checkpoints(), 1u);
+  }
+
+  options.resume = true;
+  Result<std::unique_ptr<Server>> restarted = Server::Start(options);
+  ASSERT_TRUE(restarted.ok());
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          restarted.value()->port());
+  ASSERT_TRUE(client.ok());
+  expect_only_spec_reopens(client.value());
+  ASSERT_TRUE(restarted.value()->Stop().ok());
 }
 
 }  // namespace

@@ -403,20 +403,22 @@ TEST(SpanTreeTest, ConcurrentRequestsStayWellNested) {
 // under the submitting span's context, on every thread shape.
 TEST(ServicePropagationTest, QueueAndRunJoinTheCallersTrace) {
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    engine::BatchOptions batch;
-    batch.num_threads = threads;
     Result<std::unique_ptr<api::Service>> service =
-        api::Service::Create(batch);
+        api::Service::Create(threads, 0);
     ASSERT_TRUE(service.ok()) << service.status().message();
     const std::uint64_t trace = obs::NewTraceId();
+    std::optional<Result<std::string>> settled;
     {
       obs::ScopedTraceContext adopt(obs::TraceContext{trace, 11});
-      api::JobHandle<int> handle =
-          service.value()->Submit<int>([]() -> Result<int> { return 5; });
-      const Result<int> settled = handle.Wait();
-      ASSERT_TRUE(settled.ok());
-      EXPECT_EQ(settled.value(), 5);
+      service.value()->Submit(
+          []() -> Result<std::string> { return std::string("5"); },
+          std::nullopt,
+          [&settled](const Result<std::string>& r) { settled = r; });
     }
+    service.value()->Drain();  // `done` has returned on every thread shape
+    ASSERT_TRUE(settled.has_value());
+    ASSERT_TRUE(settled->ok());
+    EXPECT_EQ(settled->value(), "5");
     bool saw_queue = false;
     bool saw_run = false;
     for (const SpanEvent& span : TraceRing::Global().Snapshot()) {
