@@ -24,8 +24,6 @@ const char* StatusCodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kCancelled:
-      return "Cancelled";
     case StatusCode::kDataLoss:
       return "DataLoss";
   }

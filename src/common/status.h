@@ -25,7 +25,6 @@ enum class StatusCode {
   kUnavailable,       ///< Transient failure; retrying may succeed.
   kResourceExhausted, ///< A bounded resource (queue, budget) is full.
   kDeadlineExceeded,  ///< The operation's deadline passed before it ran.
-  kCancelled,         ///< The operation was cancelled before it ran.
   kDataLoss,          ///< Written data may be torn or not durable.
 };
 
@@ -74,9 +73,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
   static Status DataLoss(std::string msg) {
     return Status(StatusCode::kDataLoss, std::move(msg));

@@ -18,20 +18,12 @@ Status Client::SendRaw(std::string_view bytes) {
 }
 
 Result<Frame> Client::ReadFrame() {
-  // Headers are variable-length since protocol v2 (optional trace id):
-  // accumulate exactly the bytes HeaderBytesNeeded asks for — at most
-  // three reads (magic+version, fixed prefix, trace tail).
-  std::string header_bytes;
-  for (std::size_t needed = HeaderBytesNeeded(header_bytes); needed > 0;
-       needed = HeaderBytesNeeded(header_bytes)) {
-    const std::size_t have = header_bytes.size();
-    header_bytes.resize(have + needed);
-    PPDM_RETURN_IF_ERROR(
-        ReadExact(sock_.fd(), header_bytes.data() + have, needed));
-  }
+  char header_bytes[kHeaderSize];
+  PPDM_RETURN_IF_ERROR(ReadExact(sock_.fd(), header_bytes, kHeaderSize));
   Frame frame;
-  PPDM_ASSIGN_OR_RETURN(frame.header,
-                        DecodeHeader(header_bytes, kDefaultMaxBodyBytes));
+  PPDM_ASSIGN_OR_RETURN(
+      frame.header, DecodeHeader(std::string_view(header_bytes, kHeaderSize),
+                                 kDefaultMaxBodyBytes));
   frame.body.resize(static_cast<std::size_t>(frame.header.body_length));
   if (!frame.body.empty()) {
     PPDM_RETURN_IF_ERROR(

@@ -88,9 +88,9 @@ class Client {
   /// verb with the trace flag byte).
   Result<std::string> Trace(std::uint32_t ttl_ms = 0);
 
-  /// Trace id attached to every subsequent Call (0 = none; requests then
-  /// ride v1 frames and the daemon mints its own ids). Lets a caller
-  /// stitch the daemon's span tree into its own trace.
+  /// Trace id carried in the header of every subsequent Call (0 = none;
+  /// the daemon then mints its own ids). Lets a caller stitch the
+  /// daemon's span tree into its own trace.
   void set_trace_id(std::uint64_t trace_id) { trace_id_ = trace_id; }
   std::uint64_t trace_id() const { return trace_id_; }
 
@@ -100,7 +100,8 @@ class Client {
   /// batches).
   Status SendRaw(std::string_view bytes);
 
-  /// Reads exactly one response frame (header + verified body).
+  /// Reads exactly one response frame: one fixed-size header read, then
+  /// the verified body.
   Result<Frame> ReadFrame();
 
   int fd() const { return sock_.fd(); }

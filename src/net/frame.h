@@ -1,24 +1,21 @@
 // Length-prefixed binary frame protocol — the wire layer of the network
 // serving daemon. One frame per request and per response, in both
-// directions:
+// directions, each behind one fixed 52-byte header:
 //
-//   v1: [u32 magic "PPDN"][u32 version][u32 verb][u64 request id]
-//       [u64 tenant id][u32 ttl_ms][u64 body length][u32 body crc32][body]
-//   v2: same through ttl_ms, then [u32 trace len][trace-id hex chars]
-//       [u64 body length][u32 body crc32][body]
+//   [u32 magic "PPDN"][u32 version][u32 verb][u64 request id]
+//   [u64 tenant id][u32 ttl_ms][u64 trace id][u64 body length]
+//   [u32 body crc32][body]
 //
-// Version 2 adds an optional client-supplied trace id — 1..16 lowercase
-// hex chars naming a nonzero u64 — so a caller can stitch the daemon's
-// span tree into its own trace. Encoders emit v1 whenever no trace id is
-// attached, so v1-only peers interoperate untouched; decoders accept
-// both. Because the v2 header is variable-length, readers first ask
-// HeaderBytesNeeded() how many bytes to accumulate.
+// The trace id lets a caller stitch the daemon's span tree into its own
+// trace; 0 means none, and the server mints its own. Only version 3 is
+// accepted: a peer speaking another version is refused as soon as its
+// first 8 bytes are in, never left waiting for the rest of a header.
 //
 // All integers little-endian via the src/store codec primitives, the body
 // CRC32-guarded the same way store sections are, and every decode failure
-// (short header, wrong magic, future version, oversized body, hostile
-// trace id, CRC mismatch, truncated payload) a Status, never an abort —
-// these bytes come off a socket from untrusted peers.
+// (short header, wrong magic, other version, oversized body, CRC
+// mismatch, truncated payload) a Status, never an abort — these bytes
+// come off a socket from untrusted peers.
 //
 // Request bodies are verb-specific payloads (open carries an encoded
 // DatasetSessionSpec, ingest a row-major record block, …). Response
@@ -41,16 +38,11 @@ namespace ppdm::net {
 /// "PPDN" little-endian — distinct from the store's 8-byte "PPDMSNAP".
 inline constexpr std::uint32_t kFrameMagic = 0x4E445050;
 
-/// Current protocol version. Peers accept 1..kProtocolVersion.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// The one protocol version this peer speaks and accepts.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
-/// Fixed wire size of a version-1 header (the body follows immediately).
-/// A version-2 header is 48 bytes plus its trace-id hex chars.
-inline constexpr std::size_t kHeaderSize = 44;
-
-/// Longest accepted trace-id field: a u64 is at most 16 hex chars. A
-/// larger length prefix is hostile and rejected before any buffering.
-inline constexpr std::uint32_t kMaxTraceHexChars = 16;
+/// Wire size of every header (the body follows immediately).
+inline constexpr std::size_t kHeaderSize = 52;
 
 /// Default cap on a frame body; anything larger is rejected before any
 /// allocation happens (a hostile length prefix must not OOM the server).
@@ -77,21 +69,18 @@ bool KnownVerb(std::uint32_t verb);
 /// Decoded frame header. `body_length`/`body_crc` describe the body that
 /// follows on the wire.
 struct FrameHeader {
-  std::uint32_t version = kProtocolVersion;
   std::uint32_t verb = 0;
   std::uint64_t request_id = 0;
   std::uint64_t tenant = 0;
   /// Request time-to-live in milliseconds; 0 means no deadline. The
   /// server maps a nonzero TTL onto the service's submit deadline.
   std::uint32_t ttl_ms = 0;
-  /// Client-supplied trace id (v2 frames); 0 = absent, and the server
-  /// mints its own.
+  /// Client-supplied trace id; 0 = none, and the server mints its own.
   std::uint64_t trace_id = 0;
   std::uint64_t body_length = 0;
   std::uint32_t body_crc = 0;
-  /// Wire size of this header — kHeaderSize for v1, 48 + hex chars for
-  /// v2. The body starts at this offset.
-  std::size_t header_size = kHeaderSize;
+  /// Wire size of the header; the body starts at this offset.
+  static constexpr std::size_t header_size = kHeaderSize;
 };
 
 /// A fully decoded frame.
@@ -100,10 +89,9 @@ struct Frame {
   std::string body;
 };
 
-/// Serializes one frame (header + body) for the wire: a v1 header when
-/// `trace_id` is 0, a v2 header carrying it otherwise. The uint32
-/// overload exists so a response can echo a request's verb even when that
-/// verb is not one this peer defines.
+/// Serializes one frame (header + body) for the wire; `trace_id` 0 means
+/// none. The uint32 overload exists so a response can echo a request's
+/// verb even when that verb is not one this peer defines.
 std::string EncodeFrame(std::uint32_t verb, std::uint64_t request_id,
                         std::uint64_t tenant, std::uint32_t ttl_ms,
                         std::string_view body, std::uint64_t trace_id = 0);
@@ -116,18 +104,17 @@ inline std::string EncodeFrame(Verb verb, std::uint64_t request_id,
 }
 
 /// How many more bytes of `bytes` a reader must accumulate before
-/// DecodeHeader can fully judge the header; 0 means decode now (the
-/// header is complete — or already undecodably hostile, which DecodeHeader
-/// will report). Handles the v2 variable length: the answer grows as the
-/// version word and then the trace-length word arrive.
+/// DecodeHeader can fully judge the header: what is missing from
+/// kHeaderSize, or 0 to decode now — the header is complete, or its
+/// magic (from 4 bytes on) or version (from 8 bytes on) is already wrong,
+/// which DecodeHeader will report.
 std::size_t HeaderBytesNeeded(std::string_view bytes);
 
 /// Decodes and validates a header from the front of `bytes` (at least
-/// header_size bytes — accumulate until HeaderBytesNeeded says 0).
+/// kHeaderSize bytes — accumulate until HeaderBytesNeeded says 0).
 /// Failures: kIoError for a truncated header (wait for more),
-/// kInvalidArgument for a wrong magic or a hostile trace id (oversized
-/// length, non-hex chars, zero value), kFailedPrecondition for a version
-/// newer than kProtocolVersion, and kResourceExhausted for a body length
+/// kInvalidArgument for a wrong magic, kFailedPrecondition for a version
+/// other than kProtocolVersion, and kResourceExhausted for a body length
 /// past `max_body_bytes`.
 Result<FrameHeader> DecodeHeader(std::string_view bytes,
                                  std::uint64_t max_body_bytes);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "common/strings.h"
@@ -422,24 +423,27 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       break;
     }
     const std::string_view rest = conn->inbuf.unread();
-    // Headers are variable-length since protocol v2 (optional trace id):
     // HeaderBytesNeeded answers "wait for more" vs. "judge now".
     if (HeaderBytesNeeded(rest) > 0) break;
     Result<FrameHeader> header =
         DecodeHeader(rest, options_.max_body_bytes);
     if (!header.ok()) {
       // HeaderBytesNeeded returned 0, so this is never mere truncation —
-      // every failure (bad magic, future version, hostile trace id,
-      // oversized body) is a poisoned stream: answer once, flush, close.
+      // every failure (bad magic, other version, oversized body) is a
+      // poisoned stream: answer once, flush, close. An over-cap header
+      // decodes whole without the cap, so that refusal still correlates
+      // with its request.
+      const Result<FrameHeader> request =
+          DecodeHeader(rest, std::numeric_limits<std::uint64_t>::max());
       protocol_errors_->Increment();
-      EnqueueResponse(conn, FrameHeader{}, header.status(), "");
+      EnqueueResponse(conn, request.ok() ? request.value() : FrameHeader{},
+                      header.status(), "");
       conn->close_after_flush = true;
       break;
     }
-    const std::size_t header_size = header.value().header_size;
-    if (rest.size() - header_size < header.value().body_length) break;
+    if (rest.size() - kHeaderSize < header.value().body_length) break;
     const std::string_view body =
-        rest.substr(header_size,
+        rest.substr(kHeaderSize,
                     static_cast<std::size_t>(header.value().body_length));
     if (Status verified = VerifyBody(header.value(), body); !verified.ok()) {
       protocol_errors_->Increment();
@@ -450,7 +454,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     // Dispatch copies what it keeps of the body before the bytes are
     // released.
     Dispatch(conn, header.value(), body);
-    conn->inbuf.Consume(header_size + body.size());
+    conn->inbuf.Consume(kHeaderSize + body.size());
   }
   if (paused && !conn->paused) read_pauses_->Increment();
   conn->paused = paused;
@@ -515,7 +519,7 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
       .GetCounter("ppdm_tenant_bytes_total", {{"tenant", tenant_name}})
       ->Increment(body.size());
   // The request's root span: opened here, closed in the completion
-  // callback (possibly on a worker). A v2 frame's client trace id wins
+  // callback (possibly on a worker). A nonzero client trace id wins
   // so the caller can stitch our tree into its own; otherwise mint one.
   const std::uint64_t trace_id =
       header.trace_id != 0 ? header.trace_id : obs::NewTraceId();

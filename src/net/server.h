@@ -164,7 +164,9 @@ class Server {
   /// Reads available bytes; false when the connection died.
   bool ReadReady(const std::shared_ptr<Connection>& conn);
   /// Parses complete frames out of the connection's input buffer until
-  /// exhausted, paused, or a protocol error schedules a close.
+  /// exhausted, paused, or a protocol error schedules a close. A header
+  /// is judged once HeaderBytesNeeded says so; an over-cap body's refusal
+  /// echoes its request's verb, id and tenant.
   void ParseFrames(const std::shared_ptr<Connection>& conn);
   /// True when `conn` must not parse further frames right now.
   bool ShouldPause(const Connection& conn) const;

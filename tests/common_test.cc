@@ -43,7 +43,6 @@ TEST(StatusTest, AllCodesHaveNames) {
                "ResourceExhausted");
   EXPECT_STREQ(StatusCodeName(StatusCode::kDeadlineExceeded),
                "DeadlineExceeded");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kCancelled), "Cancelled");
   EXPECT_STREQ(StatusCodeName(StatusCode::kDataLoss), "DataLoss");
 }
 
@@ -53,7 +52,6 @@ TEST(StatusTest, ResilienceConstructorsCarryTheirCodes) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::DeadlineExceeded("x").code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(Status::Cancelled("x").code(), StatusCode::kCancelled);
   EXPECT_EQ(Status::DataLoss("x").code(), StatusCode::kDataLoss);
 }
 

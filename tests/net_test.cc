@@ -1,6 +1,7 @@
 // Tests for the network serving subsystem: the frame codec (every
 // malformed wire input — truncated at every prefix, bit-flipped, wrong
-// magic, future version, oversized body — is a Status, never an abort),
+// magic, other version, oversized body, seeded header mutations — is a
+// Status, never an abort),
 // the token-bucket rate limiter under a fake clock, and the daemon
 // itself over loopback TCP: byte-identical to a direct DatasetSession at
 // every worker-thread count, resilient to hostile frames / shed requests
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -116,36 +118,41 @@ ServerOptions LoopbackOptions(std::size_t threads = 0) {
 
 TEST(FrameTest, RoundTripPreservesEveryField) {
   const std::string body = "payload bytes \x00\x01\x7f with zeros";
-  const std::string wire =
-      EncodeFrame(Verb::kIngest, /*request_id=*/42, /*tenant=*/7,
-                  /*ttl_ms=*/1500, body);
-  ASSERT_EQ(wire.size(), kHeaderSize + body.size());
+  // Trace id 0 (none) and a nonzero id ride the same fixed header.
+  for (const std::uint64_t trace : {0ULL, 0x0123456789abcdefULL}) {
+    SCOPED_TRACE(trace);
+    const std::string wire =
+        EncodeFrame(Verb::kIngest, /*request_id=*/42, /*tenant=*/7,
+                    /*ttl_ms=*/1500, body, trace);
+    ASSERT_EQ(wire.size(), kHeaderSize + body.size());
 
-  Result<Frame> frame = DecodeFrame(wire);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  // Without a trace id the encoder stays on the compact v1 layout.
-  EXPECT_EQ(frame.value().header.version, 1u);
-  EXPECT_EQ(frame.value().header.trace_id, 0u);
-  EXPECT_EQ(frame.value().header.verb,
-            static_cast<std::uint32_t>(Verb::kIngest));
-  EXPECT_EQ(frame.value().header.request_id, 42u);
-  EXPECT_EQ(frame.value().header.tenant, 7u);
-  EXPECT_EQ(frame.value().header.ttl_ms, 1500u);
-  EXPECT_EQ(frame.value().body, body);
+    Result<Frame> frame = DecodeFrame(wire);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame.value().header.trace_id, trace);
+    EXPECT_EQ(frame.value().header.verb,
+              static_cast<std::uint32_t>(Verb::kIngest));
+    EXPECT_EQ(frame.value().header.request_id, 42u);
+    EXPECT_EQ(frame.value().header.tenant, 7u);
+    EXPECT_EQ(frame.value().header.ttl_ms, 1500u);
+    EXPECT_EQ(frame.value().body, body);
+  }
 }
 
 TEST(FrameTest, EveryTruncationIsAStatusError) {
   const std::string wire =
-      EncodeFrame(Verb::kOpen, 1, 2, 0, "0123456789abcdef");
+      EncodeFrame(Verb::kOpen, 1, 2, 0, "0123456789abcdef", 0xfeedULL);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const std::string_view prefix(wire.data(), len);
     Result<Frame> frame = DecodeFrame(prefix);
     EXPECT_FALSE(frame.ok()) << "prefix length " << len;
     if (len < kHeaderSize) {
       // Short header is kIoError — the streaming parser's "wait for
-      // more bytes" signal.
+      // more bytes" signal — and the parser waits for exactly the rest
+      // of the fixed header.
       EXPECT_EQ(DecodeHeader(prefix, kDefaultMaxBodyBytes).status().code(),
                 StatusCode::kIoError)
+          << "prefix length " << len;
+      EXPECT_EQ(HeaderBytesNeeded(prefix), kHeaderSize - len)
           << "prefix length " << len;
     }
   }
@@ -159,9 +166,9 @@ TEST(FrameTest, NoBitFlipEverCorruptsTheBodySilently) {
     std::string flipped = clean;
     flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
     Result<Frame> frame = DecodeFrame(flipped);
-    // Header-field flips (verb, ids, ttl) may decode — they are caught
-    // semantically — but the CRC guarantees the body itself is either
-    // rejected or delivered intact.
+    // Header-field flips (verb, ids, ttl, trace id) may decode — they are
+    // caught semantically — but the CRC guarantees the body itself is
+    // either rejected or delivered intact.
     if (frame.ok()) {
       EXPECT_EQ(frame.value().body, body) << "bit " << bit;
     }
@@ -179,87 +186,108 @@ TEST(FrameTest, OversizedBodyIsRejectedBeforeAllocation) {
 }
 
 TEST(FrameTest, FutureVersionAndWrongMagicAreCleanErrors) {
+  // Bytes 4..7 are the little-endian version word. Older (v1, v2) and
+  // newer peers are refused as soon as 8 bytes are in — never left
+  // waiting for the rest of a header their layout may not have.
+  for (const std::uint32_t version : {1u, 2u, kProtocolVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::string wire = EncodeFrame(Verb::kOpen, 1, 1, 0, "");
+    wire[4] = static_cast<char>(version);
+    for (const std::size_t len : {std::size_t{8}, std::size_t{44},
+                                  kHeaderSize}) {
+      const std::string_view prefix(wire.data(), len);
+      EXPECT_EQ(HeaderBytesNeeded(prefix), 0u) << "prefix length " << len;
+      Result<FrameHeader> header = DecodeHeader(prefix, kDefaultMaxBodyBytes);
+      ASSERT_FALSE(header.ok());
+      EXPECT_EQ(header.status().code(), StatusCode::kFailedPrecondition);
+    }
+  }
+
   std::string wire = EncodeFrame(Verb::kOpen, 1, 1, 0, "");
-  // Bytes 4..7 are the little-endian version word.
-  wire[4] = static_cast<char>(kProtocolVersion + 1);
-  Result<FrameHeader> header =
-      DecodeHeader(std::string_view(wire.data(), kHeaderSize),
-                   kDefaultMaxBodyBytes);
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kFailedPrecondition);
-
-  wire = EncodeFrame(Verb::kOpen, 1, 1, 0, "");
   wire[0] = 'X';
-  header = DecodeHeader(std::string_view(wire.data(), kHeaderSize),
-                        kDefaultMaxBodyBytes);
+  EXPECT_EQ(HeaderBytesNeeded(std::string_view(wire.data(), 4)), 0u);
+  Result<FrameHeader> header = DecodeHeader(
+      std::string_view(wire.data(), kHeaderSize), kDefaultMaxBodyBytes);
   ASSERT_FALSE(header.ok());
   EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(FrameTest, TraceIdRidesV2FramesAndRoundTrips) {
-  const std::string body = "traced payload";
-  const std::uint64_t trace = 0x0123456789abcdefULL;
-  const std::string wire =
-      EncodeFrame(Verb::kIngest, /*request_id=*/5, /*tenant=*/2,
-                  /*ttl_ms=*/0, body, trace);
-  ASSERT_EQ(wire.size(), kHeaderSize + 4 + kMaxTraceHexChars + body.size());
+// Seeded mutations of valid frames — header byte overwrites, boundary
+// body lengths, truncations — against the decoders' contract: the
+// streaming parser never asks past the fixed header, and a decode either
+// fails with a Status or yields exactly the fields that re-encode to the
+// input bytes.
+TEST(FrameTest, SeededHeaderMutationsAreStatusesOrExactFrames) {
+  constexpr std::uint64_t kCap = 4096;
+  std::vector<std::string> seeds;
+  seeds.push_back(EncodeFrame(Verb::kStats, 1, 0, 0, ""));
+  seeds.push_back(EncodeFrame(Verb::kOpen, 7, 3, 250, "spec bytes", 0x9eULL));
+  seeds.push_back(EncodeFrame(Verb::kIngest, ~0ULL, ~0ULL, ~0u,
+                              std::string(1024, '\xa5'), ~0ULL));
+  std::mt19937_64 rng(0x5EED0F3AULL);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  std::size_t decoded_frames = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
+    std::string wire = seeds[pick(seeds.size())];
+    const std::uint64_t body_size = wire.size() - kHeaderSize;
+    switch (pick(3)) {
+      case 0:  // overwrite 1..4 header bytes
+        for (std::uint64_t n = 1 + pick(4); n > 0; --n) {
+          wire[pick(kHeaderSize)] = static_cast<char>(pick(256));
+        }
+        break;
+      case 1: {  // body length at a boundary
+        const std::uint64_t lengths[] = {0,    body_size - 1, body_size,
+                                         body_size + 1, kCap, kCap + 1,
+                                         1ULL << 63,    ~0ULL};
+        store::Writer writer;
+        writer.PutU64(lengths[pick(8)]);
+        wire.replace(40, 8, writer.Take());
+        break;
+      }
+      default:  // truncation
+        wire.resize(pick(wire.size()));
+        break;
+    }
+    SCOPED_TRACE(iteration);
 
-  Result<Frame> frame = DecodeFrame(wire);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame.value().header.version, kProtocolVersion);
-  EXPECT_EQ(frame.value().header.trace_id, trace);
-  EXPECT_EQ(frame.value().header.header_size,
-            kHeaderSize + 4 + kMaxTraceHexChars);
-  EXPECT_EQ(frame.value().body, body);
+    for (std::size_t len = 0; len <= std::min(wire.size(), kHeaderSize + 8);
+         ++len) {
+      const std::string_view prefix(wire.data(), len);
+      const std::size_t needed = HeaderBytesNeeded(prefix);
+      ASSERT_LE(len + needed, std::max(len, kHeaderSize));
+      if (needed == 0) {
+        EXPECT_NE(DecodeHeader(prefix, kCap).status().code(),
+                  StatusCode::kIoError);
+      }
+    }
 
-  // The streaming parser's incremental sizing: starting from nothing,
-  // HeaderBytesNeeded converges on the full v2 header in bounded steps.
-  std::string accum;
-  int steps = 0;
-  for (std::size_t needed = HeaderBytesNeeded(accum); needed > 0;
-       needed = HeaderBytesNeeded(accum)) {
-    ASSERT_LT(++steps, 8);
-    accum.append(wire, accum.size(), needed);
+    const Result<FrameHeader> header = DecodeHeader(wire, kCap);
+    if (header.ok()) {
+      const FrameHeader& h = header.value();
+      EXPECT_LE(h.body_length, kCap);
+      // Re-encode the header: every field up to the trace id through
+      // EncodeFrame, then the decoded body length and CRC.
+      store::Writer tail;
+      tail.PutU64(h.body_length);
+      tail.PutU32(h.body_crc);
+      EXPECT_EQ(EncodeFrame(h.verb, h.request_id, h.tenant, h.ttl_ms, "",
+                            h.trace_id)
+                        .substr(0, 40) +
+                    tail.Take(),
+                wire.substr(0, kHeaderSize));
+    }
+    const Result<Frame> frame = DecodeFrame(wire, kCap);
+    if (frame.ok()) {
+      ++decoded_frames;
+      const FrameHeader& h = frame.value().header;
+      EXPECT_EQ(EncodeFrame(h.verb, h.request_id, h.tenant, h.ttl_ms,
+                            frame.value().body, h.trace_id),
+                wire);
+    }
   }
-  EXPECT_EQ(accum.size(), frame.value().header.header_size);
-  // And every shorter prefix of the v2 header is still "wait for bytes".
-  for (std::size_t len = 0; len < accum.size(); ++len) {
-    EXPECT_EQ(DecodeHeader(std::string_view(wire.data(), len),
-                           kDefaultMaxBodyBytes)
-                  .status()
-                  .code(),
-              StatusCode::kIoError)
-        << "prefix length " << len;
-  }
-}
-
-TEST(FrameTest, HostileTraceIdsAreCleanStatusErrors) {
-  const std::string good =
-      EncodeFrame(Verb::kStats, 1, 0, 0, "", /*trace_id=*/0xdeadbeefULL);
-
-  // Declared trace length beyond the cap: rejected before any
-  // accumulation (bytes 32..35 are the little-endian length word).
-  std::string oversized = good;
-  oversized[32] = 17;
-  Result<FrameHeader> header = DecodeHeader(oversized, kDefaultMaxBodyBytes);
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
-  // A hostile length must not make the parser wait for phantom bytes.
-  EXPECT_EQ(HeaderBytesNeeded(oversized), 0u);
-
-  // Non-hex characters inside the trace field.
-  std::string nonhex = good;
-  nonhex[36] = 'g';
-  header = DecodeHeader(nonhex, kDefaultMaxBodyBytes);
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
-
-  // An all-zero trace id claims v2 but carries no identity.
-  std::string zero = good;
-  for (std::size_t i = 36; i < 36 + kMaxTraceHexChars; ++i) zero[i] = '0';
-  header = DecodeHeader(zero, kDefaultMaxBodyBytes);
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
+  // The property must not hold vacuously.
+  EXPECT_GT(decoded_frames, 100u);
 }
 
 TEST(FrameTest, ResponseEnvelopeRoundTripsStatusAndPayload) {
@@ -292,24 +320,25 @@ std::string GoldenIngestBody() {
   return writer.Take();
 }
 
-// Wire-format pins, computed with the bytewise-CRC, element-loop codec the
-// protocol first shipped with. A failure here means the frame bytes
-// changed: that needs a kProtocolVersion bump, not a new pin.
+// Wire-format pins of the version-3 frame, cross-checked against an
+// independent little-endian pack and zlib's CRC-32. A failure here means
+// the frame bytes changed: that needs a kProtocolVersion bump, not a new
+// pin.
 TEST(FrameTest, IngestAndResponseFrameBytesArePinned) {
   const std::string body = GoldenIngestBody();
-  const std::string v1 = EncodeFrame(Verb::kIngest, /*request_id=*/42,
-                                     /*tenant=*/7, /*ttl_ms=*/1500, body);
-  EXPECT_EQ(v1.size(), 212u);
-  EXPECT_EQ(store::Crc32(v1), 0x994EB1F9u);
-  const std::string v2 = EncodeFrame(Verb::kIngest, 42, 7, 1500, body,
-                                     /*trace_id=*/0x0123456789abcdefULL);
-  EXPECT_EQ(v2.size(), 232u);
-  EXPECT_EQ(store::Crc32(v2), 0x1F39C74Bu);
+  const std::string untraced = EncodeFrame(
+      Verb::kIngest, /*request_id=*/42, /*tenant=*/7, /*ttl_ms=*/1500, body);
+  EXPECT_EQ(untraced.size(), 220u);
+  EXPECT_EQ(store::Crc32(untraced), 0xEEB5DCE4u);
+  const std::string traced = EncodeFrame(Verb::kIngest, 42, 7, 1500, body,
+                                         /*trace_id=*/0x0123456789abcdefULL);
+  EXPECT_EQ(traced.size(), 220u);
+  EXPECT_EQ(store::Crc32(traced), 0xE0439CE7u);
   const std::string response = EncodeFrame(
       Verb::kIngest, 42, 7, 0,
       EncodeResponseBody(Status::InvalidArgument("ingest shape 2x9"), body));
-  EXPECT_EQ(response.size(), 240u);
-  EXPECT_EQ(store::Crc32(response), 0x676FFE18u);
+  EXPECT_EQ(response.size(), 248u);
+  EXPECT_EQ(store::Crc32(response), 0xECB93105u);
 }
 
 // ------------------------------------------------------------ rate limiter
@@ -460,6 +489,13 @@ TEST(ServerTest, MalformedFramesAnswerErrorsAndTheProcessKeepsServing) {
                      StatusCode::kFailedPrecondition});
   }
   {
+    // An old peer's 44-byte v1 frame: refused from its version word, not
+    // left waiting for the 8 bytes a current header would still need.
+    std::string v1 = EncodeFrame(Verb::kStats, 1, 0, 0, "").substr(0, 44);
+    v1[4] = 1;
+    cases.push_back({"v1 peer", v1, StatusCode::kFailedPrecondition});
+  }
+  {
     std::string flipped = EncodeFrame(Verb::kStats, 1, 0, 0, "payload");
     flipped.back() = static_cast<char>(flipped.back() ^ 0x40);
     cases.push_back({"body bit flip", flipped, StatusCode::kDataLoss});
@@ -496,6 +532,29 @@ TEST(ServerTest, MalformedFramesAnswerErrorsAndTheProcessKeepsServing) {
                   .Ingest(7, rows.size() / num_cols, num_cols, rows)
                   .ok());
   EXPECT_TRUE(healthy.value().Reconstruct(7).ok());
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+TEST(ServerTest, OverCapBodyIsRefusedToItsRequestThenTheConnectionCloses) {
+  ServerOptions options = LoopbackOptions(2);
+  options.max_body_bytes = 512;
+  Result<std::unique_ptr<Server>> server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+
+  // The whole header is in before the cap is judged, so the refusal
+  // correlates with the request instead of arriving as request 0.
+  Result<ResponseBody> refused = client.value().Call(
+      Verb::kIngest, /*tenant=*/1, /*ttl_ms=*/0, std::string(1024, 'x'));
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused.value().status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.value().status.message().find("512-byte cap"),
+            std::string::npos)
+      << refused.value().status.message();
+  // The unread body poisoned the stream: the daemon closes after the
+  // refusal.
+  EXPECT_FALSE(client.value().ReadFrame().ok());
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
@@ -607,54 +666,6 @@ TEST(ServerTest, StatsVerbServesTheMetricsExposition) {
   EXPECT_NE(stats.value().find("ppdm_net_connections_total"),
             std::string::npos);
   EXPECT_NE(stats.value().find("ppdm_net_requests_total"), std::string::npos);
-  ASSERT_TRUE(server.value()->Stop().ok());
-}
-
-TEST(ServerTest, HostileTraceIdFramesAnswerErrorsAndNeverAbort) {
-  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const int port = server.value()->port();
-
-  const std::string good =
-      EncodeFrame(Verb::kStats, 1, 0, 0, "", /*trace_id=*/0xdeadbeefULL);
-  struct HostileCase {
-    std::string name;
-    std::string bytes;
-  };
-  std::vector<HostileCase> cases;
-  {
-    std::string oversized = good;
-    oversized[32] = 17;  // declared trace length beyond the 16-char cap
-    cases.push_back({"oversized trace length", oversized});
-  }
-  {
-    std::string nonhex = good;
-    nonhex[36] = 'g';
-    cases.push_back({"non-hex trace id", nonhex});
-  }
-  {
-    std::string zero = good;
-    for (std::size_t i = 36; i < 36 + kMaxTraceHexChars; ++i) zero[i] = '0';
-    cases.push_back({"zero trace id", zero});
-  }
-  for (const HostileCase& hostile : cases) {
-    SCOPED_TRACE(hostile.name);
-    Result<Client> client = Client::Connect("127.0.0.1", port);
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value().SendRaw(hostile.bytes).ok());
-    Result<Frame> response = client.value().ReadFrame();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    Result<ResponseBody> envelope =
-        DecodeResponseBody(response.value().body);
-    ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
-    EXPECT_EQ(envelope.value().status.code(), StatusCode::kInvalidArgument);
-  }
-
-  // A well-formed traced request still works after the abuse.
-  Result<Client> client = Client::Connect("127.0.0.1", port);
-  ASSERT_TRUE(client.ok());
-  client.value().set_trace_id(obs::NewTraceId());
-  EXPECT_TRUE(client.value().Stats().ok());
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
