@@ -18,7 +18,6 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
-#include "engine/batch.h"
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
@@ -92,17 +91,15 @@ int main() {
 
   // ---------------------------------------------- sharded perturbation
   for (std::size_t threads : thread_counts) {
-    engine::BatchOptions options;
-    options.num_threads = threads;
-    const engine::Batch batch(options);
+    engine::ThreadPool pool(threads);
     std::snprintf(label, sizeof(label), "perturb 9 attrs t=%zu", threads);
     reporter.Measure(label, train.NumRows(), "perturb", [&] {
-      const data::Dataset p = batch.PerturbShards(randomizer, train);
+      const data::Dataset p = randomizer.Perturb(train, &pool, 16384);
       (void)p;
     }, threads);
   }
-  const data::Dataset perturbed = engine::Batch({1, 16384})
-                                      .PerturbShards(randomizer, train);
+  engine::ThreadPool single(1);
+  const data::Dataset perturbed = randomizer.Perturb(train, &single, 16384);
 
   // ------------------------------------- single-column binned EM path
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
@@ -112,13 +109,11 @@ int main() {
   const std::vector<double>& salary = perturbed.Column(synth::kSalary);
   std::vector<reconstruct::Reconstruction> em_results;
   for (std::size_t threads : thread_counts) {
-    engine::BatchOptions options;
-    options.num_threads = threads;
-    const engine::Batch batch(options);
+    engine::ThreadPool pool(threads);
     reconstruct::Reconstruction result;
     std::snprintf(label, sizeof(label), "EM binned K=100 t=%zu", threads);
     reporter.Measure(label, train.NumRows(), "em", [&] {
-      result = batch.ReconstructParallel(salary, partition, reconstructor);
+      result = reconstructor.Fit(salary, partition, &pool);
     }, threads);
     em_results.push_back(result);
   }
@@ -130,7 +125,6 @@ int main() {
   namespace simd = engine::simd;
   std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
-  const engine::Batch single({1, 16384});
   std::vector<reconstruct::Reconstruction> simd_results;
   for (simd::Path path : paths) {
     (void)simd::SetPath(path);
@@ -138,7 +132,7 @@ int main() {
     std::snprintf(label, sizeof(label), "EM binned K=100 simd=%s",
                   simd::PathName(path));
     reporter.Measure(label, train.NumRows(), "simd", [&] {
-      result = single.ReconstructParallel(salary, partition, reconstructor);
+      result = reconstructor.Fit(salary, partition, &single);
     });
     simd_results.push_back(result);
   }

@@ -3,7 +3,7 @@
 // encode + verify, at the served ingest shape), then snapshot encode /
 // store put / store get / decode+restore throughput as the session grows
 // (attribute count), and the registry's spill path — re-admission latency
-// of a Lookup served from disk vs. one served from RAM. Ends with the
+// of a TryLookup served from disk vs. one served from RAM. Ends with the
 // round-trip equivalence cross-check (restore, continue, byte-compare
 // against the never-snapshotted session). Honours PPDM_PAPER_SCALE=1 and
 // PPDM_BENCH_RECORDS=N (CI smoke); the codec rows and a machine
@@ -193,7 +193,7 @@ int main() {
   }
 
   // Registry spill path: a budget-starved two-tenant registry demotes one
-  // session and re-admits the other on every alternating Lookup; the
+  // session and re-admits the other on every alternating TryLookup; the
   // unbounded registry serves the same traffic from RAM.
   {
     store::SessionSpillStore spill(snapshots);
@@ -218,8 +218,8 @@ int main() {
     reporter.Measure("lookup from RAM x64", lookups, "lookup from RAM x64",
                      [&] {
                        for (std::size_t i = 0; i < lookups; ++i) {
-                         if (unbounded.Lookup(i % 2 ? "left" : "right") ==
-                             nullptr) {
+                         if (!unbounded.TryLookup(i % 2 ? "left" : "right")
+                                  .ok()) {
                            std::exit(1);
                          }
                        }
@@ -227,8 +227,8 @@ int main() {
     reporter.Measure("lookup via spill x64", lookups, "lookup from RAM x64",
                      [&] {
                        for (std::size_t i = 0; i < lookups; ++i) {
-                         if (starved.Lookup(i % 2 ? "left" : "right") ==
-                             nullptr) {
+                         if (!starved.TryLookup(i % 2 ? "left" : "right")
+                                  .ok()) {
                            std::exit(1);
                          }
                        }

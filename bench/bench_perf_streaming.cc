@@ -4,7 +4,7 @@
 // whole batch, and the cost of a warm-started refresh vs. a cold batch
 // fit. Honours PPDM_PAPER_SCALE=1 for the paper's 100k-record runs, and
 // cross-checks that the streamed estimate is byte-identical to the batch
-// FitParallel (the streaming determinism contract).
+// Fit (the streaming determinism contract).
 
 #include <cstdio>
 #include <cstring>
@@ -109,7 +109,7 @@ int main() {
   // and fit everything; the session fits from one batch's counts.
   reporter.Measure("first estimate: batch all", stream.size(), "", [&] {
     const reconstruct::Reconstruction r =
-        reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
+        reconstructor.Fit(stream, partition);
     (void)r;
   });
   reporter.Measure("first estimate: stream 1 batch", kBatchRecords, "", [&] {
@@ -132,7 +132,7 @@ int main() {
   (void)warm_session.value()->ReconstructAll();  // prime the estimate
   reporter.Measure("refresh: cold batch fit", stream.size(), "refresh", [&] {
     const reconstruct::Reconstruction r =
-        reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
+        reconstructor.Fit(stream, partition);
     (void)r;
   });
   reporter.Measure("refresh: warm-started", stream.size(), "refresh", [&] {
@@ -141,10 +141,10 @@ int main() {
   });
 
   // ------------------------------------------------ determinism check
-  // Streamed (many batches) == batch FitParallel, byte for byte, with and
+  // Streamed (many batches) == batch Fit, byte for byte, with and
   // without a pool.
   const reconstruct::Reconstruction batch_fit =
-      reconstructor.FitParallel(stream, partition, nullptr, kShardSize);
+      reconstructor.Fit(stream, partition);
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     std::unique_ptr<engine::ThreadPool> pool =

@@ -4,46 +4,45 @@
 // band), prints their trees' shapes and accuracy, and shows one decision
 // tree so the learned structure is inspectable.
 //
-// The request enters through the validated api::Spec; the engine runs
-// with 4 worker threads, which fans out the per-attribute (and Local's
-// per-node) reconstructions without changing a single output bit.
+// The experiment cell is a core::ExperimentConfig checked by
+// api::ValidateExperiment; one 4-thread engine::ThreadPool fans out the
+// per-attribute (and Local's per-node) reconstructions without changing
+// a single output bit.
 
 #include <cstdio>
 
 #include "api/spec.h"
 #include "core/experiment.h"
-#include "engine/batch.h"
+#include "engine/thread_pool.h"
 
 int main() {
   using namespace ppdm;
   using tree::TrainingMode;
 
-  api::Spec spec;
-  spec.function = synth::Function::kF4;
-  spec.train_records = 20000;
-  spec.test_records = 5000;
-  spec.noise.kind = perturb::NoiseKind::kGaussian;
-  spec.noise.privacy_fraction = 1.0;
-  spec.engine.num_threads = 4;
-  if (Status s = spec.Validate(); !s.ok()) {
-    std::fprintf(stderr, "invalid spec: %s\n", s.ToString().c_str());
+  core::ExperimentConfig config;
+  config.function = synth::Function::kF4;
+  config.train_records = 20000;
+  config.test_records = 5000;
+  config.noise = perturb::NoiseKind::kGaussian;
+  config.privacy_fraction = 1.0;
+  config.batch.num_threads = 4;
+  if (Status s = api::ValidateExperiment(config); !s.ok()) {
+    std::fprintf(stderr, "invalid config: %s\n", s.ToString().c_str());
     return 1;
   }
-  const core::ExperimentConfig config = spec.ToExperimentConfig();
 
   std::printf("Fn4, Gaussian noise @100%% privacy, %zu training records, "
               "%zu engine threads\n\n",
-              spec.train_records, spec.engine.num_threads);
-  const engine::Batch batch(config.batch);
-  const core::ExperimentData data = core::PrepareData(config, batch);
+              config.train_records, config.batch.num_threads);
+  engine::ThreadPool pool(config.batch.num_threads);
+  const core::ExperimentData data = core::PrepareData(config, &pool);
 
   std::printf("%-11s %10s %8s %8s\n", "algorithm", "accuracy", "nodes",
               "depth");
   for (TrainingMode mode :
        {TrainingMode::kOriginal, TrainingMode::kRandomized,
         TrainingMode::kGlobal, TrainingMode::kByClass, TrainingMode::kLocal}) {
-    const core::ModeResult r = core::RunMode(data, mode, config,
-                                             batch.pool());
+    const core::ModeResult r = core::RunMode(data, mode, config, &pool);
     std::printf("%-11s %9.1f%% %8zu %8zu\n",
                 tree::TrainingModeName(mode).c_str(), 100.0 * r.accuracy,
                 r.tree_nodes, r.tree_depth);
@@ -51,11 +50,11 @@ int main() {
 
   // Show the structure ByClass actually learned. The true concept tests
   // age bands, then an elevel-dependent salary band.
-  tree::TreeOptions compact = spec.tree;
+  tree::TreeOptions compact = config.tree;
   compact.max_depth = 5;  // keep the printed tree small
   const tree::DecisionTree model = tree::TrainDecisionTree(
       data.perturbed_train, TrainingMode::kByClass, compact,
-      &data.randomizer, batch.pool());
+      &data.randomizer, &pool);
   std::printf("\nByClass tree (depth capped at 5 for display):\n%s",
               model.Describe(data.train.schema()).c_str());
   return 0;

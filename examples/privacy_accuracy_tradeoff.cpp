@@ -27,14 +27,14 @@ int main() {
     double bits[2];
     int i = 0;
     for (NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
-      api::Spec spec;
-      spec.function = synth::Function::kF3;
-      spec.train_records = 20000;
-      spec.test_records = 5000;
-      spec.noise.kind = kind;
-      spec.noise.privacy_fraction = privacy;
+      core::ExperimentConfig config;
+      config.function = synth::Function::kF3;
+      config.train_records = 20000;
+      config.test_records = 5000;
+      config.noise = kind;
+      config.privacy_fraction = privacy;
       const auto results =
-          api::RunExperiment(spec, {tree::TrainingMode::kByClass});
+          api::RunExperiment(config, {tree::TrainingMode::kByClass});
       if (!results.ok()) {
         std::fprintf(stderr, "sweep point rejected: %s\n",
                      results.status().ToString().c_str());

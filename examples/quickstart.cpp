@@ -5,9 +5,10 @@
 //    values) and trains a ByClass decision tree.
 // 3. The tree classifies fresh, unperturbed records.
 //
-// Requests enter through the validated api::Spec — a malformed request
-// (negative privacy, confidence outside (0,1), zero intervals) is
-// rejected with a Status before any work starts.
+// The experiment cell is a core::ExperimentConfig checked by
+// api::ValidateExperiment — a malformed request (negative privacy,
+// confidence outside (0,1), zero intervals) is rejected with a Status
+// before any work starts.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 
@@ -23,22 +24,21 @@ int main() {
   // bands), 20k providers, uniform noise at the paper's "100% privacy"
   // setting — each disclosed value only pins the true value to an
   // interval as wide as the whole attribute range (95% confidence).
-  api::Spec spec;
-  spec.function = synth::Function::kF2;
-  spec.train_records = 20000;
-  spec.test_records = 5000;
-  spec.noise.kind = perturb::NoiseKind::kUniform;
-  spec.noise.privacy_fraction = 1.0;
+  core::ExperimentConfig config;
+  config.function = synth::Function::kF2;
+  config.train_records = 20000;
+  config.test_records = 5000;
+  config.noise = perturb::NoiseKind::kUniform;
+  config.privacy_fraction = 1.0;
 
-  if (Status s = spec.Validate(); !s.ok()) {
-    std::fprintf(stderr, "invalid spec: %s\n", s.ToString().c_str());
+  if (Status s = api::ValidateExperiment(config); !s.ok()) {
+    std::fprintf(stderr, "invalid config: %s\n", s.ToString().c_str());
     return 1;
   }
-  const core::ExperimentConfig config = spec.ToExperimentConfig();
 
   std::printf("Generating %zu provider records and perturbing them at "
               "%.0f%% privacy...\n",
-              spec.train_records, 100.0 * spec.noise.privacy_fraction);
+              config.train_records, 100.0 * config.privacy_fraction);
   const core::ExperimentData data = core::PrepareData(config);
 
   // What one provider actually discloses:

@@ -11,7 +11,7 @@
 // per attribute and the shards merge in ascending order, so the per-
 // attribute counts are identical for every batching. A cold
 // ReconstructAll() is therefore byte-identical to the batch
-// BayesReconstructor::FitParallel over each concatenated column, and every
+// BayesReconstructor::Fit over each concatenated column, and every
 // estimate equals that of N one-attribute sessions fed the same batches,
 // at any thread count (property-tested in tests/api_test.cc). Refreshes
 // after the first warm-start EM from the previous estimate, which is what
@@ -77,7 +77,9 @@ struct DatasetSessionSpec {
   std::vector<AttributeSpec> attributes;
 
   /// Records per ingestion shard when a batch is folded over the pool.
-  /// Affects only throughput, never the counts.
+  /// Affects only throughput, never the counts. It stays a field, unlike
+  /// the offline fit's constant grain, because it is part of the spec the
+  /// open verb carries and snapshots encode.
   std::size_t shard_size = 16384;
 
   /// Warm-start refreshes from each attribute's previous estimate. Off,
@@ -140,7 +142,7 @@ class DatasetSession {
   /// Fans one FitFromCounts per attribute over the pool and returns the
   /// estimates in spec order. The first call (or every call with
   /// warm_start off) starts from the uniform prior and is byte-identical
-  /// to FitParallel over each concatenated column; later calls warm-start
+  /// to Fit over each concatenated column; later calls warm-start
   /// from the previous estimate. An empty session yields the uniform
   /// distribution. Byte-identical at any thread count.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();

@@ -223,12 +223,6 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::Open(
   return shared;
 }
 
-std::shared_ptr<DatasetSession> SessionRegistry::Lookup(
-    const std::string& name) {
-  Result<std::shared_ptr<DatasetSession>> found = TryLookup(name);
-  return found.ok() ? std::move(found).value() : nullptr;
-}
-
 Result<std::shared_ptr<DatasetSession>> SessionRegistry::TryLookup(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -7,7 +7,7 @@
 //
 // Spill tier: with a SessionSpill backend configured, eviction *demotes*
 // a session — its state is serialized to the backend before the in-RAM
-// entry is dropped — and Lookup() transparently re-admits spilled
+// entry is dropped — and TryLookup() transparently re-admits spilled
 // sessions, so hours of accumulated, privacy-perturbed evidence survive
 // memory pressure and process restarts. A spilled name still counts as
 // open: Open() refuses it, Close() drops both tiers. Without a backend,
@@ -21,7 +21,7 @@
 // A demotion serializes the state the session holds at demotion time;
 // writes made later through still-held shared_ptrs are not captured —
 // the same visibility contract plain eviction always had. Serving loops
-// that want spill-exactness re-Lookup per batch instead of caching the
+// that want spill-exactness call TryLookup per batch instead of caching the
 // pointer.
 //
 // Lock order: registry mutex, then (via ApproxMemoryBytes / the spill
@@ -94,8 +94,8 @@ struct SessionRegistryOptions {
   /// it (to the spill tier when configured, else destroying it).
   std::size_t max_bytes = 0;
 
-  /// Evict sessions idle (no Open/Lookup touch) longer than this; zero
-  /// disables TTL eviction. Expiry is enforced on every Open/Lookup and
+  /// Evict sessions idle (no Open/TryLookup touch) longer than this; zero
+  /// disables TTL eviction. Expiry is enforced on every Open/TryLookup and
   /// via SweepExpired() for callers that want a periodic sweep.
   std::chrono::milliseconds ttl{0};
 
@@ -127,21 +127,16 @@ class SessionRegistry {
   Result<std::shared_ptr<DatasetSession>> Open(const std::string& name,
                                                const DatasetSessionSpec& spec);
 
-  /// The session registered under `name` (touching its LRU recency), or
-  /// null when absent or expired. A session demoted to the spill tier is
-  /// transparently re-admitted — the caller cannot tell it ever left RAM
-  /// beyond the latency; re-admission may demote other sessions to fit
-  /// the budget. A spilled capture that fails to re-admit yields null
-  /// (and a spill_failures tick); it is kept on disk until Close(). Use
-  /// TryLookup when the *reason* for a failed re-admission matters.
-  std::shared_ptr<DatasetSession> Lookup(const std::string& name);
-
-  /// Lookup with the failure surfaced: kNotFound when the name is absent
-  /// (or expired and demoted away), the spill backend's Status when a
-  /// capture exists but cannot be re-admitted (corrupt bytes, I/O
-  /// failure). A failed re-admission never corrupts registry state — the
-  /// capture stays on disk (Close() discards it), no entry is registered,
-  /// and a later TryLookup may succeed if the failure was transient.
+  /// The session registered under `name` (touching its LRU recency). A
+  /// session demoted to the spill tier is transparently re-admitted — the
+  /// caller cannot tell it ever left RAM beyond the latency; re-admission
+  /// may demote other sessions to fit the budget. kNotFound when the name
+  /// is absent (or expired and demoted away); the spill backend's Status
+  /// (and a spill_failures tick) when a capture exists but cannot be
+  /// re-admitted (corrupt bytes, I/O failure). A failed re-admission never
+  /// corrupts registry state — the capture stays on disk (Close() discards
+  /// it), no entry is registered, and a later TryLookup may succeed if the
+  /// failure was transient.
   Result<std::shared_ptr<DatasetSession>> TryLookup(const std::string& name);
 
   /// Drops the registry's reference to `name` — both the in-RAM entry
@@ -163,7 +158,7 @@ class SessionRegistry {
     std::size_t approx_bytes = 0;   ///< Sum of resident ApproxMemoryBytes().
     std::uint64_t evictions = 0;    ///< Budget + TTL evictions (not Close).
     std::uint64_t ttl_evictions = 0;///< The TTL share of `evictions`.
-    std::uint64_t lookups = 0;      ///< Lookup() calls.
+    std::uint64_t lookups = 0;      ///< TryLookup() calls.
     std::uint64_t hits = 0;         ///< Lookups served (RAM or re-admitted).
     std::uint64_t misses = 0;       ///< Lookups that found nothing anywhere.
     /// Sessions this registry demoted to the spill tier and has not

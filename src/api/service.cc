@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "common/retry.h"
 #include "common/strings.h"
-#include "engine/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 

@@ -138,55 +138,14 @@ Status ValidateExperiment(const core::ExperimentConfig& config) {
   return ValidateEngine(config.batch);
 }
 
-Status Spec::Validate() const {
-  if (train_records == 0) {
-    return Status::InvalidArgument("train_records must be >= 1");
-  }
-  if (test_records == 0) {
-    return Status::InvalidArgument("test_records must be >= 1");
-  }
-  PPDM_RETURN_IF_ERROR(ValidateNoise(noise));
-  PPDM_RETURN_IF_ERROR(ValidateTree(tree));
-  return ValidateEngine(engine);
-}
-
-core::ExperimentConfig Spec::ToExperimentConfig() const {
-  core::ExperimentConfig config;
-  config.function = function;
-  config.train_records = train_records;
-  config.test_records = test_records;
-  config.noise = noise.kind;
-  config.privacy_fraction = noise.privacy_fraction;
-  config.confidence = noise.confidence;
-  config.tree = tree;
-  config.seed = seed;
-  config.batch = engine;
-  return config;
-}
-
-Spec Spec::FromExperimentConfig(const core::ExperimentConfig& config) {
-  Spec spec;
-  spec.function = config.function;
-  spec.train_records = config.train_records;
-  spec.test_records = config.test_records;
-  spec.seed = config.seed;
-  spec.noise.kind = config.privacy_fraction == 0.0
-                        ? perturb::NoiseKind::kNone
-                        : config.noise;
-  spec.noise.privacy_fraction = config.privacy_fraction;
-  spec.noise.confidence = config.confidence;
-  spec.tree = config.tree;
-  spec.engine = config.batch;
-  return spec;
-}
-
 Result<std::vector<core::ModeResult>> RunExperiment(
-    const Spec& spec, const std::vector<tree::TrainingMode>& modes) {
-  PPDM_RETURN_IF_ERROR(spec.Validate());
+    const core::ExperimentConfig& config,
+    const std::vector<tree::TrainingMode>& modes) {
+  PPDM_RETURN_IF_ERROR(ValidateExperiment(config));
   if (modes.empty()) {
     return Status::InvalidArgument("at least one training mode is required");
   }
-  return core::RunModes(spec.ToExperimentConfig(), modes);
+  return core::RunModes(config, modes);
 }
 
 }  // namespace ppdm::api

@@ -1,25 +1,24 @@
-// The unified, validated specification layer of the serving API.
+// The validation layer of the serving API.
 //
-// Every layer of the library grew its own option struct (RandomizerOptions,
+// Every layer of the library has its own option struct (RandomizerOptions,
 // ReconstructionOptions, BatchOptions, TreeOptions, ExperimentConfig), and
-// none of them validated anything: a negative privacy fraction or a
-// zero-interval partition sailed through until a PPDM_CHECK aborted deep in
+// none of them validates anything: a negative privacy fraction or a
+// zero-interval partition sails through until a PPDM_CHECK aborts deep in
 // the stack — acceptable for a research harness, not for a server fed by
-// untrusted requests. api::Spec composes those structs into one request
-// description with a Validate() -> Status layer, and the granular
-// Validate*() helpers let each entry point reject exactly the slice of the
-// spec it consumes. All rejections use StatusCode::kInvalidArgument.
+// untrusted requests. The Validate*() helpers let each entry point reject
+// exactly the slice of its request it consumes, before any work starts;
+// ValidateExperiment covers a whole core::ExperimentConfig. All
+// rejections use StatusCode::kInvalidArgument.
 
 #ifndef PPDM_API_SPEC_H_
 #define PPDM_API_SPEC_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
 #include "core/experiment.h"
-#include "engine/batch.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
 #include "tree/trainer.h"
@@ -52,52 +51,19 @@ Status ValidateTree(const tree::TreeOptions& options);
 /// partition; one admits no split).
 Status ValidateDomain(double lo, double hi, std::size_t intervals);
 
-/// Validates a full experiment cell (record counts plus every nested
-/// option struct) for callers holding a core::ExperimentConfig directly
-/// (benches, migration code). Spec-based callers get the same checks from
-/// Spec::Validate(); core::PrepareData/RunModes themselves stay
-/// unvalidated internals — route new entry points through one of these.
+/// Validates a full experiment cell: record counts, the noise settings
+/// (a perturbing kind with privacy 0 is fine, since core::PrepareData
+/// switches to kNone itself), the tree options and the engine. The one validator
+/// of a core::ExperimentConfig; core::PrepareData/RunModes themselves
+/// stay unvalidated internals, so new entry points route through it.
 Status ValidateExperiment(const core::ExperimentConfig& config);
 
-/// One validated request against the serving API: the experiment shape
-/// plus every layer's options, composed instead of scattered.
-struct Spec {
-  /// Synthetic workload shape (paper benchmark functions).
-  synth::Function function = synth::Function::kF1;
-  std::size_t train_records = 20000;
-  std::size_t test_records = 5000;
-  /// Master seed; data generation and noise streams derive from it.
-  std::uint64_t seed = 1;
-
-  /// Provider-side perturbation. `noise.seed` is ignored by experiment
-  /// conversion (streams derive from `seed`) but honoured by direct
-  /// perturbation jobs.
-  perturb::RandomizerOptions noise;
-
-  /// Tree induction, including the nested reconstruction tuning and the
-  /// per-attribute interval count.
-  tree::TreeOptions tree;
-
-  /// Parallel execution engine: worker threads and shard grain.
-  engine::BatchOptions engine;
-
-  /// kOk, or the first kInvalidArgument found.
-  Status Validate() const;
-
-  /// Lowers the spec onto the experiment driver's config. Call Validate()
-  /// first; conversion itself never fails.
-  core::ExperimentConfig ToExperimentConfig() const;
-
-  /// Lifts an existing config into a Spec (for callers migrating to the
-  /// validated layer).
-  static Spec FromExperimentConfig(const core::ExperimentConfig& config);
-};
-
-/// The validated experiment façade: rejects an invalid spec with
-/// kInvalidArgument, otherwise runs core::RunModes over one shared
-/// prepared dataset and engine pool.
+/// The validated experiment façade: rejects an invalid config or an empty
+/// mode list with kInvalidArgument, otherwise runs core::RunModes over one
+/// shared prepared dataset and engine pool.
 Result<std::vector<core::ModeResult>> RunExperiment(
-    const Spec& spec, const std::vector<tree::TrainingMode>& modes);
+    const core::ExperimentConfig& config,
+    const std::vector<tree::TrainingMode>& modes);
 
 }  // namespace ppdm::api
 

@@ -20,13 +20,14 @@
 #include "common/strings.h"
 #include "core/metrics.h"
 #include "data/csv.h"
-#include "engine/batch.h"
 #include "engine/simd.h"
+#include "engine/thread_pool.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
+#include "reconstruct/by_class.h"
 #include "reconstruct/reconstructor.h"
 #include "stats/histogram.h"
 #include "store/session_codec.h"
@@ -91,22 +92,31 @@ Result<perturb::Randomizer> RandomizerFromFlags(const Args& args,
   return perturb::Randomizer(schema, options);
 }
 
-// --threads / --shard-size: the parallel execution engine. --threads=0
-// (the default) runs the same decompositions inline.
-Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
+// --threads: the parallel engine's workers. --threads=0 (the default)
+// runs the same decompositions inline.
+Result<std::size_t> ThreadsFromFlag(const Args& args) {
   PPDM_ASSIGN_OR_RETURN(const long long threads, args.GetInt("threads", 0));
   if (threads < 0) {
     return Status::InvalidArgument("--threads must be >= 0");
   }
+  engine::BatchOptions options;
+  options.num_threads = static_cast<std::size_t>(threads);
+  PPDM_RETURN_IF_ERROR(api::ValidateEngine(options));
+  return options.num_threads;
+}
+
+// --threads plus --shard-size, for the two commands whose bytes the shard
+// size changes: perturb (its noise-stream layout) and loadgen (the tenant
+// spec).
+Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
+  engine::BatchOptions options;
+  PPDM_ASSIGN_OR_RETURN(options.num_threads, ThreadsFromFlag(args));
   PPDM_ASSIGN_OR_RETURN(const long long shard_size,
                         args.GetInt("shard-size", 16384));
   if (shard_size < 0) {
     return Status::InvalidArgument("--shard-size must be >= 0");
   }
-  engine::BatchOptions options;
-  options.num_threads = static_cast<std::size_t>(threads);
   options.shard_size = static_cast<std::size_t>(shard_size);
-  PPDM_RETURN_IF_ERROR(api::ValidateEngine(options));
   return options;
 }
 
@@ -244,8 +254,7 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
   if (args.Has("faults")) {
     PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
   }
-  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch,
-                        BatchFromFlags(args));
+  PPDM_ASSIGN_OR_RETURN(const std::size_t threads, ThreadsFromFlag(args));
   PPDM_ASSIGN_OR_RETURN(const long long max_pending,
                         args.GetInt("max-pending", 0));
   PPDM_ASSIGN_OR_RETURN(const long long registry_mb,
@@ -255,7 +264,7 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
         "--max-pending and --registry-mb must be >= 0");
   }
   net::ServerOptions options;
-  options.num_threads = batch.num_threads;
+  options.num_threads = threads;
   options.max_pending = static_cast<std::size_t>(max_pending);
   options.registry_max_bytes = static_cast<std::size_t>(registry_mb) << 20;
   options.checkpoint_dir = args.GetString("checkpoint-dir", "");
@@ -309,11 +318,10 @@ const char* UsageText() {
       "              [--threads=T] [--shard-size=N]\n"
       "  reconstruct --in=FILE --attribute=NAME [--noise=...] [--privacy=F]\n"
       "              [--confidence=C] [--intervals=K] [--by-class]\n"
-      "              [--threads=T] [--shard-size=N]\n"
+      "              [--threads=T]\n"
       "  train       --train=FILE --test=FILE [--mode=byclass|...]\n"
       "              [--noise=...] [--privacy=F] [--confidence=C]\n"
-      "              [--intervals=K] [--print-tree]\n"
-      "              [--threads=T] [--shard-size=N]\n"
+      "              [--intervals=K] [--print-tree] [--threads=T]\n"
       "  snapshot    --dir=DIR                      list stored snapshots\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
@@ -388,11 +396,11 @@ const char* UsageText() {
       "the input file was perturbed with (0 for unperturbed data).\n"
       "--threads=T runs the parallel engine with T workers; 0 (the\n"
       "default) runs inline. reconstruct, --by-class and train give\n"
-      "bit-identical results at every thread count, and --shard-size\n"
-      "does not change reconstruction bits. Only perturb's noise-stream\n"
-      "layout differs: --threads=0 draws one stream per attribute, while\n"
-      "T >= 1 draws one per (attribute, shard) and is identical for every\n"
-      "T at a fixed --shard-size.\n";
+      "bit-identical results at every thread count. Only perturb's\n"
+      "noise-stream layout differs: --threads=0 draws one stream per\n"
+      "attribute, while T >= 1 draws one per (attribute, shard of\n"
+      "--shard-size records) and is identical for every T at a fixed\n"
+      "--shard-size. loadgen's --shard-size sets the tenant spec.\n";
 }
 
 Status RunGenerate(const Args& args, std::ostream& out) {
@@ -448,11 +456,9 @@ Status RunPerturb(const Args& args, std::ostream& out) {
       RandomizerFromFlags(args, dataset.value().schema());
   if (!randomizer.ok()) return randomizer.status();
 
-  const data::Dataset perturbed =
-      batch_options.value().num_threads == 0
-          ? randomizer.value().Perturb(dataset.value())
-          : engine::Batch(batch_options.value())
-                .PerturbShards(randomizer.value(), dataset.value());
+  engine::ThreadPool pool(batch_options.value().num_threads);
+  const data::Dataset perturbed = randomizer.value().PerturbForEngine(
+      dataset.value(), batch_options.value(), &pool);
   if (Status s = data::WriteCsv(perturbed, out_path); !s.ok()) return s;
   out << StrFormat(
       "perturbed %zu records (%s noise, privacy %.0f%% @%.0f%% conf.) -> %s\n",
@@ -466,12 +472,12 @@ Status RunPerturb(const Args& args, std::ostream& out) {
 Status RunReconstruct(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"in", "attribute", "noise", "privacy",
                                   "confidence", "intervals", "by-class",
-                                  "seed", "threads", "shard-size", "simd"});
+                                  "seed", "threads", "simd"});
       !s.ok()) {
     return s;
   }
-  Result<engine::BatchOptions> batch_options = BatchFromFlags(args);
-  if (!batch_options.ok()) return batch_options.status();
+  Result<std::size_t> threads = ThreadsFromFlag(args);
+  if (!threads.ok()) return threads.status();
   const std::string in = args.GetString("in", "");
   const std::string attribute = args.GetString("attribute", "");
   if (in.empty() || attribute.empty()) {
@@ -497,14 +503,14 @@ Status RunReconstruct(const Args& args, std::ostream& out) {
   const reconstruct::BayesReconstructor reconstructor(
       randomizer.value().ModelFor(col.value()), {});
 
-  const engine::Batch batch(batch_options.value());
+  engine::ThreadPool pool(threads.value());
   std::vector<reconstruct::Reconstruction> recons;
   if (args.Has("by-class")) {
-    recons = batch.ReconstructByClassParallel(dataset.value(), col.value(),
-                                              partition, reconstructor);
+    recons = reconstruct::ReconstructByClass(dataset.value(), col.value(),
+                                             partition, reconstructor, &pool);
   } else {
-    recons.push_back(batch.ReconstructParallel(
-        dataset.value().Column(col.value()), partition, reconstructor));
+    recons.push_back(reconstructor.Fit(dataset.value().Column(col.value()),
+                                       partition, &pool));
   }
   for (std::size_t c = 0; c < recons.size(); ++c) {
     if (recons.size() > 1) out << StrFormat("class %zu:\n", c);
@@ -521,13 +527,12 @@ Status RunReconstruct(const Args& args, std::ostream& out) {
 Status RunTrain(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"train", "test", "mode", "noise",
                                   "privacy", "confidence", "intervals",
-                                  "print-tree", "seed", "threads",
-                                  "shard-size", "simd"});
+                                  "print-tree", "seed", "threads", "simd"});
       !s.ok()) {
     return s;
   }
-  Result<engine::BatchOptions> batch_options = BatchFromFlags(args);
-  if (!batch_options.ok()) return batch_options.status();
+  Result<std::size_t> threads = ThreadsFromFlag(args);
+  if (!threads.ok()) return threads.status();
   const std::string train_path = args.GetString("train", "");
   const std::string test_path = args.GetString("test", "");
   if (train_path.empty() || test_path.empty()) {
@@ -553,12 +558,12 @@ Status RunTrain(const Args& args, std::ostream& out) {
   options.intervals = static_cast<std::size_t>(
       std::max<long long>(intervals.value(), 0));
   PPDM_RETURN_IF_ERROR(api::ValidateTree(options));
-  const engine::Batch batch(batch_options.value());
+  engine::ThreadPool pool(threads.value());
   const tree::DecisionTree model = tree::TrainDecisionTree(
       train.value(), mode.value(), options,
       tree::ModeUsesReconstruction(mode.value()) ? &randomizer.value()
                                                  : nullptr,
-      batch.pool());
+      &pool);
   const core::ConfusionMatrix cm = core::EvaluateTree(model, test.value());
   out << StrFormat("%s: accuracy %.2f%% on %zu test records "
                    "(%zu nodes, depth %zu)\n",
@@ -630,8 +635,7 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
 
 Status RunRestore(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"dir", "name", "reconstruct",
-                                  "print-masses", "threads", "shard-size",
-                                  "simd"});
+                                  "print-masses", "threads", "simd"});
       !s.ok()) {
     return s;
   }
@@ -640,16 +644,13 @@ Status RunRestore(const Args& args, std::ostream& out) {
   if (dir.empty() || name.empty()) {
     return Status::InvalidArgument("restore needs --dir and --name");
   }
-  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch_options,
-                        BatchFromFlags(args));
+  PPDM_ASSIGN_OR_RETURN(const std::size_t threads, ThreadsFromFlag(args));
   PPDM_ASSIGN_OR_RETURN(const store::SnapshotStore store,
                         store::SnapshotStore::Open(dir));
   PPDM_ASSIGN_OR_RETURN(const std::string bytes, store.Get(name));
-  std::optional<engine::ThreadPool> pool;
-  if (batch_options.num_threads > 0) pool.emplace(batch_options.num_threads);
-  PPDM_ASSIGN_OR_RETURN(
-      const std::unique_ptr<api::DatasetSession> session,
-      store::DecodeDatasetSession(bytes, pool ? &*pool : nullptr));
+  engine::ThreadPool pool(threads);
+  PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::DatasetSession> session,
+                        store::DecodeDatasetSession(bytes, &pool));
 
   out << StrFormat(
       "restored '%s': %llu records in %llu batches, %zu attribute(s), "

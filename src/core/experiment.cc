@@ -6,12 +6,8 @@
 
 namespace ppdm::core {
 
-ExperimentData PrepareData(const ExperimentConfig& config) {
-  return PrepareData(config, engine::Batch(config.batch));
-}
-
 ExperimentData PrepareData(const ExperimentConfig& config,
-                           const engine::Batch& batch) {
+                           engine::ThreadPool* pool) {
   synth::GeneratorOptions train_gen;
   train_gen.num_records = config.train_records;
   train_gen.function = config.function;
@@ -33,13 +29,10 @@ ExperimentData PrepareData(const ExperimentConfig& config,
   noise_options.seed = config.seed + 0x9E1517BULL;
   perturb::Randomizer randomizer(train.schema(), noise_options);
 
-  // The engine's sharded perturbation lays noise streams out per
-  // (attribute, shard) instead of per attribute, so it is only used when
-  // the config opts into parallel execution — the default keeps the
-  // per-attribute streams the experiment suites' accuracy bounds sit on.
-  data::Dataset perturbed = config.batch.num_threads == 0
-                                ? randomizer.Perturb(train)
-                                : batch.PerturbShards(randomizer, train);
+  // The default (num_threads == 0) keeps the per-attribute streams the
+  // experiment suites' accuracy bounds sit on.
+  data::Dataset perturbed =
+      randomizer.PerturbForEngine(train, config.batch, pool);
   return ExperimentData{std::move(train), std::move(perturbed),
                         std::move(test), std::move(randomizer)};
 }
@@ -66,14 +59,14 @@ ModeResult RunMode(const ExperimentData& data, tree::TrainingMode mode,
 std::vector<ModeResult> RunModes(
     const ExperimentConfig& config,
     const std::vector<tree::TrainingMode>& modes) {
-  // One pool shared by the perturbation and every mode; null when the
-  // config stays sequential.
-  const engine::Batch batch(config.batch);
-  const ExperimentData data = PrepareData(config, batch);
+  // One pool shared by the perturbation and every mode; 0 threads runs
+  // everything inline.
+  engine::ThreadPool pool(config.batch.num_threads);
+  const ExperimentData data = PrepareData(config, &pool);
   std::vector<ModeResult> results;
   results.reserve(modes.size());
   for (tree::TrainingMode mode : modes) {
-    results.push_back(RunMode(data, mode, config, batch.pool()));
+    results.push_back(RunMode(data, mode, config, &pool));
   }
   return results;
 }

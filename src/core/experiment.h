@@ -1,6 +1,9 @@
 // End-to-end experiment driver: generate → perturb → train → evaluate.
 // This is the public API the examples and every figure/table bench use, so
 // that the reported numbers all come from exactly one code path.
+// ExperimentConfig is the one description of an experiment cell;
+// api::ValidateExperiment is its validator and api::RunExperiment the
+// validated entry point.
 
 #ifndef PPDM_CORE_EXPERIMENT_H_
 #define PPDM_CORE_EXPERIMENT_H_
@@ -10,7 +13,7 @@
 
 #include "core/metrics.h"
 #include "data/dataset.h"
-#include "engine/batch.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "synth/generator.h"
 #include "tree/trainer.h"
@@ -34,10 +37,10 @@ struct ExperimentConfig {
 
   /// Parallel execution engine configuration. Reconstruction and tree
   /// training are bit-identical at every thread count. The perturbation
-  /// is not: num_threads == 0 (default) draws one noise stream per
-  /// attribute (Randomizer::Perturb), while num_threads >= 1 draws one per
-  /// (attribute, shard) via Batch::PerturbShards, identical for every
-  /// positive thread count at a fixed shard_size.
+  /// follows Randomizer::PerturbForEngine: num_threads == 0 (default)
+  /// draws one noise stream per attribute, while num_threads >= 1 draws
+  /// one per (attribute, shard), identical for every positive thread
+  /// count at a fixed shard_size.
   engine::BatchOptions batch;
 };
 
@@ -61,12 +64,11 @@ struct ExperimentData {
 
 /// Materializes the datasets for a config. Every mode evaluated against the
 /// same config sees identical data and identical noise draws, so mode
-/// comparisons are paired. The overload taking a `batch` reuses its pool
-/// (the batch must have been built from config.batch); the other constructs
-/// one on demand.
-ExperimentData PrepareData(const ExperimentConfig& config);
+/// comparisons are paired. `config.batch` picks the noise-stream layout;
+/// `pool` (may be null) only runs the sharded layout's tasks, so the data
+/// are identical for every pool.
 ExperimentData PrepareData(const ExperimentConfig& config,
-                           const engine::Batch& batch);
+                           engine::ThreadPool* pool = nullptr);
 
 /// Trains and evaluates one mode on prepared data. `pool` (may be null)
 /// fans the trainer's per-attribute reconstructions out; the result is
@@ -75,7 +77,8 @@ ModeResult RunMode(const ExperimentData& data, tree::TrainingMode mode,
                    const ExperimentConfig& config,
                    engine::ThreadPool* pool = nullptr);
 
-/// Trains and evaluates several modes on one shared prepared dataset.
+/// Trains and evaluates several modes on one shared prepared dataset, over
+/// one pool of config.batch.num_threads workers.
 std::vector<ModeResult> RunModes(const ExperimentConfig& config,
                                  const std::vector<tree::TrainingMode>& modes);
 

@@ -26,6 +26,20 @@
 
 namespace ppdm::engine {
 
+/// Execution configuration of an offline job: the size of the pool it runs
+/// on and the record grain of its sharded perturbation.
+struct BatchOptions {
+  /// Worker threads. 0 = run every primitive inline on the calling thread
+  /// (the same decompositions, no workers); results are identical either
+  /// way.
+  std::size_t num_threads = 0;
+
+  /// Records per perturbation shard (0 = a single shard). It lays out the
+  /// sharded perturbation's noise streams, one per (attribute, shard), so
+  /// it changes perturbed bytes; reconstruction does not read it.
+  std::size_t shard_size = 16384;
+};
+
 /// A fixed set of worker threads draining one shared task queue. No work
 /// stealing: tasks are coarse (one chunk of a ParallelFor), so a single
 /// mutex-guarded deque is not a bottleneck at the scales this library runs.

@@ -71,6 +71,14 @@ data::Dataset Randomizer::Perturb(const data::Dataset& dataset,
   return out;
 }
 
+data::Dataset Randomizer::PerturbForEngine(const data::Dataset& dataset,
+                                           const engine::BatchOptions& engine,
+                                           engine::ThreadPool* pool) const {
+  return engine.num_threads == 0
+             ? Perturb(dataset)
+             : Perturb(dataset, pool, engine.shard_size);
+}
+
 void Randomizer::PerturbRecord(std::vector<double>* record, Rng* rng) const {
   PPDM_CHECK(record != nullptr && rng != nullptr);
   PPDM_CHECK_EQ(record->size(), models_.size());

@@ -56,6 +56,15 @@ class Randomizer {
                         engine::ThreadPool* pool,
                         std::size_t shard_size) const;
 
+  /// The noise-stream layout rule of every offline job: the sequential
+  /// layout when `engine.num_threads == 0`, the sharded one at
+  /// `engine.shard_size` records per shard (run over `pool`) otherwise.
+  /// So the output is the same at every positive thread count, and the
+  /// default sequential configuration keeps the per-attribute streams.
+  data::Dataset PerturbForEngine(const data::Dataset& dataset,
+                                 const engine::BatchOptions& engine,
+                                 engine::ThreadPool* pool) const;
+
   /// Perturbs a single record in place (the data-provider side).
   void PerturbRecord(std::vector<double>* record, Rng* rng) const;
 

@@ -4,14 +4,6 @@
 #include "engine/thread_pool.h"
 
 namespace ppdm::reconstruct {
-
-Reconstruction ReconstructCombined(const data::Dataset& perturbed,
-                                   std::size_t col,
-                                   const Partition& partition,
-                                   const BayesReconstructor& reconstructor) {
-  return reconstructor.Fit(perturbed.Column(col), partition);
-}
-
 namespace {
 
 // Splits attribute `col` into per-class value vectors (entry c holds the
@@ -30,13 +22,6 @@ std::vector<std::vector<double>> SplitColumnByClass(
 }  // namespace
 
 std::vector<Reconstruction> ReconstructByClass(
-    const data::Dataset& perturbed, std::size_t col,
-    const Partition& partition, const BayesReconstructor& reconstructor) {
-  return ReconstructByClassParallel(perturbed, col, partition, reconstructor,
-                                    nullptr);
-}
-
-std::vector<Reconstruction> ReconstructByClassParallel(
     const data::Dataset& perturbed, std::size_t col,
     const Partition& partition, const BayesReconstructor& reconstructor,
     engine::ThreadPool* pool) {

@@ -35,10 +35,15 @@ obs::Histogram& EmIterationsHistogram() {
 }
 
 // E-step grain: kernel-table rows (w-bins, or samples on the exact path)
-// per chunk. Fixed (never derived from the thread count or the shard size)
-// so the partial-sum tree — and therefore every output bit — is invariant
-// under the pool size.
+// per chunk. Fixed (never derived from the thread count) so the
+// partial-sum tree — and therefore every output bit — is invariant under
+// the pool size.
 constexpr std::size_t kEmChunkBins = 32;
+
+// Ingestion grain of the binned fit: perturbed values per counting shard.
+// Per-shard integer counts merge exactly, so no grain changes a bit; it
+// is a constant only so every fit does the same work.
+constexpr std::size_t kIngestShardRows = 16384;
 
 // Row grain of the exact fit's per-sample kernel rows.
 constexpr std::size_t kKernelChunkRows = 64;
@@ -74,7 +79,7 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
 // chunks of kEmChunkBins rows; per-chunk partial sums are folded in
 // ascending chunk order, so the output is bit-identical regardless of
 // `pool` (nullptr runs the identical decomposition inline). This is the
-// only E-step: Fit, FitParallel and FitFromCounts all run it.
+// only E-step: Fit and FitFromCounts both run it.
 //
 // The inner product and scale-accumulate run on the dispatched SIMD path
 // (engine::simd::ActivePath()); kScalar and kAvx2 share one lane-blocked
@@ -320,13 +325,8 @@ BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
 }
 
 Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
-                                       const Partition& partition) const {
-  return FitParallel(perturbed, partition, nullptr, 0);
-}
-
-Reconstruction BayesReconstructor::FitParallel(
-    const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t shard_size) const {
+                                       const Partition& partition,
+                                       engine::ThreadPool* pool) const {
   if (noise_.kind() == perturb::NoiseKind::kNone) {
     return HistogramMasses(perturbed, partition);
   }
@@ -335,9 +335,8 @@ Reconstruction BayesReconstructor::FitParallel(
     out.masses = UniformMasses(partition.intervals());
     return out;
   }
-  return options_.binned
-             ? FitBinned(perturbed, partition, pool, shard_size)
-             : FitExact(perturbed, partition, pool);
+  return options_.binned ? FitBinned(perturbed, partition, pool)
+                         : FitExact(perturbed, partition, pool);
 }
 
 stats::Histogram BayesReconstructor::PerturbedBinning(
@@ -361,7 +360,7 @@ KernelTable BayesReconstructor::BuildKernelTable(
 
 Reconstruction BayesReconstructor::FitBinned(
     const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t shard_size) const {
+    engine::ThreadPool* pool) const {
   // Sharded ingestion: per-shard integer bin counts merged in shard order
   // are exactly the sequential histogram, for every pool size. The bin
   // index is computed by the dispatched batch kernel, which reproduces
@@ -370,7 +369,7 @@ Reconstruction BayesReconstructor::FitBinned(
   const stats::Histogram whist = PerturbedBinning(partition);
   const engine::ShardStats ingested = engine::IngestBinnedColumn(
       perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
-      whist.width(), whist.bins(), pool, shard_size);
+      whist.width(), whist.bins(), pool, kIngestShardRows);
 
   const KernelTable table = BuildBinnedKernelTable(whist, partition, noise_);
   return RunEm(ingested.BinWeights(), table,
@@ -390,7 +389,7 @@ Reconstruction BayesReconstructor::FitFromCounts(
   }
   if (noise_.kind() == perturb::NoiseKind::kNone) {
     // No noise: the w bins are the partition intervals and the estimate is
-    // the exact histogram — the same degenerate path FitParallel takes.
+    // the exact histogram — the same degenerate path Fit takes.
     Reconstruction out;
     out.sample_count = static_cast<std::size_t>(total_weight + 0.5);
     out.masses.assign(weights.begin(), weights.end());
@@ -405,7 +404,7 @@ Reconstruction BayesReconstructor::FitFromCounts(
     built = BuildBinnedKernelTable(whist, partition, noise_);
     kernel = &built;
   }
-  // RunEm's one decomposition is FitParallel's too, so a cold start
+  // RunEm's one decomposition is Fit's too, so a cold start
   // (initial == nullptr) reproduces the batch masses bit for bit.
   return RunEm(weights, *kernel, total_weight, options_, pool, initial);
 }

@@ -132,29 +132,22 @@ class BayesReconstructor {
   /// Reconstructs the distribution of X over `partition` from the
   /// perturbed values w_i = x_i + y_i. With kNone noise this degenerates
   /// to the exact histogram of the samples. An empty sample yields the
-  /// uniform distribution (the EM prior). Same as
-  /// FitParallel(perturbed, partition, nullptr, 0), bit for bit.
+  /// uniform distribution (the EM prior). The binned fit ingests in
+  /// fixed-size shards and runs the fixed-grain chunked E-step, both over
+  /// `pool` (nullptr, or a 0-thread pool, runs the same decomposition
+  /// inline). Shards merge integer counts and the E-step's partials fold
+  /// in chunk order, so the result is bit-identical for every pool size
+  /// and every SIMD path.
   Reconstruction Fit(const std::vector<double>& perturbed,
-                     const Partition& partition) const;
-
-  /// Engine entry point: sharded ingestion plus the fixed-grain chunked
-  /// E-step every fit uses. The result is bit-identical for every pool
-  /// (pool == nullptr runs the same decomposition inline), every
-  /// `shard_size`, and every SIMD path, so it equals Fit() exactly:
-  /// ingestion shards merge integer counts, and the E-step's chunk grain
-  /// is a constant whose partial sums fold in chunk order. `shard_size`
-  /// only sets the ingestion grain (0 = one shard).
-  Reconstruction FitParallel(const std::vector<double>& perturbed,
-                             const Partition& partition,
-                             engine::ThreadPool* pool,
-                             std::size_t shard_size) const;
+                     const Partition& partition,
+                     engine::ThreadPool* pool = nullptr) const;
 
   /// The perturbed-value binning the binned engine path uses for
   /// `partition`: the partition's grid extended on each side by
   /// ceil(EffectiveHalfWidth / width) bins, so overshooting perturbed
   /// values land in aligned edge bins. Streaming ingestion bins arriving
   /// observations with exactly this layout (the counts it accumulates are
-  /// the ones FitParallel would ingest from the full column).
+  /// the ones Fit would ingest from the full column).
   stats::Histogram PerturbedBinning(const Partition& partition) const;
 
   /// Streaming entry point: fits from pre-binned perturbed-value counts —
@@ -162,7 +155,7 @@ class BayesReconstructor {
   /// `total_weight` observations in all. Counts are integers, so any
   /// ingestion split (one batch, many batches, sharded) yields the same
   /// weights, and with `initial == nullptr` the result is byte-identical
-  /// to FitParallel on the equivalent raw column for every pool size.
+  /// to Fit on the equivalent raw column for every pool size.
   /// A non-null `initial` (length partition.intervals(), summing to ~1)
   /// warm-starts EM from a previous estimate instead of the uniform prior:
   /// masses are floored at a tiny positive value and renormalized so a
@@ -190,8 +183,7 @@ class BayesReconstructor {
  private:
   Reconstruction FitBinned(const std::vector<double>& perturbed,
                            const Partition& partition,
-                           engine::ThreadPool* pool,
-                           std::size_t shard_size) const;
+                           engine::ThreadPool* pool) const;
   Reconstruction FitExact(const std::vector<double>& perturbed,
                           const Partition& partition,
                           engine::ThreadPool* pool) const;

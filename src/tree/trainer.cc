@@ -126,8 +126,8 @@ class Builder {
       case TrainingMode::kGlobal: {
         const BayesReconstructor reconstructor(randomizer_->ModelFor(col),
                                                options_.reconstruction);
-        const Reconstruction recon = reconstruct::ReconstructCombined(
-            dataset_, col, partitions_[col], reconstructor);
+        const Reconstruction recon =
+            reconstructor.Fit(dataset_.Column(col), partitions_[col]);
         const std::vector<std::size_t> assignment =
             AssignByOrderStatistics(dataset_.Column(col), recon.masses);
         for (std::size_t r = 0; r < assignment.size(); ++r) {

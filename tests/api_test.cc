@@ -1,7 +1,7 @@
 // Tests for the session-oriented serving API: spec validation (invalid
 // requests come back as kInvalidArgument, never a PPDM_CHECK abort),
 // streaming ingest equivalence (a DatasetSession fed 1 batch == many
-// batches == per-column batch FitParallel, byte for byte, at every thread
+// batches == per-column batch Fit, byte for byte, at every thread
 // count), EM warm-start behaviour, and the async job service (N
 // concurrent submissions return exactly the sequential results).
 
@@ -37,109 +37,44 @@ namespace {
 
 // ------------------------------------------------------------- validation
 
-TEST(SpecValidationTest, DefaultSpecIsValid) {
-  EXPECT_TRUE(Spec{}.Validate().ok());
-}
-
-TEST(SpecValidationTest, RejectsNegativePrivacyFraction) {
-  Spec spec;
-  spec.noise.privacy_fraction = -0.5;
-  const Status s = spec.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsConfidenceOutsideOpenUnitInterval) {
-  for (double confidence : {0.0, 1.0, 1.5, -0.1}) {
-    Spec spec;
-    spec.noise.confidence = confidence;
-    EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument)
-        << "confidence " << confidence;
-  }
-}
-
-TEST(SpecValidationTest, RejectsNoneKindWithNonzeroFraction) {
-  Spec spec;
-  spec.noise.kind = perturb::NoiseKind::kNone;
-  spec.noise.privacy_fraction = 1.0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsZeroIntervals) {
-  Spec spec;
-  spec.tree.intervals = 0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-  spec.tree.intervals = 1;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsZeroEmIterations) {
-  Spec spec;
-  spec.tree.reconstruction.max_iterations = 0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsHoldoutFractionAtOne) {
-  Spec spec;
-  spec.tree.holdout_fraction = 1.0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsAbsurdThreadCount) {
-  Spec spec;
-  spec.engine.num_threads = 1u << 20;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, RejectsZeroRecords) {
-  Spec spec;
-  spec.train_records = 0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SpecValidationTest, ExperimentConfigRoundTrip) {
-  Spec spec;
-  spec.function = synth::Function::kF3;
-  spec.train_records = 777;
-  spec.seed = 42;
-  spec.noise.kind = perturb::NoiseKind::kGaussian;
-  spec.noise.privacy_fraction = 0.25;
-  spec.tree.intervals = 12;
-  spec.engine.num_threads = 2;
-  spec.engine.shard_size = 128;
-
-  const core::ExperimentConfig config = spec.ToExperimentConfig();
-  EXPECT_EQ(config.train_records, 777u);
-  EXPECT_EQ(config.noise, perturb::NoiseKind::kGaussian);
-  EXPECT_DOUBLE_EQ(config.privacy_fraction, 0.25);
-  EXPECT_EQ(config.tree.intervals, 12u);
-  EXPECT_EQ(config.batch.num_threads, 2u);
-
-  const Spec back = Spec::FromExperimentConfig(config);
-  EXPECT_EQ(back.function, spec.function);
-  EXPECT_EQ(back.seed, 42u);
-  EXPECT_DOUBLE_EQ(back.noise.privacy_fraction, 0.25);
-  EXPECT_EQ(back.engine.shard_size, 128u);
-  EXPECT_TRUE(back.Validate().ok());
-}
-
+// One row per invalid experiment cell: each mutates the default config in
+// one field.
 TEST(SpecValidationTest, ValidateExperimentChecksConfigsDirectly) {
-  core::ExperimentConfig config;
-  EXPECT_TRUE(ValidateExperiment(config).ok());
-  config.confidence = 1.0;
-  EXPECT_EQ(ValidateExperiment(config).code(),
-            StatusCode::kInvalidArgument);
-  config.confidence = 0.95;
-  config.tree.intervals = 0;
-  EXPECT_EQ(ValidateExperiment(config).code(),
-            StatusCode::kInvalidArgument);
-  config.tree.intervals = 30;
-  // The driver coerces privacy 0 to kNone itself, so that combination is
+  using Config = core::ExperimentConfig;
+  EXPECT_TRUE(ValidateExperiment(Config{}).ok());
+  struct Case {
+    const char* name;
+    void (*mutate)(Config*);
+  };
+  const Case rejected[] = {
+      {"privacy -0.5", [](Config* c) { c->privacy_fraction = -0.5; }},
+      {"privacy -1", [](Config* c) { c->privacy_fraction = -1.0; }},
+      {"confidence 0", [](Config* c) { c->confidence = 0.0; }},
+      {"confidence 1", [](Config* c) { c->confidence = 1.0; }},
+      {"confidence 1.5", [](Config* c) { c->confidence = 1.5; }},
+      {"confidence -0.1", [](Config* c) { c->confidence = -0.1; }},
+      {"kind none, privacy 1",
+       [](Config* c) { c->noise = perturb::NoiseKind::kNone; }},
+      {"0 intervals", [](Config* c) { c->tree.intervals = 0; }},
+      {"1 interval", [](Config* c) { c->tree.intervals = 1; }},
+      {"0 EM iterations",
+       [](Config* c) { c->tree.reconstruction.max_iterations = 0; }},
+      {"holdout 1", [](Config* c) { c->tree.holdout_fraction = 1.0; }},
+      {"2^20 threads", [](Config* c) { c->batch.num_threads = 1u << 20; }},
+      {"0 train records", [](Config* c) { c->train_records = 0; }},
+      {"0 test records", [](Config* c) { c->test_records = 0; }},
+  };
+  for (const Case& row : rejected) {
+    Config config;
+    row.mutate(&config);
+    EXPECT_EQ(ValidateExperiment(config).code(), StatusCode::kInvalidArgument)
+        << row.name;
+  }
+  // core::PrepareData coerces privacy 0 to kNone itself, so that pair is
   // acceptable here, unlike ValidateNoise.
+  Config config;
   config.privacy_fraction = 0.0;
   EXPECT_TRUE(ValidateExperiment(config).ok());
-  config.privacy_fraction = -1.0;
-  EXPECT_EQ(ValidateExperiment(config).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(SpecValidationTest, ValidateDomainRejectsDegenerateRanges) {
@@ -187,14 +122,13 @@ struct StreamFixture {
   }
 
   /// The batch reference a SalarySpec() session must reproduce:
-  /// FitParallel over the whole perturbed salary column.
+  /// Fit over the whole perturbed salary column.
   reconstruct::Reconstruction SalaryBatchFit() const {
     const reconstruct::Partition partition = reconstruct::Partition::ForField(
         original->schema().Field(synth::kSalary), 24);
     const reconstruct::BayesReconstructor reconstructor(
         randomizer->ModelFor(synth::kSalary), {});
-    return reconstructor.FitParallel(perturbed->Column(synth::kSalary),
-                                     partition, nullptr, 512);
+    return reconstructor.Fit(perturbed->Column(synth::kSalary), partition);
   }
 
   std::optional<data::Dataset> original;
@@ -244,7 +178,7 @@ TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
 }
 
 // The acceptance property: a one-attribute session fed 1 batch vs. many
-// batches vs. batch FitParallel produce identical masses, at 1, 2, and 8
+// batches vs. batch Fit produce identical masses, at 1, 2, and 8
 // threads (and with no pool at all).
 TEST(DatasetSessionTest, OneAttributeIngestEquivalenceProperty) {
   const StreamFixture fx;
@@ -444,7 +378,7 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   EXPECT_EQ(bad_epsilon.Validate().code(), StatusCode::kInvalidArgument);
 
   // Streaming cannot honour the per-sample exact EM path: the session
-  // would silently diverge from FitParallel, so the spec is rejected,
+  // would silently diverge from Fit, so the spec is rejected,
   // and the message names the attribute.
   DatasetSessionSpec exact_path = BenchmarkDatasetSpec(1);
   exact_path.attributes[0].reconstruction.binned = false;
@@ -473,7 +407,7 @@ DatasetSessionSpec OneAttribute(const DatasetSessionSpec& spec,
 }
 
 // The acceptance property: a dataset session ingesting record batches is
-// byte-identical to per-column batch FitParallel on its first refresh, and
+// byte-identical to per-column batch Fit on its first refresh, and
 // to N one-attribute sessions fed the same batches on every refresh — at
 // 0, 1, 2, and 8 threads, for an uneven batching.
 TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
@@ -501,8 +435,8 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
         spec.schema.Field(a), spec.attributes[a].intervals);
     const reconstruct::BayesReconstructor reconstructor(
         fx.randomizer->ModelFor(a), spec.attributes[a].reconstruction);
-    batch_fits.push_back(reconstructor.FitParallel(
-        fx.perturbed->Column(a), partition, nullptr, spec.shard_size));
+    batch_fits.push_back(
+        reconstructor.Fit(fx.perturbed->Column(a), partition));
   }
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -604,9 +538,11 @@ TEST(SessionRegistryTest, OpenLookupCloseLifecycle) {
   EXPECT_EQ(registry.Open("alpha", BenchmarkDatasetSpec(1)).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const std::shared_ptr<DatasetSession> found = registry.Lookup("alpha");
-  EXPECT_EQ(found.get(), opened.value().get());
-  EXPECT_EQ(registry.Lookup("beta"), nullptr);
+  const Result<std::shared_ptr<DatasetSession>> found =
+      registry.TryLookup("alpha");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found.value().get(), opened.value().get());
+  EXPECT_EQ(registry.TryLookup("beta").status().code(), StatusCode::kNotFound);
 
   SessionRegistry::Stats stats = registry.GetStats();
   EXPECT_EQ(stats.open_sessions, 1u);
@@ -618,7 +554,7 @@ TEST(SessionRegistryTest, OpenLookupCloseLifecycle) {
 
   EXPECT_TRUE(registry.Close("alpha"));
   EXPECT_FALSE(registry.Close("alpha"));
-  EXPECT_EQ(registry.Lookup("alpha"), nullptr);
+  EXPECT_EQ(registry.TryLookup("alpha").status().code(), StatusCode::kNotFound);
   // A closed session stays alive for holders of the shared_ptr.
   EXPECT_TRUE(opened.value()
                   ->Ingest(data::RowBatch(nullptr, 0,
@@ -644,12 +580,13 @@ TEST(SessionRegistryTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
   ASSERT_TRUE(registry.Open("a", BenchmarkDatasetSpec(2)).ok());
   ASSERT_TRUE(registry.Open("b", BenchmarkDatasetSpec(2)).ok());
-  ASSERT_NE(registry.Lookup("a"), nullptr);  // touch: b is now LRU
+  ASSERT_TRUE(registry.TryLookup("a").ok());  // touch: b is now LRU
   ASSERT_TRUE(registry.Open("c", BenchmarkDatasetSpec(2)).ok());
 
-  EXPECT_NE(registry.Lookup("a"), nullptr);
-  EXPECT_EQ(registry.Lookup("b"), nullptr);  // evicted as LRU
-  EXPECT_NE(registry.Lookup("c"), nullptr);
+  EXPECT_TRUE(registry.TryLookup("a").ok());
+  // "b" was evicted as LRU.
+  EXPECT_EQ(registry.TryLookup("b").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(registry.TryLookup("c").ok());
   const SessionRegistry::Stats stats = registry.GetStats();
   EXPECT_EQ(stats.open_sessions, 2u);
   EXPECT_EQ(stats.evictions, 1u);
@@ -669,20 +606,20 @@ TEST(SessionRegistryTest, TtlEvictsIdleSessions) {
   ASSERT_TRUE(registry.Open("busy", BenchmarkDatasetSpec(1)).ok());
 
   now += std::chrono::milliseconds(60);
-  EXPECT_NE(registry.Lookup("busy"), nullptr);  // refreshes busy's idle time
+  EXPECT_TRUE(registry.TryLookup("busy").ok());  // refreshes busy's idle time
 
   now += std::chrono::milliseconds(60);  // idle is now 120ms idle, busy 60ms
   EXPECT_EQ(registry.SweepExpired(), 1u);
-  EXPECT_EQ(registry.Lookup("idle"), nullptr);
-  EXPECT_NE(registry.Lookup("busy"), nullptr);
+  EXPECT_EQ(registry.TryLookup("idle").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(registry.TryLookup("busy").ok());
 
   const SessionRegistry::Stats stats = registry.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.ttl_evictions, 1u);
 
-  // Lookup itself also enforces expiry.
+  // TryLookup itself also enforces expiry.
   now += std::chrono::milliseconds(200);
-  EXPECT_EQ(registry.Lookup("busy"), nullptr);
+  EXPECT_EQ(registry.TryLookup("busy").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.GetStats().ttl_evictions, 2u);
 }
 
@@ -717,7 +654,7 @@ TEST(SessionRegistryTest, OversizedSessionEvictsDeterministically) {
   // The first touch of another name demotes exactly the whale; with no
   // spill backend that destroys its registry copy (the caller's
   // shared_ptr keeps serving).
-  EXPECT_NE(registry.Lookup("t1"), nullptr);
+  EXPECT_TRUE(registry.TryLookup("t1").ok());
   {
     const SessionRegistry::Stats stats = registry.GetStats();
     EXPECT_EQ(stats.open_sessions, 2u);
@@ -731,8 +668,8 @@ TEST(SessionRegistryTest, OversizedSessionEvictsDeterministically) {
 
   // Steady tenant traffic causes no further motion — no thrash.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_NE(registry.Lookup("t1"), nullptr);
-    EXPECT_NE(registry.Lookup("t2"), nullptr);
+    EXPECT_TRUE(registry.TryLookup("t1").ok());
+    EXPECT_TRUE(registry.TryLookup("t2").ok());
   }
   EXPECT_EQ(registry.GetStats().evictions, 1u);
   EXPECT_EQ(registry.GetStats().open_sessions, 2u);
@@ -758,8 +695,10 @@ TEST(SessionRegistryTest, EvictionRacingIngestAndReconstructIsSafe) {
   std::thread worker([&] {
     std::vector<double> rows(16 * cols, 42000.0);
     while (!stop.load()) {
-      std::shared_ptr<DatasetSession> session = registry.Lookup("hot");
-      if (session == nullptr) continue;  // evicted between open and here
+      Result<std::shared_ptr<DatasetSession>> found =
+          registry.TryLookup("hot");
+      if (!found.ok()) continue;  // evicted between open and here
+      const std::shared_ptr<DatasetSession> session = found.value();
       if (!session->Ingest(data::RowBatch(rows.data(), 16, cols)).ok() ||
           !session->ReconstructAll().ok()) {
         ++worker_failures;
@@ -862,7 +801,6 @@ TEST(ServiceTest, ErrorsTravelThroughResult) {
 // identical to running the same jobs sequentially.
 TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
   const StreamFixture fx;
-  constexpr std::size_t kShardSize = 512;
   auto service = Service::Create(4, 0);
   ASSERT_TRUE(service.ok());
 
@@ -874,8 +812,7 @@ TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
     const reconstruct::Partition partition(field.lo, field.hi, 20);
     const reconstruct::BayesReconstructor reconstructor(
         fx.randomizer->ModelFor(col), {});
-    return reconstructor.FitParallel(fx.perturbed->Column(col), partition,
-                                     nullptr, kShardSize);
+    return reconstructor.Fit(fx.perturbed->Column(col), partition);
   };
 
   // Sequential reference.
@@ -1078,31 +1015,31 @@ TEST(ServiceTest, DrainWaitsForInFlightJobs) {
 
 // ------------------------------------------------------------- experiment
 
-TEST(RunExperimentTest, RejectsInvalidSpec) {
-  Spec spec;
-  spec.noise.confidence = 2.0;
-  const auto result = RunExperiment(spec, {tree::TrainingMode::kByClass});
+TEST(RunExperimentTest, RejectsInvalidConfig) {
+  core::ExperimentConfig config;
+  config.confidence = 2.0;
+  const auto result = RunExperiment(config, {tree::TrainingMode::kByClass});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RunExperimentTest, RejectsEmptyModeList) {
-  const auto result = RunExperiment(Spec{}, {});
+  const auto result = RunExperiment(core::ExperimentConfig{}, {});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RunExperimentTest, MatchesDirectCoreDriver) {
-  Spec spec;
-  spec.train_records = 1500;
-  spec.test_records = 400;
-  spec.seed = 9;
-  spec.tree.intervals = 10;
+  core::ExperimentConfig config;
+  config.train_records = 1500;
+  config.test_records = 400;
+  config.seed = 9;
+  config.tree.intervals = 10;
   const auto via_api =
-      RunExperiment(spec, {tree::TrainingMode::kRandomized});
+      RunExperiment(config, {tree::TrainingMode::kRandomized});
   ASSERT_TRUE(via_api.ok());
-  const std::vector<core::ModeResult> direct = core::RunModes(
-      spec.ToExperimentConfig(), {tree::TrainingMode::kRandomized});
+  const std::vector<core::ModeResult> direct =
+      core::RunModes(config, {tree::TrainingMode::kRandomized});
   ASSERT_EQ(via_api.value().size(), 1u);
   EXPECT_DOUBLE_EQ(via_api.value()[0].accuracy, direct[0].accuracy);
   EXPECT_EQ(via_api.value()[0].tree_nodes, direct[0].tree_nodes);

@@ -250,9 +250,9 @@ TEST_F(CliFixture, ReconstructPrintsMasses) {
   EXPECT_NE(output.find("EM iterations"), std::string::npos);
 }
 
-TEST_F(CliFixture, ReconstructIsThreadAndShardInvariant) {
+TEST_F(CliFixture, ReconstructIsThreadInvariant) {
   // One EM decomposition: the inline run (--threads=0) prints exactly
-  // what the engine prints at any worker count and any shard size.
+  // what the engine prints at any worker count.
   const std::string raw = Track(Path("inv_raw.csv"));
   const std::string noisy = Track(Path("inv_noisy.csv"));
   std::string output;
@@ -269,14 +269,47 @@ TEST_F(CliFixture, ReconstructIsThreadAndShardInvariant) {
                    "--intervals=40", "--threads=0"},
                   &inline_run)
                   .ok());
-  for (const char* shard : {"--shard-size=0", "--shard-size=700"}) {
+  for (const char* threads : {"--threads=1", "--threads=3"}) {
     std::string engine_run;
     ASSERT_TRUE(Run({"reconstruct", in.c_str(), "--attribute=salary",
-                     "--intervals=40", "--threads=3", shard},
+                     "--intervals=40", threads},
                     &engine_run)
                     .ok());
-    EXPECT_EQ(engine_run, inline_run) << shard;
+    EXPECT_EQ(engine_run, inline_run) << threads;
   }
+}
+
+TEST_F(CliFixture, ShardSizeIsOnlyAcceptedWhereItChangesBytes) {
+  // --shard-size lays out perturb's noise streams and sets loadgen's
+  // tenant spec; reconstruct, train and restore have nothing it could
+  // change, so they reject it like any unknown flag.
+  const std::string raw = Track(Path("shard_raw.csv"));
+  std::string output;
+  ASSERT_TRUE(
+      Run({"generate", ("--out=" + raw).c_str(), "--records=200"}, &output)
+          .ok());
+  const std::string in = "--in=" + raw;
+  const std::string train = "--train=" + raw;
+  const std::string test = "--test=" + raw;
+  const std::string dir = "--dir=" + Path("shard_store");
+  const std::vector<std::vector<const char*>> commands = {
+      {"reconstruct", in.c_str(), "--attribute=age", "--privacy=0"},
+      {"train", train.c_str(), test.c_str(), "--privacy=0"},
+      {"restore", dir.c_str(), "--name=t0"},
+  };
+  for (std::vector<const char*> argv : commands) {
+    SCOPED_TRACE(argv[0]);
+    argv.push_back("--shard-size=5");
+    const Status s = Run(argv, &output);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("--shard-size"), std::string::npos)
+        << s.message();
+  }
+  ASSERT_TRUE(Run({"perturb", in.c_str(),
+                   ("--out=" + Track(Path("shard_noisy.csv"))).c_str(),
+                   "--threads=1", "--shard-size=5"},
+                  &output)
+                  .ok());
 }
 
 TEST_F(CliFixture, SimdOffIsRejected) {

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/batch.h"
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
@@ -412,7 +411,7 @@ TEST(SimdTest, AlignedDoublesIsCacheLineAlignedAndZeroed) {
   }
 }
 
-// ------------------------------------------------------------------ Batch
+// ----------------------------------------------------------- offline jobs
 
 // Perturbed benchmark data shared by the reconstruction tests.
 struct EngineFixture {
@@ -442,7 +441,7 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
          a.sample_count == b.sample_count;
 }
 
-TEST(BatchTest, ReconstructParallelIsThreadCountInvariant) {
+TEST(BatchTest, FitIsThreadCountInvariant) {
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kSalary), 25);
@@ -450,19 +449,16 @@ TEST(BatchTest, ReconstructParallelIsThreadCountInvariant) {
       fx.randomizer->ModelFor(synth::kSalary), {});
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
 
-  BatchOptions base;
-  base.shard_size = 512;
-  base.num_threads = 0;  // inline — the reference decomposition
+  // Inline — the reference decomposition.
   const reconstruct::Reconstruction reference =
-      Batch(base).ReconstructParallel(column, partition, reconstructor);
+      reconstructor.Fit(column, partition, nullptr);
   EXPECT_GT(reference.iterations, 0u);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{8}}) {
-    BatchOptions options = base;
-    options.num_threads = threads;
+    ThreadPool pool(threads);
     const reconstruct::Reconstruction parallel =
-        Batch(options).ReconstructParallel(column, partition, reconstructor);
+        reconstructor.Fit(column, partition, &pool);
     // Byte-identical: same masses, same traces, bit for bit.
     EXPECT_TRUE(ReconstructionsIdentical(reference, parallel))
         << "num_threads " << threads;
@@ -474,10 +470,9 @@ TEST(BatchTest, ReconstructParallelIsThreadCountInvariant) {
   }
 }
 
-TEST(BatchTest, ReconstructParallelEqualsFitBitwise) {
-  // One E-step decomposition: the engine at num_threads = 0 (inline) and
-  // at 4 workers, at any shard_size, is Fit() bit for bit — masses and
-  // both traces.
+TEST(BatchTest, FitOverAPoolEqualsFitBitwise) {
+  // One E-step decomposition: Fit over a 0-thread pool (inline) and over
+  // 4 workers is Fit() with no pool, bit for bit — masses and both traces.
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kAge), 20);
@@ -491,61 +486,32 @@ TEST(BatchTest, ReconstructParallelEqualsFitBitwise) {
         reconstructor.Fit(column, partition);
     EXPECT_GT(sequential.iterations, 0u);
     for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-      for (std::size_t shard_size : {std::size_t{0}, std::size_t{256}}) {
-        BatchOptions options;
-        options.num_threads = threads;
-        options.shard_size = shard_size;
-        const reconstruct::Reconstruction parallel =
-            Batch(options).ReconstructParallel(column, partition,
-                                               reconstructor);
-        EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel))
-            << "binned " << binned << " num_threads " << threads
-            << " shard_size " << shard_size;
-        ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
-        EXPECT_EQ(std::memcmp(parallel.masses.data(),
-                              sequential.masses.data(),
-                              sequential.masses.size() * sizeof(double)),
-                  0);
-      }
+      ThreadPool pool(threads);
+      const reconstruct::Reconstruction parallel =
+          reconstructor.Fit(column, partition, &pool);
+      EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel))
+          << "binned " << binned << " num_threads " << threads;
+      ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
+      EXPECT_EQ(std::memcmp(parallel.masses.data(), sequential.masses.data(),
+                            sequential.masses.size() * sizeof(double)),
+                0);
     }
   }
 }
 
-TEST(BatchTest, ReconstructParallelEmptyInputYieldsUniform) {
+TEST(BatchTest, FitEmptyInputYieldsUniform) {
   const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.5);
   const reconstruct::BayesReconstructor reconstructor(noise, {});
   const reconstruct::Partition partition(0.0, 1.0, 8);
-  BatchOptions options;
-  options.num_threads = 2;
-  const reconstruct::Reconstruction r = Batch(options).ReconstructParallel(
-      {}, partition, reconstructor);
+  ThreadPool pool(2);
+  const reconstruct::Reconstruction r =
+      reconstructor.Fit({}, partition, &pool);
   ASSERT_EQ(r.masses.size(), 8u);
   for (double m : r.masses) EXPECT_DOUBLE_EQ(m, 0.125);
   EXPECT_EQ(r.sample_count, 0u);
 }
 
-TEST(BatchTest, ReconstructParallelSingleShard) {
-  // shard_size 0 = one shard: a valid distribution like any other grain.
-  const EngineFixture fx;
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      fx.perturbed->schema().Field(synth::kLoan), 15);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kLoan), {});
-  const std::vector<double>& column = fx.perturbed->Column(synth::kLoan);
-
-  BatchOptions options;
-  options.num_threads = 3;
-  options.shard_size = 0;
-  const reconstruct::Reconstruction single_shard =
-      Batch(options).ReconstructParallel(column, partition, reconstructor);
-  EXPECT_GT(single_shard.iterations, 0u);
-  ASSERT_EQ(single_shard.masses.size(), 15u);
-  double total = 0.0;
-  for (double m : single_shard.masses) total += m;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(BatchTest, ReconstructByClassParallelMatchesSequentialBitwise) {
+TEST(BatchTest, ReconstructByClassIsPoolInvariant) {
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kSalary), 20);
@@ -556,12 +522,10 @@ TEST(BatchTest, ReconstructByClassParallelMatchesSequentialBitwise) {
       reconstruct::ReconstructByClass(*fx.perturbed, synth::kSalary,
                                       partition, reconstructor);
   for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    BatchOptions options;
-    options.num_threads = threads;
+    ThreadPool pool(threads);
     const std::vector<reconstruct::Reconstruction> parallel =
-        Batch(options).ReconstructByClassParallel(*fx.perturbed,
-                                                  synth::kSalary, partition,
-                                                  reconstructor);
+        reconstruct::ReconstructByClass(*fx.perturbed, synth::kSalary,
+                                        partition, reconstructor, &pool);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (std::size_t c = 0; c < sequential.size(); ++c) {
       EXPECT_TRUE(ReconstructionsIdentical(sequential[c], parallel[c]))
@@ -572,23 +536,47 @@ TEST(BatchTest, ReconstructByClassParallelMatchesSequentialBitwise) {
 
 TEST(BatchTest, PerturbShardsIsThreadCountInvariantAndDeterministic) {
   const EngineFixture fx;
-  BatchOptions base;
-  base.shard_size = 777;
-  base.num_threads = 0;
   const data::Dataset reference =
-      Batch(base).PerturbShards(*fx.randomizer, *fx.original);
+      fx.randomizer->Perturb(*fx.original, nullptr, 777);
   // Perturbation did something.
   EXPECT_NE(reference.At(0, synth::kSalary),
             fx.original->At(0, synth::kSalary));
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{8}}) {
-    BatchOptions options = base;
-    options.num_threads = threads;
+    ThreadPool pool(threads);
     const data::Dataset perturbed =
-        Batch(options).PerturbShards(*fx.randomizer, *fx.original);
+        fx.randomizer->Perturb(*fx.original, &pool, 777);
     for (std::size_t c = 0; c < reference.NumCols(); ++c) {
       EXPECT_EQ(perturbed.Column(c), reference.Column(c))
+          << "column " << c << " num_threads " << threads;
+    }
+  }
+}
+
+TEST(BatchTest, PerturbForEngineLayoutFollowsThreadCount) {
+  // 0 threads keeps the per-attribute streams; any positive count takes
+  // the sharded streams at the configured grain.
+  const EngineFixture fx;
+  BatchOptions options;
+  options.shard_size = 777;
+  ThreadPool inline_pool(0);
+  const data::Dataset sequential =
+      fx.randomizer->PerturbForEngine(*fx.original, options, &inline_pool);
+  const data::Dataset expected_sequential =
+      fx.randomizer->Perturb(*fx.original);
+  const data::Dataset expected_sharded =
+      fx.randomizer->Perturb(*fx.original, nullptr, 777);
+  for (std::size_t c = 0; c < sequential.NumCols(); ++c) {
+    EXPECT_EQ(sequential.Column(c), expected_sequential.Column(c));
+  }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.num_threads = threads;
+    ThreadPool pool(threads);
+    const data::Dataset sharded =
+        fx.randomizer->PerturbForEngine(*fx.original, options, &pool);
+    for (std::size_t c = 0; c < sharded.NumCols(); ++c) {
+      EXPECT_EQ(sharded.Column(c), expected_sharded.Column(c))
           << "column " << c << " num_threads " << threads;
     }
   }
@@ -597,11 +585,11 @@ TEST(BatchTest, PerturbShardsIsThreadCountInvariantAndDeterministic) {
 TEST(BatchTest, IngestShardsCountsPerClass) {
   std::vector<double> values{0.1, 0.9, 0.5, 0.2, 0.8};
   std::vector<int> labels{0, 1, 0, 1, 1};
-  BatchOptions options;
-  options.num_threads = 2;
-  options.shard_size = 2;
-  const ShardStats stats =
-      Batch(options).IngestShards(values, labels, 2, 0.0, 1.0, 2);
+  const stats::Histogram binning(0.0, 1.0, 2);
+  ThreadPool pool(2);
+  const ShardStats stats = IngestSharded(
+      values, &labels, 2, [&binning](double v) { return binning.BinOf(v); },
+      2, &pool, /*shard_size=*/2);
   EXPECT_EQ(stats.record_count(), 5u);
   EXPECT_EQ(stats.ClassCount(0), 2u);
   EXPECT_EQ(stats.ClassCount(1), 3u);

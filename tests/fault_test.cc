@@ -417,20 +417,20 @@ TEST_F(FaultTest, FailedSpillKeepsTheSessionResidentAndRetriesLater) {
   EXPECT_EQ(stats.spills, 0u);
   EXPECT_GE(stats.spill_failures, 1u);
   EXPECT_GE(stats.degraded_sessions, 1u);
-  const auto resident = registry.Lookup("a");
-  ASSERT_NE(resident, nullptr);
-  EXPECT_EQ(resident->record_count(), 64u);
+  const auto resident = registry.TryLookup("a");
+  ASSERT_TRUE(resident.ok());
+  EXPECT_EQ(resident.value()->record_count(), 64u);
 
   // Backend heals; the next touch of another name retries the demotion
   // (zero backoff) and the budget accounting lands exactly on "b".
   fault::DisarmAll();
-  ASSERT_NE(registry.Lookup("b"), nullptr);
+  ASSERT_TRUE(registry.TryLookup("b").ok());
   stats = registry.GetStats();
   EXPECT_EQ(stats.open_sessions, 1u);
   EXPECT_EQ(stats.spilled_sessions, 1u);
   EXPECT_GE(stats.spills, 1u);
   EXPECT_GT(stats.spilled_bytes, 0u);
-  // "b" still wears its degraded mark — the armed Lookup("a") above also
+  // "b" still wears its degraded mark — the armed TryLookup("a") above also
   // tried (and failed) to demote it. The mark clears only once "b"
   // itself spills cleanly.
   EXPECT_EQ(stats.degraded_sessions, 1u);
@@ -438,9 +438,9 @@ TEST_F(FaultTest, FailedSpillKeepsTheSessionResidentAndRetriesLater) {
   // The spilled evidence survived the earlier failed attempt: "a"
   // re-admits with every record, which demotes "b" cleanly and clears
   // the last degraded mark.
-  const auto readmitted = registry.Lookup("a");
-  ASSERT_NE(readmitted, nullptr);
-  EXPECT_EQ(readmitted->record_count(), 64u);
+  const auto readmitted = registry.TryLookup("a");
+  ASSERT_TRUE(readmitted.ok());
+  EXPECT_EQ(readmitted.value()->record_count(), 64u);
   EXPECT_EQ(registry.GetStats().degraded_sessions, 0u);
 }
 
@@ -466,13 +466,13 @@ TEST_F(FaultTest, FailedSpillRespectsItsBackoffWindow) {
 
   // Still armed, but inside the backoff window: touches must not hammer
   // the failing backend with further attempts.
-  ASSERT_NE(registry.Lookup("b"), nullptr);
-  ASSERT_NE(registry.Lookup("b"), nullptr);
+  ASSERT_TRUE(registry.TryLookup("b").ok());
+  ASSERT_TRUE(registry.TryLookup("b").ok());
   EXPECT_EQ(registry.GetStats().spill_failures, failures);
 
   // Past the window the attempt is retried (and fails again).
   now += std::chrono::milliseconds(150);
-  ASSERT_NE(registry.Lookup("b"), nullptr);
+  ASSERT_TRUE(registry.TryLookup("b").ok());
   EXPECT_GT(registry.GetStats().spill_failures, failures);
 }
 
@@ -598,7 +598,7 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
       a.value()->Ingest(data::RowBatch(rows.data(), 32, cols)).ok());
   EXPECT_TRUE(registry.Open("b", spec).ok());
   EXPECT_EQ(registry.GetStats().open_sessions, 2u);  // nothing was lost
-  EXPECT_NE(registry.Lookup("a"), nullptr);
+  EXPECT_TRUE(registry.TryLookup("a").ok());
   EXPECT_TRUE(a.value()->ReconstructAll().ok());
 
   // Service: every submission sheds as a Status, none runs, none aborts.

@@ -375,8 +375,7 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
 
     ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
     engine::ThreadPool one(1);
-    const Reconstruction reference =
-        rec.FitParallel(w, p, &one, /*shard_size=*/512);
+    const Reconstruction reference = rec.Fit(w, p, &one);
     ASSERT_FALSE(reference.masses.empty());
 
     for (simd::Path path : paths) {
@@ -384,7 +383,7 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
       for (std::size_t threads : thread_counts) {
         engine::ThreadPool pool(threads);
         const Reconstruction got =
-            rec.FitParallel(w, p, threads == 0 ? nullptr : &pool, 512);
+            rec.Fit(w, p, threads == 0 ? nullptr : &pool);
         EXPECT_TRUE(BytesEqual(got.masses, reference.masses))
             << "path=" << simd::PathName(path) << " threads=" << threads;
         EXPECT_EQ(got.log_likelihood_trace, reference.log_likelihood_trace)
@@ -394,12 +393,12 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// The one-decomposition invariant: Fit is FitParallel with no pool, so the
-// two agree bytewise — masses and log-likelihood trace — for both EM
-// forms, every pool size, every shard size and every SIMD path. 100
-// intervals under U(0.3) give 160 w-bins, so the binned E-step spans
-// several kEmChunkBins chunks (the exact E-step spans many more).
-TEST(SimdDeterminismProperty, FitEqualsFitParallelBytewise) {
+// The one-decomposition invariant: Fit with no pool and Fit over a pool
+// agree bytewise — masses and log-likelihood trace — for both EM forms,
+// every pool size and every SIMD path. 100 intervals under U(0.3) give
+// 160 w-bins, so the binned E-step spans several kEmChunkBins chunks (the
+// exact E-step spans many more).
+TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
   PathGuard guard;
   std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
@@ -421,18 +420,15 @@ TEST(SimdDeterminismProperty, FitEqualsFitParallelBytewise) {
       EXPECT_TRUE(BytesEqual(fit.masses, reference.masses))
           << "binned=" << binned << " path=" << simd::PathName(path);
       for (engine::ThreadPool* pool : pools) {
-        for (std::size_t shard_size : {std::size_t{0}, std::size_t{512},
-                                       std::size_t{16384}}) {
-          const Reconstruction got = rec.FitParallel(w, p, pool, shard_size);
-          const std::size_t threads = pool == nullptr ? 0 : pool->size();
-          EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
-              << "binned=" << binned << " path=" << simd::PathName(path)
-              << " threads=" << threads << " shard_size=" << shard_size;
-          EXPECT_TRUE(BytesEqual(got.log_likelihood_trace,
-                                 fit.log_likelihood_trace))
-              << "binned=" << binned << " path=" << simd::PathName(path)
-              << " threads=" << threads << " shard_size=" << shard_size;
-        }
+        const Reconstruction got = rec.Fit(w, p, pool);
+        const std::size_t threads = pool == nullptr ? 0 : pool->size();
+        EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
+            << "binned=" << binned << " path=" << simd::PathName(path)
+            << " threads=" << threads;
+        EXPECT_TRUE(BytesEqual(got.log_likelihood_trace,
+                               fit.log_likelihood_trace))
+            << "binned=" << binned << " path=" << simd::PathName(path)
+            << " threads=" << threads;
       }
     }
   }
@@ -816,26 +812,6 @@ TEST(ByClassTest, SeparatesClassDistributions) {
   // Mass below 0.5 should be large for class 0, small for class 1.
   EXPECT_GT(recons[0].CdfAtEdge(5), 0.8);
   EXPECT_LT(recons[1].CdfAtEdge(5), 0.2);
-}
-
-TEST(ByClassTest, CombinedMatchesPooledFit) {
-  data::Schema schema({{"x", data::AttributeKind::kContinuous, 0.0, 1.0}});
-  data::Dataset d(schema, 2);
-  Rng rng(29);
-  const NoiseModel noise = NoiseModel::Gaussian(0.1);
-  std::vector<double> pooled;
-  for (int i = 0; i < 1000; ++i) {
-    const double w = rng.UniformDouble() + noise.Sample(&rng);
-    d.AddRow({w}, i % 2);
-    pooled.push_back(w);
-  }
-  const Partition p(0.0, 1.0, 10);
-  const BayesReconstructor rec(noise, {});
-  const Reconstruction combined = ReconstructCombined(d, 0, p, rec);
-  const Reconstruction direct = rec.Fit(pooled, p);
-  for (std::size_t k = 0; k < 10; ++k) {
-    EXPECT_NEAR(combined.masses[k], direct.masses[k], 1e-12);
-  }
 }
 
 }  // namespace

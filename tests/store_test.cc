@@ -3,7 +3,7 @@
 // comes back as a Status error, never a CHECK abort), byte-identical
 // snapshot/restore of ShardStats / AttributeState / DatasetSession, the
 // directory-backed SnapshotStore (atomic publication, corruption-safe
-// reads), and the registry spill tier (eviction demotes, Lookup
+// reads), and the registry spill tier (eviction demotes, TryLookup
 // transparently re-admits, equivalence with a never-evicted registry —
 // race-checked under ThreadSanitizer in CI).
 
@@ -760,12 +760,12 @@ TEST(SpillRegistryTest, EvictionSpillsAndLookupTransparentlyReadmits) {
   EXPECT_EQ(registry.Open("a", spec).status().code(),
             StatusCode::kFailedPrecondition);
 
-  // Lookup re-admits with the accumulated evidence intact (and demotes
+  // TryLookup re-admits with the accumulated evidence intact (and demotes
   // "b" to fit the budget again).
-  const std::shared_ptr<api::DatasetSession> readmitted =
-      registry.Lookup("a");
-  ASSERT_NE(readmitted, nullptr);
-  EXPECT_EQ(readmitted->record_count(), 1u);
+  const Result<std::shared_ptr<api::DatasetSession>> readmitted =
+      registry.TryLookup("a");
+  ASSERT_TRUE(readmitted.ok());
+  EXPECT_EQ(readmitted.value()->record_count(), 1u);
   {
     const api::SessionRegistry::Stats stats = registry.GetStats();
     EXPECT_EQ(stats.readmissions, 1u);
@@ -778,7 +778,7 @@ TEST(SpillRegistryTest, EvictionSpillsAndLookupTransparentlyReadmits) {
   EXPECT_TRUE(registry.Close("b"));
   EXPECT_FALSE(snapshots.Contains("b"));
   EXPECT_TRUE(registry.Close("a"));
-  EXPECT_EQ(registry.Lookup("a"), nullptr);
+  EXPECT_EQ(registry.TryLookup("a").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(registry.Open("a", spec).ok());
 }
 
@@ -881,21 +881,25 @@ TEST(SpillRegistryTest, SpilledRegistryEquivalentToNeverEvicted) {
       ASSERT_TRUE(unbounded.Open(name, spec).ok());
     }
     // Interleave uneven batches round-robin across sessions, always
-    // re-Looking-up (the serving pattern spill-exactness asks for).
+    // looking up again (the serving pattern spill-exactness asks for).
     std::size_t offset = 0, step = 17;
     while (offset < num_rows) {
       const std::size_t take = std::min(step, num_rows - offset);
       const std::string name =
           "s" + std::to_string(offset % num_sessions);
       const data::RowBatch batch = all_rows.Slice(offset, take);
-      std::shared_ptr<api::DatasetSession> hot = starved.Lookup(name);
-      std::shared_ptr<api::DatasetSession> cold = unbounded.Lookup(name);
-      ASSERT_NE(hot, nullptr);
-      ASSERT_NE(cold, nullptr);
-      ASSERT_TRUE(hot->Ingest(batch).ok());
-      ASSERT_TRUE(cold->Ingest(batch).ok());
-      hot.reset();  // drop before the next touch demotes this session
-      cold.reset();
+      {
+        // Scoped: both references drop before the next touch demotes
+        // this session.
+        const Result<std::shared_ptr<api::DatasetSession>> hot =
+            starved.TryLookup(name);
+        const Result<std::shared_ptr<api::DatasetSession>> cold =
+            unbounded.TryLookup(name);
+        ASSERT_TRUE(hot.ok());
+        ASSERT_TRUE(cold.ok());
+        ASSERT_TRUE(hot.value()->Ingest(batch).ok());
+        ASSERT_TRUE(cold.value()->Ingest(batch).ok());
+      }
       offset += take;
       step = step * 2 + 1;
     }
@@ -904,10 +908,14 @@ TEST(SpillRegistryTest, SpilledRegistryEquivalentToNeverEvicted) {
 
     for (std::size_t s = 0; s < num_sessions; ++s) {
       const std::string name = "s" + std::to_string(s);
-      std::shared_ptr<api::DatasetSession> hot = starved.Lookup(name);
-      std::shared_ptr<api::DatasetSession> cold = unbounded.Lookup(name);
-      ASSERT_NE(hot, nullptr);
-      ASSERT_NE(cold, nullptr);
+      const Result<std::shared_ptr<api::DatasetSession>> found_hot =
+          starved.TryLookup(name);
+      const Result<std::shared_ptr<api::DatasetSession>> found_cold =
+          unbounded.TryLookup(name);
+      ASSERT_TRUE(found_hot.ok());
+      ASSERT_TRUE(found_cold.ok());
+      const std::shared_ptr<api::DatasetSession>& hot = found_hot.value();
+      const std::shared_ptr<api::DatasetSession>& cold = found_cold.value();
       EXPECT_EQ(hot->record_count(), cold->record_count());
       const auto hot_estimates = hot->ReconstructAll();
       const auto cold_estimates = cold->ReconstructAll();
@@ -951,8 +959,8 @@ TEST(SpillRegistryTest, OversizedSessionNeverFlushesTenants) {
 
   // Opening the whale serves it but must not flush the tenants.
   ASSERT_TRUE(registry.Open("whale", whale_spec).ok());
-  EXPECT_NE(registry.Lookup("t1"), nullptr);  // demotes the whale
-  EXPECT_NE(registry.Lookup("t2"), nullptr);
+  EXPECT_TRUE(registry.TryLookup("t1").ok());  // demotes the whale
+  EXPECT_TRUE(registry.TryLookup("t2").ok());
   {
     const api::SessionRegistry::Stats stats = registry.GetStats();
     EXPECT_EQ(stats.open_sessions, 2u);       // both tenants resident
@@ -963,22 +971,22 @@ TEST(SpillRegistryTest, OversizedSessionNeverFlushesTenants) {
 
   // Steady tenant traffic causes no further motion (no thrash).
   for (int i = 0; i < 10; ++i) {
-    EXPECT_NE(registry.Lookup("t1"), nullptr);
-    EXPECT_NE(registry.Lookup("t2"), nullptr);
+    EXPECT_TRUE(registry.TryLookup("t1").ok());
+    EXPECT_TRUE(registry.TryLookup("t2").ok());
   }
   EXPECT_EQ(registry.GetStats().evictions, 1u);
 
   // Touching the whale re-admits it deterministically; the next tenant
   // touch demotes it again — tenants still never spill.
-  EXPECT_NE(registry.Lookup("whale"), nullptr);
-  EXPECT_NE(registry.Lookup("t1"), nullptr);
+  EXPECT_TRUE(registry.TryLookup("whale").ok());
+  EXPECT_TRUE(registry.TryLookup("t1").ok());
   const api::SessionRegistry::Stats stats = registry.GetStats();
   EXPECT_EQ(stats.readmissions, 1u);
   EXPECT_EQ(stats.evictions, 2u);  // the whale both times
   EXPECT_EQ(stats.open_sessions, 2u);
 }
 
-// Lookup of a corrupt capture is a miss that keeps the bytes (operator
+// TryLookup of a corrupt capture is a miss that keeps the bytes (operator
 // forensics) until Close() discards them.
 TEST(SpillRegistryTest, CorruptCaptureIsAMissUntilClosed) {
   TempDir dir;
@@ -989,7 +997,10 @@ TEST(SpillRegistryTest, CorruptCaptureIsAMissUntilClosed) {
   api::SessionRegistry registry(options);
 
   ASSERT_TRUE(snapshots.Put("broken", "these are not the bytes").ok());
-  EXPECT_EQ(registry.Lookup("broken"), nullptr);
+  // The backend's decode Status surfaces, not kNotFound: the capture
+  // exists but cannot be re-admitted.
+  EXPECT_EQ(registry.TryLookup("broken").status().code(),
+            StatusCode::kInvalidArgument);
   {
     const api::SessionRegistry::Stats stats = registry.GetStats();
     EXPECT_EQ(stats.spill_failures, 1u);
@@ -1031,9 +1042,10 @@ TEST(SpillRegistryTest, SpillTrafficRacingIngestIsSafe) {
     std::vector<double> rows(8 * cols, 42000.0);
     int flip = 0;
     while (!stop.load()) {
-      std::shared_ptr<api::DatasetSession> session =
-          registry.Lookup(++flip % 2 == 0 ? "x" : "y");
-      if (session == nullptr) continue;
+      Result<std::shared_ptr<api::DatasetSession>> found =
+          registry.TryLookup(++flip % 2 == 0 ? "x" : "y");
+      if (!found.ok()) continue;
+      const std::shared_ptr<api::DatasetSession> session = found.value();
       if (!session->Ingest(data::RowBatch(rows.data(), 8, cols)).ok() ||
           !session->ReconstructAll().ok()) {
         ++failures;
@@ -1042,7 +1054,7 @@ TEST(SpillRegistryTest, SpillTrafficRacingIngestIsSafe) {
     }
   });
   for (int i = 0; i < 50; ++i) {
-    (void)registry.Lookup(i % 2 == 0 ? "y" : "x");
+    (void)registry.TryLookup(i % 2 == 0 ? "y" : "x");
     registry.SweepExpired();
   }
   stop.store(true);
@@ -1131,7 +1143,7 @@ TEST(SpillRegistryTest, DemotionFailureMidEvictionKeepsTheLedgerExact) {
 
   // The `once` trigger disarmed itself; the next touch retries the
   // demotion and every ledger column lands exactly.
-  ASSERT_NE(registry.Lookup("b"), nullptr);
+  ASSERT_TRUE(registry.TryLookup("b").ok());
   {
     const api::SessionRegistry::Stats stats = registry.GetStats();
     EXPECT_EQ(stats.open_sessions, 1u);
@@ -1144,10 +1156,10 @@ TEST(SpillRegistryTest, DemotionFailureMidEvictionKeepsTheLedgerExact) {
   }
 
   // The evidence ingested before the failed attempt survived the detour.
-  const std::shared_ptr<api::DatasetSession> readmitted =
-      registry.Lookup("a");
-  ASSERT_NE(readmitted, nullptr);
-  EXPECT_EQ(readmitted->record_count(), 1u);
+  const Result<std::shared_ptr<api::DatasetSession>> readmitted =
+      registry.TryLookup("a");
+  ASSERT_TRUE(readmitted.ok());
+  EXPECT_EQ(readmitted.value()->record_count(), 1u);
   fault::DisarmAll();
 }
 
