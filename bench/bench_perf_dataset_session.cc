@@ -26,7 +26,6 @@ using namespace ppdm;
 
 constexpr std::size_t kIntervals = 60;
 constexpr std::size_t kBatchRecords = 2048;
-constexpr std::size_t kShardSize = 512;
 
 api::DatasetSessionSpec SpecFor(const data::Schema& schema,
                                 std::size_t num_attrs) {
@@ -40,7 +39,6 @@ api::DatasetSessionSpec SpecFor(const data::Schema& schema,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = kShardSize;
   return spec;
 }
 

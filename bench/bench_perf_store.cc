@@ -36,7 +36,6 @@ namespace {
 using namespace ppdm;
 
 constexpr std::size_t kIntervals = 60;
-constexpr std::size_t kShardSize = 512;
 
 api::DatasetSessionSpec SpecFor(const data::Schema& schema,
                                 std::size_t num_attrs) {
@@ -50,7 +49,6 @@ api::DatasetSessionSpec SpecFor(const data::Schema& schema,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = kShardSize;
   return spec;
 }
 

@@ -26,7 +26,6 @@ using namespace ppdm;
 
 constexpr std::size_t kIntervals = 100;
 constexpr std::size_t kBatchRecords = 2048;
-constexpr std::size_t kShardSize = 512;
 
 // A one-attribute session over a one-field schema holding the salary
 // domain, so a slice of the perturbed salary column is a row-major batch.
@@ -39,7 +38,6 @@ api::DatasetSessionSpec SalarySpec(const data::Schema& schema) {
   attr.noise = perturb::NoiseKind::kUniform;
   attr.privacy_fraction = 1.0;
   spec.attributes.push_back(attr);
-  spec.shard_size = kShardSize;
   return spec;
 }
 

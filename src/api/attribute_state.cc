@@ -24,11 +24,9 @@ obs::Counter& KernelCacheBuildsCounter() {
 }  // namespace
 
 AttributeState::AttributeState(double lo, double hi, std::size_t intervals,
-                               perturb::NoiseModel model,
-                               const reconstruct::ReconstructionOptions&
-                                   options)
+                               perturb::NoiseModel model)
     : partition_(lo, hi, intervals),
-      reconstructor_(std::move(model), options),
+      reconstructor_(std::move(model), reconstruct::ReconstructionOptions{}),
       layout_(reconstructor_.PerturbedBinning(partition_)),
       stats_(layout_.bins(), /*num_classes=*/1) {}
 

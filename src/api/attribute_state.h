@@ -25,12 +25,13 @@
 namespace ppdm::api {
 
 /// Streaming reconstruction state of one attribute: fixed layout plus
-/// accumulated counts and warm-start masses (owner-synchronized).
+/// accumulated counts and warm-start masses (owner-synchronized). EM runs
+/// with the default ReconstructionOptions: the binned path and the
+/// paper's stopping rule.
 class AttributeState {
  public:
   AttributeState(double lo, double hi, std::size_t intervals,
-                 perturb::NoiseModel model,
-                 const reconstruct::ReconstructionOptions& options);
+                 perturb::NoiseModel model);
 
   // Fixed layout — immutable after construction, safe to read without the
   // owner's lock.

@@ -55,7 +55,7 @@ obs::Counter& IngestRejectedCounter() {
 }
 
 // The per-attribute checks: the field's domain with the declared interval
-// count, the providers' noise, and EM tuning a streaming fold can honour.
+// count, and the providers' noise.
 Status ValidateAttribute(const data::FieldSpec& field,
                          const AttributeSpec& attr) {
   PPDM_RETURN_IF_ERROR(ValidateDomain(field.lo, field.hi, attr.intervals));
@@ -63,16 +63,7 @@ Status ValidateAttribute(const data::FieldSpec& field,
   as_noise.kind = attr.noise;
   as_noise.privacy_fraction = attr.privacy_fraction;
   as_noise.confidence = attr.confidence;
-  PPDM_RETURN_IF_ERROR(ValidateNoise(as_noise));
-  if (!attr.reconstruction.binned) {
-    // Streaming folds binned counts on arrival; the per-sample FitExact
-    // path needs every raw observation and cannot be honoured here. Reject
-    // rather than silently diverge from the batch result.
-    return Status::InvalidArgument(
-        "streaming sessions require reconstruction.binned (the per-sample "
-        "exact path needs the full column)");
-  }
-  return ValidateReconstruction(attr.reconstruction);
+  return ValidateNoise(as_noise);
 }
 
 }  // namespace
@@ -120,8 +111,7 @@ DatasetSession::DatasetSession(const DatasetSessionSpec& spec,
                          perturb::NoiseForPrivacy(attr.noise,
                                                   attr.privacy_fraction,
                                                   field.Range(),
-                                                  attr.confidence),
-                         attr.reconstruction);
+                                                  attr.confidence));
     columns_.push_back(attr.column);
   }
 }
@@ -212,13 +202,13 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
 
   // One pass over the arriving records, sharded over the pool and outside
   // the session lock: each shard bins every tracked attribute of its rows
-  // into its own integer counts. Shard boundaries depend only on
-  // shard_size, and the per-attribute merge below runs in ascending shard
+  // into its own integer counts. Shard boundaries depend only on the row
+  // count, and the per-attribute merge below runs in ascending shard
   // order, so the folded counts are byte-identical to N independent
   // per-attribute ingests of the same columns, for every pool size.
   const std::size_t num_attrs = states_.size();
   const std::vector<engine::ChunkRange> shards =
-      engine::MakeChunks(rows.num_rows(), spec_.shard_size);
+      engine::MakeChunks(rows.num_rows(), engine::kIngestShardRows);
   std::vector<std::vector<engine::ShardStats>> partials(shards.size());
   for (std::vector<engine::ShardStats>& shard : partials) {
     shard.reserve(num_attrs);
@@ -306,7 +296,7 @@ DatasetSession::ReconstructAll() {
     for (std::size_t a = 0; a < num_attrs; ++a) {
       weights[a] = states_[a].stats().BinWeights();
       totals[a] = static_cast<double>(states_[a].stats().record_count());
-      if (spec_.warm_start && states_[a].has_estimate()) {
+      if (states_[a].has_estimate()) {
         warm[a] = states_[a].last_masses();
       }
       kernels[a] = states_[a].kernel_cache();

@@ -7,15 +7,16 @@
 // pool), binning each perturbed value once, on arrival; ReconstructAll()
 // runs EM on demand. A one-attribute session is the single-column case.
 //
-// Determinism: each ingestion shard accumulates its own integer ShardStats
-// per attribute and the shards merge in ascending order, so the per-
-// attribute counts are identical for every batching. A cold
-// ReconstructAll() is therefore byte-identical to the batch
-// BayesReconstructor::Fit over each concatenated column, and every
-// estimate equals that of N one-attribute sessions fed the same batches,
-// at any thread count (property-tested in tests/api_test.cc). Refreshes
-// after the first warm-start EM from the previous estimate, which is what
-// makes periodic re-estimation cheap as the stream grows.
+// Determinism: each ingestion shard of engine::kIngestShardRows records
+// accumulates its own integer ShardStats per attribute and the shards
+// merge in ascending order, so the per-attribute counts are identical for
+// every batching. A session's first ReconstructAll() is therefore
+// byte-identical to the batch BayesReconstructor::Fit over each
+// concatenated column, and every estimate equals that of N one-attribute
+// sessions fed the same batches, at any thread count (property-tested in
+// tests/api_test.cc). Refreshes after the first warm-start EM from the
+// previous estimate, which is what makes periodic re-estimation cheap as
+// the stream grows.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
 // service jobs, and a SessionRegistry may evict (drop) the session while
@@ -45,9 +46,10 @@
 namespace ppdm::api {
 
 /// Reconstruction request for one attribute of a dataset session. The
-/// attribute's domain [lo, hi] comes from the shared schema; everything
-/// else (interval count, the noise its providers applied, EM tuning) is
-/// declared here.
+/// attribute's domain [lo, hi] comes from the shared schema; the interval
+/// count and the noise its providers applied are declared here. The server
+/// reconstructs with default ReconstructionOptions (binned EM, the
+/// paper's stopping rule).
 struct AttributeSpec {
   /// Schema column this spec reconstructs.
   std::size_t column = 0;
@@ -59,9 +61,6 @@ struct AttributeSpec {
   perturb::NoiseKind noise = perturb::NoiseKind::kUniform;
   double privacy_fraction = 1.0;
   double confidence = 0.95;
-
-  /// EM tuning; `binned` must stay true (streaming folds binned counts).
-  reconstruct::ReconstructionOptions reconstruction;
 };
 
 /// Everything a dataset-level session needs up front: the shared record
@@ -76,20 +75,9 @@ struct DatasetSessionSpec {
   /// most once).
   std::vector<AttributeSpec> attributes;
 
-  /// Records per ingestion shard when a batch is folded over the pool.
-  /// Affects only throughput, never the counts. It stays a field, unlike
-  /// the offline fit's constant grain, because it is part of the spec the
-  /// open verb carries and snapshots encode.
-  std::size_t shard_size = 16384;
-
-  /// Warm-start refreshes from each attribute's previous estimate. Off,
-  /// every ReconstructAll() runs cold from the uniform prior (and so stays
-  /// byte-identical to the batch path at any point in the stream).
-  bool warm_start = true;
-
   /// kOk, or kInvalidArgument naming the offending attribute/field: a
   /// column out of range or repeated, an invalid domain or interval
-  /// count, invalid noise, `binned == false`, or invalid EM tuning.
+  /// count, or invalid noise.
   Status Validate() const;
 };
 
@@ -140,11 +128,10 @@ class DatasetSession {
   Status Ingest(const data::RowBatch& rows);
 
   /// Fans one FitFromCounts per attribute over the pool and returns the
-  /// estimates in spec order. The first call (or every call with
-  /// warm_start off) starts from the uniform prior and is byte-identical
-  /// to Fit over each concatenated column; later calls warm-start
-  /// from the previous estimate. An empty session yields the uniform
-  /// distribution. Byte-identical at any thread count.
+  /// estimates in spec order. The first call starts from the uniform
+  /// prior and is byte-identical to Fit over each concatenated column;
+  /// later calls warm-start from the previous estimate. An empty session
+  /// yields the uniform distribution. Byte-identical at any thread count.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
 
   /// Records ingested so far.

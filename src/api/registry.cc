@@ -18,7 +18,6 @@ struct RegistryMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& evictions;
-  obs::Counter& ttl_evictions;
   obs::Counter& spills;
   obs::Counter& readmissions;
   obs::Counter& spill_failures;
@@ -32,7 +31,6 @@ struct RegistryMetrics {
         *registry.GetCounter("ppdm_registry_hits_total"),
         *registry.GetCounter("ppdm_registry_misses_total"),
         *registry.GetCounter("ppdm_registry_evictions_total"),
-        *registry.GetCounter("ppdm_registry_ttl_evictions_total"),
         *registry.GetCounter("ppdm_registry_spills_total"),
         *registry.GetCounter("ppdm_registry_readmissions_total"),
         *registry.GetCounter("ppdm_registry_spill_failures_total"),
@@ -62,7 +60,6 @@ std::chrono::steady_clock::time_point SessionRegistry::Now() const {
 }
 
 void SessionRegistry::TouchLocked(Entry* entry) {
-  entry->last_used = Now();
   entry->recency = ++tick_;
 }
 
@@ -88,7 +85,7 @@ SessionRegistry::DemoteLocked(
       // accounted — still on disk, still re-admittable.
       ++spill_failures_;
       RegistryMetrics::Get().spill_failures.Increment();
-      auto backoff = options_.spill_retry_backoff;
+      auto backoff = kSpillRetryBackoff;
       for (std::uint32_t k = 0; k < entry.spill_failures && k < 16; ++k) {
         backoff *= 2;
       }
@@ -104,26 +101,6 @@ SessionRegistry::DemoteLocked(
   RegistryMetrics::Get().evictions.Increment();
   *demoted = true;
   return entries_.erase(victim);
-}
-
-std::size_t SessionRegistry::SweepExpiredLocked(const std::string* touching) {
-  if (options_.ttl.count() <= 0) return 0;
-  const auto now = Now();
-  std::size_t evicted = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const bool exempt = touching != nullptr && options_.spill != nullptr &&
-                        it->first == *touching;
-    if (!exempt && now - it->second.last_used >= options_.ttl) {
-      bool demoted = false;
-      it = DemoteLocked(it, &demoted);
-      if (demoted) ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  ttl_evictions_ += evicted;
-  if (evicted > 0) RegistryMetrics::Get().ttl_evictions.Increment(evicted);
-  return evicted;
 }
 
 std::size_t SessionRegistry::TotalBytesLocked() const {
@@ -199,7 +176,6 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::Open(
   // insertion in case a racing Open claimed it in between.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SweepExpiredLocked();
     if (NameTakenLocked(name)) {
       return Status::FailedPrecondition("session '" + name +
                                         "' is already open");
@@ -210,7 +186,6 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::Open(
   std::shared_ptr<DatasetSession> shared = std::move(session);
 
   std::lock_guard<std::mutex> lock(mu_);
-  SweepExpiredLocked();
   if (NameTakenLocked(name)) {
     return Status::FailedPrecondition("session '" + name +
                                       "' is already open");
@@ -228,7 +203,6 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::TryLookup(
   std::lock_guard<std::mutex> lock(mu_);
   ++lookups_;
   RegistryMetrics::Get().lookups.Increment();
-  SweepExpiredLocked(&name);
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
     ++hits_;
@@ -296,13 +270,6 @@ bool SessionRegistry::Close(const std::string& name) {
   return existed;
 }
 
-std::size_t SessionRegistry::SweepExpired() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t evicted = SweepExpiredLocked();
-  UpdateGaugesLocked();
-  return evicted;
-}
-
 std::vector<std::string> SessionRegistry::OpenNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
@@ -326,7 +293,6 @@ SessionRegistry::Stats SessionRegistry::GetStats() const {
   stats.open_sessions = entries_.size();
   stats.approx_bytes = TotalBytesLocked();
   stats.evictions = evictions_;
-  stats.ttl_evictions = ttl_evictions_;
   stats.lookups = lookups_;
   stats.hits = hits_;
   stats.misses = misses_;

@@ -2,8 +2,7 @@
 // long-lived service. A server holding thousands of streaming sessions
 // needs an explicit resource bound: the registry accounts every session's
 // ApproxMemoryBytes() against a configurable byte budget and evicts
-// least-recently-used sessions when the budget is exceeded, plus any
-// session idle longer than the TTL.
+// least-recently-used sessions when the budget is exceeded.
 //
 // Spill tier: with a SessionSpill backend configured, eviction *demotes*
 // a session — its state is serialized to the backend before the in-RAM
@@ -94,27 +93,23 @@ struct SessionRegistryOptions {
   /// it (to the spill tier when configured, else destroying it).
   std::size_t max_bytes = 0;
 
-  /// Evict sessions idle (no Open/TryLookup touch) longer than this; zero
-  /// disables TTL eviction. Expiry is enforced on every Open/TryLookup and
-  /// via SweepExpired() for callers that want a periodic sweep.
-  std::chrono::milliseconds ttl{0};
-
-  /// Test hook: the clock TTL idleness is measured on. Defaults to
-  /// std::chrono::steady_clock::now.
+  /// Test hook: the clock the spill backoff (kSpillRetryBackoff) is
+  /// measured on. Defaults to std::chrono::steady_clock::now.
   std::function<std::chrono::steady_clock::time_point()> clock;
 
   /// Borrowed demotion backend (must outlive the registry); null keeps
   /// the destructive-eviction behaviour.
   SessionSpill* spill = nullptr;
-
-  /// After a failed spill the entry stays resident (degraded, possibly
-  /// over budget) and demotion is not re-attempted until this long has
-  /// passed, doubling per consecutive failure. Measured on `clock`.
-  std::chrono::milliseconds spill_retry_backoff{100};
 };
 
-/// Named open/lookup/close of dataset sessions with LRU + TTL eviction
-/// under a byte budget. All operations are thread-safe.
+/// After a failed spill the entry stays resident (degraded, possibly over
+/// budget) and demotion is not re-attempted until this long has passed,
+/// doubling per consecutive failure. Measured on
+/// SessionRegistryOptions::clock.
+inline constexpr std::chrono::milliseconds kSpillRetryBackoff{100};
+
+/// Named open/lookup/close of dataset sessions with LRU eviction under a
+/// byte budget. All operations are thread-safe.
 class SessionRegistry {
  public:
   explicit SessionRegistry(SessionRegistryOptions options,
@@ -122,8 +117,8 @@ class SessionRegistry {
 
   /// Validates `spec`, opens a session backed by the registry's pool, and
   /// registers it under `name` (kFailedPrecondition if the name is taken,
-  /// in RAM or in the spill tier). May evict/demote LRU and expired
-  /// sessions to make room.
+  /// in RAM or in the spill tier). May evict/demote LRU sessions to make
+  /// room.
   Result<std::shared_ptr<DatasetSession>> Open(const std::string& name,
                                                const DatasetSessionSpec& spec);
 
@@ -131,21 +126,17 @@ class SessionRegistry {
   /// session demoted to the spill tier is transparently re-admitted — the
   /// caller cannot tell it ever left RAM beyond the latency; re-admission
   /// may demote other sessions to fit the budget. kNotFound when the name
-  /// is absent (or expired and demoted away); the spill backend's Status
-  /// (and a spill_failures tick) when a capture exists but cannot be
-  /// re-admitted (corrupt bytes, I/O failure). A failed re-admission never
-  /// corrupts registry state — the capture stays on disk (Close() discards
-  /// it), no entry is registered, and a later TryLookup may succeed if the
-  /// failure was transient.
+  /// is absent; the spill backend's Status (and a spill_failures tick)
+  /// when a capture exists but cannot be re-admitted (corrupt bytes, I/O
+  /// failure). A failed re-admission never corrupts registry state — the
+  /// capture stays on disk (Close() discards it), no entry is registered,
+  /// and a later TryLookup may succeed if the failure was transient.
   Result<std::shared_ptr<DatasetSession>> TryLookup(const std::string& name);
 
   /// Drops the registry's reference to `name` — both the in-RAM entry
   /// and any spilled capture. Returns false when neither exists.
   /// In-flight users holding the shared_ptr are unaffected.
   bool Close(const std::string& name);
-
-  /// Evicts every TTL-expired session now; returns how many.
-  std::size_t SweepExpired();
 
   /// Every name open in this registry, sorted: resident in RAM, or
   /// demoted by it to the spill tier and not since re-admitted or closed.
@@ -156,8 +147,7 @@ class SessionRegistry {
   struct Stats {
     std::size_t open_sessions = 0;  ///< Sessions currently resident in RAM.
     std::size_t approx_bytes = 0;   ///< Sum of resident ApproxMemoryBytes().
-    std::uint64_t evictions = 0;    ///< Budget + TTL evictions (not Close).
-    std::uint64_t ttl_evictions = 0;///< The TTL share of `evictions`.
+    std::uint64_t evictions = 0;    ///< Budget evictions (not Close).
     std::uint64_t lookups = 0;      ///< TryLookup() calls.
     std::uint64_t hits = 0;         ///< Lookups served (RAM or re-admitted).
     std::uint64_t misses = 0;       ///< Lookups that found nothing anywhere.
@@ -182,7 +172,6 @@ class SessionRegistry {
  private:
   struct Entry {
     std::shared_ptr<DatasetSession> session;
-    std::chrono::steady_clock::time_point last_used;
     std::uint64_t recency = 0;  ///< Monotone LRU tick of the last touch.
     /// Consecutive failed demotion attempts; nonzero marks the entry
     /// degraded. Reset by a successful spill.
@@ -193,12 +182,6 @@ class SessionRegistry {
 
   std::chrono::steady_clock::time_point Now() const;
   void TouchLocked(Entry* entry);
-  /// TTL-demotes expired entries. With a spill backend, `touching` (the
-  /// name the caller is about to serve) is exempt: demoting it only to
-  /// re-admit it in the same call would be a wasted encode/decode round
-  /// trip, and the touch resets its idleness anyway. Without a backend
-  /// the old destroy-on-expiry semantics hold for every entry.
-  std::size_t SweepExpiredLocked(const std::string* touching = nullptr);
   /// Mirrors occupancy into the process metrics registry (obs gauges).
   void UpdateGaugesLocked() const;
   /// Demotes one entry: spills it when a backend is configured, then
@@ -231,7 +214,6 @@ class SessionRegistry {
   std::map<std::string, std::uint64_t> spilled_;
   std::uint64_t tick_ = 0;                // guarded by mu_
   std::uint64_t evictions_ = 0;           // guarded by mu_
-  std::uint64_t ttl_evictions_ = 0;       // guarded by mu_
   std::uint64_t lookups_ = 0;             // guarded by mu_
   std::uint64_t hits_ = 0;                // guarded by mu_
   std::uint64_t misses_ = 0;              // guarded by mu_

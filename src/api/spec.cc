@@ -39,20 +39,6 @@ Status ValidateNoise(const perturb::RandomizerOptions& options) {
   return Status::Ok();
 }
 
-Status ValidateReconstruction(
-    const reconstruct::ReconstructionOptions& options) {
-  if (options.max_iterations == 0) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  if (!Finite(options.chi_square_epsilon) ||
-      options.chi_square_epsilon < 0.0) {
-    return Status::InvalidArgument(StrFormat(
-        "chi_square_epsilon must be finite and >= 0, got %g",
-        options.chi_square_epsilon));
-  }
-  return Status::Ok();
-}
-
 Status ValidateEngine(const engine::BatchOptions& options) {
   if (options.num_threads > kMaxThreads) {
     return Status::InvalidArgument(StrFormat(
@@ -95,7 +81,16 @@ Status ValidateTree(const tree::TreeOptions& options) {
     return Status::InvalidArgument(StrFormat(
         "pruning_z must be finite and >= 0, got %g", options.pruning_z));
   }
-  return ValidateReconstruction(options.reconstruction);
+  const reconstruct::ReconstructionOptions& em = options.reconstruction;
+  if (em.max_iterations == 0) {
+    return Status::InvalidArgument("max_iterations must be >= 1");
+  }
+  if (!Finite(em.chi_square_epsilon) || em.chi_square_epsilon < 0.0) {
+    return Status::InvalidArgument(StrFormat(
+        "chi_square_epsilon must be finite and >= 0, got %g",
+        em.chi_square_epsilon));
+  }
+  return Status::Ok();
 }
 
 Status ValidateDomain(double lo, double hi, std::size_t intervals) {

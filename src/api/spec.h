@@ -30,11 +30,6 @@ namespace ppdm::api {
 /// a perturbing kind with a zero fraction.
 Status ValidateNoise(const perturb::RandomizerOptions& options);
 
-/// Rejects invalid EM tuning: zero max_iterations, or a negative /
-/// non-finite chi_square_epsilon.
-Status ValidateReconstruction(
-    const reconstruct::ReconstructionOptions& options);
-
 /// Rejects implausible engine configuration (thread counts beyond any
 /// machine this library targets). shard_size is unconstrained: 0 means one
 /// shard by contract.
@@ -43,7 +38,8 @@ Status ValidateEngine(const engine::BatchOptions& options);
 /// Rejects invalid tree induction parameters: fewer than 2 intervals (or
 /// more than the uint16 interval assignment can index), zero depth,
 /// a holdout fraction outside [0, 1), negative gain/leaf thresholds, and
-/// an invalid nested reconstruction spec.
+/// invalid EM tuning (zero max_iterations, or a negative / non-finite
+/// chi_square_epsilon).
 Status ValidateTree(const tree::TreeOptions& options);
 
 /// Rejects an invalid attribute domain: non-finite or empty [lo, hi], or

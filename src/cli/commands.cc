@@ -105,21 +105,6 @@ Result<std::size_t> ThreadsFromFlag(const Args& args) {
   return options.num_threads;
 }
 
-// --threads plus --shard-size, for the two commands whose bytes the shard
-// size changes: perturb (its noise-stream layout) and loadgen (the tenant
-// spec).
-Result<engine::BatchOptions> BatchFromFlags(const Args& args) {
-  engine::BatchOptions options;
-  PPDM_ASSIGN_OR_RETURN(options.num_threads, ThreadsFromFlag(args));
-  PPDM_ASSIGN_OR_RETURN(const long long shard_size,
-                        args.GetInt("shard-size", 16384));
-  if (shard_size < 0) {
-    return Status::InvalidArgument("--shard-size must be >= 0");
-  }
-  options.shard_size = static_cast<std::size_t>(shard_size);
-  return options;
-}
-
 // The shared shape of loadgen's provider streams: the dataset-session
 // spec over the tracked benchmark columns (it also carries each
 // attribute's noise calibration), the generator function, and the --seed
@@ -131,12 +116,13 @@ struct StreamSimSpec {
 };
 
 // Builds a StreamSimSpec from the --attrs/--attribute/--noise/--privacy/
-// --intervals/--function/engine flags, validated through the spec layer.
+// --intervals/--function flags, validated through the spec layer.
+// --threads sizes only an in-process daemon's pool; it is validated here
+// too, so one flag set drives both loadgen modes.
 Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
   StreamSimSpec sim;
   PPDM_ASSIGN_OR_RETURN(sim.function, FunctionFromFlag(args));
-  PPDM_ASSIGN_OR_RETURN(const engine::BatchOptions batch,
-                        BatchFromFlags(args));
+  PPDM_RETURN_IF_ERROR(ThreadsFromFlag(args).status());
   PPDM_ASSIGN_OR_RETURN(const perturb::RandomizerOptions noise,
                         NoiseOptionsFromFlags(args));
   sim.seed = noise.seed;
@@ -177,7 +163,6 @@ Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
     attr.confidence = noise.confidence;
     sim.session.attributes.push_back(attr);
   }
-  sim.session.shard_size = batch.shard_size;
   PPDM_RETURN_IF_ERROR(sim.session.Validate());
   return sim;
 }
@@ -336,7 +321,7 @@ const char* UsageText() {
       "              [--attribute=NAME | --attrs=A] [--function=1..5]\n"
       "              [--noise=...] [--privacy=F] [--confidence=C]\n"
       "              [--intervals=K] [--seed=S] [--threads=T]\n"
-      "              [--shard-size=N] [--snapshot-every=K] [--ttl-ms=T]\n"
+      "              [--snapshot-every=K] [--ttl-ms=T]\n"
       "              [--masses-out=FILE] [--stats-out=FILE]\n"
       "              [--trace-out=FILE] [--tolerate-errors] [--close]\n"
       "              without --port: [--registry-mb=M] [--max-pending=N]\n"
@@ -400,7 +385,8 @@ const char* UsageText() {
       "noise-stream layout differs: --threads=0 draws one stream per\n"
       "attribute, while T >= 1 draws one per (attribute, shard of\n"
       "--shard-size records) and is identical for every T at a fixed\n"
-      "--shard-size. loadgen's --shard-size sets the tenant spec.\n";
+      "--shard-size. No other command takes --shard-size: reconstruction\n"
+      "and the daemon's sessions fold at one fixed grain.\n";
 }
 
 Status RunGenerate(const Args& args, std::ostream& out) {
@@ -447,8 +433,14 @@ Status RunPerturb(const Args& args, std::ostream& out) {
   if (in.empty() || out_path.empty()) {
     return Status::InvalidArgument("perturb needs --in and --out");
   }
-  Result<engine::BatchOptions> batch_options = BatchFromFlags(args);
-  if (!batch_options.ok()) return batch_options.status();
+  engine::BatchOptions batch_options;
+  PPDM_ASSIGN_OR_RETURN(batch_options.num_threads, ThreadsFromFlag(args));
+  PPDM_ASSIGN_OR_RETURN(const long long shard_size,
+                        args.GetInt("shard-size", 16384));
+  if (shard_size < 0) {
+    return Status::InvalidArgument("--shard-size must be >= 0");
+  }
+  batch_options.shard_size = static_cast<std::size_t>(shard_size);
   Result<data::Dataset> dataset =
       data::ReadCsv(synth::BenchmarkSchema(), 2, in);
   if (!dataset.ok()) return dataset.status();
@@ -456,9 +448,9 @@ Status RunPerturb(const Args& args, std::ostream& out) {
       RandomizerFromFlags(args, dataset.value().schema());
   if (!randomizer.ok()) return randomizer.status();
 
-  engine::ThreadPool pool(batch_options.value().num_threads);
+  engine::ThreadPool pool(batch_options.num_threads);
   const data::Dataset perturbed = randomizer.value().PerturbForEngine(
-      dataset.value(), batch_options.value(), &pool);
+      dataset.value(), batch_options, &pool);
   if (Status s = data::WriteCsv(perturbed, out_path); !s.ok()) return s;
   out << StrFormat(
       "perturbed %zu records (%s noise, privacy %.0f%% @%.0f%% conf.) -> %s\n",
@@ -602,22 +594,19 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
   if (dir.empty()) return Status::InvalidArgument("snapshot needs --dir");
   PPDM_ASSIGN_OR_RETURN(const store::SnapshotStore store,
                         store::SnapshotStore::Open(dir));
-  // One row per snapshot; corrupt files are reported, not fatal — an
-  // operator inspecting a damaged store must see the rest.
+  // One row per snapshot; corrupt files and other format versions are
+  // reported as unreadable, not fatal — an operator inspecting a damaged
+  // store must see the rest.
   PPDM_ASSIGN_OR_RETURN(const std::vector<std::string> names, store.List());
   out << StrFormat("%-24s %8s %10s %8s %6s %10s\n", "name", "version",
                    "records", "batches", "attrs", "bytes");
   for (const std::string& name : names) {
     const Result<std::string> bytes = store.Get(name);
-    if (!bytes.ok()) {
-      out << StrFormat("%-24s unreadable: %s\n", name.c_str(),
-                       bytes.status().message().c_str());
-      continue;
-    }
     const Result<store::SnapshotInfo> info =
-        store::PeekDatasetSession(bytes.value());
+        bytes.ok() ? store::PeekDatasetSession(bytes.value())
+                   : Result<store::SnapshotInfo>(bytes.status());
     if (!info.ok()) {
-      out << StrFormat("%-24s corrupt: %s\n", name.c_str(),
+      out << StrFormat("%-24s unreadable: %s\n", name.c_str(),
                        info.status().message().c_str());
       continue;
     }
@@ -824,7 +813,7 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
       "trace-out", "tolerate-errors", "close",
       // the stream flags
       "attribute", "attrs", "function", "noise", "privacy", "confidence",
-      "intervals", "seed", "threads", "shard-size", "simd"};
+      "intervals", "seed", "threads", "simd"};
   known.insert(known.end(), std::begin(kDaemonFlags), std::end(kDaemonFlags));
   PPDM_RETURN_IF_ERROR(args.CheckKnown(known));
   const bool in_process = !args.Has("port");
@@ -912,9 +901,10 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   for (std::uint64_t t = 0; t < static_cast<std::uint64_t>(tenants); ++t) {
     const std::string name = net::TenantName(t);
     StreamSimSpec spec = sim;
-    // The daemon re-admits a resumed tenant's capture whatever spec the
-    // open verb carries, so the checkpointed spec is authoritative: the
-    // provider perturbs with its calibration and scores against its
+    // A resumed tenant's checkpointed spec is authoritative: the daemon
+    // refuses an open whose spec differs from the capture's
+    // (FailedPrecondition), so the provider opens with the checkpointed
+    // spec, perturbs with its calibration and scores against its
     // partitions.
     if (options.resume) {
       PPDM_ASSIGN_OR_RETURN(
@@ -1141,10 +1131,9 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   // unlike the occupancy numbers above.
   out << StrFormat(
       "registry traffic: %llu lookup(s) (%llu hit(s), %llu miss(es)), "
-      "%llu ttl eviction(s), %llu spill(s), %llu readmission(s)\n",
+      "%llu spill(s), %llu readmission(s)\n",
       count(registry.lookups), count(registry.hits), count(registry.misses),
-      count(registry.ttl_evictions), count(registry.spills),
-      count(registry.readmissions));
+      count(registry.spills), count(registry.readmissions));
   if (!options.checkpoint_dir.empty()) {
     out << StrFormat(
         "store: %s — %llu checkpoint write(s), %llu spill(s), "

@@ -17,6 +17,12 @@
 
 namespace ppdm::engine {
 
+/// Ingestion grain: records per counting shard, for the offline binned fit
+/// and for every dataset session. Per-shard integer counts merge exactly,
+/// so no grain changes a bit; it is one constant only so every fold does
+/// the same work.
+inline constexpr std::size_t kIngestShardRows = 16384;
+
 /// Binned sufficient statistics of one shard of perturbed observations.
 class ShardStats {
  public:

@@ -109,6 +109,9 @@ Result<IngestBody> DecodeIngestBody(std::string_view body) {
   PPDM_ASSIGN_OR_RETURN(ingest.rows, reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(ingest.cols, reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(ingest.values, reader.ReadDoubleArray());
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after the ingest body");
+  }
   // Exact shape match, division-only so rows*cols can never overflow:
   // values.size() == rows*cols iff size/rows == cols && size%rows == 0.
   const std::size_t size = ingest.values.size();
@@ -644,6 +647,11 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
 
 Result<std::string> Server::HandleVerb(const FrameHeader& header,
                                        const std::string& body) {
+  if (static_cast<Verb>(header.verb) != Verb::kOpen && !body.empty()) {
+    return Status::InvalidArgument(
+        StrFormat("%s takes no body, got %zu byte(s)",
+                  VerbName(header.verb).c_str(), body.size()));
+  }
   switch (static_cast<Verb>(header.verb)) {
     case Verb::kOpen:
       return HandleOpen(header.tenant, body);
@@ -679,6 +687,9 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
   store::Reader reader(body);
   PPDM_ASSIGN_OR_RETURN(const api::DatasetSessionSpec spec,
                         store::DecodeDatasetSessionSpec(&reader));
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after the open body");
+  }
   const std::string name = TenantName(tenant);
 
   const std::vector<std::string> open = registry_->OpenNames();

@@ -30,6 +30,10 @@
 //   * Every malformed frame (bad magic, future version, oversized body,
 //     CRC mismatch) gets an error response and a connection close after
 //     flush; the process keeps serving other connections.
+//   * A well-framed request whose body does not decode exactly — leftover
+//     bytes after an open spec or an ingest batch, or any body on
+//     reconstruct, snapshot or close — answers kInvalidArgument and
+//     changes nothing; the connection lives on.
 //
 // Durability: with a checkpoint directory the registry gets a spill tier
 // (evictions demote instead of destroy) and graceful shutdown — Stop(),

@@ -40,11 +40,6 @@ obs::Histogram& EmIterationsHistogram() {
 // the pool size.
 constexpr std::size_t kEmChunkBins = 32;
 
-// Ingestion grain of the binned fit: perturbed values per counting shard.
-// Per-shard integer counts merge exactly, so no grain changes a bit; it
-// is a constant only so every fit does the same work.
-constexpr std::size_t kIngestShardRows = 16384;
-
 // Row grain of the exact fit's per-sample kernel rows.
 constexpr std::size_t kKernelChunkRows = 64;
 
@@ -369,7 +364,7 @@ Reconstruction BayesReconstructor::FitBinned(
   const stats::Histogram whist = PerturbedBinning(partition);
   const engine::ShardStats ingested = engine::IngestBinnedColumn(
       perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
-      whist.width(), whist.bins(), pool, kIngestShardRows);
+      whist.width(), whist.bins(), pool, engine::kIngestShardRows);
 
   const KernelTable table = BuildBinnedKernelTable(whist, partition, noise_);
   return RunEm(ingested.BinWeights(), table,

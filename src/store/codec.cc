@@ -226,9 +226,9 @@ Status Reader::ReadHeader(std::uint32_t supported_version,
   }
   pos_ += sizeof(kMagic);
   PPDM_ASSIGN_OR_RETURN(*version, ReadU32());
-  if (*version == 0 || *version > supported_version) {
+  if (*version != supported_version) {
     return Status::FailedPrecondition(StrFormat(
-        "snapshot format version %u unsupported (this build reads 1..%u)",
+        "snapshot format version %u unsupported (this build reads only %u)",
         *version, supported_version));
   }
   return Status::Ok();

@@ -100,8 +100,9 @@ class Reader {
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
   /// Checks the magic and reads the format version into `*version`.
-  /// Wrong magic is kInvalidArgument ("not a snapshot"); a version newer
-  /// than `supported_version` is kFailedPrecondition (a newer writer).
+  /// Wrong magic is kInvalidArgument ("not a snapshot"); any version but
+  /// `supported_version` is kFailedPrecondition (an older or newer
+  /// writer).
   Status ReadHeader(std::uint32_t supported_version, std::uint32_t* version);
 
   Result<std::uint8_t> ReadU8();

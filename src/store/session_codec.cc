@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/noise_model.h"
-#include "reconstruct/reconstructor.h"
 
 namespace ppdm::store {
 namespace {
@@ -49,41 +48,6 @@ Result<data::AttributeKind> AttributeKindFromWire(std::uint8_t wire) {
   }
 }
 
-Result<bool> BoolFromWire(std::uint8_t wire) {
-  if (wire > 1) {
-    return Status::InvalidArgument(
-        StrFormat("boolean wire byte is %u, want 0 or 1", wire));
-  }
-  return wire == 1;
-}
-
-void EncodeReconstructionOptions(
-    const reconstruct::ReconstructionOptions& options, Writer* writer) {
-  writer->PutU64(options.max_iterations);
-  writer->PutDouble(options.chi_square_epsilon);
-  writer->PutU8(options.binned ? 1 : 0);
-}
-
-Result<reconstruct::ReconstructionOptions> DecodeReconstructionOptions(
-    Reader* reader) {
-  reconstruct::ReconstructionOptions options;
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t max_iterations,
-                        reader->ReadU64());
-  PPDM_ASSIGN_OR_RETURN(options.chi_square_epsilon, reader->ReadDouble());
-  PPDM_ASSIGN_OR_RETURN(const std::uint8_t binned, reader->ReadU8());
-  PPDM_ASSIGN_OR_RETURN(options.binned, BoolFromWire(binned));
-  options.max_iterations = static_cast<std::size_t>(max_iterations);
-  if (options.max_iterations == 0) {
-    return Status::InvalidArgument("snapshot EM max_iterations is zero");
-  }
-  if (!std::isfinite(options.chi_square_epsilon) ||
-      options.chi_square_epsilon < 0.0) {
-    return Status::InvalidArgument(
-        "snapshot EM chi_square_epsilon is non-finite or negative");
-  }
-  return options;
-}
-
 /// Upper bound on decoded interval counts and on the padding bins the
 /// perturbed layout derives per side — far beyond any real workload, but
 /// small enough that the derivation below cannot become an allocation
@@ -105,22 +69,6 @@ Status ValidateDerivedLayout(double lo, double hi, std::size_t intervals,
     return Status::InvalidArgument(
         "snapshot noise/domain derive an implausibly large perturbed-value "
         "bin layout");
-  }
-  return Status::Ok();
-}
-
-Status ValidateMasses(const std::vector<double>& masses,
-                      std::size_t intervals) {
-  if (!masses.empty() && masses.size() != intervals) {
-    return Status::InvalidArgument(StrFormat(
-        "%zu warm-start masses for a %zu-interval partition",
-        masses.size(), intervals));
-  }
-  for (double m : masses) {
-    if (!std::isfinite(m) || m < 0.0) {
-      return Status::InvalidArgument(
-          "snapshot warm-start mass is non-finite or negative");
-    }
   }
   return Status::Ok();
 }
@@ -173,76 +121,6 @@ Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
       std::move(counts));
 }
 
-// ---------------------------------------------------------- AttributeState
-
-void EncodeAttributeState(const api::AttributeState& state, Writer* writer) {
-  const reconstruct::Partition& partition = state.partition();
-  writer->PutDouble(partition.lo());
-  writer->PutDouble(partition.hi());
-  writer->PutU64(partition.intervals());
-  const perturb::NoiseModel& noise = state.noise_model();
-  writer->PutU8(NoiseKindToWire(noise.kind()));
-  writer->PutDouble(noise.scale());
-  EncodeReconstructionOptions(state.reconstructor().options(), writer);
-  EncodeShardStats(state.stats(), writer);
-  writer->PutDoubleArray(state.last_masses());
-}
-
-Result<api::AttributeState> DecodeAttributeState(Reader* reader) {
-  PPDM_ASSIGN_OR_RETURN(const double lo, reader->ReadDouble());
-  PPDM_ASSIGN_OR_RETURN(const double hi, reader->ReadDouble());
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t intervals, reader->ReadU64());
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi)) {
-    return Status::InvalidArgument(
-        "snapshot attribute domain is non-finite or empty");
-  }
-  if (intervals < 2 || intervals > (1u << 20)) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot attribute has %llu intervals (want 2..%u)",
-        static_cast<unsigned long long>(intervals), 1u << 20));
-  }
-  PPDM_ASSIGN_OR_RETURN(const std::uint8_t kind_wire, reader->ReadU8());
-  PPDM_ASSIGN_OR_RETURN(const perturb::NoiseKind kind,
-                        NoiseKindFromWire(kind_wire));
-  PPDM_ASSIGN_OR_RETURN(const double scale, reader->ReadDouble());
-  if (kind == perturb::NoiseKind::kNone) {
-    if (scale != 0.0) {
-      return Status::InvalidArgument(
-          "snapshot kNone noise carries a nonzero scale");
-    }
-  } else if (!std::isfinite(scale) || scale <= 0.0) {
-    return Status::InvalidArgument(
-        "snapshot noise scale is non-finite or non-positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const reconstruct::ReconstructionOptions options,
-                        DecodeReconstructionOptions(reader));
-
-  const perturb::NoiseModel model =
-      kind == perturb::NoiseKind::kNone
-          ? perturb::NoiseModel::None()
-          : kind == perturb::NoiseKind::kUniform
-                ? perturb::NoiseModel::Uniform(scale)
-                : perturb::NoiseModel::Gaussian(scale);
-  PPDM_RETURN_IF_ERROR(ValidateDerivedLayout(
-      lo, hi, static_cast<std::size_t>(intervals), model));
-  api::AttributeState state(lo, hi, static_cast<std::size_t>(intervals),
-                            model, options);
-
-  PPDM_ASSIGN_OR_RETURN(engine::ShardStats stats, DecodeShardStats(reader));
-  if (stats.num_bins() != state.num_bins() || stats.num_classes() != 1) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot counts are %zu bins x %zu classes; the attribute layout "
-        "derives %zu bins x 1",
-        stats.num_bins(), stats.num_classes(), state.num_bins()));
-  }
-  PPDM_ASSIGN_OR_RETURN(std::vector<double> masses,
-                        reader->ReadDoubleArray());
-  PPDM_RETURN_IF_ERROR(
-      ValidateMasses(masses, state.partition().intervals()));
-  state.RestoreAccumulation(std::move(stats), std::move(masses));
-  return state;
-}
-
 // ------------------------------------------------------ DatasetSessionSpec
 
 void EncodeDatasetSessionSpec(const api::DatasetSessionSpec& spec,
@@ -261,10 +139,7 @@ void EncodeDatasetSessionSpec(const api::DatasetSessionSpec& spec,
     writer->PutU8(NoiseKindToWire(attr.noise));
     writer->PutDouble(attr.privacy_fraction);
     writer->PutDouble(attr.confidence);
-    EncodeReconstructionOptions(attr.reconstruction, writer);
   }
-  writer->PutU64(spec.shard_size);
-  writer->PutU8(spec.warm_start ? 1 : 0);
 }
 
 Result<api::DatasetSessionSpec> DecodeDatasetSessionSpec(Reader* reader) {
@@ -293,14 +168,8 @@ Result<api::DatasetSessionSpec> DecodeDatasetSessionSpec(Reader* reader) {
     PPDM_ASSIGN_OR_RETURN(attr.noise, NoiseKindFromWire(noise));
     PPDM_ASSIGN_OR_RETURN(attr.privacy_fraction, reader->ReadDouble());
     PPDM_ASSIGN_OR_RETURN(attr.confidence, reader->ReadDouble());
-    PPDM_ASSIGN_OR_RETURN(attr.reconstruction,
-                          DecodeReconstructionOptions(reader));
     spec.attributes.push_back(std::move(attr));
   }
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t shard_size, reader->ReadU64());
-  spec.shard_size = static_cast<std::size_t>(shard_size);
-  PPDM_ASSIGN_OR_RETURN(const std::uint8_t warm, reader->ReadU8());
-  PPDM_ASSIGN_OR_RETURN(spec.warm_start, BoolFromWire(warm));
   return spec;
 }
 

@@ -1,13 +1,15 @@
-// Snapshot codec for the serving-layer state: engine::ShardStats,
-// api::AttributeState, and whole api::DatasetSession sessions, over the
-// endian-stable Writer/Reader byte layer. A snapshot carries the session
-// spec plus the mutable accumulation; the fixed layouts (partitions,
+// Snapshot codec for the serving-layer state: engine::ShardStats, the
+// api::DatasetSessionSpec the open verb carries, and whole
+// api::DatasetSession sessions, over the endian-stable Writer/Reader byte
+// layer. A snapshot carries the session spec (per attribute: column,
+// intervals, noise kind, privacy and confidence — what a provider
+// chooses) plus the mutable accumulation; the fixed layouts (partitions,
 // perturbed-value binnings, noise models) are re-derived deterministically
 // from the spec on decode, so a decoded session continues byte-identically
-// to the live one — the exchangeable representation distributed PPDM
-// deployments ship between sites.
+// to the live one. A session capture is the exchange unit: the perturbed
+// aggregates distributed PPDM deployments ship between sites.
 //
-// Every decode failure (truncation, CRC mismatch, wrong magic, future
+// Every decode failure (truncation, CRC mismatch, wrong magic, other
 // format version, shape mismatch) is a Status error, never a CHECK abort:
 // these bytes come from disks and networks, not from callers.
 
@@ -19,7 +21,6 @@
 #include <string>
 #include <string_view>
 
-#include "api/attribute_state.h"
 #include "api/dataset_session.h"
 #include "common/status.h"
 #include "engine/shard_stats.h"
@@ -28,8 +29,10 @@
 
 namespace ppdm::store {
 
-/// Current snapshot format version. Readers accept 1..kFormatVersion.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// The one snapshot format version this build writes and reads. Version
+/// 1 also encoded per-attribute EM options, a shard size and a warm-start
+/// flag; its captures are refused (kFailedPrecondition), not migrated.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section tags of a dataset-session snapshot.
 inline constexpr std::uint32_t kSpecSectionTag = 0x43455053;   // "SPEC"
@@ -40,20 +43,6 @@ inline constexpr std::uint32_t kStateSectionTag = 0x54415453;  // "STAT"
 
 void EncodeShardStats(const engine::ShardStats& stats, Writer* writer);
 Result<engine::ShardStats> DecodeShardStats(Reader* reader);
-
-/// Serializes one attribute's full reconstruction state: the layout
-/// parameters (partition domain, noise model, EM options) plus the
-/// accumulated counts and warm-start masses.
-///
-/// Note this is deliberately a *self-contained* shape (it carries the
-/// derived noise scale, not the privacy calibration that produced it) —
-/// the exchange format for a single attribute's statistics between
-/// sites. Dataset-session snapshots do NOT route through it: they store
-/// the spec once and only counts + masses per attribute, re-deriving
-/// every layout on decode. A field added to AttributeState's mutable
-/// accumulation must be threaded through both encoders.
-void EncodeAttributeState(const api::AttributeState& state, Writer* writer);
-Result<api::AttributeState> DecodeAttributeState(Reader* reader);
 
 void EncodeDatasetSessionSpec(const api::DatasetSessionSpec& spec,
                               Writer* writer);

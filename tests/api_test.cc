@@ -27,6 +27,7 @@
 #include "api/service.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
+#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
@@ -91,9 +92,9 @@ TEST(SpecValidationTest, ValidateDomainRejectsDegenerateRanges) {
 
 // Perturbed benchmark data shared by the streaming tests.
 struct StreamFixture {
-  StreamFixture() {
+  explicit StreamFixture(std::size_t num_records = 4000) {
     synth::GeneratorOptions gen;
-    gen.num_records = 4000;
+    gen.num_records = num_records;
     gen.seed = 23;
     original = synth::Generate(gen);
     perturb::RandomizerOptions noise;
@@ -117,7 +118,6 @@ struct StreamFixture {
     attr.privacy_fraction = 1.0;
     attr.confidence = 0.95;
     spec.attributes.push_back(attr);
-    spec.shard_size = 512;
     return spec;
   }
 
@@ -160,7 +160,7 @@ Result<reconstruct::Reconstruction> ReconstructOne(DatasetSession* session) {
 
 TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
   const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.25);
-  const AttributeState state(0.0, 1.0, 12, noise, {});
+  const AttributeState state(0.0, 1.0, 12, noise);
   const auto built = state.ResolveKernelTable(nullptr);
   ASSERT_NE(built, nullptr);
   EXPECT_TRUE(built->Matches(state.noise_model(), state.partition(),
@@ -169,7 +169,7 @@ TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
   const auto hit = state.ResolveKernelTable(built);
   EXPECT_EQ(hit.get(), built.get());
   // A table built for a different layout is stale: rebuilt, never reused.
-  const AttributeState other(0.0, 1.0, 24, noise, {});
+  const AttributeState other(0.0, 1.0, 24, noise);
   const auto rebuilt = other.ResolveKernelTable(built);
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_NE(rebuilt.get(), built.get());
@@ -179,9 +179,12 @@ TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
 
 // The acceptance property: a one-attribute session fed 1 batch vs. many
 // batches vs. batch Fit produce identical masses, at 1, 2, and 8
-// threads (and with no pool at all).
+// threads (and with no pool at all). 40000 records exceed two ingestion
+// shards (engine::kIngestShardRows), so the one-batch session and the
+// largest uneven batches fold several shards and merge them.
 TEST(DatasetSessionTest, OneAttributeIngestEquivalenceProperty) {
-  const StreamFixture fx;
+  const StreamFixture fx(40000);
+  ASSERT_GT(fx.perturbed->NumRows(), 2 * engine::kIngestShardRows);
   const DatasetSessionSpec spec = fx.SalarySpec();
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
   const reconstruct::Reconstruction batch = fx.SalaryBatchFit();
@@ -269,24 +272,33 @@ TEST(DatasetSessionTest, WarmStartRefreshConvergesFaster) {
   }
 }
 
-TEST(DatasetSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
+TEST(DatasetSessionTest, FreshSessionFirstRefreshIsTheBatchFit) {
+  // Sessions always warm-start, so the cold answer at any point in a
+  // stream is a fresh session's first refresh over the same rows: it
+  // equals the batch Fit byte for byte, however the rows were batched
+  // and whatever another session refreshed along the way.
   const StreamFixture fx;
-  DatasetSessionSpec spec = fx.SalarySpec();
-  spec.warm_start = false;
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  auto session = DatasetSession::Open(spec);
-  ASSERT_TRUE(session.ok());
-
   const std::size_t half = column.size() / 2;
-  ASSERT_TRUE(IngestColumn(session.value().get(), column.data(), half).ok());
-  // The first refresh does not perturb later fits.
-  ASSERT_TRUE(ReconstructOne(session.value().get()).ok());
-  ASSERT_TRUE(IngestColumn(session.value().get(), column.data() + half,
+
+  auto refreshed = DatasetSession::Open(fx.SalarySpec());
+  ASSERT_TRUE(refreshed.ok());
+  ASSERT_TRUE(IngestColumn(refreshed.value().get(), column.data(), half).ok());
+  ASSERT_TRUE(ReconstructOne(refreshed.value().get()).ok());
+  ASSERT_TRUE(IngestColumn(refreshed.value().get(), column.data() + half,
                            column.size() - half)
                   .ok());
-  const auto second = ReconstructOne(session.value().get());
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), second.value()));
+  ASSERT_TRUE(ReconstructOne(refreshed.value().get()).ok());
+
+  auto fresh = DatasetSession::Open(fx.SalarySpec());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(IngestColumn(fresh.value().get(), column.data(), half).ok());
+  ASSERT_TRUE(IngestColumn(fresh.value().get(), column.data() + half,
+                           column.size() - half)
+                  .ok());
+  const auto first = ReconstructOne(fresh.value().get());
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), first.value()));
 }
 
 TEST(DatasetSessionTest, NoNoiseSessionIsExactHistogram) {
@@ -325,7 +337,6 @@ DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = 512;
   return spec;
 }
 
@@ -373,21 +384,13 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
             std::string::npos)
       << infinite.message();
 
-  DatasetSessionSpec bad_epsilon = BenchmarkDatasetSpec(1);
-  bad_epsilon.attributes[0].reconstruction.chi_square_epsilon = -1.0;
-  EXPECT_EQ(bad_epsilon.Validate().code(), StatusCode::kInvalidArgument);
-
-  // Streaming cannot honour the per-sample exact EM path: the session
-  // would silently diverge from Fit, so the spec is rejected,
-  // and the message names the attribute.
-  DatasetSessionSpec exact_path = BenchmarkDatasetSpec(1);
-  exact_path.attributes[0].reconstruction.binned = false;
-  const Status exact = exact_path.Validate();
-  EXPECT_EQ(exact.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(exact.message().find("attribute 0 ('salary'): streaming "
-                                 "sessions require reconstruction.binned"),
-            std::string::npos)
-      << exact.message();
+  // The message names the attribute.
+  DatasetSessionSpec bad_confidence = BenchmarkDatasetSpec(1);
+  bad_confidence.attributes[0].confidence = 1.5;
+  const Status confidence = bad_confidence.Validate();
+  EXPECT_EQ(confidence.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(confidence.message().rfind("attribute 0 ('salary'): ", 0), 0u)
+      << confidence.message();
 
   // Open surfaces the same status instead of crashing.
   const auto session = DatasetSession::Open(bad_column);
@@ -398,7 +401,7 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
 }
 
 /// A one-attribute spec over the full schema: `spec`'s attribute `index`
-/// alone, with the same shard and warm-start settings.
+/// alone.
 DatasetSessionSpec OneAttribute(const DatasetSessionSpec& spec,
                                 std::size_t index) {
   DatasetSessionSpec one = spec;
@@ -434,7 +437,7 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
     const reconstruct::Partition partition = reconstruct::Partition::ForField(
         spec.schema.Field(a), spec.attributes[a].intervals);
     const reconstruct::BayesReconstructor reconstructor(
-        fx.randomizer->ModelFor(a), spec.attributes[a].reconstruction);
+        fx.randomizer->ModelFor(a), {});
     batch_fits.push_back(
         reconstructor.Fit(fx.perturbed->Column(a), partition));
   }
@@ -590,37 +593,7 @@ TEST(SessionRegistryTest, ByteBudgetEvictsLeastRecentlyUsed) {
   const SessionRegistry::Stats stats = registry.GetStats();
   EXPECT_EQ(stats.open_sessions, 2u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.ttl_evictions, 0u);
   EXPECT_LE(stats.approx_bytes, options.max_bytes);
-}
-
-TEST(SessionRegistryTest, TtlEvictsIdleSessions) {
-  // Deterministic idleness via the injected clock.
-  auto now = std::chrono::steady_clock::time_point{};
-  SessionRegistryOptions options;
-  options.ttl = std::chrono::milliseconds(100);
-  options.clock = [&now] { return now; };
-  SessionRegistry registry(options);
-
-  ASSERT_TRUE(registry.Open("idle", BenchmarkDatasetSpec(1)).ok());
-  ASSERT_TRUE(registry.Open("busy", BenchmarkDatasetSpec(1)).ok());
-
-  now += std::chrono::milliseconds(60);
-  EXPECT_TRUE(registry.TryLookup("busy").ok());  // refreshes busy's idle time
-
-  now += std::chrono::milliseconds(60);  // idle is now 120ms idle, busy 60ms
-  EXPECT_EQ(registry.SweepExpired(), 1u);
-  EXPECT_EQ(registry.TryLookup("idle").status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(registry.TryLookup("busy").ok());
-
-  const SessionRegistry::Stats stats = registry.GetStats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.ttl_evictions, 1u);
-
-  // TryLookup itself also enforces expiry.
-  now += std::chrono::milliseconds(200);
-  EXPECT_EQ(registry.TryLookup("busy").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(registry.GetStats().ttl_evictions, 2u);
 }
 
 // Regression for the budget-smaller-than-one-session edge case: a session

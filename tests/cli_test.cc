@@ -280,9 +280,10 @@ TEST_F(CliFixture, ReconstructIsThreadInvariant) {
 }
 
 TEST_F(CliFixture, ShardSizeIsOnlyAcceptedWhereItChangesBytes) {
-  // --shard-size lays out perturb's noise streams and sets loadgen's
-  // tenant spec; reconstruct, train and restore have nothing it could
-  // change, so they reject it like any unknown flag.
+  // --shard-size lays out perturb's noise streams; reconstruct, train,
+  // restore and loadgen (whose tenants' sessions fold at one fixed grain)
+  // have nothing it could change, so they reject it like any unknown
+  // flag.
   const std::string raw = Track(Path("shard_raw.csv"));
   std::string output;
   ASSERT_TRUE(
@@ -296,6 +297,7 @@ TEST_F(CliFixture, ShardSizeIsOnlyAcceptedWhereItChangesBytes) {
       {"reconstruct", in.c_str(), "--attribute=age", "--privacy=0"},
       {"train", train.c_str(), test.c_str(), "--privacy=0"},
       {"restore", dir.c_str(), "--name=t0"},
+      {"loadgen", "--tenants=1", "--records=0"},
   };
   for (std::vector<const char*> argv : commands) {
     SCOPED_TRACE(argv[0]);
@@ -528,9 +530,9 @@ TEST_F(CliFixture, InProcessLoadgenResumeStreamsFreshRecords) {
   std::filesystem::remove_all(dir);
 }
 
-// The daemon re-admits the capture whatever spec the open verb carries,
-// so a resume adopts the checkpointed spec: flags naming other attributes,
-// intervals or noise neither crash the report nor perturb with a
+// The daemon refuses an open whose spec differs from the capture's, so a
+// resume adopts the checkpointed spec: flags naming other attributes,
+// intervals or noise neither fail the open nor perturb with a
 // calibration the session's EM does not assume. The capture equals the
 // one a resume with the checkpointed run's own flags leaves.
 TEST_F(CliFixture, InProcessLoadgenResumeAdoptsTheCheckpointedSpec) {
@@ -661,6 +663,35 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok());
   EXPECT_NE(output.find("0 snapshot(s)"), std::string::npos) << output;
+
+  // A version-1 capture is listed as unreadable next to a current one,
+  // and the listing still succeeds.
+  api::DatasetSessionSpec spec;
+  spec.schema = synth::BenchmarkSchema();
+  spec.attributes.push_back(api::AttributeSpec{});
+  auto session = api::DatasetSession::Open(spec);
+  ASSERT_TRUE(session.ok());
+  const std::string current = store::EncodeDatasetSession(*session.value());
+  // The same capture under a version-1 header (bytes 8..11, after the
+  // 8-byte magic).
+  std::string old = current;
+  old[8] = 1;
+  {
+    auto snapshots = store::SnapshotStore::Open(dir);
+    ASSERT_TRUE(snapshots.ok());
+    ASSERT_TRUE(snapshots.value().Put("current", current).ok());
+    ASSERT_TRUE(snapshots.value().Put("old", old).ok());
+  }
+  ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok())
+      << output;
+  EXPECT_NE(output.find("old                      unreadable: snapshot "
+                        "format version 1 unsupported"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("current                         2"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("2 snapshot(s)"), std::string::npos) << output;
   std::filesystem::remove_all(dir);
 }
 

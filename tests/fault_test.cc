@@ -82,7 +82,6 @@ api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = 256;
   return spec;
 }
 
@@ -395,10 +394,11 @@ TEST_F(FaultTest, FailedSpillKeepsTheSessionResidentAndRetriesLater) {
   ASSERT_TRUE(snapshots.ok());
   store::SessionSpillStore spill(snapshots.value());
 
+  auto now = std::chrono::steady_clock::now();
   api::SessionRegistryOptions options;
   options.max_bytes = 1;  // every second tenant forces a demotion
   options.spill = &spill;
-  options.spill_retry_backoff = std::chrono::milliseconds(0);  // retry now
+  options.clock = [&now] { return now; };
   api::SessionRegistry registry(options, nullptr);
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
 
@@ -421,9 +421,11 @@ TEST_F(FaultTest, FailedSpillKeepsTheSessionResidentAndRetriesLater) {
   ASSERT_TRUE(resident.ok());
   EXPECT_EQ(resident.value()->record_count(), 64u);
 
-  // Backend heals; the next touch of another name retries the demotion
-  // (zero backoff) and the budget accounting lands exactly on "b".
+  // Backend heals; past every backoff window, the next touch of another
+  // name retries the demotion and the budget accounting lands exactly on
+  // "b".
   fault::DisarmAll();
+  now += 16 * api::kSpillRetryBackoff;
   ASSERT_TRUE(registry.TryLookup("b").ok());
   stats = registry.GetStats();
   EXPECT_EQ(stats.open_sessions, 1u);
@@ -454,7 +456,6 @@ TEST_F(FaultTest, FailedSpillRespectsItsBackoffWindow) {
   api::SessionRegistryOptions options;
   options.max_bytes = 1;
   options.spill = &spill;
-  options.spill_retry_backoff = std::chrono::milliseconds(100);
   options.clock = [&now] { return now; };
   api::SessionRegistry registry(options, nullptr);
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
@@ -471,7 +472,7 @@ TEST_F(FaultTest, FailedSpillRespectsItsBackoffWindow) {
   EXPECT_EQ(registry.GetStats().spill_failures, failures);
 
   // Past the window the attempt is retried (and fails again).
-  now += std::chrono::milliseconds(150);
+  now += api::kSpillRetryBackoff + std::chrono::milliseconds(50);
   ASSERT_TRUE(registry.TryLookup("b").ok());
   EXPECT_GT(registry.GetStats().spill_failures, failures);
 }
@@ -587,7 +588,6 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
   api::SessionRegistryOptions options;
   options.max_bytes = 1;
   options.spill = &spill;
-  options.spill_retry_backoff = std::chrono::milliseconds(0);
   api::SessionRegistry registry(options, nullptr);
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
   auto a = registry.Open("a", spec);

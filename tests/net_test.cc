@@ -33,6 +33,7 @@
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
 #include "store/codec.h"
+#include "store/session_codec.h"
 #include "synth/generator.h"
 
 namespace ppdm::net {
@@ -77,7 +78,6 @@ api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = 256;
   return spec;
 }
 
@@ -590,6 +590,61 @@ TEST(ServerTest, RequestsForUnknownTenantsAnswerNotFound) {
       client.value().Call(Verb::kIngest, 1, 0, stray.Take());
   ASSERT_TRUE(extra.ok()) << extra.status().ToString();
   EXPECT_EQ(extra.value().status.code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// Every request decoder consumes its whole body: leftover bytes are
+// kInvalidArgument and change nothing, so a body laid out for another
+// format is refused rather than misparsed.
+TEST(ServerTest, RequestBodiesWithTrailingBytesAreRejected) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok());
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const auto expect_invalid = [&](Verb verb, std::string body) {
+    SCOPED_TRACE(VerbName(static_cast<std::uint32_t>(verb)));
+    Result<ResponseBody> response =
+        client.value().Call(verb, 1, 0, std::move(body));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status.code(), StatusCode::kInvalidArgument)
+        << response.value().status.ToString();
+  };
+
+  // An open body in the version-1 layout: after each attribute it also
+  // carried EM options (u64 max_iterations, f64 epsilon, u8 binned), and
+  // after the attributes a u64 shard size and a u8 warm-start flag.
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  store::Writer old_layout;
+  store::EncodeDatasetSessionSpec(spec, &old_layout);
+  old_layout.PutU64(500);
+  old_layout.PutDouble(1e-4);
+  old_layout.PutU8(1);
+  old_layout.PutU64(16384);
+  old_layout.PutU8(1);
+  expect_invalid(Verb::kOpen, old_layout.Take());
+  // Refused, not opened.
+  EXPECT_EQ(client.value().Reconstruct(1).status().code(),
+            StatusCode::kNotFound);
+
+  ASSERT_TRUE(client.value().Open(1, spec).ok());
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(4, &num_cols);
+  store::Writer ingest;
+  ingest.PutU64(4);
+  ingest.PutU64(num_cols);
+  ingest.PutDoubleArray(rows);
+  ingest.PutU8(0);
+  expect_invalid(Verb::kIngest, ingest.Take());
+  expect_invalid(Verb::kReconstruct, "x");
+  expect_invalid(Verb::kSnapshot, "x");
+  expect_invalid(Verb::kClose, "x");
+
+  // Nothing was folded and the tenant is still open.
+  Result<OpenResult> reopened = client.value().Open(1, spec);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.value().resumed);
+  EXPECT_EQ(reopened.value().record_count, 0u);
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 

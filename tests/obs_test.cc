@@ -16,6 +16,7 @@
 #include "api/service.h"
 #include "common/random.h"
 #include "data/row_batch.h"
+#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -562,6 +563,8 @@ TEST(ChromeTraceTest, RendersValidEventShape) {
 // nothing about what it computes. One perturbed stream, ingested and
 // reconstructed at several thread counts with metrics enabled and
 // disabled, must yield bit-identical masses in every configuration pair.
+// Its first batch spans three ingestion shards, so the sharded fold and
+// its merge run under every configuration.
 
 std::vector<double> ReconstructedBits(std::size_t threads) {
   api::DatasetSessionSpec spec;
@@ -573,7 +576,6 @@ std::vector<double> ReconstructedBits(std::size_t threads) {
   attr.privacy_fraction = 1.0;
   attr.confidence = 0.95;
   spec.attributes.push_back(attr);
-  spec.shard_size = 512;
 
   std::optional<engine::ThreadPool> pool;
   if (threads > 0) pool.emplace(threads);
@@ -582,14 +584,15 @@ std::vector<double> ReconstructedBits(std::size_t threads) {
   EXPECT_TRUE(session.ok()) << session.status().message();
 
   synth::GeneratorOptions gen;
-  gen.num_records = 4000;
+  gen.num_records = 40000;
   gen.function = synth::Function::kF1;
   gen.seed = 20000607;
   synth::RecordStream stream(gen);
   Rng noise_rng(99);
   std::vector<double> scratch;
   while (!stream.Done()) {
-    const data::RowBatch rows = stream.Next(500);
+    const data::RowBatch rows =
+        stream.Next(2 * engine::kIngestShardRows + 500);
     scratch.assign(rows.values(),
                    rows.values() + rows.num_rows() * rows.num_cols());
     for (std::size_t r = 0; r < rows.num_rows(); ++r) {

@@ -1,7 +1,7 @@
 // Tests for the persistence subsystem: the endian-stable codec (every
 // malformed input — truncated, bit-flipped, wrong magic, future version —
 // comes back as a Status error, never a CHECK abort), byte-identical
-// snapshot/restore of ShardStats / AttributeState / DatasetSession, the
+// snapshot/restore of ShardStats / DatasetSession, the
 // directory-backed SnapshotStore (atomic publication, corruption-safe
 // reads), and the registry spill tier (eviction demotes, TryLookup
 // transparently re-admits, equivalence with a never-evicted registry —
@@ -9,6 +9,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -73,7 +74,6 @@ api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
     attr.privacy_fraction = 1.0;
     spec.attributes.push_back(attr);
   }
-  spec.shard_size = 256;
   return spec;
 }
 
@@ -339,6 +339,14 @@ TEST(CodecTest, HeaderRejectsWrongMagicAndFutureVersion) {
   EXPECT_EQ(newer.ReadHeader(kFormatVersion, &version).code(),
             StatusCode::kFailedPrecondition);
 
+  // Version 1 (whose spec still carried EM options, a shard size and a
+  // warm-start flag) is refused too: the reader accepts one version.
+  Writer past;
+  past.PutHeader(1);
+  Reader older(past.bytes());
+  EXPECT_EQ(older.ReadHeader(kFormatVersion, &version).code(),
+            StatusCode::kFailedPrecondition);
+
   Reader good(bytes);
   EXPECT_TRUE(good.ReadHeader(kFormatVersion, &version).ok());
   EXPECT_EQ(version, kFormatVersion);
@@ -401,38 +409,6 @@ TEST(ShardStatsCodecTest, RejectsInconsistentCounts) {
   const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(AttributeStateCodecTest, RoundTripPreservesLayoutCountsAndMasses) {
-  api::AttributeState state(
-      0.0, 100.0, 10,
-      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 100.0),
-      reconstruct::ReconstructionOptions{});
-  for (int i = 0; i < 500; ++i) {
-    state.stats().Add(state.BinOf(i % 140 - 20.0), 0);
-  }
-  state.set_last_masses(std::vector<double>(10, 0.1));
-
-  Writer writer;
-  EncodeAttributeState(state, &writer);
-  Reader reader(writer.bytes());
-  Result<api::AttributeState> decoded = DecodeAttributeState(&reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(reader.AtEnd());
-
-  const api::AttributeState& restored = decoded.value();
-  EXPECT_EQ(restored.partition().lo(), state.partition().lo());
-  EXPECT_EQ(restored.partition().hi(), state.partition().hi());
-  EXPECT_EQ(restored.partition().intervals(), state.partition().intervals());
-  EXPECT_EQ(restored.noise_model().kind(), state.noise_model().kind());
-  EXPECT_EQ(restored.noise_model().scale(), state.noise_model().scale());
-  EXPECT_EQ(restored.num_bins(), state.num_bins());
-  EXPECT_EQ(restored.stats().counts(), state.stats().counts());
-  EXPECT_EQ(restored.last_masses(), state.last_masses());
-
-  Writer again;
-  EncodeAttributeState(restored, &again);
-  EXPECT_EQ(again.bytes(), writer.bytes());
 }
 
 // ------------------------------------------------- dataset-session codec
@@ -534,23 +510,9 @@ TEST(DatasetSnapshotTest, EveryTruncationIsDetected) {
 // state is derived — the derivation would otherwise abort on an
 // astronomically large bin-layout allocation.
 TEST(DatasetSnapshotTest, HostileLayoutParametersAreRejectedNotFatal) {
-  // AttributeState path: a 1e18 noise scale over a unit domain.
-  Writer attr;
-  attr.PutDouble(0.0);
-  attr.PutDouble(1.0);
-  attr.PutU64(2);         // intervals
-  attr.PutU8(1);          // uniform
-  attr.PutDouble(1e18);   // scale -> ~4e18 padding bins
-  attr.PutU64(100);       // EM max_iterations
-  attr.PutDouble(1e-4);   // EM chi_square_epsilon
-  attr.PutU8(1);          // binned
-  Reader attr_reader(attr.bytes());
-  const auto state = DecodeAttributeState(&attr_reader);
-  EXPECT_EQ(state.status().code(), StatusCode::kInvalidArgument);
-
-  // Whole-session path: a spec the validation layer accepts (confidence
-  // inside (0,1)) whose derived noise explodes the padded layout, and
-  // one with an implausible interval count.
+  // A spec the validation layer accepts (confidence inside (0,1)) whose
+  // derived noise explodes the padded layout, and one with an
+  // implausible interval count.
   for (int variant = 0; variant < 2; ++variant) {
     api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
     if (variant == 0) {
@@ -590,9 +552,9 @@ TEST(DatasetSnapshotTest, PeekReportsWithoutRebuilding) {
   EXPECT_EQ(info.value().attributes, 2u);
 }
 
-// Format pins, computed with the bytewise-CRC, element-loop codec the
-// snapshot format first shipped with. A failure here means the snapshot
-// bytes changed: that needs a kFormatVersion bump, not a new pin.
+// Format pin of version 2, checked with the bytewise reference CRC. A
+// failure here means the snapshot bytes changed: that needs a
+// kFormatVersion bump, not a new pin.
 TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 8);
   const std::size_t cols = spec.schema.NumFields();
@@ -608,27 +570,8 @@ TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
   ASSERT_TRUE(
       session.value()->Ingest(data::RowBatch(rows.data(), 32, cols)).ok());
   const std::string snapshot = EncodeDatasetSession(*session.value());
-  EXPECT_EQ(snapshot.size(), 837u);
-  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0xCFA7CE06u);
-
-  // A non-empty double array: an attribute state with carried masses.
-  api::AttributeState state(
-      0.0, 100.0, 10,
-      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 100.0),
-      reconstruct::ReconstructionOptions{});
-  for (int i = 0; i < 300; ++i) {
-    state.stats().Add(state.BinOf(i % 130 - 15.0), 0);
-  }
-  std::vector<double> masses;
-  for (int i = 0; i < 10; ++i) {
-    masses.push_back(0.01 * (i + 1) - 0.0003 * i * i);
-  }
-  state.set_last_masses(masses);
-  Writer writer;
-  EncodeAttributeState(state, &writer);
-  EXPECT_EQ(writer.bytes().size(), 346u);
-  EXPECT_EQ(ReferenceCrc32(writer.bytes().data(), writer.bytes().size()),
-            0x6EDC8ED4u);
+  EXPECT_EQ(snapshot.size(), 794u);
+  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0x3D27E331u);
 }
 
 // --------------------------------------------------------- snapshot store
@@ -1055,7 +998,6 @@ TEST(SpillRegistryTest, SpillTrafficRacingIngestIsSafe) {
   });
   for (int i = 0; i < 50; ++i) {
     (void)registry.TryLookup(i % 2 == 0 ? "y" : "x");
-    registry.SweepExpired();
   }
   stop.store(true);
   worker.join();
@@ -1109,10 +1051,11 @@ TEST(SpillRegistryTest, DemotionFailureMidEvictionKeepsTheLedgerExact) {
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
   const std::size_t per_session =
       api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
+  auto now = std::chrono::steady_clock::now();
   api::SessionRegistryOptions options;
   options.max_bytes = per_session + per_session / 2;  // room for one
   options.spill = &spill;
-  options.spill_retry_backoff = std::chrono::milliseconds(0);
+  options.clock = [&now] { return now; };
   api::SessionRegistry registry(options);
 
   auto a = registry.Open("a", spec);
@@ -1141,8 +1084,9 @@ TEST(SpillRegistryTest, DemotionFailureMidEvictionKeepsTheLedgerExact) {
   }
   EXPECT_TRUE(snapshots.List().value().empty());  // and none on disk
 
-  // The `once` trigger disarmed itself; the next touch retries the
-  // demotion and every ledger column lands exactly.
+  // The `once` trigger disarmed itself; the next touch past the backoff
+  // window retries the demotion and every ledger column lands exactly.
+  now += api::kSpillRetryBackoff;
   ASSERT_TRUE(registry.TryLookup("b").ok());
   {
     const api::SessionRegistry::Stats stats = registry.GetStats();
