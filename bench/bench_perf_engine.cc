@@ -1,13 +1,13 @@
 // P4 — throughput scaling of the parallel execution engine at 1/2/4/8
-// worker threads: sharded perturbation, the single-column binned EM
+// worker threads: per-column perturbation, the single-column binned EM
 // reconstruction, and the per-attribute/per-class reconstruction fan-out
 // that dominates tree training; plus the cost of one EM refresh in µs per
 // fit (cold and warm kernel table, and the served refresh layout of 18
 // Gaussian 200-interval tables cycling). Honours PPDM_PAPER_SCALE=1 for
 // the paper's 100k-record runs, and cross-checks that every thread count
-// produced byte-identical reconstruction masses (the engine's determinism
-// contract). PPDM_BENCH_JSON=FILE appends the rows and a machine
-// fingerprint as NDJSON.
+// produced byte-identical perturbed columns and reconstruction masses (the
+// engine's determinism contract). PPDM_BENCH_JSON=FILE appends the rows and
+// a machine fingerprint as NDJSON.
 
 #include <cstdio>
 #include <cstring>
@@ -89,17 +89,25 @@ int main() {
   bench::ThroughputReporter reporter("records", 3, "perf_engine");
   char label[64];
 
-  // ---------------------------------------------- sharded perturbation
+  // -------------------------------------------- per-column perturbation
+  // One task per attribute; every thread count must write the bytes of the
+  // pool-less reference.
+  const data::Dataset perturbed = randomizer.Perturb(train);
+  bool perturb_identical = true;
   for (std::size_t threads : thread_counts) {
     engine::ThreadPool pool(threads);
     std::snprintf(label, sizeof(label), "perturb 9 attrs t=%zu", threads);
     reporter.Measure(label, train.NumRows(), "perturb", [&] {
-      const data::Dataset p = randomizer.Perturb(train, &pool, 16384);
+      const data::Dataset p = randomizer.Perturb(train, &pool);
       (void)p;
     }, threads);
+    const data::Dataset p = randomizer.Perturb(train, &pool);
+    for (std::size_t c = 0; c < train.NumCols(); ++c) {
+      perturb_identical =
+          perturb_identical && p.Column(c) == perturbed.Column(c);
+    }
   }
   engine::ThreadPool single(1);
-  const data::Dataset perturbed = randomizer.Perturb(train, &single, 16384);
 
   // ------------------------------------- single-column binned EM path
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
@@ -254,11 +262,13 @@ int main() {
   }
 
   // ------------------------------------------------ determinism check
+  std::printf("\nPerturbed columns byte-identical across thread counts: %s\n",
+              perturb_identical ? "yes" : "NO — DETERMINISM VIOLATION");
   bool identical = true;
   for (std::size_t i = 1; i < em_results.size(); ++i) {
     identical = identical && SameMasses(em_results[0], em_results[i]);
   }
-  std::printf("\nEM masses byte-identical across thread counts: %s\n",
+  std::printf("EM masses byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO — DETERMINISM VIOLATION");
   // Every dispatched path must agree bitwise with the scalar reference,
   // and the single-threaded engine with the multi-threaded sweep.
@@ -271,5 +281,5 @@ int main() {
       simd_identical && SameMasses(simd_results[0], em_results[0]);
   std::printf("EM masses byte-identical across SIMD paths: %s\n",
               simd_identical ? "yes" : "NO — DETERMINISM VIOLATION");
-  return identical && simd_identical ? 0 : 1;
+  return perturb_identical && identical && simd_identical ? 0 : 1;
 }

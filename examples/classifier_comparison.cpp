@@ -25,7 +25,7 @@ int main() {
   config.test_records = 5000;
   config.noise = perturb::NoiseKind::kGaussian;
   config.privacy_fraction = 1.0;
-  config.batch.num_threads = 4;
+  config.num_threads = 4;
   if (Status s = api::ValidateExperiment(config); !s.ok()) {
     std::fprintf(stderr, "invalid config: %s\n", s.ToString().c_str());
     return 1;
@@ -33,8 +33,8 @@ int main() {
 
   std::printf("Fn4, Gaussian noise @100%% privacy, %zu training records, "
               "%zu engine threads\n\n",
-              config.train_records, config.batch.num_threads);
-  engine::ThreadPool pool(config.batch.num_threads);
+              config.train_records, config.num_threads);
+  engine::ThreadPool pool(config.num_threads);
   const core::ExperimentData data = core::PrepareData(config, &pool);
 
   std::printf("%-11s %10s %8s %8s\n", "algorithm", "accuracy", "nodes",

@@ -66,9 +66,7 @@ Service::Service(std::size_t num_threads, std::size_t max_pending)
 
 Result<std::unique_ptr<Service>> Service::Create(std::size_t num_threads,
                                                  std::size_t max_pending) {
-  engine::BatchOptions engine;
-  engine.num_threads = num_threads;
-  PPDM_RETURN_IF_ERROR(ValidateEngine(engine));
+  PPDM_RETURN_IF_ERROR(ValidateThreads(num_threads));
   // Register the resilience counters up front so a chaos run's exposition
   // shows them (as 0) even when nothing was shed or retried.
   ShedCounter();

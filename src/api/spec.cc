@@ -39,11 +39,11 @@ Status ValidateNoise(const perturb::RandomizerOptions& options) {
   return Status::Ok();
 }
 
-Status ValidateEngine(const engine::BatchOptions& options) {
-  if (options.num_threads > kMaxThreads) {
+Status ValidateThreads(std::size_t num_threads) {
+  if (num_threads > kMaxThreads) {
     return Status::InvalidArgument(StrFormat(
-        "num_threads %zu exceeds the supported maximum %zu",
-        options.num_threads, kMaxThreads));
+        "num_threads %zu exceeds the supported maximum %zu", num_threads,
+        kMaxThreads));
   }
   return Status::Ok();
 }
@@ -130,7 +130,7 @@ Status ValidateExperiment(const core::ExperimentConfig& config) {
         "confidence must lie in (0, 1), got %g", config.confidence));
   }
   PPDM_RETURN_IF_ERROR(ValidateTree(config.tree));
-  return ValidateEngine(config.batch);
+  return ValidateThreads(config.num_threads);
 }
 
 Result<std::vector<core::ModeResult>> RunExperiment(

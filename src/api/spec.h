@@ -1,7 +1,7 @@
 // The validation layer of the serving API.
 //
 // Every layer of the library has its own option struct (RandomizerOptions,
-// ReconstructionOptions, BatchOptions, TreeOptions, ExperimentConfig), and
+// ReconstructionOptions, TreeOptions, ExperimentConfig), and
 // none of them validates anything: a negative privacy fraction or a
 // zero-interval partition sails through until a PPDM_CHECK aborts deep in
 // the stack — acceptable for a research harness, not for a server fed by
@@ -18,7 +18,6 @@
 
 #include "common/status.h"
 #include "core/experiment.h"
-#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
 #include "tree/trainer.h"
@@ -30,10 +29,9 @@ namespace ppdm::api {
 /// a perturbing kind with a zero fraction.
 Status ValidateNoise(const perturb::RandomizerOptions& options);
 
-/// Rejects implausible engine configuration (thread counts beyond any
-/// machine this library targets). shard_size is unconstrained: 0 means one
-/// shard by contract.
-Status ValidateEngine(const engine::BatchOptions& options);
+/// Rejects a worker thread count beyond any machine this library targets
+/// (0, the inline engine, is valid).
+Status ValidateThreads(std::size_t num_threads);
 
 /// Rejects invalid tree induction parameters: fewer than 2 intervals (or
 /// more than the uint16 interval assignment can index), zero depth,
@@ -49,9 +47,10 @@ Status ValidateDomain(double lo, double hi, std::size_t intervals);
 
 /// Validates a full experiment cell: record counts, the noise settings
 /// (a perturbing kind with privacy 0 is fine, since core::PrepareData
-/// switches to kNone itself), the tree options and the engine. The one validator
-/// of a core::ExperimentConfig; core::PrepareData/RunModes themselves
-/// stay unvalidated internals, so new entry points route through it.
+/// switches to kNone itself), the tree options and the thread count. The
+/// one validator of a core::ExperimentConfig; core::PrepareData/RunModes
+/// themselves stay unvalidated internals, so new entry points route
+/// through it.
 Status ValidateExperiment(const core::ExperimentConfig& config);
 
 /// The validated experiment façade: rejects an invalid config or an empty

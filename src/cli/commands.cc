@@ -99,10 +99,9 @@ Result<std::size_t> ThreadsFromFlag(const Args& args) {
   if (threads < 0) {
     return Status::InvalidArgument("--threads must be >= 0");
   }
-  engine::BatchOptions options;
-  options.num_threads = static_cast<std::size_t>(threads);
-  PPDM_RETURN_IF_ERROR(api::ValidateEngine(options));
-  return options.num_threads;
+  const auto num_threads = static_cast<std::size_t>(threads);
+  PPDM_RETURN_IF_ERROR(api::ValidateThreads(num_threads));
+  return num_threads;
 }
 
 // The shared shape of loadgen's provider streams: the dataset-session
@@ -300,7 +299,7 @@ const char* UsageText() {
       "              [--label-noise=P]\n"
       "  perturb     --in=FILE --out=FILE [--noise=uniform|gaussian]\n"
       "              [--privacy=F] [--confidence=C] [--seed=S]\n"
-      "              [--threads=T] [--shard-size=N]\n"
+      "              [--threads=T]\n"
       "  reconstruct --in=FILE --attribute=NAME [--noise=...] [--privacy=F]\n"
       "              [--confidence=C] [--intervals=K] [--by-class]\n"
       "              [--threads=T]\n"
@@ -380,13 +379,8 @@ const char* UsageText() {
       "For train/reconstruct, --noise/--privacy must describe the noise\n"
       "the input file was perturbed with (0 for unperturbed data).\n"
       "--threads=T runs the parallel engine with T workers; 0 (the\n"
-      "default) runs inline. reconstruct, --by-class and train give\n"
-      "bit-identical results at every thread count. Only perturb's\n"
-      "noise-stream layout differs: --threads=0 draws one stream per\n"
-      "attribute, while T >= 1 draws one per (attribute, shard of\n"
-      "--shard-size records) and is identical for every T at a fixed\n"
-      "--shard-size. No other command takes --shard-size: reconstruction\n"
-      "and the daemon's sessions fold at one fixed grain.\n";
+      "default) runs inline. perturb, reconstruct, --by-class and train\n"
+      "give bit-identical results at every thread count.\n";
 }
 
 Status RunGenerate(const Args& args, std::ostream& out) {
@@ -424,7 +418,7 @@ Status RunGenerate(const Args& args, std::ostream& out) {
 Status RunPerturb(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"in", "out", "noise", "privacy",
                                   "confidence", "seed", "threads",
-                                  "shard-size", "simd"});
+                                  "simd"});
       !s.ok()) {
     return s;
   }
@@ -433,14 +427,7 @@ Status RunPerturb(const Args& args, std::ostream& out) {
   if (in.empty() || out_path.empty()) {
     return Status::InvalidArgument("perturb needs --in and --out");
   }
-  engine::BatchOptions batch_options;
-  PPDM_ASSIGN_OR_RETURN(batch_options.num_threads, ThreadsFromFlag(args));
-  PPDM_ASSIGN_OR_RETURN(const long long shard_size,
-                        args.GetInt("shard-size", 16384));
-  if (shard_size < 0) {
-    return Status::InvalidArgument("--shard-size must be >= 0");
-  }
-  batch_options.shard_size = static_cast<std::size_t>(shard_size);
+  PPDM_ASSIGN_OR_RETURN(const std::size_t threads, ThreadsFromFlag(args));
   Result<data::Dataset> dataset =
       data::ReadCsv(synth::BenchmarkSchema(), 2, in);
   if (!dataset.ok()) return dataset.status();
@@ -448,9 +435,9 @@ Status RunPerturb(const Args& args, std::ostream& out) {
       RandomizerFromFlags(args, dataset.value().schema());
   if (!randomizer.ok()) return randomizer.status();
 
-  engine::ThreadPool pool(batch_options.num_threads);
-  const data::Dataset perturbed = randomizer.value().PerturbForEngine(
-      dataset.value(), batch_options, &pool);
+  engine::ThreadPool pool(threads);
+  const data::Dataset perturbed =
+      randomizer.value().Perturb(dataset.value(), &pool);
   if (Status s = data::WriteCsv(perturbed, out_path); !s.ok()) return s;
   out << StrFormat(
       "perturbed %zu records (%s noise, privacy %.0f%% @%.0f%% conf.) -> %s\n",

@@ -100,13 +100,4 @@ bool Rng::Bernoulli(double p) {
 
 Rng Rng::Fork() { return Rng(Next()); }
 
-Rng Rng::Fork(std::uint64_t stream_index) const {
-  // x is injective in stream_index (odd multiplier mod 2^64; the XORed
-  // state snapshot is constant per parent), and SplitMix64's finalizer is
-  // a bijection, so distinct indices give distinct child seeds.
-  std::uint64_t x = state_[0] ^ Rotl(state_[1], 23) ^
-                    (0x9E3779B97F4A7C15ULL * (stream_index + 1));
-  return Rng(SplitMix64(&x));
-}
-
 }  // namespace ppdm

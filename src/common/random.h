@@ -60,18 +60,6 @@ class Rng {
   /// attribute its own deterministic stream. Advances this generator.
   Rng Fork();
 
-  /// Derives the `stream_index`-th child stream WITHOUT advancing this
-  /// generator — the derivation for sharded execution, where shard i of a
-  /// parallel job must get the same stream no matter which thread runs it
-  /// or in which order shards are claimed.
-  ///
-  /// The child seed is a SplitMix64 remix of a snapshot of this generator's
-  /// state combined with `stream_index` through an odd-multiplier hash.
-  /// Both steps are injective in `stream_index` for a fixed parent state,
-  /// so all 2^64 stream indices yield pairwise-distinct child seeds — no
-  /// two shards can ever share a stream.
-  Rng Fork(std::uint64_t stream_index) const;
-
  private:
   std::uint64_t state_[4];
   bool has_cached_gaussian_ = false;

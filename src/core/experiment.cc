@@ -29,10 +29,7 @@ ExperimentData PrepareData(const ExperimentConfig& config,
   noise_options.seed = config.seed + 0x9E1517BULL;
   perturb::Randomizer randomizer(train.schema(), noise_options);
 
-  // The default (num_threads == 0) keeps the per-attribute streams the
-  // experiment suites' accuracy bounds sit on.
-  data::Dataset perturbed =
-      randomizer.PerturbForEngine(train, config.batch, pool);
+  data::Dataset perturbed = randomizer.Perturb(train, pool);
   return ExperimentData{std::move(train), std::move(perturbed),
                         std::move(test), std::move(randomizer)};
 }
@@ -61,7 +58,7 @@ std::vector<ModeResult> RunModes(
     const std::vector<tree::TrainingMode>& modes) {
   // One pool shared by the perturbation and every mode; 0 threads runs
   // everything inline.
-  engine::ThreadPool pool(config.batch.num_threads);
+  engine::ThreadPool pool(config.num_threads);
   const ExperimentData data = PrepareData(config, &pool);
   std::vector<ModeResult> results;
   results.reserve(modes.size());

@@ -35,13 +35,10 @@ struct ExperimentConfig {
   tree::TreeOptions tree;
   std::uint64_t seed = 1;
 
-  /// Parallel execution engine configuration. Reconstruction and tree
-  /// training are bit-identical at every thread count. The perturbation
-  /// follows Randomizer::PerturbForEngine: num_threads == 0 (default)
-  /// draws one noise stream per attribute, while num_threads >= 1 draws
-  /// one per (attribute, shard), identical for every positive thread
-  /// count at a fixed shard_size.
-  engine::BatchOptions batch;
+  /// Worker threads of the parallel engine; 0 (the default) runs every
+  /// primitive inline. Perturbation, reconstruction and tree training are
+  /// bit-identical at every thread count.
+  std::size_t num_threads = 0;
 };
 
 /// Result of training one mode within an experiment.
@@ -64,9 +61,8 @@ struct ExperimentData {
 
 /// Materializes the datasets for a config. Every mode evaluated against the
 /// same config sees identical data and identical noise draws, so mode
-/// comparisons are paired. `config.batch` picks the noise-stream layout;
-/// `pool` (may be null) only runs the sharded layout's tasks, so the data
-/// are identical for every pool.
+/// comparisons are paired. `pool` (may be null) runs the perturbation's
+/// per-column tasks, so the data are identical for every pool.
 ExperimentData PrepareData(const ExperimentConfig& config,
                            engine::ThreadPool* pool = nullptr);
 
@@ -78,7 +74,7 @@ ModeResult RunMode(const ExperimentData& data, tree::TrainingMode mode,
                    engine::ThreadPool* pool = nullptr);
 
 /// Trains and evaluates several modes on one shared prepared dataset, over
-/// one pool of config.batch.num_threads workers.
+/// one pool of config.num_threads workers.
 std::vector<ModeResult> RunModes(const ExperimentConfig& config,
                                  const std::vector<tree::TrainingMode>& modes);
 

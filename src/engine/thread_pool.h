@@ -2,11 +2,12 @@
 //
 // Design rules that every user of this header relies on:
 //
-//   * Work decomposition is fixed by the *grain* (chunk/shard size), never by
-//     the number of threads. A caller that splits work into chunks of a fixed
-//     size and merges per-chunk results in chunk-index order gets bit-identical
-//     output for any pool size, including no pool at all — the property the
-//     reconstruction engine's determinism tests pin down.
+//   * Work decomposition is fixed by the *grain* (chunk/shard size, or one
+//     task per column), never by the number of threads. A caller that splits
+//     work at a fixed grain and merges per-chunk results in chunk-index order
+//     gets bit-identical output for any pool size, including no pool at all
+//     — the property the engine's determinism tests pin down. An offline
+//     job's only execution setting is therefore its pool's thread count.
 //   * ParallelFor blocks until every index has run. The calling thread
 //     participates in the work, so the primitive cannot deadlock even when
 //     all workers are busy with other jobs.
@@ -25,20 +26,6 @@
 #include <vector>
 
 namespace ppdm::engine {
-
-/// Execution configuration of an offline job: the size of the pool it runs
-/// on and the record grain of its sharded perturbation.
-struct BatchOptions {
-  /// Worker threads. 0 = run every primitive inline on the calling thread
-  /// (the same decompositions, no workers); results are identical either
-  /// way.
-  std::size_t num_threads = 0;
-
-  /// Records per perturbation shard (0 = a single shard). It lays out the
-  /// sharded perturbation's noise streams, one per (attribute, shard), so
-  /// it changes perturbed bytes; reconstruction does not read it.
-  std::size_t shard_size = 16384;
-};
 
 /// A fixed set of worker threads draining one shared task queue. No work
 /// stealing: tasks are coarse (one chunk of a ParallelFor), so a single

@@ -31,60 +31,26 @@ const NoiseModel& Randomizer::ModelFor(std::size_t col) const {
   return models_[col];
 }
 
-data::Dataset Randomizer::Perturb(const data::Dataset& dataset) const {
+data::Dataset Randomizer::Perturb(const data::Dataset& dataset,
+                                  engine::ThreadPool* pool) const {
   PPDM_CHECK_EQ(models_.size(), dataset.NumCols());
   data::Dataset out = dataset;  // copy schema, labels and values
+  // One independent stream per attribute, forked in column order before
+  // any task runs (a kNone column still takes its fork), keeps each
+  // column's draws decoupled from the other columns and from the pool.
   Rng master(seed_);
-  // One independent stream per attribute keeps the noise streams decoupled
-  // from the number of rows touched by other columns.
+  std::vector<Rng> streams;
+  streams.reserve(out.NumCols());
   for (std::size_t c = 0; c < out.NumCols(); ++c) {
-    Rng rng = master.Fork();
-    if (models_[c].kind() == NoiseKind::kNone) continue;
+    streams.push_back(master.Fork());
+  }
+  engine::ParallelFor(pool, out.NumCols(), [&](std::size_t c) {
+    if (models_[c].kind() == NoiseKind::kNone) return;
+    Rng rng = streams[c];  // a task-local copy: no shared cache lines
     std::vector<double>* column = out.MutableColumn(c);
     for (double& v : *column) v += models_[c].Sample(&rng);
-  }
+  });
   return out;
-}
-
-data::Dataset Randomizer::Perturb(const data::Dataset& dataset,
-                                  engine::ThreadPool* pool,
-                                  std::size_t shard_size) const {
-  PPDM_CHECK_EQ(models_.size(), dataset.NumCols());
-  data::Dataset out = dataset;  // copy schema, labels and values
-  const Rng master(seed_);
-  const std::vector<engine::ChunkRange> shards =
-      engine::MakeChunks(dataset.NumRows(), shard_size);
-  const std::size_t num_shards = shards.size();
-  // One task per (attribute, shard) cell; each writes a disjoint slice of
-  // one column, so tasks are independent and the result is deterministic.
-  engine::ParallelFor(
-      pool, dataset.NumCols() * num_shards, [&](std::size_t task) {
-        const std::size_t c = task / num_shards;
-        const std::size_t s = task % num_shards;
-        if (models_[c].kind() == NoiseKind::kNone) return;
-        Rng rng = master.Fork(task);
-        std::vector<double>* column = out.MutableColumn(c);
-        for (std::size_t r = shards[s].begin; r < shards[s].end; ++r) {
-          (*column)[r] += models_[c].Sample(&rng);
-        }
-      });
-  return out;
-}
-
-data::Dataset Randomizer::PerturbForEngine(const data::Dataset& dataset,
-                                           const engine::BatchOptions& engine,
-                                           engine::ThreadPool* pool) const {
-  return engine.num_threads == 0
-             ? Perturb(dataset)
-             : Perturb(dataset, pool, engine.shard_size);
-}
-
-void Randomizer::PerturbRecord(std::vector<double>* record, Rng* rng) const {
-  PPDM_CHECK(record != nullptr && rng != nullptr);
-  PPDM_CHECK_EQ(record->size(), models_.size());
-  for (std::size_t c = 0; c < record->size(); ++c) {
-    (*record)[c] += models_[c].Sample(rng);
-  }
 }
 
 }  // namespace ppdm::perturb

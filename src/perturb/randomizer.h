@@ -39,34 +39,11 @@ class Randomizer {
   const NoiseModel& ModelFor(std::size_t col) const;
 
   /// Returns a perturbed copy; labels are never perturbed (paper setting).
-  /// Sequential layout: one noise stream per attribute.
-  data::Dataset Perturb(const data::Dataset& dataset) const;
-
-  /// Sharded perturbation: rows are cut into shards of `shard_size`
-  /// (0 = one shard) and each (attribute, shard) cell draws from its own
-  /// stream, derived via Rng::Fork(stream_index) so no two cells ever share
-  /// one. Output depends only on (seed, shard_size) — identical for every
-  /// pool size — but differs from the sequential overload's stream layout.
-  /// The two layouts stay distinct on purpose: they are different samples
-  /// of the same noise, and the experiment suites' accuracy bounds are
-  /// pinned on the sequential one's draws (routing it through the sharded
-  /// streams dropped integration_test's Fn5 by-class accuracy to 0.9085,
-  /// below its 0.915 bound).
+  /// Each attribute draws from its own noise stream, forked from the seed
+  /// in column order, and `pool` (may be null) runs one task per column,
+  /// so the output is identical for every pool size.
   data::Dataset Perturb(const data::Dataset& dataset,
-                        engine::ThreadPool* pool,
-                        std::size_t shard_size) const;
-
-  /// The noise-stream layout rule of every offline job: the sequential
-  /// layout when `engine.num_threads == 0`, the sharded one at
-  /// `engine.shard_size` records per shard (run over `pool`) otherwise.
-  /// So the output is the same at every positive thread count, and the
-  /// default sequential configuration keeps the per-attribute streams.
-  data::Dataset PerturbForEngine(const data::Dataset& dataset,
-                                 const engine::BatchOptions& engine,
-                                 engine::ThreadPool* pool) const;
-
-  /// Perturbs a single record in place (the data-provider side).
-  void PerturbRecord(std::vector<double>* record, Rng* rng) const;
+                        engine::ThreadPool* pool = nullptr) const;
 
  private:
   std::vector<NoiseModel> models_;

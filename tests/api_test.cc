@@ -61,7 +61,7 @@ TEST(SpecValidationTest, ValidateExperimentChecksConfigsDirectly) {
       {"0 EM iterations",
        [](Config* c) { c->tree.reconstruction.max_iterations = 0; }},
       {"holdout 1", [](Config* c) { c->tree.holdout_fraction = 1.0; }},
-      {"2^20 threads", [](Config* c) { c->batch.num_threads = 1u << 20; }},
+      {"2^20 threads", [](Config* c) { c->num_threads = 1u << 20; }},
       {"0 train records", [](Config* c) { c->train_records = 0; }},
       {"0 test records", [](Config* c) { c->test_records = 0; }},
   };

@@ -279,21 +279,48 @@ TEST_F(CliFixture, ReconstructIsThreadInvariant) {
   }
 }
 
-TEST_F(CliFixture, ShardSizeIsOnlyAcceptedWhereItChangesBytes) {
-  // --shard-size lays out perturb's noise streams; reconstruct, train,
-  // restore and loadgen (whose tenants' sessions fold at one fixed grain)
-  // have nothing it could change, so they reject it like any unknown
-  // flag.
+TEST_F(CliFixture, PerturbIsThreadInvariant) {
+  // One noise layout: the file perturb writes at --threads=4 is the
+  // --threads=0 file, byte for byte.
+  const std::string raw = Track(Path("pinv_raw.csv"));
+  std::string output;
+  ASSERT_TRUE(
+      Run({"generate", ("--out=" + raw).c_str(), "--records=3000"}, &output)
+          .ok());
+  std::string files[2];
+  const char* threads[2] = {"--threads=0", "--threads=4"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string noisy = Track(Path("pinv_noisy" + std::to_string(i)));
+    ASSERT_TRUE(Run({"perturb", ("--in=" + raw).c_str(),
+                     ("--out=" + noisy).c_str(), "--noise=gaussian",
+                     threads[i]},
+                    &output)
+                    .ok())
+        << output;
+    std::ifstream file(noisy, std::ios::binary);
+    files[i].assign(std::istreambuf_iterator<char>(file),
+                    std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[0] == files[1]);
+}
+
+TEST_F(CliFixture, ShardSizeIsRejectedEverywhere) {
+  // Every offline job and the daemon's sessions run at one fixed
+  // decomposition, so no command takes --shard-size: each rejects it like
+  // any unknown flag.
   const std::string raw = Track(Path("shard_raw.csv"));
   std::string output;
   ASSERT_TRUE(
       Run({"generate", ("--out=" + raw).c_str(), "--records=200"}, &output)
           .ok());
   const std::string in = "--in=" + raw;
+  const std::string out = "--out=" + Track(Path("shard_noisy.csv"));
   const std::string train = "--train=" + raw;
   const std::string test = "--test=" + raw;
   const std::string dir = "--dir=" + Path("shard_store");
   const std::vector<std::vector<const char*>> commands = {
+      {"perturb", in.c_str(), out.c_str(), "--threads=1"},
       {"reconstruct", in.c_str(), "--attribute=age", "--privacy=0"},
       {"train", train.c_str(), test.c_str(), "--privacy=0"},
       {"restore", dir.c_str(), "--name=t0"},
@@ -307,11 +334,6 @@ TEST_F(CliFixture, ShardSizeIsOnlyAcceptedWhereItChangesBytes) {
     EXPECT_NE(s.message().find("--shard-size"), std::string::npos)
         << s.message();
   }
-  ASSERT_TRUE(Run({"perturb", in.c_str(),
-                   ("--out=" + Track(Path("shard_noisy.csv"))).c_str(),
-                   "--threads=1", "--shard-size=5"},
-                  &output)
-                  .ok());
 }
 
 TEST_F(CliFixture, SimdOffIsRejected) {

@@ -268,61 +268,5 @@ TEST(RngTest, ForkedStreamsAreIndependentOfParentUsage) {
   }
 }
 
-// ------------------------------------------------- Rng::Fork(stream_index)
-
-TEST(RngTest, IndexedForkIsDeterministic) {
-  const Rng parent1(42);
-  const Rng parent2(42);
-  Rng child1 = parent1.Fork(17);
-  Rng child2 = parent2.Fork(17);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(child1.Next(), child2.Next());
-  }
-}
-
-TEST(RngTest, IndexedForkDoesNotAdvanceParent) {
-  Rng forked(42);
-  Rng control(42);
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    Rng child = forked.Fork(s);
-    child.Next();  // child usage must not leak into the parent either
-  }
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(forked.Next(), control.Next());
-  }
-}
-
-TEST(RngTest, IndexedForkStreamsNeverCollide) {
-  // Sharded perturbation derives one stream per (attribute, shard) cell;
-  // a collision would hand two shards identical noise. The derivation is
-  // injective in the index, so distinct indices must give distinct
-  // streams — checked here on the first two outputs of 10k children
-  // (and of the parent's own stream).
-  const Rng parent(20000607);
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-  Rng own(20000607);
-  seen.insert({own.Next(), own.Next()});
-  for (std::uint64_t s = 0; s < 10000; ++s) {
-    Rng child = parent.Fork(s);
-    const std::uint64_t a = child.Next();
-    const std::uint64_t b = child.Next();
-    EXPECT_TRUE(seen.insert({a, b}).second) << "stream " << s;
-  }
-}
-
-TEST(RngTest, IndexedForkDiffersFromSequentialFork) {
-  Rng a(7);
-  const Rng b(7);
-  Rng sequential = a.Fork();
-  Rng indexed = b.Fork(0);
-  // Different derivations — agreeing streams would mean shard 0 reuses
-  // the legacy per-attribute stream.
-  bool any_different = false;
-  for (int i = 0; i < 4; ++i) {
-    any_different |= sequential.Next() != indexed.Next();
-  }
-  EXPECT_TRUE(any_different);
-}
-
 }  // namespace
 }  // namespace ppdm

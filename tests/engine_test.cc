@@ -534,51 +534,46 @@ TEST(BatchTest, ReconstructByClassIsPoolInvariant) {
   }
 }
 
-TEST(BatchTest, PerturbShardsIsThreadCountInvariantAndDeterministic) {
+TEST(BatchTest, PerturbIsPoolInvariantWithOneStreamPerColumn) {
+  // Perturb over any pool writes the pool-less bytes, column for column.
   const EngineFixture fx;
-  const data::Dataset reference =
-      fx.randomizer->Perturb(*fx.original, nullptr, 777);
+  const data::Dataset reference = fx.randomizer->Perturb(*fx.original);
   // Perturbation did something.
   EXPECT_NE(reference.At(0, synth::kSalary),
             fx.original->At(0, synth::kSalary));
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
     const data::Dataset perturbed =
-        fx.randomizer->Perturb(*fx.original, &pool, 777);
+        fx.randomizer->Perturb(*fx.original, &pool);
     for (std::size_t c = 0; c < reference.NumCols(); ++c) {
       EXPECT_EQ(perturbed.Column(c), reference.Column(c))
           << "column " << c << " num_threads " << threads;
     }
   }
-}
 
-TEST(BatchTest, PerturbForEngineLayoutFollowsThreadCount) {
-  // 0 threads keeps the per-attribute streams; any positive count takes
-  // the sharded streams at the configured grain.
-  const EngineFixture fx;
-  BatchOptions options;
-  options.shard_size = 777;
-  ThreadPool inline_pool(0);
-  const data::Dataset sequential =
-      fx.randomizer->PerturbForEngine(*fx.original, options, &inline_pool);
-  const data::Dataset expected_sequential =
-      fx.randomizer->Perturb(*fx.original);
-  const data::Dataset expected_sharded =
-      fx.randomizer->Perturb(*fx.original, nullptr, 777);
-  for (std::size_t c = 0; c < sequential.NumCols(); ++c) {
-    EXPECT_EQ(sequential.Column(c), expected_sequential.Column(c));
-  }
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    options.num_threads = threads;
+  // Every column takes its fork in column order, whatever its noise, so
+  // turning column 0's noise off leaves column 1's draws where they were.
+  const data::Schema schema(
+      {{"x", data::AttributeKind::kContinuous, 0.0, 1.0},
+       {"y", data::AttributeKind::kContinuous, 0.0, 1.0}});
+  data::Dataset plain(schema, 2);
+  for (int i = 0; i < 1000; ++i) plain.AddRow({0.5, 0.5}, i % 2);
+  const perturb::Randomizer noisy(
+      schema,
+      {perturb::NoiseModel::Uniform(0.25), perturb::NoiseModel::Uniform(0.25)},
+      5);
+  const perturb::Randomizer quiet(
+      schema, {perturb::NoiseModel::None(), perturb::NoiseModel::Uniform(0.25)},
+      5);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    const data::Dataset sharded =
-        fx.randomizer->PerturbForEngine(*fx.original, options, &pool);
-    for (std::size_t c = 0; c < sharded.NumCols(); ++c) {
-      EXPECT_EQ(sharded.Column(c), expected_sharded.Column(c))
-          << "column " << c << " num_threads " << threads;
-    }
+    const data::Dataset a = noisy.Perturb(plain, &pool);
+    const data::Dataset b = quiet.Perturb(plain, &pool);
+    EXPECT_NE(a.Column(0), plain.Column(0)) << "num_threads " << threads;
+    EXPECT_EQ(b.Column(0), plain.Column(0)) << "num_threads " << threads;
+    EXPECT_EQ(a.Column(1), b.Column(1)) << "num_threads " << threads;
   }
 }
 

@@ -207,23 +207,6 @@ TEST(RandomizerTest, DeterministicForSeed) {
   }
 }
 
-TEST(RandomizerTest, PerturbRecordMatchesModels) {
-  const data::Schema schema = synth::BenchmarkSchema();
-  RandomizerOptions opt;
-  opt.kind = NoiseKind::kUniform;
-  opt.privacy_fraction = 0.25;
-  const Randomizer rz(schema, opt);
-  Rng rng(1);
-  std::vector<double> record = synth::SampleRecord(&rng);
-  const std::vector<double> original = record;
-  Rng noise_rng(2);
-  rz.PerturbRecord(&record, &noise_rng);
-  for (std::size_t c = 0; c < record.size(); ++c) {
-    EXPECT_LE(std::fabs(record[c] - original[c]),
-              rz.ModelFor(c).scale() + 1e-9);
-  }
-}
-
 // -------------------------------------------------------------- Discretize
 
 TEST(DiscretizeTest, ReplacesValuesWithClassMidpoints) {

@@ -370,7 +370,7 @@ TEST(TrainerEdgeTest, ThreeClassByClassReconstruction) {
     const double x = rng.UniformReal(0.0, 3.0);
     std::vector<double> record{x};
     Rng noise_rng(static_cast<std::uint64_t>(i) + 99);
-    rz.PerturbRecord(&record, &noise_rng);
+    record[0] += rz.ModelFor(0).Sample(&noise_rng);
     d.AddRow(record, static_cast<int>(x));
   }
   const DecisionTree t = TrainDecisionTree(d, TrainingMode::kByClass, {},
