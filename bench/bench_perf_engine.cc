@@ -150,9 +150,9 @@ int main() {
   // --------------------------------------- EM refresh cost per fit
   // A refresh's EM costs wbins × K × iterations, independent of the
   // record count, so these rows report µs per fit and iterations per fit
-  // rather than records/s. Cold rebuilds the O(wbins + K) likelihood table
-  // every call; warm reuses one prebuilt table — what AttributeState's
-  // cache buys a warm-started session refresh.
+  // rather than records/s. Cold builds the O(wbins + K) likelihood table
+  // every call; warm reuses one prebuilt table — what AttributeState
+  // keeping its table saves every refresh after the first.
   std::printf("\n%-36s %10s %14s\n", "EM refresh case", "us/fit",
               "iterations/fit");
   constexpr std::size_t kRefreshFits = 20;
@@ -174,26 +174,26 @@ int main() {
     // Warm-start from the converged masses so both rows time a
     // short refresh (the steady-state shape), not a cold convergence.
     const std::vector<double> masses =
-        rec.FitFromCounts(weights, total, partition, &pool, nullptr, &table)
-            .masses;
+        rec.FitFromCounts(weights, total, partition, table, &pool).masses;
     std::snprintf(label, sizeof(label), "refresh cold %s (rebuild)",
                   kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
-      return rec.FitFromCounts(weights, total, partition, &pool, &masses,
-                               nullptr)
+      return rec.FitFromCounts(weights, total, partition,
+                               rec.BuildKernelTable(partition), &pool,
+                               &masses)
           .iterations;
     });
     std::snprintf(label, sizeof(label), "refresh warm %s (cached)",
                   kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
-      return rec.FitFromCounts(weights, total, partition, &pool, &masses,
-                               &table)
+      return rec.FitFromCounts(weights, total, partition, table, &pool,
+                               &masses)
           .iterations;
     });
   }
 
   // The served refresh layout: 2 tenants × 9 Gaussian attributes at 200
-  // intervals, each a warm one-refresh fit from its own cached table and
+  // intervals, each a warm one-refresh fit from its own table and
   // its own counts, cycled through all 18 like a daemon reconstructing
   // after every batch, so the tables compete for cache as they do there.
   {
@@ -223,7 +223,7 @@ int main() {
         reconstruct::KernelTable table = rec.BuildKernelTable(p);
         std::vector<double> masses =
             rec.FitFromCounts(weights, static_cast<double>(train.NumRows()),
-                              p, nullptr, nullptr, &table)
+                              p, table, nullptr)
                 .masses;
         slots.push_back({p, rec, std::move(table), std::move(weights),
                          std::move(masses)});
@@ -236,7 +236,7 @@ int main() {
                   const RefreshSlot& slot = slots[i % slots.size()];
                   return slot.rec
                       .FitFromCounts(slot.weights, total, slot.partition,
-                                     nullptr, &slot.masses, &slot.table)
+                                     slot.table, nullptr, &slot.masses)
                       .iterations;
                 });
   }

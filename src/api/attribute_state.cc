@@ -2,26 +2,7 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ppdm::api {
-namespace {
-
-// Kernel-cache effectiveness: hits skip the O(wbins + K) table rebuild on a
-// warm-start refresh, builds paid for it (first fit or layout change).
-obs::Counter& KernelCacheHitsCounter() {
-  static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
-      "ppdm_kernel_cache_hits_total");
-  return counter;
-}
-
-obs::Counter& KernelCacheBuildsCounter() {
-  static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
-      "ppdm_kernel_cache_builds_total");
-  return counter;
-}
-
-}  // namespace
 
 AttributeState::AttributeState(double lo, double hi, std::size_t intervals,
                                perturb::NoiseModel model)
@@ -38,19 +19,6 @@ void AttributeState::RestoreAccumulation(engine::ShardStats stats,
                                          std::vector<double> masses) {
   stats_ = std::move(stats);
   last_masses_ = std::move(masses);
-}
-
-std::shared_ptr<const reconstruct::KernelTable>
-AttributeState::ResolveKernelTable(
-    std::shared_ptr<const reconstruct::KernelTable> cached) const {
-  if (cached != nullptr &&
-      cached->Matches(noise_model(), partition_, layout_)) {
-    KernelCacheHitsCounter().Increment();
-    return cached;
-  }
-  KernelCacheBuildsCounter().Increment();
-  return std::make_shared<const reconstruct::KernelTable>(
-      reconstructor_.BuildKernelTable(partition_));
 }
 
 std::size_t AttributeState::ApproxHeapBytes() const {

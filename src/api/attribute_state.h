@@ -26,8 +26,7 @@ namespace ppdm::api {
 
 /// Streaming reconstruction state of one attribute: fixed layout plus
 /// accumulated counts and warm-start masses (owner-synchronized). EM runs
-/// with the default ReconstructionOptions: the binned path and the
-/// paper's stopping rule.
+/// with the default ReconstructionOptions: the paper's stopping rule.
 class AttributeState {
  public:
   AttributeState(double lo, double hi, std::size_t intervals,
@@ -56,32 +55,23 @@ class AttributeState {
   const std::vector<double>& last_masses() const { return last_masses_; }
   void set_last_masses(std::vector<double> masses);
 
-  /// The kernel table of the last fit, or null before the first one: the
+  /// The kernel table, or null before the attribute's first refresh: the
   /// shift-invariant strip of reconstruct::KernelTable, O(wbins + K)
-  /// doubles (two tail rows plus one value per diagonal). The table
-  /// depends only on the fixed layout, so warm-start refreshes reuse it
-  /// and skip the O(wbins + K) CDF rebuild;
-  /// reconstruct::KernelTable::Matches is still checked before every
-  /// reuse (a stale table is rebuilt, never trusted). shared_ptr so the
-  /// owning session can fit from the table outside its lock while a
-  /// concurrent caller swaps the cache. Owner's lock required for both
-  /// accessors.
-  std::shared_ptr<const reconstruct::KernelTable> kernel_cache() const {
-    return kernel_cache_;
-  }
-  void set_kernel_cache(std::shared_ptr<const reconstruct::KernelTable> t) {
-    kernel_cache_ = std::move(t);
+  /// doubles, built from the fixed layout. The layout never changes, so
+  /// the first table installed is kept for the state's lifetime and no
+  /// refresh rebuilds it. shared_ptr so the owning session can fit from
+  /// the table outside its lock. Owner's lock required.
+  const std::shared_ptr<const reconstruct::KernelTable>& kernel_table()
+      const {
+    return kernel_table_;
   }
 
-  /// Returns `cached` when it matches this attribute's layout, else builds
-  /// a fresh table. Reads only the immutable layout, so it runs outside
-  /// the owner's lock (snapshot the cache under the lock, resolve outside,
-  /// store the result back under the lock). Increments the process-wide
-  /// ppdm_kernel_cache_hits_total / ppdm_kernel_cache_builds_total
-  /// counters; the returned table's contents never depend on which branch
-  /// ran, so reconstruction bits are cache-independent.
-  std::shared_ptr<const reconstruct::KernelTable> ResolveKernelTable(
-      std::shared_ptr<const reconstruct::KernelTable> cached) const;
+  /// Installs `table` (built by reconstructor().BuildKernelTable over
+  /// partition()) unless a table is already installed. Owner's lock
+  /// required.
+  void InstallKernelTable(std::shared_ptr<const reconstruct::KernelTable> t) {
+    if (kernel_table_ == nullptr) kernel_table_ = std::move(t);
+  }
 
   /// Installs restored accumulation (snapshot decode / registry
   /// re-admission). Preconditions — validated by the decoding caller,
@@ -93,10 +83,10 @@ class AttributeState {
 
   /// Approximate heap bytes behind this state (counts, layout, warm-start
   /// masses) — excludes sizeof(AttributeState) so owners embedding the
-  /// state by value don't double-count it, and excludes the kernel cache:
-  /// the cache is rebuildable derived data (dropping it costs a rebuild,
-  /// never correctness), so counting it would shrink the registry's
-  /// admission budget for payload state. Owner's lock required.
+  /// state by value don't double-count it, and excludes the kernel table:
+  /// it is derived data rebuilt on a readmitted session's first refresh,
+  /// so counting it would shrink the registry's admission budget for
+  /// payload state. Owner's lock required.
   std::size_t ApproxHeapBytes() const;
 
   /// Heap bytes plus the struct itself — the per-state unit a session
@@ -113,7 +103,8 @@ class AttributeState {
 
   engine::ShardStats stats_;
   std::vector<double> last_masses_;  // empty until first fit
-  std::shared_ptr<const reconstruct::KernelTable> kernel_cache_;  // may be null
+  // Null until the first refresh installs it.
+  std::shared_ptr<const reconstruct::KernelTable> kernel_table_;
 };
 
 }  // namespace ppdm::api

@@ -54,6 +54,20 @@ obs::Counter& IngestRejectedCounter() {
   return counter;
 }
 
+// Kernel tables: a build on an attribute's first refresh, a hit on every
+// later one (the O(wbins + K) CDF evaluations it skips).
+obs::Counter& KernelCacheHitsCounter() {
+  static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_kernel_cache_hits_total");
+  return counter;
+}
+
+obs::Counter& KernelCacheBuildsCounter() {
+  static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_kernel_cache_builds_total");
+  return counter;
+}
+
 // The per-attribute checks: the field's domain with the declared interval
 // count, and the providers' noise.
 Status ValidateAttribute(const data::FieldSpec& field,
@@ -299,29 +313,36 @@ DatasetSession::ReconstructAll() {
       if (states_[a].has_estimate()) {
         warm[a] = states_[a].last_masses();
       }
-      kernels[a] = states_[a].kernel_cache();
+      kernels[a] = states_[a].kernel_table();
     }
   }
 
-  // One warm-started fit per attribute over the pool, each reusing its
-  // cached kernel table when the layout still matches (a refresh rebuild
-  // is the dominant fixed cost the cache removes). FitFromCounts is
+  // One warm-started fit per attribute over the pool. An attribute's first
+  // refresh builds its kernel table (outside the lock; it reads only the
+  // fixed layout), every later one reuses it. FitFromCounts is
   // thread-count invariant and its nested engine primitives run inline on
   // a worker, so each attribute's estimate matches a standalone session's
   // Reconstruct() byte for byte.
   std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
-    kernels[a] = states_[a].ResolveKernelTable(std::move(kernels[a]));
-    estimates[a] = states_[a].reconstructor().FitFromCounts(
-        weights[a], totals[a], states_[a].partition(), pool_,
-        warm[a].empty() ? nullptr : &warm[a], kernels[a].get());
+    const AttributeState& state = states_[a];
+    if (kernels[a] == nullptr) {
+      KernelCacheBuildsCounter().Increment();
+      kernels[a] = std::make_shared<const reconstruct::KernelTable>(
+          state.reconstructor().BuildKernelTable(state.partition()));
+    } else {
+      KernelCacheHitsCounter().Increment();
+    }
+    estimates[a] = state.reconstructor().FitFromCounts(
+        weights[a], totals[a], state.partition(), *kernels[a], pool_,
+        warm[a].empty() ? nullptr : &warm[a]);
   });
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
       states_[a].set_last_masses(estimates[a].masses);
-      states_[a].set_kernel_cache(std::move(kernels[a]));
+      states_[a].InstallKernelTable(std::move(kernels[a]));
     }
   }
   return estimates;

@@ -48,8 +48,8 @@ namespace ppdm::api {
 /// Reconstruction request for one attribute of a dataset session. The
 /// attribute's domain [lo, hi] comes from the shared schema; the interval
 /// count and the noise its providers applied are declared here. The server
-/// reconstructs with default ReconstructionOptions (binned EM, the
-/// paper's stopping rule).
+/// reconstructs with default ReconstructionOptions (the paper's stopping
+/// rule).
 struct AttributeSpec {
   /// Schema column this spec reconstructs.
   std::size_t column = 0;

@@ -1,5 +1,6 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "common/strings.h"
@@ -111,6 +112,12 @@ Result<std::size_t> ReadCsvBatches(
     double* row = values.data() + filled * cols;
     for (std::size_t c = 0; c < cols; ++c) {
       PPDM_ASSIGN_OR_RETURN(row[c], ParseDouble(fields[c]));
+      if (!std::isfinite(row[c])) {
+        return Status::InvalidArgument(
+            StrFormat("line %zu: column '%s' is not a finite number: '%s'",
+                      line_no, schema.Field(c).name.c_str(),
+                      fields[c].c_str()));
+      }
     }
     PPDM_ASSIGN_OR_RETURN(const long long label, ParseInt(fields.back()));
     if (label < 0 || label >= num_classes) {

@@ -24,7 +24,9 @@ namespace ppdm::data {
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a dataset written by WriteCsv. The header must match the schema's
-/// attribute names (in order) followed by "class".
+/// attribute names (in order) followed by "class". Both readers reject a
+/// value that is not a finite number (`nan`, `inf`) with kInvalidArgument
+/// naming its line and column.
 Result<Dataset> ReadCsv(const Schema& schema, int num_classes,
                         const std::string& path);
 

@@ -17,7 +17,7 @@
 
 namespace ppdm::engine {
 
-/// Ingestion grain: records per counting shard, for the offline binned fit
+/// Ingestion grain: records per counting shard, for the offline EM fit
 /// and for every dataset session. Per-shard integer counts merge exactly,
 /// so no grain changes a bit; it is one constant only so every fold does
 /// the same work.

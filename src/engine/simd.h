@@ -16,13 +16,13 @@
 // compiler can never fuse a mul+add into an FMA in one path but not the
 // other. The default path is kAvx2 when the build and the CPU support it,
 // else kScalar; PPDM_SIMD=scalar|avx2 (env) or --simd (CLI) force one.
-// Both EM fits, Fit and FitFromCounts, run the same lane-blocked kernels
-// over the same fixed chunk decomposition, so the path never changes an
-// output bit. The E-step reads each kernel row as a
-// stride-wide window of reconstruct::KernelTable (for binned fits, a
-// shift-invariant strip of O(wbins + K) doubles that stays cache-resident)
-// and takes its live rows four at a time through Dot4/ScaleAdd4, which
-// equal four single-row Dot/ScaleAdd calls bit for bit.
+// The one EM E-step runs the same lane-blocked kernels over the same fixed
+// chunk decomposition on every path, so the path never changes an output
+// bit. It reads each kernel row as a stride-wide window of
+// reconstruct::KernelTable (a shift-invariant strip of O(wbins + K)
+// doubles that stays cache-resident) and takes its live rows four at a
+// time through Dot4/ScaleAdd4, which equal four single-row Dot/ScaleAdd
+// calls bit for bit.
 
 #ifndef PPDM_ENGINE_SIMD_H_
 #define PPDM_ENGINE_SIMD_H_

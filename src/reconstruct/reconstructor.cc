@@ -34,14 +34,10 @@ obs::Histogram& EmIterationsHistogram() {
   return histogram;
 }
 
-// E-step grain: kernel-table rows (w-bins, or samples on the exact path)
-// per chunk. Fixed (never derived from the thread count) so the
-// partial-sum tree — and therefore every output bit — is invariant under
-// the pool size.
+// E-step grain: kernel-table rows (w-bins) per chunk. Fixed (never derived
+// from the thread count) so the partial-sum tree — and therefore every
+// output bit — is invariant under the pool size.
 constexpr std::size_t kEmChunkBins = 32;
-
-// Row grain of the exact fit's per-sample kernel rows.
-constexpr std::size_t kKernelChunkRows = 64;
 
 // Floor applied to warm-start masses before renormalization: EM can never
 // resurrect an exactly-zero component, so a stale zero in a previous
@@ -52,29 +48,12 @@ std::vector<double> UniformMasses(std::size_t k) {
   return std::vector<double>(k, 1.0 / static_cast<double>(k));
 }
 
-// Exact histogram — the degenerate reconstruction when there is no noise.
-// An empty sample yields the uniform distribution (the EM prior).
-Reconstruction HistogramMasses(const std::vector<double>& values,
-                               const Partition& partition) {
-  Reconstruction out;
-  out.sample_count = values.size();
-  if (values.empty()) {
-    out.masses = UniformMasses(partition.intervals());
-    return out;
-  }
-  std::vector<double> counts(partition.intervals(), 0.0);
-  for (double v : values) counts[partition.IntervalOf(v)] += 1.0;
-  for (double& c : counts) c /= static_cast<double>(values.size());
-  out.masses = std::move(counts);
-  return out;
-}
-
 // Shared EM loop over a prebuilt likelihood table: `weights[j]` perturbed
 // observations sit in table row j. The E-step is decomposed into fixed
 // chunks of kEmChunkBins rows; per-chunk partial sums are folded in
 // ascending chunk order, so the output is bit-identical regardless of
 // `pool` (nullptr runs the identical decomposition inline). This is the
-// only E-step: Fit and FitFromCounts both run it.
+// only E-step: Fit bins its column and runs it through FitFromCounts.
 //
 // The inner product and scale-accumulate run on the dispatched SIMD path
 // (engine::simd::ActivePath()); kScalar and kAvx2 share one lane-blocked
@@ -213,7 +192,55 @@ Reconstruction RunEm(const std::vector<double>& weights,
   return out;
 }
 
-// Builds the binned-EM component likelihood table in its shift-invariant
+}  // namespace
+
+double Reconstruction::CdfAtEdge(std::size_t k) const {
+  PPDM_CHECK_LE(k, masses.size());
+  double c = 0.0;
+  for (std::size_t i = 0; i < k; ++i) c += masses[i];
+  return c;
+}
+
+BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
+                                       ReconstructionOptions options)
+    : noise_(noise), options_(options) {
+  PPDM_CHECK_GT(options.max_iterations, 0u);
+  PPDM_CHECK_GE(options.chi_square_epsilon, 0.0);
+}
+
+Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
+                                       const Partition& partition,
+                                       engine::ThreadPool* pool) const {
+  // Sharded ingestion: per-shard integer bin counts merged in shard order
+  // are exactly the sequential histogram, for every pool size. The bin
+  // index is computed by the dispatched batch kernel, which reproduces
+  // Histogram::BinOf exactly on every path (integer outputs — no rounding
+  // freedom). Under kNone noise the binning is the partition grid itself
+  // and BinOf is Partition::IntervalOf, so the counts are the exact
+  // histogram FitFromCounts normalizes.
+  const stats::Histogram whist = PerturbedBinning(partition);
+  const engine::ShardStats ingested = engine::IngestBinnedColumn(
+      perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
+      whist.width(), whist.bins(), pool, engine::kIngestShardRows);
+  return FitFromCounts(ingested.BinWeights(),
+                       static_cast<double>(perturbed.size()), partition,
+                       BuildKernelTable(partition), pool);
+}
+
+stats::Histogram BayesReconstructor::PerturbedBinning(
+    const Partition& partition) const {
+  // Perturbed values live on a range widened by the noise support; bin them
+  // with the same width so kernel evaluations use aligned midpoints.
+  const double width = partition.width();
+  const auto extension = static_cast<std::size_t>(
+      std::ceil(noise_.EffectiveHalfWidth() / width));
+  return stats::Histogram(
+      partition.lo() - width * static_cast<double>(extension),
+      partition.hi() + width * static_cast<double>(extension),
+      partition.intervals() + 2 * extension);
+}
+
+// Builds the EM component likelihood table in its shift-invariant
 // layout (see KernelTable). Every stored entry is P(W ∈ w-bin j | X = m_k)
 // at one cell, integrated exactly over the w bin via the noise CDF.
 // Integration (rather than a midpoint pdf evaluation) kills the half-bin
@@ -222,19 +249,13 @@ Reconstruction RunEm(const std::vector<double>& weights,
 // its topmost interior cell — so the strip is column 0 of rows wbins−2
 // down to 2, followed by row 1. Sequential scalar NoiseModel::Cdf calls,
 // so the table is identical for every pool size and SIMD path.
-KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
-                                   const Partition& partition,
-                                   const perturb::NoiseModel& noise) {
+KernelTable BayesReconstructor::BuildKernelTable(
+    const Partition& partition) const {
+  const stats::Histogram whist = PerturbedBinning(partition);
   KernelTable table;
   table.wbins = whist.bins();
   table.intervals = partition.intervals();
   table.stride = simd::PadLanes(table.intervals);
-  table.noise_kind = noise.kind();
-  table.noise_scale = noise.scale();
-  table.partition_lo = partition.lo();
-  table.partition_hi = partition.hi();
-  table.whist_lo = whist.lo();
-  table.whist_hi = whist.hi();
 
   const std::size_t num_wbins = table.wbins;
   const std::size_t num_intervals = table.intervals;
@@ -244,8 +265,8 @@ KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
   const auto cell = [&](std::size_t j, std::size_t k) {
     const double mid = partition.Mid(k);
     const double u =
-        j + 1 == num_wbins ? 1.0 : noise.Cdf(whist.BinHi(j) - mid);
-    const double l = j == 0 ? 0.0 : noise.Cdf(whist.BinLo(j) - mid);
+        j + 1 == num_wbins ? 1.0 : noise_.Cdf(whist.BinHi(j) - mid);
+    const double l = j == 0 ? 0.0 : noise_.Cdf(whist.BinLo(j) - mid);
     return u - l;
   };
 
@@ -282,101 +303,12 @@ KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
   return table;
 }
 
-}  // namespace
-
-bool KernelTable::Matches(const perturb::NoiseModel& noise,
-                          const Partition& partition,
-                          const stats::Histogram& whist) const {
-  return noise_kind == noise.kind() && noise_scale == noise.scale() &&
-         partition_lo == partition.lo() &&
-         partition_hi == partition.hi() &&
-         intervals == partition.intervals() && whist_lo == whist.lo() &&
-         whist_hi == whist.hi() && wbins == whist.bins() &&
-         stride == engine::simd::PadLanes(intervals) &&
-         fallback.size() == wbins && row_offset.size() == wbins &&
-         std::all_of(row_offset.begin(), row_offset.end(),
-                     [&](std::size_t offset) {
-                       return offset + stride <= kernel.size();
-                     });
-}
-
-std::size_t KernelTable::ApproxHeapBytes() const {
-  return kernel.capacity() * sizeof(double) +
-         (row_offset.capacity() + fallback.capacity()) * sizeof(std::size_t);
-}
-
-double Reconstruction::CdfAtEdge(std::size_t k) const {
-  PPDM_CHECK_LE(k, masses.size());
-  double c = 0.0;
-  for (std::size_t i = 0; i < k; ++i) c += masses[i];
-  return c;
-}
-
-BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
-                                       ReconstructionOptions options)
-    : noise_(noise), options_(options) {
-  PPDM_CHECK_GT(options.max_iterations, 0u);
-  PPDM_CHECK_GE(options.chi_square_epsilon, 0.0);
-}
-
-Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
-                                       const Partition& partition,
-                                       engine::ThreadPool* pool) const {
-  if (noise_.kind() == perturb::NoiseKind::kNone) {
-    return HistogramMasses(perturbed, partition);
-  }
-  if (perturbed.empty()) {
-    Reconstruction out;
-    out.masses = UniformMasses(partition.intervals());
-    return out;
-  }
-  return options_.binned ? FitBinned(perturbed, partition, pool)
-                         : FitExact(perturbed, partition, pool);
-}
-
-stats::Histogram BayesReconstructor::PerturbedBinning(
-    const Partition& partition) const {
-  // Perturbed values live on a range widened by the noise support; bin them
-  // with the same width so kernel evaluations use aligned midpoints.
-  const double width = partition.width();
-  const auto extension = static_cast<std::size_t>(
-      std::ceil(noise_.EffectiveHalfWidth() / width));
-  return stats::Histogram(
-      partition.lo() - width * static_cast<double>(extension),
-      partition.hi() + width * static_cast<double>(extension),
-      partition.intervals() + 2 * extension);
-}
-
-KernelTable BayesReconstructor::BuildKernelTable(
-    const Partition& partition) const {
-  return BuildBinnedKernelTable(PerturbedBinning(partition), partition,
-                                noise_);
-}
-
-Reconstruction BayesReconstructor::FitBinned(
-    const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool) const {
-  // Sharded ingestion: per-shard integer bin counts merged in shard order
-  // are exactly the sequential histogram, for every pool size. The bin
-  // index is computed by the dispatched batch kernel, which reproduces
-  // Histogram::BinOf exactly on every path (integer outputs — no rounding
-  // freedom).
-  const stats::Histogram whist = PerturbedBinning(partition);
-  const engine::ShardStats ingested = engine::IngestBinnedColumn(
-      perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
-      whist.width(), whist.bins(), pool, engine::kIngestShardRows);
-
-  const KernelTable table = BuildBinnedKernelTable(whist, partition, noise_);
-  return RunEm(ingested.BinWeights(), table,
-               static_cast<double>(perturbed.size()), options_, pool);
-}
-
 Reconstruction BayesReconstructor::FitFromCounts(
     const std::vector<double>& weights, double total_weight,
-    const Partition& partition, engine::ThreadPool* pool,
-    const std::vector<double>* initial, const KernelTable* kernel) const {
-  const stats::Histogram whist = PerturbedBinning(partition);
-  PPDM_CHECK_EQ(weights.size(), whist.bins());
+    const Partition& partition, const KernelTable& kernel,
+    engine::ThreadPool* pool, const std::vector<double>* initial) const {
+  PPDM_CHECK_EQ(kernel.intervals, partition.intervals());
+  PPDM_CHECK_EQ(weights.size(), kernel.wbins);
   if (total_weight <= 0.0) {
     Reconstruction out;
     out.masses = UniformMasses(partition.intervals());
@@ -384,54 +316,16 @@ Reconstruction BayesReconstructor::FitFromCounts(
   }
   if (noise_.kind() == perturb::NoiseKind::kNone) {
     // No noise: the w bins are the partition intervals and the estimate is
-    // the exact histogram — the same degenerate path Fit takes.
+    // the exact histogram.
     Reconstruction out;
     out.sample_count = static_cast<std::size_t>(total_weight + 0.5);
     out.masses.assign(weights.begin(), weights.end());
     for (double& m : out.masses) m /= total_weight;
     return out;
   }
-  // Reuse the caller's cached table only when it was built from exactly
-  // this layout; a stale or absent cache triggers a fresh build, whose
-  // contents are identical — the result never depends on the cache.
-  KernelTable built;
-  if (kernel == nullptr || !kernel->Matches(noise_, partition, whist)) {
-    built = BuildBinnedKernelTable(whist, partition, noise_);
-    kernel = &built;
-  }
-  // RunEm's one decomposition is Fit's too, so a cold start
-  // (initial == nullptr) reproduces the batch masses bit for bit.
-  return RunEm(weights, *kernel, total_weight, options_, pool, initial);
-}
-
-Reconstruction BayesReconstructor::FitExact(
-    const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool) const {
-  const std::size_t num_intervals = partition.intervals();
-  std::vector<double> weights(perturbed.size(), 1.0);
-  // Ad-hoc per-sample table: row j holds f_Y(w_j − m_k), dense at
-  // offset j * stride with zero padding, so RunEm's one E-step applies.
-  KernelTable table;
-  table.wbins = perturbed.size();
-  table.intervals = num_intervals;
-  table.stride = simd::PadLanes(num_intervals);
-  table.kernel.assign(table.wbins * table.stride, 0.0);
-  table.row_offset.resize(table.wbins);
-  table.fallback.resize(table.wbins);
-  const std::vector<engine::ChunkRange> rows =
-      engine::MakeChunks(perturbed.size(), kKernelChunkRows);
-  engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
-    for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
-      table.fallback[j] = partition.IntervalOf(perturbed[j]);
-      table.row_offset[j] = j * table.stride;
-      double* row = &table.kernel[j * table.stride];
-      for (std::size_t k = 0; k < num_intervals; ++k) {
-        row[k] = noise_.Pdf(perturbed[j] - partition.Mid(k));
-      }
-    }
-  });
-  return RunEm(weights, table, static_cast<double>(perturbed.size()),
-               options_, pool);
+  // RunEm's one decomposition, so a cold start (initial == nullptr) from
+  // Fit's counts reproduces Fit bit for bit.
+  return RunEm(weights, kernel, total_weight, options_, pool, initial);
 }
 
 }  // namespace ppdm::reconstruct

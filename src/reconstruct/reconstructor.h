@@ -35,11 +35,6 @@ struct ReconstructionOptions {
   /// deliberately stops at the χ² level where reconstruction error
   /// bottoms out empirically across noise kinds and levels.
   double chi_square_epsilon = 1e-4;
-
-  /// Use the paper's O(K²)-per-iteration accelerated form that bins the
-  /// perturbed values first (§4.3). When false, iterate over every sample
-  /// (O(N·K) per iteration) — numerically the reference implementation.
-  bool binned = true;
 };
 
 /// Output of a reconstruction run.
@@ -73,12 +68,13 @@ struct Reconstruction {
 /// +0.0. `fallback[j]` is the interval absorbing bin j if every component
 /// density vanishes there.
 ///
-/// Rows are windows into `kernel` starting at `row_offset[j]`. The binned
-/// layout aligns w-bins with the partition grid, so an interior entry
-/// depends only on the diagonal d = j − k: `kernel` holds the two tail
-/// rows 0 and wbins−1 per cell (they absorb the clamped tails), then one
-/// strip with a single value per diagonal, read backwards by k so that
-/// row j is the contiguous window starting at strip index wbins − 2 − j.
+/// Rows are windows into `kernel` starting at `row_offset[j]`. The
+/// PerturbedBinning layout aligns w-bins with the partition grid, so an
+/// interior entry depends only on the diagonal d = j − k: `kernel` holds
+/// the two tail rows 0 and wbins−1 per cell (they absorb the clamped
+/// tails), then one strip with a single value per diagonal, read backwards
+/// by k so that row j is the contiguous window starting at strip index
+/// wbins − 2 − j.
 /// Diagonal d is evaluated once, at its topmost interior cell
 /// (j₀ = max(1, d), k₀ = j₀ − d), with the per-cell formula
 /// Cdf(BinHi(j₀) − Mid(k₀)) − Cdf(BinLo(j₀) − Mid(k₀)). Building costs
@@ -86,13 +82,11 @@ struct Reconstruction {
 /// it stays cache-resident through the E-step. On grids whose edges and
 /// midpoints are exact in binary every cell of a diagonal is that very
 /// value; elsewhere cells differ from a per-cell evaluation by a few ulps.
-/// The per-sample table of the exact (non-binned) fit is dense instead:
-/// `row_offset[j] = j * stride`.
 ///
-/// The table depends only on (noise params, partition edges, w-hist
-/// edges) — the key fields below — never on the counts, the thread count,
-/// or the dispatched SIMD path, so warm-start refreshes can cache it
-/// (api::AttributeState does) and skip the rebuild.
+/// The table depends only on the noise model and the partition, never on
+/// the counts, the thread count, or the dispatched SIMD path, so a layout
+/// that never changes needs it built once (api::AttributeState builds it
+/// on an attribute's first refresh and keeps it).
 struct KernelTable {
   std::size_t wbins = 0;      ///< perturbed-value bins (table rows)
   std::size_t intervals = 0;  ///< partition intervals (logical columns)
@@ -105,23 +99,6 @@ struct KernelTable {
   const double* Row(std::size_t j) const {
     return kernel.data() + row_offset[j];
   }
-
-  // Cache key — the inputs the table was built from.
-  perturb::NoiseKind noise_kind = perturb::NoiseKind::kNone;
-  double noise_scale = 0.0;
-  double partition_lo = 0.0;
-  double partition_hi = 0.0;
-  double whist_lo = 0.0;
-  double whist_hi = 0.0;
-
-  /// True when this table was built from exactly these layout inputs (and
-  /// its shape is internally consistent) — the staleness check cached
-  /// tables go through before reuse.
-  bool Matches(const perturb::NoiseModel& noise, const Partition& partition,
-               const stats::Histogram& whist) const;
-
-  /// Heap bytes behind the table (cache-size reporting).
-  std::size_t ApproxHeapBytes() const;
 };
 
 /// Fits interval masses to perturbed samples by iterated Bayes / EM.
@@ -132,27 +109,28 @@ class BayesReconstructor {
   /// Reconstructs the distribution of X over `partition` from the
   /// perturbed values w_i = x_i + y_i. With kNone noise this degenerates
   /// to the exact histogram of the samples. An empty sample yields the
-  /// uniform distribution (the EM prior). The binned fit ingests in
-  /// fixed-size shards and runs the fixed-grain chunked E-step, both over
-  /// `pool` (nullptr, or a 0-thread pool, runs the same decomposition
-  /// inline). Shards merge integer counts and the E-step's partials fold
-  /// in chunk order, so the result is bit-identical for every pool size
-  /// and every SIMD path.
+  /// uniform distribution (the EM prior). Bins the column into
+  /// PerturbedBinning(partition) in fixed-size shards, builds the kernel
+  /// table and runs FitFromCounts, both over `pool` (nullptr, or a
+  /// 0-thread pool, runs the same decomposition inline). Shards merge
+  /// integer counts and the E-step's partials fold in chunk order, so the
+  /// result is bit-identical for every pool size and every SIMD path.
   Reconstruction Fit(const std::vector<double>& perturbed,
                      const Partition& partition,
                      engine::ThreadPool* pool = nullptr) const;
 
-  /// The perturbed-value binning the binned engine path uses for
-  /// `partition`: the partition's grid extended on each side by
+  /// The perturbed-value binning the EM fits over for `partition`: the
+  /// partition's grid extended on each side by
   /// ceil(EffectiveHalfWidth / width) bins, so overshooting perturbed
   /// values land in aligned edge bins. Streaming ingestion bins arriving
   /// observations with exactly this layout (the counts it accumulates are
   /// the ones Fit would ingest from the full column).
   stats::Histogram PerturbedBinning(const Partition& partition) const;
 
-  /// Streaming entry point: fits from pre-binned perturbed-value counts —
-  /// `weights[j]` observations fell in bin j of PerturbedBinning(partition),
-  /// `total_weight` observations in all. Counts are integers, so any
+  /// Fits from pre-binned perturbed-value counts — `weights[j]`
+  /// observations fell in bin j of PerturbedBinning(partition),
+  /// `total_weight` observations in all — over `kernel`, the table
+  /// BuildKernelTable(partition) returns. Counts are integers, so any
   /// ingestion split (one batch, many batches, sharded) yields the same
   /// weights, and with `initial == nullptr` the result is byte-identical
   /// to Fit on the equivalent raw column for every pool size.
@@ -160,34 +138,23 @@ class BayesReconstructor {
   /// warm-starts EM from a previous estimate instead of the uniform prior:
   /// masses are floored at a tiny positive value and renormalized so a
   /// zero in the old estimate can never absorb an interval permanently.
-  /// A non-null `kernel` skips rebuilding the O(wbins + K) likelihood table
-  /// when it matches this fit's layout (stale tables are rebuilt, never
-  /// trusted); the table's contents are identical to a fresh build, so
-  /// the result is byte-identical with or without the cache.
   Reconstruction FitFromCounts(const std::vector<double>& weights,
                                double total_weight,
                                const Partition& partition,
+                               const KernelTable& kernel,
                                engine::ThreadPool* pool,
-                               const std::vector<double>* initial = nullptr,
-                               const KernelTable* kernel = nullptr) const;
+                               const std::vector<double>* initial =
+                                   nullptr) const;
 
-  /// Builds the binned-EM likelihood table for `partition` — what
-  /// FitFromCounts does internally when handed no cached table. Depends
-  /// only on the reconstructor's noise model and the partition layout;
-  /// deterministic for every SIMD path.
+  /// Builds the EM likelihood table for `partition`. Depends only on the
+  /// reconstructor's noise model and the partition layout; deterministic
+  /// for every SIMD path.
   KernelTable BuildKernelTable(const Partition& partition) const;
 
   const perturb::NoiseModel& noise() const { return noise_; }
   const ReconstructionOptions& options() const { return options_; }
 
  private:
-  Reconstruction FitBinned(const std::vector<double>& perturbed,
-                           const Partition& partition,
-                           engine::ThreadPool* pool) const;
-  Reconstruction FitExact(const std::vector<double>& perturbed,
-                          const Partition& partition,
-                          engine::ThreadPool* pool) const;
-
   perturb::NoiseModel noise_;
   ReconstructionOptions options_;
 };

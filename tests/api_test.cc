@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "api/attribute_state.h"
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "api/service.h"
@@ -29,6 +28,7 @@
 #include "data/row_batch.h"
 #include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
+#include "obs/metrics.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
 #include "synth/generator.h"
@@ -156,25 +156,6 @@ Result<reconstruct::Reconstruction> ReconstructOne(DatasetSession* session) {
   PPDM_ASSIGN_OR_RETURN(std::vector<reconstruct::Reconstruction> estimates,
                         session->ReconstructAll());
   return std::move(estimates.at(0));
-}
-
-TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
-  const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.25);
-  const AttributeState state(0.0, 1.0, 12, noise);
-  const auto built = state.ResolveKernelTable(nullptr);
-  ASSERT_NE(built, nullptr);
-  EXPECT_TRUE(built->Matches(state.noise_model(), state.partition(),
-                             state.layout()));
-  // Matching cache: the same table comes back — the rebuild is skipped.
-  const auto hit = state.ResolveKernelTable(built);
-  EXPECT_EQ(hit.get(), built.get());
-  // A table built for a different layout is stale: rebuilt, never reused.
-  const AttributeState other(0.0, 1.0, 24, noise);
-  const auto rebuilt = other.ResolveKernelTable(built);
-  ASSERT_NE(rebuilt, nullptr);
-  EXPECT_NE(rebuilt.get(), built.get());
-  EXPECT_TRUE(rebuilt->Matches(other.noise_model(), other.partition(),
-                               other.layout()));
 }
 
 // The acceptance property: a one-attribute session fed 1 batch vs. many
@@ -485,6 +466,32 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
           << "attribute " << a << ", threads " << threads;
     }
   }
+}
+
+// Each attribute builds its kernel table on its first refresh and reuses
+// it on every later one: three refreshes of a 2-attribute session count 2
+// builds and 4 hits.
+TEST(DatasetSessionTest, KernelTableIsBuiltOncePerAttribute) {
+  const StreamFixture fx(500);
+  const std::vector<double> rows = FlattenRows(*fx.perturbed);
+  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.value()
+                  ->Ingest(data::RowBatch(rows.data(), fx.perturbed->NumRows(),
+                                          fx.perturbed->NumCols()))
+                  .ok());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& builds =
+      *registry.GetCounter("ppdm_kernel_cache_builds_total");
+  const obs::Counter& hits =
+      *registry.GetCounter("ppdm_kernel_cache_hits_total");
+  const std::uint64_t builds_before = builds.Value();
+  const std::uint64_t hits_before = hits.Value();
+  for (int refresh = 0; refresh < 3; ++refresh) {
+    ASSERT_TRUE(session.value()->ReconstructAll().ok());
+  }
+  EXPECT_EQ(builds.Value() - builds_before, 2u);
+  EXPECT_EQ(hits.Value() - hits_before, 4u);
 }
 
 TEST(DatasetSessionTest, SinglePassIngestRejectsNonFiniteAtomically) {

@@ -1,6 +1,7 @@
 // Tests for the ppdm command-line layer: flag parsing and the four
 // end-to-end workflows over temp CSV files.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -353,6 +354,64 @@ TEST_F(CliFixture, SimdOffIsRejected) {
                   &output)
                   .ok());
   ASSERT_TRUE(engine::simd::SetPath(saved).ok());
+}
+
+TEST_F(CliFixture, ReconstructRejectsNonFiniteValues) {
+  // A perturbed file whose age column holds "nan" on data line 1 and "inf"
+  // on data line 2 fails to load, plain and --by-class, instead of folding
+  // the two values into bins.
+  const std::string raw = Track(Path("nf_raw.csv"));
+  const std::string noisy = Track(Path("nf_noisy.csv"));
+  std::string output;
+  ASSERT_TRUE(
+      Run({"generate", ("--out=" + raw).c_str(), "--records=200"}, &output)
+          .ok());
+  ASSERT_TRUE(Run({"perturb", ("--in=" + raw).c_str(),
+                   ("--out=" + noisy).c_str()},
+                  &output)
+                  .ok());
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(noisy);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 3u);
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> fields;
+    std::stringstream stream(line);
+    for (std::string field; std::getline(stream, field, ',');) {
+      fields.push_back(field);
+    }
+    return fields;
+  };
+  const std::vector<std::string> header = split(lines[0]);
+  const std::size_t age = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "age") - header.begin());
+  ASSERT_LT(age, header.size());
+  const char* const bad[] = {"nan", "inf"};
+  for (std::size_t i = 0; i < 2; ++i) {
+    std::vector<std::string> fields = split(lines[i + 1]);
+    fields[age] = bad[i];
+    std::string joined;
+    for (const std::string& field : fields) {
+      joined += (joined.empty() ? "" : ",") + field;
+    }
+    lines[i + 1] = joined;
+  }
+  {
+    std::ofstream out(noisy);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  const std::string in_flag = "--in=" + noisy;
+  for (const bool by_class : {false, true}) {
+    std::vector<const char*> argv{"reconstruct", in_flag.c_str(),
+                                  "--attribute=age"};
+    if (by_class) argv.push_back("--by-class");
+    const Status s = Run(argv, &output);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << "by_class=" << by_class << ": " << s.ToString();
+    EXPECT_NE(s.message().find("'age'"), std::string::npos) << s.ToString();
+  }
 }
 
 TEST_F(CliFixture, ReconstructRejectsUnknownAttribute) {

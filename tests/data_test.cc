@@ -228,6 +228,40 @@ TEST(CsvTest, ReadRejectsOutOfRangeLabel) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, ReadRejectsNonFiniteValues) {
+  // strtod accepts these spellings; the reader must not. Each file's bad
+  // value sits on line 3, in the named column.
+  const std::string path = testing::TempDir() + "/ppdm_nonfinite.csv";
+  const struct {
+    const char* body;
+    const char* column;
+  } cases[] = {{"age,elevel,class\n25,1,0\nnan,2,1\n", "age"},
+               {"age,elevel,class\n25,1,0\n30,inf,1\n", "elevel"},
+               {"age,elevel,class\n25,1,0\n-inf,2,1\n", "age"}};
+  for (const auto& c : cases) {
+    {
+      FILE* f = std::fopen(path.c_str(), "w");
+      std::fputs(c.body, f);
+      std::fclose(f);
+    }
+    const auto whole = ReadCsv(TwoFieldSchema(), 2, path);
+    ASSERT_FALSE(whole.ok()) << c.body;
+    EXPECT_EQ(whole.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(whole.status().message().find("line 3"), std::string::npos)
+        << whole.status().ToString();
+    EXPECT_NE(whole.status().message().find(std::string("'") + c.column +
+                                            "'"),
+              std::string::npos)
+        << whole.status().ToString();
+    const auto batches =
+        ReadCsvBatches(TwoFieldSchema(), 2, path, /*batch_rows=*/4,
+                       [](const RowBatch&) { return Status::Ok(); });
+    ASSERT_FALSE(batches.ok()) << c.body;
+    EXPECT_EQ(batches.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, ReadSkipsBlankLines) {
   const std::string path = testing::TempDir() + "/ppdm_blank.csv";
   {

@@ -477,25 +477,21 @@ TEST(BatchTest, FitOverAPoolEqualsFitBitwise) {
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kAge), 20);
   const std::vector<double>& column = fx.perturbed->Column(synth::kAge);
-  for (const bool binned : {true, false}) {
-    reconstruct::ReconstructionOptions recon;
-    recon.binned = binned;
-    const reconstruct::BayesReconstructor reconstructor(
-        fx.randomizer->ModelFor(synth::kAge), recon);
-    const reconstruct::Reconstruction sequential =
-        reconstructor.Fit(column, partition);
-    EXPECT_GT(sequential.iterations, 0u);
-    for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-      ThreadPool pool(threads);
-      const reconstruct::Reconstruction parallel =
-          reconstructor.Fit(column, partition, &pool);
-      EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel))
-          << "binned " << binned << " num_threads " << threads;
-      ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
-      EXPECT_EQ(std::memcmp(parallel.masses.data(), sequential.masses.data(),
-                            sequential.masses.size() * sizeof(double)),
-                0);
-    }
+  const reconstruct::BayesReconstructor reconstructor(
+      fx.randomizer->ModelFor(synth::kAge), {});
+  const reconstruct::Reconstruction sequential =
+      reconstructor.Fit(column, partition);
+  EXPECT_GT(sequential.iterations, 0u);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    const reconstruct::Reconstruction parallel =
+        reconstructor.Fit(column, partition, &pool);
+    EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel))
+        << "num_threads " << threads;
+    ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
+    EXPECT_EQ(std::memcmp(parallel.masses.data(), sequential.masses.data(),
+                          sequential.masses.size() * sizeof(double)),
+              0);
   }
 }
 

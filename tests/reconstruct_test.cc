@@ -147,19 +147,29 @@ TEST(AssignTest, EmptyInput) {
 
 // ----------------------------------------------------------- Reconstructor
 
+bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(ReconstructorTest, NoNoiseGivesExactHistogram) {
+  // With kNone noise the fit is the exact histogram over the partition:
+  // each value counted in Partition::IntervalOf, values at or beyond the
+  // domain edges clamped into the edge intervals, every count divided by
+  // the sample size — byte for byte.
   const Partition p(0.0, 1.0, 10);
   Rng rng(7);
   std::vector<double> values(1000);
   for (double& v : values) v = rng.UniformDouble();
+  values.insert(values.end(), {0.0, 0.0, 1.0, -0.5, -3.0, 1.5, 7.0, 0.1});
   const BayesReconstructor rec(NoiseModel::None(), {});
   const Reconstruction r = rec.Fit(values, p);
-  stats::Histogram h(0.0, 1.0, 10);
-  h.AddAll(values);
-  const auto expected = h.Masses();
-  for (std::size_t k = 0; k < 10; ++k) {
-    EXPECT_NEAR(r.masses[k], expected[k], 1e-12);
-  }
+  std::vector<double> expected(10, 0.0);
+  for (double v : values) expected[p.IntervalOf(v)] += 1.0;
+  for (double& m : expected) m /= static_cast<double>(values.size());
+  EXPECT_TRUE(BytesEqual(r.masses, expected));
+  EXPECT_EQ(r.sample_count, values.size());
+  EXPECT_EQ(r.iterations, 0u);
 }
 
 TEST(ReconstructorTest, EmptyInputYieldsUniform) {
@@ -211,7 +221,6 @@ struct ReconCase {
   const char* name;
   NoiseKind noise;
   double privacy;
-  bool binned;
 };
 
 class ReconstructionProperty : public ::testing::TestWithParam<ReconCase> {
@@ -233,9 +242,7 @@ class ReconstructionProperty : public ::testing::TestWithParam<ReconCase> {
       perturbed_hist_->Add(w);
       perturbed[i] = w;
     }
-    ReconstructionOptions options;  // default stopping criterion
-    options.binned = GetParam().binned;
-    const BayesReconstructor rec(*noise_, options);
+    const BayesReconstructor rec(*noise_, {});  // default stopping rule
     result_ = rec.Fit(perturbed, Partition(0.0, 1.0, 20));
   }
 
@@ -286,16 +293,51 @@ TEST_P(ReconstructionProperty, ChiSquareTraceEndsSmall) {
 INSTANTIATE_TEST_SUITE_P(
     NoiseKindsAndModes, ReconstructionProperty,
     ::testing::Values(
-        ReconCase{"uniform100_binned", NoiseKind::kUniform, 1.0, true},
-        ReconCase{"uniform50_binned", NoiseKind::kUniform, 0.5, true},
-        ReconCase{"uniform200_binned", NoiseKind::kUniform, 2.0, true},
-        ReconCase{"gaussian100_binned", NoiseKind::kGaussian, 1.0, true},
-        ReconCase{"gaussian50_binned", NoiseKind::kGaussian, 0.5, true},
-        ReconCase{"uniform100_exact", NoiseKind::kUniform, 1.0, false},
-        ReconCase{"gaussian100_exact", NoiseKind::kGaussian, 1.0, false}),
+        ReconCase{"uniform100_binned", NoiseKind::kUniform, 1.0},
+        ReconCase{"uniform50_binned", NoiseKind::kUniform, 0.5},
+        ReconCase{"uniform200_binned", NoiseKind::kUniform, 2.0},
+        ReconCase{"gaussian100_binned", NoiseKind::kGaussian, 1.0},
+        ReconCase{"gaussian50_binned", NoiseKind::kGaussian, 0.5}),
     [](const ::testing::TestParamInfo<ReconCase>& info) {
       return info.param.name;
     });
+
+// The reference the binned fit approximates: the Bayes update of §4.1
+// applied to every sample, p_k <- (1/N) Σ_i f_Y(w_i − m_k) p_k /
+// Σ_l f_Y(w_i − m_l) p_l, from the uniform prior with Fit's χ² stopping
+// rule. A sample no component density reaches goes to its own interval.
+std::vector<double> PerSampleEm(const std::vector<double>& perturbed,
+                                const Partition& p, const NoiseModel& noise,
+                                const ReconstructionOptions& options) {
+  const std::size_t num_intervals = p.intervals();
+  std::vector<double> masses(num_intervals,
+                             1.0 / static_cast<double>(num_intervals));
+  std::vector<double> density(num_intervals);
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+    std::vector<double> next(num_intervals, 0.0);
+    for (double w : perturbed) {
+      double denom = 0.0;
+      for (std::size_t k = 0; k < num_intervals; ++k) {
+        density[k] = noise.Pdf(w - p.Mid(k)) * masses[k];
+        denom += density[k];
+      }
+      if (denom <= 0.0) {
+        next[p.IntervalOf(w)] += 1.0;
+        continue;
+      }
+      for (std::size_t k = 0; k < num_intervals; ++k) {
+        next[k] += density[k] / denom;
+      }
+    }
+    double total = 0.0;
+    for (double m : next) total += m;
+    for (double& m : next) m /= total;
+    const double chi2 = stats::ChiSquareDistance(next, masses);
+    masses.swap(next);
+    if (chi2 < options.chi_square_epsilon) break;
+  }
+  return masses;
+}
 
 TEST(ReconstructorTest, BinnedAndExactAgree) {
   Rng rng(13);
@@ -303,13 +345,11 @@ TEST(ReconstructorTest, BinnedAndExactAgree) {
   const NoiseModel noise = NoiseModel::Uniform(0.3);
   std::vector<double> perturbed(4000);
   for (double& w : perturbed) w = truth.Sample(&rng) + noise.Sample(&rng);
-  ReconstructionOptions binned, exact;
-  binned.binned = true;
-  exact.binned = false;
   const Partition p(0.0, 1.0, 20);
-  const Reconstruction rb = BayesReconstructor(noise, binned).Fit(perturbed, p);
-  const Reconstruction re = BayesReconstructor(noise, exact).Fit(perturbed, p);
-  EXPECT_LT(stats::TotalVariation(rb.masses, re.masses), 0.1);
+  const Reconstruction fit = BayesReconstructor(noise, {}).Fit(perturbed, p);
+  const std::vector<double> per_sample =
+      PerSampleEm(perturbed, p, noise, ReconstructionOptions{});
+  EXPECT_LT(stats::TotalVariation(fit.masses, per_sample), 0.1);
 }
 
 TEST(ReconstructorTest, StopsEarlyWhenConverged) {
@@ -353,11 +393,6 @@ std::vector<double> PlateauPerturbed(std::size_t n, const NoiseModel& noise) {
   return w;
 }
 
-bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 // The tentpole determinism contract: every dispatched path produces
 // byte-identical Reconstruction::masses to the scalar lane-blocked
 // reference, at every pool size (0 = inline) — for both noise kinds and
@@ -394,10 +429,9 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
 }
 
 // The one-decomposition invariant: Fit with no pool and Fit over a pool
-// agree bytewise — masses and log-likelihood trace — for both EM forms,
-// every pool size and every SIMD path. 100 intervals under U(0.3) give
-// 160 w-bins, so the binned E-step spans several kEmChunkBins chunks (the
-// exact E-step spans many more).
+// agree bytewise — masses and log-likelihood trace — for every pool size
+// and every SIMD path. 100 intervals under U(0.3) give 160 w-bins, so the
+// E-step spans several kEmChunkBins chunks.
 TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
   PathGuard guard;
   std::vector<simd::Path> paths{simd::Path::kScalar};
@@ -407,73 +441,28 @@ TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
   const Partition p(0.0, 1.0, 100);
   engine::ThreadPool pool1(1), pool2(2), pool8(8);
   engine::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool8};
-  for (const bool binned : {true, false}) {
-    ReconstructionOptions options;
-    options.binned = binned;
-    const BayesReconstructor rec(noise, options);
-    ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
-    const Reconstruction reference = rec.Fit(w, p);
-    ASSERT_GT(reference.iterations, 1u);
-    for (simd::Path path : paths) {
-      ASSERT_TRUE(simd::SetPath(path).ok());
-      const Reconstruction fit = rec.Fit(w, p);
-      EXPECT_TRUE(BytesEqual(fit.masses, reference.masses))
-          << "binned=" << binned << " path=" << simd::PathName(path);
-      for (engine::ThreadPool* pool : pools) {
-        const Reconstruction got = rec.Fit(w, p, pool);
-        const std::size_t threads = pool == nullptr ? 0 : pool->size();
-        EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
-            << "binned=" << binned << " path=" << simd::PathName(path)
-            << " threads=" << threads;
-        EXPECT_TRUE(BytesEqual(got.log_likelihood_trace,
-                               fit.log_likelihood_trace))
-            << "binned=" << binned << " path=" << simd::PathName(path)
-            << " threads=" << threads;
-      }
+  const BayesReconstructor rec(noise, {});
+  ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
+  const Reconstruction reference = rec.Fit(w, p);
+  ASSERT_GT(reference.iterations, 1u);
+  for (simd::Path path : paths) {
+    ASSERT_TRUE(simd::SetPath(path).ok());
+    const Reconstruction fit = rec.Fit(w, p);
+    EXPECT_TRUE(BytesEqual(fit.masses, reference.masses))
+        << "path=" << simd::PathName(path);
+    for (engine::ThreadPool* pool : pools) {
+      const Reconstruction got = rec.Fit(w, p, pool);
+      const std::size_t threads = pool == nullptr ? 0 : pool->size();
+      EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
+          << "path=" << simd::PathName(path) << " threads=" << threads;
+      EXPECT_TRUE(
+          BytesEqual(got.log_likelihood_trace, fit.log_likelihood_trace))
+          << "path=" << simd::PathName(path) << " threads=" << threads;
     }
   }
 }
 
 // --------------------------------------------------------- KernelTable
-
-TEST(KernelTableTest, CachedTableIsByteIdenticalToFreshBuild) {
-  const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const Partition p(0.0, 1.0, 20);
-  const BayesReconstructor rec(noise, {});
-  const KernelTable table = rec.BuildKernelTable(p);
-  EXPECT_TRUE(table.Matches(noise, p, rec.PerturbedBinning(p)));
-  EXPECT_EQ(table.stride, simd::PadLanes(p.intervals()));
-  EXPECT_GT(table.ApproxHeapBytes(), 0u);
-
-  std::vector<double> weights(table.wbins, 0.0);
-  weights[table.wbins / 2] = 100.0;
-  weights[table.wbins / 3] = 50.0;
-  const Reconstruction cached =
-      rec.FitFromCounts(weights, 150.0, p, nullptr, nullptr, &table);
-  const Reconstruction fresh =
-      rec.FitFromCounts(weights, 150.0, p, nullptr, nullptr, nullptr);
-  EXPECT_TRUE(BytesEqual(cached.masses, fresh.masses));
-}
-
-TEST(KernelTableTest, StaleTableIsRebuiltNotTrusted) {
-  const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const BayesReconstructor rec(noise, {});
-  const Partition old_p(0.0, 1.0, 10);
-  const KernelTable stale = rec.BuildKernelTable(old_p);
-
-  const Partition new_p(0.0, 1.0, 20);
-  EXPECT_FALSE(stale.Matches(noise, new_p, rec.PerturbedBinning(new_p)));
-  const std::size_t wbins = rec.PerturbedBinning(new_p).bins();
-  std::vector<double> weights(wbins, 1.0);
-  const double total = static_cast<double>(wbins);
-  // Passing the stale table must not crash or skew the fit — it is
-  // rebuilt internally and the result equals the no-cache call.
-  const Reconstruction with_stale =
-      rec.FitFromCounts(weights, total, new_p, nullptr, nullptr, &stale);
-  const Reconstruction without =
-      rec.FitFromCounts(weights, total, new_p, nullptr, nullptr, nullptr);
-  EXPECT_TRUE(BytesEqual(with_stale.masses, without.masses));
-}
 
 // P(W ∈ w-bin j | X = m_k) evaluated at cell (j, k) on its own — the
 // per-cell formula a dense table stores. The outermost bins absorb the
@@ -488,8 +477,7 @@ double CellKernel(const NoiseModel& noise, const stats::Histogram& whist,
 }
 
 // A dense wbins × stride table holding CellKernel at every cell, with the
-// key fields and fallbacks of the built table, so FitFromCounts takes it
-// as a valid cached table.
+// shape and fallbacks of the built table, so FitFromCounts can fit over it.
 KernelTable DenseCellTable(const BayesReconstructor& rec, const Partition& p) {
   const stats::Histogram whist = rec.PerturbedBinning(p);
   KernelTable dense = rec.BuildKernelTable(p);
@@ -523,7 +511,9 @@ TEST(KernelTableTest, StripEqualsPerDiagonalDefinition) {
       const Partition p(20.0, 80.0, intervals);
       const stats::Histogram whist = rec.PerturbedBinning(p);
       const KernelTable table = rec.BuildKernelTable(p);
-      ASSERT_TRUE(table.Matches(noise, p, whist));
+      ASSERT_EQ(table.wbins, whist.bins());
+      ASSERT_EQ(table.intervals, intervals);
+      ASSERT_EQ(table.stride, simd::PadLanes(intervals));
       const std::size_t wbins = table.wbins;
       // O(wbins + K) storage: two tail rows plus one strip.
       EXPECT_LE(table.kernel.size(), wbins + 3 * table.stride);
@@ -684,7 +674,7 @@ TEST(KernelTableTest, FourRowEStepEqualsSingleRowEm) {
                                                  nullptr),
                                              &pool}) {
         const Reconstruction got = rec.FitFromCounts(
-            weights, total, layout.partition, maybe_pool, nullptr, &table);
+            weights, total, layout.partition, table, maybe_pool);
         const std::string where =
             std::string("path=") + simd::PathName(path) +
             " wbins=" + std::to_string(table.wbins) +
@@ -714,9 +704,9 @@ TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
         perturb::NoiseForPrivacy(NoiseKind::kGaussian, 1.0, field.Range(),
                                  0.95),
         {});
+    const KernelTable strip = rec.BuildKernelTable(p);
     const KernelTable dense = DenseCellTable(rec, p);
     const stats::Histogram whist = rec.PerturbedBinning(p);
-    ASSERT_TRUE(dense.Matches(rec.noise(), p, whist));
 
     synth::GeneratorOptions gen;
     gen.num_records = 4000;
@@ -730,13 +720,13 @@ TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
     const double total = static_cast<double>(data.NumRows());
 
     const Reconstruction cold_strip =
-        rec.FitFromCounts(weights, total, p, nullptr);
+        rec.FitFromCounts(weights, total, p, strip, nullptr);
     const Reconstruction cold_dense =
-        rec.FitFromCounts(weights, total, p, nullptr, nullptr, &dense);
-    const Reconstruction warm_strip =
-        rec.FitFromCounts(weights, total, p, nullptr, &cold_strip.masses);
+        rec.FitFromCounts(weights, total, p, dense, nullptr);
+    const Reconstruction warm_strip = rec.FitFromCounts(
+        weights, total, p, strip, nullptr, &cold_strip.masses);
     const Reconstruction warm_dense = rec.FitFromCounts(
-        weights, total, p, nullptr, &cold_strip.masses, &dense);
+        weights, total, p, dense, nullptr, &cold_strip.masses);
     ASSERT_EQ(cold_strip.masses.size(), 200u);
     for (std::size_t k = 0; k < 200; ++k) {
       EXPECT_NEAR(cold_strip.masses[k], cold_dense.masses[k], 1e-12)
@@ -764,7 +754,7 @@ TEST(ReconstructorTest, TinyDensityFallbackAbsorbsDeadBins) {
   std::vector<double> weights(whist.bins(), 0.0);
   weights[0] = 5.0;  // dead bin: no component density reaches it
   const Reconstruction r =
-      rec.FitFromCounts(weights, 5.0, p, nullptr, nullptr, nullptr);
+      rec.FitFromCounts(weights, 5.0, p, rec.BuildKernelTable(p), nullptr);
   ASSERT_EQ(r.masses.size(), 10u);
   double total = 0.0;
   for (double m : r.masses) {
@@ -779,8 +769,8 @@ TEST(ReconstructorTest, TinyDensityFallbackAbsorbsDeadBins) {
 }
 
 TEST(ReconstructorTest, NoNoiseEmptyInputYieldsUniform) {
-  // kNone takes the exact-histogram path, whose empty-sample branch must
-  // return the uniform prior (HistogramMasses' empty-input contract).
+  // An empty sample is the uniform prior under kNone noise too, with a
+  // sample count of zero.
   const Partition p(0.0, 1.0, 8);
   const BayesReconstructor rec(NoiseModel::None(), {});
   const Reconstruction r = rec.Fit({}, p);
