@@ -1,9 +1,9 @@
 // P4 — throughput scaling of the parallel execution engine at 1/2/4/8
 // worker threads: per-column perturbation, the single-column binned EM
 // reconstruction, and the per-attribute/per-class reconstruction fan-out
-// that dominates tree training; plus the cost of one EM refresh in µs per
-// fit (cold and warm kernel table, and the served refresh layout of 18
-// Gaussian 200-interval tables cycling). Honours PPDM_PAPER_SCALE=1 for
+// that dominates tree training; plus the cost of one session refit in µs
+// per fit (kernel table rebuilt or kept, and the served refresh layout of
+// 18 Gaussian 200-interval tables cycling). Honours PPDM_PAPER_SCALE=1 for
 // the paper's 100k-record runs, and cross-checks that every thread count
 // produced byte-identical perturbed columns and reconstruction masses (the
 // engine's determinism contract). PPDM_BENCH_JSON=FILE appends the rows and
@@ -147,13 +147,14 @@ int main() {
   (void)simd::SetPath(simd::Avx2Supported() ? simd::Path::kAvx2
                                             : simd::Path::kScalar);
 
-  // --------------------------------------- EM refresh cost per fit
-  // A refresh's EM costs wbins × K × iterations, independent of the
-  // record count, so these rows report µs per fit and iterations per fit
-  // rather than records/s. Cold builds the O(wbins + K) likelihood table
-  // every call; warm reuses one prebuilt table — what AttributeState
-  // keeping its table saves every refresh after the first.
-  std::printf("\n%-36s %10s %14s\n", "EM refresh case", "us/fit",
+  // ----------------------------------------- EM refit cost per fit
+  // A session refit is a cold EM over binned counts: wbins × K ×
+  // iterations, independent of the record count, so these rows report µs
+  // per fit and iterations per fit rather than records/s. "Table rebuilt"
+  // builds the O(wbins + K) likelihood table every call; "table kept"
+  // reuses one prebuilt table — what AttributeState keeping its table
+  // saves every refit after the first.
+  std::printf("\n%-36s %10s %14s\n", "EM refit case", "us/fit",
               "iterations/fit");
   constexpr std::size_t kRefreshFits = 20;
   for (const auto kind :
@@ -171,38 +172,30 @@ int main() {
     const std::vector<double> weights = counts.BinWeights();
     const double total = static_cast<double>(salary.size());
     const reconstruct::KernelTable table = rec.BuildKernelTable(partition);
-    // Warm-start from the converged masses so both rows time a
-    // short refresh (the steady-state shape), not a cold convergence.
-    const std::vector<double> masses =
-        rec.FitFromCounts(weights, total, partition, table, &pool).masses;
-    std::snprintf(label, sizeof(label), "refresh cold %s (rebuild)",
+    std::snprintf(label, sizeof(label), "refit %s (table rebuilt)",
                   kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
       return rec.FitFromCounts(weights, total, partition,
-                               rec.BuildKernelTable(partition), &pool,
-                               &masses)
+                               rec.BuildKernelTable(partition), &pool)
           .iterations;
     });
-    std::snprintf(label, sizeof(label), "refresh warm %s (cached)",
-                  kind_name);
+    std::snprintf(label, sizeof(label), "refit %s (table kept)", kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
-      return rec.FitFromCounts(weights, total, partition, table, &pool,
-                               &masses)
+      return rec.FitFromCounts(weights, total, partition, table, &pool)
           .iterations;
     });
   }
 
   // The served refresh layout: 2 tenants × 9 Gaussian attributes at 200
-  // intervals, each a warm one-refresh fit from its own table and
-  // its own counts, cycled through all 18 like a daemon reconstructing
-  // after every batch, so the tables compete for cache as they do there.
+  // intervals, each a cold refit from its own table and its own counts,
+  // cycled through all 18 like a daemon refitting its tenants, so the
+  // tables compete for cache as they do there.
   {
     struct RefreshSlot {
       reconstruct::Partition partition;
       reconstruct::BayesReconstructor rec;
       reconstruct::KernelTable table;
       std::vector<double> weights;
-      std::vector<double> masses;
     };
     std::vector<RefreshSlot> slots;
     for (std::uint64_t tenant = 0; tenant < 2; ++tenant) {
@@ -220,23 +213,18 @@ int main() {
         for (double x : train.Column(col)) {
           weights[whist.BinOf(x + rec.noise().Sample(&noise_rng))] += 1.0;
         }
-        reconstruct::KernelTable table = rec.BuildKernelTable(p);
-        std::vector<double> masses =
-            rec.FitFromCounts(weights, static_cast<double>(train.NumRows()),
-                              p, table, nullptr)
-                .masses;
-        slots.push_back({p, rec, std::move(table), std::move(weights),
-                         std::move(masses)});
+        slots.push_back(
+            {p, rec, rec.BuildKernelTable(p), std::move(weights)});
       }
     }
     const double total = static_cast<double>(train.NumRows());
-    constexpr std::size_t kCycles = 20;
-    MeasureFits("refresh-em warm gauss K=200 x18", kCycles * slots.size(),
+    constexpr std::size_t kCycles = 5;
+    MeasureFits("refresh-em refit gauss K=200 x18", kCycles * slots.size(),
                 [&](std::size_t i) {
                   const RefreshSlot& slot = slots[i % slots.size()];
                   return slot.rec
                       .FitFromCounts(slot.weights, total, slot.partition,
-                                     slot.table, nullptr, &slot.masses)
+                                     slot.table, nullptr)
                       .iterations;
                 });
   }

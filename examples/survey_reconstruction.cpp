@@ -8,12 +8,13 @@
 // records, so the server side uses the dataset-level serving API: an
 // api::DatasetSession folds each day's record batch into every attribute
 // in a single pass and ReconstructAll() refreshes both estimates with one
-// warm-started EM fan-out — no per-attribute ingest passes, no need to
-// keep or re-scan the raw submissions.
+// EM fan-out — no per-attribute ingest passes, no need to keep or re-scan
+// the raw submissions. A refresh after too few new answers (under 1/16 of
+// those already fitted) serves the last fit without running EM.
 //
 // Demonstrates: the validated DatasetSessionSpec, record-oriented
 // ingestion via data::RowBatch, single-pass multi-attribute fold,
-// warm-started ReconstructAll, and the information-theoretic privacy
+// memoized ReconstructAll, and the information-theoretic privacy
 // accounting per question.
 
 #include <algorithm>

@@ -5,7 +5,8 @@
 // An AttributeState bundles the fixed layout of one attribute's streaming
 // reconstruction (interval partition, noise-aware reconstructor, the
 // perturbed-value bin layout) with its mutable accumulation (mergeable
-// ShardStats counts and the warm-start masses of the last fit). It is NOT
+// ShardStats counts and the memoized masses of the session's last refit,
+// which the session serves until its rows grow enough to refit). It is NOT
 // thread-safe: the owning session guards the mutable parts with its own
 // mutex and keeps EM outside the lock by snapshotting the counts.
 
@@ -25,7 +26,7 @@
 namespace ppdm::api {
 
 /// Streaming reconstruction state of one attribute: fixed layout plus
-/// accumulated counts and warm-start masses (owner-synchronized). EM runs
+/// accumulated counts and the memoized fit (owner-synchronized). EM runs
 /// with the default ReconstructionOptions: the paper's stopping rule.
 class AttributeState {
  public:
@@ -51,15 +52,16 @@ class AttributeState {
   engine::ShardStats& stats() { return stats_; }
   const engine::ShardStats& stats() const { return stats_; }
 
-  bool has_estimate() const { return !last_masses_.empty(); }
+  /// The memoized fit: the masses of the owning session's last refit,
+  /// empty before its first refit over a non-empty session.
   const std::vector<double>& last_masses() const { return last_masses_; }
   void set_last_masses(std::vector<double> masses);
 
-  /// The kernel table, or null before the attribute's first refresh: the
+  /// The kernel table, or null before the attribute's first refit: the
   /// shift-invariant strip of reconstruct::KernelTable, O(wbins + K)
   /// doubles, built from the fixed layout. The layout never changes, so
   /// the first table installed is kept for the state's lifetime and no
-  /// refresh rebuilds it. shared_ptr so the owning session can fit from
+  /// refit rebuilds it. shared_ptr so the owning session can fit from
   /// the table outside its lock. Owner's lock required.
   const std::shared_ptr<const reconstruct::KernelTable>& kernel_table()
       const {
@@ -81,10 +83,10 @@ class AttributeState {
   void RestoreAccumulation(engine::ShardStats stats,
                            std::vector<double> masses);
 
-  /// Approximate heap bytes behind this state (counts, layout, warm-start
+  /// Approximate heap bytes behind this state (counts, layout, memoized
   /// masses) — excludes sizeof(AttributeState) so owners embedding the
   /// state by value don't double-count it, and excludes the kernel table:
-  /// it is derived data rebuilt on a readmitted session's first refresh,
+  /// it is derived data rebuilt on a readmitted session's first refit,
   /// so counting it would shrink the registry's admission budget for
   /// payload state. Owner's lock required.
   std::size_t ApproxHeapBytes() const;
@@ -102,8 +104,8 @@ class AttributeState {
   const stats::Histogram layout_;
 
   engine::ShardStats stats_;
-  std::vector<double> last_masses_;  // empty until first fit
-  // Null until the first refresh installs it.
+  std::vector<double> last_masses_;  // empty until the first refit
+  // Null until the first refit installs it.
   std::shared_ptr<const reconstruct::KernelTable> kernel_table_;
 };
 

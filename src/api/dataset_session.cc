@@ -54,8 +54,9 @@ obs::Counter& IngestRejectedCounter() {
   return counter;
 }
 
-// Kernel tables: a build on an attribute's first refresh, a hit on every
-// later one (the O(wbins + K) CDF evaluations it skips).
+// Kernel tables: a build on an attribute's first refit, a hit on every
+// later one (the O(wbins + K) CDF evaluations it skips); memo hits touch
+// no table.
 obs::Counter& KernelCacheHitsCounter() {
   static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
       "ppdm_kernel_cache_hits_total");
@@ -149,6 +150,14 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
         "snapshot state carries %zu/%zu attribute entries, spec has %zu",
         state.stats.size(), state.last_masses.size(), num_attrs));
   }
+  if (state.fitted_rows > state.rows) {
+    return Status::InvalidArgument(StrFormat(
+        "memoized fit claims %llu rows, the session holds %llu",
+        static_cast<unsigned long long>(state.fitted_rows),
+        static_cast<unsigned long long>(state.rows)));
+  }
+  // A refit memoizes every attribute at once, and only over rows > 0.
+  const bool has_memo = state.fitted_rows > 0;
   for (std::size_t a = 0; a < num_attrs; ++a) {
     const AttributeState& derived = session->states_[a];
     const engine::ShardStats& stats = state.stats[a];
@@ -166,18 +175,29 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
           static_cast<unsigned long long>(state.rows)));
     }
     const std::vector<double>& masses = state.last_masses[a];
+    if (masses.empty() == has_memo) {
+      return Status::InvalidArgument(StrFormat(
+          "attribute %zu: %s memoized masses for a fit over %llu rows", a,
+          has_memo ? "no" : "unexpected",
+          static_cast<unsigned long long>(state.fitted_rows)));
+    }
     if (!masses.empty() &&
         masses.size() != derived.partition().intervals()) {
       return Status::InvalidArgument(StrFormat(
-          "attribute %zu: %zu warm-start masses for a %zu-interval "
-          "partition",
+          "attribute %zu: %zu memoized masses for a %zu-interval partition",
           a, masses.size(), derived.partition().intervals()));
     }
+    double sum = 0.0;
     for (double m : masses) {
       if (!std::isfinite(m) || m < 0.0) {
         return Status::InvalidArgument(StrFormat(
-            "attribute %zu: non-finite or negative warm-start mass", a));
+            "attribute %zu: non-finite or negative memoized mass", a));
       }
+      sum += m;
+    }
+    if (!masses.empty() && std::fabs(sum - 1.0) > 1e-9) {
+      return Status::InvalidArgument(StrFormat(
+          "attribute %zu: memoized masses sum to %.17g, not 1", a, sum));
     }
   }
 
@@ -188,6 +208,7 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   }
   session->rows_ = state.rows;
   session->batches_ = state.batches;
+  session->fitted_rows_ = state.fitted_rows;
   return session;
 }
 
@@ -196,6 +217,7 @@ DatasetSessionState DatasetSession::ExportState() const {
   DatasetSessionState state;
   state.rows = rows_;
   state.batches = batches_;
+  state.fitted_rows = fitted_rows_;
   state.stats.reserve(states_.size());
   state.last_masses.reserve(states_.size());
   for (const AttributeState& attr : states_) {
@@ -296,34 +318,40 @@ Result<std::vector<reconstruct::Reconstruction>>
 DatasetSession::ReconstructAll() {
   obs::ScopedSpan span("session.reconstruct_all",
                        &ReconstructSecondsHistogram());
-  // Snapshot every attribute's counts (and warm-start masses) under the
-  // lock; run the EM fan-out outside it so ingestion continues while the
-  // estimates refresh.
+  // Under the lock: the row count and the memo, and on a refit the counts
+  // they go with. The EM fan-out runs outside it so ingestion continues
+  // while the estimates refresh.
   const std::size_t num_attrs = states_.size();
+  std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   std::vector<std::vector<double>> weights(num_attrs);
   std::vector<double> totals(num_attrs);
-  std::vector<std::vector<double>> warm(num_attrs);  // empty == cold
   std::vector<std::shared_ptr<const reconstruct::KernelTable>> kernels(
       num_attrs);
+  std::uint64_t rows = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    rows = rows_;
+    if (kRefitGrowthDivisor * (rows - fitted_rows_) < fitted_rows_) {
+      // A memo hit: the last refit's masses, no EM.
+      for (std::size_t a = 0; a < num_attrs; ++a) {
+        estimates[a].masses = states_[a].last_masses();
+        estimates[a].sample_count = static_cast<std::size_t>(fitted_rows_);
+      }
+      return estimates;
+    }
     for (std::size_t a = 0; a < num_attrs; ++a) {
       weights[a] = states_[a].stats().BinWeights();
       totals[a] = static_cast<double>(states_[a].stats().record_count());
-      if (states_[a].has_estimate()) {
-        warm[a] = states_[a].last_masses();
-      }
       kernels[a] = states_[a].kernel_table();
     }
   }
 
-  // One warm-started fit per attribute over the pool. An attribute's first
-  // refresh builds its kernel table (outside the lock; it reads only the
-  // fixed layout), every later one reuses it. FitFromCounts is
-  // thread-count invariant and its nested engine primitives run inline on
-  // a worker, so each attribute's estimate matches a standalone session's
-  // Reconstruct() byte for byte.
-  std::vector<reconstruct::Reconstruction> estimates(num_attrs);
+  // One cold fit per attribute over the pool. An attribute's first refit
+  // builds its kernel table (outside the lock; it reads only the fixed
+  // layout), every later one reuses it. FitFromCounts is thread-count
+  // invariant and its nested engine primitives run inline on a worker, so
+  // each attribute's estimate matches a standalone session's byte for
+  // byte.
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
     const AttributeState& state = states_[a];
     if (kernels[a] == nullptr) {
@@ -334,16 +362,19 @@ DatasetSession::ReconstructAll() {
       KernelCacheHitsCounter().Increment();
     }
     estimates[a] = state.reconstructor().FitFromCounts(
-        weights[a], totals[a], state.partition(), *kernels[a], pool_,
-        warm[a].empty() ? nullptr : &warm[a]);
+        weights[a], totals[a], state.partition(), *kernels[a], pool_);
   });
 
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Memoize only a fit over more rows than the installed one, so a
+    // slower racing refresh never moves the memo backwards.
+    const bool install = rows > fitted_rows_;
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      states_[a].set_last_masses(estimates[a].masses);
+      if (install) states_[a].set_last_masses(estimates[a].masses);
       states_[a].InstallKernelTable(std::move(kernels[a]));
     }
+    if (install) fitted_rows_ = rows;
   }
   return estimates;
 }

@@ -5,7 +5,8 @@
 // attribute and folds a record batch into all of them in a SINGLE pass
 // over the rows (row-major arrival, column-major fold, sharded over the
 // pool), binning each perturbed value once, on arrival; ReconstructAll()
-// runs EM on demand. A one-attribute session is the single-column case.
+// serves the paper's fit on demand. A one-attribute session is the
+// single-column case.
 //
 // Determinism: each ingestion shard of engine::kIngestShardRows records
 // accumulates its own integer ShardStats per attribute and the shards
@@ -14,17 +15,27 @@
 // byte-identical to the batch BayesReconstructor::Fit over each
 // concatenated column, and every estimate equals that of N one-attribute
 // sessions fed the same batches, at any thread count (property-tested in
-// tests/api_test.cc). Refreshes after the first warm-start EM from the
-// previous estimate, which is what makes periodic re-estimation cheap as
-// the stream grows.
+// tests/api_test.cc).
+//
+// Memoized fits: a refresh refits from the uniform prior only once the
+// rows have grown by at least 1/kRefitGrowthDivisor since the last refit,
+// and otherwise serves that refit's masses without running EM. So the
+// served estimate of attribute a is always Fit over the first
+// `fitted_rows` rows of its column, byte for byte; `fitted_rows` lags the
+// row count by less than 1/16 of itself, and it never depends on how many
+// refreshes came before. A tenant that refreshes after every batch pays
+// about log(n) / log(17/16) cold fits over n rows instead of one EM per
+// request.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
 // service jobs, and a SessionRegistry may evict (drop) the session while
 // either is in flight — callers hold the session via shared_ptr, so an
 // evicted session simply finishes its in-flight calls and dies with the
 // last reference. Ingestion folds under the session lock; ReconstructAll
-// snapshots counts under the lock and runs the per-attribute EM fan-out
-// outside it.
+// reads the row count with the counts under the lock, runs the
+// per-attribute EM fan-out outside it, and installs its memo only if it
+// fitted more rows than the installed one, so racing refreshes never move
+// the memo backwards.
 
 #ifndef PPDM_API_DATASET_SESSION_H_
 #define PPDM_API_DATASET_SESSION_H_
@@ -44,6 +55,11 @@
 #include "reconstruct/reconstructor.h"
 
 namespace ppdm::api {
+
+/// δ = 1/kRefitGrowthDivisor: a refresh refits once
+/// kRefitGrowthDivisor * (rows - fitted_rows) >= fitted_rows, in integer
+/// arithmetic, and serves the memoized fit otherwise.
+inline constexpr std::uint64_t kRefitGrowthDivisor = 16;
 
 /// Reconstruction request for one attribute of a dataset session. The
 /// attribute's domain [lo, hi] comes from the shared schema; the interval
@@ -88,9 +104,14 @@ struct DatasetSessionSpec {
 struct DatasetSessionState {
   std::uint64_t rows = 0;
   std::uint64_t batches = 0;
+  /// Rows the memoized fit was computed from; 0 before the first refit
+  /// over a non-empty session.
+  std::uint64_t fitted_rows = 0;
   /// One entry per attribute, in spec order.
   std::vector<engine::ShardStats> stats;
-  /// Warm-start masses per attribute; an empty vector means no estimate.
+  /// The memoized fit per attribute: Fit over the first `fitted_rows`
+  /// rows, served verbatim until the next refit. Every entry is empty
+  /// when `fitted_rows` is 0, and none is empty otherwise.
   std::vector<std::vector<double>> last_masses;
 };
 
@@ -108,7 +129,11 @@ class DatasetSession {
   /// Rejects (kInvalidArgument, never a CHECK abort) a state whose shape
   /// disagrees with the spec — wrong attribute count, counts tables not
   /// matching the derived bin layout, masses of the wrong length or
-  /// non-finite, or per-attribute record counts diverging from `rows`.
+  /// non-finite, or per-attribute record counts diverging from `rows` —
+  /// and a memo that cannot have come from a refit: `fitted_rows` above
+  /// `rows`, masses on some attributes but not others, `fitted_rows` and
+  /// the presence of masses disagreeing, or masses whose sum is more than
+  /// 1e-9 from 1 (memo masses are served verbatim).
   /// A restored session continues byte-identically: Ingest +
   /// ReconstructAll match a never-snapshotted session with the same
   /// history, at any thread count.
@@ -127,11 +152,15 @@ class DatasetSession {
   /// Safe to call concurrently with ReconstructAll().
   Status Ingest(const data::RowBatch& rows);
 
-  /// Fans one FitFromCounts per attribute over the pool and returns the
-  /// estimates in spec order. The first call starts from the uniform
-  /// prior and is byte-identical to Fit over each concatenated column;
-  /// later calls warm-start from the previous estimate. An empty session
-  /// yields the uniform distribution. Byte-identical at any thread count.
+  /// Returns one estimate per attribute, in spec order. When the rows
+  /// have grown by at least 1/kRefitGrowthDivisor since the last refit
+  /// (always, on the first call) it fans one cold FitFromCounts per
+  /// attribute over the pool, byte-identical to Fit over each
+  /// concatenated column, memoizes the masses and returns the fits
+  /// unchanged. Otherwise it runs no EM and returns the memoized masses
+  /// with `iterations` 0, empty traces and `sample_count` = the rows they
+  /// were fitted from. An empty session yields the uniform distribution.
+  /// Byte-identical at any thread count.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
 
   /// Records ingested so far.
@@ -165,6 +194,7 @@ class DatasetSession {
   std::vector<AttributeState> states_;  // counts + masses guarded by mu_
   std::uint64_t rows_ = 0;              // guarded by mu_
   std::uint64_t batches_ = 0;           // guarded by mu_
+  std::uint64_t fitted_rows_ = 0;       // guarded by mu_
 };
 
 }  // namespace ppdm::api

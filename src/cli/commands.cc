@@ -338,17 +338,20 @@ const char* UsageText() {
       "loadgen plays the paper's data providers: N seeded tenants over C\n"
       "connections perturb their own records and send batches of B, an\n"
       "ingest verb each. Every R batches and after its last, a tenant's\n"
-      "reconstruct verb refreshes its warm-started estimates, printed\n"
-      "with their error against the true distributions (R=0: none). With\n"
-      "--port it drives a running daemon. Without it, it hosts the daemon\n"
-      "in-process on an ephemeral loopback port, takes served's daemon\n"
-      "flags (an error with --port), drains it at the end and reports its\n"
-      "registry, store and resilience counters; --resume then streams N\n"
-      "further records per tenant on top of its checkpoint, whose spec\n"
-      "overrides the stream flags. --snapshot-every=K sends a snapshot\n"
-      "verb every K batches; --masses-out writes every tenant's estimate\n"
-      "at full precision, --stats-out the stats-verb exposition and\n"
-      "--trace-out the span ring as Chrome trace-event JSON.\n"
+      "reconstruct verb asks for its estimates, printed with their error\n"
+      "against the true distributions (R=0: none). The daemon refits from\n"
+      "the uniform prior once a tenant's rows have grown by 1/16 since its\n"
+      "last fit and serves that fit otherwise, so the estimates do not\n"
+      "depend on R. With --port it drives a running daemon. Without it,\n"
+      "it hosts the daemon in-process on an ephemeral loopback port,\n"
+      "takes served's daemon flags (an error with --port), drains it at\n"
+      "the end and reports its registry, store and resilience counters;\n"
+      "--resume then streams N further records per tenant on top of its\n"
+      "checkpoint, whose spec overrides the stream flags.\n"
+      "--snapshot-every=K sends a snapshot verb every K batches;\n"
+      "--masses-out writes every tenant's estimate at full precision,\n"
+      "--stats-out the stats-verb exposition and --trace-out the span\n"
+      "ring as Chrome trace-event JSON.\n"
       "\n"
       "--faults=SPEC arms deterministic fault points (same grammar as the\n"
       "PPDM_FAULTS env var), e.g. --faults='store.put.io=every:50'.\n"

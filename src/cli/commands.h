@@ -12,8 +12,8 @@
 //                clients until SIGTERM, then drain and checkpoint every
 //                tenant; --resume re-admits them on restart
 //   loadgen      the data providers: N tenants stream perturbed batches
-//                (ingest every batch, warm-started reconstruct every R,
-//                reported against the true distributions) to the daemon
+//                (ingest every batch, reconstruct every R, reported
+//                against the true distributions) to the daemon
 //                at --port, or without --port to a daemon it hosts
 //                in-process and drains at the end
 //

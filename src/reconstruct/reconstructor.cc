@@ -39,11 +39,6 @@ obs::Histogram& EmIterationsHistogram() {
 // output bit — is invariant under the pool size.
 constexpr std::size_t kEmChunkBins = 32;
 
-// Floor applied to warm-start masses before renormalization: EM can never
-// resurrect an exactly-zero component, so a stale zero in a previous
-// session estimate must not permanently absorb an interval.
-constexpr double kWarmStartFloor = 1e-12;
-
 std::vector<double> UniformMasses(std::size_t k) {
   return std::vector<double>(k, 1.0 / static_cast<double>(k));
 }
@@ -68,14 +63,11 @@ std::vector<double> UniformMasses(std::size_t k) {
 // and the last 1–3 rows take the single-row kernels. Every row therefore
 // sees the same operations in the same order as a one-row-at-a-time loop.
 //
-// `initial` (optional) seeds the iteration in place of the uniform prior —
-// the warm-start path of streaming sessions. Floored and renormalized so no
-// component starts at exactly zero.
+// Every fit starts from the uniform prior, the paper's starting point.
 Reconstruction RunEm(const std::vector<double>& weights,
                      const KernelTable& table, double total_weight,
                      const ReconstructionOptions& options,
-                     engine::ThreadPool* pool,
-                     const std::vector<double>* initial = nullptr) {
+                     engine::ThreadPool* pool) {
   obs::ScopedTimer fit_timer(&EmFitSecondsHistogram());
   PPDM_CHECK_EQ(weights.size(), table.wbins);
   const std::size_t num_intervals = table.intervals;
@@ -86,18 +78,8 @@ Reconstruction RunEm(const std::vector<double>& weights,
   Reconstruction out;
   out.sample_count = static_cast<std::size_t>(total_weight + 0.5);
   std::vector<double> p(stride, 0.0);
-  if (initial != nullptr) {
-    PPDM_CHECK_EQ(initial->size(), num_intervals);
-    double start_mass = 0.0;
-    for (std::size_t k = 0; k < num_intervals; ++k) {
-      p[k] = std::max((*initial)[k], kWarmStartFloor);
-      start_mass += p[k];
-    }
-    for (std::size_t k = 0; k < num_intervals; ++k) p[k] /= start_mass;
-  } else {
-    const double uniform = 1.0 / static_cast<double>(num_intervals);
-    for (std::size_t k = 0; k < num_intervals; ++k) p[k] = uniform;
-  }
+  const double uniform = 1.0 / static_cast<double>(num_intervals);
+  for (std::size_t k = 0; k < num_intervals; ++k) p[k] = uniform;
   std::vector<double> next(stride, 0.0);
 
   const std::vector<engine::ChunkRange> chunks =
@@ -306,7 +288,7 @@ KernelTable BayesReconstructor::BuildKernelTable(
 Reconstruction BayesReconstructor::FitFromCounts(
     const std::vector<double>& weights, double total_weight,
     const Partition& partition, const KernelTable& kernel,
-    engine::ThreadPool* pool, const std::vector<double>* initial) const {
+    engine::ThreadPool* pool) const {
   PPDM_CHECK_EQ(kernel.intervals, partition.intervals());
   PPDM_CHECK_EQ(weights.size(), kernel.wbins);
   if (total_weight <= 0.0) {
@@ -323,9 +305,9 @@ Reconstruction BayesReconstructor::FitFromCounts(
     for (double& m : out.masses) m /= total_weight;
     return out;
   }
-  // RunEm's one decomposition, so a cold start (initial == nullptr) from
-  // Fit's counts reproduces Fit bit for bit.
-  return RunEm(weights, kernel, total_weight, options_, pool, initial);
+  // RunEm's one decomposition, so a fit from Fit's counts reproduces Fit
+  // bit for bit.
+  return RunEm(weights, kernel, total_weight, options_, pool);
 }
 
 }  // namespace ppdm::reconstruct

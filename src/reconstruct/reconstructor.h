@@ -132,19 +132,15 @@ class BayesReconstructor {
   /// `total_weight` observations in all — over `kernel`, the table
   /// BuildKernelTable(partition) returns. Counts are integers, so any
   /// ingestion split (one batch, many batches, sharded) yields the same
-  /// weights, and with `initial == nullptr` the result is byte-identical
-  /// to Fit on the equivalent raw column for every pool size.
-  /// A non-null `initial` (length partition.intervals(), summing to ~1)
-  /// warm-starts EM from a previous estimate instead of the uniform prior:
-  /// masses are floored at a tiny positive value and renormalized so a
-  /// zero in the old estimate can never absorb an interval permanently.
+  /// weights, and the result is byte-identical to Fit on the equivalent
+  /// raw column for every pool size. EM always starts from the uniform
+  /// prior: a streaming session that wants an estimate without refitting
+  /// serves its memoized fit instead (api::DatasetSession::ReconstructAll).
   Reconstruction FitFromCounts(const std::vector<double>& weights,
                                double total_weight,
                                const Partition& partition,
                                const KernelTable& kernel,
-                               engine::ThreadPool* pool,
-                               const std::vector<double>* initial =
-                                   nullptr) const;
+                               engine::ThreadPool* pool) const;
 
   /// Builds the EM likelihood table for `partition`. Depends only on the
   /// reconstructor's noise model and the partition layout; deterministic

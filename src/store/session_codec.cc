@@ -216,6 +216,7 @@ std::string EncodeDatasetSession(const api::DatasetSession& session) {
   writer.BeginSection(kStateSectionTag);
   writer.PutU64(state.rows);
   writer.PutU64(state.batches);
+  writer.PutU64(state.fitted_rows);
   writer.PutU64(state.stats.size());
   for (std::size_t a = 0; a < state.stats.size(); ++a) {
     EncodeShardStats(state.stats[a], &writer);
@@ -263,6 +264,7 @@ Result<std::unique_ptr<api::DatasetSession>> DecodeDatasetSession(
   api::DatasetSessionState state;
   PPDM_ASSIGN_OR_RETURN(state.rows, state_reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(state.batches, state_reader.ReadU64());
+  PPDM_ASSIGN_OR_RETURN(state.fitted_rows, state_reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t num_attrs,
                         state_reader.ReadU64());
   if (num_attrs != spec.attributes.size()) {

@@ -29,10 +29,15 @@
 
 namespace ppdm::store {
 
-/// The one snapshot format version this build writes and reads. Version
-/// 1 also encoded per-attribute EM options, a shard size and a warm-start
-/// flag; its captures are refused (kFailedPrecondition), not migrated.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// The one snapshot format version this build writes and reads; older
+/// captures are refused (kFailedPrecondition), not migrated. History:
+///   1  the spec also encoded per-attribute EM options, a shard size and a
+///      warm-start flag;
+///   2  the spec holds only what a provider chooses; the STAT masses were
+///      warm-start seeds;
+///   3  STAT carries `fitted_rows` after `batches`, and the masses are the
+///      memoized fit over that many rows, served verbatim.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section tags of a dataset-session snapshot.
 inline constexpr std::uint32_t kSpecSectionTag = 0x43455053;   // "SPEC"

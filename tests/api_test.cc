@@ -2,9 +2,12 @@
 // requests come back as kInvalidArgument, never a PPDM_CHECK abort),
 // streaming ingest equivalence (a DatasetSession fed 1 batch == many
 // batches == per-column batch Fit, byte for byte, at every thread
-// count), EM warm-start behaviour, and the async job service (N
-// concurrent submissions return exactly the sequential results).
+// count), memoized refits (a refresh serves Fit over the first
+// `fitted_rows` rows, whatever the refresh cadence), and the async job
+// service (N concurrent submissions return exactly the sequential
+// results).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -17,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +35,7 @@
 #include "obs/metrics.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/histogram.h"
 #include "synth/generator.h"
 
 namespace ppdm::api {
@@ -92,13 +97,16 @@ TEST(SpecValidationTest, ValidateDomainRejectsDegenerateRanges) {
 
 // Perturbed benchmark data shared by the streaming tests.
 struct StreamFixture {
-  explicit StreamFixture(std::size_t num_records = 4000) {
+  explicit StreamFixture(
+      std::size_t num_records = 4000,
+      perturb::NoiseKind kind = perturb::NoiseKind::kUniform)
+      : kind(kind) {
     synth::GeneratorOptions gen;
     gen.num_records = num_records;
     gen.seed = 23;
     original = synth::Generate(gen);
     perturb::RandomizerOptions noise;
-    noise.kind = perturb::NoiseKind::kUniform;
+    noise.kind = kind;
     noise.privacy_fraction = 1.0;
     noise.seed = 5;
     randomizer = std::make_unique<perturb::Randomizer>(original->schema(),
@@ -114,7 +122,7 @@ struct StreamFixture {
     AttributeSpec attr;
     attr.column = 0;
     attr.intervals = intervals;
-    attr.noise = perturb::NoiseKind::kUniform;
+    attr.noise = kind;
     attr.privacy_fraction = 1.0;
     attr.confidence = 0.95;
     spec.attributes.push_back(attr);
@@ -124,13 +132,23 @@ struct StreamFixture {
   /// The batch reference a SalarySpec() session must reproduce:
   /// Fit over the whole perturbed salary column.
   reconstruct::Reconstruction SalaryBatchFit() const {
+    return SalaryFitOver(perturbed->NumRows());
+  }
+
+  /// Fit over the first `rows` values of the perturbed salary column: what
+  /// a SalarySpec() session whose memo was fitted at `rows` serves.
+  reconstruct::Reconstruction SalaryFitOver(std::size_t rows) const {
     const reconstruct::Partition partition = reconstruct::Partition::ForField(
         original->schema().Field(synth::kSalary), 24);
     const reconstruct::BayesReconstructor reconstructor(
         randomizer->ModelFor(synth::kSalary), {});
-    return reconstructor.Fit(perturbed->Column(synth::kSalary), partition);
+    const std::vector<double>& column = perturbed->Column(synth::kSalary);
+    return reconstructor.Fit(
+        std::vector<double>(column.begin(), column.begin() + rows),
+        partition);
   }
 
+  perturb::NoiseKind kind;
   std::optional<data::Dataset> original;
   std::optional<data::Dataset> perturbed;
   std::unique_ptr<perturb::Randomizer> randomizer;
@@ -225,7 +243,15 @@ TEST(DatasetSessionTest, EmptySessionYieldsUniformPrior) {
   EXPECT_EQ(estimate.value().sample_count, 0u);
 }
 
-TEST(DatasetSessionTest, WarmStartRefreshConvergesFaster) {
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Half the rows, a refresh, the other half (far more than 1/16 of the
+// fitted rows), another refresh: the second refresh refits from the
+// uniform prior, so it is the batch Fit over every row, byte for byte.
+TEST(DatasetSessionTest, RefitAfterGrowthIsTheBatchFit) {
   const StreamFixture fx;
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
   auto session = DatasetSession::Open(fx.SalarySpec());
@@ -233,31 +259,112 @@ TEST(DatasetSessionTest, WarmStartRefreshConvergesFaster) {
 
   const std::size_t half = column.size() / 2;
   ASSERT_TRUE(IngestColumn(session.value().get(), column.data(), half).ok());
-  ASSERT_TRUE(ReconstructOne(session.value().get()).ok());
+  const auto first = ReconstructOne(session.value().get());
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryFitOver(half), first.value()));
 
   ASSERT_TRUE(IngestColumn(session.value().get(), column.data() + half,
                            column.size() - half)
                   .ok());
   const auto refreshed = ReconstructOne(session.value().get());
   ASSERT_TRUE(refreshed.ok());
+  EXPECT_TRUE(
+      ReconstructionsIdentical(fx.SalaryBatchFit(), refreshed.value()));
+}
 
-  // Cold fit over the same full column, for comparison.
-  const reconstruct::Reconstruction cold = fx.SalaryBatchFit();
+// Fewer than fitted_rows / kRefitGrowthDivisor new rows: the refresh runs
+// no EM and serves the memo — the previous masses byte for byte, zero
+// iterations, and the fitted row count as the sample count. One more row
+// reaches the threshold and refits.
+TEST(DatasetSessionTest, RefreshWithinDeltaServesTheMemo) {
+  const StreamFixture fx(5000);
+  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
+  const std::size_t fitted = 4000;
+  const std::size_t under = fitted / kRefitGrowthDivisor - 1;  // 249
+  auto session = DatasetSession::Open(fx.SalarySpec());
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data(), fitted).ok());
+  const auto fit = ReconstructOne(session.value().get());
+  ASSERT_TRUE(fit.ok());
+  ASSERT_GT(fit.value().iterations, 0u);
 
-  // The warm start begins near the answer: it must not iterate longer
-  // than the cold fit, and must land on (essentially) the same estimate.
-  EXPECT_LE(refreshed.value().iterations, cold.iterations);
-  ASSERT_EQ(refreshed.value().masses.size(), cold.masses.size());
-  for (std::size_t k = 0; k < cold.masses.size(); ++k) {
-    EXPECT_NEAR(refreshed.value().masses[k], cold.masses[k], 5e-3);
+  const obs::Histogram& em_iterations =
+      *obs::MetricsRegistry::Global().GetHistogram(
+          "ppdm_em_iterations", obs::Histogram::IterationBuckets());
+  const std::uint64_t fits_before = em_iterations.Count();
+  ASSERT_TRUE(IngestColumn(session.value().get(), column.data() + fitted,
+                           under)
+                  .ok());
+  for (int refresh = 0; refresh < 3; ++refresh) {
+    const auto memo = ReconstructOne(session.value().get());
+    ASSERT_TRUE(memo.ok());
+    EXPECT_TRUE(SameBytes(memo.value().masses, fit.value().masses));
+    EXPECT_EQ(memo.value().iterations, 0u);
+    EXPECT_TRUE(memo.value().chi_square_trace.empty());
+    EXPECT_TRUE(memo.value().log_likelihood_trace.empty());
+    EXPECT_EQ(memo.value().sample_count, fitted);
+  }
+  EXPECT_EQ(em_iterations.Count(), fits_before);
+
+  ASSERT_TRUE(IngestColumn(session.value().get(),
+                           column.data() + fitted + under, 1)
+                  .ok());
+  const auto refit = ReconstructOne(session.value().get());
+  ASSERT_TRUE(refit.ok());
+  EXPECT_EQ(em_iterations.Count(), fits_before + 1);
+  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryFitOver(fitted + under + 1),
+                                       refit.value()));
+}
+
+// The served estimate does not depend on the refresh cadence. The same
+// rows, refreshed after every 64-row batch and refreshed once: the
+// every-batch tenant's final masses are Fit over the first `fitted_rows`
+// rows byte for byte (its sample count), `fitted_rows` lags the row count
+// by less than 1/16, and the two estimates stay within 0.02 TV. Uniform
+// and Gaussian noise.
+TEST(DatasetSessionTest, ServedEstimateIsTheFitWhateverTheCadence) {
+  for (const perturb::NoiseKind kind :
+       {perturb::NoiseKind::kUniform, perturb::NoiseKind::kGaussian}) {
+    SCOPED_TRACE(kind == perturb::NoiseKind::kUniform ? "uniform"
+                                                      : "gaussian");
+    const StreamFixture fx(20000, kind);
+    const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
+    auto every_batch = DatasetSession::Open(fx.SalarySpec());
+    ASSERT_TRUE(every_batch.ok());
+    constexpr std::size_t kBatch = 64;
+    reconstruct::Reconstruction served;
+    for (std::size_t offset = 0; offset < column.size(); offset += kBatch) {
+      const std::size_t take = std::min(kBatch, column.size() - offset);
+      ASSERT_TRUE(IngestColumn(every_batch.value().get(),
+                               column.data() + offset, take)
+                      .ok());
+      auto estimate = ReconstructOne(every_batch.value().get());
+      ASSERT_TRUE(estimate.ok());
+      served = std::move(estimate).value();
+    }
+
+    const std::size_t fitted_rows = served.sample_count;
+    EXPECT_LE(fitted_rows, column.size());
+    EXPECT_LT(kRefitGrowthDivisor * (column.size() - fitted_rows),
+              fitted_rows);
+    EXPECT_TRUE(
+        SameBytes(served.masses, fx.SalaryFitOver(fitted_rows).masses));
+
+    auto once = DatasetSession::Open(fx.SalarySpec());
+    ASSERT_TRUE(once.ok());
+    ASSERT_TRUE(
+        IngestColumn(once.value().get(), column.data(), column.size()).ok());
+    const auto cold = ReconstructOne(once.value().get());
+    ASSERT_TRUE(cold.ok());
+    EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), cold.value()));
+    EXPECT_LE(stats::TotalVariation(served.masses, cold.value().masses), 0.02);
   }
 }
 
 TEST(DatasetSessionTest, FreshSessionFirstRefreshIsTheBatchFit) {
-  // Sessions always warm-start, so the cold answer at any point in a
-  // stream is a fresh session's first refresh over the same rows: it
-  // equals the batch Fit byte for byte, however the rows were batched
-  // and whatever another session refreshed along the way.
+  // A fresh session's first refresh is always a cold fit over every row
+  // it holds: it equals the batch Fit byte for byte, however the rows
+  // were batched and whatever another session refreshed along the way.
   const StreamFixture fx;
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
   const std::size_t half = column.size() / 2;
@@ -434,7 +541,7 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
     ASSERT_TRUE(dataset_session.ok());
     ingest_unevenly(dataset_session.value().get());
     EXPECT_EQ(dataset_session.value()->record_count(), num_rows);
-    // Two refreshes: the second exercises the warm-started fan-out.
+    // Two refreshes: the second serves the memo of the first.
     const auto cold = dataset_session.value()->ReconstructAll();
     ASSERT_TRUE(cold.ok());
     const auto estimates = dataset_session.value()->ReconstructAll();
@@ -468,18 +575,17 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
   }
 }
 
-// Each attribute builds its kernel table on its first refresh and reuses
-// it on every later one: three refreshes of a 2-attribute session count 2
-// builds and 4 hits.
+// Each attribute builds its kernel table on its first refit and reuses
+// it on every later one: three refits of a 2-attribute session (each after
+// the rows have doubled or so) count 2 builds and 4 hits. A memo hit runs
+// no EM and touches no table.
 TEST(DatasetSessionTest, KernelTableIsBuiltOncePerAttribute) {
   const StreamFixture fx(500);
   const std::vector<double> rows = FlattenRows(*fx.perturbed);
+  const data::RowBatch all_rows(rows.data(), fx.perturbed->NumRows(),
+                                fx.perturbed->NumCols());
   auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.value()
-                  ->Ingest(data::RowBatch(rows.data(), fx.perturbed->NumRows(),
-                                          fx.perturbed->NumCols()))
-                  .ok());
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Counter& builds =
       *registry.GetCounter("ppdm_kernel_cache_builds_total");
@@ -487,11 +593,67 @@ TEST(DatasetSessionTest, KernelTableIsBuiltOncePerAttribute) {
       *registry.GetCounter("ppdm_kernel_cache_hits_total");
   const std::uint64_t builds_before = builds.Value();
   const std::uint64_t hits_before = hits.Value();
-  for (int refresh = 0; refresh < 3; ++refresh) {
+  for (const auto& [offset, take] :
+       {std::pair<std::size_t, std::size_t>{0, 100}, {100, 200}, {300, 200}}) {
+    ASSERT_TRUE(session.value()->Ingest(all_rows.Slice(offset, take)).ok());
     ASSERT_TRUE(session.value()->ReconstructAll().ok());
   }
   EXPECT_EQ(builds.Value() - builds_before, 2u);
   EXPECT_EQ(hits.Value() - hits_before, 4u);
+  ASSERT_TRUE(session.value()->ReconstructAll().ok());  // a memo hit
+  EXPECT_EQ(builds.Value() - builds_before, 2u);
+  EXPECT_EQ(hits.Value() - hits_before, 4u);
+}
+
+// A tenant that refreshes after every batch gets the same replies — memo
+// hits and refits alike — at 0, 1, 2 and 8 threads.
+TEST(DatasetSessionTest, RefreshEveryBatchIsThreadCountInvariant) {
+  const StreamFixture fx;
+  const std::size_t num_attrs = 3;
+  const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  const std::vector<double> rows = FlattenRows(*fx.perturbed);
+  const std::size_t num_rows = fx.perturbed->NumRows();
+  const data::RowBatch all_rows(rows.data(), num_rows,
+                                fx.perturbed->NumCols());
+  constexpr std::size_t kBatch = 97;
+
+  std::vector<std::vector<reconstruct::Reconstruction>> reference;
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
+    std::optional<engine::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    auto session =
+        DatasetSession::Open(spec, threads > 0 ? &*pool : nullptr);
+    ASSERT_TRUE(session.ok());
+    std::vector<std::vector<reconstruct::Reconstruction>> replies;
+    std::size_t memo_hits = 0;
+    for (std::size_t offset = 0; offset < num_rows; offset += kBatch) {
+      ASSERT_TRUE(session.value()
+                      ->Ingest(all_rows.Slice(
+                          offset, std::min(kBatch, num_rows - offset)))
+                      .ok());
+      auto estimates = session.value()->ReconstructAll();
+      ASSERT_TRUE(estimates.ok());
+      memo_hits += estimates.value()[0].iterations == 0;
+      replies.push_back(std::move(estimates).value());
+    }
+    EXPECT_GT(memo_hits, 0u) << "threads " << threads;
+    if (threads == 0) {
+      reference = std::move(replies);
+      continue;
+    }
+    ASSERT_EQ(replies.size(), reference.size());
+    for (std::size_t r = 0; r < replies.size(); ++r) {
+      for (std::size_t a = 0; a < num_attrs; ++a) {
+        EXPECT_TRUE(ReconstructionsIdentical(reference[r][a], replies[r][a]))
+            << "refresh " << r << ", attribute " << a << ", threads "
+            << threads;
+        EXPECT_TRUE(SameBytes(reference[r][a].masses, replies[r][a].masses))
+            << "refresh " << r << ", attribute " << a << ", threads "
+            << threads;
+      }
+    }
+  }
 }
 
 TEST(DatasetSessionTest, SinglePassIngestRejectsNonFiniteAtomically) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -710,6 +711,48 @@ TEST_F(CliFixture, InProcessLoadgenFailedFinalCheckpointIsTheCommandStatus) {
   std::filesystem::remove_all(dir);
 }
 
+// Each tenant's tv(truth) on its last refresh line, keyed by tenant name.
+std::map<std::string, double> FinalTvByTenant(const std::string& output) {
+  std::map<std::string, double> tv;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string tenant;
+    unsigned long long batch = 0, records = 0, iterations = 0;
+    double tv_truth = 0.0;
+    if (fields >> tenant >> batch >> records >> iterations >> tv_truth &&
+        tenant.size() > 1 && tenant[0] == 't') {
+      tv[tenant] = tv_truth;
+    }
+  }
+  return tv;
+}
+
+// The served estimate does not depend on how often a tenant refreshes:
+// refreshed after every batch or once at the end, each tenant's final
+// accuracy against its true distributions agrees within 0.01.
+TEST_F(CliFixture, InProcessLoadgenAccuracyIsCadenceInvariant) {
+  std::map<std::string, double> final_tv[2];
+  const char* cadences[2] = {"--refresh=1", "--refresh=200"};
+  for (int i = 0; i < 2; ++i) {
+    std::string output;
+    ASSERT_TRUE(Run({"loadgen", "--attrs=2", "--noise=uniform",
+                     "--records=100000", "--batch-records=500",
+                     cadences[i]},
+                    &output)
+                    .ok())
+        << output;
+    final_tv[i] = FinalTvByTenant(output);
+  }
+  ASSERT_FALSE(final_tv[0].empty());
+  ASSERT_EQ(final_tv[0].size(), final_tv[1].size());
+  for (const auto& [tenant, tv] : final_tv[0]) {
+    ASSERT_EQ(final_tv[1].count(tenant), 1u) << tenant;
+    EXPECT_NEAR(tv, final_tv[1][tenant], 0.01) << tenant;
+  }
+}
+
 TEST_F(CliFixture, InProcessLoadgenCaptureIsThreadCountInvariant) {
   std::string captures[2];
   const char* threads[2] = {"--threads=0", "--threads=2"};
@@ -745,7 +788,7 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok());
   EXPECT_NE(output.find("0 snapshot(s)"), std::string::npos) << output;
 
-  // A version-1 capture is listed as unreadable next to a current one,
+  // A version-2 capture is listed as unreadable next to a current one,
   // and the listing still succeeds.
   api::DatasetSessionSpec spec;
   spec.schema = synth::BenchmarkSchema();
@@ -753,10 +796,10 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   auto session = api::DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
   const std::string current = store::EncodeDatasetSession(*session.value());
-  // The same capture under a version-1 header (bytes 8..11, after the
+  // The same capture under a version-2 header (bytes 8..11, after the
   // 8-byte magic).
   std::string old = current;
-  old[8] = 1;
+  old[8] = 2;
   {
     auto snapshots = store::SnapshotStore::Open(dir);
     ASSERT_TRUE(snapshots.ok());
@@ -766,10 +809,10 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok())
       << output;
   EXPECT_NE(output.find("old                      unreadable: snapshot "
-                        "format version 1 unsupported"),
+                        "format version 2 unsupported"),
             std::string::npos)
       << output;
-  EXPECT_NE(output.find("current                         2"),
+  EXPECT_NE(output.find("current                         3"),
             std::string::npos)
       << output;
   EXPECT_NE(output.find("2 snapshot(s)"), std::string::npos) << output;

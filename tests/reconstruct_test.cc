@@ -695,7 +695,7 @@ TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
   // The nine benchmark attributes at 200 intervals under Gaussian noise:
   // the strip moves table entries by a few ulps where a bin width is
   // inexact; the fitted masses must stay within 1e-12 of a fit over the
-  // dense per-cell table, cold and warm-started.
+  // dense per-cell table.
   const data::Schema schema = synth::BenchmarkSchema();
   for (std::size_t col = 0; col < schema.NumFields(); ++col) {
     const data::FieldSpec& field = schema.Field(col);
@@ -723,15 +723,9 @@ TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
         rec.FitFromCounts(weights, total, p, strip, nullptr);
     const Reconstruction cold_dense =
         rec.FitFromCounts(weights, total, p, dense, nullptr);
-    const Reconstruction warm_strip = rec.FitFromCounts(
-        weights, total, p, strip, nullptr, &cold_strip.masses);
-    const Reconstruction warm_dense = rec.FitFromCounts(
-        weights, total, p, dense, nullptr, &cold_strip.masses);
     ASSERT_EQ(cold_strip.masses.size(), 200u);
     for (std::size_t k = 0; k < 200; ++k) {
       EXPECT_NEAR(cold_strip.masses[k], cold_dense.masses[k], 1e-12)
-          << field.name << " k=" << k;
-      EXPECT_NEAR(warm_strip.masses[k], warm_dense.masses[k], 1e-12)
           << field.name << " k=" << k;
     }
   }

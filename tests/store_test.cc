@@ -339,13 +339,17 @@ TEST(CodecTest, HeaderRejectsWrongMagicAndFutureVersion) {
   EXPECT_EQ(newer.ReadHeader(kFormatVersion, &version).code(),
             StatusCode::kFailedPrecondition);
 
-  // Version 1 (whose spec still carried EM options, a shard size and a
-  // warm-start flag) is refused too: the reader accepts one version.
-  Writer past;
-  past.PutHeader(1);
-  Reader older(past.bytes());
-  EXPECT_EQ(older.ReadHeader(kFormatVersion, &version).code(),
-            StatusCode::kFailedPrecondition);
+  // Versions 1 (whose spec still carried EM options, a shard size and a
+  // warm-start flag) and 2 (no memoized fit row count) are refused too:
+  // the reader accepts one version.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    Writer past;
+    past.PutHeader(old_version);
+    Reader older(past.bytes());
+    EXPECT_EQ(older.ReadHeader(kFormatVersion, &version).code(),
+              StatusCode::kFailedPrecondition)
+        << "version " << old_version;
+  }
 
   Reader good(bytes);
   EXPECT_TRUE(good.ReadHeader(kFormatVersion, &version).ok());
@@ -434,7 +438,7 @@ TEST(DatasetSnapshotTest, SnapshotRestoreContinuationIsByteIdentical) {
     auto live = api::DatasetSession::Open(spec, p);
     ASSERT_TRUE(live.ok());
     ASSERT_TRUE(live.value()->Ingest(all_rows.Slice(0, half)).ok());
-    // A mid-stream refresh gives the snapshot warm-start masses to carry.
+    // A mid-stream refresh gives the snapshot a memoized fit to carry.
     ASSERT_TRUE(live.value()->ReconstructAll().ok());
 
     const std::string bytes = EncodeDatasetSession(*live.value());
@@ -460,6 +464,118 @@ TEST(DatasetSnapshotTest, SnapshotRestoreContinuationIsByteIdentical) {
                                            restored_estimates.value()[a]))
           << "attribute " << a << ", threads " << threads;
     }
+  }
+}
+
+// The memo survives a snapshot mid-stream: refresh, ingest fewer rows than
+// 1/16 of the fitted ones, snapshot and restore. Both sessions then answer
+// a memo hit, and after further ingests a refit, with byte-identical
+// replies; a v2 capture of the same session is refused.
+TEST(DatasetSnapshotTest, MemoizedFitSurvivesSnapshotRestore) {
+  const std::size_t num_attrs = 2;
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(3000, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  const data::RowBatch all_rows(rows.data(), num_rows, num_cols);
+  const std::size_t fitted = 1600;
+  const std::size_t under = fitted / api::kRefitGrowthDivisor - 1;
+
+  auto live = api::DatasetSession::Open(spec);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live.value()->Ingest(all_rows.Slice(0, fitted)).ok());
+  ASSERT_TRUE(live.value()->ReconstructAll().ok());
+  ASSERT_TRUE(live.value()->Ingest(all_rows.Slice(fitted, under)).ok());
+  EXPECT_EQ(live.value()->ExportState().fitted_rows, fitted);
+
+  const std::string bytes = EncodeDatasetSession(*live.value());
+  auto restored = DecodeDatasetSession(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(EncodeDatasetSession(*restored.value()), bytes);
+  EXPECT_EQ(restored.value()->ExportState().fitted_rows, fitted);
+
+  std::string v2 = bytes;
+  v2[8] = 2;  // the u32 version after the 8-byte magic
+  EXPECT_EQ(DecodeDatasetSession(v2).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // A memo hit one row short of the threshold, the refit that one more
+  // row triggers, another refit, a memo hit, and a refit over the rest.
+  const std::size_t steps[][2] = {{fitted + under, 0},
+                                  {fitted + under, 1},
+                                  {fitted + under + 1, 200},
+                                  {fitted + under + 201, 5},
+                                  {fitted + under + 206,
+                                   num_rows - (fitted + under + 206)}};
+  for (const auto& [offset, take] : steps) {
+    if (take > 0) {
+      ASSERT_TRUE(live.value()->Ingest(all_rows.Slice(offset, take)).ok());
+      ASSERT_TRUE(
+          restored.value()->Ingest(all_rows.Slice(offset, take)).ok());
+    }
+    const auto live_estimates = live.value()->ReconstructAll();
+    const auto restored_estimates = restored.value()->ReconstructAll();
+    ASSERT_TRUE(live_estimates.ok());
+    ASSERT_TRUE(restored_estimates.ok());
+    for (std::size_t a = 0; a < num_attrs; ++a) {
+      EXPECT_TRUE(ReconstructionsIdentical(live_estimates.value()[a],
+                                           restored_estimates.value()[a]))
+          << "attribute " << a << " after " << offset + take << " rows";
+    }
+    if (offset + take == fitted + under) {
+      EXPECT_EQ(live_estimates.value()[0].iterations, 0u);
+      EXPECT_EQ(live_estimates.value()[0].sample_count, fitted);
+    }
+  }
+}
+
+// A memo that cannot have come from a refit is a Status from Restore, not
+// an abort: more fitted rows than rows, masses on some attributes only, a
+// fitted row count without masses, and masses that are not a
+// distribution.
+TEST(DatasetSnapshotTest, RestoreRejectsAnInconsistentMemo) {
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(400, &num_cols);
+  auto session = api::DatasetSession::Open(spec);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.value()
+                  ->Ingest(data::RowBatch(rows.data(),
+                                          rows.size() / num_cols, num_cols))
+                  .ok());
+  ASSERT_TRUE(session.value()->ReconstructAll().ok());
+  const api::DatasetSessionState good = session.value()->ExportState();
+  ASSERT_EQ(good.fitted_rows, 400u);
+  ASSERT_TRUE(api::DatasetSession::Restore(spec, good).ok());
+
+  struct Case {
+    const char* name;
+    void (*mutate)(api::DatasetSessionState*);
+  };
+  const Case rejected[] = {
+      {"fitted_rows > rows",
+       [](api::DatasetSessionState* s) { s->fitted_rows = s->rows + 1; }},
+      {"masses on one attribute only",
+       [](api::DatasetSessionState* s) { s->last_masses[1].clear(); }},
+      {"fitted_rows without masses",
+       [](api::DatasetSessionState* s) {
+         for (std::vector<double>& m : s->last_masses) m.clear();
+       }},
+      {"masses without fitted_rows",
+       [](api::DatasetSessionState* s) { s->fitted_rows = 0; }},
+      {"masses summing to 1 + 1e-8",
+       [](api::DatasetSessionState* s) { s->last_masses[0][0] += 1e-8; }},
+      {"masses summing to 0.5",
+       [](api::DatasetSessionState* s) {
+         for (double& m : s->last_masses[1]) m *= 0.5;
+       }},
+  };
+  for (const Case& row : rejected) {
+    api::DatasetSessionState state = good;
+    row.mutate(&state);
+    const auto restored = api::DatasetSession::Restore(spec, state);
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << row.name;
   }
 }
 
@@ -552,9 +668,10 @@ TEST(DatasetSnapshotTest, PeekReportsWithoutRebuilding) {
   EXPECT_EQ(info.value().attributes, 2u);
 }
 
-// Format pin of version 2, checked with the bytewise reference CRC. A
+// Format pin of version 3, checked with the bytewise reference CRC. A
 // failure here means the snapshot bytes changed: that needs a
-// kFormatVersion bump, not a new pin.
+// kFormatVersion bump, not a new pin. The refresh before encoding puts
+// `fitted_rows` and the memoized masses under the pin.
 TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 8);
   const std::size_t cols = spec.schema.NumFields();
@@ -569,9 +686,10 @@ TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(
       session.value()->Ingest(data::RowBatch(rows.data(), 32, cols)).ok());
+  ASSERT_TRUE(session.value()->ReconstructAll().ok());
   const std::string snapshot = EncodeDatasetSession(*session.value());
-  EXPECT_EQ(snapshot.size(), 794u);
-  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0x3D27E331u);
+  EXPECT_EQ(snapshot.size(), 930u);
+  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0xE7DFBA46u);
 }
 
 // --------------------------------------------------------- snapshot store
