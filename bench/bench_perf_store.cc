@@ -1,6 +1,7 @@
 // P7 — persistence subsystem: the byte codec under every snapshot and
 // every served ingest (CRC32, double-array encode/decode, ingest frame
-// encode + verify, at the served ingest shape), then snapshot encode /
+// encode + verify, at the served ingest shape and cut down to two tracked
+// columns), then snapshot encode /
 // store put / store get / decode+restore throughput as the session grows
 // (attribute count), and the registry's spill path — re-admission latency
 // of a TryLookup served from disk vs. one served from RAM. Ends with the
@@ -85,8 +86,26 @@ void CodecRow(const std::string& label, std::size_t bytes, double us) {
                         {"mb_per_s", mb_per_s}});
 }
 
+/// One ingest frame's trip through the wire codec: encode, then the
+/// header decode and body CRC check the daemon runs before dispatch.
+double FrameEncodeVerifyUs(std::size_t calls, net::Verb verb,
+                           const std::string& body) {
+  return BestUsPerCall(calls, [&] {
+    const std::string frame = net::EncodeFrame(verb, 1, 1, 0, body);
+    const net::FrameHeader header =
+        net::DecodeHeader(frame, net::kDefaultMaxBodyBytes).value();
+    g_sink = g_sink +
+             net::VerifyBody(header,
+                             std::string_view(frame).substr(header.header_size))
+                 .ok();
+  });
+}
+
 /// The byte layer at the served ingest shape: 1024 rows of the 9-field
-/// schema, 9,216 doubles, a 73,728-byte array.
+/// schema, 9,216 doubles, a 73,728-byte array. The tracked rows are the
+/// same 1024 rows cut down to columns 0 and 1, the ingest_tracked body a
+/// client sends for a tenant reconstructing two attributes: the gather
+/// (compare "double array encode 9216") and its 16,424-byte frame.
 void RunCodecRows() {
   std::size_t num_cols = 0;
   const std::vector<double> values = bench::PerturbedRowMajor(
@@ -117,16 +136,25 @@ void RunCodecRows() {
              g_sink = g_sink + reader.ReadDoubleArray().value().size();
            }));
   CodecRow("ingest frame encode+verify", body.size(),
+           FrameEncodeVerifyUs(kCalls, net::Verb::kIngest, body));
+
+  const std::size_t rows = values.size() / num_cols;
+  const std::vector<std::uint64_t> tracked = {0, 1};
+  store::Writer tracked_writer;
+  tracked_writer.PutU64(rows);
+  tracked_writer.PutU64Array(tracked);
+  tracked_writer.PutDoubleColumns(values.data(), rows, num_cols, tracked);
+  const std::string tracked_body = tracked_writer.Take();
+  CodecRow("tracked column gather 1024x2",
+           tracked_body.size() - 8 - 8 * (1 + tracked.size()),
            BestUsPerCall(kCalls, [&] {
-             const std::string frame =
-                 net::EncodeFrame(net::Verb::kIngest, 1, 1, 0, body);
-             const net::FrameHeader header =
-                 net::DecodeHeader(frame, net::kDefaultMaxBodyBytes).value();
-             g_sink = g_sink +
-                      net::VerifyBody(header, std::string_view(frame).substr(
-                                                  header.header_size))
-                          .ok();
+             store::Writer w;
+             w.PutDoubleColumns(values.data(), rows, num_cols, tracked);
+             g_sink = g_sink + w.bytes().size();
            }));
+  CodecRow("tracked ingest frame encode+verify", tracked_body.size(),
+           FrameEncodeVerifyUs(kCalls, net::Verb::kIngestTracked,
+                               tracked_body));
   std::printf("\n");
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "engine/simd.h"
@@ -228,12 +229,24 @@ DatasetSessionState DatasetSession::ExportState() const {
 }
 
 Status DatasetSession::Ingest(const data::RowBatch& rows) {
+  return Fold(rows, spec_.schema.NumFields(), columns_);
+}
+
+Status DatasetSession::IngestTracked(const data::RowBatch& rows) {
+  // Attribute a sits at column a of a tracked row.
+  std::vector<std::size_t> positions(columns_.size());
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  return Fold(rows, positions.size(), positions);
+}
+
+Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
+                            const std::vector<std::size_t>& columns) {
   obs::ScopedSpan span("session.ingest", &IngestSecondsHistogram());
-  if (rows.num_rows() > 0 && rows.num_cols() != spec_.schema.NumFields()) {
+  if (rows.num_rows() > 0 && rows.num_cols() != width) {
     IngestRejectedCounter().Increment();
     return Status::InvalidArgument(
-        StrFormat("row batch is %zu columns wide, schema expects %zu",
-                  rows.num_cols(), spec_.schema.NumFields()));
+        StrFormat("row batch is %zu columns wide, the session expects %zu",
+                  rows.num_cols(), width));
   }
 
   // One pass over the arriving records, sharded over the pool and outside
@@ -263,7 +276,7 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
     for (std::size_t r = begin; r < end; ++r) {
       const double* row = rows.row(r);
       for (std::size_t a = 0; a < num_attrs; ++a) {
-        if (!std::isfinite(row[columns_[a]])) {
+        if (!std::isfinite(row[columns[a]])) {
           finite.store(false, std::memory_order_relaxed);
           return;  // abandon the shard; nothing is folded below
         }
@@ -278,7 +291,7 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
     std::uint32_t idx[kBatch];
     for (std::size_t a = 0; a < num_attrs; ++a) {
       const stats::Histogram& layout = states_[a].layout();
-      const std::size_t col = columns_[a];
+      const std::size_t col = columns[a];
       for (std::size_t r0 = begin; r0 < end; r0 += kBatch) {
         const std::size_t n = std::min(kBatch, end - r0);
         for (std::size_t j = 0; j < n; ++j) {

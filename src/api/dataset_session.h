@@ -6,7 +6,9 @@
 // over the rows (row-major arrival, column-major fold, sharded over the
 // pool), binning each perturbed value once, on arrival; ReconstructAll()
 // serves the paper's fit on demand. A one-attribute session is the
-// single-column case.
+// single-column case. IngestTracked() takes rows already cut down to the
+// tracked columns (what a provider ships when only those travel) through
+// the same fold.
 //
 // Determinism: each ingestion shard of engine::kIngestShardRows records
 // accumulates its own integer ShardStats per attribute and the shards
@@ -152,6 +154,14 @@ class DatasetSession {
   /// Safe to call concurrently with ReconstructAll().
   Status Ingest(const data::RowBatch& rows);
 
+  /// Ingest for rows that carry the tracked columns alone: `rows` is
+  /// num_attributes() wide and its column a holds attribute a's values
+  /// (spec order). The same sharded fold with the same integer counts, so
+  /// every estimate, export and capture is byte-identical to Ingest of the
+  /// schema-wide rows these were cut from. Rejects a non-finite value
+  /// with kInvalidArgument (nothing is folded).
+  Status IngestTracked(const data::RowBatch& rows);
+
   /// Returns one estimate per attribute, in spec order. When the rows
   /// have grown by at least 1/kRefitGrowthDivisor since the last refit
   /// (always, on the first call) it fans one cold FitFromCounts per
@@ -184,6 +194,11 @@ class DatasetSession {
 
  private:
   DatasetSession(const DatasetSessionSpec& spec, engine::ThreadPool* pool);
+
+  /// The one sharded fold behind Ingest and IngestTracked: rows are
+  /// `width` wide, and attribute a reads column `columns[a]`.
+  Status Fold(const data::RowBatch& rows, std::size_t width,
+              const std::vector<std::size_t>& columns);
 
   const DatasetSessionSpec spec_;
   engine::ThreadPool* const pool_;

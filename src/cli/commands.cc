@@ -337,17 +337,19 @@ const char* UsageText() {
       "\n"
       "loadgen plays the paper's data providers: N seeded tenants over C\n"
       "connections perturb their own records and send batches of B, an\n"
-      "ingest verb each. Every R batches and after its last, a tenant's\n"
-      "reconstruct verb asks for its estimates, printed with their error\n"
-      "against the true distributions (R=0: none). The daemon refits from\n"
-      "the uniform prior once a tenant's rows have grown by 1/16 since its\n"
-      "last fit and serves that fit otherwise, so the estimates do not\n"
-      "depend on R. With --port it drives a running daemon. Without it,\n"
-      "it hosts the daemon in-process on an ephemeral loopback port,\n"
-      "takes served's daemon flags (an error with --port), drains it at\n"
-      "the end and reports its registry, store and resilience counters;\n"
-      "--resume then streams N further records per tenant on top of its\n"
-      "checkpoint, whose spec overrides the stream flags.\n"
+      "ingest_tracked verb each, carrying only the tracked columns (each\n"
+      "connection opens its tenants first). Every R batches and after its\n"
+      "last, a tenant's reconstruct verb asks for its estimates, printed\n"
+      "with their error against the true distributions (R=0: none). The\n"
+      "daemon refits from the uniform prior once a tenant's rows have\n"
+      "grown by 1/16 since its last fit and serves that fit otherwise, so\n"
+      "the estimates do not depend on R. With --port it drives a running\n"
+      "daemon. Without it, it hosts the daemon in-process on an ephemeral\n"
+      "loopback port, takes served's daemon flags (an error with --port),\n"
+      "drains it at the end and reports its registry, store and\n"
+      "resilience counters; --resume then streams N further records per\n"
+      "tenant on top of its checkpoint, whose spec overrides the stream\n"
+      "flags.\n"
       "--snapshot-every=K sends a snapshot verb every K batches;\n"
       "--masses-out writes every tenant's estimate at full precision,\n"
       "--stats-out the stats-verb exposition and --trace-out the span\n"
@@ -883,6 +885,7 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
                         net::Client::Connect(host, static_cast<int>(port)));
   struct TenantStream {
     std::uint64_t id;
+    api::DatasetSessionSpec spec;
     ProviderStream provider;
     std::uint64_t records;
     std::uint64_t rounds = 0;
@@ -917,7 +920,7 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
                      perturb::NoiseKindName(first.noise).c_str(),
                      100.0 * first.privacy_fraction);
     streams.push_back(TenantStream{
-        t,
+        t, spec.session,
         ProviderStream(spec, static_cast<std::size_t>(records),
                        sim.seed + t * 1000003ULL + folded),
         folded});
@@ -939,6 +942,12 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   auto worker = [&](std::size_t w) -> Status {
     PPDM_ASSIGN_OR_RETURN(net::Client client,
                           net::Client::Connect(host, static_cast<int>(port)));
+    // Each worker reopens its own tenants with the same spec (idempotent),
+    // so its connection knows their tracked columns and ships only those.
+    for (std::size_t t = w; t < streams.size(); t += workers) {
+      PPDM_RETURN_IF_ERROR(
+          note(client.Open(streams[t].id, streams[t].spec, ttl).status()));
+    }
     for (bool progress = true; progress;) {
       progress = false;
       for (std::size_t t = w; t < streams.size(); t += workers) {

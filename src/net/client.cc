@@ -74,6 +74,15 @@ Result<OpenResult> Client::Open(std::uint64_t tenant,
   PPDM_ASSIGN_OR_RETURN(const std::uint8_t resumed, reader.ReadU8());
   result.resumed = resumed != 0;
   PPDM_ASSIGN_OR_RETURN(result.record_count, reader.ReadU64());
+  // The daemon validated the spec before it answered; checking it here
+  // too keeps every gather index inside the row, whoever answered.
+  if (!spec.Validate().ok()) return result;
+  TrackedLayout& layout = tracked_[tenant];
+  layout.width = spec.schema.NumFields();
+  layout.columns.clear();
+  for (const api::AttributeSpec& attr : spec.attributes) {
+    layout.columns.push_back(attr.column);
+  }
   return result;
 }
 
@@ -82,13 +91,29 @@ Result<std::uint64_t> Client::Ingest(std::uint64_t tenant, std::uint64_t rows,
                                      const std::vector<double>& values,
                                      std::uint32_t ttl_ms) {
   store::Writer writer;
-  writer.Reserve(3 * sizeof(std::uint64_t) + values.size() * sizeof(double));
-  writer.PutU64(rows);
-  writer.PutU64(cols);
-  writer.PutDoubleArray(values);
-  PPDM_ASSIGN_OR_RETURN(
-      const std::string payload,
-      Payload(Call(Verb::kIngest, tenant, ttl_ms, writer.Take())));
+  Verb verb = Verb::kIngest;
+  const auto tracked = tracked_.find(tenant);
+  // Division-only, like the daemon's shape check: the gather below reads
+  // exactly rows * cols values.
+  if (tracked != tracked_.end() && cols == tracked->second.width &&
+      values.size() / cols == rows && values.size() % cols == 0) {
+    const std::vector<std::uint64_t>& columns = tracked->second.columns;
+    verb = Verb::kIngestTracked;
+    writer.Reserve((3 + columns.size() + rows * columns.size()) *
+                   sizeof(std::uint64_t));
+    writer.PutU64(rows);
+    writer.PutU64Array(columns);
+    writer.PutDoubleColumns(values.data(), static_cast<std::size_t>(rows),
+                            static_cast<std::size_t>(cols), columns);
+  } else {
+    writer.Reserve(3 * sizeof(std::uint64_t) +
+                   values.size() * sizeof(double));
+    writer.PutU64(rows);
+    writer.PutU64(cols);
+    writer.PutDoubleArray(values);
+  }
+  PPDM_ASSIGN_OR_RETURN(const std::string payload,
+                        Payload(Call(verb, tenant, ttl_ms, writer.Take())));
   store::Reader reader(payload);
   return reader.ReadU64();
 }
@@ -120,6 +145,7 @@ Result<std::uint64_t> Client::Snapshot(std::uint64_t tenant,
 }
 
 Status Client::CloseTenant(std::uint64_t tenant, std::uint32_t ttl_ms) {
+  tracked_.erase(tenant);
   return Payload(Call(Verb::kClose, tenant, ttl_ms, "")).status();
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "api/dataset_session.h"
@@ -66,6 +67,15 @@ class Client {
 
   /// Sends `rows * cols` row-major perturbed values; returns the tenant's
   /// record count after the fold.
+  ///
+  /// When this connection opened `tenant` (and has not closed it since),
+  /// `cols` is that spec's schema width and `values` holds exactly
+  /// `rows * cols` doubles, only the spec's tracked columns travel: an
+  /// ingest_tracked frame whose body is gathered straight from `values`.
+  /// Otherwise — another connection's tenant, another width, a short or
+  /// long `values` — it sends the full-row ingest frame unchanged, and
+  /// the daemon judges it. A tenant closed and reopened elsewhere with
+  /// other columns answers kFailedPrecondition and folds nothing.
   Result<std::uint64_t> Ingest(std::uint64_t tenant, std::uint64_t rows,
                                std::uint64_t cols,
                                const std::vector<double>& values,
@@ -109,7 +119,16 @@ class Client {
  private:
   explicit Client(Socket sock) : sock_(std::move(sock)) {}
 
+  /// What a successful Open told this connection about a tenant: the
+  /// schema width its rows arrive in and its tracked columns, in spec
+  /// order.
+  struct TrackedLayout {
+    std::uint64_t width = 0;
+    std::vector<std::uint64_t> columns;
+  };
+
   Socket sock_;
+  std::unordered_map<std::uint64_t, TrackedLayout> tracked_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t trace_id_ = 0;
 };

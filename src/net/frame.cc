@@ -13,13 +13,14 @@ std::string VerbName(std::uint32_t verb) {
     case Verb::kSnapshot: return "snapshot";
     case Verb::kClose: return "close";
     case Verb::kStats: return "stats";
+    case Verb::kIngestTracked: return "ingest_tracked";
   }
   return StrFormat("verb#%u", verb);
 }
 
 bool KnownVerb(std::uint32_t verb) {
   return verb >= static_cast<std::uint32_t>(Verb::kOpen) &&
-         verb <= static_cast<std::uint32_t>(Verb::kStats);
+         verb <= kLastVerb;
 }
 
 namespace {

@@ -18,7 +18,10 @@
 // come off a socket from untrusted peers.
 //
 // Request bodies are verb-specific payloads (open carries an encoded
-// DatasetSessionSpec, ingest a row-major record block, …). Response
+// DatasetSessionSpec, ingest a row-major record block of every schema
+// column, ingest_tracked the same rows cut down to the tenant's tracked
+// columns behind their index list, …). A body's form follows from its
+// verb alone, never from its column count. Response
 // bodies share one envelope: [u32 status code][status message][payload],
 // so protocol-level failures (shed, rate-limited, expired, store fault)
 // travel as first-class Status values and the connection keeps serving.
@@ -58,9 +61,16 @@ enum class Verb : std::uint32_t {
   kStats = 6,        ///< Metrics exposition (obs::RenderText) — GET /metrics.
                      ///< A body of the single flag byte 0x01 also appends
                      ///< the Chrome trace JSON of the server's span ring.
+  kIngestTracked = 7,  ///< Ingest rows carrying only the tenant's tracked
+                       ///< columns, in spec order.
 };
 
-/// "open" / "ingest" / ... / "verb#N" for unknown values.
+/// The highest verb this protocol version defines; verbs run 1..kLastVerb.
+inline constexpr std::uint32_t kLastVerb =
+    static_cast<std::uint32_t>(Verb::kIngestTracked);
+
+/// "open" / "ingest" / ... / "ingest_tracked", or "verb#N" for unknown
+/// values.
 std::string VerbName(std::uint32_t verb);
 
 /// True when `verb` names a verb this protocol version defines.

@@ -20,12 +20,16 @@
 
 namespace ppdm::net {
 
-/// An ingest body, [u64 rows][u64 cols][double array], decoded straight
-/// out of the connection's input buffer into the doubles the session's
-/// RowBatch views.
+/// An ingest body, decoded straight out of the connection's input buffer
+/// into the doubles the session's RowBatch views. The full-row form is
+/// [u64 rows][u64 cols][double array]; the tracked form is
+/// [u64 rows][u64 array of tracked columns][double array], and its rows
+/// are `columns.size()` wide.
 struct IngestBody {
+  bool tracked = false;
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;
+  std::vector<std::uint64_t> columns;  // the tracked form only
   std::vector<double> values;
 };
 
@@ -103,11 +107,18 @@ class InputBuffer {
   std::size_t end_ = 0;
 };
 
-Result<IngestBody> DecodeIngestBody(std::string_view body) {
+/// Decodes either ingest form; `tracked` comes from the verb alone.
+Result<IngestBody> DecodeIngestBody(std::string_view body, bool tracked) {
   store::Reader reader(body);
   IngestBody ingest;
+  ingest.tracked = tracked;
   PPDM_ASSIGN_OR_RETURN(ingest.rows, reader.ReadU64());
-  PPDM_ASSIGN_OR_RETURN(ingest.cols, reader.ReadU64());
+  if (tracked) {
+    PPDM_ASSIGN_OR_RETURN(ingest.columns, reader.ReadU64Array());
+    ingest.cols = ingest.columns.size();
+  } else {
+    PPDM_ASSIGN_OR_RETURN(ingest.cols, reader.ReadU64());
+  }
   PPDM_ASSIGN_OR_RETURN(ingest.values, reader.ReadDoubleArray());
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after the ingest body");
@@ -173,7 +184,7 @@ Server::Server(const ServerOptions& options)
           "ppdm_net_request_seconds",
           obs::Histogram::LatencyBucketsSeconds())),
       slow_requests_(NetCounter("ppdm_net_slow_requests_total")) {
-  for (std::uint32_t v = 0; v <= 6; ++v) {
+  for (std::uint32_t v = 0; v <= kLastVerb; ++v) {
     verb_requests_[v] = obs::MetricsRegistry::Global().GetCounter(
         "ppdm_net_requests_total",
         {{"verb", v == 0 ? std::string("unknown") : VerbName(v)}});
@@ -540,8 +551,10 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
   // an ingest is decoded straight into the doubles its RowBatch views,
   // every other verb keeps its bytes.
   api::Service::Job job;
-  if (static_cast<Verb>(header.verb) == Verb::kIngest) {
-    job = [this, tenant = header.tenant, ingest = DecodeIngestBody(body)] {
+  const auto verb = static_cast<Verb>(header.verb);
+  if (verb == Verb::kIngest || verb == Verb::kIngestTracked) {
+    job = [this, tenant = header.tenant,
+           ingest = DecodeIngestBody(body, verb == Verb::kIngestTracked)] {
       return HandleIngest(tenant, ingest);
     };
   } else {
@@ -661,8 +674,9 @@ Result<std::string> Server::HandleVerb(const FrameHeader& header,
       return HandleSnapshot(header.tenant);
     case Verb::kClose:
       return HandleClose(header.tenant);
-    case Verb::kIngest:  // decoded in Dispatch, run by HandleIngest
-    case Verb::kStats:   // answered inline in Dispatch
+    case Verb::kIngest:         // decoded in Dispatch, run by HandleIngest
+    case Verb::kIngestTracked:  // likewise
+    case Verb::kStats:          // answered inline in Dispatch
       break;
   }
   return Status::Internal(
@@ -748,20 +762,38 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
 Result<std::string> Server::HandleIngest(
     std::uint64_t tenant, const Result<IngestBody>& decoded) {
   PPDM_RETURN_IF_ERROR(decoded.status());
-  const auto& [rows, cols, values] = decoded.value();
+  const auto& [tracked, rows, cols, columns, values] = decoded.value();
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
                         LookupTenant(tenant));
   const std::size_t width = session->spec().schema.NumFields();
-  if (static_cast<std::size_t>(cols) != width) {
+  // A tracked row may not be wider than the schema it was cut from.
+  if (tracked ? cols > width : cols != width) {
     return Status::InvalidArgument(
         StrFormat("ingest rows are %llu wide, tenant schema has %zu fields",
                   static_cast<unsigned long long>(cols), width));
+  }
+  if (tracked) {
+    // The spec of the very session this batch folds into: a tenant that
+    // another connection closed and reopened with other columns refuses
+    // rows cut for the old ones.
+    const std::vector<api::AttributeSpec>& attributes =
+        session->spec().attributes;
+    bool same = columns.size() == attributes.size();
+    for (std::size_t a = 0; same && a < columns.size(); ++a) {
+      same = columns[a] == attributes[a].column;
+    }
+    if (!same) {
+      return Status::FailedPrecondition(StrFormat(
+          "tracked columns differ from tenant %llu's spec (reopen it)",
+          static_cast<unsigned long long>(tenant)));
+    }
   }
   if (rows > 0) {
     const data::RowBatch batch(values.data(),
                                static_cast<std::size_t>(rows),
                                static_cast<std::size_t>(cols));
-    PPDM_RETURN_IF_ERROR(session->Ingest(batch));
+    PPDM_RETURN_IF_ERROR(tracked ? session->IngestTracked(batch)
+                                 : session->Ingest(batch));
   }
   store::Writer writer;
   writer.PutU64(session->record_count());

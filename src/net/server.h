@@ -33,7 +33,10 @@
 //   * A well-framed request whose body does not decode exactly — leftover
 //     bytes after an open spec or an ingest batch, or any body on
 //     reconstruct, snapshot or close — answers kInvalidArgument and
-//     changes nothing; the connection lives on.
+//     changes nothing; the connection lives on. An ingest_tracked batch
+//     whose column list is not the tenant's spec (say, after another
+//     connection closed and reopened it with other columns) answers
+//     kFailedPrecondition and folds nothing.
 //
 // Durability: with a checkpoint directory the registry gets a spill tier
 // (evictions demote instead of destroy) and graceful shutdown — Stop(),
@@ -242,7 +245,7 @@ class Server {
   obs::Counter* bytes_written_;
   obs::Counter* drain_checkpoints_metric_;
   obs::Histogram* request_seconds_;
-  obs::Counter* verb_requests_[7];  // indexed by verb, 0 = unknown
+  obs::Counter* verb_requests_[kLastVerb + 1];  // by verb, 0 = unknown
   obs::Counter* slow_requests_;
 
   std::thread loop_thread_;

@@ -175,6 +175,30 @@ void Writer::PutDoubleArray(const std::vector<double>& values) {
   AppendLeArray(values, &buf_);
 }
 
+void Writer::PutDoubleColumns(const double* values, std::size_t rows,
+                              std::size_t width,
+                              const std::vector<std::uint64_t>& columns) {
+  PutU64(rows * columns.size());
+  const std::size_t at = buf_.size();
+  buf_.resize(at + rows * columns.size() * sizeof(double));
+  char* out = buf_.data() + at;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = values + r * width;
+    for (const std::uint64_t column : columns) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &row[column], sizeof(bits));
+      if constexpr (kLittleEndianHost) {
+        std::memcpy(out, &bits, sizeof(bits));
+      } else {
+        for (int i = 0; i < 8; ++i) {
+          out[i] = static_cast<char>((bits >> (8 * i)) & 0xFFu);
+        }
+      }
+      out += sizeof(bits);
+    }
+  }
+}
+
 void Writer::BeginSection(std::uint32_t tag) {
   PPDM_CHECK_MSG(!in_section_, "sections may not nest");
   in_section_ = true;

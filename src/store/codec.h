@@ -61,6 +61,14 @@ class Writer {
   /// one at a time. The bytes are the same either way.
   void PutU64Array(const std::vector<std::uint64_t>& values);
   void PutDoubleArray(const std::vector<double>& values);
+  /// The PutDoubleArray bytes of a column projection, gathered straight
+  /// into the buffer: the count rows * columns.size(), then for each of
+  /// the `rows` rows of the row-major block `values` (`width` doubles a
+  /// row) its values at `columns`, in that order. Every index must be
+  /// below `width`.
+  void PutDoubleColumns(const double* values, std::size_t rows,
+                        std::size_t width,
+                        const std::vector<std::uint64_t>& columns);
 
   /// Grows the buffer so `bytes` more can be appended without
   /// reallocating (a caller that knows its final size pays one

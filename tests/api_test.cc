@@ -245,7 +245,8 @@ TEST(DatasetSessionTest, EmptySessionYieldsUniformPrior) {
 
 bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // Half the rows, a refresh, the other half (far more than 1/16 of the
@@ -684,6 +685,129 @@ TEST(DatasetSessionTest, RejectsWrongWidthBatch) {
   std::vector<double> rows(4, 30000.0);
   EXPECT_EQ(session.value()->Ingest(data::RowBatch(rows.data(), 2, 2)).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The rows of a row-major `width`-wide block cut down to `columns`.
+std::vector<double> Project(const std::vector<double>& rows,
+                            std::size_t width,
+                            const std::vector<std::size_t>& columns) {
+  std::vector<double> projected;
+  projected.reserve(rows.size() / width * columns.size());
+  for (std::size_t r = 0; r < rows.size() / width; ++r) {
+    for (const std::size_t c : columns) projected.push_back(rows[r * width + c]);
+  }
+  return projected;
+}
+
+bool SameState(const DatasetSessionState& a, const DatasetSessionState& b) {
+  if (a.rows != b.rows || a.batches != b.batches ||
+      a.fitted_rows != b.fitted_rows || a.stats.size() != b.stats.size() ||
+      a.last_masses.size() != b.last_masses.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.stats.size(); ++i) {
+    if (a.stats[i].counts() != b.stats[i].counts() ||
+        a.stats[i].record_count() != b.stats[i].record_count() ||
+        !SameBytes(a.last_masses[i], b.last_masses[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// IngestTracked of the tracked columns alone folds exactly what Ingest of
+// the schema-wide rows does, whatever the spec's column order and at every
+// thread count: the exported state and every refresh are byte-identical.
+// The first batch is over 16384 rows, so it spans two ingestion shards.
+TEST(DatasetSessionTest, IngestTrackedMatchesIngestAtEveryThreadCount) {
+  const StreamFixture fx(20000);
+  DatasetSessionSpec spec = BenchmarkDatasetSpec(0);
+  for (const std::size_t column : {4, 0, 7}) {
+    AttributeSpec attr;
+    attr.column = column;
+    attr.intervals = 16;
+    attr.noise = perturb::NoiseKind::kUniform;
+    attr.privacy_fraction = 1.0;
+    spec.attributes.push_back(attr);
+  }
+  const std::size_t width = fx.perturbed->NumCols();
+  const std::vector<double> rows = FlattenRows(*fx.perturbed);
+  const std::vector<double> tracked = Project(rows, width, {4, 0, 7});
+  const std::size_t num_rows = fx.perturbed->NumRows();
+  ASSERT_GT(num_rows, engine::kIngestShardRows);
+  const std::vector<std::size_t> batches = {17000, 1, 1500, num_rows - 18501};
+
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::optional<engine::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    engine::ThreadPool* p = threads > 0 ? &*pool : nullptr;
+    auto full = DatasetSession::Open(spec, p);
+    auto cut = DatasetSession::Open(spec, p);
+    ASSERT_TRUE(full.ok());
+    ASSERT_TRUE(cut.ok());
+    std::size_t offset = 0;
+    for (const std::size_t n : batches) {
+      ASSERT_TRUE(full.value()
+                      ->Ingest(data::RowBatch(rows.data() + offset * width, n,
+                                              width))
+                      .ok());
+      ASSERT_TRUE(cut.value()
+                      ->IngestTracked(data::RowBatch(
+                          tracked.data() + offset * 3, n, 3))
+                      .ok());
+      offset += n;
+      EXPECT_TRUE(SameState(full.value()->ExportState(),
+                            cut.value()->ExportState()));
+      auto a = full.value()->ReconstructAll();
+      auto b = cut.value()->ReconstructAll();
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      for (std::size_t i = 0; i < spec.attributes.size(); ++i) {
+        EXPECT_TRUE(ReconstructionsIdentical(a.value()[i], b.value()[i]));
+        EXPECT_TRUE(SameBytes(a.value()[i].masses, b.value()[i].masses));
+      }
+    }
+    EXPECT_EQ(cut.value()->record_count(), num_rows);
+    EXPECT_TRUE(
+        SameState(full.value()->ExportState(), cut.value()->ExportState()));
+  }
+}
+
+TEST(DatasetSessionTest, IngestTrackedRejectsNonFiniteAndWrongWidth) {
+  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
+  ASSERT_TRUE(session.ok());
+  // A NaN in the second shard of a two-shard batch rejects all of it.
+  const std::size_t num_rows = engine::kIngestShardRows + 10;
+  std::vector<double> rows(2 * num_rows, 30.0);
+  rows[2 * (num_rows - 1) + 1] = std::nan("");
+  EXPECT_EQ(session.value()
+                ->IngestTracked(data::RowBatch(rows.data(), num_rows, 2))
+                .code(),
+            StatusCode::kInvalidArgument);
+  rows[2 * (num_rows - 1) + 1] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(session.value()
+                ->IngestTracked(data::RowBatch(rows.data(), num_rows, 2))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.value()->record_count(), 0u);  // nothing folded
+  EXPECT_EQ(session.value()->batch_count(), 0u);
+  for (const engine::ShardStats& stats : session.value()->ExportState().stats) {
+    EXPECT_EQ(stats.record_count(), 0u);
+  }
+  // Tracked rows are num_attributes() wide, not schema-wide.
+  const std::size_t cols = session.value()->spec().schema.NumFields();
+  std::vector<double> wide(2 * cols, 30.0);
+  EXPECT_EQ(session.value()
+                ->IngestTracked(data::RowBatch(wide.data(), 2, cols))
+                .code(),
+            StatusCode::kInvalidArgument);
+  rows[2 * (num_rows - 1) + 1] = 30.0;
+  EXPECT_TRUE(session.value()
+                  ->IngestTracked(data::RowBatch(rows.data(), num_rows, 2))
+                  .ok());
+  EXPECT_EQ(session.value()->record_count(), num_rows);
 }
 
 TEST(DatasetSessionTest, ApproxMemoryBytesGrowsWithAttributes) {

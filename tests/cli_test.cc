@@ -2,6 +2,7 @@
 // end-to-end workflows over temp CSV files.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "data/csv.h"
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
+#include "obs/metrics.h"
 #include "store/session_codec.h"
 #include "store/snapshot_store.h"
 #include "synth/generator.h"
@@ -475,6 +477,29 @@ TEST_F(CliFixture, InProcessLoadgenStreamsAndReports) {
   EXPECT_NE(output.find("tv(truth)"), std::string::npos);
   EXPECT_NE(output.find("stream complete: 3000 records, 6 batches"),
             std::string::npos);
+}
+
+// Each worker connection opens its own tenants, so every batch travels as
+// an ingest_tracked frame carrying the tracked columns alone.
+TEST_F(CliFixture, InProcessLoadgenShipsOnlyTheTrackedColumns) {
+  const auto requests = [](const char* verb) {
+    return obs::MetricsRegistry::Global()
+        .GetCounter("ppdm_net_requests_total", {{"verb", verb}})
+        ->Value();
+  };
+  const std::uint64_t tracked_before = requests("ingest_tracked");
+  const std::uint64_t full_before = requests("ingest");
+  std::string output;
+  ASSERT_TRUE(Run({"loadgen", "--tenants=3", "--connections=2",
+                   "--records=2000", "--batch-records=500", "--attrs=2"},
+                  &output)
+                  .ok())
+      << output;
+  EXPECT_NE(output.find("stream complete: 6000 records, 12 batches"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(requests("ingest_tracked") - tracked_before, 12u);
+  EXPECT_EQ(requests("ingest") - full_before, 0u);
 }
 
 TEST_F(CliFixture, InProcessLoadgenMultiAttributeReportsRegistry) {

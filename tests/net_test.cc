@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +108,34 @@ std::vector<double> PerturbedRows(std::size_t num_records,
     }
   }
   return rows;
+}
+
+/// A full-row ingest body: [u64 rows][u64 cols][double array].
+std::string FullIngestBody(std::uint64_t rows, std::uint64_t cols,
+                           const std::vector<double>& values) {
+  store::Writer writer;
+  writer.PutU64(rows);
+  writer.PutU64(cols);
+  writer.PutDoubleArray(values);
+  return writer.Take();
+}
+
+/// An ingest_tracked body: [u64 rows][u64 array columns][double array].
+std::string TrackedIngestBody(std::uint64_t rows,
+                              const std::vector<std::uint64_t>& columns,
+                              const std::vector<double>& values) {
+  store::Writer writer;
+  writer.PutU64(rows);
+  writer.PutU64Array(columns);
+  writer.PutDoubleArray(values);
+  return writer.Take();
+}
+
+/// A raw Call's payload, or its transport or envelope error.
+Result<std::string> AckPayload(Result<ResponseBody> response) {
+  PPDM_RETURN_IF_ERROR(response.status());
+  PPDM_RETURN_IF_ERROR(response.value().status);
+  return std::move(response.value().payload);
 }
 
 ServerOptions LoopbackOptions(std::size_t threads = 0) {
@@ -320,6 +351,17 @@ std::string GoldenIngestBody() {
   return writer.Take();
 }
 
+/// GoldenIngestBody's rows as an ingest_tracked body over columns 0 and 4.
+std::string GoldenTrackedBody() {
+  std::vector<double> values;
+  for (int i = 0; i < 18; ++i) values.push_back(1000.0 * i - 0.375 * i * i);
+  store::Writer writer;
+  writer.PutU64(2);
+  writer.PutU64Array({0, 4});
+  writer.PutDoubleColumns(values.data(), 2, 9, {0, 4});
+  return writer.Take();
+}
+
 // Wire-format pins of the version-3 frame, cross-checked against an
 // independent little-endian pack and zlib's CRC-32. A failure here means
 // the frame bytes changed: that needs a kProtocolVersion bump, not a new
@@ -339,6 +381,12 @@ TEST(FrameTest, IngestAndResponseFrameBytesArePinned) {
       EncodeResponseBody(Status::InvalidArgument("ingest shape 2x9"), body));
   EXPECT_EQ(response.size(), 248u);
   EXPECT_EQ(store::Crc32(response), 0xECB93105u);
+  // The same 2 rows cut down to columns 0 and 4, as Client::Ingest sends
+  // them for a tenant tracking those columns.
+  const std::string tracked = EncodeFrame(Verb::kIngestTracked, 42, 7, 1500,
+                                          GoldenTrackedBody());
+  EXPECT_EQ(tracked.size(), 124u);
+  EXPECT_EQ(store::Crc32(tracked), 0x86F490ADu);
 }
 
 // ------------------------------------------------------------ rate limiter
@@ -426,35 +474,50 @@ TEST(ServerTest, LoopbackIsByteIdenticalToDirectSessionAtEveryThreadCount) {
     Result<Client> client = Client::Connect("127.0.0.1",
                                             server.value()->port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
-    Result<OpenResult> opened = client.value().Open(/*tenant=*/1, spec);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_FALSE(opened.value().resumed);
-
-    std::uint64_t record_count = 0;
-    for (std::size_t r = 0; r < num_rows; r += batch_rows) {
-      const std::size_t n = std::min(batch_rows, num_rows - r);
-      const std::vector<double> batch(rows.begin() + r * num_cols,
-                                      rows.begin() + (r + n) * num_cols);
-      Result<std::uint64_t> count = client.value().Ingest(1, n, num_cols,
-                                                          batch);
-      ASSERT_TRUE(count.ok()) << count.status().ToString();
-      record_count = count.value();
+    // Tenant 1 gets full rows through a raw ingest frame, tenant 2 the
+    // tracked columns alone through Client::Ingest.
+    for (const std::uint64_t tenant : {1, 2}) {
+      Result<OpenResult> opened = client.value().Open(tenant, spec);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_FALSE(opened.value().resumed);
     }
-    EXPECT_EQ(record_count, num_rows);
 
-    Result<std::vector<AttributeEstimate>> estimates =
-        client.value().Reconstruct(1);
-    ASSERT_TRUE(estimates.ok()) << estimates.status().ToString();
-    ASSERT_EQ(estimates.value().size(), expected.value().size());
-    for (std::size_t a = 0; a < estimates.value().size(); ++a) {
-      // Byte-identical doubles: the daemon ran exactly the same
-      // computation the direct session did.
-      EXPECT_EQ(estimates.value()[a].masses, expected.value()[a].masses)
-          << "attribute " << a;
-      EXPECT_EQ(estimates.value()[a].iterations,
-                expected.value()[a].iterations);
-      EXPECT_EQ(estimates.value()[a].sample_count,
-                expected.value()[a].sample_count);
+    for (const std::uint64_t tenant : {1, 2}) {
+      SCOPED_TRACE(tenant == 1 ? "full rows" : "tracked columns");
+      std::uint64_t record_count = 0;
+      for (std::size_t r = 0; r < num_rows; r += batch_rows) {
+        const std::size_t n = std::min(batch_rows, num_rows - r);
+        const std::vector<double> batch(rows.begin() + r * num_cols,
+                                        rows.begin() + (r + n) * num_cols);
+        if (tenant == 1) {
+          Result<std::string> count = AckPayload(client.value().Call(
+              Verb::kIngest, tenant, 0, FullIngestBody(n, num_cols, batch)));
+          ASSERT_TRUE(count.ok()) << count.status().ToString();
+          store::Reader reader(count.value());
+          record_count = reader.ReadU64().value();
+        } else {
+          Result<std::uint64_t> count =
+              client.value().Ingest(tenant, n, num_cols, batch);
+          ASSERT_TRUE(count.ok()) << count.status().ToString();
+          record_count = count.value();
+        }
+      }
+      EXPECT_EQ(record_count, num_rows);
+
+      Result<std::vector<AttributeEstimate>> estimates =
+          client.value().Reconstruct(tenant);
+      ASSERT_TRUE(estimates.ok()) << estimates.status().ToString();
+      ASSERT_EQ(estimates.value().size(), expected.value().size());
+      for (std::size_t a = 0; a < estimates.value().size(); ++a) {
+        // Byte-identical doubles: the daemon ran exactly the same
+        // computation the direct session did.
+        EXPECT_EQ(estimates.value()[a].masses, expected.value()[a].masses)
+            << "attribute " << a;
+        EXPECT_EQ(estimates.value()[a].iterations,
+                  expected.value()[a].iterations);
+        EXPECT_EQ(estimates.value()[a].sample_count,
+                  expected.value()[a].sample_count);
+      }
     }
     ASSERT_TRUE(server.value()->Stop().ok());
   }
@@ -1209,6 +1272,279 @@ TEST(ServerTest, ReopenWithADifferentSpecIsRefused) {
   ASSERT_TRUE(client.ok());
   expect_only_spec_reopens(client.value());
   ASSERT_TRUE(restarted.value()->Stop().ok());
+}
+
+
+/// The value of one series (`name{labels}`) in a metrics exposition, or
+/// -1 when the exposition lacks it.
+double SeriesValue(const std::string& exposition, const std::string& series) {
+  const std::string prefix = "\n" + series + " ";
+  const std::size_t at = ("\n" + exposition).find(prefix);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(exposition.substr(at + prefix.size() - 1));
+}
+
+// The tracked verb has its own request counter, and registering it does
+// not spill into its neighbours: ppdm_net_slow_requests_total stays put
+// when no request is slow.
+TEST(ServerTest, TrackedIngestsCountUnderTheirOwnVerb) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const std::string tracked_series =
+      "ppdm_net_requests_total{verb=\"ingest_tracked\"}";
+  const std::string full_series = "ppdm_net_requests_total{verb=\"ingest\"}";
+  const std::string slow_series = "ppdm_net_slow_requests_total";
+  Result<std::string> before = client.value().Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_GE(SeriesValue(before.value(), tracked_series), 0.0)
+      << before.value();
+
+  ASSERT_TRUE(client.value().Open(3, BenchmarkDatasetSpec(2)).ok());
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(40, &num_cols);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(client.value().Ingest(3, 40, num_cols, rows).ok());
+  }
+  // A width other than the schema's falls back to the full-row verb (and
+  // is refused there).
+  EXPECT_EQ(client.value().Ingest(3, 40, 2, rows).status().code(),
+            StatusCode::kInvalidArgument);
+
+  Result<std::string> after = client.value().Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(SeriesValue(after.value(), tracked_series) -
+                SeriesValue(before.value(), tracked_series),
+            5.0);
+  EXPECT_EQ(SeriesValue(after.value(), full_series) -
+                SeriesValue(before.value(), full_series),
+            1.0);
+  EXPECT_EQ(SeriesValue(after.value(), slow_series),
+            SeriesValue(before.value(), slow_series));
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// A tracked body must name exactly the tenant's tracked columns, in spec
+// order, for the very session it lands in; a malformed one is refused the
+// way a malformed full-row body is. Either way nothing is folded.
+TEST(ServerTest, TrackedIngestRefusesForeignColumnsAndMalformedBodies) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  Result<Client> client = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2)).ok());
+  const std::vector<double> two_rows = {20.0, 30.0, 40.0, 50.0};
+  const auto expect_code = [&](std::uint64_t tenant, std::string body,
+                               StatusCode want) {
+    Result<ResponseBody> response = client.value().Call(
+        Verb::kIngestTracked, tenant, 0, std::move(body));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status.code(), want)
+        << response.value().status.ToString();
+  };
+
+  // Column lists that are well formed but not the spec's.
+  for (const std::vector<std::uint64_t>& columns :
+       std::vector<std::vector<std::uint64_t>>{{1, 0}, {0, 2}, {0, 99}}) {
+    SCOPED_TRACE(columns[1]);
+    expect_code(1, TrackedIngestBody(2, columns, two_rows),
+                StatusCode::kFailedPrecondition);
+  }
+  expect_code(1, TrackedIngestBody(4, {0}, two_rows),
+              StatusCode::kFailedPrecondition);
+  expect_code(1, TrackedIngestBody(1, {0, 1, 2, 3}, two_rows),
+              StatusCode::kFailedPrecondition);
+  // Malformed: an empty list, a list wider than the 9-field schema, a
+  // shape mismatch, and trailing bytes.
+  expect_code(1, TrackedIngestBody(0, {}, {}), StatusCode::kInvalidArgument);
+  expect_code(1, TrackedIngestBody(2, {}, two_rows),
+              StatusCode::kInvalidArgument);
+  expect_code(1,
+              TrackedIngestBody(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {}),
+              StatusCode::kInvalidArgument);
+  expect_code(1, TrackedIngestBody(3, {0, 1}, two_rows),
+              StatusCode::kInvalidArgument);
+  expect_code(1, TrackedIngestBody(2, {0, 1}, {20.0, 30.0, 40.0}),
+              StatusCode::kInvalidArgument);
+  expect_code(1, TrackedIngestBody(2, {0, 1}, two_rows) + "x",
+              StatusCode::kInvalidArgument);
+  // A non-finite value rejects the batch.
+  expect_code(1, TrackedIngestBody(2, {0, 1}, {20.0, 30.0, 40.0, NAN}),
+              StatusCode::kInvalidArgument);
+  // An unopened tenant.
+  expect_code(2, TrackedIngestBody(2, {0, 1}, two_rows),
+              StatusCode::kNotFound);
+  Result<OpenResult> untouched = client.value().Open(1, BenchmarkDatasetSpec(2));
+  ASSERT_TRUE(untouched.ok());
+  EXPECT_EQ(untouched.value().record_count, 0u);
+
+  // Another connection closes tenant 5 and reopens it tracking other
+  // columns: this connection's rows were cut for the old spec and are
+  // refused, while the reopening connection ships the new columns.
+  api::DatasetSessionSpec other = BenchmarkDatasetSpec(0);
+  for (const std::size_t column : {3, 5}) {
+    api::AttributeSpec attr = BenchmarkDatasetSpec(1).attributes[0];
+    attr.column = column;
+    other.attributes.push_back(attr);
+  }
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(16, &num_cols);
+  ASSERT_TRUE(client.value().Open(5, BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(client.value().Ingest(5, 16, num_cols, rows).ok());
+  Result<Client> second = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second.value().CloseTenant(5).ok());
+  ASSERT_TRUE(second.value().Open(5, other).ok());
+  Result<std::uint64_t> stale = client.value().Ingest(5, 16, num_cols, rows);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition)
+      << stale.status().ToString();
+  Result<std::uint64_t> fresh = second.value().Ingest(5, 16, num_cols, rows);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value(), 16u);
+
+  // The reopened tenant folded exactly the new columns of those 16 rows.
+  Result<std::unique_ptr<api::DatasetSession>> direct =
+      api::DatasetSession::Open(other);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(
+      direct.value()->Ingest(data::RowBatch(rows.data(), 16, num_cols)).ok());
+  const auto expected = direct.value()->ReconstructAll();
+  ASSERT_TRUE(expected.ok());
+  Result<std::vector<AttributeEstimate>> served =
+      second.value().Reconstruct(5);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served.value().size(), 2u);
+  for (std::size_t a = 0; a < 2; ++a) {
+    EXPECT_EQ(served.value()[a].masses, expected.value()[a].masses);
+  }
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+/// What a daemon must do with an ingest_tracked body for a tenant that
+/// tracks `spec_columns`: nullopt to refuse it, or the rows it folds
+/// (possibly none). An independent reading of the wire format.
+std::optional<std::pair<std::uint64_t, std::vector<double>>> ExpectedFold(
+    const std::string& body, const std::vector<std::uint64_t>& spec_columns,
+    std::uint64_t schema_width) {
+  store::Reader reader(body);
+  const Result<std::uint64_t> rows = reader.ReadU64();
+  if (!rows.ok()) return std::nullopt;
+  const Result<std::vector<std::uint64_t>> columns = reader.ReadU64Array();
+  if (!columns.ok()) return std::nullopt;
+  const Result<std::vector<double>> values = reader.ReadDoubleArray();
+  if (!values.ok() || !reader.AtEnd()) return std::nullopt;
+  const std::uint64_t cols = columns.value().size();
+  const std::uint64_t size = values.value().size();
+  if (cols == 0 || cols > schema_width ||
+      (rows.value() == 0 ? size != 0
+                         : size / rows.value() != cols ||
+                               size % rows.value() != 0)) {
+    return std::nullopt;
+  }
+  if (columns.value() != spec_columns) return std::nullopt;
+  for (const double value : values.value()) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return std::make_pair(rows.value(), values.value());
+}
+
+// Seeded mutations of valid tracked-ingest bodies — byte overwrites in
+// every field, boundary counts, truncations, appended bytes — sent to a
+// live daemon. Each must answer an error and fold nothing, or fold
+// exactly the rows an independent reading of the body finds: the running
+// record count matches after every request, and the final estimates are
+// byte-identical to a direct session fed the accepted rows.
+TEST(ServerTest, SeededTrackedIngestMutationsAreStatusesOrExactFolds) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const std::vector<std::uint64_t> spec_columns = {0, 1};
+  ASSERT_TRUE(client.value().Open(1, spec).ok());
+  Result<std::unique_ptr<api::DatasetSession>> mirror =
+      api::DatasetSession::Open(spec);
+  ASSERT_TRUE(mirror.ok());
+
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(40, &num_cols);
+  std::vector<std::string> seeds;
+  for (const std::uint64_t n : {0, 1, 3, 40}) {
+    store::Writer writer;
+    writer.PutU64(n);
+    writer.PutU64Array(spec_columns);
+    writer.PutDoubleColumns(rows.data(), n, num_cols, spec_columns);
+    seeds.push_back(writer.Take());
+  }
+  std::mt19937_64 rng(0x7EACC0DEULL);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  std::uint64_t folded = 0;
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (int iteration = 0; iteration < 1500; ++iteration) {
+    std::string body = seeds[pick(seeds.size())];
+    switch (pick(4)) {
+      case 0:  // overwrite 1..3 bytes anywhere
+        for (std::uint64_t n = 1 + pick(3); n > 0; --n) {
+          body[pick(body.size())] = static_cast<char>(pick(256));
+        }
+        break;
+      case 1: {  // a boundary value in one of the three count words
+        const std::uint64_t counts[] = {0, 1, 2, 3, 9, 10, 80,
+                                        1ULL << 61, ~0ULL};
+        const std::size_t offsets[] = {0, 8, 8 + 8 + 8 * spec_columns.size()};
+        store::Writer word;
+        word.PutU64(counts[pick(9)]);
+        body.replace(offsets[pick(3)], 8, word.Take());
+        break;
+      }
+      case 2:  // truncation
+        body.resize(pick(body.size()));
+        break;
+      default:  // appended bytes
+        body.append(1 + pick(16), static_cast<char>(pick(256)));
+        break;
+    }
+    SCOPED_TRACE(iteration);
+    const auto expected = ExpectedFold(body, spec_columns, num_cols);
+    Result<ResponseBody> response =
+        client.value().Call(Verb::kIngestTracked, 1, 0, body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (!expected.has_value()) {
+      ++refused;
+      EXPECT_FALSE(response.value().status.ok());
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(response.value().status.ok())
+        << response.value().status.ToString();
+    const auto& [n, values] = *expected;
+    if (n > 0) {
+      ASSERT_TRUE(mirror.value()
+                      ->IngestTracked(data::RowBatch(
+                          values.data(), n, spec_columns.size()))
+                      .ok());
+    }
+    folded += n;
+    store::Reader ack(response.value().payload);
+    EXPECT_EQ(ack.ReadU64().value(), folded);
+  }
+  // The property must not hold vacuously either way.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(refused, 100u);
+  const auto want = mirror.value()->ReconstructAll();
+  ASSERT_TRUE(want.ok());
+  Result<std::vector<AttributeEstimate>> served = client.value().Reconstruct(1);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served.value().size(), want.value().size());
+  for (std::size_t a = 0; a < served.value().size(); ++a) {
+    EXPECT_EQ(served.value()[a].masses, want.value()[a].masses);
+    EXPECT_EQ(served.value()[a].sample_count, want.value()[a].sample_count);
+  }
+  ASSERT_TRUE(server.value()->Stop().ok());
 }
 
 }  // namespace

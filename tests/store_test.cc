@@ -243,6 +243,33 @@ TEST(CodecTest, BulkArraysWriteTheBytesOfElementPuts) {
   }
 }
 
+// A gathered column projection writes the bytes of PutDoubleArray over
+// the projected copy, whatever the column order, row count or offset.
+TEST(CodecTest, DoubleColumnsWriteTheBytesOfTheProjectedArray) {
+  constexpr std::size_t kWidth = 9;
+  const std::vector<std::vector<std::uint64_t>> layouts = {
+      {0}, {8}, {0, 1}, {4, 0, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 8}};
+  for (std::size_t rows : {0, 1, 3, 1024}) {
+    const std::vector<double> values = AwkwardDoubles(rows * kWidth, rows);
+    for (const std::vector<std::uint64_t>& columns : layouts) {
+      std::vector<double> projected;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (const std::uint64_t c : columns) {
+          projected.push_back(values[r * kWidth + c]);
+        }
+      }
+      Writer gathered;
+      gathered.PutU8(0x5A);
+      gathered.PutDoubleColumns(values.data(), rows, kWidth, columns);
+      Writer copied;
+      copied.PutU8(0x5A);
+      copied.PutDoubleArray(projected);
+      EXPECT_EQ(gathered.bytes(), copied.bytes())
+          << rows << " rows, " << columns.size() << " columns";
+    }
+  }
+}
+
 TEST(CodecTest, HostileArrayCountsAreStatusErrors) {
   for (std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 61,
                               ~std::uint64_t{0}}) {
