@@ -30,7 +30,7 @@
 // request.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
-// service jobs, and a SessionRegistry may evict (drop) the session while
+// request jobs, and a SessionRegistry may evict (drop) the session while
 // either is in flight — callers hold the session via shared_ptr, so an
 // evicted session simply finishes its in-flight calls and dies with the
 // last reference. Ingestion folds under the session lock; ReconstructAll

@@ -370,15 +370,15 @@ const char* UsageText() {
       "\n"
       "served is the real network daemon: it speaks the length-prefixed\n"
       "frame protocol (open/ingest/reconstruct/snapshot/close/stats) on\n"
-      "TCP, one poll() loop feeding an async worker service (--threads=0\n"
-      "serves synchronously). --max-pending sheds excess queued requests\n"
-      "with ResourceExhausted; --connection-window pauses reads on any\n"
-      "connection with that many requests in flight (backpressure);\n"
-      "--tenant-rate/--tenant-burst token-bucket each tenant's requests.\n"
-      "SIGTERM drains: in-flight requests finish, every open tenant is\n"
-      "checkpointed to --checkpoint-dir, and a restart with --resume\n"
-      "re-admits them. served --trace-out=FILE writes the span ring as\n"
-      "Chrome trace-event JSON at exit.\n"
+      "TCP, one poll() loop feeding a worker pool (--threads=0 serves\n"
+      "synchronously). --max-pending is the server-wide in-flight count\n"
+      "at which every connection's reads pause (TCP backpressure);\n"
+      "--connection-window pauses reads on any connection with that many\n"
+      "requests in flight; --tenant-rate/--tenant-burst token-bucket each\n"
+      "tenant's requests. SIGTERM drains: in-flight requests finish, every\n"
+      "open tenant is checkpointed to --checkpoint-dir, and a restart with\n"
+      "--resume re-admits them. served --trace-out=FILE writes the span\n"
+      "ring as Chrome trace-event JSON at exit.\n"
       "\n"
       "All CSV files use the benchmark schema (salary..loan, class).\n"
       "For train/reconstruct, --noise/--privacy must describe the noise\n"

@@ -29,7 +29,7 @@ struct EngineTraceDepth {
 // Pool telemetry (process-wide across pools: this build runs one serving
 // pool; a second pool's traffic aggregates into the same family).
 // Per-task cost is two relaxed atomic ops — tasks are coarse (one chunk
-// of a fan-out or one service job), so this never shows on a profile.
+// of a fan-out or one request job), so this never shows on a profile.
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& gauge =
       *obs::MetricsRegistry::Global().GetGauge("ppdm_engine_queue_depth");
@@ -103,7 +103,7 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // The span covers inline runs too (a service job's fan-out runs inline
+  // The span covers inline runs too (a request job's fan-out runs inline
   // on its worker — it still belongs in the request's tree); the fan-out
   // *histogram* below stays pool-path-only, as before.
   std::optional<obs::ScopedSpan> fan_out_span;

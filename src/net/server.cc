@@ -13,6 +13,9 @@
 #include <limits>
 #include <utility>
 
+#include "api/spec.h"
+#include "common/fault.h"
+#include "common/retry.h"
 #include "common/strings.h"
 #include "obs/trace.h"
 #include "store/codec.h"
@@ -46,6 +49,16 @@ constexpr int kDrainPollMs = 20;
 
 obs::Counter* NetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
+}
+
+obs::Histogram* LatencyHistogram(const char* name) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      name, obs::Histogram::LatencyBucketsSeconds());
+}
+
+fault::FaultPoint& EnqueueFault() {
+  static fault::FaultPoint& point = fault::Point("service.enqueue");
+  return point;
 }
 
 /// A connection's received, not yet parsed bytes. The loop reads straight
@@ -180,10 +193,13 @@ Server::Server(const ServerOptions& options)
       bytes_written_(NetCounter("ppdm_net_bytes_written_total")),
       drain_checkpoints_metric_(
           NetCounter("ppdm_net_drain_checkpoints_total")),
-      request_seconds_(obs::MetricsRegistry::Global().GetHistogram(
-          "ppdm_net_request_seconds",
-          obs::Histogram::LatencyBucketsSeconds())),
-      slow_requests_(NetCounter("ppdm_net_slow_requests_total")) {
+      request_seconds_(LatencyHistogram("ppdm_net_request_seconds")),
+      slow_requests_(NetCounter("ppdm_net_slow_requests_total")),
+      jobs_(NetCounter("ppdm_service_jobs_total")),
+      shed_jobs_(NetCounter("ppdm_service_shed_jobs_total")),
+      expired_jobs_(NetCounter("ppdm_service_expired_jobs_total")),
+      queue_wait_seconds_(LatencyHistogram("ppdm_service_queue_wait_seconds")),
+      run_seconds_(LatencyHistogram("ppdm_service_run_seconds")) {
   for (std::uint32_t v = 0; v <= kLastVerb; ++v) {
     verb_requests_[v] = obs::MetricsRegistry::Global().GetCounter(
         "ppdm_net_requests_total",
@@ -198,6 +214,11 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   if (options.connection_window == 0) {
     return Status::InvalidArgument("connection_window must be positive");
   }
+  PPDM_RETURN_IF_ERROR(api::ValidateThreads(options.num_threads));
+  // The constructor registers the shed and expired counters; the retry
+  // ones join them so a chaos run's exposition shows every resilience
+  // counter (as 0) even when nothing was shed or retried.
+  retry::internal::TouchMetrics();
   std::unique_ptr<Server> server(new Server(options));
   PPDM_RETURN_IF_ERROR(server->Init());
   return server;
@@ -211,14 +232,15 @@ Status Server::Init() {
     spill_.emplace(std::move(store));
   }
 
-  PPDM_ASSIGN_OR_RETURN(service_, api::Service::Create(options_.num_threads,
-                                                       options_.max_pending));
+  if (options_.num_threads > 0) {
+    pool_ = std::make_unique<engine::ThreadPool>(options_.num_threads);
+  }
 
   api::SessionRegistryOptions registry_options;
   registry_options.max_bytes = options_.registry_max_bytes;
   registry_options.spill = spill_.has_value() ? &*spill_ : nullptr;
   registry_ = std::make_unique<api::SessionRegistry>(registry_options,
-                                                     service_->pool());
+                                                     pool_.get());
 
   PPDM_ASSIGN_OR_RETURN(
       listener_, ListenTcp(options_.host, options_.port, /*backlog=*/128));
@@ -263,9 +285,12 @@ Status Server::Stop() {
   if (stopped_) return stop_status_;
   RequestStop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop exited with every dispatched request answered; Drain() closes
-  // admission and catches any straggler the loop could not wait for.
-  service_->Drain();
+  // The loop normally exits with every dispatched request answered; only
+  // a failed poll() leaves jobs running, and the loop was their only
+  // submitter, so waiting them out is enough.
+  while (global_in_flight_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop_status_ = CheckpointAll();
   stopped_ = true;
   return stop_status_;
@@ -518,13 +543,6 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  global_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (header.ttl_ms > 0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(header.ttl_ms);
-  }
   const std::string tenant_name = TenantName(header.tenant);
   obs::MetricsRegistry::Global()
       .GetCounter("ppdm_tenant_requests_total", {{"tenant", tenant_name}})
@@ -532,9 +550,23 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
   obs::MetricsRegistry::Global()
       .GetCounter("ppdm_tenant_bytes_total", {{"tenant", tenant_name}})
       ->Increment(body.size());
-  // The request's root span: opened here, closed in the completion
-  // callback (possibly on a worker). A nonzero client trace id wins
-  // so the caller can stitch our tree into its own; otherwise mint one.
+  jobs_->Increment();
+  if (Status refused = EnqueueFault().Fire(); !refused.ok()) {
+    shed_jobs_->Increment();
+    EnqueueResponse(conn, header, refused, "");
+    return;
+  }
+
+  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
+  global_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  if (header.ttl_ms > 0) {
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(header.ttl_ms);
+  }
+  // The request's root span: opened here, closed when the job answers
+  // (possibly on a worker). A nonzero client trace id wins so the caller
+  // can stitch our tree into its own; otherwise mint one.
   const std::uint64_t trace_id =
       header.trace_id != 0 ? header.trace_id : obs::NewTraceId();
   obs::PendingSpan request_span = obs::BeginSpan(
@@ -542,31 +574,45 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
       obs::RenderLabelSet(
           {{"tenant", tenant_name}, {"verb", VerbName(header.verb)}}));
   const auto started = std::chrono::steady_clock::now();
-  // Installed for the duration of Submit: the service captures it with
-  // the job, so the queue/run spans (and everything under the handler)
-  // become children of the request span, whichever worker runs them.
-  obs::ScopedTraceContext request_ctx(
-      obs::TraceContext{trace_id, request_span.span_id});
   // The body leaves the input buffer here, in the one copy the job owns:
   // an ingest is decoded straight into the doubles its RowBatch views,
   // every other verb keeps its bytes.
-  api::Service::Job job;
+  std::function<Result<std::string>()> handler;
   const auto verb = static_cast<Verb>(header.verb);
   if (verb == Verb::kIngest || verb == Verb::kIngestTracked) {
-    job = [this, tenant = header.tenant,
-           ingest = DecodeIngestBody(body, verb == Verb::kIngestTracked)] {
+    handler = [this, tenant = header.tenant,
+               ingest = DecodeIngestBody(body, verb == Verb::kIngestTracked)] {
       return HandleIngest(tenant, ingest);
     };
   } else {
-    job = [this, header, body = std::string(body)] {
+    handler = [this, header, body = std::string(body)] {
       return HandleVerb(header, body);
     };
   }
-  service_->Submit(std::move(job), deadline,
-                   [this, conn, header, started, tenant_name, trace_id,
-                    request_span](const Result<std::string>& result) mutable {
-    // Shed / expired / handler errors all arrive here as the result's
-    // Status and travel back inside the response envelope.
+  const auto queued = std::chrono::steady_clock::now();
+  // The job captures `this`; safe because the pool is destroyed (joining
+  // every queued job) before the members a job touches.
+  auto job = [this, conn, header, handler = std::move(handler), deadline,
+              started, queued, tenant_name, trace_id,
+              request_span]() mutable {
+    // The queue and run spans (and everything under the handler) are
+    // children of the request span, whichever thread runs the job.
+    obs::ScopedTraceContext adopt(
+        obs::TraceContext{trace_id, request_span.span_id});
+    obs::RecordSpan("service.queue", queued, std::chrono::steady_clock::now(),
+                    queue_wait_seconds_);
+    const Result<std::string> result = [&]() -> Result<std::string> {
+      if (deadline.has_value() &&
+          std::chrono::steady_clock::now() >= *deadline) {
+        expired_jobs_->Increment();
+        return Status::DeadlineExceeded("job deadline passed before it ran");
+      }
+      // The run span closes before the request span, so a slow-request
+      // tree rendered below includes it.
+      obs::ScopedSpan run_span("service.run", run_seconds_);
+      return handler();
+    }();
+    // Expired and handler errors travel back as the envelope's Status.
     obs::EndSpan(&request_span);
     if (obs::TimingEnabled()) {
       const double seconds =
@@ -598,7 +644,12 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
     conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
     global_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     Wake();
-  });
+  };
+  if (pool_ == nullptr) {
+    job();
+  } else {
+    pool_->Submit(std::move(job));
+  }
 }
 
 std::string Server::LastSlowRequestTree() const {

@@ -1,5 +1,5 @@
 // The multi-tenant network serving daemon (`ppdm served`): a TCP
-// listener + poll() event loop feeding the api::Service worker pool, with
+// listener + poll() event loop feeding an engine worker pool, with
 // the whole engine→session→registry→store→obs→resilience stack behind a
 // socket for the first time.
 //
@@ -7,26 +7,25 @@
 //   * One event-loop thread owns every socket: it accepts connections
 //     (bounded by max_connections), reads bytes into per-connection
 //     buffers, parses frames, and flushes per-connection write queues.
-//   * Request execution runs as api::Service jobs on the engine pool.
-//     Each job's completion callback enqueues the response on the
-//     connection's outbox and wakes the loop through a self-pipe.
-//     num_threads == 0 degenerates to a synchronous service (jobs run
-//     inline on the event loop) — same byte-exact behaviour, no
-//     concurrency.
+//   * Each request runs as one job on the server's engine pool. The job
+//     enqueues the response on the connection's outbox and wakes the
+//     loop through a self-pipe. num_threads == 0 runs every job inline
+//     on the event loop — same byte-exact behaviour, no concurrency.
+//     Inside a job, engine primitives run inline on that worker (the
+//     pool's no-nested-fan-out rule), so concurrency comes from many
+//     in-flight requests and a saturated pool always drains.
 //
 // Admission, backpressure, degradation (mapping straight onto the PR 7
 // primitives):
 //   * Per-tenant token-bucket rate limiting: an empty bucket is a
 //     protocol-level kResourceExhausted response, no work queued.
-//   * max_pending sheds excess jobs at the service's admission gate —
-//     the shed Status travels back as the response envelope, the
-//     connection lives on.
-//   * A frame's ttl_ms becomes the job's deadline: expired requests
-//     answer kDeadlineExceeded without running.
+//   * A frame's ttl_ms becomes the job's deadline: a request still
+//     queued at it answers kDeadlineExceeded without running.
 //   * Backpressure: the loop stops *reading* a connection (and stops
 //     parsing its buffered frames) while its in-flight requests reach the
 //     connection window, or the server-wide in-flight total reaches
 //     max_pending — TCP flow control then pushes back on the client.
+//     Load only pauses reads; it never sheds a request.
 //   * Every malformed frame (bad magic, future version, oversized body,
 //     CRC mismatch) gets an error response and a connection close after
 //     flush; the process keeps serving other connections.
@@ -60,8 +59,8 @@
 #include <vector>
 
 #include "api/registry.h"
-#include "api/service.h"
 #include "common/status.h"
+#include "engine/thread_pool.h"
 #include "net/frame.h"
 #include "net/rate_limiter.h"
 #include "net/socket.h"
@@ -81,12 +80,11 @@ struct ServerOptions {
   /// 0 picks an ephemeral port; read it back with Server::port().
   int port = 0;
 
-  /// Worker pool size (api::Service); 0 runs requests inline on the
-  /// event loop.
+  /// Worker pool size; 0 runs requests inline on the event loop.
   std::size_t num_threads = 0;
 
-  /// Admitted-but-unstarted job bound (service shedding) and the
-  /// server-wide read-pause high-water mark; 0 = unbounded.
+  /// The server-wide in-flight count at which every connection's reads
+  /// pause (TCP backpressure); 0 = unbounded.
   std::size_t max_pending = 0;
   /// Concurrent connection cap; the listener stops accepting at the cap
   /// (further connects queue in the TCP backlog).
@@ -187,7 +185,7 @@ class Server {
                        const FrameHeader& request, const Status& status,
                        std::string_view payload);
 
-  /// Verb handlers — run inside service jobs (any worker). Each returns
+  /// Verb handlers — run inside request jobs (any worker). Each returns
   /// the response payload; errors become the response envelope's Status.
   Result<std::string> HandleVerb(const FrameHeader& header,
                                  const std::string& body);
@@ -247,12 +245,20 @@ class Server {
   obs::Histogram* request_seconds_;
   obs::Counter* verb_requests_[kLastVerb + 1];  // by verb, 0 = unknown
   obs::Counter* slow_requests_;
+  // Job telemetry: the queue-wait-vs-run split tells an operator whether
+  // latency is load (wait) or work (run); shed and expired jobs answered
+  // without running.
+  obs::Counter* jobs_;
+  obs::Counter* shed_jobs_;
+  obs::Counter* expired_jobs_;
+  obs::Histogram* queue_wait_seconds_;
+  obs::Histogram* run_seconds_;
 
   std::thread loop_thread_;
 
-  // Declared last so its destructor (which drains every in-flight job,
-  // whose completion callbacks touch the members above) runs first.
-  std::unique_ptr<api::Service> service_;
+  // Declared last so its destructor (which drains every queued job, and
+  // jobs touch the members above) runs first. Null with num_threads == 0.
+  std::unique_ptr<engine::ThreadPool> pool_;
 };
 
 /// The registry/store name of a tenant id ("t42").

@@ -9,8 +9,8 @@
 // Causality propagates through a thread_local TraceContext: a scope that
 // opens a span installs itself as the current context, so spans opened
 // beneath it (same thread) become children automatically. Work that hops
-// threads — a service job crossing the queue, ParallelFor shards —
-// captures TraceContext::Current() at the submission site and adopts it
+// threads — a daemon request job crossing the pool queue, ParallelFor
+// shards — carries a TraceContext from the submission site and adopts it
 // on the worker via ScopedTraceContext, stitching the tree back together.
 //
 // Spans are call-granularity (one per request, ingest batch, refresh,

@@ -3,20 +3,16 @@
 // streaming ingest equivalence (a DatasetSession fed 1 batch == many
 // batches == per-column batch Fit, byte for byte, at every thread
 // count), memoized refits (a refresh serves Fit over the first
-// `fitted_rows` rows, whatever the refresh cadence), and the async job
-// service (N concurrent submissions return exactly the sequential
-// results).
+// `fitted_rows` rows, whatever the refresh cadence), and the tenant
+// registry.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -27,7 +23,6 @@
 
 #include "api/dataset_session.h"
 #include "api/registry.h"
-#include "api/service.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "engine/shard_stats.h"
@@ -984,299 +979,6 @@ TEST(SessionRegistryTest, EvictionRacingIngestAndReconstructIsSafe) {
   worker.join();
   EXPECT_EQ(worker_failures.load(), 0);
   EXPECT_GT(registry.GetStats().evictions, 0u);
-}
-
-// ---------------------------------------------------------------- service
-
-// Test-side stand-in for a Submit caller's completion handling: records
-// the Result `done` delivers and how many times it was called, so each
-// case can check the exactly-once contract.
-class DoneLatch {
- public:
-  Service::Done Callback() {
-    return [this](const Result<std::string>& result) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++calls_;
-      result_.emplace(result);
-      cv_.notify_all();
-    };
-  }
-
-  /// True once `done` has been called. Never blocks.
-  bool fired() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return calls_ > 0;
-  }
-
-  /// Blocks until `done` has been called and returns what it delivered.
-  Result<std::string> Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return calls_ > 0; });
-    return *result_;
-  }
-
-  int calls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return calls_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int calls_ = 0;
-  std::optional<Result<std::string>> result_;
-};
-
-Service::Job Returning(std::string value) {
-  return [value = std::move(value)] { return Result<std::string>(value); };
-}
-
-TEST(ServiceTest, CreateRejectsInvalidEngineOptions) {
-  const auto service = Service::Create(1u << 20, /*max_pending=*/0);
-  EXPECT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ServiceTest, SynchronousServiceCompletesInline) {
-  auto service = Service::Create(0, 0);
-  ASSERT_TRUE(service.ok());
-  EXPECT_EQ(service.value()->pool(), nullptr);
-  DoneLatch done;
-  service.value()->Submit(Returning("42"), std::nullopt, done.Callback());
-  EXPECT_TRUE(done.fired());  // before Submit returned
-  ASSERT_TRUE(done.Wait().ok());
-  EXPECT_EQ(done.Wait().value(), "42");
-  EXPECT_EQ(done.calls(), 1);
-}
-
-TEST(ServiceTest, ErrorsTravelThroughResult) {
-  auto service = Service::Create(2, 0);
-  ASSERT_TRUE(service.ok());
-  DoneLatch done;
-  service.value()->Submit(
-      []() -> Result<std::string> {
-        return Status::FailedPrecondition("model not loaded");
-      },
-      std::nullopt, done.Callback());
-  const Result<std::string> result = done.Wait();
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-// The acceptance property: N concurrent reconstruction jobs return results
-// identical to running the same jobs sequentially.
-TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
-  const StreamFixture fx;
-  auto service = Service::Create(4, 0);
-  ASSERT_TRUE(service.ok());
-
-  const std::vector<std::size_t> columns{
-      synth::kSalary, synth::kCommission, synth::kAge, synth::kHvalue,
-      synth::kSalary, synth::kAge};
-  const auto fit = [&fx](std::size_t col) {
-    const data::FieldSpec& field = fx.original->schema().Field(col);
-    const reconstruct::Partition partition(field.lo, field.hi, 20);
-    const reconstruct::BayesReconstructor reconstructor(
-        fx.randomizer->ModelFor(col), {});
-    return reconstructor.Fit(fx.perturbed->Column(col), partition);
-  };
-
-  // Sequential reference.
-  std::vector<reconstruct::Reconstruction> sequential;
-  for (std::size_t col : columns) sequential.push_back(fit(col));
-
-  // Concurrent submission of the same jobs; each writes its own slot.
-  std::vector<reconstruct::Reconstruction> concurrent(columns.size());
-  std::vector<DoneLatch> done(columns.size());
-  for (std::size_t j = 0; j < columns.size(); ++j) {
-    service.value()->Submit(
-        [&fit, &concurrent, &columns, j]() -> Result<std::string> {
-          concurrent[j] = fit(columns[j]);
-          return std::string();
-        },
-        std::nullopt, done[j].Callback());
-  }
-  service.value()->Drain();
-  for (std::size_t j = 0; j < columns.size(); ++j) {
-    ASSERT_TRUE(done[j].Wait().ok()) << "job " << j;
-    EXPECT_EQ(done[j].calls(), 1) << "job " << j;
-    EXPECT_TRUE(ReconstructionsIdentical(sequential[j], concurrent[j]))
-        << "job " << j;
-  }
-}
-
-TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
-  // A miniature server loop: ingest jobs and a final reconstruct job all
-  // flow through Submit; the estimate matches the batch fit bit for bit.
-  const StreamFixture fx;
-  auto service = Service::Create(4, 0);
-  ASSERT_TRUE(service.ok());
-
-  auto opened = DatasetSession::Open(fx.SalarySpec(), service.value()->pool());
-  ASSERT_TRUE(opened.ok());
-  DatasetSession* session = opened.value().get();
-  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-
-  constexpr std::size_t kBatch = 700;
-  std::vector<DoneLatch> ingests((column.size() + kBatch - 1) / kBatch);
-  for (std::size_t offset = 0; offset < column.size(); offset += kBatch) {
-    const std::size_t take = std::min(kBatch, column.size() - offset);
-    service.value()->Submit(
-        [session, &column, offset, take]() -> Result<std::string> {
-          PPDM_RETURN_IF_ERROR(
-              IngestColumn(session, column.data() + offset, take));
-          return std::string();
-        },
-        std::nullopt, ingests[offset / kBatch].Callback());
-  }
-  for (DoneLatch& ingest : ingests) ASSERT_TRUE(ingest.Wait().ok());
-  EXPECT_EQ(session->record_count(), column.size());
-
-  reconstruct::Reconstruction streamed;
-  DoneLatch fit;
-  service.value()->Submit(
-      [session, &streamed]() -> Result<std::string> {
-        PPDM_ASSIGN_OR_RETURN(streamed, ReconstructOne(session));
-        return std::string();
-      },
-      std::nullopt, fit.Callback());
-  ASSERT_TRUE(fit.Wait().ok());
-  EXPECT_TRUE(ReconstructionsIdentical(fx.SalaryBatchFit(), streamed));
-}
-
-// ------------------------------------------- service admission control
-
-TEST(ServiceTest, BoundedQueueShedsWithResourceExhausted) {
-  auto service = Service::Create(2, /*max_pending=*/1);
-  ASSERT_TRUE(service.ok());
-
-  // Park both workers so admitted jobs stay pending, then fill the
-  // one-slot queue. Wait for each blocker to start before submitting
-  // the next: an unstarted blocker still occupies the queue slot and
-  // would (correctly) shed its sibling.
-  std::atomic<bool> release{false};
-  std::atomic<int> started{0};
-  std::vector<DoneLatch> blockers(2);
-  for (int i = 0; i < 2; ++i) {
-    service.value()->Submit(
-        [&release, &started]() -> Result<std::string> {
-          ++started;
-          while (!release.load()) std::this_thread::yield();
-          return std::string("1");
-        },
-        std::nullopt, blockers[i].Callback());
-    while (started.load() < i + 1) std::this_thread::yield();
-  }
-  DoneLatch queued;
-  service.value()->Submit(Returning("2"), std::nullopt, queued.Callback());
-
-  // The queue is full: the next submission must shed, not block or grow.
-  bool ran = false;
-  DoneLatch shed;
-  service.value()->Submit(
-      [&ran]() -> Result<std::string> {
-        ran = true;
-        return std::string("3");
-      },
-      std::nullopt, shed.Callback());
-  EXPECT_TRUE(shed.fired());  // completed inline, without running
-  EXPECT_EQ(shed.Wait().status().code(), StatusCode::kResourceExhausted);
-
-  release = true;
-  service.value()->Drain();  // every `done` has returned
-  for (DoneLatch& blocker : blockers) {
-    EXPECT_TRUE(blocker.Wait().ok());
-    EXPECT_EQ(blocker.calls(), 1);
-  }
-  ASSERT_TRUE(queued.Wait().ok());
-  EXPECT_EQ(queued.Wait().value(), "2");
-  EXPECT_EQ(queued.calls(), 1);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(shed.calls(), 1);
-}
-
-TEST(ServiceTest, ExpiredDeadlineCompletesWithoutRunning) {
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    auto service = Service::Create(threads, 0);
-    ASSERT_TRUE(service.ok());
-    bool ran = false;
-    DoneLatch expired;
-    service.value()->Submit(
-        [&ran]() -> Result<std::string> {
-          ran = true;
-          return std::string("1");
-        },
-        std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
-        expired.Callback());
-    EXPECT_EQ(expired.Wait().status().code(), StatusCode::kDeadlineExceeded);
-
-    // A live deadline lets the job through.
-    DoneLatch fine;
-    service.value()->Submit(
-        Returning("4"),
-        std::chrono::steady_clock::now() + std::chrono::seconds(60),
-        fine.Callback());
-    ASSERT_TRUE(fine.Wait().ok());
-    EXPECT_EQ(fine.Wait().value(), "4");
-
-    service.value()->Drain();  // every `done` has returned
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(expired.calls(), 1);
-    EXPECT_EQ(fine.calls(), 1);
-  }
-}
-
-TEST(ServiceTest, DrainRefusesNewJobsWithUnavailable) {
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    auto service = Service::Create(threads, 0);
-    ASSERT_TRUE(service.ok());
-    DoneLatch before;
-    service.value()->Submit(Returning("1"), std::nullopt, before.Callback());
-    ASSERT_TRUE(before.Wait().ok());
-
-    // Drain returns only once every in-flight job has completed; after
-    // it, new submissions shed inline with a retryable code.
-    service.value()->Drain();
-    bool ran = false;
-    DoneLatch refused;
-    service.value()->Submit(
-        [&ran]() -> Result<std::string> {
-          ran = true;
-          return std::string("2");
-        },
-        std::nullopt, refused.Callback());
-    EXPECT_TRUE(refused.fired());
-    EXPECT_EQ(refused.Wait().status().code(), StatusCode::kUnavailable);
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(before.calls(), 1);
-    EXPECT_EQ(refused.calls(), 1);
-  }
-}
-
-TEST(ServiceTest, DrainWaitsForInFlightJobs) {
-  auto service = Service::Create(2, 0);
-  ASSERT_TRUE(service.ok());
-  std::atomic<bool> release{false};
-  std::atomic<bool> finished{false};
-  DoneLatch done;
-  service.value()->Submit(
-      [&release, &finished]() -> Result<std::string> {
-        while (!release.load()) std::this_thread::yield();
-        finished = true;
-        return std::string("1");
-      },
-      std::nullopt, done.Callback());
-  std::thread releaser([&release] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    release = true;
-  });
-  service.value()->Drain();  // must not return before the job completes
-  EXPECT_TRUE(finished.load());
-  EXPECT_EQ(done.calls(), 1);  // `done` returned before Drain did
-  releaser.join();
-  EXPECT_TRUE(done.Wait().ok());
 }
 
 // ------------------------------------------------------------- experiment

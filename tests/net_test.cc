@@ -10,6 +10,7 @@
 // tenant's state exactly.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -724,14 +726,37 @@ TEST(ServerTest, ShedAndInjectedStoreFaultsAreProtocolErrorsNotCrashes) {
   const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
   ASSERT_TRUE(client.value().Open(1, spec).ok());
 
-  // Admission-control shedding: the service.enqueue fault point is the
-  // same code path max_pending takes; the shed Status travels back in
-  // the envelope and the connection keeps serving.
+  // Dispatch's service.enqueue fault point refuses a request before it
+  // runs; the injected Status travels back in the envelope and the
+  // connection keeps serving.
+  obs::Counter* shed_jobs = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_service_shed_jobs_total");
+  const std::uint64_t shed_before = shed_jobs->Value();
   ASSERT_TRUE(fault::ArmFromSpec("service.enqueue=once").ok());
   Result<std::vector<AttributeEstimate>> shed = client.value().Reconstruct(1);
   ASSERT_FALSE(shed.ok());
   Result<std::vector<AttributeEstimate>> after = client.value().Reconstruct(1);
   EXPECT_TRUE(after.ok()) << after.status().ToString();
+
+  // Armed at p=1, every request is refused and nothing folds; once
+  // disarmed, the next request runs.
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(4, &num_cols);
+  const std::string ingest = FullIngestBody(4, num_cols, rows);
+  ASSERT_TRUE(fault::ArmFromSpec("service.enqueue=prob:1").ok());
+  for (int i = 0; i < 8; ++i) {
+    Result<ResponseBody> refused =
+        client.value().Call(Verb::kIngest, 1, 0, ingest);
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused.value().status.code(), StatusCode::kUnavailable) << i;
+  }
+  EXPECT_EQ(shed_jobs->Value() - shed_before, 9u);
+  ASSERT_TRUE(fault::ArmFromSpec("service.enqueue=off").ok());
+  Result<std::string> folded =
+      AckPayload(client.value().Call(Verb::kIngest, 1, 0, ingest));
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  store::Reader reader(folded.value());
+  EXPECT_EQ(reader.ReadU64().value(), 4u);  // none of the 8 refused folded
 
   // A permanently-failing store put: the snapshot verb reports the
   // injected fault, the daemon survives, and the next snapshot works.
@@ -741,6 +766,218 @@ TEST(ServerTest, ShedAndInjectedStoreFaultsAreProtocolErrorsNotCrashes) {
   Result<std::uint64_t> retry = client.value().Snapshot(1);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_GT(retry.value(), 0u);
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+/// Nine Gaussian attributes at 200 intervals: a tenant's first
+/// reconstruct under this spec keeps a worker busy for milliseconds.
+api::DatasetSessionSpec SlowFitSpec() {
+  api::DatasetSessionSpec spec = BenchmarkDatasetSpec(9, 200);
+  for (api::AttributeSpec& attr : spec.attributes) {
+    attr.noise = perturb::NoiseKind::kGaussian;
+  }
+  return spec;
+}
+
+TEST(ServerTest, StartRejectsAThreadCountPastTheEngineLimit) {
+  Result<std::unique_ptr<Server>> server =
+      Server::Start(LoopbackOptions(std::size_t{1} << 20));
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A frame's ttl_ms is its job's deadline. On a one-worker daemon, an
+// ingest pipelined behind a tenant's first 9-attribute Gaussian
+// reconstruct waits in the queue past a 1 ms ttl: it answers
+// kDeadlineExceeded without running, folds nothing, and the connection
+// keeps serving. A fast machine may finish the fit inside the ttl, so the
+// pair is retried on fresh tenants until one expires.
+TEST(ServerTest, RequestQueuedPastItsTtlAnswersDeadlineExceeded) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(1));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const api::DatasetSessionSpec spec = SlowFitSpec();
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(2000, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  const std::string one_row = FullIngestBody(
+      1, num_cols,
+      std::vector<double>(
+          rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(num_cols)));
+  obs::Counter* expired_jobs = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_service_expired_jobs_total");
+  const std::uint64_t expired_before = expired_jobs->Value();
+
+  bool expired = false;
+  for (std::uint64_t tenant = 1; tenant <= 20 && !expired; ++tenant) {
+    SCOPED_TRACE(tenant);
+    ASSERT_TRUE(client.value().Open(tenant, spec).ok());
+    Result<std::uint64_t> acked =
+        client.value().Ingest(tenant, num_rows, num_cols, rows);
+    ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+    // One write, so the loop parses the ingest while the worker fits.
+    ASSERT_TRUE(client.value()
+                    .SendRaw(EncodeFrame(Verb::kReconstruct, 1, tenant, 0, "") +
+                             EncodeFrame(Verb::kIngest, 2, tenant,
+                                         /*ttl_ms=*/1, one_row))
+                    .ok());
+    for (std::uint64_t request_id : {1u, 2u}) {
+      Result<Frame> response = client.value().ReadFrame();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response.value().header.request_id, request_id);
+      Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+      ASSERT_TRUE(envelope.ok());
+      const Status& status = envelope.value().status;
+      if (request_id == 1 || status.ok()) {
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+          << status.ToString();
+      expired = true;
+    }
+    if (!expired) continue;
+    EXPECT_GT(expired_jobs->Value(), expired_before);
+    // The expired ingest folded nothing: the tenant holds only its
+    // acknowledged rows, and the same connection serves the reopen.
+    Result<OpenResult> reopened = client.value().Open(tenant, spec);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value().record_count, acked.value());
+    // A live deadline lets the request through.
+    Result<std::uint64_t> live = client.value().Ingest(
+        tenant, num_rows, num_cols, rows, /*ttl_ms=*/60000);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    EXPECT_EQ(live.value(), acked.value() + num_rows);
+  }
+  EXPECT_TRUE(expired) << "no ttl_ms=1 ingest ever waited out its deadline";
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// Stop waits for every request the loop already dispatched before it
+// checkpoints: a fit and an ingest queued behind it on the one worker
+// both answer, and the capture holds the ingest.
+TEST(ServerTest, StopFinishesDispatchedRequestsBeforeCheckpointing) {
+  TempDir dir;
+  ServerOptions options = LoopbackOptions(1);
+  options.checkpoint_dir = dir.path;
+  Result<std::unique_ptr<Server>> server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const api::DatasetSessionSpec spec = SlowFitSpec();
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(2000, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  ASSERT_TRUE(client.value().Open(1, spec).ok());
+  ASSERT_TRUE(client.value().Ingest(1, num_rows, num_cols, rows).ok());
+
+  obs::Counter* jobs =
+      obs::MetricsRegistry::Global().GetCounter("ppdm_service_jobs_total");
+  const std::uint64_t jobs_before = jobs->Value();
+  const std::vector<double> one_row(
+      rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(num_cols));
+  ASSERT_TRUE(client.value()
+                  .SendRaw(EncodeFrame(Verb::kReconstruct, 1, 1, 0, "") +
+                           EncodeFrame(Verb::kIngest, 2, 1, 0,
+                                       FullIngestBody(1, num_cols, one_row)))
+                  .ok());
+  // Both frames are dispatched once the job count has moved by two.
+  while (jobs->Value() < jobs_before + 2) std::this_thread::yield();
+  ASSERT_TRUE(server.value()->Stop().ok());
+  EXPECT_EQ(server.value()->drained_checkpoints(), 1u);
+  for (std::uint64_t request_id : {1u, 2u}) {
+    Result<Frame> response = client.value().ReadFrame();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().header.request_id, request_id);
+    Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+    ASSERT_TRUE(envelope.ok());
+    EXPECT_TRUE(envelope.value().status.ok())
+        << envelope.value().status.ToString();
+  }
+
+  options.resume = true;
+  Result<std::unique_ptr<Server>> restarted = Server::Start(options);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  Result<Client> again =
+      Client::Connect("127.0.0.1", restarted.value()->port());
+  ASSERT_TRUE(again.ok());
+  Result<OpenResult> resumed = again.value().Open(1, spec);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().resumed);
+  EXPECT_EQ(resumed.value().record_count, num_rows + 1);
+  ASSERT_TRUE(restarted.value()->Stop().ok());
+}
+
+// max_pending is the server-wide in-flight count at which reads pause,
+// not a shedding gate: four clients pipelining ingests and reconstructs
+// into a two-worker daemon held to one in-flight request all get OK
+// answers, nothing is shed, and the loop pauses reads.
+TEST(ServerTest, MaxPendingPausesReadsAndShedsNothing) {
+  ServerOptions options = LoopbackOptions(2);
+  options.max_pending = 1;
+  Result<std::unique_ptr<Server>> server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  obs::Counter* shed_jobs = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_service_shed_jobs_total");
+  obs::Counter* read_pauses = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_net_read_pauses_total");
+  const std::uint64_t shed_before = shed_jobs->Value();
+  const std::uint64_t pauses_before = read_pauses->Value();
+
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(64, &num_cols);
+  const std::string ingest = FullIngestBody(64, num_cols, rows);
+  constexpr int kClients = 4;
+  constexpr std::uint64_t kRounds = 10;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (std::uint64_t tenant = 1; tenant <= kClients; ++tenant) {
+    clients.emplace_back([&, tenant] {
+      Result<Client> client = Client::Connect("127.0.0.1", port);
+      if (!client.ok() ||
+          !client.value().Open(tenant, BenchmarkDatasetSpec(2)).ok()) {
+        ++failures;
+        return;
+      }
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        // Three frames in one write: the loop meets the second while the
+        // first is still in flight.
+        const std::uint64_t id = 3 * round;
+        if (!client.value()
+                 .SendRaw(EncodeFrame(Verb::kIngest, id, tenant, 0, ingest) +
+                          EncodeFrame(Verb::kIngest, id + 1, tenant, 0,
+                                      ingest) +
+                          EncodeFrame(Verb::kReconstruct, id + 2, tenant, 0,
+                                      ""))
+                 .ok()) {
+          ++failures;
+          return;
+        }
+        for (std::uint64_t f = 0; f < 3; ++f) {
+          Result<Frame> response = client.value().ReadFrame();
+          if (!response.ok() || response.value().header.request_id != id + f) {
+            ++failures;
+            return;
+          }
+          Result<ResponseBody> envelope =
+              DecodeResponseBody(response.value().body);
+          if (!envelope.ok() || !envelope.value().status.ok()) ++failures;
+        }
+      }
+      Result<OpenResult> reopened =
+          client.value().Open(tenant, BenchmarkDatasetSpec(2));
+      if (!reopened.ok() ||
+          reopened.value().record_count != 2 * kRounds * 64) {
+        ++failures;
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(shed_jobs->Value(), shed_before);
+  EXPECT_GT(read_pauses->Value(), pauses_before);
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
@@ -788,106 +1025,133 @@ TEST(ServerTest, StatsVerbServesTheMetricsExposition) {
 }
 
 TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
-  TempDir dir;
-  ServerOptions options = LoopbackOptions(2);
-  options.checkpoint_dir = dir.path;
-  // Threshold low enough that every request trips the slow-request log.
-  options.slow_request_ms = 1e-6;
-  Result<std::unique_ptr<Server>> server = Server::Start(options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  Result<Client> client =
-      Client::Connect("127.0.0.1", server.value()->port());
-  ASSERT_TRUE(client.ok());
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    TempDir dir;
+    ServerOptions options = LoopbackOptions(threads);
+    options.checkpoint_dir = dir.path;
+    // Threshold low enough that every request trips the slow-request log.
+    options.slow_request_ms = 1e-6;
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    Result<Client> client =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(client.ok());
 
-  const std::uint64_t trace = obs::NewTraceId();
-  client.value().set_trace_id(trace);
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
-  ASSERT_TRUE(client.value().Open(1, spec).ok());
-  std::size_t num_cols = 0;
-  const std::vector<double> rows = PerturbedRows(150, &num_cols);
-  ASSERT_TRUE(client.value()
-                  .Ingest(1, rows.size() / num_cols, num_cols, rows)
-                  .ok());
-  ASSERT_TRUE(client.value().Reconstruct(1).ok());
-  ASSERT_TRUE(client.value().Snapshot(1).ok());
+    const std::uint64_t trace = obs::NewTraceId();
+    client.value().set_trace_id(trace);
+    const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+    ASSERT_TRUE(client.value().Open(1, spec).ok());
+    std::size_t num_cols = 0;
+    const std::vector<double> rows = PerturbedRows(150, &num_cols);
+    ASSERT_TRUE(client.value()
+                    .Ingest(1, rows.size() / num_cols, num_cols, rows)
+                    .ok());
+    ASSERT_TRUE(client.value().Reconstruct(1).ok());
+    ASSERT_TRUE(client.value().Snapshot(1).ok());
 
-  // Every span of our trace, linked by parent ids, must form a tree at
-  // least four causal levels deep: net.request → service.run →
-  // session work → engine fan-out (and the snapshot leg reaches
-  // store.put the same way).
-  const std::vector<obs::SpanEvent> spans =
-      obs::TraceRing::Global().Snapshot();
-  std::map<std::uint64_t, const obs::SpanEvent*> by_id;
-  for (const obs::SpanEvent& span : spans) {
-    if (span.trace_id == trace) by_id[span.span_id] = &span;
-  }
-  ASSERT_FALSE(by_id.empty());
-  std::size_t max_depth = 0;
-  std::vector<std::string> seen;
-  for (const auto& [id, span] : by_id) {
-    std::size_t depth = 0;
-    const obs::SpanEvent* walk = span;
-    while (walk->parent_id != 0) {
-      const auto parent = by_id.find(walk->parent_id);
-      ASSERT_NE(parent, by_id.end())
-          << span->name << " has a parent outside its own trace";
-      walk = parent->second;
-      ASSERT_LT(++depth, 32u);
+    // Every span of our trace, linked by parent ids, must form a tree at
+    // least four causal levels deep: net.request → service.run →
+    // session work → engine fan-out (and the snapshot leg reaches
+    // store.put the same way).
+    const std::vector<obs::SpanEvent> spans =
+        obs::TraceRing::Global().Snapshot();
+    std::map<std::uint64_t, const obs::SpanEvent*> by_id;
+    for (const obs::SpanEvent& span : spans) {
+      if (span.trace_id == trace) by_id[span.span_id] = &span;
     }
-    max_depth = std::max(max_depth, depth);
-    seen.push_back(span->name);
-  }
-  EXPECT_GE(max_depth, 3u) << "tree is fewer than 4 levels deep";
-  const auto saw = [&seen](const std::string& name) {
-    return std::find(seen.begin(), seen.end(), name) != seen.end();
-  };
-  EXPECT_TRUE(saw("net.request"));
-  EXPECT_TRUE(saw("service.queue"));
-  EXPECT_TRUE(saw("service.run"));
-  EXPECT_TRUE(saw("engine.parallel_for"));
-  EXPECT_TRUE(saw("store.put"));
-
-  // The root carries the tenant and verb labels.
-  bool root_labeled = false;
-  for (const auto& [id, span] : by_id) {
-    if (span->name == "net.request" && span->parent_id == 0 &&
-        span->labels.find("tenant=\"t1\"") != std::string::npos) {
-      root_labeled = true;
+    ASSERT_FALSE(by_id.empty());
+    std::size_t max_depth = 0;
+    std::vector<std::string> seen;
+    for (const auto& [id, span] : by_id) {
+      std::size_t depth = 0;
+      const obs::SpanEvent* walk = span;
+      while (walk->parent_id != 0) {
+        const auto parent = by_id.find(walk->parent_id);
+        ASSERT_NE(parent, by_id.end())
+            << span->name << " has a parent outside its own trace";
+        walk = parent->second;
+        ASSERT_LT(++depth, 32u);
+      }
+      max_depth = std::max(max_depth, depth);
+      seen.push_back(span->name);
     }
+    EXPECT_GE(max_depth, 3u) << "tree is fewer than 4 levels deep";
+    const auto saw = [&seen](const std::string& name) {
+      return std::find(seen.begin(), seen.end(), name) != seen.end();
+    };
+    EXPECT_TRUE(saw("net.request"));
+    EXPECT_TRUE(saw("service.queue"));
+    EXPECT_TRUE(saw("service.run"));
+    EXPECT_TRUE(saw("engine.parallel_for"));
+    EXPECT_TRUE(saw("store.put"));
+
+    // Each request's queue-wait and run spans hang straight off its own
+    // net.request: one of each per request, whichever thread ran the job.
+    std::map<std::uint64_t, int> queue_children;
+    std::map<std::uint64_t, int> run_children;
+    for (const auto& [id, span] : by_id) {
+      if (span->name == "net.request") {
+        queue_children[id];
+        run_children[id];
+      }
+    }
+    // open, ingest, reconstruct, snapshot
+    EXPECT_EQ(queue_children.size(), 4u);
+    for (const auto& [id, span] : by_id) {
+      const std::string name = span->name;
+      if (name != "service.queue" && name != "service.run") continue;
+      const auto parent = by_id.find(span->parent_id);
+      ASSERT_NE(parent, by_id.end()) << name;
+      EXPECT_EQ(parent->second->name, "net.request") << name;
+      ++(name == "service.queue" ? queue_children
+                                 : run_children)[span->parent_id];
+    }
+    for (const auto& [id, count] : queue_children) EXPECT_EQ(count, 1);
+    for (const auto& [id, count] : run_children) EXPECT_EQ(count, 1);
+
+    // The root carries the tenant and verb labels.
+    bool root_labeled = false;
+    for (const auto& [id, span] : by_id) {
+      if (span->name == "net.request" && span->parent_id == 0 &&
+          span->labels.find("tenant=\"t1\"") != std::string::npos) {
+        root_labeled = true;
+      }
+    }
+    EXPECT_TRUE(root_labeled);
+
+    // The stats verb's trace flag returns Chrome JSON holding our trace id.
+    Result<std::string> chrome = client.value().Trace();
+    ASSERT_TRUE(chrome.ok()) << chrome.status().ToString();
+    EXPECT_NE(chrome.value().find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(chrome.value().find(StrFormat(
+                  "%016llx", static_cast<unsigned long long>(trace))),
+              std::string::npos);
+    // An undersized stats body that is not the trace flag is an error.
+    Result<ResponseBody> bogus =
+        client.value().Call(Verb::kStats, 0, 0, std::string_view("\x02", 1));
+    ASSERT_TRUE(bogus.ok());
+    EXPECT_EQ(bogus.value().status.code(), StatusCode::kInvalidArgument);
+
+    // Per-tenant labeled series flow through the exposition.
+    Result<std::string> stats = client.value().Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats.value().find("ppdm_tenant_requests_total{tenant=\"t1\"}"),
+              std::string::npos);
+    EXPECT_NE(stats.value().find("ppdm_tenant_bytes_total{tenant=\"t1\"}"),
+              std::string::npos);
+    EXPECT_NE(
+        stats.value().find("ppdm_tenant_request_seconds_count{tenant=\"t1\"}"),
+        std::string::npos);
+    EXPECT_NE(stats.value().find("ppdm_trace_recorded_total"),
+              std::string::npos);
+
+    // Every request crossed the 1ns slow threshold, so the daemon kept a
+    // rendered tree of the most recent offender.
+    const std::string slow = server.value()->LastSlowRequestTree();
+    EXPECT_NE(slow.find("net.request"), std::string::npos);
+    ASSERT_TRUE(server.value()->Stop().ok());
   }
-  EXPECT_TRUE(root_labeled);
-
-  // The stats verb's trace flag returns Chrome JSON holding our trace id.
-  Result<std::string> chrome = client.value().Trace();
-  ASSERT_TRUE(chrome.ok()) << chrome.status().ToString();
-  EXPECT_NE(chrome.value().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(chrome.value().find(StrFormat(
-                "%016llx", static_cast<unsigned long long>(trace))),
-            std::string::npos);
-  // An undersized stats body that is not the trace flag is an error.
-  Result<ResponseBody> bogus =
-      client.value().Call(Verb::kStats, 0, 0, std::string_view("\x02", 1));
-  ASSERT_TRUE(bogus.ok());
-  EXPECT_EQ(bogus.value().status.code(), StatusCode::kInvalidArgument);
-
-  // Per-tenant labeled series flow through the exposition.
-  Result<std::string> stats = client.value().Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.value().find("ppdm_tenant_requests_total{tenant=\"t1\"}"),
-            std::string::npos);
-  EXPECT_NE(stats.value().find("ppdm_tenant_bytes_total{tenant=\"t1\"}"),
-            std::string::npos);
-  EXPECT_NE(
-      stats.value().find("ppdm_tenant_request_seconds_count{tenant=\"t1\"}"),
-      std::string::npos);
-  EXPECT_NE(stats.value().find("ppdm_trace_recorded_total"),
-            std::string::npos);
-
-  // Every request crossed the 1ns slow threshold, so the daemon kept a
-  // rendered tree of the most recent offender.
-  const std::string slow = server.value()->LastSlowRequestTree();
-  EXPECT_NE(slow.find("net.request"), std::string::npos);
-  ASSERT_TRUE(server.value()->Stop().ok());
 }
 
 TEST(ServerTest, PipelinedFramesUnderATinyWindowAllAnswerInOrder) {

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "api/dataset_session.h"
-#include "api/service.h"
 #include "common/random.h"
 #include "data/row_batch.h"
 #include "engine/shard_stats.h"
@@ -397,40 +396,6 @@ TEST(SpanTreeTest, ConcurrentRequestsStayWellNested) {
   const std::string tree = obs::RenderSpanTree(spans, traces[0]);
   EXPECT_NE(tree.find("obs_test.request"), std::string::npos);
   EXPECT_NE(tree.find("  obs_test.step"), std::string::npos);  // indented
-}
-
-// Jobs submitted through api::Service must carry the caller's trace
-// across the queue: service.queue and service.run surface as siblings
-// under the submitting span's context, on every thread shape.
-TEST(ServicePropagationTest, QueueAndRunJoinTheCallersTrace) {
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    Result<std::unique_ptr<api::Service>> service =
-        api::Service::Create(threads, 0);
-    ASSERT_TRUE(service.ok()) << service.status().message();
-    const std::uint64_t trace = obs::NewTraceId();
-    std::optional<Result<std::string>> settled;
-    {
-      obs::ScopedTraceContext adopt(obs::TraceContext{trace, 11});
-      service.value()->Submit(
-          []() -> Result<std::string> { return std::string("5"); },
-          std::nullopt,
-          [&settled](const Result<std::string>& r) { settled = r; });
-    }
-    service.value()->Drain();  // `done` has returned on every thread shape
-    ASSERT_TRUE(settled.has_value());
-    ASSERT_TRUE(settled->ok());
-    EXPECT_EQ(settled->value(), "5");
-    bool saw_queue = false;
-    bool saw_run = false;
-    for (const SpanEvent& span : TraceRing::Global().Snapshot()) {
-      if (span.trace_id != trace) continue;
-      EXPECT_EQ(span.parent_id, 11u);
-      if (span.name == "service.queue") saw_queue = true;
-      if (span.name == "service.run") saw_run = true;
-    }
-    EXPECT_TRUE(saw_queue) << "threads=" << threads;
-    EXPECT_TRUE(saw_run) << "threads=" << threads;
-  }
 }
 
 TEST(TraceRingTest, GlobalRingFeedsRecordedAndDroppedCounters) {
