@@ -5,8 +5,8 @@
 // attribute count grows, and a cross-check that the dataset path's
 // estimates are byte-identical to N one-attribute sessions (the
 // equivalence contract). Honours PPDM_PAPER_SCALE=1 and
-// PPDM_BENCH_RECORDS=N (CI smoke); PPDM_BENCH_JSON=FILE appends the
-// refresh rows and a machine fingerprint as NDJSON.
+// PPDM_BENCH_RECORDS=N (CI smoke); PPDM_BENCH_JSON=FILE appends a machine
+// fingerprint, the ingest rows and the refresh rows as NDJSON.
 
 #include <algorithm>
 #include <cstdio>
@@ -80,7 +80,8 @@ int main() {
   // folds each batch into all A attributes in one pass; the per-attribute
   // alternative hands each batch to A one-attribute sessions — N passes
   // over every arriving batch.
-  bench::ThroughputReporter reporter("records");
+  bench::EmitMachineFingerprint("perf_dataset_session");
+  bench::ThroughputReporter reporter("records", 3, "perf_dataset_session");
   char label[64];
   double dataset_seconds_4 = 0.0;
   double per_attr_seconds_4 = 0.0;
@@ -136,7 +137,6 @@ int main() {
   // refits column counts refreshes that ran EM, the EM iterations are
   // summed over every refresh and attribute, and the TV is the final
   // estimate's mean distance to the true histograms.
-  bench::EmitMachineFingerprint("perf_dataset_session");
   std::vector<std::vector<double>> truth;
   {
     synth::GeneratorOptions gen;

@@ -2,9 +2,11 @@
 // one-attribute DatasetSession's fold-on-arrival path at 1/2/4/8 threads,
 // time-to-first-estimate for a client that polls early vs. waiting for the
 // whole batch, and the cost of a refresh that serves the session's
-// memoized fit vs. a cold batch fit. Honours PPDM_PAPER_SCALE=1 for the paper's 100k-record runs, and
-// cross-checks that the streamed estimate is byte-identical to the batch
-// Fit (the streaming determinism contract).
+// memoized fit vs. a cold batch fit. Honours PPDM_PAPER_SCALE=1 for the
+// paper's 100k-record runs; PPDM_BENCH_JSON=FILE appends a machine
+// fingerprint and every row as NDJSON. Cross-checks that the streamed
+// estimate is byte-identical to the batch Fit (the streaming determinism
+// contract).
 
 #include <cstdio>
 #include <cstring>
@@ -78,7 +80,8 @@ int main() {
       randomizer.ModelFor(synth::kSalary), {});
 
   const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
-  bench::ThroughputReporter reporter("records");
+  bench::EmitMachineFingerprint("perf_streaming");
+  bench::ThroughputReporter reporter("records", 3, "perf_streaming");
   char label[64];
 
   // -------------------------------------------------- ingest throughput

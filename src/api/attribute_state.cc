@@ -9,7 +9,7 @@ AttributeState::AttributeState(double lo, double hi, std::size_t intervals,
     : partition_(lo, hi, intervals),
       reconstructor_(std::move(model), reconstruct::ReconstructionOptions{}),
       layout_(reconstructor_.PerturbedBinning(partition_)),
-      stats_(layout_.bins(), /*num_classes=*/1) {}
+      stats_(layout_.bins()) {}
 
 void AttributeState::set_last_masses(std::vector<double> masses) {
   last_masses_ = std::move(masses);

@@ -45,9 +45,6 @@ class AttributeState {
   const stats::Histogram& layout() const { return layout_; }
   std::size_t num_bins() const { return layout_.bins(); }
 
-  /// Perturbed-value bin of one arriving observation.
-  std::size_t BinOf(double value) const { return layout_.BinOf(value); }
-
   // Mutable accumulation — owner's lock required.
   engine::ShardStats& stats() { return stats_; }
   const engine::ShardStats& stats() const { return stats_; }
@@ -77,9 +74,9 @@ class AttributeState {
 
   /// Installs restored accumulation (snapshot decode / registry
   /// re-admission). Preconditions — validated by the decoding caller,
-  /// which surfaces violations as Status errors: `stats` shaped
-  /// num_bins() x 1 class; `masses` empty or partition().intervals()
-  /// entries. Owner's lock required.
+  /// which surfaces violations as Status errors: `stats` holds num_bins()
+  /// counts; `masses` empty or partition().intervals() entries. Owner's
+  /// lock required.
   void RestoreAccumulation(engine::ShardStats stats,
                            std::vector<double> masses);
 

@@ -7,8 +7,6 @@
 #include <numeric>
 #include <utility>
 
-#include "engine/simd.h"
-
 #include "api/spec.h"
 #include "common/strings.h"
 #include "engine/shard_stats.h"
@@ -162,12 +160,10 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   for (std::size_t a = 0; a < num_attrs; ++a) {
     const AttributeState& derived = session->states_[a];
     const engine::ShardStats& stats = state.stats[a];
-    if (stats.num_bins() != derived.num_bins() ||
-        stats.num_classes() != 1) {
+    if (stats.num_bins() != derived.num_bins()) {
       return Status::InvalidArgument(StrFormat(
-          "attribute %zu: snapshot counts are %zu bins x %zu classes; the "
-          "spec derives %zu bins x 1",
-          a, stats.num_bins(), stats.num_classes(), derived.num_bins()));
+          "attribute %zu: snapshot counts are %zu bins; the spec derives %zu",
+          a, stats.num_bins(), derived.num_bins()));
     }
     if (stats.record_count() != state.rows) {
       return Status::InvalidArgument(StrFormat(
@@ -262,7 +258,7 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
   for (std::vector<engine::ShardStats>& shard : partials) {
     shard.reserve(num_attrs);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      shard.emplace_back(states_[a].num_bins(), /*num_classes=*/1);
+      shard.emplace_back(states_[a].num_bins());
     }
   }
   std::atomic<bool> finite{true};
@@ -282,13 +278,12 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
         }
       }
     }
-    // Per attribute: gather the column into a small scratch batch and bin
-    // it with the dispatched batch kernel. Identical indices to BinOf on
-    // every SIMD path, and integer counts, so the fold is byte-identical
-    // to the per-value loop it replaces.
+    // Per attribute: gather the strided column into a small contiguous
+    // batch and let ShardStats::AddBinned bin and count it — the same
+    // kernel IngestBinnedColumn runs, so the counts match BinOf on every
+    // SIMD path.
     constexpr std::size_t kBatch = 256;
     double vals[kBatch];
-    std::uint32_t idx[kBatch];
     for (std::size_t a = 0; a < num_attrs; ++a) {
       const stats::Histogram& layout = states_[a].layout();
       const std::size_t col = columns[a];
@@ -297,11 +292,7 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
         for (std::size_t j = 0; j < n; ++j) {
           vals[j] = rows.row(r0 + j)[col];
         }
-        engine::simd::BinIndices(vals, n, layout.lo(), layout.hi(),
-                                 layout.width(), layout.bins(), idx);
-        for (std::size_t j = 0; j < n; ++j) {
-          local[a].Add(idx[j], 0);
-        }
+        local[a].AddBinned(vals, n, layout.lo(), layout.hi(), layout.width());
       }
     }
   });

@@ -93,14 +93,6 @@ Dataset Dataset::Select(const std::vector<std::size_t>& rows) const {
   return out;
 }
 
-std::vector<std::size_t> Dataset::RowsWithLabel(int label) const {
-  std::vector<std::size_t> rows;
-  for (std::size_t r = 0; r < labels_.size(); ++r) {
-    if (labels_[r] == label) rows.push_back(r);
-  }
-  return rows;
-}
-
 std::vector<std::size_t> Dataset::ClassCounts() const {
   std::vector<std::size_t> counts(static_cast<std::size_t>(num_classes_), 0);
   for (int label : labels_) ++counts[static_cast<std::size_t>(label)];

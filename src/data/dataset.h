@@ -64,9 +64,6 @@ class Dataset {
   /// New dataset containing only the given rows, in order.
   Dataset Select(const std::vector<std::size_t>& rows) const;
 
-  /// Row indices with the given class label.
-  std::vector<std::size_t> RowsWithLabel(int label) const;
-
   /// Number of rows per class label.
   std::vector<std::size_t> ClassCounts() const;
 

@@ -1,48 +1,57 @@
 #include "engine/shard_stats.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "engine/simd.h"
 
 namespace ppdm::engine {
 
-ShardStats::ShardStats(std::size_t num_bins, std::size_t num_classes)
-    : num_bins_(num_bins),
-      num_classes_(num_classes),
-      counts_(num_bins * num_classes, 0) {
+ShardStats::ShardStats(std::size_t num_bins) : counts_(num_bins, 0) {
   PPDM_CHECK_GT(num_bins, 0u);
-  PPDM_CHECK_GT(num_classes, 0u);
 }
 
 ShardStats ShardStats::FromCounts(std::size_t num_bins,
-                                  std::size_t num_classes,
                                   std::uint64_t record_count,
                                   std::vector<std::uint64_t> counts) {
   PPDM_CHECK_GT(num_bins, 0u);
-  PPDM_CHECK_GT(num_classes, 0u);
-  PPDM_CHECK_EQ(counts.size(), num_bins * num_classes);
+  PPDM_CHECK_EQ(counts.size(), num_bins);
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) total += c;
   PPDM_CHECK_EQ(total, record_count);
   ShardStats stats;
-  stats.num_bins_ = num_bins;
-  stats.num_classes_ = num_classes;
   stats.record_count_ = record_count;
   stats.counts_ = std::move(counts);
   return stats;
 }
 
-void ShardStats::Add(std::size_t bin, std::size_t klass) {
-  PPDM_CHECK_LT(bin, num_bins_);
-  PPDM_CHECK_LT(klass, num_classes_);
-  ++counts_[klass * num_bins_ + bin];
+void ShardStats::Add(std::size_t bin) {
+  PPDM_CHECK_LT(bin, counts_.size());
+  ++counts_[bin];
   ++record_count_;
 }
 
+void ShardStats::AddBinned(const double* values, std::size_t n, double lo,
+                           double hi, double width) {
+  // Bin a batch at a time so the index computation vectorizes; 256 values
+  // keeps the index scratch inside one page and well inside L1.
+  constexpr std::size_t kBatch = 256;
+  const std::size_t bins = counts_.size();
+  std::uint32_t idx[kBatch];
+  for (std::size_t i = 0; i < n; i += kBatch) {
+    const std::size_t m = std::min(kBatch, n - i);
+    simd::BinIndices(values + i, m, lo, hi, width, bins, idx);
+    for (std::size_t j = 0; j < m; ++j) {
+      PPDM_CHECK_LT(idx[j], bins);
+      ++counts_[idx[j]];
+    }
+  }
+  record_count_ += n;
+}
+
 void ShardStats::MergeFrom(const ShardStats& other) {
-  PPDM_CHECK_EQ(num_bins_, other.num_bins_);
-  PPDM_CHECK_EQ(num_classes_, other.num_classes_);
+  PPDM_CHECK_EQ(counts_.size(), other.counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }
@@ -50,69 +59,12 @@ void ShardStats::MergeFrom(const ShardStats& other) {
 }
 
 std::uint64_t ShardStats::BinCount(std::size_t bin) const {
-  PPDM_CHECK_LT(bin, num_bins_);
-  std::uint64_t total = 0;
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    total += counts_[c * num_bins_ + bin];
-  }
-  return total;
-}
-
-std::uint64_t ShardStats::ClassCount(std::size_t klass) const {
-  PPDM_CHECK_LT(klass, num_classes_);
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b < num_bins_; ++b) {
-    total += counts_[klass * num_bins_ + b];
-  }
-  return total;
-}
-
-std::uint64_t ShardStats::BinClassCount(std::size_t bin,
-                                        std::size_t klass) const {
-  PPDM_CHECK_LT(bin, num_bins_);
-  PPDM_CHECK_LT(klass, num_classes_);
-  return counts_[klass * num_bins_ + bin];
+  PPDM_CHECK_LT(bin, counts_.size());
+  return counts_[bin];
 }
 
 std::vector<double> ShardStats::BinWeights() const {
-  std::vector<double> weights(num_bins_, 0.0);
-  for (std::size_t b = 0; b < num_bins_; ++b) {
-    weights[b] = static_cast<double>(BinCount(b));
-  }
-  return weights;
-}
-
-std::vector<double> ShardStats::BinWeightsForClass(std::size_t klass) const {
-  PPDM_CHECK_LT(klass, num_classes_);
-  std::vector<double> weights(num_bins_, 0.0);
-  for (std::size_t b = 0; b < num_bins_; ++b) {
-    weights[b] = static_cast<double>(counts_[klass * num_bins_ + b]);
-  }
-  return weights;
-}
-
-ShardStats IngestSharded(const std::vector<double>& values,
-                         const std::vector<int>* labels,
-                         std::size_t num_classes,
-                         const std::function<std::size_t(double)>& bin_of,
-                         std::size_t num_bins, ThreadPool* pool,
-                         std::size_t shard_size) {
-  if (labels != nullptr) PPDM_CHECK_EQ(labels->size(), values.size());
-  const std::vector<ChunkRange> shards = MakeChunks(values.size(), shard_size);
-  ShardStats init(num_bins, num_classes);
-  if (shards.empty()) return init;
-  return ChunkedReduce<ShardStats>(
-      pool, shards, std::move(init),
-      [&](std::size_t /*shard*/, const ChunkRange& range) {
-        ShardStats local(num_bins, num_classes);
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          const std::size_t klass =
-              labels == nullptr ? 0 : static_cast<std::size_t>((*labels)[i]);
-          local.Add(bin_of(values[i]), klass);
-        }
-        return local;
-      },
-      [](ShardStats* acc, const ShardStats& shard) { acc->MergeFrom(shard); });
+  return std::vector<double>(counts_.begin(), counts_.end());
 }
 
 ShardStats IngestBinnedColumn(const double* values, std::size_t count,
@@ -120,23 +72,14 @@ ShardStats IngestBinnedColumn(const double* values, std::size_t count,
                               std::size_t num_bins, ThreadPool* pool,
                               std::size_t shard_size) {
   const std::vector<ChunkRange> shards = MakeChunks(count, shard_size);
-  ShardStats init(num_bins, 1);
+  ShardStats init(num_bins);
   if (shards.empty()) return init;
-  // Bin a batch at a time so the index computation vectorizes; 256 values
-  // keeps the index scratch inside one page and well inside L1.
-  constexpr std::size_t kBatch = 256;
   return ChunkedReduce<ShardStats>(
       pool, shards, std::move(init),
       [&](std::size_t /*shard*/, const ChunkRange& range) {
-        ShardStats local(num_bins, 1);
-        std::uint32_t idx[kBatch];
-        for (std::size_t i = range.begin; i < range.end; i += kBatch) {
-          const std::size_t n = std::min(kBatch, range.end - i);
-          simd::BinIndices(values + i, n, lo, hi, width, num_bins, idx);
-          for (std::size_t j = 0; j < n; ++j) {
-            local.Add(idx[j], 0);
-          }
-        }
+        ShardStats local(num_bins);
+        local.AddBinned(values + range.begin, range.end - range.begin, lo, hi,
+                        width);
         return local;
       },
       [](ShardStats* acc, const ShardStats& shard) { acc->MergeFrom(shard); });

@@ -422,6 +422,7 @@ void Server::AcceptReady() {
     auto conn = std::make_shared<Connection>();
     conn->sock = Socket(fd);
     if (!SetNonBlocking(fd).ok()) continue;  // conn closes on scope exit
+    SetNoDelay(fd);
     connections_.push_back(std::move(conn));
     connections_total_->Increment();
     connections_open_->Add(1);

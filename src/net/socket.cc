@@ -109,12 +109,13 @@ Result<Socket> ConnectTcp(const std::string& host, int port) {
         if (rc != 0) return ErrnoStatus("connect", errno);
         return Status::Ok();
       });
-  if (socket.ok()) {
-    const int one = 1;
-    (void)::setsockopt(socket.value().fd(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
-  }
+  if (socket.ok()) SetNoDelay(socket.value().fd());
   return socket;
+}
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 Status SetNonBlocking(int fd) {

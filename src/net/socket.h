@@ -53,9 +53,14 @@ Result<Socket> ListenTcp(const std::string& host, int port, int backlog);
 /// The locally bound port of a listening socket.
 Result<int> BoundPort(const Socket& socket);
 
-/// A connected blocking TCP socket to host:port (TCP_NODELAY set — the
-/// protocol is request/response over small frames).
+/// A connected blocking TCP socket to host:port (SetNoDelay applied).
 Result<Socket> ConnectTcp(const std::string& host, int port);
+
+/// Sets TCP_NODELAY on a connected TCP socket, best effort: the protocol
+/// is request/response over small frames, so Nagle's algorithm would hold
+/// a response back until the peer's delayed ACK. Both ends set it — the
+/// client on connect, the server on every accepted socket.
+void SetNoDelay(int fd);
 
 /// Marks `fd` non-blocking.
 Status SetNonBlocking(int fd);

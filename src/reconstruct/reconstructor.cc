@@ -176,13 +176,6 @@ Reconstruction RunEm(const std::vector<double>& weights,
 
 }  // namespace
 
-double Reconstruction::CdfAtEdge(std::size_t k) const {
-  PPDM_CHECK_LE(k, masses.size());
-  double c = 0.0;
-  for (std::size_t i = 0; i < k; ++i) c += masses[i];
-  return c;
-}
-
 BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
                                        ReconstructionOptions options)
     : noise_(noise), options_(options) {

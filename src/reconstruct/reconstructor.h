@@ -54,9 +54,6 @@ struct Reconstruction {
 
   /// Number of perturbed samples the estimate was fitted from.
   std::size_t sample_count = 0;
-
-  /// Estimated cumulative mass strictly below interval `k`'s upper edge.
-  double CdfAtEdge(std::size_t k) const;
 };
 
 /// Precomputed component-likelihood table of the EM: row j, read as

@@ -55,12 +55,6 @@ std::vector<double> Histogram::Masses() const {
   return masses;
 }
 
-std::vector<double> Histogram::Densities() const {
-  std::vector<double> d = Masses();
-  for (double& v : d) v /= width_;
-  return d;
-}
-
 double TotalVariation(const std::vector<double>& p,
                       const std::vector<double>& q) {
   PPDM_CHECK_EQ(p.size(), q.size());

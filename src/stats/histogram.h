@@ -44,9 +44,6 @@ class Histogram {
   /// Probability masses per bin (sum to 1; all-zero when empty).
   std::vector<double> Masses() const;
 
-  /// Density estimate per bin (mass / bin width).
-  std::vector<double> Densities() const;
-
  private:
   double lo_, hi_, width_;
   std::vector<std::size_t> counts_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -79,24 +78,19 @@ Status ValidateDerivedLayout(double lo, double hi, std::size_t intervals,
 
 void EncodeShardStats(const engine::ShardStats& stats, Writer* writer) {
   writer->PutU64(stats.num_bins());
-  writer->PutU64(stats.num_classes());
   writer->PutU64(stats.record_count());
   writer->PutU64Array(stats.counts());
 }
 
 Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t num_bins, reader->ReadU64());
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t num_classes, reader->ReadU64());
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t record_count, reader->ReadU64());
   PPDM_ASSIGN_OR_RETURN(std::vector<std::uint64_t> counts,
                         reader->ReadU64Array());
-  if (num_bins == 0 || num_classes == 0 ||
-      num_bins > std::numeric_limits<std::uint64_t>::max() / num_classes ||
-      counts.size() != num_bins * num_classes) {
+  if (num_bins == 0 || counts.size() != num_bins) {
     return Status::InvalidArgument(StrFormat(
-        "snapshot counts table is %zu entries for %llu bins x %llu classes",
-        counts.size(), static_cast<unsigned long long>(num_bins),
-        static_cast<unsigned long long>(num_classes)));
+        "snapshot counts are %zu entries for %llu bins", counts.size(),
+        static_cast<unsigned long long>(num_bins)));
   }
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) {
@@ -115,10 +109,8 @@ Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
         static_cast<unsigned long long>(total),
         static_cast<unsigned long long>(record_count)));
   }
-  return engine::ShardStats::FromCounts(
-      static_cast<std::size_t>(num_bins),
-      static_cast<std::size_t>(num_classes), record_count,
-      std::move(counts));
+  return engine::ShardStats::FromCounts(static_cast<std::size_t>(num_bins),
+                                        record_count, std::move(counts));
 }
 
 // ------------------------------------------------------ DatasetSessionSpec

@@ -36,8 +36,9 @@ namespace ppdm::store {
 ///   2  the spec holds only what a provider chooses; the STAT masses were
 ///      warm-start seeds;
 ///   3  STAT carries `fitted_rows` after `batches`, and the masses are the
-///      memoized fit over that many rows, served verbatim.
-inline constexpr std::uint32_t kFormatVersion = 3;
+///      memoized fit over that many rows, served verbatim;
+///   4  STAT counts are one bin vector; the class-count field is gone.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Section tags of a dataset-session snapshot.
 inline constexpr std::uint32_t kSpecSectionTag = 0x43455053;   // "SPEC"

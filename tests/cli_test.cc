@@ -813,7 +813,7 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok());
   EXPECT_NE(output.find("0 snapshot(s)"), std::string::npos) << output;
 
-  // A version-2 capture is listed as unreadable next to a current one,
+  // A version-3 capture is listed as unreadable next to a current one,
   // and the listing still succeeds.
   api::DatasetSessionSpec spec;
   spec.schema = synth::BenchmarkSchema();
@@ -821,10 +821,10 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   auto session = api::DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
   const std::string current = store::EncodeDatasetSession(*session.value());
-  // The same capture under a version-2 header (bytes 8..11, after the
+  // The same capture under a version-3 header (bytes 8..11, after the
   // 8-byte magic).
   std::string old = current;
-  old[8] = 2;
+  old[8] = 3;
   {
     auto snapshots = store::SnapshotStore::Open(dir);
     ASSERT_TRUE(snapshots.ok());
@@ -834,10 +834,10 @@ TEST_F(CliFixture, SnapshotOnlyLists) {
   ASSERT_TRUE(Run({"snapshot", ("--dir=" + dir).c_str()}, &output).ok())
       << output;
   EXPECT_NE(output.find("old                      unreadable: snapshot "
-                        "format version 2 unsupported"),
+                        "format version 3 unsupported"),
             std::string::npos)
       << output;
-  EXPECT_NE(output.find("current                         3"),
+  EXPECT_NE(output.find("current                         4"),
             std::string::npos)
       << output;
   EXPECT_NE(output.find("2 snapshot(s)"), std::string::npos) << output;

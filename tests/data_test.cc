@@ -115,13 +115,11 @@ TEST(DatasetTest, SelectPreservesOrderAndLabels) {
   EXPECT_TRUE(sel.Validate().ok());
 }
 
-TEST(DatasetTest, RowsWithLabelAndClassCounts) {
+TEST(DatasetTest, ClassCounts) {
   Dataset d(TwoFieldSchema(), 2);
   for (int i = 0; i < 9; ++i) {
     d.AddRow({20.0 + i, 0.0}, i < 6 ? 0 : 1);
   }
-  EXPECT_EQ(d.RowsWithLabel(0).size(), 6u);
-  EXPECT_EQ(d.RowsWithLabel(1).size(), 3u);
   const auto counts = d.ClassCounts();
   EXPECT_EQ(counts[0], 6u);
   EXPECT_EQ(counts[1], 3u);

@@ -125,105 +125,102 @@ TEST(ThreadPoolTest, ChunkedReduceFoldsInChunkOrder) {
 
 // ------------------------------------------------------------- ShardStats
 
-ShardStats RandomStats(std::uint64_t seed, std::size_t bins,
-                       std::size_t classes, std::size_t n) {
+ShardStats RandomStats(std::uint64_t seed, std::size_t bins, std::size_t n) {
   Rng rng(seed);
-  ShardStats stats(bins, classes);
+  ShardStats stats(bins);
   for (std::size_t i = 0; i < n; ++i) {
     stats.Add(static_cast<std::size_t>(
-                  rng.UniformInt(0, static_cast<std::int64_t>(bins) - 1)),
-              static_cast<std::size_t>(
-                  rng.UniformInt(0, static_cast<std::int64_t>(classes) - 1)));
+        rng.UniformInt(0, static_cast<std::int64_t>(bins) - 1)));
   }
   return stats;
 }
 
 bool StatsEqual(const ShardStats& a, const ShardStats& b) {
-  if (a.num_bins() != b.num_bins() || a.num_classes() != b.num_classes() ||
-      a.record_count() != b.record_count()) {
-    return false;
-  }
-  for (std::size_t bin = 0; bin < a.num_bins(); ++bin) {
-    for (std::size_t c = 0; c < a.num_classes(); ++c) {
-      if (a.BinClassCount(bin, c) != b.BinClassCount(bin, c)) return false;
-    }
-  }
-  return true;
+  return a.record_count() == b.record_count() && a.counts() == b.counts();
+}
+
+// The bins of a column by the scalar reference binning, one value at a
+// time — what every batched, sharded or SIMD ingest must reproduce.
+ShardStats SequentialBinOf(const std::vector<double>& values,
+                           const stats::Histogram& hist) {
+  ShardStats stats(hist.bins());
+  for (double v : values) stats.Add(hist.BinOf(v));
+  return stats;
 }
 
 TEST(ShardStatsTest, CountsAndAccessorsAgree) {
-  ShardStats stats(4, 2);
-  stats.Add(0, 0);
-  stats.Add(0, 1);
-  stats.Add(3, 1);
+  ShardStats stats(4);
+  stats.Add(0);
+  stats.Add(0);
+  stats.Add(3);
+  EXPECT_EQ(stats.num_bins(), 4u);
   EXPECT_EQ(stats.record_count(), 3u);
   EXPECT_EQ(stats.BinCount(0), 2u);
+  EXPECT_EQ(stats.BinCount(1), 0u);
   EXPECT_EQ(stats.BinCount(3), 1u);
-  EXPECT_EQ(stats.ClassCount(0), 1u);
-  EXPECT_EQ(stats.ClassCount(1), 2u);
-  EXPECT_EQ(stats.BinClassCount(0, 1), 1u);
-  EXPECT_EQ(stats.BinWeights()[0], 2.0);
-  EXPECT_EQ(stats.BinWeightsForClass(1)[3], 1.0);
+  EXPECT_EQ(stats.BinWeights(), (std::vector<double>{2.0, 0.0, 0.0, 1.0}));
 }
 
 TEST(ShardStatsTest, MergeIsAssociative) {
-  const ShardStats a = RandomStats(1, 8, 3, 500);
-  const ShardStats b = RandomStats(2, 8, 3, 700);
-  const ShardStats c = RandomStats(3, 8, 3, 300);
+  const ShardStats a = RandomStats(1, 8, 500);
+  const ShardStats b = RandomStats(2, 8, 700);
+  const ShardStats c = RandomStats(3, 8, 300);
 
-  ShardStats left(8, 3);  // (a ⊕ b) ⊕ c
+  ShardStats left(8);  // (a ⊕ b) ⊕ c
   left.MergeFrom(a);
   left.MergeFrom(b);
   ShardStats left_then_c = left;
   left_then_c.MergeFrom(c);
 
-  ShardStats bc(8, 3);  // a ⊕ (b ⊕ c)
+  ShardStats bc(8);  // a ⊕ (b ⊕ c)
   bc.MergeFrom(b);
   bc.MergeFrom(c);
   ShardStats a_then_bc = a;
   a_then_bc.MergeFrom(bc);
 
   EXPECT_TRUE(StatsEqual(left_then_c, a_then_bc));
+  EXPECT_EQ(a_then_bc.record_count(), 1500u);
 }
 
 TEST(ShardStatsTest, ShardedIngestEqualsSequentialPass) {
   Rng rng(7);
   std::vector<double> values(5000);
-  std::vector<int> labels(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = rng.UniformReal(-1.0, 2.0);
-    labels[i] = static_cast<int>(rng.UniformInt(0, 1));
-  }
-  const auto bin_of = [](double v) {
-    return static_cast<std::size_t>(v < 0.0 ? 0 : (v < 1.0 ? 1 : 2));
-  };
+  for (double& v : values) v = rng.UniformReal(-1.0, 2.0);
+  const stats::Histogram hist(0.0, 1.0, 3);
 
-  const ShardStats sequential =
-      IngestSharded(values, &labels, 2, bin_of, 3, nullptr, 0);
-  ThreadPool pool(4);
-  for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
-                                 std::size_t{10000}}) {
-    const ShardStats sharded =
-        IngestSharded(values, &labels, 2, bin_of, 3, &pool, shard_size);
-    EXPECT_TRUE(StatsEqual(sequential, sharded))
-        << "shard_size " << shard_size;
+  const ShardStats sequential = SequentialBinOf(values, hist);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
+                                   std::size_t{10000}}) {
+      const ShardStats sharded = IngestBinnedColumn(
+          values.data(), values.size(), hist.lo(), hist.hi(), hist.width(),
+          hist.bins(), &pool, shard_size);
+      EXPECT_TRUE(StatsEqual(sequential, sharded))
+          << "threads " << threads << " shard_size " << shard_size;
+    }
   }
 }
 
 TEST(ShardStatsTest, IngestEmptyInput) {
-  const std::vector<double> values;
-  const ShardStats stats =
-      IngestSharded(values, nullptr, 1, [](double) { return 0u; }, 4,
-                    nullptr, 16);
-  EXPECT_EQ(stats.record_count(), 0u);
-  EXPECT_EQ(stats.BinCount(0), 0u);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
+                                   std::size_t{10000}}) {
+      const ShardStats stats = IngestBinnedColumn(
+          nullptr, 0, 0.0, 1.0, 0.25, 4, &pool, shard_size);
+      EXPECT_EQ(stats.record_count(), 0u);
+      EXPECT_EQ(stats.num_bins(), 4u);
+      EXPECT_EQ(stats.counts(), std::vector<std::uint64_t>(4, 0));
+    }
+  }
 }
 
 TEST(ShardStatsTest, ApproxHeapBytesTracksSizeNotCapacity) {
-  const ShardStats stats(7, 3);
-  // The counts table is allocated once at its final shape; the accounting
-  // must report that shape, not whatever the allocator rounded up to.
-  EXPECT_EQ(stats.ApproxHeapBytes(), 7u * 3u * sizeof(std::uint64_t));
+  const ShardStats stats(21);
+  // The counts are allocated once at their final size; the accounting
+  // must report that size, not whatever the allocator rounded up to.
+  EXPECT_EQ(stats.ApproxHeapBytes(), 21u * sizeof(std::uint64_t));
   EXPECT_EQ(stats.counts().size(), 21u);
 }
 
@@ -374,9 +371,7 @@ TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
   Rng rng(47);
   std::vector<double> values(5000);
   for (double& v : values) v = rng.UniformReal(-0.5, 1.5);
-  const auto bin_of = [&](double v) { return hist.BinOf(v); };
-  const ShardStats reference =
-      IngestSharded(values, nullptr, 1, bin_of, hist.bins(), nullptr, 0);
+  const ShardStats reference = SequentialBinOf(values, hist);
 
   ThreadPool pool(4);
   std::vector<simd::Path> paths{simd::Path::kScalar};
@@ -392,14 +387,15 @@ TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
           << "path=" << simd::PathName(path)
           << " shard_size=" << shard_size;
     }
+    // AddBinned over uneven runs (a partial kernel batch, then a run past
+    // one batch) counts the same as one pass.
+    ShardStats pieces(hist.bins());
+    pieces.AddBinned(values.data(), 7, hist.lo(), hist.hi(), hist.width());
+    pieces.AddBinned(values.data() + 7, values.size() - 7, hist.lo(),
+                     hist.hi(), hist.width());
+    EXPECT_TRUE(StatsEqual(reference, pieces))
+        << "path=" << simd::PathName(path);
   }
-}
-
-TEST(SimdTest, IngestBinnedColumnEmptyInput) {
-  const ShardStats stats =
-      IngestBinnedColumn(nullptr, 0, 0.0, 1.0, 0.25, 4, nullptr, 16);
-  EXPECT_EQ(stats.record_count(), 0u);
-  EXPECT_EQ(stats.num_bins(), 4u);
 }
 
 TEST(SimdTest, AlignedDoublesIsCacheLineAlignedAndZeroed) {
@@ -571,23 +567,6 @@ TEST(BatchTest, PerturbIsPoolInvariantWithOneStreamPerColumn) {
     EXPECT_EQ(b.Column(0), plain.Column(0)) << "num_threads " << threads;
     EXPECT_EQ(a.Column(1), b.Column(1)) << "num_threads " << threads;
   }
-}
-
-TEST(BatchTest, IngestShardsCountsPerClass) {
-  std::vector<double> values{0.1, 0.9, 0.5, 0.2, 0.8};
-  std::vector<int> labels{0, 1, 0, 1, 1};
-  const stats::Histogram binning(0.0, 1.0, 2);
-  ThreadPool pool(2);
-  const ShardStats stats = IngestSharded(
-      values, &labels, 2, [&binning](double v) { return binning.BinOf(v); },
-      2, &pool, /*shard_size=*/2);
-  EXPECT_EQ(stats.record_count(), 5u);
-  EXPECT_EQ(stats.ClassCount(0), 2u);
-  EXPECT_EQ(stats.ClassCount(1), 3u);
-  EXPECT_EQ(stats.BinCount(0), 2u);          // 0.1, 0.2 → [0, 0.5)
-  EXPECT_EQ(stats.BinCount(1), 3u);          // 0.5, 0.8, 0.9 → [0.5, 1]
-  EXPECT_EQ(stats.BinClassCount(1, 1), 2u);  // 0.9, 0.8
-  EXPECT_EQ(stats.BinClassCount(1, 0), 1u);  // 0.5
 }
 
 TEST(BatchTest, LocalModeTreeIsPoolInvariantWithPerNodeFanOut) {

@@ -25,6 +25,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include "api/dataset_session.h"
 #include "common/fault.h"
@@ -34,6 +37,7 @@
 #include "net/frame.h"
 #include "net/rate_limiter.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
@@ -440,6 +444,36 @@ TEST(RateLimiterTest, RefilledBucketsAreSweptSoHostileIdsCannotGrowTheMap) {
   const auto t1 = t0 + std::chrono::seconds(2);
   EXPECT_TRUE(limiter.Admit(TenantRateLimiter::kSweepThreshold + 1, t1));
   EXPECT_EQ(limiter.size(), 1u);
+}
+
+// -------------------------------------------------------------- sockets
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+// Small request/response frames stall behind Nagle's algorithm unless
+// both ends disable it: ConnectTcp does for the client, and the server
+// calls SetNoDelay on every socket it accepts.
+TEST(SocketTest, SetNoDelayDisablesNagleOnBothEnds) {
+  Result<Socket> listener = ListenTcp("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const Result<int> port = BoundPort(listener.value());
+  ASSERT_TRUE(port.ok());
+  const Result<Socket> client = ConnectTcp("127.0.0.1", port.value());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_NE(NoDelayOf(client.value().fd()), 0);
+
+  const Socket accepted(::accept(listener.value().fd(), nullptr, nullptr));
+  ASSERT_TRUE(accepted.valid());
+  EXPECT_EQ(NoDelayOf(accepted.fd()), 0);  // the kernel default
+  SetNoDelay(accepted.fd());
+  EXPECT_NE(NoDelayOf(accepted.fd()), 0);
 }
 
 // ------------------------------------------------------------ loopback

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -177,44 +178,6 @@ TEST(ReconstructorTest, EmptyInputYieldsUniform) {
   const BayesReconstructor rec(NoiseModel::Uniform(0.1), {});
   const Reconstruction r = rec.Fit({}, p);
   for (double m : r.masses) EXPECT_DOUBLE_EQ(m, 0.125);
-}
-
-TEST(ReconstructorTest, CdfAtEdge) {
-  Reconstruction r;
-  r.masses = {0.1, 0.2, 0.3, 0.4};
-  EXPECT_DOUBLE_EQ(r.CdfAtEdge(0), 0.0);
-  EXPECT_NEAR(r.CdfAtEdge(2), 0.3, 1e-12);
-  EXPECT_NEAR(r.CdfAtEdge(4), 1.0, 1e-12);
-}
-
-TEST(ReconstructorTest, CdfAtEdgeBoundaryIndices) {
-  // k = 0 is the empty prefix and k = K the full sum, for any K —
-  // including the degenerate single-interval reconstruction.
-  Reconstruction single;
-  single.masses = {1.0};
-  EXPECT_DOUBLE_EQ(single.CdfAtEdge(0), 0.0);
-  EXPECT_DOUBLE_EQ(single.CdfAtEdge(1), 1.0);
-
-  Reconstruction skewed;
-  skewed.masses = {0.7, 0.0, 0.3};
-  EXPECT_DOUBLE_EQ(skewed.CdfAtEdge(0), 0.0);
-  EXPECT_DOUBLE_EQ(skewed.CdfAtEdge(1), 0.7);
-  EXPECT_DOUBLE_EQ(skewed.CdfAtEdge(2), 0.7);  // zero-mass interval
-  EXPECT_DOUBLE_EQ(skewed.CdfAtEdge(3), 1.0);
-}
-
-TEST(ReconstructorTest, CdfAtEdgeOfEmptySampleUniformPrior) {
-  // An empty sample reconstructs to the uniform EM prior, whose CDF at
-  // edge k must be exactly k / K (prefix sums of equal masses).
-  const Partition p(0.0, 1.0, 8);
-  const BayesReconstructor rec(NoiseModel::Uniform(0.1), {});
-  const Reconstruction r = rec.Fit({}, p);
-  ASSERT_EQ(r.masses.size(), 8u);
-  EXPECT_DOUBLE_EQ(r.CdfAtEdge(0), 0.0);
-  for (std::size_t k = 1; k <= 8; ++k) {
-    EXPECT_NEAR(r.CdfAtEdge(k), static_cast<double>(k) / 8.0, 1e-12)
-        << "edge " << k;
-  }
 }
 
 struct ReconCase {
@@ -794,8 +757,11 @@ TEST(ByClassTest, SeparatesClassDistributions) {
   const auto recons = ReconstructByClass(d, 0, p, rec);
   ASSERT_EQ(recons.size(), 2u);
   // Mass below 0.5 should be large for class 0, small for class 1.
-  EXPECT_GT(recons[0].CdfAtEdge(5), 0.8);
-  EXPECT_LT(recons[1].CdfAtEdge(5), 0.2);
+  const auto lower_half = [](const Reconstruction& r) {
+    return std::accumulate(r.masses.begin(), r.masses.begin() + 5, 0.0);
+  };
+  EXPECT_GT(lower_half(recons[0]), 0.8);
+  EXPECT_LT(lower_half(recons[1]), 0.2);
 }
 
 }  // namespace

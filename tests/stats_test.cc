@@ -203,14 +203,6 @@ TEST(HistogramTest, EmptyHistogramHasZeroMasses) {
   for (double m : h.Masses()) EXPECT_DOUBLE_EQ(m, 0.0);
 }
 
-TEST(HistogramTest, DensitiesIntegrateToOne) {
-  Histogram h(0.0, 4.0, 8);
-  for (int i = 0; i < 64; ++i) h.Add(4.0 * i / 64.0);
-  double integral = 0.0;
-  for (double d : h.Densities()) integral += d * h.width();
-  EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
 TEST(HistogramTest, ValueOnInteriorEdgeGoesToUpperBin) {
   Histogram h(0.0, 10.0, 5);
   EXPECT_EQ(h.BinOf(2.0), 1u);

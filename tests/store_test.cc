@@ -367,9 +367,10 @@ TEST(CodecTest, HeaderRejectsWrongMagicAndFutureVersion) {
             StatusCode::kFailedPrecondition);
 
   // Versions 1 (whose spec still carried EM options, a shard size and a
-  // warm-start flag) and 2 (no memoized fit row count) are refused too:
-  // the reader accepts one version.
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  // warm-start flag), 2 (no memoized fit row count) and 3 (a class
+  // dimension in every STAT counts table) are refused too: the reader
+  // accepts one version.
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     Writer past;
     past.PutHeader(old_version);
     Reader older(past.bytes());
@@ -404,11 +405,11 @@ TEST(CodecTest, SectionCrcCatchesEveryBitFlip) {
 // ----------------------------------------------------- field-level codecs
 
 TEST(ShardStatsCodecTest, RoundTripIsByteIdentical) {
-  engine::ShardStats stats(6, 2);
-  stats.Add(0, 0);
-  stats.Add(5, 1);
-  stats.Add(5, 1);
-  stats.Add(3, 0);
+  engine::ShardStats stats(6);
+  stats.Add(0);
+  stats.Add(5);
+  stats.Add(5);
+  stats.Add(3);
 
   Writer writer;
   EncodeShardStats(stats, &writer);
@@ -417,7 +418,6 @@ TEST(ShardStatsCodecTest, RoundTripIsByteIdentical) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(decoded.value().num_bins(), 6u);
-  EXPECT_EQ(decoded.value().num_classes(), 2u);
   EXPECT_EQ(decoded.value().record_count(), 4u);
   EXPECT_EQ(decoded.value().counts(), stats.counts());
 
@@ -427,19 +427,35 @@ TEST(ShardStatsCodecTest, RoundTripIsByteIdentical) {
 }
 
 TEST(ShardStatsCodecTest, RejectsInconsistentCounts) {
-  engine::ShardStats stats(4, 1);
-  stats.Add(1, 0);
+  engine::ShardStats stats(4);
+  stats.Add(1);
   Writer writer;
   EncodeShardStats(stats, &writer);
 
-  // Corrupt the record_count field (third u64) without touching counts;
+  // Corrupt the record_count field (second u64) without touching counts;
   // the decoder must reject the inconsistency, not CHECK-abort.
   std::string bytes = writer.bytes();
-  bytes[16] = 9;
+  bytes[8] = 9;
   Reader reader(bytes);
   const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShardStatsCodecTest, RejectsCountsOfTheWrongLength) {
+  // A counts array one entry longer or shorter than num_bins, with a
+  // consistent record count, is corruption too.
+  for (const std::size_t length : {std::size_t{3}, std::size_t{5}}) {
+    Writer writer;
+    writer.PutU64(4);  // num_bins
+    writer.PutU64(length);  // record_count: one per entry below
+    writer.PutU64Array(std::vector<std::uint64_t>(length, 1));
+    Reader reader(writer.bytes());
+    const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
+    EXPECT_FALSE(decoded.ok()) << "length " << length;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "length " << length;
+  }
 }
 
 // ------------------------------------------------- dataset-session codec
@@ -695,7 +711,7 @@ TEST(DatasetSnapshotTest, PeekReportsWithoutRebuilding) {
   EXPECT_EQ(info.value().attributes, 2u);
 }
 
-// Format pin of version 3, checked with the bytewise reference CRC. A
+// Format pin of version 4, checked with the bytewise reference CRC. A
 // failure here means the snapshot bytes changed: that needs a
 // kFormatVersion bump, not a new pin. The refresh before encoding puts
 // `fitted_rows` and the memoized masses under the pin.
@@ -715,8 +731,8 @@ TEST(DatasetSnapshotTest, SnapshotBytesArePinned) {
       session.value()->Ingest(data::RowBatch(rows.data(), 32, cols)).ok());
   ASSERT_TRUE(session.value()->ReconstructAll().ok());
   const std::string snapshot = EncodeDatasetSession(*session.value());
-  EXPECT_EQ(snapshot.size(), 930u);
-  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0xE7DFBA46u);
+  EXPECT_EQ(snapshot.size(), 914u);
+  EXPECT_EQ(ReferenceCrc32(snapshot.data(), snapshot.size()), 0x9C4A9CDEu);
 }
 
 // --------------------------------------------------------- snapshot store
