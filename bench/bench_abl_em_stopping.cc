@@ -21,7 +21,7 @@ int main() {
   const std::size_t n = core::PaperScaleRequested() ? 100000 : 20000;
   const std::size_t bins = 20;
   const stats::PlateauDistribution truth(0.0, 1.0, 0.25);
-  const reconstruct::Partition partition(0.0, 1.0, bins);
+  const stats::Partition partition(0.0, 1.0, bins);
 
   std::printf("%-12s | %28s | %28s\n", "", "uniform noise", "gaussian noise");
   std::printf("%-12s | %8s %8s %9s | %8s %8s %9s\n", "chi2 eps", "iters",

@@ -21,7 +21,7 @@ int main() {
 
   const std::size_t n = core::PaperScaleRequested() ? 100000 : 20000;
   const std::size_t bins = 20;
-  const reconstruct::Partition partition(0.0, 1.0, bins);
+  const stats::Partition partition(0.0, 1.0, bins);
   const stats::PlateauDistribution truth(0.0, 1.0, 0.25);
 
   std::printf("%-9s %-9s | %10s %12s | %16s %16s %10s\n", "privacy",

@@ -29,7 +29,7 @@ int main() {
   options.chi_square_epsilon = 0.0;  // show the full trace
   const reconstruct::BayesReconstructor reconstructor(noise, options);
   const reconstruct::Reconstruction recon =
-      reconstructor.Fit(perturbed, reconstruct::Partition(0.0, 1.0, 20));
+      reconstructor.Fit(perturbed, stats::Partition(0.0, 1.0, 20));
 
   std::printf("%-10s %16s %18s\n", "iteration", "chi-square",
               "log-likelihood");

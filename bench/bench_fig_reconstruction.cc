@@ -38,7 +38,7 @@ void RunCase(const char* shape_name, const stats::Distribution& truth,
 
   const reconstruct::BayesReconstructor reconstructor(noise, {});
   const reconstruct::Reconstruction recon =
-      reconstructor.Fit(perturbed, reconstruct::Partition(0.0, 1.0, bins));
+      reconstructor.Fit(perturbed, stats::Partition(0.0, 1.0, bins));
 
   const auto orig_m = original.Masses();
   const auto pert_m = perturbed_hist.Masses();
@@ -50,9 +50,9 @@ void RunCase(const char* shape_name, const stats::Distribution& truth,
   std::printf("%-8s %10s %10s %13s\n", "bin mid", "original",
               "randomized", "reconstructed");
   for (std::size_t k = 0; k < bins; ++k) {
-    std::printf("%-8.3f %9.2f%% %9.2f%% %12.2f%%\n", original.BinMid(k),
-                bench::Pct(orig_m[k]), bench::Pct(pert_m[k]),
-                bench::Pct(recon.masses[k]));
+    std::printf("%-8.3f %9.2f%% %9.2f%% %12.2f%%\n",
+                original.partition().Mid(k), bench::Pct(orig_m[k]),
+                bench::Pct(pert_m[k]), bench::Pct(recon.masses[k]));
   }
   std::printf("error vs original:  randomized TV=%.4f KS=%.4f |  "
               "reconstructed TV=%.4f KS=%.4f\n",

@@ -110,8 +110,8 @@ int main() {
   engine::ThreadPool single(1);
 
   // ------------------------------------- single-column binned EM path
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      train.schema().Field(synth::kSalary), 100);
+  const data::FieldSpec& field = train.schema().Field(synth::kSalary);
+  const stats::Partition partition(field.lo, field.hi, 100);
   const reconstruct::BayesReconstructor reconstructor(
       randomizer.ModelFor(synth::kSalary), {});
   const std::vector<double>& salary = perturbed.Column(synth::kSalary);
@@ -152,8 +152,8 @@ int main() {
   // iterations, independent of the record count, so these rows report µs
   // per fit and iterations per fit rather than records/s. "Table rebuilt"
   // builds the O(wbins + K) likelihood table every call; "table kept"
-  // reuses one prebuilt table — what AttributeState keeping its table
-  // saves every refit after the first.
+  // reuses one prebuilt table — what a DatasetSession keeping each
+  // attribute's table saves every refit after the first.
   std::printf("\n%-36s %10s %14s\n", "EM refit case", "us/fit",
               "iterations/fit");
   constexpr std::size_t kRefreshFits = 20;
@@ -165,24 +165,22 @@ int main() {
     const perturb::NoiseModel noise_model = perturb::NoiseForPrivacy(
         kind, 1.0, partition.hi() - partition.lo(), 0.95);
     const reconstruct::BayesReconstructor rec(noise_model, {});
-    const stats::Histogram whist = rec.PerturbedBinning(partition);
     const engine::ShardStats counts = engine::IngestBinnedColumn(
-        salary.data(), salary.size(), whist.lo(), whist.hi(), whist.width(),
-        whist.bins(), &pool, 16384);
+        salary.data(), salary.size(), rec.PerturbedBinning(partition), &pool,
+        16384);
     const std::vector<double> weights = counts.BinWeights();
     const double total = static_cast<double>(salary.size());
     const reconstruct::KernelTable table = rec.BuildKernelTable(partition);
     std::snprintf(label, sizeof(label), "refit %s (table rebuilt)",
                   kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
-      return rec.FitFromCounts(weights, total, partition,
-                               rec.BuildKernelTable(partition), &pool)
+      return rec.FitFromCounts(weights, total, rec.BuildKernelTable(partition),
+                               &pool)
           .iterations;
     });
     std::snprintf(label, sizeof(label), "refit %s (table kept)", kind_name);
     MeasureFits(label, kRefreshFits, [&](std::size_t) {
-      return rec.FitFromCounts(weights, total, partition, table, &pool)
-          .iterations;
+      return rec.FitFromCounts(weights, total, table, &pool).iterations;
     });
   }
 
@@ -192,7 +190,6 @@ int main() {
   // tables compete for cache as they do there.
   {
     struct RefreshSlot {
-      reconstruct::Partition partition;
       reconstruct::BayesReconstructor rec;
       reconstruct::KernelTable table;
       std::vector<double> weights;
@@ -202,19 +199,18 @@ int main() {
       Rng noise_rng(config.seed + 0x5EED + tenant);
       for (std::size_t col = 0; col < train.NumCols(); ++col) {
         const data::FieldSpec& field = train.schema().Field(col);
-        const reconstruct::Partition p =
-            reconstruct::Partition::ForField(field, 200);
+        const stats::Partition p(field.lo, field.hi, 200);
         const reconstruct::BayesReconstructor rec(
             perturb::NoiseForPrivacy(perturb::NoiseKind::kGaussian, 1.0,
                                      field.Range(), 0.95),
             {});
-        const stats::Histogram whist = rec.PerturbedBinning(p);
-        std::vector<double> weights(whist.bins(), 0.0);
+        const stats::Partition wgrid = rec.PerturbedBinning(p);
+        std::vector<double> weights(wgrid.intervals(), 0.0);
         for (double x : train.Column(col)) {
-          weights[whist.BinOf(x + rec.noise().Sample(&noise_rng))] += 1.0;
+          weights[wgrid.IntervalOf(x + rec.noise().Sample(&noise_rng))] +=
+              1.0;
         }
-        slots.push_back(
-            {p, rec, rec.BuildKernelTable(p), std::move(weights)});
+        slots.push_back({rec, rec.BuildKernelTable(p), std::move(weights)});
       }
     }
     const double total = static_cast<double>(train.NumRows());
@@ -223,8 +219,7 @@ int main() {
                 [&](std::size_t i) {
                   const RefreshSlot& slot = slots[i % slots.size()];
                   return slot.rec
-                      .FitFromCounts(slot.weights, total, slot.partition,
-                                     slot.table, nullptr)
+                      .FitFromCounts(slot.weights, total, slot.table, nullptr)
                       .iterations;
                 });
   }
@@ -238,8 +233,8 @@ int main() {
     std::snprintf(label, sizeof(label), "by-class 9 attrs t=%zu", threads);
     reporter.Measure(label, train.NumRows() * train.NumCols(), "fanout", [&] {
       engine::ParallelFor(&pool, train.NumCols(), [&](std::size_t col) {
-        const reconstruct::Partition p = reconstruct::Partition::ForField(
-            train.schema().Field(col), 30);
+        const data::FieldSpec& field = train.schema().Field(col);
+        const stats::Partition p(field.lo, field.hi, 30);
         const reconstruct::BayesReconstructor rec(randomizer.ModelFor(col),
                                                   {});
         const std::vector<reconstruct::Reconstruction> r =

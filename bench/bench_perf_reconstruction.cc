@@ -44,7 +44,7 @@ Sample MakeSample(std::size_t n, const perturb::NoiseModel& noise) {
 // fits with nothing kept alive across them.
 void RunCase(const char* label, const Sample& sample, std::size_t intervals,
              const reconstruct::BayesReconstructor& rec) {
-  const reconstruct::Partition p(0.0, 1.0, intervals);
+  const stats::Partition p(0.0, 1.0, intervals);
   stats::Histogram truth(0.0, 1.0, intervals);
   truth.AddAll(sample.original);
   const reconstruct::Reconstruction r = rec.Fit(sample.perturbed, p);

@@ -74,8 +74,8 @@ int main() {
   const data::Dataset perturbed = randomizer.Perturb(train);
   const std::vector<double>& stream = perturbed.Column(synth::kSalary);
 
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      train.schema().Field(synth::kSalary), kIntervals);
+  const data::FieldSpec& salary = train.schema().Field(synth::kSalary);
+  const stats::Partition partition(salary.lo, salary.hi, kIntervals);
   const reconstruct::BayesReconstructor reconstructor(
       randomizer.ModelFor(synth::kSalary), {});
 

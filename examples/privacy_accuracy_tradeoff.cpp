@@ -11,8 +11,8 @@
 
 #include "api/spec.h"
 #include "core/infotheory.h"
-#include "reconstruct/partition.h"
 #include "stats/histogram.h"
+#include "stats/partition.h"
 
 int main() {
   using namespace ppdm;
@@ -43,7 +43,7 @@ int main() {
       acc[i] = results.value()[0].accuracy;
 
       // Disclosure accounting on the age attribute (range 60, uniform).
-      const reconstruct::Partition part(20.0, 80.0, 30);
+      const stats::Partition part(20.0, 80.0, 30);
       const std::vector<double> uniform_masses(30, 1.0 / 30.0);
       const perturb::NoiseModel noise =
           perturb::NoiseForPrivacy(kind, privacy, 60.0, 0.95);

@@ -124,7 +124,7 @@ int main() {
   const auto final_estimates = session.value()->ReconstructAll();
   if (!final_estimates.ok()) return 1;
   const reconstruct::Reconstruction& age_recon = final_estimates.value()[0];
-  const reconstruct::Partition& age_partition =
+  const stats::Partition& age_partition =
       session.value()->partition(0);
   const auto true_ages = age_truth.Masses();
   std::printf("\n%-9s %-12s %-14s\n", "age", "true share", "reconstructed");

@@ -114,18 +114,23 @@ Status DatasetSessionSpec::Validate() const {
   return Status::Ok();
 }
 
+DatasetSession::Attribute::Attribute(const data::FieldSpec& field,
+                                     const AttributeSpec& spec)
+    : partition(field.lo, field.hi, spec.intervals),
+      reconstructor(perturb::NoiseForPrivacy(spec.noise,
+                                             spec.privacy_fraction,
+                                             field.Range(), spec.confidence),
+                    reconstruct::ReconstructionOptions{}),
+      wgrid(reconstructor.PerturbedBinning(partition)),
+      counts(wgrid.intervals()) {}
+
 DatasetSession::DatasetSession(const DatasetSessionSpec& spec,
                                engine::ThreadPool* pool)
     : spec_(spec), pool_(pool) {
-  states_.reserve(spec_.attributes.size());
+  attrs_.reserve(spec_.attributes.size());
   columns_.reserve(spec_.attributes.size());
   for (const AttributeSpec& attr : spec_.attributes) {
-    const data::FieldSpec& field = spec_.schema.Field(attr.column);
-    states_.emplace_back(field.lo, field.hi, attr.intervals,
-                         perturb::NoiseForPrivacy(attr.noise,
-                                                  attr.privacy_fraction,
-                                                  field.Range(),
-                                                  attr.confidence));
+    attrs_.emplace_back(spec_.schema.Field(attr.column), attr);
     columns_.push_back(attr.column);
   }
 }
@@ -142,7 +147,7 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   PPDM_RETURN_IF_ERROR(spec.Validate());
   std::unique_ptr<DatasetSession> session(new DatasetSession(spec, pool));
 
-  const std::size_t num_attrs = session->states_.size();
+  const std::size_t num_attrs = session->attrs_.size();
   if (state.stats.size() != num_attrs ||
       state.last_masses.size() != num_attrs) {
     return Status::InvalidArgument(StrFormat(
@@ -158,12 +163,12 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   // A refit memoizes every attribute at once, and only over rows > 0.
   const bool has_memo = state.fitted_rows > 0;
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    const AttributeState& derived = session->states_[a];
+    const Attribute& derived = session->attrs_[a];
     const engine::ShardStats& stats = state.stats[a];
-    if (stats.num_bins() != derived.num_bins()) {
+    if (stats.num_bins() != derived.wgrid.intervals()) {
       return Status::InvalidArgument(StrFormat(
           "attribute %zu: snapshot counts are %zu bins; the spec derives %zu",
-          a, stats.num_bins(), derived.num_bins()));
+          a, stats.num_bins(), derived.wgrid.intervals()));
     }
     if (stats.record_count() != state.rows) {
       return Status::InvalidArgument(StrFormat(
@@ -178,11 +183,10 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
           has_memo ? "no" : "unexpected",
           static_cast<unsigned long long>(state.fitted_rows)));
     }
-    if (!masses.empty() &&
-        masses.size() != derived.partition().intervals()) {
+    if (!masses.empty() && masses.size() != derived.partition.intervals()) {
       return Status::InvalidArgument(StrFormat(
           "attribute %zu: %zu memoized masses for a %zu-interval partition",
-          a, masses.size(), derived.partition().intervals()));
+          a, masses.size(), derived.partition.intervals()));
     }
     double sum = 0.0;
     for (double m : masses) {
@@ -200,8 +204,8 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
 
   // Shapes agree; install. No lock needed — the session has not escaped.
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    session->states_[a].RestoreAccumulation(std::move(state.stats[a]),
-                                            std::move(state.last_masses[a]));
+    session->attrs_[a].counts = std::move(state.stats[a]);
+    session->attrs_[a].last_masses = std::move(state.last_masses[a]);
   }
   session->rows_ = state.rows;
   session->batches_ = state.batches;
@@ -215,11 +219,11 @@ DatasetSessionState DatasetSession::ExportState() const {
   state.rows = rows_;
   state.batches = batches_;
   state.fitted_rows = fitted_rows_;
-  state.stats.reserve(states_.size());
-  state.last_masses.reserve(states_.size());
-  for (const AttributeState& attr : states_) {
-    state.stats.push_back(attr.stats());
-    state.last_masses.push_back(attr.last_masses());
+  state.stats.reserve(attrs_.size());
+  state.last_masses.reserve(attrs_.size());
+  for (const Attribute& attr : attrs_) {
+    state.stats.push_back(attr.counts);
+    state.last_masses.push_back(attr.last_masses);
   }
   return state;
 }
@@ -251,14 +255,14 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
   // count, and the per-attribute merge below runs in ascending shard
   // order, so the folded counts are byte-identical to N independent
   // per-attribute ingests of the same columns, for every pool size.
-  const std::size_t num_attrs = states_.size();
+  const std::size_t num_attrs = attrs_.size();
   const std::vector<engine::ChunkRange> shards =
       engine::MakeChunks(rows.num_rows(), engine::kIngestShardRows);
   std::vector<std::vector<engine::ShardStats>> partials(shards.size());
   for (std::vector<engine::ShardStats>& shard : partials) {
     shard.reserve(num_attrs);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      shard.emplace_back(states_[a].num_bins());
+      shard.emplace_back(attrs_[a].wgrid.intervals());
     }
   }
   std::atomic<bool> finite{true};
@@ -279,20 +283,18 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
       }
     }
     // Per attribute: gather the strided column into a small contiguous
-    // batch and let ShardStats::AddBinned bin and count it — the same
-    // kernel IngestBinnedColumn runs, so the counts match BinOf on every
-    // SIMD path.
+    // batch and let ShardStats::AddBinned bin and count it on the w-grid.
     constexpr std::size_t kBatch = 256;
     double vals[kBatch];
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      const stats::Histogram& layout = states_[a].layout();
+      const stats::Partition& wgrid = attrs_[a].wgrid;
       const std::size_t col = columns[a];
       for (std::size_t r0 = begin; r0 < end; r0 += kBatch) {
         const std::size_t n = std::min(kBatch, end - r0);
         for (std::size_t j = 0; j < n; ++j) {
           vals[j] = rows.row(r0 + j)[col];
         }
-        local[a].AddBinned(vals, n, layout.lo(), layout.hi(), layout.width());
+        local[a].AddBinned(vals, n, wgrid);
       }
     }
   });
@@ -307,7 +309,7 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::vector<engine::ShardStats>& shard : partials) {
       for (std::size_t a = 0; a < num_attrs; ++a) {
-        states_[a].stats().MergeFrom(shard[a]);
+        attrs_[a].counts.MergeFrom(shard[a]);
       }
     }
     rows_ += rows.num_rows();
@@ -325,7 +327,7 @@ DatasetSession::ReconstructAll() {
   // Under the lock: the row count and the memo, and on a refit the counts
   // they go with. The EM fan-out runs outside it so ingestion continues
   // while the estimates refresh.
-  const std::size_t num_attrs = states_.size();
+  const std::size_t num_attrs = attrs_.size();
   std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   std::vector<std::vector<double>> weights(num_attrs);
   std::vector<double> totals(num_attrs);
@@ -338,15 +340,15 @@ DatasetSession::ReconstructAll() {
     if (kRefitGrowthDivisor * (rows - fitted_rows_) < fitted_rows_) {
       // A memo hit: the last refit's masses, no EM.
       for (std::size_t a = 0; a < num_attrs; ++a) {
-        estimates[a].masses = states_[a].last_masses();
+        estimates[a].masses = attrs_[a].last_masses;
         estimates[a].sample_count = static_cast<std::size_t>(fitted_rows_);
       }
       return estimates;
     }
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      weights[a] = states_[a].stats().BinWeights();
-      totals[a] = static_cast<double>(states_[a].stats().record_count());
-      kernels[a] = states_[a].kernel_table();
+      weights[a] = attrs_[a].counts.BinWeights();
+      totals[a] = static_cast<double>(attrs_[a].counts.record_count());
+      kernels[a] = attrs_[a].kernel_table;
     }
   }
 
@@ -357,16 +359,16 @@ DatasetSession::ReconstructAll() {
   // each attribute's estimate matches a standalone session's byte for
   // byte.
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
-    const AttributeState& state = states_[a];
+    const Attribute& attr = attrs_[a];
     if (kernels[a] == nullptr) {
       KernelCacheBuildsCounter().Increment();
       kernels[a] = std::make_shared<const reconstruct::KernelTable>(
-          state.reconstructor().BuildKernelTable(state.partition()));
+          attr.reconstructor.BuildKernelTable(attr.partition));
     } else {
       KernelCacheHitsCounter().Increment();
     }
-    estimates[a] = state.reconstructor().FitFromCounts(
-        weights[a], totals[a], state.partition(), *kernels[a], pool_);
+    estimates[a] = attr.reconstructor.FitFromCounts(weights[a], totals[a],
+                                                    *kernels[a], pool_);
   });
 
   {
@@ -375,8 +377,11 @@ DatasetSession::ReconstructAll() {
     // slower racing refresh never moves the memo backwards.
     const bool install = rows > fitted_rows_;
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      if (install) states_[a].set_last_masses(estimates[a].masses);
-      states_[a].InstallKernelTable(std::move(kernels[a]));
+      if (install) attrs_[a].last_masses = estimates[a].masses;
+      // Keep the first table installed; a racing refresh's copy is equal.
+      if (attrs_[a].kernel_table == nullptr) {
+        attrs_[a].kernel_table = std::move(kernels[a]);
+      }
     }
     if (install) fitted_rows_ = rows;
   }
@@ -397,8 +402,15 @@ std::size_t DatasetSession::ApproxMemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t bytes = sizeof(*this) +
                       columns_.capacity() * sizeof(std::size_t);
-  for (const AttributeState& state : states_) {
-    bytes += state.ApproxMemoryBytes();
+  for (const Attribute& attr : attrs_) {
+    // `phantom` charges a w-grid count vector, header and heap, that no
+    // session allocates. It keeps the per-tenant charge the registry
+    // workloads were sized for; ROADMAP's spill-churn item drops it
+    // together with the benchmark change that resizes spill-churn.
+    const std::size_t phantom = sizeof(std::vector<std::size_t>) +
+                                attr.wgrid.intervals() * sizeof(std::size_t);
+    bytes += sizeof(Attribute) + attr.counts.ApproxHeapBytes() + phantom +
+             attr.last_masses.capacity() * sizeof(double);
   }
   return bytes;
 }

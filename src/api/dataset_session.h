@@ -1,7 +1,7 @@
 // Streaming reconstruction — the serving shape of the paper's server.
 // Providers submit perturbed *records* in batches over time, and the miner
 // wants an estimate of the true distributions at any point, not only after
-// the last record. A DatasetSession owns one AttributeState per tracked
+// the last record. A DatasetSession keeps one streaming state per tracked
 // attribute and folds a record batch into all of them in a SINGLE pass
 // over the rows (row-major arrival, column-major fold, sharded over the
 // pool), binning each perturbed value once, on arrival; ReconstructAll()
@@ -48,13 +48,14 @@
 #include <mutex>
 #include <vector>
 
-#include "api/attribute_state.h"
 #include "common/status.h"
 #include "data/row_batch.h"
 #include "data/schema.h"
+#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "perturb/noise_model.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/partition.h"
 
 namespace ppdm::api {
 
@@ -179,20 +180,50 @@ class DatasetSession {
   /// Batches ingested so far.
   std::uint64_t batch_count() const;
 
-  /// Approximate resident bytes of the session (all attribute states plus
-  /// the session itself) — what SessionRegistry budgets account.
+  /// Approximate resident bytes of the session (every attribute's counts
+  /// and memoized masses plus the session itself, and a second w-grid
+  /// count vector per attribute, see the definition) — what
+  /// SessionRegistry budgets account. Excludes the kernel tables: they are derived data
+  /// rebuilt on a readmitted session's first refit, so counting them would
+  /// shrink the registry's admission budget for payload state.
   std::size_t ApproxMemoryBytes() const;
 
-  std::size_t num_attributes() const { return states_.size(); }
+  std::size_t num_attributes() const { return attrs_.size(); }
   const DatasetSessionSpec& spec() const { return spec_; }
-  const reconstruct::Partition& partition(std::size_t index) const {
-    return states_[index].partition();
+  const stats::Partition& partition(std::size_t index) const {
+    return attrs_[index].partition;
   }
   const perturb::NoiseModel& noise_model(std::size_t index) const {
-    return states_[index].noise_model();
+    return attrs_[index].reconstructor.noise();
   }
 
  private:
+  /// One attribute's streaming reconstruction: a fixed layout derived from
+  /// the spec, then the accumulation guarded by the session's mu_. EM runs
+  /// with the default ReconstructionOptions: the paper's stopping rule.
+  struct Attribute {
+    Attribute(const data::FieldSpec& field, const AttributeSpec& spec);
+
+    // Fixed layout — immutable, safe to read without the lock.
+    const stats::Partition partition;
+    const reconstruct::BayesReconstructor reconstructor;
+    /// The w-grid perturbed values are binned on:
+    /// reconstructor.PerturbedBinning(partition).
+    const stats::Partition wgrid;
+
+    // Accumulation — guarded by mu_.
+    engine::ShardStats counts;
+    /// The memoized fit: the masses of the last refit, empty before the
+    /// first refit over a non-empty session.
+    std::vector<double> last_masses;
+    /// The kernel table, null before the attribute's first refit: the
+    /// shift-invariant strip of reconstruct::KernelTable, O(wbins + K)
+    /// doubles, built from the fixed layout. The layout never changes, so
+    /// the first table installed is kept and no refit rebuilds it.
+    /// shared_ptr so a refit can fit from it outside the lock.
+    std::shared_ptr<const reconstruct::KernelTable> kernel_table;
+  };
+
   DatasetSession(const DatasetSessionSpec& spec, engine::ThreadPool* pool);
 
   /// The one sharded fold behind Ingest and IngestTracked: rows are
@@ -206,10 +237,10 @@ class DatasetSession {
   std::vector<std::size_t> columns_;
 
   mutable std::mutex mu_;
-  std::vector<AttributeState> states_;  // counts + masses guarded by mu_
-  std::uint64_t rows_ = 0;              // guarded by mu_
-  std::uint64_t batches_ = 0;           // guarded by mu_
-  std::uint64_t fitted_rows_ = 0;       // guarded by mu_
+  std::vector<Attribute> attrs_;   // accumulation guarded by mu_
+  std::uint64_t rows_ = 0;         // guarded by mu_
+  std::uint64_t batches_ = 0;      // guarded by mu_
+  std::uint64_t fitted_rows_ = 0;  // guarded by mu_
 };
 
 }  // namespace ppdm::api

@@ -9,7 +9,7 @@ namespace ppdm::attack {
 
 IntervalAttackResult RunIntervalAttack(
     const std::vector<double>& original, const std::vector<double>& perturbed,
-    const reconstruct::Partition& partition,
+    const stats::Partition& partition,
     const perturb::NoiseModel& noise, const std::vector<double>& prior) {
   PPDM_CHECK_EQ(original.size(), perturbed.size());
   PPDM_CHECK_EQ(prior.size(), partition.intervals());

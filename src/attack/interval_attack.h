@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "perturb/noise_model.h"
-#include "reconstruct/partition.h"
+#include "stats/partition.h"
 
 namespace ppdm::attack {
 
@@ -48,7 +48,7 @@ struct IntervalAttackResult {
 /// scoring only.
 IntervalAttackResult RunIntervalAttack(
     const std::vector<double>& original, const std::vector<double>& perturbed,
-    const reconstruct::Partition& partition,
+    const stats::Partition& partition,
     const perturb::NoiseModel& noise, const std::vector<double>& prior);
 
 }  // namespace ppdm::attack

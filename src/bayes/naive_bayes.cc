@@ -21,13 +21,13 @@ void SmoothAndNormalize(std::vector<double>* masses, double laplace,
   for (double& m : *masses) m /= total;
 }
 
-std::vector<reconstruct::Partition> MakePartitions(
+std::vector<stats::Partition> MakePartitions(
     const data::Schema& schema, std::size_t intervals) {
-  std::vector<reconstruct::Partition> partitions;
+  std::vector<stats::Partition> partitions;
   partitions.reserve(schema.NumFields());
   for (std::size_t c = 0; c < schema.NumFields(); ++c) {
-    partitions.push_back(
-        reconstruct::Partition::ForField(schema.Field(c), intervals));
+    const data::FieldSpec& field = schema.Field(c);
+    partitions.emplace_back(field.lo, field.hi, intervals);
   }
   return partitions;
 }
@@ -48,7 +48,7 @@ std::vector<double> Priors(const data::Dataset& dataset) {
 NaiveBayesModel::NaiveBayesModel(
     std::vector<double> priors,
     std::vector<std::vector<std::vector<double>>> likelihood,
-    std::vector<reconstruct::Partition> partitions)
+    std::vector<stats::Partition> partitions)
     : priors_(std::move(priors)),
       likelihood_(std::move(likelihood)),
       partitions_(std::move(partitions)) {

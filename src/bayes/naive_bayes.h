@@ -14,8 +14,8 @@
 
 #include "data/dataset.h"
 #include "perturb/randomizer.h"
-#include "reconstruct/partition.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/partition.h"
 
 namespace ppdm::bayes {
 
@@ -40,7 +40,7 @@ class NaiveBayesModel {
   /// boundaries per attribute.
   NaiveBayesModel(std::vector<double> priors,
                   std::vector<std::vector<std::vector<double>>> likelihood,
-                  std::vector<reconstruct::Partition> partitions);
+                  std::vector<stats::Partition> partitions);
 
   /// Most probable class for a record (true attribute values).
   int Predict(const std::vector<double>& record) const;
@@ -54,7 +54,7 @@ class NaiveBayesModel {
  private:
   std::vector<double> priors_;
   std::vector<std::vector<std::vector<double>>> likelihood_;  // [c][a][k]
-  std::vector<reconstruct::Partition> partitions_;
+  std::vector<stats::Partition> partitions_;
 };
 
 /// Trains on original (unperturbed) records — the baseline.

@@ -481,9 +481,9 @@ Status RunReconstruct(const Args& args, std::ostream& out) {
       RandomizerFromFlags(args, dataset.value().schema());
   if (!randomizer.ok()) return randomizer.status();
 
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      dataset.value().schema().Field(col.value()),
-      static_cast<std::size_t>(intervals.value()));
+  const data::FieldSpec& field = dataset.value().schema().Field(col.value());
+  const stats::Partition partition(field.lo, field.hi,
+                                   static_cast<std::size_t>(intervals.value()));
   const reconstruct::BayesReconstructor reconstructor(
       randomizer.value().ModelFor(col.value()), {});
 
@@ -662,7 +662,7 @@ Status RunRestore(const Args& args, std::ostream& out) {
                          .c_str(),
                      estimates[a].iterations, estimates[a].sample_count);
     if (args.Has("print-masses")) {
-      const reconstruct::Partition& partition = session->partition(a);
+      const stats::Partition& partition = session->partition(a);
       for (std::size_t k = 0; k < partition.intervals(); ++k) {
         out << StrFormat("%12.6g %8.3f%%\n", partition.Mid(k),
                          100.0 * estimates[a].masses[k]);

@@ -51,16 +51,6 @@ std::string_view Trim(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-std::string JoinDoubles(const std::vector<double>& values,
-                        std::string_view sep, int precision) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out += StrFormat("%.*g", precision, values[i]);
-  }
-  return out;
-}
-
 Result<double> ParseDouble(std::string_view text) {
   const std::string buf(Trim(text));
   if (buf.empty()) return Status::InvalidArgument("empty numeric field");

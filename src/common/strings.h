@@ -21,10 +21,6 @@ std::vector<std::string> Split(std::string_view text, char delim);
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
-/// Joins formatted doubles with `sep` ("1.5, 2, 3").
-std::string JoinDoubles(const std::vector<double>& values,
-                        std::string_view sep = ", ", int precision = 6);
-
 /// Parses a floating-point number; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view text);
 

@@ -39,15 +39,18 @@ double EntropyPrivacy(const std::vector<double>& masses,
 }
 
 double MutualInformationBits(const std::vector<double>& masses,
-                             const reconstruct::Partition& partition,
+                             const stats::Partition& partition,
                              const perturb::NoiseModel& noise) {
   PPDM_CHECK_EQ(masses.size(), partition.intervals());
   const std::size_t num_x = masses.size();
   const double width = partition.width();
   const auto extension = static_cast<std::size_t>(
       std::ceil(noise.EffectiveHalfWidth() / width)) + 1;
-  const std::size_t num_w = num_x + 2 * extension;
-  const double wlo = partition.lo() - width * static_cast<double>(extension);
+  const double margin = width * static_cast<double>(extension);
+  const stats::Partition wgrid(partition.lo() - margin,
+                               partition.hi() + margin,
+                               num_x + 2 * extension);
+  const std::size_t num_w = wgrid.intervals();
 
   // P(W-bin j | X-bin k), placing X at the interval midpoint and
   // integrating the noise CDF across the W bin.
@@ -57,9 +60,8 @@ double MutualInformationBits(const std::vector<double>& masses,
     if (masses[k] <= kTiny) continue;
     const double mid = partition.Mid(k);
     for (std::size_t j = 0; j < num_w; ++j) {
-      const double lo = wlo + width * static_cast<double>(j);
-      const double hi = lo + width;
-      const double pj_given_k = noise.Cdf(hi - mid) - noise.Cdf(lo - mid);
+      const double pj_given_k =
+          noise.Cdf(wgrid.Hi(j) - mid) - noise.Cdf(wgrid.Lo(j) - mid);
       const double pj = masses[k] * pj_given_k;
       joint[j * num_x + k] = pj;
       pw[j] += pj;

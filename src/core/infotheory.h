@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "perturb/noise_model.h"
-#include "reconstruct/partition.h"
+#include "stats/partition.h"
 
 namespace ppdm::core {
 
@@ -32,7 +32,7 @@ double EntropyPrivacy(const std::vector<double>& masses,
 /// W = X + Y binned at the same width over the noise-extended range.
 /// I/H(X) is the fraction of the discrete privacy surrendered.
 double MutualInformationBits(const std::vector<double>& masses,
-                             const reconstruct::Partition& partition,
+                             const stats::Partition& partition,
                              const perturb::NoiseModel& noise);
 
 /// Information loss of a reconstruction: ½ Σ |p_k − q_k| (equals the AA'01

@@ -32,16 +32,18 @@ void ShardStats::Add(std::size_t bin) {
   ++record_count_;
 }
 
-void ShardStats::AddBinned(const double* values, std::size_t n, double lo,
-                           double hi, double width) {
+void ShardStats::AddBinned(const double* values, std::size_t n,
+                           const stats::Partition& grid) {
   // Bin a batch at a time so the index computation vectorizes; 256 values
   // keeps the index scratch inside one page and well inside L1.
   constexpr std::size_t kBatch = 256;
   const std::size_t bins = counts_.size();
+  PPDM_CHECK_EQ(grid.intervals(), bins);
   std::uint32_t idx[kBatch];
   for (std::size_t i = 0; i < n; i += kBatch) {
     const std::size_t m = std::min(kBatch, n - i);
-    simd::BinIndices(values + i, m, lo, hi, width, bins, idx);
+    simd::BinIndices(values + i, m, grid.lo(), grid.hi(), grid.width(), bins,
+                     idx);
     for (std::size_t j = 0; j < m; ++j) {
       PPDM_CHECK_LT(idx[j], bins);
       ++counts_[idx[j]];
@@ -68,18 +70,16 @@ std::vector<double> ShardStats::BinWeights() const {
 }
 
 ShardStats IngestBinnedColumn(const double* values, std::size_t count,
-                              double lo, double hi, double width,
-                              std::size_t num_bins, ThreadPool* pool,
+                              const stats::Partition& grid, ThreadPool* pool,
                               std::size_t shard_size) {
   const std::vector<ChunkRange> shards = MakeChunks(count, shard_size);
-  ShardStats init(num_bins);
+  ShardStats init(grid.intervals());
   if (shards.empty()) return init;
   return ChunkedReduce<ShardStats>(
       pool, shards, std::move(init),
       [&](std::size_t /*shard*/, const ChunkRange& range) {
-        ShardStats local(num_bins);
-        local.AddBinned(values + range.begin, range.end - range.begin, lo, hi,
-                        width);
+        ShardStats local(grid.intervals());
+        local.AddBinned(values + range.begin, range.end - range.begin, grid);
         return local;
       },
       [](ShardStats* acc, const ShardStats& shard) { acc->MergeFrom(shard); });

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
+#include "stats/partition.h"
 
 namespace ppdm::engine {
 
@@ -37,14 +38,14 @@ class ShardStats {
   /// Records one observation falling in `bin`.
   void Add(std::size_t bin);
 
-  /// Bins `values[0..n)` into num_bins() clamped equi-width bins ([lo, hi),
-  /// width `width` — pass the histogram's stored width) and counts them.
-  /// Bin indices come from the dispatched engine::simd::BinIndices batch
-  /// kernel, which reproduces stats::Histogram::BinOf exactly on every
-  /// SIMD path, so the counts equal a per-value Add(BinOf(v)) loop for
-  /// every PPDM_SIMD setting (integer outputs; no rounding freedom).
-  void AddBinned(const double* values, std::size_t n, double lo, double hi,
-                 double width);
+  /// Bins `values[0..n)` on `grid`, which must have num_bins()
+  /// intervals, and counts them. Bin indices come from the dispatched
+  /// engine::simd::BinIndices batch kernel, which reproduces
+  /// stats::Partition::IntervalOf exactly on every SIMD path, so the
+  /// counts equal a per-value Add(grid.IntervalOf(v)) loop for every
+  /// PPDM_SIMD setting (integer outputs; no rounding freedom).
+  void AddBinned(const double* values, std::size_t n,
+                 const stats::Partition& grid);
 
   /// Accumulates another shard's statistics into this one. Shapes must
   /// match. Exact (integer addition): any merge order yields identical
@@ -85,15 +86,14 @@ class ShardStats {
   std::vector<std::uint64_t> counts_;  // one per bin
 };
 
-/// Sharded ingestion of a value column: bins `values[0..count)` into
-/// `num_bins` clamped equi-width bins ([lo, hi), width `width`) with
-/// ShardStats::AddBinned. Shards of `shard_size` records are accumulated
-/// independently over the pool and merged in shard order; the counts are
-/// identical for every pool size and every PPDM_SIMD setting, and equal to
-/// a single sequential pass. shard_size == 0 means one shard.
+/// Sharded ingestion of a value column: bins `values[0..count)` on
+/// `grid` with ShardStats::AddBinned into grid.intervals() counts. Shards
+/// of `shard_size` records are accumulated independently over the pool
+/// and merged in shard order; the counts are identical for every pool size
+/// and every PPDM_SIMD setting, and equal to a single sequential pass.
+/// shard_size == 0 means one shard.
 ShardStats IngestBinnedColumn(const double* values, std::size_t count,
-                              double lo, double hi, double width,
-                              std::size_t num_bins, ThreadPool* pool,
+                              const stats::Partition& grid, ThreadPool* pool,
                               std::size_t shard_size);
 
 }  // namespace ppdm::engine

@@ -105,11 +105,11 @@ void Dot4(const double* const rows[4], const double* b, std::size_t n,
 void ScaleAdd4(double* acc, const double* const rows[4], const double* b,
                const double scales[4], std::size_t n, Path path);
 
-/// Equi-width clamped bin index per value, the exact integer function
-/// stats::Histogram::BinOf computes:
+/// stats::Partition::IntervalOf per value, on the grid given by its
+/// fields (`width` is the partition's stored width):
 ///   v ≤ lo → 0,  v ≥ hi → bins−1,  else min(⌊(v−lo)/width⌋, bins−1).
-/// `width` must be the histogram's stored width (not recomputed), `bins`
-/// must fit an int32. Scalar and AVX2 paths produce identical indices.
+/// `bins` must fit an int32. Scalar and AVX2 paths produce identical
+/// indices.
 void BinIndices(const double* values, std::size_t n, double lo, double hi,
                 double width, std::size_t bins, std::uint32_t* out);
 

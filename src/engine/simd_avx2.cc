@@ -110,7 +110,7 @@ void BinIndicesAvx2(const double* values, std::size_t n, double lo,
     const __m256d v = _mm256_loadu_pd(values + i);
     // Clamp entirely in the double domain, then truncate: min(d, last)
     // followed by trunc equals min(trunc(d), last) for d >= 0, which is
-    // exactly Histogram::BinOf's integer-domain clamp.
+    // exactly Partition::IntervalOf's integer-domain clamp.
     __m256d d = _mm256_div_pd(_mm256_sub_pd(v, vlo), vwidth);
     d = _mm256_blendv_pd(d, vzero, _mm256_cmp_pd(v, vlo, _CMP_LE_OQ));
     d = _mm256_blendv_pd(d, vlast, _mm256_cmp_pd(v, vhi, _CMP_GE_OQ));

@@ -1,8 +1,7 @@
 #include "perturb/discretize.h"
 
-#include <algorithm>
-
 #include "common/check.h"
+#include "stats/partition.h"
 
 namespace ppdm::perturb {
 
@@ -12,15 +11,9 @@ data::Dataset DiscretizeValues(const data::Dataset& dataset,
   data::Dataset out = dataset;
   for (std::size_t c = 0; c < out.NumCols(); ++c) {
     const data::FieldSpec& field = out.schema().Field(c);
-    const double width =
-        field.Range() / static_cast<double>(options.classes);
+    const stats::Partition partition(field.lo, field.hi, options.classes);
     std::vector<double>* column = out.MutableColumn(c);
-    for (double& v : *column) {
-      double offset = (v - field.lo) / width;
-      auto klass = static_cast<std::size_t>(std::max(0.0, offset));
-      klass = std::min(klass, options.classes - 1);
-      v = field.lo + width * (static_cast<double>(klass) + 0.5);
-    }
+    for (double& v : *column) v = partition.Mid(partition.IntervalOf(v));
   }
   return out;
 }

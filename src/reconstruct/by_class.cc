@@ -23,7 +23,7 @@ std::vector<std::vector<double>> SplitColumnByClass(
 
 std::vector<Reconstruction> ReconstructByClass(
     const data::Dataset& perturbed, std::size_t col,
-    const Partition& partition, const BayesReconstructor& reconstructor,
+    const stats::Partition& partition, const BayesReconstructor& reconstructor,
     engine::ThreadPool* pool) {
   const std::vector<std::vector<double>> values =
       SplitColumnByClass(perturbed, col);

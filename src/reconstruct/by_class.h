@@ -19,7 +19,7 @@ namespace ppdm::reconstruct {
 /// the result is bit-identical for any pool size (nullptr runs inline).
 std::vector<Reconstruction> ReconstructByClass(
     const data::Dataset& perturbed, std::size_t col,
-    const Partition& partition, const BayesReconstructor& reconstructor,
+    const stats::Partition& partition, const BayesReconstructor& reconstructor,
     engine::ThreadPool* pool = nullptr);
 
 }  // namespace ppdm::reconstruct

@@ -184,32 +184,28 @@ BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
 }
 
 Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
-                                       const Partition& partition,
+                                       const stats::Partition& partition,
                                        engine::ThreadPool* pool) const {
   // Sharded ingestion: per-shard integer bin counts merged in shard order
-  // are exactly the sequential histogram, for every pool size. The bin
-  // index is computed by the dispatched batch kernel, which reproduces
-  // Histogram::BinOf exactly on every path (integer outputs — no rounding
-  // freedom). Under kNone noise the binning is the partition grid itself
-  // and BinOf is Partition::IntervalOf, so the counts are the exact
+  // are exactly the sequential histogram, for every pool size. Under kNone
+  // noise the w-grid is the partition itself, so the counts are the exact
   // histogram FitFromCounts normalizes.
-  const stats::Histogram whist = PerturbedBinning(partition);
   const engine::ShardStats ingested = engine::IngestBinnedColumn(
-      perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
-      whist.width(), whist.bins(), pool, engine::kIngestShardRows);
+      perturbed.data(), perturbed.size(), PerturbedBinning(partition), pool,
+      engine::kIngestShardRows);
   return FitFromCounts(ingested.BinWeights(),
-                       static_cast<double>(perturbed.size()), partition,
+                       static_cast<double>(perturbed.size()),
                        BuildKernelTable(partition), pool);
 }
 
-stats::Histogram BayesReconstructor::PerturbedBinning(
-    const Partition& partition) const {
+stats::Partition BayesReconstructor::PerturbedBinning(
+    const stats::Partition& partition) const {
   // Perturbed values live on a range widened by the noise support; bin them
   // with the same width so kernel evaluations use aligned midpoints.
   const double width = partition.width();
   const auto extension = static_cast<std::size_t>(
       std::ceil(noise_.EffectiveHalfWidth() / width));
-  return stats::Histogram(
+  return stats::Partition(
       partition.lo() - width * static_cast<double>(extension),
       partition.hi() + width * static_cast<double>(extension),
       partition.intervals() + 2 * extension);
@@ -225,10 +221,10 @@ stats::Histogram BayesReconstructor::PerturbedBinning(
 // down to 2, followed by row 1. Sequential scalar NoiseModel::Cdf calls,
 // so the table is identical for every pool size and SIMD path.
 KernelTable BayesReconstructor::BuildKernelTable(
-    const Partition& partition) const {
-  const stats::Histogram whist = PerturbedBinning(partition);
+    const stats::Partition& partition) const {
+  const stats::Partition wgrid = PerturbedBinning(partition);
   KernelTable table;
-  table.wbins = whist.bins();
+  table.wbins = wgrid.intervals();
   table.intervals = partition.intervals();
   table.stride = simd::PadLanes(table.intervals);
 
@@ -240,8 +236,8 @@ KernelTable BayesReconstructor::BuildKernelTable(
   const auto cell = [&](std::size_t j, std::size_t k) {
     const double mid = partition.Mid(k);
     const double u =
-        j + 1 == num_wbins ? 1.0 : noise_.Cdf(whist.BinHi(j) - mid);
-    const double l = j == 0 ? 0.0 : noise_.Cdf(whist.BinLo(j) - mid);
+        j + 1 == num_wbins ? 1.0 : noise_.Cdf(wgrid.Hi(j) - mid);
+    const double l = j == 0 ? 0.0 : noise_.Cdf(wgrid.Lo(j) - mid);
     return u - l;
   };
 
@@ -257,7 +253,7 @@ KernelTable BayesReconstructor::BuildKernelTable(
   table.row_offset.resize(num_wbins);
   table.fallback.resize(num_wbins);
   for (std::size_t j = 0; j < num_wbins; ++j) {
-    table.fallback[j] = partition.IntervalOf(whist.BinMid(j));
+    table.fallback[j] = partition.IntervalOf(wgrid.Mid(j));
     table.row_offset[j] = strip_begin + num_wbins - 2 - j;
   }
   table.row_offset[0] = 0;
@@ -280,13 +276,11 @@ KernelTable BayesReconstructor::BuildKernelTable(
 
 Reconstruction BayesReconstructor::FitFromCounts(
     const std::vector<double>& weights, double total_weight,
-    const Partition& partition, const KernelTable& kernel,
-    engine::ThreadPool* pool) const {
-  PPDM_CHECK_EQ(kernel.intervals, partition.intervals());
+    const KernelTable& kernel, engine::ThreadPool* pool) const {
   PPDM_CHECK_EQ(weights.size(), kernel.wbins);
   if (total_weight <= 0.0) {
     Reconstruction out;
-    out.masses = UniformMasses(partition.intervals());
+    out.masses = UniformMasses(kernel.intervals);
     return out;
   }
   if (noise_.kind() == perturb::NoiseKind::kNone) {

@@ -17,8 +17,7 @@
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "perturb/noise_model.h"
-#include "reconstruct/partition.h"
-#include "stats/histogram.h"
+#include "stats/partition.h"
 
 namespace ppdm::reconstruct {
 
@@ -74,15 +73,16 @@ struct Reconstruction {
 /// wbins − 2 − j.
 /// Diagonal d is evaluated once, at its topmost interior cell
 /// (j₀ = max(1, d), k₀ = j₀ − d), with the per-cell formula
-/// Cdf(BinHi(j₀) − Mid(k₀)) − Cdf(BinLo(j₀) − Mid(k₀)). Building costs
-/// O(wbins + K) CDF evaluations and the table is O(wbins + K) doubles, so
-/// it stays cache-resident through the E-step. On grids whose edges and
-/// midpoints are exact in binary every cell of a diagonal is that very
-/// value; elsewhere cells differ from a per-cell evaluation by a few ulps.
+/// Cdf(w.Hi(j₀) − Mid(k₀)) − Cdf(w.Lo(j₀) − Mid(k₀)), w the w-grid.
+/// Building costs O(wbins + K) CDF evaluations and the table is
+/// O(wbins + K) doubles, so it stays cache-resident through the E-step.
+/// On grids whose edges and midpoints are exact in binary every cell of a
+/// diagonal is that very value; elsewhere cells differ from a per-cell
+/// evaluation by a few ulps.
 ///
 /// The table depends only on the noise model and the partition, never on
 /// the counts, the thread count, or the dispatched SIMD path, so a layout
-/// that never changes needs it built once (api::AttributeState builds it
+/// that never changes needs it built once (api::DatasetSession builds it
 /// on an attribute's first refresh and keeps it).
 struct KernelTable {
   std::size_t wbins = 0;      ///< perturbed-value bins (table rows)
@@ -113,36 +113,35 @@ class BayesReconstructor {
   /// integer counts and the E-step's partials fold in chunk order, so the
   /// result is bit-identical for every pool size and every SIMD path.
   Reconstruction Fit(const std::vector<double>& perturbed,
-                     const Partition& partition,
+                     const stats::Partition& partition,
                      engine::ThreadPool* pool = nullptr) const;
 
-  /// The perturbed-value binning the EM fits over for `partition`: the
-  /// partition's grid extended on each side by
-  /// ceil(EffectiveHalfWidth / width) bins, so overshooting perturbed
-  /// values land in aligned edge bins. Streaming ingestion bins arriving
-  /// observations with exactly this layout (the counts it accumulates are
-  /// the ones Fit would ingest from the full column).
-  stats::Histogram PerturbedBinning(const Partition& partition) const;
+  /// The w-grid the EM fits over for `partition`: the partition's grid
+  /// extended on each side by ceil(EffectiveHalfWidth / width) intervals
+  /// of the same width, so overshooting perturbed values land in aligned
+  /// edge bins. Streaming ingestion bins arriving observations on exactly
+  /// this grid (the counts it accumulates are the ones Fit would ingest
+  /// from the full column).
+  stats::Partition PerturbedBinning(const stats::Partition& partition) const;
 
   /// Fits from pre-binned perturbed-value counts — `weights[j]`
-  /// observations fell in bin j of PerturbedBinning(partition),
+  /// observations fell in interval j of PerturbedBinning(partition),
   /// `total_weight` observations in all — over `kernel`, the table
-  /// BuildKernelTable(partition) returns. Counts are integers, so any
+  /// BuildKernelTable(partition) returns; the estimate has
+  /// kernel.intervals masses. Counts are integers, so any
   /// ingestion split (one batch, many batches, sharded) yields the same
   /// weights, and the result is byte-identical to Fit on the equivalent
   /// raw column for every pool size. EM always starts from the uniform
   /// prior: a streaming session that wants an estimate without refitting
   /// serves its memoized fit instead (api::DatasetSession::ReconstructAll).
   Reconstruction FitFromCounts(const std::vector<double>& weights,
-                               double total_weight,
-                               const Partition& partition,
-                               const KernelTable& kernel,
+                               double total_weight, const KernelTable& kernel,
                                engine::ThreadPool* pool) const;
 
   /// Builds the EM likelihood table for `partition`. Depends only on the
   /// reconstructor's noise model and the partition layout; deterministic
   /// for every SIMD path.
-  KernelTable BuildKernelTable(const Partition& partition) const;
+  KernelTable BuildKernelTable(const stats::Partition& partition) const;
 
   const perturb::NoiseModel& noise() const { return noise_; }
   const ReconstructionOptions& options() const { return options_; }

@@ -5,66 +5,8 @@
 #include <limits>
 
 #include "common/check.h"
-#include "stats/normal.h"
 
 namespace ppdm::stats {
-
-// ---------------------------------------------------------------- Uniform
-
-UniformDistribution::UniformDistribution(double lo, double hi)
-    : lo_(lo), hi_(hi) {
-  PPDM_CHECK_LT(lo, hi);
-}
-
-double UniformDistribution::Pdf(double x) const {
-  return (x < lo_ || x > hi_) ? 0.0 : 1.0 / (hi_ - lo_);
-}
-
-double UniformDistribution::Cdf(double x) const {
-  if (x <= lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  return (x - lo_) / (hi_ - lo_);
-}
-
-double UniformDistribution::Quantile(double p) const {
-  PPDM_CHECK(p >= 0.0 && p <= 1.0);
-  return lo_ + p * (hi_ - lo_);
-}
-
-double UniformDistribution::Sample(Rng* rng) const {
-  return rng->UniformReal(lo_, hi_);
-}
-
-// ---------------------------------------------------------------- Gaussian
-
-GaussianDistribution::GaussianDistribution(double mean, double stddev)
-    : mean_(mean), stddev_(stddev) {
-  PPDM_CHECK_GT(stddev, 0.0);
-}
-
-double GaussianDistribution::Pdf(double x) const {
-  return NormalPdf((x - mean_) / stddev_) / stddev_;
-}
-
-double GaussianDistribution::Cdf(double x) const {
-  return NormalCdf((x - mean_) / stddev_);
-}
-
-double GaussianDistribution::Quantile(double p) const {
-  return mean_ + stddev_ * NormalQuantile(p);
-}
-
-double GaussianDistribution::Sample(Rng* rng) const {
-  return rng->Gaussian(mean_, stddev_);
-}
-
-double GaussianDistribution::SupportLo() const {
-  return -std::numeric_limits<double>::infinity();
-}
-
-double GaussianDistribution::SupportHi() const {
-  return std::numeric_limits<double>::infinity();
-}
 
 // ---------------------------------------------------------------- Triangle
 

@@ -1,6 +1,6 @@
-// One-dimensional probability distributions used throughout ppdm: as noise
-// models, as ground-truth generators for the reconstruction experiments
-// (the paper's "plateau" and "triangle" figures), and in tests.
+// One-dimensional probability distributions: the ground-truth generators
+// of the reconstruction experiments (the paper's "plateau" and "triangle"
+// figures). The noise densities live in perturb::NoiseModel.
 
 #ifndef PPDM_STATS_DISTRIBUTION_H_
 #define PPDM_STATS_DISTRIBUTION_H_
@@ -37,42 +37,6 @@ class Distribution {
 
   /// Upper edge of the support (+inf allowed).
   virtual double SupportHi() const = 0;
-};
-
-/// Uniform distribution on [lo, hi].
-class UniformDistribution final : public Distribution {
- public:
-  UniformDistribution(double lo, double hi);
-
-  double Pdf(double x) const override;
-  double Cdf(double x) const override;
-  double Quantile(double p) const override;
-  double Sample(Rng* rng) const override;
-  double Mean() const override { return 0.5 * (lo_ + hi_); }
-  double SupportLo() const override { return lo_; }
-  double SupportHi() const override { return hi_; }
-
- private:
-  double lo_, hi_;
-};
-
-/// Normal distribution N(mean, stddev^2).
-class GaussianDistribution final : public Distribution {
- public:
-  GaussianDistribution(double mean, double stddev);
-
-  double Pdf(double x) const override;
-  double Cdf(double x) const override;
-  double Quantile(double p) const override;
-  double Sample(Rng* rng) const override;
-  double Mean() const override { return mean_; }
-  double SupportLo() const override;
-  double SupportHi() const override;
-
-  double stddev() const { return stddev_; }
-
- private:
-  double mean_, stddev_;
 };
 
 /// Symmetric triangle distribution on [lo, hi] peaking at the midpoint —

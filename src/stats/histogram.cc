@@ -8,41 +8,15 @@
 namespace ppdm::stats {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  PPDM_CHECK_LT(lo, hi);
-  PPDM_CHECK_GT(bins, 0u);
-  counts_.assign(bins, 0);
-}
+    : partition_(lo, hi, bins), counts_(bins, 0) {}
 
 void Histogram::Add(double value) {
-  ++counts_[BinOf(value)];
+  ++counts_[partition_.IntervalOf(value)];
   ++total_;
 }
 
 void Histogram::AddAll(const std::vector<double>& values) {
   for (double v : values) Add(v);
-}
-
-std::size_t Histogram::BinOf(double value) const {
-  if (value <= lo_) return 0;
-  if (value >= hi_) return counts_.size() - 1;
-  auto b = static_cast<std::size_t>((value - lo_) / width_);
-  return std::min(b, counts_.size() - 1);
-}
-
-double Histogram::BinLo(std::size_t b) const {
-  PPDM_CHECK_LT(b, counts_.size());
-  return lo_ + width_ * static_cast<double>(b);
-}
-
-double Histogram::BinHi(std::size_t b) const {
-  PPDM_CHECK_LT(b, counts_.size());
-  return lo_ + width_ * static_cast<double>(b + 1);
-}
-
-double Histogram::BinMid(std::size_t b) const {
-  PPDM_CHECK_LT(b, counts_.size());
-  return lo_ + width_ * (static_cast<double>(b) + 0.5);
 }
 
 std::vector<double> Histogram::Masses() const {

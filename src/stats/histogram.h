@@ -1,5 +1,6 @@
-// Equi-width histogram plus the distances used by the reconstruction
-// convergence test (χ²) and accuracy reporting (total variation, KS).
+// Histogram counts over an interval grid, plus the distances used by the
+// reconstruction convergence test (χ²) and accuracy reporting (total
+// variation, KS).
 
 #ifndef PPDM_STATS_HISTOGRAM_H_
 #define PPDM_STATS_HISTOGRAM_H_
@@ -7,13 +8,17 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/partition.h"
+
 namespace ppdm::stats {
 
-/// Fixed-width binning of [lo, hi] into `bins` cells. Values outside the
-/// range are clamped into the first / last bin — perturbed values routinely
-/// overshoot the true domain, and the paper folds them back the same way.
+/// Observation counts over a Partition. Values outside the grid are
+/// clamped into the first / last bin (Partition::IntervalOf) — perturbed
+/// values routinely overshoot the true domain, and the paper folds them
+/// back the same way.
 class Histogram {
  public:
+  /// Counts over Partition(lo, hi, bins).
   Histogram(double lo, double hi, std::size_t bins);
 
   /// Adds one observation.
@@ -22,21 +27,7 @@ class Histogram {
   /// Adds a batch of observations.
   void AddAll(const std::vector<double>& values);
 
-  /// Bin index for a value (after clamping).
-  std::size_t BinOf(double value) const;
-
-  /// Inclusive lower edge of bin b.
-  double BinLo(std::size_t b) const;
-
-  /// Exclusive upper edge of bin b (inclusive for the last bin).
-  double BinHi(std::size_t b) const;
-
-  /// Midpoint of bin b.
-  double BinMid(std::size_t b) const;
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  double width() const { return width_; }
+  const Partition& partition() const { return partition_; }
   std::size_t bins() const { return counts_.size(); }
   std::size_t total() const { return total_; }
   const std::vector<std::size_t>& counts() const { return counts_; }
@@ -45,7 +36,7 @@ class Histogram {
   std::vector<double> Masses() const;
 
  private:
-  double lo_, hi_, width_;
+  Partition partition_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };

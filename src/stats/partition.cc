@@ -1,10 +1,10 @@
-#include "reconstruct/partition.h"
+#include "stats/partition.h"
 
 #include <algorithm>
 
 #include "common/check.h"
 
-namespace ppdm::reconstruct {
+namespace ppdm::stats {
 
 Partition::Partition(double lo, double hi, std::size_t intervals)
     : lo_(lo),
@@ -13,11 +13,6 @@ Partition::Partition(double lo, double hi, std::size_t intervals)
       intervals_(intervals) {
   PPDM_CHECK_LT(lo, hi);
   PPDM_CHECK_GT(intervals, 0u);
-}
-
-Partition Partition::ForField(const data::FieldSpec& field,
-                              std::size_t intervals) {
-  return Partition(field.lo, field.hi, intervals);
 }
 
 double Partition::Mid(std::size_t k) const {
@@ -51,4 +46,4 @@ std::size_t Partition::IntervalOf(double value) const {
   return std::min(k, intervals_ - 1);
 }
 
-}  // namespace ppdm::reconstruct
+}  // namespace ppdm::stats

@@ -1,25 +1,21 @@
-// Interval partition of an attribute domain (paper §4.3 "partitioning into
+// The equal-width interval grid (paper §4.3 "partitioning into
 // intervals"): reconstruction estimates one probability mass per interval,
-// and the decision tree uses the interval boundaries as candidate splits.
+// perturbed values are binned on the same grid widened by the noise
+// support, histograms count over it, and the decision tree uses the
+// interval boundaries as candidate splits.
 
-#ifndef PPDM_RECONSTRUCT_PARTITION_H_
-#define PPDM_RECONSTRUCT_PARTITION_H_
+#ifndef PPDM_STATS_PARTITION_H_
+#define PPDM_STATS_PARTITION_H_
 
 #include <cstddef>
 #include <vector>
 
-#include "data/schema.h"
-
-namespace ppdm::reconstruct {
+namespace ppdm::stats {
 
 /// K equal-width intervals covering [lo, hi].
 class Partition {
  public:
   Partition(double lo, double hi, std::size_t intervals);
-
-  /// Partition over an attribute's declared domain.
-  static Partition ForField(const data::FieldSpec& field,
-                            std::size_t intervals);
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
@@ -48,6 +44,6 @@ class Partition {
   std::size_t intervals_;
 };
 
-}  // namespace ppdm::reconstruct
+}  // namespace ppdm::stats
 
-#endif  // PPDM_RECONSTRUCT_PARTITION_H_
+#endif  // PPDM_STATS_PARTITION_H_

@@ -17,7 +17,7 @@ namespace {
 
 using reconstruct::AssignByOrderStatistics;
 using reconstruct::BayesReconstructor;
-using reconstruct::Partition;
+using stats::Partition;
 using reconstruct::Reconstruction;
 
 // Per-attribute interval range [first, second) still possible at a node;
@@ -44,8 +44,8 @@ class Builder {
     }
     partitions_.reserve(dataset.NumCols());
     for (std::size_t c = 0; c < dataset.NumCols(); ++c) {
-      partitions_.push_back(Partition::ForField(dataset.schema().Field(c),
-                                                options.intervals));
+      const data::FieldSpec& field = dataset.schema().Field(c);
+      partitions_.emplace_back(field.lo, field.hi, options.intervals);
     }
     // Local also precomputes ByClass root assignments: small nodes fall
     // back to them, and holdout routing during pruning uses them.

@@ -133,8 +133,8 @@ struct StreamFixture {
   /// Fit over the first `rows` values of the perturbed salary column: what
   /// a SalarySpec() session whose memo was fitted at `rows` serves.
   reconstruct::Reconstruction SalaryFitOver(std::size_t rows) const {
-    const reconstruct::Partition partition = reconstruct::Partition::ForField(
-        original->schema().Field(synth::kSalary), 24);
+    const data::FieldSpec& salary = original->schema().Field(synth::kSalary);
+    const stats::Partition partition(salary.lo, salary.hi, 24);
     const reconstruct::BayesReconstructor reconstructor(
         randomizer->ModelFor(synth::kSalary), {});
     const std::vector<double>& column = perturbed->Column(synth::kSalary);
@@ -518,8 +518,9 @@ TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
   // Per-column batch reference for the cold first refresh.
   std::vector<reconstruct::Reconstruction> batch_fits;
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    const reconstruct::Partition partition = reconstruct::Partition::ForField(
-        spec.schema.Field(a), spec.attributes[a].intervals);
+    const data::FieldSpec& field = spec.schema.Field(a);
+    const stats::Partition partition(field.lo, field.hi,
+                                     spec.attributes[a].intervals);
     const reconstruct::BayesReconstructor reconstructor(
         fx.randomizer->ModelFor(a), {});
     batch_fits.push_back(

@@ -14,7 +14,7 @@ namespace {
 
 using perturb::NoiseKind;
 using perturb::NoiseModel;
-using reconstruct::Partition;
+using stats::Partition;
 
 struct AttackData {
   std::vector<double> original;

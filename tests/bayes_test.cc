@@ -23,7 +23,7 @@ double Accuracy(const NaiveBayesModel& model, const data::Dataset& test) {
 TEST(NaiveBayesModelTest, PredictsFromHandBuiltTables) {
   // One attribute over [0,1), 2 intervals: class 0 lives left, class 1
   // right.
-  std::vector<reconstruct::Partition> partitions{{0.0, 1.0, 2}};
+  std::vector<stats::Partition> partitions{{0.0, 1.0, 2}};
   NaiveBayesModel model({0.5, 0.5},
                         {{{0.9, 0.1}}, {{0.1, 0.9}}}, partitions);
   EXPECT_EQ(model.Predict({0.25}), 0);
@@ -31,14 +31,14 @@ TEST(NaiveBayesModelTest, PredictsFromHandBuiltTables) {
 }
 
 TEST(NaiveBayesModelTest, PriorsBreakTies) {
-  std::vector<reconstruct::Partition> partitions{{0.0, 1.0, 2}};
+  std::vector<stats::Partition> partitions{{0.0, 1.0, 2}};
   NaiveBayesModel model({0.9, 0.1},
                         {{{0.5, 0.5}}, {{0.5, 0.5}}}, partitions);
   EXPECT_EQ(model.Predict({0.25}), 0);  // likelihoods equal, prior decides
 }
 
 TEST(NaiveBayesModelTest, LogPosteriorOrdersClasses) {
-  std::vector<reconstruct::Partition> partitions{{0.0, 1.0, 2}};
+  std::vector<stats::Partition> partitions{{0.0, 1.0, 2}};
   NaiveBayesModel model({0.5, 0.5},
                         {{{0.8, 0.2}}, {{0.2, 0.8}}}, partitions);
   const auto lp = model.LogPosterior({0.1});

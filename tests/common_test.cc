@@ -117,11 +117,6 @@ TEST(StringsTest, TrimStripsBothEnds) {
   EXPECT_EQ(Trim("x"), "x");
 }
 
-TEST(StringsTest, JoinDoubles) {
-  EXPECT_EQ(JoinDoubles({1.5, 2.0, 3.25}), "1.5, 2, 3.25");
-  EXPECT_EQ(JoinDoubles({}), "");
-}
-
 TEST(StringsTest, ParseDoubleAcceptsValid) {
   auto r = ParseDouble(" 3.75 ");
   ASSERT_TRUE(r.ok());

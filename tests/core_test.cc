@@ -9,7 +9,7 @@
 #include "core/experiment.h"
 #include "core/infotheory.h"
 #include "core/metrics.h"
-#include "reconstruct/partition.h"
+#include "stats/partition.h"
 
 namespace ppdm::core {
 namespace {
@@ -76,7 +76,7 @@ TEST(InfotheoryTest, ConcentratedDistributionHasLessEntropyPrivacy) {
 }
 
 TEST(InfotheoryTest, MutualInformationShrinksWithNoise) {
-  const reconstruct::Partition p(0.0, 1.0, 10);
+  const stats::Partition p(0.0, 1.0, 10);
   const std::vector<double> masses(10, 0.1);
   const double weak = MutualInformationBits(
       masses, p, perturb::NoiseModel::Uniform(0.05));
@@ -91,7 +91,7 @@ TEST(InfotheoryTest, MutualInformationShrinksWithNoise) {
 TEST(InfotheoryTest, MutualInformationGaussianVsUniformAtSamePrivacy) {
   // The paper prefers Gaussian at equal 95%-confidence privacy; the mutual
   // information through the channel quantifies what each leaks in total.
-  const reconstruct::Partition p(0.0, 1.0, 20);
+  const stats::Partition p(0.0, 1.0, 20);
   const std::vector<double> masses(20, 0.05);
   const auto uniform =
       perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 1.0, 0.95);

@@ -1,5 +1,4 @@
-// Unit tests for schema, dataset, row batches, CSV persistence, and
-// splitting.
+// Unit tests for schema, dataset, row batches, and CSV persistence.
 
 #include <cstdio>
 #include <string>
@@ -7,12 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/row_batch.h"
 #include "data/schema.h"
-#include "data/split.h"
 
 namespace ppdm::data {
 namespace {
@@ -317,48 +314,6 @@ TEST(CsvTest, ReadCsvBatchesStopsOnSinkError) {
   EXPECT_EQ(total.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(calls, 1);
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------------- Split
-
-TEST(SplitTest, SizesMatchFraction) {
-  Dataset d(TwoFieldSchema(), 2);
-  for (int i = 0; i < 100; ++i) d.AddRow({20.0 + i * 0.6, 0.0}, i % 2);
-  Rng rng(1);
-  const TrainTest tt = TrainTestSplit(d, 0.2, &rng);
-  EXPECT_EQ(tt.test.NumRows(), 20u);
-  EXPECT_EQ(tt.train.NumRows(), 80u);
-}
-
-TEST(SplitTest, PartitionIsDisjointAndComplete) {
-  Dataset d(TwoFieldSchema(), 2);
-  for (int i = 0; i < 50; ++i) d.AddRow({20.0 + i, 0.0}, 0);
-  Rng rng(2);
-  const TrainTest tt = TrainTestSplit(d, 0.3, &rng);
-  std::vector<double> all;
-  for (std::size_t r = 0; r < tt.train.NumRows(); ++r) {
-    all.push_back(tt.train.At(r, 0));
-  }
-  for (std::size_t r = 0; r < tt.test.NumRows(); ++r) {
-    all.push_back(tt.test.At(r, 0));
-  }
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(i)], 20.0 + i);
-  }
-}
-
-TEST(SplitTest, DeterministicGivenSeed) {
-  Dataset d(TwoFieldSchema(), 2);
-  for (int i = 0; i < 30; ++i) d.AddRow({20.0 + i, 0.0}, 0);
-  Rng rng1(77), rng2(77);
-  const TrainTest a = TrainTestSplit(d, 0.5, &rng1);
-  const TrainTest b = TrainTestSplit(d, 0.5, &rng2);
-  ASSERT_EQ(a.test.NumRows(), b.test.NumRows());
-  for (std::size_t r = 0; r < a.test.NumRows(); ++r) {
-    EXPECT_DOUBLE_EQ(a.test.At(r, 0), b.test.At(r, 0));
-  }
 }
 
 }  // namespace

@@ -18,11 +18,11 @@
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
-#include "stats/histogram.h"
 #include "perturb/noise_model.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/by_class.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/partition.h"
 #include "synth/generator.h"
 #include "tree/trainer.h"
 
@@ -141,10 +141,10 @@ bool StatsEqual(const ShardStats& a, const ShardStats& b) {
 
 // The bins of a column by the scalar reference binning, one value at a
 // time — what every batched, sharded or SIMD ingest must reproduce.
-ShardStats SequentialBinOf(const std::vector<double>& values,
-                           const stats::Histogram& hist) {
-  ShardStats stats(hist.bins());
-  for (double v : values) stats.Add(hist.BinOf(v));
+ShardStats SequentialIntervalOf(const std::vector<double>& values,
+                                const stats::Partition& grid) {
+  ShardStats stats(grid.intervals());
+  for (double v : values) stats.Add(grid.IntervalOf(v));
   return stats;
 }
 
@@ -186,16 +186,15 @@ TEST(ShardStatsTest, ShardedIngestEqualsSequentialPass) {
   Rng rng(7);
   std::vector<double> values(5000);
   for (double& v : values) v = rng.UniformReal(-1.0, 2.0);
-  const stats::Histogram hist(0.0, 1.0, 3);
+  const stats::Partition grid(0.0, 1.0, 3);
 
-  const ShardStats sequential = SequentialBinOf(values, hist);
+  const ShardStats sequential = SequentialIntervalOf(values, grid);
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     ThreadPool pool(threads);
     for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
                                    std::size_t{10000}}) {
       const ShardStats sharded = IngestBinnedColumn(
-          values.data(), values.size(), hist.lo(), hist.hi(), hist.width(),
-          hist.bins(), &pool, shard_size);
+          values.data(), values.size(), grid, &pool, shard_size);
       EXPECT_TRUE(StatsEqual(sequential, sharded))
           << "threads " << threads << " shard_size " << shard_size;
     }
@@ -207,11 +206,11 @@ TEST(ShardStatsTest, IngestEmptyInput) {
     ThreadPool pool(threads);
     for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
                                    std::size_t{10000}}) {
-      const ShardStats stats = IngestBinnedColumn(
-          nullptr, 0, 0.0, 1.0, 0.25, 4, &pool, shard_size);
-      EXPECT_EQ(stats.record_count(), 0u);
-      EXPECT_EQ(stats.num_bins(), 4u);
-      EXPECT_EQ(stats.counts(), std::vector<std::uint64_t>(4, 0));
+      const ShardStats empty = IngestBinnedColumn(
+          nullptr, 0, stats::Partition(0.0, 1.0, 4), &pool, shard_size);
+      EXPECT_EQ(empty.record_count(), 0u);
+      EXPECT_EQ(empty.num_bins(), 4u);
+      EXPECT_EQ(empty.counts(), std::vector<std::uint64_t>(4, 0));
     }
   }
 }
@@ -270,9 +269,9 @@ TEST(SimdTest, StrictEnvResolveRejectsOff) {
       << status.message();
 }
 
-TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
+TEST(SimdTest, BinIndicesMatchesIntervalOfOnEveryPath) {
   PathGuard guard;
-  const stats::Histogram hist(-0.3, 1.3, 16);
+  const stats::Partition grid(-0.3, 1.3, 16);
   Rng rng(41);
   std::vector<double> values;
   // Random interior values plus every hazardous edge: the exact bounds,
@@ -291,10 +290,10 @@ TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
     std::vector<std::uint32_t> idx(values.size());
-    simd::BinIndices(values.data(), values.size(), hist.lo(), hist.hi(),
-                     hist.width(), hist.bins(), idx.data());
+    simd::BinIndices(values.data(), values.size(), grid.lo(), grid.hi(),
+                     grid.width(), grid.intervals(), idx.data());
     for (std::size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(idx[i], hist.BinOf(values[i]))
+      EXPECT_EQ(idx[i], grid.IntervalOf(values[i]))
           << "path=" << simd::PathName(path) << " value=" << values[i];
     }
   }
@@ -367,11 +366,11 @@ TEST(SimdTest, FourRowKernelsEqualFourSingleRowCalls) {
 
 TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
   PathGuard guard;
-  const stats::Histogram hist(0.0, 1.0, 12);
+  const stats::Partition grid(0.0, 1.0, 12);
   Rng rng(47);
   std::vector<double> values(5000);
   for (double& v : values) v = rng.UniformReal(-0.5, 1.5);
-  const ShardStats reference = SequentialBinOf(values, hist);
+  const ShardStats reference = SequentialIntervalOf(values, grid);
 
   ThreadPool pool(4);
   std::vector<simd::Path> paths{simd::Path::kScalar};
@@ -381,18 +380,17 @@ TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
     for (std::size_t shard_size : {std::size_t{0}, std::size_t{100},
                                    std::size_t{333}}) {
       const ShardStats binned = IngestBinnedColumn(
-          values.data(), values.size(), hist.lo(), hist.hi(), hist.width(),
-          hist.bins(), shard_size == 0 ? nullptr : &pool, shard_size);
+          values.data(), values.size(), grid,
+          shard_size == 0 ? nullptr : &pool, shard_size);
       EXPECT_TRUE(StatsEqual(reference, binned))
           << "path=" << simd::PathName(path)
           << " shard_size=" << shard_size;
     }
     // AddBinned over uneven runs (a partial kernel batch, then a run past
     // one batch) counts the same as one pass.
-    ShardStats pieces(hist.bins());
-    pieces.AddBinned(values.data(), 7, hist.lo(), hist.hi(), hist.width());
-    pieces.AddBinned(values.data() + 7, values.size() - 7, hist.lo(),
-                     hist.hi(), hist.width());
+    ShardStats pieces(grid.intervals());
+    pieces.AddBinned(values.data(), 7, grid);
+    pieces.AddBinned(values.data() + 7, values.size() - 7, grid);
     EXPECT_TRUE(StatsEqual(reference, pieces))
         << "path=" << simd::PathName(path);
   }
@@ -439,8 +437,8 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
 
 TEST(BatchTest, FitIsThreadCountInvariant) {
   const EngineFixture fx;
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      fx.perturbed->schema().Field(synth::kSalary), 25);
+  const data::FieldSpec& salary = fx.perturbed->schema().Field(synth::kSalary);
+  const stats::Partition partition(salary.lo, salary.hi, 25);
   const reconstruct::BayesReconstructor reconstructor(
       fx.randomizer->ModelFor(synth::kSalary), {});
   const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
@@ -470,8 +468,8 @@ TEST(BatchTest, FitOverAPoolEqualsFitBitwise) {
   // One E-step decomposition: Fit over a 0-thread pool (inline) and over
   // 4 workers is Fit() with no pool, bit for bit — masses and both traces.
   const EngineFixture fx;
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      fx.perturbed->schema().Field(synth::kAge), 20);
+  const data::FieldSpec& age = fx.perturbed->schema().Field(synth::kAge);
+  const stats::Partition partition(age.lo, age.hi, 20);
   const std::vector<double>& column = fx.perturbed->Column(synth::kAge);
   const reconstruct::BayesReconstructor reconstructor(
       fx.randomizer->ModelFor(synth::kAge), {});
@@ -494,7 +492,7 @@ TEST(BatchTest, FitOverAPoolEqualsFitBitwise) {
 TEST(BatchTest, FitEmptyInputYieldsUniform) {
   const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.5);
   const reconstruct::BayesReconstructor reconstructor(noise, {});
-  const reconstruct::Partition partition(0.0, 1.0, 8);
+  const stats::Partition partition(0.0, 1.0, 8);
   ThreadPool pool(2);
   const reconstruct::Reconstruction r =
       reconstructor.Fit({}, partition, &pool);
@@ -505,8 +503,8 @@ TEST(BatchTest, FitEmptyInputYieldsUniform) {
 
 TEST(BatchTest, ReconstructByClassIsPoolInvariant) {
   const EngineFixture fx;
-  const reconstruct::Partition partition = reconstruct::Partition::ForField(
-      fx.perturbed->schema().Field(synth::kSalary), 20);
+  const data::FieldSpec& salary = fx.perturbed->schema().Field(synth::kSalary);
+  const stats::Partition partition(salary.lo, salary.hi, 20);
   const reconstruct::BayesReconstructor reconstructor(
       fx.randomizer->ModelFor(synth::kSalary), {});
 

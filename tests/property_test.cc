@@ -10,8 +10,8 @@
 #include "core/experiment.h"
 #include "core/infotheory.h"
 #include "reconstruct/assign.h"
-#include "reconstruct/partition.h"
 #include "stats/histogram.h"
+#include "stats/partition.h"
 
 namespace ppdm {
 namespace {
@@ -109,7 +109,7 @@ class PartitionProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PartitionProperty, IntervalOfAgreesWithEdges) {
   const std::size_t k = GetParam();
-  const reconstruct::Partition p(-3.0, 11.0, k);
+  const stats::Partition p(-3.0, 11.0, k);
   Rng rng(k);
   for (int i = 0; i < 2000; ++i) {
     const double x = rng.UniformReal(-3.0, 11.0);
@@ -121,7 +121,7 @@ TEST_P(PartitionProperty, IntervalOfAgreesWithEdges) {
 
 TEST_P(PartitionProperty, MidpointsAreInsideTheirIntervals) {
   const std::size_t k = GetParam();
-  const reconstruct::Partition p(0.0, 1.0, k);
+  const stats::Partition p(0.0, 1.0, k);
   for (std::size_t bin = 0; bin < k; ++bin) {
     EXPECT_EQ(p.IntervalOf(p.Mid(bin)), bin);
   }
@@ -129,7 +129,7 @@ TEST_P(PartitionProperty, MidpointsAreInsideTheirIntervals) {
 
 TEST_P(PartitionProperty, EdgesTileTheDomain) {
   const std::size_t k = GetParam();
-  const reconstruct::Partition p(5.0, 25.0, k);
+  const stats::Partition p(5.0, 25.0, k);
   const auto edges = p.Edges();
   ASSERT_EQ(edges.size(), k + 1);
   for (std::size_t i = 1; i < edges.size(); ++i) {
@@ -174,7 +174,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssignProperty,
 // ------------------------------------------------ information inequalities
 
 TEST(InfoInequalities, MutualInformationBoundedByEntropy) {
-  const reconstruct::Partition p(0.0, 1.0, 16);
+  const stats::Partition p(0.0, 1.0, 16);
   Rng rng(77);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> masses(16);
@@ -195,7 +195,7 @@ TEST(InfoInequalities, MutualInformationBoundedByEntropy) {
 }
 
 TEST(InfoInequalities, MoreNoiseNeverMoreInformation) {
-  const reconstruct::Partition p(0.0, 1.0, 16);
+  const stats::Partition p(0.0, 1.0, 16);
   const std::vector<double> masses(16, 1.0 / 16.0);
   double previous = 1e9;
   for (double sigma : {0.02, 0.05, 0.1, 0.2, 0.4, 0.8}) {

@@ -1,4 +1,4 @@
-// Tests for the reconstruction layer: interval partitions, apportionment,
+// Tests for the reconstruction layer: apportionment,
 // order-statistics assignment, and the Bayes/EM reconstructor — including
 // the EM signature property (monotone log-likelihood) and the paper's
 // headline property that reconstruction recovers the original distribution
@@ -18,10 +18,10 @@
 #include "perturb/noise_model.h"
 #include "reconstruct/assign.h"
 #include "reconstruct/by_class.h"
-#include "reconstruct/partition.h"
 #include "reconstruct/reconstructor.h"
 #include "stats/distribution.h"
 #include "stats/histogram.h"
+#include "stats/partition.h"
 #include "synth/generator.h"
 
 namespace ppdm::reconstruct {
@@ -29,40 +29,7 @@ namespace {
 
 using perturb::NoiseKind;
 using perturb::NoiseModel;
-
-// -------------------------------------------------------------- Partition
-
-TEST(PartitionTest, EdgesAndMidpoints) {
-  const Partition p(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(p.width(), 2.0);
-  EXPECT_DOUBLE_EQ(p.Lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(p.Hi(4), 10.0);
-  EXPECT_DOUBLE_EQ(p.Mid(2), 5.0);
-  const std::vector<double> edges = p.Edges();
-  ASSERT_EQ(edges.size(), 6u);
-  EXPECT_DOUBLE_EQ(edges.front(), 0.0);
-  EXPECT_DOUBLE_EQ(edges.back(), 10.0);
-}
-
-TEST(PartitionTest, IntervalOfClampsAndBins) {
-  const Partition p(0.0, 10.0, 5);
-  EXPECT_EQ(p.IntervalOf(-1.0), 0u);
-  EXPECT_EQ(p.IntervalOf(0.0), 0u);
-  EXPECT_EQ(p.IntervalOf(1.99), 0u);
-  EXPECT_EQ(p.IntervalOf(2.0), 1u);
-  EXPECT_EQ(p.IntervalOf(9.99), 4u);
-  EXPECT_EQ(p.IntervalOf(10.0), 4u);
-  EXPECT_EQ(p.IntervalOf(25.0), 4u);
-}
-
-TEST(PartitionTest, ForFieldUsesDomain) {
-  const data::FieldSpec field{"age", data::AttributeKind::kContinuous, 20.0,
-                              80.0};
-  const Partition p = Partition::ForField(field, 30);
-  EXPECT_DOUBLE_EQ(p.lo(), 20.0);
-  EXPECT_DOUBLE_EQ(p.hi(), 80.0);
-  EXPECT_DOUBLE_EQ(p.width(), 2.0);
-}
+using stats::Partition;
 
 // ----------------------------------------------------------- Apportionment
 
@@ -430,26 +397,26 @@ TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
 // P(W ∈ w-bin j | X = m_k) evaluated at cell (j, k) on its own — the
 // per-cell formula a dense table stores. The outermost bins absorb the
 // clamped tails.
-double CellKernel(const NoiseModel& noise, const stats::Histogram& whist,
+double CellKernel(const NoiseModel& noise, const stats::Partition& wgrid,
                   const Partition& p, std::size_t j, std::size_t k) {
   const double mid = p.Mid(k);
   const double u =
-      j + 1 == whist.bins() ? 1.0 : noise.Cdf(whist.BinHi(j) - mid);
-  const double l = j == 0 ? 0.0 : noise.Cdf(whist.BinLo(j) - mid);
+      j + 1 == wgrid.intervals() ? 1.0 : noise.Cdf(wgrid.Hi(j) - mid);
+  const double l = j == 0 ? 0.0 : noise.Cdf(wgrid.Lo(j) - mid);
   return u - l;
 }
 
 // A dense wbins × stride table holding CellKernel at every cell, with the
 // shape and fallbacks of the built table, so FitFromCounts can fit over it.
 KernelTable DenseCellTable(const BayesReconstructor& rec, const Partition& p) {
-  const stats::Histogram whist = rec.PerturbedBinning(p);
+  const stats::Partition wgrid = rec.PerturbedBinning(p);
   KernelTable dense = rec.BuildKernelTable(p);
   dense.kernel.assign(dense.wbins * dense.stride, 0.0);
   for (std::size_t j = 0; j < dense.wbins; ++j) {
     dense.row_offset[j] = j * dense.stride;
     for (std::size_t k = 0; k < dense.intervals; ++k) {
       dense.kernel[j * dense.stride + k] =
-          CellKernel(rec.noise(), whist, p, j, k);
+          CellKernel(rec.noise(), wgrid, p, j, k);
     }
   }
   return dense;
@@ -472,9 +439,9 @@ TEST(KernelTableTest, StripEqualsPerDiagonalDefinition) {
          {std::size_t{1}, std::size_t{3}, std::size_t{30}, std::size_t{198},
           std::size_t{200}}) {
       const Partition p(20.0, 80.0, intervals);
-      const stats::Histogram whist = rec.PerturbedBinning(p);
+      const stats::Partition wgrid = rec.PerturbedBinning(p);
       const KernelTable table = rec.BuildKernelTable(p);
-      ASSERT_EQ(table.wbins, whist.bins());
+      ASSERT_EQ(table.wbins, wgrid.intervals());
       ASSERT_EQ(table.intervals, intervals);
       ASSERT_EQ(table.stride, simd::PadLanes(intervals));
       const std::size_t wbins = table.wbins;
@@ -485,21 +452,21 @@ TEST(KernelTableTest, StripEqualsPerDiagonalDefinition) {
         for (std::size_t k = 0; k < intervals; ++k) {
           double expected;
           if (j == 0 || j + 1 == wbins) {
-            expected = CellKernel(noise, whist, p, j, k);
+            expected = CellKernel(noise, wgrid, p, j, k);
           } else {
             const auto d = static_cast<std::ptrdiff_t>(j) -
                            static_cast<std::ptrdiff_t>(k);
             const std::size_t j0 = d >= 1 ? static_cast<std::size_t>(d) : 1;
             const std::size_t k0 = static_cast<std::size_t>(
                 static_cast<std::ptrdiff_t>(j0) - d);
-            expected = CellKernel(noise, whist, p, j0, k0);
+            expected = CellKernel(noise, wgrid, p, j0, k0);
           }
           ASSERT_TRUE(SameBits(row[k], expected))
               << perturb::NoiseKindName(kind) << " K=" << intervals
               << " j=" << j << " k=" << k << ": " << row[k] << " vs "
               << expected;
           // Within a few ulps of the cell's own evaluation.
-          EXPECT_NEAR(row[k], CellKernel(noise, whist, p, j, k), 4e-15);
+          EXPECT_NEAR(row[k], CellKernel(noise, wgrid, p, j, k), 4e-15);
         }
         for (std::size_t k = intervals; k < table.stride; ++k) {
           EXPECT_TRUE(std::isfinite(row[k]) && row[k] >= 0.0)
@@ -518,12 +485,12 @@ TEST(KernelTableTest, ExactWidthStripEqualsPerCellFormula) {
   for (const NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
     const NoiseModel noise = perturb::NoiseForPrivacy(kind, 1.0, 64.0, 0.95);
     const BayesReconstructor rec(noise, {});
-    const stats::Histogram whist = rec.PerturbedBinning(p);
+    const stats::Partition wgrid = rec.PerturbedBinning(p);
     const KernelTable table = rec.BuildKernelTable(p);
     for (std::size_t j = 0; j < table.wbins; ++j) {
       for (std::size_t k = 0; k < table.intervals; ++k) {
         ASSERT_TRUE(
-            SameBits(table.Row(j)[k], CellKernel(noise, whist, p, j, k)))
+            SameBits(table.Row(j)[k], CellKernel(noise, wgrid, p, j, k)))
             << perturb::NoiseKindName(kind) << " j=" << j << " k=" << k;
       }
     }
@@ -636,8 +603,8 @@ TEST(KernelTableTest, FourRowEStepEqualsSingleRowEm) {
       for (engine::ThreadPool* maybe_pool : {static_cast<engine::ThreadPool*>(
                                                  nullptr),
                                              &pool}) {
-        const Reconstruction got = rec.FitFromCounts(
-            weights, total, layout.partition, table, maybe_pool);
+        const Reconstruction got =
+            rec.FitFromCounts(weights, total, table, maybe_pool);
         const std::string where =
             std::string("path=") + simd::PathName(path) +
             " wbins=" + std::to_string(table.wbins) +
@@ -669,23 +636,23 @@ TEST(KernelTableTest, RefreshLayoutMassesTrackDensePerCellTable) {
         {});
     const KernelTable strip = rec.BuildKernelTable(p);
     const KernelTable dense = DenseCellTable(rec, p);
-    const stats::Histogram whist = rec.PerturbedBinning(p);
+    const stats::Partition wgrid = rec.PerturbedBinning(p);
 
     synth::GeneratorOptions gen;
     gen.num_records = 4000;
     gen.seed = 7 + col;
     const data::Dataset data = synth::Generate(gen);
     Rng rng(101 + col);
-    std::vector<double> weights(whist.bins(), 0.0);
+    std::vector<double> weights(wgrid.intervals(), 0.0);
     for (double x : data.Column(col)) {
-      weights[whist.BinOf(x + rec.noise().Sample(&rng))] += 1.0;
+      weights[wgrid.IntervalOf(x + rec.noise().Sample(&rng))] += 1.0;
     }
     const double total = static_cast<double>(data.NumRows());
 
     const Reconstruction cold_strip =
-        rec.FitFromCounts(weights, total, p, strip, nullptr);
+        rec.FitFromCounts(weights, total, strip, nullptr);
     const Reconstruction cold_dense =
-        rec.FitFromCounts(weights, total, p, dense, nullptr);
+        rec.FitFromCounts(weights, total, dense, nullptr);
     ASSERT_EQ(cold_strip.masses.size(), 200u);
     for (std::size_t k = 0; k < 200; ++k) {
       EXPECT_NEAR(cold_strip.masses[k], cold_dense.masses[k], 1e-12)
@@ -705,13 +672,13 @@ TEST(ReconstructorTest, TinyDensityFallbackAbsorbsDeadBins) {
   const NoiseModel noise = NoiseModel::Uniform(0.25);
   const Partition p(0.0, 1.0, 10);
   const BayesReconstructor rec(noise, {});
-  const stats::Histogram whist = rec.PerturbedBinning(p);
-  ASSERT_EQ(whist.bins(), 16u);
+  const stats::Partition wgrid = rec.PerturbedBinning(p);
+  ASSERT_EQ(wgrid.intervals(), 16u);
 
-  std::vector<double> weights(whist.bins(), 0.0);
+  std::vector<double> weights(wgrid.intervals(), 0.0);
   weights[0] = 5.0;  // dead bin: no component density reaches it
   const Reconstruction r =
-      rec.FitFromCounts(weights, 5.0, p, rec.BuildKernelTable(p), nullptr);
+      rec.FitFromCounts(weights, 5.0, rec.BuildKernelTable(p), nullptr);
   ASSERT_EQ(r.masses.size(), 10u);
   double total = 0.0;
   for (double m : r.masses) {

@@ -1,5 +1,6 @@
 // Unit and property tests for the stats substrate: special functions,
-// distributions, histograms, distances, and descriptive statistics.
+// distributions, interval partitions, histograms, distances, and
+// descriptive statistics.
 
 #include <cmath>
 #include <memory>
@@ -10,6 +11,7 @@
 #include "stats/distribution.h"
 #include "stats/histogram.h"
 #include "stats/normal.h"
+#include "stats/partition.h"
 #include "stats/summary.h"
 
 namespace ppdm::stats {
@@ -113,10 +115,6 @@ TEST_P(DistributionContract, SamplesRespectFiniteSupport) {
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, DistributionContract,
     ::testing::Values(
-        DistCase{"uniform",
-                 std::make_shared<UniformDistribution>(-2.0, 5.0)},
-        DistCase{"gaussian",
-                 std::make_shared<GaussianDistribution>(1.0, 2.0)},
         DistCase{"triangle",
                  std::make_shared<TriangleDistribution>(0.0, 10.0)},
         DistCase{"plateau",
@@ -124,22 +122,14 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{"mixture",
                  std::make_shared<MixtureDistribution>(
                      std::vector<std::shared_ptr<const Distribution>>{
-                         std::make_shared<UniformDistribution>(0.0, 2.0),
-                         std::make_shared<TriangleDistribution>(4.0, 8.0)},
+                         std::make_shared<TriangleDistribution>(0.0, 2.0),
+                         std::make_shared<PlateauDistribution>(4.0, 8.0)},
                      std::vector<double>{1.0, 3.0})}),
     [](const ::testing::TestParamInfo<DistCase>& info) {
       return info.param.name;
     });
 
 // ------------------------------------------------------ Specific shapes
-
-TEST(UniformDistributionTest, DensityIsFlat) {
-  UniformDistribution u(0.0, 4.0);
-  EXPECT_DOUBLE_EQ(u.Pdf(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(u.Pdf(3.9), 0.25);
-  EXPECT_DOUBLE_EQ(u.Pdf(-0.1), 0.0);
-  EXPECT_DOUBLE_EQ(u.Pdf(4.1), 0.0);
-}
 
 TEST(TriangleDistributionTest, PeakAtMidpoint) {
   TriangleDistribution t(0.0, 2.0);
@@ -156,35 +146,50 @@ TEST(PlateauDistributionTest, FlatInTheMiddle) {
   EXPECT_DOUBLE_EQ(p.Pdf(1.0), p.Pdf(9.0));  // symmetric ramps
 }
 
-TEST(GaussianDistributionTest, StddevAccessor) {
-  GaussianDistribution g(0.0, 3.0);
-  EXPECT_DOUBLE_EQ(g.stddev(), 3.0);
-}
-
 TEST(MixtureDistributionTest, MeanIsWeightedAverage) {
   MixtureDistribution m(
-      {std::make_shared<UniformDistribution>(0.0, 2.0),   // mean 1
-       std::make_shared<UniformDistribution>(10.0, 12.0)},  // mean 11
+      {std::make_shared<TriangleDistribution>(0.0, 2.0),    // mean 1
+       std::make_shared<TriangleDistribution>(10.0, 12.0)},  // mean 11
       {1.0, 1.0});
   EXPECT_DOUBLE_EQ(m.Mean(), 6.0);
 }
 
-// -------------------------------------------------------------- Histogram
+// -------------------------------------------------------------- Partition
 
-TEST(HistogramTest, BinOfClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.BinOf(-3.0), 0u);
-  EXPECT_EQ(h.BinOf(42.0), 4u);
-  EXPECT_EQ(h.BinOf(0.0), 0u);
-  EXPECT_EQ(h.BinOf(10.0), 4u);
+TEST(PartitionTest, EdgesAndMidpoints) {
+  const Partition p(0.0, 10.0, 5);
+  EXPECT_DOUBLE_EQ(p.width(), 2.0);
+  EXPECT_DOUBLE_EQ(p.Lo(0), 0.0);
+  EXPECT_DOUBLE_EQ(p.Hi(4), 10.0);
+  EXPECT_DOUBLE_EQ(p.Mid(2), 5.0);
+  const std::vector<double> edges = p.Edges();
+  ASSERT_EQ(edges.size(), 6u);
+  EXPECT_DOUBLE_EQ(edges.front(), 0.0);
+  EXPECT_DOUBLE_EQ(edges.back(), 10.0);
 }
 
-TEST(HistogramTest, BinEdgesAndMidpoints) {
+TEST(PartitionTest, IntervalOfClampsAndBins) {
+  const Partition p(0.0, 10.0, 5);
+  EXPECT_EQ(p.IntervalOf(-1.0), 0u);
+  EXPECT_EQ(p.IntervalOf(0.0), 0u);
+  EXPECT_EQ(p.IntervalOf(1.99), 0u);
+  EXPECT_EQ(p.IntervalOf(2.0), 1u);
+  EXPECT_EQ(p.IntervalOf(8.0), 4u);
+  EXPECT_EQ(p.IntervalOf(9.99), 4u);
+  EXPECT_EQ(p.IntervalOf(10.0), 4u);
+  EXPECT_EQ(p.IntervalOf(25.0), 4u);
+}
+
+// -------------------------------------------------------------- Histogram
+
+TEST(HistogramTest, AddCountsOnThePartition) {
   Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.width(), 2.0);
-  EXPECT_DOUBLE_EQ(h.BinLo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.BinHi(1), 4.0);
-  EXPECT_DOUBLE_EQ(h.BinMid(1), 3.0);
+  EXPECT_DOUBLE_EQ(h.partition().width(), 2.0);
+  // Out-of-range values clamp to the edge bins; an interior edge belongs
+  // to the upper bin.
+  h.AddAll({-3.0, 0.0, 2.0, 8.0, 10.0, 42.0});
+  EXPECT_EQ(h.counts(), (std::vector<std::size_t>{2, 1, 0, 0, 3}));
+  EXPECT_EQ(h.total(), 6u);
 }
 
 TEST(HistogramTest, MassesSumToOne) {
@@ -201,12 +206,6 @@ TEST(HistogramTest, MassesSumToOne) {
 TEST(HistogramTest, EmptyHistogramHasZeroMasses) {
   Histogram h(0.0, 1.0, 4);
   for (double m : h.Masses()) EXPECT_DOUBLE_EQ(m, 0.0);
-}
-
-TEST(HistogramTest, ValueOnInteriorEdgeGoesToUpperBin) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.BinOf(2.0), 1u);
-  EXPECT_EQ(h.BinOf(8.0), 4u);
 }
 
 // -------------------------------------------------------------- Distances
@@ -269,9 +268,8 @@ TEST(DescriptiveStatsTest, SingleValue) {
 
 TEST(DescriptiveStatsTest, MatchesDistributionMoments) {
   Rng rng(41);
-  GaussianDistribution g(5.0, 3.0);
   DescriptiveStats s;
-  for (int i = 0; i < 100000; ++i) s.Add(g.Sample(&rng));
+  for (int i = 0; i < 100000; ++i) s.Add(rng.Gaussian(5.0, 3.0));
   EXPECT_NEAR(s.mean(), 5.0, 0.05);
   EXPECT_NEAR(s.stddev(), 3.0, 0.05);
 }

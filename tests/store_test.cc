@@ -612,6 +612,40 @@ TEST(DatasetSnapshotTest, RestoreRejectsAnInconsistentMemo) {
        [](api::DatasetSessionState* s) {
          for (double& m : s->last_masses[1]) m *= 0.5;
        }},
+      {"one attribute entry too few",
+       [](api::DatasetSessionState* s) {
+         s->stats.pop_back();
+         s->last_masses.pop_back();
+       }},
+      {"counts over one bin more than the w-grid",
+       [](api::DatasetSessionState* s) {
+         const std::size_t bins = s->stats[0].num_bins();
+         std::vector<std::uint64_t> counts(bins + 1, 0);
+         counts[0] = s->rows;
+         s->stats[0] = engine::ShardStats::FromCounts(bins + 1, s->rows,
+                                                      std::move(counts));
+       }},
+      {"counts totalling rows + 1",
+       [](api::DatasetSessionState* s) {
+         const std::size_t bins = s->stats[1].num_bins();
+         std::vector<std::uint64_t> counts = s->stats[1].counts();
+         ++counts[0];
+         s->stats[1] = engine::ShardStats::FromCounts(bins, s->rows + 1,
+                                                      std::move(counts));
+       }},
+      {"masses of the wrong length",
+       [](api::DatasetSessionState* s) { s->last_masses[0].push_back(0.0); }},
+      {"a NaN mass",
+       [](api::DatasetSessionState* s) {
+         s->last_masses[0][0] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"a negative mass, the sum kept at 1",
+       [](api::DatasetSessionState* s) {
+         std::vector<double>& m = s->last_masses[1];
+         const double shift = m[0] + 0.25;
+         m[0] -= shift;
+         m[1] += shift;
+       }},
   };
   for (const Case& row : rejected) {
     api::DatasetSessionState state = good;
