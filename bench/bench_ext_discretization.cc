@@ -26,10 +26,8 @@ int main() {
       config.privacy_fraction = privacy;
 
       const core::ExperimentData data = core::PrepareData(config);
-      perturb::DiscretizeOptions disc;
-      disc.classes = classes;
       const data::Dataset discretized =
-          perturb::DiscretizeValues(data.train, disc);
+          perturb::DiscretizeValues(data.train, classes);
       const auto tree_model = tree::TrainDecisionTree(
           discretized, TrainingMode::kOriginal, config.tree);
       const double disc_acc =

@@ -36,13 +36,13 @@ int main() {
       const core::ExperimentData data = core::PrepareData(config);
 
       const double nb_original =
-          Accuracy(bayes::TrainNaiveBayes(data.train, {}), data.test);
+          Accuracy(bayes::TrainNaiveBayes(data.train), data.test);
       const double nb_recon = Accuracy(
           bayes::TrainNaiveBayesReconstructed(data.perturbed_train,
-                                              data.randomizer, {}),
+                                              data.randomizer),
           data.test);
       const double nb_raw = Accuracy(
-          bayes::TrainNaiveBayes(data.perturbed_train, {}), data.test);
+          bayes::TrainNaiveBayes(data.perturbed_train), data.test);
       const double tree_byclass =
           core::RunMode(data, tree::TrainingMode::kByClass, config).accuracy;
 

@@ -4,12 +4,13 @@
 // information-theoretic account of what respondents actually disclose —
 // the numbers needed to choose a point on the privacy/accuracy frontier.
 //
-// Every cell of the sweep goes through the validated experiment façade
-// api::RunExperiment, so a bad sweep point is a Status, not a crash.
+// Every cell of the sweep is checked by api::ValidateExperiment before
+// core::RunModes runs it, so a bad sweep point is a Status, not a crash.
 
 #include <cstdio>
 
 #include "api/spec.h"
+#include "core/experiment.h"
 #include "core/infotheory.h"
 #include "stats/histogram.h"
 #include "stats/partition.h"
@@ -33,14 +34,13 @@ int main() {
       config.test_records = 5000;
       config.noise = kind;
       config.privacy_fraction = privacy;
-      const auto results =
-          api::RunExperiment(config, {tree::TrainingMode::kByClass});
-      if (!results.ok()) {
+      if (Status s = api::ValidateExperiment(config); !s.ok()) {
         std::fprintf(stderr, "sweep point rejected: %s\n",
-                     results.status().ToString().c_str());
+                     s.ToString().c_str());
         return 1;
       }
-      acc[i] = results.value()[0].accuracy;
+      acc[i] =
+          core::RunModes(config, {tree::TrainingMode::kByClass})[0].accuracy;
 
       // Disclosure accounting on the age attribute (range 60, uniform).
       const stats::Partition part(20.0, 80.0, 30);

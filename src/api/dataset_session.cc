@@ -68,16 +68,57 @@ obs::Counter& KernelCacheBuildsCounter() {
   return counter;
 }
 
+// Upper bound on an attribute's interval count and on the padding bins its
+// perturbed layout derives per side: far beyond any real workload, but
+// small enough that building the session cannot become an allocation
+// abort.
+constexpr double kMaxLayoutBins = static_cast<double>(1u << 20);
+
 // The per-attribute checks: the field's domain with the declared interval
-// count, and the providers' noise.
+// count, the providers' noise, and the size of the layout they derive.
+// PerturbedBinning pads the partition by ceil(EffectiveHalfWidth / width)
+// bins per side, so valid noise settings (a confidence of 1e-12, say) can
+// still derive an astronomically large w-grid. Every way a spec reaches a
+// session (the `open` verb, Restore, a decoded snapshot) runs this first.
 Status ValidateAttribute(const data::FieldSpec& field,
                          const AttributeSpec& attr) {
   PPDM_RETURN_IF_ERROR(ValidateDomain(field.lo, field.hi, attr.intervals));
+  if (static_cast<double>(attr.intervals) > kMaxLayoutBins) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu intervals exceed the layout bound of %.0f", attr.intervals,
+        kMaxLayoutBins));
+  }
   perturb::RandomizerOptions as_noise;
   as_noise.kind = attr.noise;
   as_noise.privacy_fraction = attr.privacy_fraction;
   as_noise.confidence = attr.confidence;
-  return ValidateNoise(as_noise);
+  PPDM_RETURN_IF_ERROR(ValidateNoise(as_noise));
+  // A noise width that is not a normal double would round the derived
+  // noise scale to 0 or make it infinite.
+  if (attr.noise != perturb::NoiseKind::kNone &&
+      !std::isnormal(attr.privacy_fraction * field.Range())) {
+    return Status::InvalidArgument(StrFormat(
+        "privacy %g of a %g-wide domain derives no usable noise width",
+        attr.privacy_fraction, field.Range()));
+  }
+  const perturb::NoiseModel model = perturb::NoiseForPrivacy(
+      attr.noise, attr.privacy_fraction, field.Range(), attr.confidence);
+  const stats::Partition partition(field.lo, field.hi, attr.intervals);
+  const double pad = model.EffectiveHalfWidth() / partition.width();
+  if (std::isfinite(pad) && pad <= kMaxLayoutBins) {
+    // Near the ends of the double range the padded grid's edges or width
+    // can still overflow.
+    const stats::Partition wgrid =
+        reconstruct::BayesReconstructor(model, {}).PerturbedBinning(
+            partition);
+    if (std::isfinite(wgrid.lo()) && std::isfinite(wgrid.hi()) &&
+        std::isfinite(wgrid.width())) {
+      return Status::Ok();
+    }
+  }
+  return Status::InvalidArgument(
+      "noise and domain derive an implausibly large perturbed-value bin "
+      "layout");
 }
 
 }  // namespace

@@ -96,7 +96,9 @@ struct DatasetSessionSpec {
 
   /// kOk, or kInvalidArgument naming the offending attribute/field: a
   /// column out of range or repeated, an invalid domain or interval
-  /// count, or invalid noise.
+  /// count, invalid noise, a noise width (privacy × domain width) that
+  /// is not a normal double, or a derived layout with more than 2^20
+  /// intervals or padding bins per side, or edges past the double range.
   Status Validate() const;
 };
 

@@ -5,29 +5,35 @@
 
 #include "common/check.h"
 #include "reconstruct/by_class.h"
+#include "reconstruct/reconstructor.h"
 
 namespace ppdm::bayes {
 namespace {
 
+// Intervals per attribute (the likelihood tables' resolution).
+constexpr std::size_t kIntervals = 30;
+
+// Laplace smoothing mass added to every interval of every likelihood table,
+// as a fraction of one record.
+constexpr double kLaplace = 1.0;
+
 // Laplace-smooths and renormalizes one likelihood table row.
-void SmoothAndNormalize(std::vector<double>* masses, double laplace,
-                        double weight) {
+void SmoothAndNormalize(std::vector<double>* masses, double weight) {
   double total = 0.0;
   for (double& m : *masses) {
-    m = m * weight + laplace;
+    m = m * weight + kLaplace;
     total += m;
   }
   PPDM_CHECK_GT(total, 0.0);
   for (double& m : *masses) m /= total;
 }
 
-std::vector<stats::Partition> MakePartitions(
-    const data::Schema& schema, std::size_t intervals) {
+std::vector<stats::Partition> MakePartitions(const data::Schema& schema) {
   std::vector<stats::Partition> partitions;
   partitions.reserve(schema.NumFields());
   for (std::size_t c = 0; c < schema.NumFields(); ++c) {
     const data::FieldSpec& field = schema.Field(c);
-    partitions.emplace_back(field.lo, field.hi, intervals);
+    partitions.emplace_back(field.lo, field.hi, kIntervals);
   }
   return partitions;
 }
@@ -81,16 +87,15 @@ int NaiveBayesModel::Predict(const std::vector<double>& record) const {
                           lp.begin());
 }
 
-NaiveBayesModel TrainNaiveBayes(const data::Dataset& dataset,
-                                const NaiveBayesOptions& options) {
+NaiveBayesModel TrainNaiveBayes(const data::Dataset& dataset) {
   PPDM_CHECK_GT(dataset.NumRows(), 0u);
-  const auto partitions = MakePartitions(dataset.schema(), options.intervals);
+  const auto partitions = MakePartitions(dataset.schema());
   const auto num_classes = static_cast<std::size_t>(dataset.num_classes());
 
   std::vector<std::vector<std::vector<double>>> likelihood(
       num_classes,
       std::vector<std::vector<double>>(
-          dataset.NumCols(), std::vector<double>(options.intervals, 0.0)));
+          dataset.NumCols(), std::vector<double>(kIntervals, 0.0)));
   for (std::size_t r = 0; r < dataset.NumRows(); ++r) {
     const auto c = static_cast<std::size_t>(dataset.Label(r));
     for (std::size_t a = 0; a < dataset.NumCols(); ++a) {
@@ -99,28 +104,26 @@ NaiveBayesModel TrainNaiveBayes(const data::Dataset& dataset,
   }
   for (std::size_t c = 0; c < num_classes; ++c) {
     for (std::size_t a = 0; a < dataset.NumCols(); ++a) {
-      SmoothAndNormalize(&likelihood[c][a], options.laplace, 1.0);
+      SmoothAndNormalize(&likelihood[c][a], 1.0);
     }
   }
   return NaiveBayesModel(Priors(dataset), std::move(likelihood), partitions);
 }
 
 NaiveBayesModel TrainNaiveBayesReconstructed(
-    const data::Dataset& perturbed, const perturb::Randomizer& randomizer,
-    const NaiveBayesOptions& options) {
+    const data::Dataset& perturbed, const perturb::Randomizer& randomizer) {
   PPDM_CHECK_GT(perturbed.NumRows(), 0u);
-  const auto partitions =
-      MakePartitions(perturbed.schema(), options.intervals);
+  const auto partitions = MakePartitions(perturbed.schema());
   const auto num_classes = static_cast<std::size_t>(perturbed.num_classes());
   const auto class_counts = perturbed.ClassCounts();
 
   std::vector<std::vector<std::vector<double>>> likelihood(
       num_classes,
       std::vector<std::vector<double>>(
-          perturbed.NumCols(), std::vector<double>(options.intervals, 0.0)));
+          perturbed.NumCols(), std::vector<double>(kIntervals, 0.0)));
   for (std::size_t a = 0; a < perturbed.NumCols(); ++a) {
     const reconstruct::BayesReconstructor reconstructor(
-        randomizer.ModelFor(a), options.reconstruction);
+        randomizer.ModelFor(a), reconstruct::ReconstructionOptions{});
     const std::vector<reconstruct::Reconstruction> recons =
         reconstruct::ReconstructByClass(perturbed, a, partitions[a],
                                         reconstructor);
@@ -128,7 +131,7 @@ NaiveBayesModel TrainNaiveBayesReconstructed(
       likelihood[c][a] = recons[c].masses;
       // Smoothing weight: the reconstruction represents class_counts[c]
       // records' worth of evidence.
-      SmoothAndNormalize(&likelihood[c][a], options.laplace,
+      SmoothAndNormalize(&likelihood[c][a],
                          static_cast<double>(class_counts[c]));
     }
   }

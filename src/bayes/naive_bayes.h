@@ -14,23 +14,9 @@
 
 #include "data/dataset.h"
 #include "perturb/randomizer.h"
-#include "reconstruct/reconstructor.h"
 #include "stats/partition.h"
 
 namespace ppdm::bayes {
-
-/// Training configuration.
-struct NaiveBayesOptions {
-  /// Intervals per attribute (the likelihood tables' resolution).
-  std::size_t intervals = 30;
-
-  /// Laplace smoothing mass added to every interval of every likelihood
-  /// table, as a fraction of one record.
-  double laplace = 1.0;
-
-  /// Reconstruction tuning (used only when training from perturbed data).
-  reconstruct::ReconstructionOptions reconstruction;
-};
 
 /// A trained naive Bayes classifier over interval-discretized attributes.
 class NaiveBayesModel {
@@ -58,15 +44,14 @@ class NaiveBayesModel {
 };
 
 /// Trains on original (unperturbed) records — the baseline.
-NaiveBayesModel TrainNaiveBayes(const data::Dataset& dataset,
-                                const NaiveBayesOptions& options);
+NaiveBayesModel TrainNaiveBayes(const data::Dataset& dataset);
 
 /// Trains on perturbed records via per-class reconstruction: each
 /// likelihood table is the EM estimate of that class's attribute
-/// distribution, priors come from the (unperturbed) labels.
+/// distribution (stopped by the paper's rule), priors come from the
+/// (unperturbed) labels.
 NaiveBayesModel TrainNaiveBayesReconstructed(
-    const data::Dataset& perturbed, const perturb::Randomizer& randomizer,
-    const NaiveBayesOptions& options);
+    const data::Dataset& perturbed, const perturb::Randomizer& randomizer);
 
 }  // namespace ppdm::bayes
 

@@ -6,6 +6,16 @@
 
 namespace ppdm::core {
 
+perturb::RandomizerOptions NoiseOptions(const ExperimentConfig& config) {
+  perturb::RandomizerOptions options;
+  options.kind = config.privacy_fraction == 0.0 ? perturb::NoiseKind::kNone
+                                                : config.noise;
+  options.privacy_fraction = config.privacy_fraction;
+  options.confidence = config.confidence;
+  options.seed = config.seed + 0x9E1517BULL;
+  return options;
+}
+
 ExperimentData PrepareData(const ExperimentConfig& config,
                            engine::ThreadPool* pool) {
   synth::GeneratorOptions train_gen;
@@ -20,14 +30,7 @@ ExperimentData PrepareData(const ExperimentConfig& config,
   data::Dataset train = synth::Generate(train_gen);
   data::Dataset test = synth::Generate(test_gen);
 
-  perturb::RandomizerOptions noise_options;
-  noise_options.kind = config.privacy_fraction == 0.0
-                           ? perturb::NoiseKind::kNone
-                           : config.noise;
-  noise_options.privacy_fraction = config.privacy_fraction;
-  noise_options.confidence = config.confidence;
-  noise_options.seed = config.seed + 0x9E1517BULL;
-  perturb::Randomizer randomizer(train.schema(), noise_options);
+  perturb::Randomizer randomizer(train.schema(), NoiseOptions(config));
 
   data::Dataset perturbed = randomizer.Perturb(train, pool);
   return ExperimentData{std::move(train), std::move(perturbed),

@@ -1,9 +1,8 @@
 // End-to-end experiment driver: generate → perturb → train → evaluate.
 // This is the public API the examples and every figure/table bench use, so
 // that the reported numbers all come from exactly one code path.
-// ExperimentConfig is the one description of an experiment cell;
-// api::ValidateExperiment is its validator and api::RunExperiment the
-// validated entry point.
+// ExperimentConfig is the one description of an experiment cell,
+// api::ValidateExperiment its validator and RunModes its entry point.
 
 #ifndef PPDM_CORE_EXPERIMENT_H_
 #define PPDM_CORE_EXPERIMENT_H_
@@ -48,6 +47,10 @@ struct ModeResult {
   std::size_t tree_nodes = 0;
   std::size_t tree_depth = 0;
 };
+
+/// The noise settings PrepareData perturbs the training data with. A
+/// privacy fraction of 0 selects kNone whatever `config.noise` says.
+perturb::RandomizerOptions NoiseOptions(const ExperimentConfig& config);
 
 /// The datasets of one experimental cell, generated deterministically from
 /// the config's seed: training data, its perturbed counterpart, and

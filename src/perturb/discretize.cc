@@ -6,12 +6,12 @@
 namespace ppdm::perturb {
 
 data::Dataset DiscretizeValues(const data::Dataset& dataset,
-                               const DiscretizeOptions& options) {
-  PPDM_CHECK_GT(options.classes, 0u);
+                               std::size_t classes) {
+  PPDM_CHECK_GT(classes, 0u);
   data::Dataset out = dataset;
   for (std::size_t c = 0; c < out.NumCols(); ++c) {
     const data::FieldSpec& field = out.schema().Field(c);
-    const stats::Partition partition(field.lo, field.hi, options.classes);
+    const stats::Partition partition(field.lo, field.hi, classes);
     std::vector<double>* column = out.MutableColumn(c);
     for (double& v : *column) v = partition.Mid(partition.IntervalOf(v));
   }

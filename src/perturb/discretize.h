@@ -12,16 +12,11 @@
 
 namespace ppdm::perturb {
 
-/// Discretization configuration.
-struct DiscretizeOptions {
-  /// Number of equi-width classes per attribute.
-  std::size_t classes = 10;
-};
-
 /// Returns a copy of `dataset` where every attribute value is replaced by
-/// the midpoint of its value class (equi-width over the schema range).
+/// the midpoint of its value class, one of `classes` equi-width classes
+/// over the schema range.
 data::Dataset DiscretizeValues(const data::Dataset& dataset,
-                               const DiscretizeOptions& options);
+                               std::size_t classes);
 
 /// Privacy (interval width, at 100% confidence) of `classes`-way
 /// discretization of an attribute with the given range, as a fraction of

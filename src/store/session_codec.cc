@@ -1,6 +1,5 @@
 #include "store/session_codec.h"
 
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -45,31 +44,6 @@ Result<data::AttributeKind> AttributeKindFromWire(std::uint8_t wire) {
       return Status::InvalidArgument(
           StrFormat("unknown attribute kind %u in snapshot", wire));
   }
-}
-
-/// Upper bound on decoded interval counts and on the padding bins the
-/// perturbed layout derives per side — far beyond any real workload, but
-/// small enough that the derivation below cannot become an allocation
-/// abort.
-constexpr double kMaxLayoutBins = static_cast<double>(1u << 20);
-
-// A CRC-valid but hostile snapshot can carry layout parameters (noise
-// scale, domain, intervals, confidence) whose *derived* perturbed-value
-// binning is astronomically large: PerturbedBinning pads the partition by
-// ceil(EffectiveHalfWidth / width) bins per side, and constructing the
-// state would abort on the allocation — violating the "corrupt input is a
-// Status, never an abort" contract. Reject the derivation before any
-// state is built.
-Status ValidateDerivedLayout(double lo, double hi, std::size_t intervals,
-                             const perturb::NoiseModel& model) {
-  const double width = (hi - lo) / static_cast<double>(intervals);
-  const double pad = model.EffectiveHalfWidth() / width;
-  if (!std::isfinite(pad) || pad > kMaxLayoutBins) {
-    return Status::InvalidArgument(
-        "snapshot noise/domain derive an implausibly large perturbed-value "
-        "bin layout");
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -233,23 +207,10 @@ Result<std::unique_ptr<api::DatasetSession>> DecodeDatasetSession(
   if (!spec_reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in snapshot SPEC section");
   }
-  // Validate the spec — and the layouts it derives — before constructing
-  // anything: the spec layer itself has no upper bounds (a huge interval
-  // count or a near-zero confidence is "valid"), but a decoded snapshot
-  // must not be able to drive session construction into an allocation
-  // abort.
+  // Validate the spec, and with it the layouts it derives, before reading
+  // the state: a decoded snapshot must not be able to drive session
+  // construction into an allocation abort.
   PPDM_RETURN_IF_ERROR(spec.Validate());
-  for (const api::AttributeSpec& attr : spec.attributes) {
-    if (static_cast<double>(attr.intervals) > kMaxLayoutBins) {
-      return Status::InvalidArgument(
-          "snapshot attribute has an implausibly large interval count");
-    }
-    const data::FieldSpec& field = spec.schema.Field(attr.column);
-    PPDM_RETURN_IF_ERROR(ValidateDerivedLayout(
-        field.lo, field.hi, attr.intervals,
-        perturb::NoiseForPrivacy(attr.noise, attr.privacy_fraction,
-                                 field.hi - field.lo, attr.confidence)));
-  }
 
   PPDM_ASSIGN_OR_RETURN(Reader state_reader,
                         reader.ReadSection(kStateSectionTag));

@@ -7,20 +7,22 @@
 namespace ppdm::tree {
 namespace {
 
+// z of the pessimistic error bound; 0.6745 is C4.5's CF = 25%.
+constexpr double kPruningZ = 0.6745;
+
 // Pessimistic error *count* of an entire subtree, pruning as it goes.
 double PruneSubtree(std::vector<Node>* nodes,
-                    const std::vector<double>& misclassified, int index,
-                    double z) {
+                    const std::vector<double>& misclassified, int index) {
   Node& node = (*nodes)[static_cast<std::size_t>(index)];
   const auto n = static_cast<double>(node.num_records);
   const double leaf_errors =
       n * PessimisticErrorRate(misclassified[static_cast<std::size_t>(index)],
-                               n, z);
+                               n, kPruningZ);
   if (node.IsLeaf()) return leaf_errors;
 
   const double subtree_errors =
-      PruneSubtree(nodes, misclassified, node.left, z) +
-      PruneSubtree(nodes, misclassified, node.right, z);
+      PruneSubtree(nodes, misclassified, node.left) +
+      PruneSubtree(nodes, misclassified, node.right);
   if (leaf_errors <= subtree_errors + 1e-9) {
     node.left = Node::kNoChild;
     node.right = Node::kNoChild;
@@ -60,11 +62,10 @@ double PessimisticErrorRate(double errors, double n, double z) {
 }
 
 std::vector<Node> PruneNodes(std::vector<Node> nodes,
-                             const std::vector<double>& misclassified,
-                             double z) {
+                             const std::vector<double>& misclassified) {
   PPDM_CHECK_EQ(nodes.size(), misclassified.size());
   PPDM_CHECK(!nodes.empty());
-  PruneSubtree(&nodes, misclassified, 0, z);
+  PruneSubtree(&nodes, misclassified, 0);
   std::vector<Node> compacted;
   compacted.reserve(nodes.size());
   Compact(nodes, 0, &compacted);

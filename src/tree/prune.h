@@ -21,15 +21,14 @@ namespace ppdm::tree {
 double PessimisticErrorRate(double errors, double n, double z);
 
 /// Bottom-up pessimistic pruning of a node array produced by the builder:
-/// a subtree is replaced by a leaf when the leaf's pessimistic error does
-/// not exceed the subtree's. Returns a compacted node array (unreachable
-/// nodes dropped, root at index 0).
+/// a subtree is replaced by a leaf when the leaf's pessimistic error (at
+/// C4.5's CF = 25%) does not exceed the subtree's. Returns a compacted node
+/// array (unreachable nodes dropped, root at index 0).
 ///
 /// `misclassified[i]` is the number of training records at node i whose
 /// label differs from the node's majority label.
 std::vector<Node> PruneNodes(std::vector<Node> nodes,
-                             const std::vector<double>& misclassified,
-                             double z);
+                             const std::vector<double>& misclassified);
 
 /// Reduced-error pruning against holdout records: a subtree becomes a leaf
 /// when predicting the node's majority label misclassifies no more holdout

@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "reconstruct/assign.h"
 #include "reconstruct/by_class.h"
+#include "reconstruct/reconstructor.h"
 #include "tree/gini.h"
 #include "tree/prune.h"
 
@@ -19,6 +20,31 @@ using reconstruct::AssignByOrderStatistics;
 using reconstruct::BayesReconstructor;
 using stats::Partition;
 using reconstruct::Reconstruction;
+
+// Do not split nodes with fewer records than this.
+constexpr std::size_t kMinRecordsToSplit = 20;
+
+// Each side of a split must keep at least this many records.
+constexpr double kMinLeafRecords = 10.0;
+
+// Minimum gini gain for a split to be accepted while growing.
+constexpr double kMinGain = 1e-5;
+
+// Fraction of training records held out for reduced-error pruning.
+constexpr double kHoldoutFraction = 0.25;
+
+// Seed of the deterministic holdout selection.
+constexpr std::uint64_t kHoldoutSeed = 0xC0FFEEULL;
+
+// Local only: nodes with fewer records than this reuse the root's ByClass
+// interval assignments instead of re-reconstructing. Per-node EM on small
+// samples is unstable, and re-dealing records at every level compounds
+// rank noise; freezing small nodes keeps Local's deep structure as
+// reliable as ByClass's.
+constexpr std::size_t kLocalMinRecordsToReconstruct = 1500;
+
+// EM tuning of every reconstruction mode: the paper's stopping rule.
+constexpr reconstruct::ReconstructionOptions kEmOptions{};
 
 // Per-attribute interval range [first, second) still possible at a node;
 // used by Local to restrict per-node reconstruction to the node's domain.
@@ -37,7 +63,6 @@ class Builder {
         num_classes_(static_cast<std::size_t>(dataset.num_classes())) {
     PPDM_CHECK_GT(dataset.NumRows(), 0u);
     PPDM_CHECK_GT(options.intervals, 1u);
-    PPDM_CHECK_GT(options.max_depth, 0u);
     if (ModeUsesReconstruction(mode_)) {
       PPDM_CHECK_MSG(randomizer_ != nullptr,
                      "reconstruction modes need the noise models");
@@ -58,11 +83,11 @@ class Builder {
 
     std::vector<std::size_t> holdout;
     if (options_.pruning == PruningMode::kReducedError &&
-        options_.holdout_fraction > 0.0 && dataset_.NumRows() >= 8) {
-      Rng rng(options_.holdout_seed);
+        dataset_.NumRows() >= 8) {
+      Rng rng(kHoldoutSeed);
       rng.Shuffle(&rows);
       auto holdout_size = static_cast<std::size_t>(
-          options_.holdout_fraction * static_cast<double>(rows.size()));
+          kHoldoutFraction * static_cast<double>(rows.size()));
       holdout_size = std::min(holdout_size, rows.size() - 1);
       holdout.assign(rows.end() - static_cast<std::ptrdiff_t>(holdout_size),
                      rows.end());
@@ -76,8 +101,7 @@ class Builder {
       case PruningMode::kNone:
         break;
       case PruningMode::kPessimistic:
-        nodes_ = PruneNodes(std::move(nodes_), misclassified_,
-                            options_.pruning_z);
+        nodes_ = PruneNodes(std::move(nodes_), misclassified_);
         break;
       case PruningMode::kReducedError: {
         if (holdout.empty()) break;
@@ -125,7 +149,7 @@ class Builder {
       }
       case TrainingMode::kGlobal: {
         const BayesReconstructor reconstructor(randomizer_->ModelFor(col),
-                                               options_.reconstruction);
+                                               kEmOptions);
         const Reconstruction recon =
             reconstructor.Fit(dataset_.Column(col), partitions_[col]);
         const std::vector<std::size_t> assignment =
@@ -148,7 +172,7 @@ class Builder {
 
   void PrecomputeByClassColumn(std::size_t col) {
     const BayesReconstructor reconstructor(randomizer_->ModelFor(col),
-                                           options_.reconstruction);
+                                           kEmOptions);
     const std::vector<Reconstruction> recons = reconstruct::ReconstructByClass(
         dataset_, col, partitions_[col], reconstructor);
     const std::vector<double>& column = dataset_.Column(col);
@@ -223,7 +247,7 @@ class Builder {
   // than reuse the frozen root assignments.
   bool UseLocalReconstruction(const std::vector<std::size_t>& rows) const {
     return mode_ == TrainingMode::kLocal &&
-           rows.size() >= options_.local_min_records_to_reconstruct;
+           rows.size() >= kLocalMinRecordsToReconstruct;
   }
 
   // Expected per-interval class counts for one attribute at one node, over
@@ -248,7 +272,7 @@ class Builder {
       return table;
     }
     const BayesReconstructor reconstructor(randomizer_->ModelFor(col),
-                                           options_.reconstruction);
+                                           kEmOptions);
     const Partition sub = SubPartition(col, range.first, range.second);
     const std::vector<double>& column = dataset_.Column(col);
     for (std::size_t klass = 0; klass < num_classes_; ++klass) {
@@ -300,52 +324,36 @@ class Builder {
         static_cast<double>(rows.size()) -
         class_counts[static_cast<std::size_t>(majority)];
 
-    if (depth >= options_.max_depth || IsPure(class_counts) ||
-        rows.size() < options_.min_records_to_split) {
+    if (depth >= kMaxDepth || IsPure(class_counts) ||
+        rows.size() < kMinRecordsToSplit) {
       return index;
     }
 
-    // Search every attribute for the best boundary split. Building the
-    // per-attribute counts tables dominates a Local node that
-    // re-reconstructs (one EM fit per class per attribute), so those fan
-    // out over the pool: each column computes an independent table into
-    // its own slot, and the selection scan stays sequential in column
-    // order, so the chosen split is identical for every pool size.
-    // Precomputed modes (and frozen small Local nodes) only count
-    // assigned records — too cheap to amortize a fan-out or the buffered
-    // tables — and keep the original lazy one-table-at-a-time loop.
+    // Search every attribute for the best boundary split. Each column
+    // builds its counts table into its own slot and the selection scan runs
+    // in column order, so the chosen split is identical for every pool
+    // size. Only a Local node that re-reconstructs (one EM fit per class
+    // per attribute) fans the tables out over the pool; every other node
+    // only counts assigned records, too cheap to amortize a fan-out.
+    engine::ThreadPool* fan_out =
+        UseLocalReconstruction(rows) ? pool_ : nullptr;
+    std::vector<std::vector<std::vector<double>>> tables(dataset_.NumCols());
+    engine::ParallelFor(fan_out, dataset_.NumCols(), [&](std::size_t col) {
+      if (bounds[col].second - bounds[col].first < 2) return;
+      tables[col] = CountsTable(col, rows, class_counts, bounds[col]);
+    });
     SplitCandidate best;
     std::size_t best_col = 0;
-    if (UseLocalReconstruction(rows)) {
-      std::vector<std::vector<std::vector<double>>> tables(
-          dataset_.NumCols());
-      engine::ParallelFor(pool_, dataset_.NumCols(), [&](std::size_t col) {
-        if (bounds[col].second - bounds[col].first < 2) return;
-        tables[col] = CountsTable(col, rows, class_counts, bounds[col]);
-      });
-      for (std::size_t col = 0; col < dataset_.NumCols(); ++col) {
-        if (bounds[col].second - bounds[col].first < 2) continue;
-        const SplitCandidate candidate =
-            BestBoundarySplit(tables[col], options_.min_leaf_records);
-        if (candidate.valid && (!best.valid || candidate.gain > best.gain)) {
-          best = candidate;
-          best_col = col;
-        }
-      }
-    } else {
-      for (std::size_t col = 0; col < dataset_.NumCols(); ++col) {
-        if (bounds[col].second - bounds[col].first < 2) continue;
-        const std::vector<std::vector<double>> table =
-            CountsTable(col, rows, class_counts, bounds[col]);
-        const SplitCandidate candidate =
-            BestBoundarySplit(table, options_.min_leaf_records);
-        if (candidate.valid && (!best.valid || candidate.gain > best.gain)) {
-          best = candidate;
-          best_col = col;
-        }
+    for (std::size_t col = 0; col < dataset_.NumCols(); ++col) {
+      if (bounds[col].second - bounds[col].first < 2) continue;
+      const SplitCandidate candidate =
+          BestBoundarySplit(tables[col], kMinLeafRecords);
+      if (candidate.valid && (!best.valid || candidate.gain > best.gain)) {
+        best = candidate;
+        best_col = col;
       }
     }
-    if (!best.valid || best.gain < options_.min_gain) return index;
+    if (!best.valid || best.gain < kMinGain) return index;
 
     std::vector<std::size_t> left_rows, right_rows;
     left_rows.reserve(rows.size());

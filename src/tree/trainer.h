@@ -16,14 +16,13 @@
 #ifndef PPDM_TREE_TRAINER_H_
 #define PPDM_TREE_TRAINER_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "data/dataset.h"
 #include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
-#include "reconstruct/reconstructor.h"
 #include "tree/decision_tree.h"
 
 namespace ppdm::tree {
@@ -51,49 +50,22 @@ enum class PruningMode {
   kReducedError,
 };
 
-/// Induction parameters. The defaults follow the grow-deep-then-prune
-/// recipe of the paper's SPRINT-style classifier. Growing through weak
-/// splits matters doubly under randomization — greedy induction over noisy
-/// interval assignments often must pass an apparently gain-free
+/// Maximum tree depth (root has depth 1).
+inline constexpr std::size_t kMaxDepth = 14;
+
+/// Induction parameters: the two knobs the paper's experiments vary. Every
+/// other setting of the grow-deep-then-prune recipe of the paper's
+/// SPRINT-style classifier is a constant of the trainer. Growing through
+/// weak splits matters doubly under randomization — greedy induction over
+/// noisy interval assignments often must pass an apparently gain-free
 /// (XOR-shaped) node to reach real structure below it.
 struct TreeOptions {
   /// Intervals per attribute: reconstruction resolution and the candidate
   /// split boundaries.
   std::size_t intervals = 30;
 
-  /// Maximum tree depth (root has depth 1).
-  std::size_t max_depth = 14;
-
-  /// Do not split nodes with fewer records than this.
-  std::size_t min_records_to_split = 20;
-
-  /// Each side of a split must keep at least this many records.
-  double min_leaf_records = 10.0;
-
-  /// Minimum gini gain for a split to be accepted while growing.
-  double min_gain = 1e-5;
-
   /// Post-growth pruning strategy.
   PruningMode pruning = PruningMode::kReducedError;
-
-  /// z of the pessimistic error bound; 0.6745 is C4.5's CF = 25%.
-  double pruning_z = 0.6745;
-
-  /// Fraction of training records held out for reduced-error pruning.
-  double holdout_fraction = 0.25;
-
-  /// Seed of the deterministic holdout selection.
-  std::uint64_t holdout_seed = 0xC0FFEEULL;
-
-  /// Local only: nodes with fewer records than this reuse the root's
-  /// ByClass interval assignments instead of re-reconstructing. Per-node
-  /// EM on small samples is unstable, and re-dealing records at every
-  /// level compounds rank noise; freezing small nodes keeps Local's
-  /// deep structure as reliable as ByClass's.
-  std::size_t local_min_records_to_reconstruct = 1500;
-
-  /// Reconstruction tuning (Global / ByClass / Local only).
-  reconstruct::ReconstructionOptions reconstruction;
 };
 
 /// Trains a decision tree.

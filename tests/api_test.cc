@@ -58,9 +58,7 @@ TEST(SpecValidationTest, ValidateExperimentChecksConfigsDirectly) {
        [](Config* c) { c->noise = perturb::NoiseKind::kNone; }},
       {"0 intervals", [](Config* c) { c->tree.intervals = 0; }},
       {"1 interval", [](Config* c) { c->tree.intervals = 1; }},
-      {"0 EM iterations",
-       [](Config* c) { c->tree.reconstruction.max_iterations = 0; }},
-      {"holdout 1", [](Config* c) { c->tree.holdout_fraction = 1.0; }},
+      {"2^16 intervals", [](Config* c) { c->tree.intervals = 1u << 16; }},
       {"2^20 threads", [](Config* c) { c->num_threads = 1u << 20; }},
       {"0 train records", [](Config* c) { c->train_records = 0; }},
       {"0 test records", [](Config* c) { c->test_records = 0; }},
@@ -71,8 +69,8 @@ TEST(SpecValidationTest, ValidateExperimentChecksConfigsDirectly) {
     EXPECT_EQ(ValidateExperiment(config).code(), StatusCode::kInvalidArgument)
         << row.name;
   }
-  // core::PrepareData coerces privacy 0 to kNone itself, so that pair is
-  // acceptable here, unlike ValidateNoise.
+  // core::NoiseOptions coerces privacy 0 to kNone, so that pair is
+  // acceptable here, unlike in ValidateNoise.
   Config config;
   config.privacy_fraction = 0.0;
   EXPECT_TRUE(ValidateExperiment(config).ok());
@@ -482,6 +480,66 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(BenchmarkDatasetSpec(4).Validate().ok());
+}
+
+// One row per hostile spec that would abort session construction: a
+// layout (the partition, or the w-grid padding it by the noise's
+// half-width on each side) that would exhaust memory, or noise settings
+// whose derived scale is 0 or infinite. Open answers kInvalidArgument
+// before building any of it.
+TEST(DatasetSessionSpecValidationTest, OpenRejectsHostileLayouts) {
+  struct Case {
+    const char* name;
+    void (*mutate)(DatasetSessionSpec*);
+  };
+  const Case rejected[] = {
+      {"2^40 intervals",
+       [](DatasetSessionSpec* s) {
+         s->attributes[0].intervals = std::size_t{1} << 40;
+       }},
+      {"2^20 + 1 intervals",
+       [](DatasetSessionSpec* s) {
+         s->attributes[0].intervals = (std::size_t{1} << 20) + 1;
+       }},
+      {"confidence 1e-12",
+       [](DatasetSessionSpec* s) { s->attributes[0].confidence = 1e-12; }},
+      {"privacy 1e7",
+       [](DatasetSessionSpec* s) { s->attributes[0].privacy_fraction = 1e7; }},
+      {"gaussian, confidence 1 - 2^-53",
+       [](DatasetSessionSpec* s) {
+         s->attributes[0].noise = perturb::NoiseKind::kGaussian;
+         s->attributes[0].confidence = std::nextafter(1.0, 0.0);
+       }},
+      {"gaussian, privacy 5e-324 of a unit domain",
+       [](DatasetSessionSpec* s) {
+         s->schema = data::Schema(
+             {{"x", data::AttributeKind::kContinuous, 0.0, 1.0}});
+         s->attributes[0].noise = perturb::NoiseKind::kGaussian;
+         s->attributes[0].privacy_fraction = 5e-324;
+         s->attributes[0].confidence = 0.999;
+       }},
+      {"privacy 0.5 over [0, 1.6e308]",
+       [](DatasetSessionSpec* s) {
+         s->schema = data::Schema(
+             {{"x", data::AttributeKind::kContinuous, 0.0, 1.6e308}});
+         s->attributes[0].privacy_fraction = 0.5;
+       }},
+      {"no noise over [-1e308, 1e308]",
+       [](DatasetSessionSpec* s) {
+         s->schema = data::Schema(
+             {{"x", data::AttributeKind::kContinuous, -1e308, 1e308}});
+         s->attributes[0].noise = perturb::NoiseKind::kNone;
+         s->attributes[0].privacy_fraction = 0.0;
+       }},
+  };
+  for (const Case& row : rejected) {
+    DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+    row.mutate(&spec);
+    EXPECT_EQ(DatasetSession::Open(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << row.name;
+  }
+  EXPECT_TRUE(DatasetSession::Open(BenchmarkDatasetSpec(1)).ok());
 }
 
 /// A one-attribute spec over the full schema: `spec`'s attribute `index`
@@ -980,38 +1038,6 @@ TEST(SessionRegistryTest, EvictionRacingIngestAndReconstructIsSafe) {
   worker.join();
   EXPECT_EQ(worker_failures.load(), 0);
   EXPECT_GT(registry.GetStats().evictions, 0u);
-}
-
-// ------------------------------------------------------------- experiment
-
-TEST(RunExperimentTest, RejectsInvalidConfig) {
-  core::ExperimentConfig config;
-  config.confidence = 2.0;
-  const auto result = RunExperiment(config, {tree::TrainingMode::kByClass});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(RunExperimentTest, RejectsEmptyModeList) {
-  const auto result = RunExperiment(core::ExperimentConfig{}, {});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(RunExperimentTest, MatchesDirectCoreDriver) {
-  core::ExperimentConfig config;
-  config.train_records = 1500;
-  config.test_records = 400;
-  config.seed = 9;
-  config.tree.intervals = 10;
-  const auto via_api =
-      RunExperiment(config, {tree::TrainingMode::kRandomized});
-  ASSERT_TRUE(via_api.ok());
-  const std::vector<core::ModeResult> direct =
-      core::RunModes(config, {tree::TrainingMode::kRandomized});
-  ASSERT_EQ(via_api.value().size(), 1u);
-  EXPECT_DOUBLE_EQ(via_api.value()[0].accuracy, direct[0].accuracy);
-  EXPECT_EQ(via_api.value()[0].tree_nodes, direct[0].tree_nodes);
 }
 
 }  // namespace

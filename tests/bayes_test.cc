@@ -65,21 +65,21 @@ class NaiveBayesFixture : public ::testing::Test {
 };
 
 TEST_F(NaiveBayesFixture, OriginalBaselineIsStrong) {
-  const NaiveBayesModel model = TrainNaiveBayes(data_->train, {});
+  const NaiveBayesModel model = TrainNaiveBayes(data_->train);
   EXPECT_GE(Accuracy(model, data_->test), 0.97);
 }
 
 TEST_F(NaiveBayesFixture, ReconstructedSurvivesFullPrivacy) {
   const NaiveBayesModel model = TrainNaiveBayesReconstructed(
-      data_->perturbed_train, data_->randomizer, {});
+      data_->perturbed_train, data_->randomizer);
   EXPECT_GE(Accuracy(model, data_->test), 0.85);
 }
 
 TEST_F(NaiveBayesFixture, ReconstructedBeatsTrainingOnRawPerturbed) {
   const NaiveBayesModel reconstructed = TrainNaiveBayesReconstructed(
-      data_->perturbed_train, data_->randomizer, {});
+      data_->perturbed_train, data_->randomizer);
   // Naive NB trained directly on perturbed values (no reconstruction).
-  const NaiveBayesModel raw = TrainNaiveBayes(data_->perturbed_train, {});
+  const NaiveBayesModel raw = TrainNaiveBayes(data_->perturbed_train);
   EXPECT_GT(Accuracy(reconstructed, data_->test),
             Accuracy(raw, data_->test));
 }
@@ -90,9 +90,8 @@ TEST_F(NaiveBayesFixture, ZeroNoiseReconstructionMatchesOriginal) {
   perturb::RandomizerOptions no_noise;
   no_noise.privacy_fraction = 0.0;
   const perturb::Randomizer rz(data_->train.schema(), no_noise);
-  const NaiveBayesModel a = TrainNaiveBayes(data_->train, {});
-  const NaiveBayesModel b =
-      TrainNaiveBayesReconstructed(data_->train, rz, {});
+  const NaiveBayesModel a = TrainNaiveBayes(data_->train);
+  const NaiveBayesModel b = TrainNaiveBayesReconstructed(data_->train, rz);
   const double acc_a = Accuracy(a, data_->test);
   const double acc_b = Accuracy(b, data_->test);
   EXPECT_NEAR(acc_a, acc_b, 0.01);
@@ -110,7 +109,7 @@ TEST(NaiveBayesSweep, AccuracyDegradesGracefullyWithPrivacy) {
     config.seed = 11;
     const core::ExperimentData data = core::PrepareData(config);
     const NaiveBayesModel model = TrainNaiveBayesReconstructed(
-        data.perturbed_train, data.randomizer, {});
+        data.perturbed_train, data.randomizer);
     const double acc = Accuracy(model, data.test);
     if (acc > previous + 0.03) ++inversions;
     previous = acc;

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
+#include "obs/metrics.h"
 #include "perturb/noise_model.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/by_class.h"
@@ -568,17 +570,29 @@ TEST(BatchTest, PerturbIsPoolInvariantWithOneStreamPerColumn) {
 }
 
 TEST(BatchTest, LocalModeTreeIsPoolInvariantWithPerNodeFanOut) {
-  // Local re-reconstructs at every large-enough node, and those per-node
-  // counts tables now fan out over the pool; the tree must still be
+  // Local re-reconstructs at every node of at least 1500 records (the
+  // fixture's 3000 non-holdout rows clear that at the root), and those
+  // per-node counts tables fan out over the pool; the tree must still be
   // identical for every pool size.
   const EngineFixture fx;
   tree::TreeOptions options;
   options.intervals = 15;
-  options.max_depth = 6;
-  options.local_min_records_to_reconstruct = 400;  // force per-node EM
+  // Every EM fit observes the iterations histogram once, so the count
+  // growth across a training is its number of fits.
+  const obs::Histogram& em_iterations =
+      *obs::MetricsRegistry::Global().GetHistogram(
+          "ppdm_em_iterations", obs::Histogram::IterationBuckets());
+  std::uint64_t before = em_iterations.Count();
+  tree::TrainDecisionTree(*fx.perturbed, tree::TrainingMode::kByClass,
+                          options, fx.randomizer.get(), nullptr);
+  const std::uint64_t byclass_fits = em_iterations.Count() - before;
+  before = em_iterations.Count();
   const tree::DecisionTree sequential = tree::TrainDecisionTree(
       *fx.perturbed, tree::TrainingMode::kLocal, options,
       fx.randomizer.get(), nullptr);
+  // Local fits the same root reconstructions as ByClass; anything more is
+  // per-node EM.
+  EXPECT_GT(em_iterations.Count() - before, byclass_fits);
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
     const tree::DecisionTree parallel = tree::TrainDecisionTree(

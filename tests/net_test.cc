@@ -692,6 +692,33 @@ TEST(ServerTest, RequestsForUnknownTenantsAnswerNotFound) {
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
+// An open whose spec derives an allocation no machine holds (2^40
+// intervals, or a privacy/confidence pair padding the w-grid past 2^20
+// bins per side) answers kInvalidArgument, and the connection keeps
+// serving: a valid open on it succeeds afterwards.
+TEST(ServerTest, HostileLayoutOpensAnswerInvalidArgument) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok());
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          server.value()->port());
+  ASSERT_TRUE(client.ok());
+  api::DatasetSessionSpec huge_grid = BenchmarkDatasetSpec(1);
+  huge_grid.attributes[0].intervals = std::size_t{1} << 40;
+  api::DatasetSessionSpec huge_padding = BenchmarkDatasetSpec(1);
+  huge_padding.attributes[0].confidence = 1e-12;
+  for (const api::DatasetSessionSpec& spec : {huge_grid, huge_padding}) {
+    const Result<OpenResult> refused = client.value().Open(1, spec);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+  const Result<OpenResult> opened =
+      client.value().Open(1, BenchmarkDatasetSpec(1));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_FALSE(opened.value().resumed);
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
 // Every request decoder consumes its whole body: leftover bytes are
 // kInvalidArgument and change nothing, so a body laid out for another
 // format is refused rather than misparsed.
@@ -1095,7 +1122,7 @@ TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
       if (span.trace_id == trace) by_id[span.span_id] = &span;
     }
     ASSERT_FALSE(by_id.empty());
-    std::size_t max_depth = 0;
+    std::size_t deepest = 0;
     std::vector<std::string> seen;
     for (const auto& [id, span] : by_id) {
       std::size_t depth = 0;
@@ -1107,10 +1134,10 @@ TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
         walk = parent->second;
         ASSERT_LT(++depth, 32u);
       }
-      max_depth = std::max(max_depth, depth);
+      deepest = std::max(deepest, depth);
       seen.push_back(span->name);
     }
-    EXPECT_GE(max_depth, 3u) << "tree is fewer than 4 levels deep";
+    EXPECT_GE(deepest, 3u) << "tree is fewer than 4 levels deep";
     const auto saw = [&seen](const std::string& name) {
       return std::find(seen.begin(), seen.end(), name) != seen.end();
     };

@@ -215,9 +215,8 @@ TEST(DiscretizeTest, ReplacesValuesWithClassMidpoints) {
   d.AddRow({0.5}, 0);
   d.AddRow({9.9}, 1);
   d.AddRow({5.0}, 0);
-  DiscretizeOptions opt;
-  opt.classes = 5;  // width 2, midpoints 1,3,5,7,9
-  const data::Dataset q = DiscretizeValues(d, opt);
+  // 5 classes: width 2, midpoints 1,3,5,7,9
+  const data::Dataset q = DiscretizeValues(d, 5);
   EXPECT_DOUBLE_EQ(q.At(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(q.At(1, 0), 9.0);
   EXPECT_DOUBLE_EQ(q.At(2, 0), 5.0);  // boundary value goes up
@@ -227,10 +226,8 @@ TEST(DiscretizeTest, IdempotentOnMidpoints) {
   data::Schema schema({{"x", data::AttributeKind::kContinuous, 0.0, 10.0}});
   data::Dataset d(schema, 2);
   d.AddRow({3.7}, 0);
-  DiscretizeOptions opt;
-  opt.classes = 10;
-  const data::Dataset once = DiscretizeValues(d, opt);
-  const data::Dataset twice = DiscretizeValues(once, opt);
+  const data::Dataset once = DiscretizeValues(d, 10);
+  const data::Dataset twice = DiscretizeValues(once, 10);
   EXPECT_DOUBLE_EQ(once.At(0, 0), twice.At(0, 0));
 }
 

@@ -64,7 +64,7 @@ TEST_P(PipelineInvariants, TreeShapeIsBounded) {
   const core::ModeResult result =
       core::RunMode(data, GetParam().mode, config);
   EXPECT_GE(result.tree_nodes, 1u);
-  EXPECT_LE(result.tree_depth, config.tree.max_depth);
+  EXPECT_LE(result.tree_depth, tree::kMaxDepth);
   EXPECT_LE(result.tree_nodes, 2 * config.train_records);
 }
 

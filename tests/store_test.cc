@@ -703,9 +703,9 @@ TEST(DatasetSnapshotTest, EveryTruncationIsDetected) {
 // state is derived — the derivation would otherwise abort on an
 // astronomically large bin-layout allocation.
 TEST(DatasetSnapshotTest, HostileLayoutParametersAreRejectedNotFatal) {
-  // A spec the validation layer accepts (confidence inside (0,1)) whose
-  // derived noise explodes the padded layout, and one with an
-  // implausible interval count.
+  // A spec whose noise settings are valid (confidence inside (0,1)) but
+  // whose derived noise explodes the padded layout, and one with an
+  // implausible interval count; spec validation rejects both.
   for (int variant = 0; variant < 2; ++variant) {
     api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
     if (variant == 0) {

@@ -230,7 +230,7 @@ TEST_F(TrainerFixture, OriginalLearnsF1Perfectly) {
   const DecisionTree t =
       TrainDecisionTree(*train_, TrainingMode::kOriginal, options);
   EXPECT_GE(core::EvaluateTree(t, *test_).Accuracy(), 0.99);
-  EXPECT_LE(t.Depth(), options.max_depth);
+  EXPECT_LE(t.Depth(), kMaxDepth);
 }
 
 TEST_F(TrainerFixture, ByClassSurvivesHeavyNoise) {
