@@ -6,6 +6,7 @@
 #include <csignal>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -247,6 +248,13 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
     return Status::InvalidArgument(
         "--max-pending and --registry-mb must be >= 0");
   }
+  // A byte count past size_t would wrap, to 0 (unbounded) at 2^44 MiB.
+  constexpr long long kMaxRegistryMb =
+      static_cast<long long>(std::numeric_limits<std::size_t>::max() >> 20);
+  if (registry_mb > kMaxRegistryMb) {
+    return Status::InvalidArgument(
+        StrFormat("--registry-mb must be at most %lld", kMaxRegistryMb));
+  }
   net::ServerOptions options;
   options.num_threads = threads;
   options.max_pending = static_cast<std::size_t>(max_pending);
@@ -310,11 +318,8 @@ const char* UsageText() {
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
       "  served      [--host=H] [--port=P] [--threads=T] [--max-pending=N]\n"
-      "              [--max-connections=N] [--connection-window=N]\n"
-      "              [--max-body-mb=M] [--registry-mb=M]\n"
-      "              [--checkpoint-dir=DIR] [--resume] [--tenant-rate=R]\n"
-      "              [--tenant-burst=B] [--faults=SPEC] [--trace-out=FILE]\n"
-      "              [--slow-ms=N]\n"
+      "              [--registry-mb=M] [--checkpoint-dir=DIR] [--resume]\n"
+      "              [--faults=SPEC] [--trace-out=FILE] [--slow-ms=N]\n"
       "  loadgen     [--port=P] [--host=H] [--tenants=N] [--records=N]\n"
       "              [--batch-records=B] [--refresh=R] [--connections=C]\n"
       "              [--attribute=NAME | --attrs=A] [--function=1..5]\n"
@@ -336,20 +341,20 @@ const char* UsageText() {
       "known path in CI; any other value is an error.\n"
       "\n"
       "loadgen plays the paper's data providers: N seeded tenants over C\n"
-      "connections perturb their own records and send batches of B, an\n"
-      "ingest_tracked verb each, carrying only the tracked columns (each\n"
-      "connection opens its tenants first). Every R batches and after its\n"
-      "last, a tenant's reconstruct verb asks for its estimates, printed\n"
-      "with their error against the true distributions (R=0: none). The\n"
-      "daemon refits from the uniform prior once a tenant's rows have\n"
-      "grown by 1/16 since its last fit and serves that fit otherwise, so\n"
-      "the estimates do not depend on R. With --port it drives a running\n"
-      "daemon. Without it, it hosts the daemon in-process on an ephemeral\n"
-      "loopback port, takes served's daemon flags (an error with --port),\n"
-      "drains it at the end and reports its registry, store and\n"
-      "resilience counters; --resume then streams N further records per\n"
-      "tenant on top of its checkpoint, whose spec overrides the stream\n"
-      "flags.\n"
+      "(at most 63) connections perturb their own records and send batches\n"
+      "of B, an ingest_tracked verb each, carrying only the tracked\n"
+      "columns (each connection opens its tenants first). Every R batches\n"
+      "and after its last, a tenant's reconstruct verb asks for its\n"
+      "estimates, printed with their error against the true distributions\n"
+      "(R=0: none). The daemon refits from the uniform prior once a\n"
+      "tenant's rows have grown by 1/16 since its last fit and serves that\n"
+      "fit otherwise, so the estimates do not depend on R. With --port it\n"
+      "drives a running daemon. Without it, it hosts the daemon in-process\n"
+      "on an ephemeral loopback port, takes served's daemon flags (an\n"
+      "error with --port), drains it at the end and reports its registry,\n"
+      "store and resilience counters; --resume then streams N further\n"
+      "records per tenant on top of its checkpoint, whose spec overrides\n"
+      "the stream flags.\n"
       "--snapshot-every=K sends a snapshot verb every K batches;\n"
       "--masses-out writes every tenant's estimate at full precision,\n"
       "--stats-out the stats-verb exposition and --trace-out the span\n"
@@ -372,13 +377,14 @@ const char* UsageText() {
       "frame protocol (open/ingest/reconstruct/snapshot/close/stats) on\n"
       "TCP, one poll() loop feeding a worker pool (--threads=0 serves\n"
       "synchronously). --max-pending is the server-wide in-flight count\n"
-      "at which every connection's reads pause (TCP backpressure);\n"
-      "--connection-window pauses reads on any connection with that many\n"
-      "requests in flight; --tenant-rate/--tenant-burst token-bucket each\n"
-      "tenant's requests. SIGTERM drains: in-flight requests finish, every\n"
-      "open tenant is checkpointed to --checkpoint-dir, and a restart with\n"
-      "--resume re-admits them. served --trace-out=FILE writes the span\n"
-      "ring as Chrome trace-event JSON at exit.\n"
+      "at which every connection's reads pause (TCP backpressure); a\n"
+      "connection's reads also pause at 16 requests in flight. It serves\n"
+      "at most 64 connections at once (further ones wait to be accepted)\n"
+      "and refuses, then closes, a frame whose body exceeds 64 MiB.\n"
+      "SIGTERM drains: in-flight requests finish, every open tenant is\n"
+      "checkpointed to --checkpoint-dir, and a restart with --resume\n"
+      "re-admits them. served --trace-out=FILE writes the span ring as\n"
+      "Chrome trace-event JSON at exit.\n"
       "\n"
       "All CSV files use the benchmark schema (salary..loan, class).\n"
       "For train/reconstruct, --noise/--privacy must describe the noise\n"
@@ -694,10 +700,9 @@ void ServedSignalHandler(int) {
 
 Status RunServed(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown(
-          {"host", "port", "threads", "max-pending", "max-connections",
-           "connection-window", "max-body-mb", "registry-mb",
-           "checkpoint-dir", "resume", "tenant-rate", "tenant-burst",
-           "faults", "simd", "trace-out", "slow-ms"});
+          {"host", "port", "threads", "max-pending", "registry-mb",
+           "checkpoint-dir", "resume", "faults", "simd", "trace-out",
+           "slow-ms"});
       !s.ok()) {
     return s;
   }
@@ -709,24 +714,6 @@ Status RunServed(const Args& args, std::ostream& out) {
     return Status::InvalidArgument("--port must be in 0..65535");
   }
   options.port = static_cast<int>(port);
-  PPDM_ASSIGN_OR_RETURN(const long long max_connections,
-                        args.GetInt("max-connections", 64));
-  PPDM_ASSIGN_OR_RETURN(const long long window,
-                        args.GetInt("connection-window", 16));
-  PPDM_ASSIGN_OR_RETURN(const long long max_body_mb,
-                        args.GetInt("max-body-mb", 64));
-  if (max_connections <= 0 || window <= 0 || max_body_mb <= 0) {
-    return Status::InvalidArgument(
-        "--max-connections, --connection-window and --max-body-mb must be "
-        "positive");
-  }
-  options.max_connections = static_cast<std::size_t>(max_connections);
-  options.connection_window = static_cast<std::size_t>(window);
-  options.max_body_bytes = static_cast<std::uint64_t>(max_body_mb) << 20;
-  PPDM_ASSIGN_OR_RETURN(options.tenant_rate,
-                        args.GetDouble("tenant-rate", 0.0));
-  PPDM_ASSIGN_OR_RETURN(options.tenant_burst,
-                        args.GetDouble("tenant-burst", 0.0));
   const std::string served_trace_out = args.GetString("trace-out", "");
 
   // A broken client pipe must be an EPIPE on that connection, never a
@@ -749,10 +736,9 @@ Status RunServed(const Args& args, std::ostream& out) {
     server->RequestStop();
   }
   out << StrFormat(
-      "ppdm served listening on %s:%d (threads=%zu, max-pending=%zu, "
-      "max-connections=%zu%s%s)\n",
+      "ppdm served listening on %s:%d (threads=%zu, max-pending=%zu%s%s)\n",
       options.host.c_str(), server->port(), options.num_threads,
-      options.max_pending, options.max_connections,
+      options.max_pending,
       options.checkpoint_dir.empty()
           ? ""
           : StrFormat(", checkpoint-dir=%s",
@@ -839,10 +825,22 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
     return Status::InvalidArgument(
         "--tenants, --batch-records and --connections must be positive");
   }
-  if (records < 0 || refresh < 0 || snapshot_every < 0 || ttl_ms < 0 ||
-      ttl_ms > 0xFFFFFFFFLL) {
+  // One thread per worker connection, and the control connection holds
+  // one of the daemon's slots.
+  constexpr long long kMaxWorkerConnections =
+      static_cast<long long>(net::kMaxConnections) - 1;
+  if (connections > kMaxWorkerConnections) {
     return Status::InvalidArgument(
-        "--records, --refresh, --snapshot-every and --ttl-ms must be >= 0");
+        StrFormat("--connections must be at most %lld (the control "
+                  "connection holds one of the daemon's %zu)",
+                  kMaxWorkerConnections, net::kMaxConnections));
+  }
+  if (records < 0 || refresh < 0 || snapshot_every < 0) {
+    return Status::InvalidArgument(
+        "--records, --refresh and --snapshot-every must be >= 0");
+  }
+  if (ttl_ms < 0 || ttl_ms > 0xFFFFFFFFLL) {
+    return Status::InvalidArgument("--ttl-ms must be in 0..4294967295");
   }
   const bool tolerate = args.Has("tolerate-errors");
   const std::uint32_t ttl = static_cast<std::uint32_t>(ttl_ms);

@@ -6,8 +6,8 @@
 //
 // Error surfaces are kept distinct on purpose: transport and framing
 // failures come back as the Call()'s own Status (kIoError, kUnavailable,
-// kDataLoss...), while a server-side refusal (rate limit, shed, expired
-// deadline, handler error) arrives as a *successful* Call whose response
+// kDataLoss...), while a server-side refusal (shed, expired deadline,
+// handler error) arrives as a *successful* Call whose response
 // envelope carries the error — exactly what the daemon promised: protocol
 // errors are data, the connection keeps serving.
 

@@ -23,7 +23,7 @@
 // columns behind their index list, …). A body's form follows from its
 // verb alone, never from its column count. Response
 // bodies share one envelope: [u32 status code][status message][payload],
-// so protocol-level failures (shed, rate-limited, expired, store fault)
+// so protocol-level failures (shed, expired, store fault)
 // travel as first-class Status values and the connection keeps serving.
 
 #ifndef PPDM_NET_FRAME_H_
@@ -47,8 +47,9 @@ inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Wire size of every header (the body follows immediately).
 inline constexpr std::size_t kHeaderSize = 52;
 
-/// Default cap on a frame body; anything larger is rejected before any
-/// allocation happens (a hostile length prefix must not OOM the server).
+/// The daemon's cap on a frame body; anything larger is rejected before
+/// any allocation happens (a hostile length prefix must not OOM the
+/// server).
 inline constexpr std::uint64_t kDefaultMaxBodyBytes = 64ull << 20;
 
 /// Request verbs. Responses echo the request's verb (and request id).

@@ -182,12 +182,10 @@ struct Server::Connection {
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      limiter_(options.tenant_rate, options.tenant_burst),
       connections_total_(NetCounter("ppdm_net_connections_total")),
       connections_open_(
           obs::MetricsRegistry::Global().GetGauge("ppdm_net_connections_open")),
       protocol_errors_(NetCounter("ppdm_net_protocol_errors_total")),
-      rate_limited_(NetCounter("ppdm_net_rate_limited_total")),
       read_pauses_(NetCounter("ppdm_net_read_pauses_total")),
       bytes_read_(NetCounter("ppdm_net_bytes_read_total")),
       bytes_written_(NetCounter("ppdm_net_bytes_written_total")),
@@ -208,12 +206,6 @@ Server::Server(const ServerOptions& options)
 }
 
 Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
-  if (options.max_connections == 0) {
-    return Status::InvalidArgument("max_connections must be positive");
-  }
-  if (options.connection_window == 0) {
-    return Status::InvalidArgument("connection_window must be positive");
-  }
   PPDM_RETURN_IF_ERROR(api::ValidateThreads(options.num_threads));
   // The constructor registers the shed and expired counters; the retry
   // ones join them so a chaos run's exposition shows every resilience
@@ -335,7 +327,7 @@ void Server::Loop() {
     polled.clear();
     fds.push_back({wake_read_.fd(), POLLIN, 0});
     const bool accepting =
-        !draining && connections_.size() < options_.max_connections;
+        !draining && connections_.size() < kMaxConnections;
     if (accepting) fds.push_back({listener_.fd(), POLLIN, 0});
 
     // Drain exit needs "no in-flight work AND every outbox flushed".
@@ -412,7 +404,7 @@ void Server::Loop() {
 }
 
 void Server::AcceptReady() {
-  while (connections_.size() < options_.max_connections) {
+  while (connections_.size() < kMaxConnections) {
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
     if (fd < 0) {
       // EAGAIN/EWOULDBLOCK: backlog drained; anything else waits for the
@@ -446,8 +438,7 @@ bool Server::ReadReady(const std::shared_ptr<Connection>& conn) {
 }
 
 bool Server::ShouldPause(const Connection& conn) const {
-  if (conn.in_flight.load(std::memory_order_acquire) >=
-      options_.connection_window) {
+  if (conn.in_flight.load(std::memory_order_acquire) >= kConnectionWindow) {
     return true;
   }
   return options_.max_pending > 0 &&
@@ -465,8 +456,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     const std::string_view rest = conn->inbuf.unread();
     // HeaderBytesNeeded answers "wait for more" vs. "judge now".
     if (HeaderBytesNeeded(rest) > 0) break;
-    Result<FrameHeader> header =
-        DecodeHeader(rest, options_.max_body_bytes);
+    Result<FrameHeader> header = DecodeHeader(rest, kDefaultMaxBodyBytes);
     if (!header.ok()) {
       // HeaderBytesNeeded returned 0, so this is never mere truncation —
       // every failure (bad magic, other version, oversized body) is a
@@ -534,16 +524,6 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
     }());
     return;
   }
-  if (!limiter_.Admit(header.tenant, std::chrono::steady_clock::now())) {
-    rate_limited_->Increment();
-    EnqueueResponse(conn, header,
-                    Status::ResourceExhausted(StrFormat(
-                        "tenant %llu rate-limited",
-                        static_cast<unsigned long long>(header.tenant))),
-                    "");
-    return;
-  }
-
   const std::string tenant_name = TenantName(header.tenant);
   obs::MetricsRegistry::Global()
       .GetCounter("ppdm_tenant_requests_total", {{"tenant", tenant_name}})
@@ -888,7 +868,6 @@ Result<std::string> Server::HandleClose(std::uint64_t tenant) {
     return Status::NotFound(StrFormat(
         "tenant %llu is not open", static_cast<unsigned long long>(tenant)));
   }
-  limiter_.Forget(tenant);
   return std::string();
 }
 

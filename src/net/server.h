@@ -5,7 +5,7 @@
 //
 // Thread model — listener/worker split:
 //   * One event-loop thread owns every socket: it accepts connections
-//     (bounded by max_connections), reads bytes into per-connection
+//     (bounded by kMaxConnections), reads bytes into per-connection
 //     buffers, parses frames, and flushes per-connection write queues.
 //   * Each request runs as one job on the server's engine pool. The job
 //     enqueues the response on the connection's outbox and wakes the
@@ -15,20 +15,18 @@
 //     pool's no-nested-fan-out rule), so concurrency comes from many
 //     in-flight requests and a saturated pool always drains.
 //
-// Admission, backpressure, degradation (mapping straight onto the PR 7
-// primitives):
-//   * Per-tenant token-bucket rate limiting: an empty bucket is a
-//     protocol-level kResourceExhausted response, no work queued.
+// Admission, backpressure, degradation:
 //   * A frame's ttl_ms becomes the job's deadline: a request still
 //     queued at it answers kDeadlineExceeded without running.
 //   * Backpressure: the loop stops *reading* a connection (and stops
-//     parsing its buffered frames) while its in-flight requests reach the
-//     connection window, or the server-wide in-flight total reaches
+//     parsing its buffered frames) while its in-flight requests reach
+//     kConnectionWindow, or the server-wide in-flight total reaches
 //     max_pending — TCP flow control then pushes back on the client.
 //     Load only pauses reads; it never sheds a request.
-//   * Every malformed frame (bad magic, future version, oversized body,
-//     CRC mismatch) gets an error response and a connection close after
-//     flush; the process keeps serving other connections.
+//   * Every malformed frame (bad magic, future version, a body past
+//     kDefaultMaxBodyBytes, CRC mismatch) gets an error response and a
+//     connection close after flush; the process keeps serving other
+//     connections.
 //   * A well-framed request whose body does not decode exactly — leftover
 //     bytes after an open spec or an ingest batch, or any body on
 //     reconstruct, snapshot or close — answers kInvalidArgument and
@@ -62,7 +60,6 @@
 #include "common/status.h"
 #include "engine/thread_pool.h"
 #include "net/frame.h"
-#include "net/rate_limiter.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "store/snapshot_store.h"
@@ -73,7 +70,16 @@ namespace ppdm::net {
 /// A decoded ingest request (defined in server.cc).
 struct IngestBody;
 
-/// Everything a daemon needs up front. Validated by Server::Start.
+/// Concurrent connection cap; the listener stops accepting at the cap
+/// (further connects wait in the TCP backlog until a slot frees).
+inline constexpr std::size_t kMaxConnections = 64;
+
+/// Per-connection in-flight request window; reads pause at the window.
+inline constexpr std::size_t kConnectionWindow = 16;
+
+/// The settings a deployment varies (the limits it does not vary are
+/// kMaxConnections, kConnectionWindow and kDefaultMaxBodyBytes).
+/// Validated by Server::Start.
 struct ServerOptions {
   /// Bind address; loopback by default (an operator opts into exposure).
   std::string host = "127.0.0.1";
@@ -86,13 +92,6 @@ struct ServerOptions {
   /// The server-wide in-flight count at which every connection's reads
   /// pause (TCP backpressure); 0 = unbounded.
   std::size_t max_pending = 0;
-  /// Concurrent connection cap; the listener stops accepting at the cap
-  /// (further connects queue in the TCP backlog).
-  std::size_t max_connections = 64;
-  /// Reject frames whose body exceeds this many bytes.
-  std::uint64_t max_body_bytes = kDefaultMaxBodyBytes;
-  /// Per-connection in-flight request window; reads pause at the window.
-  std::size_t connection_window = 16;
 
   /// Registry byte budget (0 = unbounded).
   std::size_t registry_max_bytes = 0;
@@ -103,11 +102,6 @@ struct ServerOptions {
   /// Admit pre-existing captures on open (crash/drain recovery). When
   /// false, a stale capture of a newly opened tenant is deleted instead.
   bool resume = false;
-
-  /// Per-tenant token bucket: rate tokens/sec, burst capacity (burst <= 0
-  /// defaults to max(rate, 1)); rate <= 0 disables rate limiting.
-  double tenant_rate = 0.0;
-  double tenant_burst = 0.0;
 
   /// Slow-request log threshold: a request whose wall time reaches this
   /// many milliseconds gets its rendered span tree logged to stderr (and
@@ -210,9 +204,6 @@ class Server {
   std::optional<store::SessionSpillStore> spill_;
   std::unique_ptr<api::SessionRegistry> registry_;
 
-  // Thread-safe: Admit on the event loop, Forget from close-verb workers.
-  TenantRateLimiter limiter_;
-
   Socket listener_;
   Socket wake_read_;
   Socket wake_write_;
@@ -237,7 +228,6 @@ class Server {
   obs::Counter* connections_total_;
   obs::Gauge* connections_open_;
   obs::Counter* protocol_errors_;
-  obs::Counter* rate_limited_;
   obs::Counter* read_pauses_;
   obs::Counter* bytes_read_;
   obs::Counter* bytes_written_;

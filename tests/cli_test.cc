@@ -154,6 +154,73 @@ TEST_F(CliFixture, ServedValidatesItsFlags) {
   EXPECT_FALSE(Run({"loadgen", "--port=0"}, &output).ok());
 }
 
+// The connection cap, connection window and body cap are constants and
+// the tenant token bucket is gone, so served names each of their old
+// flags as unknown. Each is paired with --resume and no --checkpoint-dir,
+// which is refused too, so no daemon starts if a flag were accepted.
+TEST_F(CliFixture, ServedRefusesTheRemovedLimitFlags) {
+  for (const char* flag :
+       {"--max-connections=8", "--connection-window=4", "--max-body-mb=1",
+        "--tenant-rate=10000", "--tenant-burst=10"}) {
+    SCOPED_TRACE(flag);
+    std::string output;
+    const Status status = Run({"served", "--resume", flag}, &output);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    const std::string name = std::string(flag).substr(
+        0, std::string(flag).find('='));
+    EXPECT_NE(status.message().find("unknown flag " + name),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// --registry-mb's byte count must fit in size_t: 2^44 MiB would wrap to 0
+// (unbounded). The shared daemon flags refuse it for served and the
+// in-process loadgen alike; --resume without --checkpoint-dir keeps a
+// daemon from starting should the value pass.
+TEST_F(CliFixture, RegistryBudgetPastSizeTIsRefused) {
+  for (const char* command : {"served", "loadgen"}) {
+    SCOPED_TRACE(command);
+    std::string output;
+    const Status wraps =
+        Run({command, "--registry-mb=17592186044416", "--resume"}, &output);
+    EXPECT_EQ(wraps.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wraps.message().find("--registry-mb must be at most "
+                                   "17592186044415"),
+              std::string::npos)
+        << wraps.ToString();
+    // One below fits, so only the missing --checkpoint-dir is refused.
+    const Status fits =
+        Run({command, "--registry-mb=17592186044415", "--resume"}, &output);
+    EXPECT_EQ(fits.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(fits.message().find("--resume needs --checkpoint-dir"),
+              std::string::npos)
+        << fits.ToString();
+  }
+}
+
+// loadgen refuses a ttl past u32 with its own range message, and more
+// worker connections than the daemon has slots beside the control
+// connection, before any daemon or thread starts (--resume without
+// --checkpoint-dir would refuse next).
+TEST_F(CliFixture, LoadgenRefusesOutOfRangeTtlAndConnections) {
+  std::string output;
+  for (const char* ttl : {"--ttl-ms=4294967296", "--ttl-ms=-1"}) {
+    SCOPED_TRACE(ttl);
+    const Status status = Run({"loadgen", "--resume", ttl}, &output);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("--ttl-ms must be in 0..4294967295"),
+              std::string::npos)
+        << status.ToString();
+  }
+  const Status status =
+      Run({"loadgen", "--resume", "--connections=64"}, &output);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--connections must be at most 63"),
+            std::string::npos)
+      << status.ToString();
+}
+
 // The daemon flags configure the daemon loadgen hosts without --port; a
 // daemon reached with --port was configured on its own command line, so
 // they are an error there, naming the flag, before any connection.

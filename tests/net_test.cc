@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -27,6 +26,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include "api/dataset_session.h"
@@ -35,7 +35,6 @@
 #include "data/row_batch.h"
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/rate_limiter.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -328,12 +327,12 @@ TEST(FrameTest, SeededHeaderMutationsAreStatusesOrExactFrames) {
 }
 
 TEST(FrameTest, ResponseEnvelopeRoundTripsStatusAndPayload) {
-  const Status refusal = Status::ResourceExhausted("tenant 3 rate-limited");
+  const Status refusal = Status::ResourceExhausted("frame body too large");
   const std::string body = EncodeResponseBody(refusal, "extra payload");
   Result<ResponseBody> decoded = DecodeResponseBody(body);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(decoded.value().status.message(), "tenant 3 rate-limited");
+  EXPECT_EQ(decoded.value().status.message(), "frame body too large");
   EXPECT_EQ(decoded.value().payload, "extra payload");
 
   // A wire status code outside the enum is itself a decode error.
@@ -393,57 +392,6 @@ TEST(FrameTest, IngestAndResponseFrameBytesArePinned) {
                                           GoldenTrackedBody());
   EXPECT_EQ(tracked.size(), 124u);
   EXPECT_EQ(store::Crc32(tracked), 0x86F490ADu);
-}
-
-// ------------------------------------------------------------ rate limiter
-
-TEST(RateLimiterTest, BucketRefillsAtRateUnderAFakeClock) {
-  const auto t0 = std::chrono::steady_clock::time_point{};
-  TokenBucket bucket(/*rate=*/2.0, /*burst=*/2.0, t0);
-  EXPECT_TRUE(bucket.TryAcquire(t0));   // starts full
-  EXPECT_TRUE(bucket.TryAcquire(t0));
-  EXPECT_FALSE(bucket.TryAcquire(t0));  // empty
-  // 500 ms at 2 tokens/sec refills exactly one token.
-  const auto t1 = t0 + std::chrono::milliseconds(500);
-  EXPECT_TRUE(bucket.TryAcquire(t1));
-  EXPECT_FALSE(bucket.TryAcquire(t1));
-  // A long idle period caps at burst, not unbounded credit.
-  const auto t2 = t1 + std::chrono::hours(1);
-  EXPECT_TRUE(bucket.TryAcquire(t2));
-  EXPECT_TRUE(bucket.TryAcquire(t2));
-  EXPECT_FALSE(bucket.TryAcquire(t2));
-}
-
-TEST(RateLimiterTest, TenantsAreIndependentAndZeroRateDisables) {
-  const auto t0 = std::chrono::steady_clock::time_point{};
-  TenantRateLimiter limiter(/*rate=*/1e-9, /*burst=*/1.0);
-  EXPECT_TRUE(limiter.Admit(1, t0));
-  EXPECT_FALSE(limiter.Admit(1, t0));  // tenant 1 spent its burst
-  EXPECT_TRUE(limiter.Admit(2, t0));   // tenant 2 has its own bucket
-  limiter.Forget(1);
-  EXPECT_TRUE(limiter.Admit(1, t0));   // fresh bucket after Forget
-
-  TenantRateLimiter off(/*rate=*/0.0, /*burst=*/0.0);
-  EXPECT_FALSE(off.enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(off.Admit(7, t0));
-}
-
-TEST(RateLimiterTest, RefilledBucketsAreSweptSoHostileIdsCannotGrowTheMap) {
-  // Tenant ids arrive off an unauthenticated socket, so a flood of fresh
-  // ids must not grow the bucket map without bound: once the map reaches
-  // the sweep threshold, buckets that have refilled to burst (equivalent
-  // to never having existed) are dropped on the next insert.
-  const auto t0 = std::chrono::steady_clock::time_point{};
-  TenantRateLimiter limiter(/*rate=*/1.0, /*burst=*/1.0);
-  for (std::uint64_t id = 0; id < TenantRateLimiter::kSweepThreshold; ++id) {
-    EXPECT_TRUE(limiter.Admit(id, t0));
-  }
-  EXPECT_EQ(limiter.size(), TenantRateLimiter::kSweepThreshold);
-  // Two seconds refill every bucket to burst; the threshold-crossing
-  // insert sweeps them all, leaving only the newcomer.
-  const auto t1 = t0 + std::chrono::seconds(2);
-  EXPECT_TRUE(limiter.Admit(TenantRateLimiter::kSweepThreshold + 1, t1));
-  EXPECT_EQ(limiter.size(), 1u);
 }
 
 // -------------------------------------------------------------- sockets
@@ -635,25 +583,79 @@ TEST(ServerTest, MalformedFramesAnswerErrorsAndTheProcessKeepsServing) {
 }
 
 TEST(ServerTest, OverCapBodyIsRefusedToItsRequestThenTheConnectionCloses) {
-  ServerOptions options = LoopbackOptions(2);
-  options.max_body_bytes = 512;
-  Result<std::unique_ptr<Server>> server = Server::Start(options);
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(client.ok());
 
+  // A header alone whose body length is one past the cap: the cap is
+  // judged from the header, so no body (and no 64 MiB buffer) is needed.
+  std::string header = EncodeFrame(Verb::kIngest, /*request_id=*/7,
+                                   /*tenant=*/1, /*ttl_ms=*/0, "");
+  const std::uint64_t over_cap = kDefaultMaxBodyBytes + 1;
+  // The body length is the little-endian u64 at header bytes 40..47.
+  for (std::size_t b = 0; b < 8; ++b) {
+    header[40 + b] = static_cast<char>((over_cap >> (8 * b)) & 0xFF);
+  }
+  ASSERT_TRUE(client.value().SendRaw(header).ok());
+
   // The whole header is in before the cap is judged, so the refusal
   // correlates with the request instead of arriving as request 0.
-  Result<ResponseBody> refused = client.value().Call(
-      Verb::kIngest, /*tenant=*/1, /*ttl_ms=*/0, std::string(1024, 'x'));
+  Result<Frame> refused = client.value().ReadFrame();
   ASSERT_TRUE(refused.ok()) << refused.status().ToString();
-  EXPECT_EQ(refused.value().status.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(refused.value().status.message().find("512-byte cap"),
+  EXPECT_EQ(refused.value().header.verb,
+            static_cast<std::uint32_t>(Verb::kIngest));
+  EXPECT_EQ(refused.value().header.request_id, 7u);
+  EXPECT_EQ(refused.value().header.tenant, 1u);
+  Result<ResponseBody> envelope = DecodeResponseBody(refused.value().body);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  EXPECT_EQ(envelope.value().status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(envelope.value().status.message().find("67108864-byte cap"),
             std::string::npos)
-      << refused.value().status.message();
+      << envelope.value().status.message();
   // The unread body poisoned the stream: the daemon closes after the
   // refusal.
   EXPECT_FALSE(client.value().ReadFrame().ok());
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// The listener stops accepting at kMaxConnections: the next client's
+// connect completes in the TCP backlog, but its request goes unread until
+// a held connection closes and frees a slot.
+TEST(ServerTest, ConnectionPastTheCapWaitsForAFreeSlot) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(0));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  std::vector<Client> held;
+  for (std::size_t i = 0; i < kMaxConnections; ++i) {
+    Result<Client> client = Client::Connect("127.0.0.1", port);
+    ASSERT_TRUE(client.ok()) << i << ": " << client.status().ToString();
+    // A round trip proves the daemon accepted this connection.
+    ASSERT_TRUE(client.value().Stats().ok()) << i;
+    held.push_back(std::move(client).value());
+  }
+
+  Result<Client> waiting = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(waiting.ok()) << waiting.status().ToString();
+  ASSERT_TRUE(waiting.value()
+                  .SendRaw(EncodeFrame(Verb::kStats, /*request_id=*/9,
+                                       /*tenant=*/0, /*ttl_ms=*/0, ""))
+                  .ok());
+  pollfd readable{waiting.value().fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&readable, 1, /*timeout=*/200), 0)
+      << "a connection past the cap was served";
+
+  held.pop_back();  // frees one slot
+  readable.revents = 0;
+  ASSERT_EQ(::poll(&readable, 1, /*timeout=*/10000), 1)
+      << "the waiting connection was never accepted";
+  Result<Frame> response = waiting.value().ReadFrame();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().header.request_id, 9u);
+  Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_TRUE(envelope.value().status.ok())
+      << envelope.value().status.ToString();
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
@@ -1042,35 +1044,6 @@ TEST(ServerTest, MaxPendingPausesReadsAndShedsNothing) {
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
-TEST(ServerTest, RateLimitedTenantGetsResourceExhaustedOthersProceed) {
-  ServerOptions options = LoopbackOptions(0);
-  options.tenant_rate = 1e-9;  // effectively no refill
-  options.tenant_burst = 2.0;  // exactly open + one more request
-  Result<std::unique_ptr<Server>> server = Server::Start(options);
-  ASSERT_TRUE(server.ok());
-  Result<Client> client = Client::Connect("127.0.0.1",
-                                          server.value()->port());
-  ASSERT_TRUE(client.ok());
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
-  ASSERT_TRUE(client.value().Open(1, spec).ok());        // token 1
-  ASSERT_TRUE(client.value().Reconstruct(1).ok());       // token 2
-  Result<std::vector<AttributeEstimate>> limited =
-      client.value().Reconstruct(1);                     // bucket empty
-  ASSERT_FALSE(limited.ok());
-  EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
-  // Another tenant has its own bucket; stats bypasses limiting entirely.
-  ASSERT_TRUE(client.value().Open(2, spec).ok());
-  EXPECT_TRUE(client.value().Stats().ok());
-  // Close drops the tenant's bucket: open + close spend the whole burst,
-  // yet the reopened tenant starts from a fresh full bucket (without the
-  // Forget-on-close it would already be rate-limited here).
-  ASSERT_TRUE(client.value().Open(3, spec).ok());        // token 1
-  ASSERT_TRUE(client.value().CloseTenant(3).ok());       // token 2
-  ASSERT_TRUE(client.value().Open(3, spec).ok());        // fresh token 1
-  EXPECT_TRUE(client.value().Reconstruct(3).ok());       // fresh token 2
-  ASSERT_TRUE(server.value()->Stop().ok());
-}
-
 TEST(ServerTest, StatsVerbServesTheMetricsExposition) {
   Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(0));
   ASSERT_TRUE(server.ok());
@@ -1215,54 +1188,63 @@ TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
   }
 }
 
+// Pipelined frames past the connection window, on a two-worker daemon
+// whose reads pause after a single in-flight request and on a one-worker
+// daemon held only by kConnectionWindow: backpressure pauses the daemon's
+// reads, TCP pushes back, and every request still answers — in order,
+// with its own request id echoed. (Two workers with several of a
+// connection's requests in flight may finish them out of order; the
+// echoed id is what a pipelining client matches on.)
 TEST(ServerTest, PipelinedFramesUnderATinyWindowAllAnswerInOrder) {
-  ServerOptions options = LoopbackOptions(2);
-  options.connection_window = 1;  // reads pause after a single in-flight
-  Result<std::unique_ptr<Server>> server = Server::Start(options);
-  ASSERT_TRUE(server.ok());
-  Result<Client> client = Client::Connect("127.0.0.1",
-                                          server.value()->port());
-  ASSERT_TRUE(client.ok());
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
-  ASSERT_TRUE(client.value().Open(1, spec).ok());
-
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(50, &num_cols);
-  store::Writer writer;
-  writer.PutU64(rows.size() / num_cols);
-  writer.PutU64(num_cols);
-  writer.PutDoubleArray(rows);
-  const std::string ingest_body = writer.Take();
-
-  // Blast 16 pipelined ingests without reading; backpressure pauses the
-  // daemon's reads, TCP pushes back, and every request still answers —
-  // in order, with its own request id echoed.
-  const int kPipelined = 16;
+  const std::string ingest_body =
+      FullIngestBody(rows.size() / num_cols, num_cols, rows);
+  const int kPipelined = 2 * static_cast<int>(kConnectionWindow) + 8;
   std::string burst;
   for (int i = 0; i < kPipelined; ++i) {
     burst += EncodeFrame(Verb::kIngest, /*request_id=*/100 + i, 1, 0,
                          ingest_body);
   }
-  ASSERT_TRUE(client.value().SendRaw(burst).ok());
-  for (int i = 0; i < kPipelined; ++i) {
-    Result<Frame> response = client.value().ReadFrame();
-    ASSERT_TRUE(response.ok()) << i << ": " << response.status().ToString();
-    EXPECT_EQ(response.value().header.request_id,
-              static_cast<std::uint64_t>(100 + i));
-    Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
-    ASSERT_TRUE(envelope.ok());
-    EXPECT_TRUE(envelope.value().status.ok())
-        << envelope.value().status.ToString();
+
+  struct Shape {
+    std::size_t threads;
+    std::size_t max_pending;
+  };
+  for (const Shape shape : {Shape{2, 1}, Shape{1, 0}}) {
+    SCOPED_TRACE(shape.threads);
+    ServerOptions options = LoopbackOptions(shape.threads);
+    options.max_pending = shape.max_pending;
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client = Client::Connect("127.0.0.1",
+                                            server.value()->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1)).ok());
+
+    // Blast the ingests without reading.
+    ASSERT_TRUE(client.value().SendRaw(burst).ok());
+    for (int i = 0; i < kPipelined; ++i) {
+      Result<Frame> response = client.value().ReadFrame();
+      ASSERT_TRUE(response.ok()) << i << ": " << response.status().ToString();
+      EXPECT_EQ(response.value().header.request_id,
+                static_cast<std::uint64_t>(100 + i));
+      Result<ResponseBody> envelope =
+          DecodeResponseBody(response.value().body);
+      ASSERT_TRUE(envelope.ok());
+      EXPECT_TRUE(envelope.value().status.ok())
+          << envelope.value().status.ToString();
+    }
+    ASSERT_TRUE(server.value()->Stop().ok());
   }
-  ASSERT_TRUE(server.value()->Stop().ok());
 }
 
 // The input buffer under every shape of arrival: a burst of small frames
 // (many frames parsed out of one buffer), frames far larger than one
 // read, and the whole stream cut into odd-sized writes so headers and
 // bodies split anywhere. Inline execution parses every buffered frame in
-// one pass; on workers a window of 1 pauses after each frame, so the read
-// offset walks the buffer one frame per wakeup. Both answer in request
+// one pass; on workers a max_pending of 1 pauses after each frame, so the
+// read offset walks the buffer one frame per wakeup. Both answer in request
 // order, with the tenant's running record count.
 TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
   std::size_t num_cols = 0;
@@ -1297,7 +1279,7 @@ TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
   for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
     SCOPED_TRACE(threads);
     ServerOptions options = LoopbackOptions(threads);
-    options.connection_window = 1;
+    options.max_pending = 1;
     Result<std::unique_ptr<Server>> server = Server::Start(options);
     ASSERT_TRUE(server.ok());
     Result<Client> client =
