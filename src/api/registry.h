@@ -167,8 +167,6 @@ class SessionRegistry {
   };
   Stats GetStats() const;
 
-  const SessionRegistryOptions& options() const { return options_; }
-
  private:
   struct Entry {
     std::shared_ptr<DatasetSession> session;

@@ -25,6 +25,11 @@
 // bodies share one envelope: [u32 status code][status message][payload],
 // so protocol-level failures (shed, expired, store fault)
 // travel as first-class Status values and the connection keeps serving.
+//
+// A response echoes its request's verb, request id and tenant, and that
+// echo is the only correlation a pipelining peer may rely on: the daemon
+// may answer a connection's requests out of request order (see the
+// thread model in server.h).
 
 #ifndef PPDM_NET_FRAME_H_
 #define PPDM_NET_FRAME_H_

@@ -525,12 +525,6 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
     return;
   }
   const std::string tenant_name = TenantName(header.tenant);
-  obs::MetricsRegistry::Global()
-      .GetCounter("ppdm_tenant_requests_total", {{"tenant", tenant_name}})
-      ->Increment();
-  obs::MetricsRegistry::Global()
-      .GetCounter("ppdm_tenant_bytes_total", {{"tenant", tenant_name}})
-      ->Increment(body.size());
   jobs_->Increment();
   if (Status refused = EnqueueFault().Fire(); !refused.ok()) {
     shed_jobs_->Increment();
@@ -601,11 +595,6 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
                                         started)
               .count();
       request_seconds_->Observe(seconds);
-      obs::MetricsRegistry::Global()
-          .GetHistogram("ppdm_tenant_request_seconds",
-                        obs::Histogram::LatencyBucketsSeconds(),
-                        obs::LabelSet{{"tenant", tenant_name}})
-          ->Observe(seconds);
       if (options_.slow_request_ms > 0.0 &&
           seconds * 1e3 >= options_.slow_request_ms) {
         slow_requests_->Increment();

@@ -14,6 +14,13 @@
 //     Inside a job, engine primitives run inline on that worker (the
 //     pool's no-nested-fan-out rule), so concurrency comes from many
 //     in-flight requests and a saturated pool always drains.
+//   * Responses can leave a connection out of request order. With 2 or
+//     more workers a connection's in-flight requests finish in any
+//     order, and stats requests and inline refusals (an unknown verb, a
+//     service.enqueue fault) are answered on the loop, ahead of queued
+//     jobs, even with 1 worker. The echoed request id is the only
+//     correlation a pipelining client may rely on; net::Client waits
+//     for each answer before sending, so it is unaffected.
 //
 // Admission, backpressure, degradation:
 //   * A frame's ttl_ms becomes the job's deadline: a request still
@@ -120,7 +127,6 @@ class Server {
 
   /// The port actually bound (resolves port 0).
   int port() const { return port_; }
-  const ServerOptions& options() const { return options_; }
 
   /// Requests shutdown from any thread — async-signal-safe (an atomic
   /// store plus a self-pipe write), so a SIGTERM handler may call it.
@@ -147,7 +153,7 @@ class Server {
   std::size_t drained_checkpoints() const { return drained_checkpoints_; }
 
   /// The most recent slow-request span tree (empty until a request
-  /// crosses options().slow_request_ms). Test/diagnostic hook; the same
+  /// crosses ServerOptions::slow_request_ms). Test/diagnostic hook; the same
   /// text goes to stderr when it is captured.
   std::string LastSlowRequestTree() const;
 

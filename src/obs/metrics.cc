@@ -31,9 +31,6 @@ double BitsDouble(std::uint64_t bits) {
   return value;
 }
 
-/// Identity of a family's shared past-the-bound series.
-constexpr const char* kOverflowLabels = "overflow=\"true\"";
-
 void AppendEscapedLabelValue(std::string* out, const std::string& value) {
   for (const char c : value) {
     switch (c) {
@@ -189,26 +186,21 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-MetricsRegistry::Instrument* MetricsRegistry::FindLocked(
-    const std::string& name, const std::string& labels) {
+MetricsRegistry::Instrument* MetricsRegistry::Get(
+    Kind kind, const std::string& name, const LabelSet& labels,
+    std::vector<double>* bounds) {
+  const std::string rendered = RenderLabelSet(labels);
+  std::lock_guard<std::mutex> lock(mu_);
   for (Instrument& instrument : instruments_) {
-    if (instrument.name == name && instrument.labels == labels) {
+    // A kind-mismatch Get returns a null member: the first kind wins.
+    if (instrument.name == name && instrument.labels == rendered) {
       return &instrument;
     }
-  }
-  return nullptr;
-}
-
-MetricsRegistry::Instrument* MetricsRegistry::GetOrCreateLocked(
-    Kind kind, const std::string& name, const std::string& labels,
-    std::vector<double>* bounds) {
-  if (Instrument* existing = FindLocked(name, labels)) {
-    return existing;  // kind-mismatch Gets return a null member — first wins
   }
   Instrument& instrument = instruments_.emplace_back();
   instrument.kind = kind;
   instrument.name = name;
-  instrument.labels = labels;
+  instrument.labels = rendered;
   switch (kind) {
     case Kind::kCounter:
       instrument.counter = std::make_unique<Counter>();
@@ -222,37 +214,6 @@ MetricsRegistry::Instrument* MetricsRegistry::GetOrCreateLocked(
       break;
   }
   return &instrument;
-}
-
-std::string MetricsRegistry::AdmitSeriesLocked(const std::string& name,
-                                               const std::string& labels) {
-  // Unlabeled series and re-Gets of existing series are always admitted;
-  // the bound only gates the *creation* of new labeled series.
-  if (labels.empty() || labels == kOverflowLabels ||
-      FindLocked(name, labels) != nullptr) {
-    return labels;
-  }
-  std::size_t labeled = 0;
-  for (const Instrument& instrument : instruments_) {
-    if (instrument.name == name && !instrument.labels.empty() &&
-        instrument.labels != kOverflowLabels) {
-      ++labeled;
-    }
-  }
-  if (labeled < max_series_per_family_) return labels;
-  GetOrCreateLocked(Kind::kCounter, "ppdm_obs_series_overflow_total", "",
-                    nullptr)
-      ->counter->Increment();
-  return kOverflowLabels;
-}
-
-MetricsRegistry::Instrument* MetricsRegistry::Get(
-    Kind kind, const std::string& name, const LabelSet& labels,
-    std::vector<double>* bounds) {
-  const std::string rendered = RenderLabelSet(labels);
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetOrCreateLocked(kind, name, AdmitSeriesLocked(name, rendered),
-                           bounds);
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
@@ -269,16 +230,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds,
                                          const LabelSet& labels) {
   return Get(Kind::kHistogram, name, labels, &bounds)->histogram.get();
-}
-
-void MetricsRegistry::set_max_series_per_family(std::size_t max) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_series_per_family_ = max == 0 ? 1 : max;
-}
-
-std::size_t MetricsRegistry::max_series_per_family() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_series_per_family_;
 }
 
 std::string MetricsRegistry::RenderText() const {

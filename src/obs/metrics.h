@@ -51,7 +51,7 @@ namespace ppdm::obs {
 void SetTimingEnabled(bool enabled);
 bool TimingEnabled();
 
-/// One label dimension of an instrument (e.g. {tenant, "t7"}).
+/// One label dimension of an instrument (e.g. {verb, "open"}).
 struct Label {
   std::string key;
   std::string value;
@@ -248,27 +248,18 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   /// Getters: identity is (name, canonical label render), so {a,b} and
-  /// {b,a} resolve to one series. Cardinality is hard-bounded: each
-  /// family admits at most max_series_per_family() labeled series; once
-  /// full, further *new* label sets all resolve to the family's shared
-  /// `overflow="true"` series (and bump ppdm_obs_series_overflow_total)
-  /// instead of evicting anything — existing series keep their pointers
-  /// and identity forever, so a hostile tenant churning label values
-  /// cannot unbound the exposition or invalidate a cached instrument
-  /// pointer.
+  /// {b,a} resolve to one series. Each Get renders the label set, takes
+  /// the registry mutex and scans every instrument, so it belongs at an
+  /// instrument's first use, never on a per-request path. Cardinality is
+  /// bounded by construction: every label value is one the program fixes
+  /// where it registers the instrument (a verb name, a SIMD path), never
+  /// one a peer chooses, and series are never evicted, so a cached
+  /// pointer stays valid forever. Per-tenant detail belongs in span
+  /// labels (trace.h), whose ring is bounded.
   Counter* GetCounter(const std::string& name, const LabelSet& labels = {});
   Gauge* GetGauge(const std::string& name, const LabelSet& labels = {});
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
                           const LabelSet& labels = {});
-
-  /// Per-family cap on distinct labeled series (unlabeled series are
-  /// exempt; the overflow series doesn't count toward it).
-  static constexpr std::size_t kDefaultMaxSeriesPerFamily = 64;
-
-  /// Test hook: tightens/loosens the labeled-series cap. Takes effect for
-  /// future registrations only; never evicts.
-  void set_max_series_per_family(std::size_t max);
-  std::size_t max_series_per_family() const;
 
   /// Prometheus text exposition: `# TYPE` per family, then one
   /// `name{labels} value` line per sample — counters and gauges one line
@@ -292,23 +283,14 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Instrument* FindLocked(const std::string& name, const std::string& labels);
-  /// Canonicalises `labels`, admits the series, and returns its
-  /// instrument (created on first use).
+  /// The instrument named (`name`, rendered `labels`), created on first
+  /// use.
   Instrument* Get(Kind kind, const std::string& name, const LabelSet& labels,
                   std::vector<double>* bounds);
-  Instrument* GetOrCreateLocked(Kind kind, const std::string& name,
-                                const std::string& labels,
-                                std::vector<double>* bounds);
-  /// `labels` if the family still has room for it, else the overflow
-  /// identity (bumping the overflow counter).
-  std::string AdmitSeriesLocked(const std::string& name,
-                                const std::string& labels);
 
   mutable std::mutex mu_;
   /// Registration order; deque so Instrument addresses are stable.
   std::deque<Instrument> instruments_;
-  std::size_t max_series_per_family_ = kDefaultMaxSeriesPerFamily;  // mu_
 };
 
 }  // namespace ppdm::obs

@@ -62,6 +62,34 @@ void AppendJsonEscaped(std::string* out, const std::string& text) {
   }
 }
 
+std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+}
+
+/// The one sink every span kind closes through (ScopedSpan, EndSpan,
+/// RecordSpan): clamps the duration at 0, records the event into `ring`
+/// and the duration into `histogram` (either may be null), and disarms
+/// `span`.
+void CloseSpan(PendingSpan* span, std::uint64_t stop_ns, Histogram* histogram,
+               TraceRing* ring) {
+  SpanEvent event;
+  event.name = span->name;
+  event.start_ns = span->start_ns;
+  event.duration_ns = stop_ns > span->start_ns ? stop_ns - span->start_ns : 0;
+  event.trace_id = span->trace_id;
+  event.span_id = span->span_id;
+  event.parent_id = span->parent_id;
+  event.labels = std::move(span->labels);
+  span->name = nullptr;
+  if (histogram != nullptr) {
+    histogram->Observe(static_cast<double>(event.duration_ns) * 1e-9);
+  }
+  if (ring != nullptr) ring->Record(std::move(event));
+}
+
 std::string HexId(std::uint64_t id) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -89,10 +117,7 @@ std::uint64_t NewSpanId() {
 }
 
 std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  return SinceEpochNs(std::chrono::steady_clock::now());
 }
 
 ScopedTraceContext::ScopedTraceContext(TraceContext context)
@@ -114,15 +139,6 @@ TraceRing& TraceRing::Global() {
     return new TraceRing;  // leaked on purpose
   }();
   return *ring;
-}
-
-void TraceRing::Record(std::string name, std::uint64_t start_ns,
-                       std::uint64_t duration_ns) {
-  SpanEvent event;
-  event.name = std::move(name);
-  event.start_ns = start_ns;
-  event.duration_ns = duration_ns;
-  Record(std::move(event));
 }
 
 void TraceRing::Record(SpanEvent event) {
@@ -179,42 +195,17 @@ void TraceRing::Clear() {
 
 ScopedSpan::ScopedSpan(const char* name, Histogram* histogram, TraceRing* ring,
                        std::string labels)
-    : name_(TimingEnabled() ? name : nullptr),
+    : span_(BeginSpan(name, TraceContext::Current(), std::move(labels))),
       histogram_(histogram),
-      ring_(ring),
-      start_(name_ != nullptr ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{}) {
-  if (name_ == nullptr) return;
-  parent_ = TraceContext::Current();
-  span_id_ = NewSpanId();
-  labels_ = std::move(labels);
-  t_current_context = TraceContext{parent_.trace_id, span_id_};
+      ring_(ring) {
+  if (span_.name == nullptr) return;
+  t_current_context = TraceContext{span_.trace_id, span_.span_id};
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (name_ == nullptr) return;
-  t_current_context = parent_;
-  const auto stop = std::chrono::steady_clock::now();
-  const std::uint64_t duration_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start_)
-          .count());
-  if (ring_ != nullptr) {
-    SpanEvent event;
-    event.name = name_;
-    event.start_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            start_.time_since_epoch())
-            .count());
-    event.duration_ns = duration_ns;
-    event.trace_id = parent_.trace_id;
-    event.span_id = span_id_;
-    event.parent_id = parent_.span_id;
-    event.labels = std::move(labels_);
-    ring_->Record(std::move(event));
-  }
-  if (histogram_ != nullptr) {
-    histogram_->Observe(static_cast<double>(duration_ns) * 1e-9);
-  }
+  if (span_.name == nullptr) return;
+  t_current_context = TraceContext{span_.trace_id, span_.parent_id};
+  CloseSpan(&span_, SteadyNowNs(), histogram_, ring_);
 }
 
 PendingSpan BeginSpan(const char* name, TraceContext parent,
@@ -232,47 +223,21 @@ PendingSpan BeginSpan(const char* name, TraceContext parent,
 
 void EndSpan(PendingSpan* span, TraceRing* ring) {
   if (span == nullptr || span->name == nullptr) return;
-  const std::uint64_t now_ns = SteadyNowNs();
-  SpanEvent event;
-  event.name = span->name;
-  event.start_ns = span->start_ns;
-  event.duration_ns = now_ns > span->start_ns ? now_ns - span->start_ns : 0;
-  event.trace_id = span->trace_id;
-  event.span_id = span->span_id;
-  event.parent_id = span->parent_id;
-  event.labels = std::move(span->labels);
-  span->name = nullptr;
-  if (ring != nullptr) ring->Record(std::move(event));
+  CloseSpan(span, SteadyNowNs(), nullptr, ring);
 }
 
 void RecordSpan(const char* name, std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point stop,
                 Histogram* histogram, TraceRing* ring) {
   if (!TimingEnabled()) return;
-  const auto elapsed = stop - start;
-  const std::uint64_t duration_ns =
-      elapsed.count() > 0
-          ? static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                    .count())
-          : 0;
-  if (ring != nullptr) {
-    const TraceContext parent = TraceContext::Current();
-    SpanEvent event;
-    event.name = name;
-    event.start_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            start.time_since_epoch())
-            .count());
-    event.duration_ns = duration_ns;
-    event.trace_id = parent.trace_id;
-    event.span_id = NewSpanId();
-    event.parent_id = parent.span_id;
-    ring->Record(std::move(event));
-  }
-  if (histogram != nullptr) {
-    histogram->Observe(static_cast<double>(duration_ns) * 1e-9);
-  }
+  const TraceContext parent = TraceContext::Current();
+  PendingSpan span;
+  span.name = name;
+  span.trace_id = parent.trace_id;
+  span.parent_id = parent.span_id;
+  span.span_id = NewSpanId();
+  span.start_ns = SinceEpochNs(start);
+  CloseSpan(&span, SinceEpochNs(stop), histogram, ring);
 }
 
 std::string RenderChromeTrace(const std::vector<SpanEvent>& events) {

@@ -108,10 +108,8 @@ class TraceRing {
   /// ppdm_trace_dropped_total, so scrapes see ring loss.
   static TraceRing& Global();
 
-  void Record(std::string name, std::uint64_t start_ns,
-              std::uint64_t duration_ns);
-
-  /// Full-event overload: `event.thread` is stamped here.
+  /// Appends `event`, stamping `event.thread`; overwrites the oldest
+  /// event once the ring is full.
   void Record(SpanEvent event);
 
   /// Recent spans, oldest first (at most `capacity` of them).
@@ -135,6 +133,19 @@ class TraceRing {
   std::uint64_t total_ = 0;        // guarded by mu_
 };
 
+/// A span whose open and close happen in different stack frames (or on
+/// different threads): the daemon opens one per request at dispatch and
+/// closes it in the completion callback. Value-copyable so it can ride
+/// inside a std::function.
+struct PendingSpan {
+  const char* name = nullptr;  // null when disarmed or already ended
+  std::string labels;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t parent_id = 0;
+  std::uint64_t start_ns = 0;
+};
+
 /// RAII span: records [construction, destruction) into the ring (and,
 /// when given one, the same duration into a latency Histogram, so a code
 /// path gets aggregate percentiles and recent-event tracing from a single
@@ -152,26 +163,9 @@ class ScopedSpan {
   ~ScopedSpan();
 
  private:
-  const char* const name_;  // null when disarmed (timing disabled)
+  PendingSpan span_;  // disarmed (name null) while timing is disabled
   Histogram* const histogram_;
   TraceRing* const ring_;
-  std::chrono::steady_clock::time_point start_;
-  TraceContext parent_;      // context to restore on close
-  std::uint64_t span_id_ = 0;
-  std::string labels_;
-};
-
-/// A span whose open and close happen in different stack frames (or on
-/// different threads): the daemon opens one per request at dispatch and
-/// closes it in the completion callback. Value-copyable so it can ride
-/// inside a std::function.
-struct PendingSpan {
-  const char* name = nullptr;  // null when disarmed or already ended
-  std::string labels;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_id = 0;
-  std::uint64_t start_ns = 0;
 };
 
 /// Opens a pending span as a child of `parent` (does NOT touch the

@@ -67,7 +67,6 @@ class SnapshotStore {
   void set_retry_policy(retry::RetryPolicy policy) {
     retry_ = std::move(policy);
   }
-  const retry::RetryPolicy& retry_policy() const { return retry_; }
 
   /// True when a snapshot named `name` exists.
   bool Contains(const std::string& name) const;

@@ -34,8 +34,6 @@ class SessionSpillStore : public api::SessionSpill {
   bool Contains(const std::string& name) const override;
   Status Drop(const std::string& name) override;
 
-  const SnapshotStore& store() const { return store_; }
-
  private:
   SnapshotStore store_;
 };

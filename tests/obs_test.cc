@@ -36,6 +36,16 @@ using obs::TraceRing;
 // Every test touching the global timing flag restores it; instruments use
 // test-unique names so tests stay independent inside one process.
 
+// A span outside any trace (all ids 0), as TraceRing::Record takes it.
+SpanEvent FlatSpan(const char* name, std::uint64_t start_ns,
+                   std::uint64_t duration_ns) {
+  SpanEvent event;
+  event.name = name;
+  event.start_ns = start_ns;
+  event.duration_ns = duration_ns;
+  return event;
+}
+
 TEST(CounterTest, IncrementsAndMerges) {
   Counter counter;
   EXPECT_EQ(counter.Value(), 0u);
@@ -245,7 +255,7 @@ TEST(MetricsRegistryTest, ConcurrentIncrementAndScrape) {
 TEST(TraceRingTest, BoundedOldestFirst) {
   TraceRing ring(4);
   for (std::uint64_t i = 1; i <= 6; ++i) {
-    ring.Record("span", /*start_ns=*/i * 100, /*duration_ns=*/i);
+    ring.Record(FlatSpan("span", /*start_ns=*/i * 100, /*duration_ns=*/i));
   }
   const std::vector<SpanEvent> spans = ring.Snapshot();
   ASSERT_EQ(spans.size(), 4u);
@@ -406,14 +416,14 @@ TEST(TraceRingTest, GlobalRingFeedsRecordedAndDroppedCounters) {
   const std::uint64_t dropped_before = dropped->Value();
   const std::size_t capacity = TraceRing::Global().capacity();
   for (std::size_t i = 0; i < capacity + 5; ++i) {
-    TraceRing::Global().Record("obs_test.flood", 1, 1);
+    TraceRing::Global().Record(FlatSpan("obs_test.flood", 1, 1));
   }
   EXPECT_GE(recorded->Value(), recorded_before + capacity + 5);
   EXPECT_GE(dropped->Value() - dropped_before, 5u);
   // A private ring never touches the process counters.
   TraceRing local(2);
   const std::uint64_t recorded_mid = recorded->Value();
-  local.Record("obs_test.local", 1, 1);
+  local.Record(FlatSpan("obs_test.local", 1, 1));
   EXPECT_EQ(recorded->Value(), recorded_mid);
   // Both families are present in the exposition.
   const std::string text = registry.RenderText();
@@ -444,42 +454,6 @@ TEST(LabelSetTest, LabelOrderNeverSplitsASeries) {
   EXPECT_NE(
       text.find("obs_test_family_total{tenant=\"t1\",verb=\"open\"} 3"),
       std::string::npos);
-}
-
-// The cardinality bound: series beyond the per-family cap collapse into
-// one shared overflow series — existing series keep their pointers (no
-// eviction, ever) and the refusal is itself counted.
-TEST(LabelSetTest, CardinalityBoundCollapsesIntoOverflowSeries) {
-  MetricsRegistry registry;
-  registry.set_max_series_per_family(2);
-  Counter* t1 = registry.GetCounter("obs_test_bound_total",
-                                    obs::LabelSet{{"tenant", "t1"}});
-  Counter* t2 = registry.GetCounter("obs_test_bound_total",
-                                    obs::LabelSet{{"tenant", "t2"}});
-  EXPECT_NE(t1, t2);
-  Counter* t3 = registry.GetCounter("obs_test_bound_total",
-                                    obs::LabelSet{{"tenant", "t3"}});
-  Counter* t4 = registry.GetCounter("obs_test_bound_total",
-                                    obs::LabelSet{{"tenant", "t4"}});
-  // Both overflow requests land on the same shared series.
-  EXPECT_EQ(t3, t4);
-  EXPECT_NE(t3, t1);
-  EXPECT_NE(t3, t2);
-  // Admitted series survive the pressure — no eviction.
-  EXPECT_EQ(t1, registry.GetCounter("obs_test_bound_total",
-                                    obs::LabelSet{{"tenant", "t1"}}));
-  // The unlabeled series and other families stay unaffected.
-  EXPECT_NE(registry.GetCounter("obs_test_bound_total"), t3);
-  EXPECT_NE(registry.GetCounter("obs_test_other_total",
-                                obs::LabelSet{{"tenant", "t9"}}),
-            t3);
-  // The refusals were counted.
-  EXPECT_GE(registry.GetCounter("ppdm_obs_series_overflow_total")->Value(),
-            2u);
-  t3->Increment();
-  const std::string text = registry.RenderText();
-  EXPECT_NE(text.find("obs_test_bound_total{overflow=\"true\"} 1"),
-            std::string::npos);
 }
 
 TEST(ChromeTraceTest, RendersValidEventShape) {
