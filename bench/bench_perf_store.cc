@@ -1,14 +1,14 @@
 // P7 — persistence subsystem: the byte codec under every snapshot and
-// every served ingest (CRC32, double-array encode/decode, ingest frame
-// encode + verify, at the served ingest shape and cut down to two tracked
-// columns), then snapshot encode /
-// store put / store get / decode+restore throughput as the session grows
-// (attribute count), and the registry's spill path — re-admission latency
-// of a TryLookup served from disk vs. one served from RAM. Ends with the
-// round-trip equivalence cross-check (restore, continue, byte-compare
-// against the never-snapshotted session). Honours PPDM_PAPER_SCALE=1 and
-// PPDM_BENCH_RECORDS=N (CI smoke); the codec rows and a machine
-// fingerprint go to PPDM_BENCH_JSON as NDJSON.
+// every served ingest (CRC32 on each SIMD path at the served body sizes,
+// double-array encode/decode, ingest frame encode + verify, at the served
+// ingest shape and cut down to two tracked columns), then snapshot
+// encode / store put / store get / decode+restore throughput as the
+// session grows (attribute count), and the registry's spill path —
+// re-admission latency of a TryLookup served from disk vs. one served
+// from RAM. Ends with the round-trip equivalence cross-check (restore,
+// continue, byte-compare against the never-snapshotted session). Honours
+// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke); the codec rows
+// and a machine fingerprint go to PPDM_BENCH_JSON as NDJSON.
 
 #include <cstdio>
 #include <cstring>
@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "api/registry.h"
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
+#include "engine/simd.h"
 #include "net/frame.h"
 #include "perturb/randomizer.h"
 #include "store/codec.h"
@@ -120,10 +122,26 @@ void RunCodecRows() {
 
   bench::EmitMachineFingerprint("perf_store");
   std::printf("%-36s %10s %12s\n", "codec case", "us/call", "MB/s");
+  // The CRC kernel on each SIMD path, at the refresh-em tracked body
+  // (64 rows x 9 columns), the ingest-wire tracked body (1024 x 2) and the
+  // full 1024 x 9 array; shorter buffers get proportionally more calls.
   const std::string payload = body.substr(16 + 8);  // elements alone
-  CodecRow("crc32 73728 B", payload.size(), BestUsPerCall(kCalls, [&] {
-             g_sink = g_sink + store::Crc32(payload);
-           }));
+  const engine::simd::Path active = engine::simd::ActivePath();
+  for (const engine::simd::Path path :
+       {engine::simd::Path::kScalar, engine::simd::Path::kAvx2}) {
+    if (!engine::simd::SetPath(path).ok()) continue;
+    for (const std::size_t bytes : {std::size_t{4704}, std::size_t{16424},
+                                    payload.size()}) {
+      const std::string_view buffer(payload.data(), bytes);
+      CodecRow("crc32 " + std::to_string(bytes) + " B " +
+                   engine::simd::PathName(path),
+               bytes,
+               BestUsPerCall(kCalls * (payload.size() / bytes), [&] {
+                 g_sink = g_sink + store::Crc32(buffer);
+               }));
+    }
+  }
+  (void)engine::simd::SetPath(active);
   CodecRow("double array encode 9216", array_bytes.size(),
            BestUsPerCall(kCalls, [&] {
              store::Writer w;

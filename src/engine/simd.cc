@@ -1,10 +1,12 @@
-// Dispatch state plus the scalar lane-blocked reference kernels. This
-// translation unit is compiled with -ffp-contract=off (see CMakeLists.txt)
-// so no mul+add here can be fused into an FMA the AVX2 path doesn't do —
-// the two paths must stay byte-identical.
+// Dispatch state plus the scalar reference kernels (lane-blocked doubles,
+// slicing-by-8 CRC-32). This translation unit is compiled with
+// -ffp-contract=off (see CMakeLists.txt) so no mul+add here can be fused
+// into an FMA the AVX2 path doesn't do — the two paths must stay
+// byte-identical.
 
 #include "engine/simd.h"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +60,41 @@ Path ResolveLazily() {
                "default path\n",
                env);
   return DefaultPath();
+}
+
+// Slicing-by-8 tables for the IEEE polynomial: tables[0] is the classic
+// bytewise table, and tables[k][b] is the CRC register after byte b is
+// followed by k zero bytes, so one step folds eight input bytes with
+// eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    tables[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+/// Little-endian u32 at `p`, whatever the host order or alignment (the
+/// compiler folds the shifts into one load on a little-endian host).
+inline std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -163,6 +200,14 @@ void BinIndices(const double* values, std::size_t n, double lo, double hi,
   }
 }
 
+std::uint32_t Crc32(const void* data, std::size_t size, Path path) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  const std::uint32_t crc =
+      path == Path::kAvx2 ? internal::Crc32Avx2(0xFFFFFFFFu, bytes, size)
+                          : internal::Crc32Scalar(0xFFFFFFFFu, bytes, size);
+  return crc ^ 0xFFFFFFFFu;
+}
+
 namespace internal {
 
 double DotScalar(const double* a, const double* b, std::size_t n) {
@@ -216,6 +261,23 @@ void BinIndicesScalar(const double* values, std::size_t n, double lo,
       out[i] = b < last ? b : last;
     }
   }
+}
+
+std::uint32_t Crc32Scalar(std::uint32_t crc, const unsigned char* data,
+                          std::size_t size) {
+  const CrcTables& t = kCrcTables;
+  for (; size >= 8; size -= 8, data += 8) {
+    const std::uint32_t lo = LoadLe32(data) ^ crc;
+    const std::uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++data) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
+  }
+  return crc;
 }
 
 }  // namespace internal

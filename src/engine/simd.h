@@ -23,6 +23,11 @@
 // doubles that stays cache-resident) and takes its live rows four at a
 // time through Dot4/ScaleAdd4, which equal four single-row Dot/ScaleAdd
 // calls bit for bit.
+//
+// Crc32 is the one kernel over bytes: the IEEE CRC-32 of every snapshot
+// section and wire frame (store::Crc32 dispatches it on ActivePath()).
+// kScalar is slicing-by-8; kAvx2 folds 64-byte blocks with PCLMULQDQ.
+// Both return the same value for every input.
 
 #ifndef PPDM_ENGINE_SIMD_H_
 #define PPDM_ENGINE_SIMD_H_
@@ -113,6 +118,23 @@ void ScaleAdd4(double* acc, const double* const rows[4], const double* b,
 void BinIndices(const double* values, std::size_t n, double lo, double hi,
                 double width, std::size_t bins, std::uint32_t* out);
 
+/// IEEE CRC-32 of `size` bytes at `data`: the reflected polynomial
+/// 0xEDB88320, register preset to 0xFFFFFFFF and inverted at the end (the
+/// zlib / Ethernet CRC, check value 0xCBF43926 for "123456789"). Any
+/// alignment and any length, including 0 (which gives 0).
+///   kScalar — slicing-by-8: eight table lookups per eight input bytes.
+///             The reference every other path must equal.
+///   kAvx2   — a buffer of 64 bytes or more folds its largest multiple of
+///             16 bytes with carry-less multiplies (PCLMULQDQ, four
+///             128-bit lanes, then one lane, then a Barrett reduction;
+///             Gopal et al., "Fast CRC Computation for Generic
+///             Polynomials Using PCLMULQDQ Instruction", Intel 2009) and
+///             finishes the tail with slicing-by-8. Shorter buffers, and a
+///             build or CPU without PCLMUL, run slicing-by-8 throughout.
+/// Both paths return the same value for every input. This is not the
+/// x86 `crc32` instruction, which computes CRC-32C (another polynomial).
+std::uint32_t Crc32(const void* data, std::size_t size, Path path);
+
 namespace internal {
 
 // Scalar lane-blocked reference implementations (simd.cc).
@@ -126,6 +148,10 @@ void ScaleAdd4Scalar(double* acc, const double* const rows[4],
 void BinIndicesScalar(const double* values, std::size_t n, double lo,
                       double hi, double width, std::size_t bins,
                       std::uint32_t* out);
+// The CRC kernels take and return the running register (before the final
+// inversion), so one can finish what the other started.
+std::uint32_t Crc32Scalar(std::uint32_t crc, const unsigned char* data,
+                          std::size_t size);
 
 // AVX2 implementations (simd_avx2.cc; forward to the scalar reference
 // when the translation unit was built without AVX2 support).
@@ -140,6 +166,8 @@ void ScaleAdd4Avx2(double* acc, const double* const rows[4], const double* b,
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,
                     double hi, double width, std::size_t bins,
                     std::uint32_t* out);
+std::uint32_t Crc32Avx2(std::uint32_t crc, const unsigned char* data,
+                        std::size_t size);
 
 }  // namespace internal
 

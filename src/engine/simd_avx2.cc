@@ -2,7 +2,9 @@
 // -ffp-contract=off when the compiler supports it (CMake defines
 // PPDM_SIMD_AVX2 for this file only); otherwise every entry point forwards
 // to the scalar reference and Avx2Compiled() reports false, so the
-// dispatcher never selects the vector path.
+// dispatcher never selects the vector path. The CRC-32 fold also needs
+// -mpclmul (CMake then defines PPDM_SIMD_PCLMUL) and a CPU with PCLMULQDQ;
+// without either it runs the scalar slicing-by-8.
 //
 // Byte-identity contract with simd.cc: each vector lane executes the same
 // sequence of IEEE-754 operations as the matching scalar lane, horizontal
@@ -151,5 +153,98 @@ void BinIndicesAvx2(const double* values, std::size_t n, double lo,
 }
 
 #endif  // PPDM_SIMD_AVX2
+
+// PPDM_SIMD_PCLMUL is only ever defined together with PPDM_SIMD_AVX2, so
+// <immintrin.h> is included and the kernel runs only on the AVX2 path.
+#if defined(PPDM_SIMD_PCLMUL)
+
+namespace {
+
+// Fold constants for the bit-reflected IEEE polynomial, from Gopal et al.
+// 2009 (the values Linux crc32-pclmul and Chromium's zlib use). A pair
+// carries a 128-bit lane forward by a fixed distance: its low qword
+// multiplies the lane's low half and its high qword the high half.
+//   kFold512 — four lanes (64 bytes) ahead, for the parallel main loop.
+//   kFold128 — one lane ahead, to merge lanes and fold single blocks.
+//   kFold64  — the 96 → 64-bit step after the lanes are one.
+//   kBarrett — P(x) and μ = ⌊x^64 / P(x)⌋, reflected, for the reduction.
+alignas(16) constexpr std::uint64_t kFold512[2] = {0x0154442BD4,
+                                                   0x01C6E41596};
+alignas(16) constexpr std::uint64_t kFold128[2] = {0x01751997D0,
+                                                   0x00CCAA009E};
+constexpr std::uint64_t kFold64 = 0x0163CD6124;
+alignas(16) constexpr std::uint64_t kBarrett[2] = {0x01DB710641,
+                                                   0x01F7011641};
+
+inline __m128i Load128(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+inline __m128i LoadPair(const std::uint64_t (&pair)[2]) {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(pair));
+}
+
+/// The lane `x` carried forward by the distance `k` encodes, xored into
+/// the 128 bits `next` it lands on.
+inline __m128i FoldInto(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+}  // namespace
+
+std::uint32_t Crc32Avx2(std::uint32_t crc, const unsigned char* data,
+                        std::size_t size) {
+  static const bool clmul = __builtin_cpu_supports("pclmul") != 0;
+  if (!clmul || size < 64) return Crc32Scalar(crc, data, size);
+  // The register enters as the first lane's low 32 bits; four lanes then
+  // fold 64 bytes per step while 64 bytes of whole 16-byte blocks remain.
+  const std::size_t tail = size % 16;
+  const unsigned char* const blocks_end = data + (size - tail);
+  __m128i x0 = _mm_xor_si128(Load128(data),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load128(data + 16);
+  __m128i x2 = Load128(data + 32);
+  __m128i x3 = Load128(data + 48);
+  const __m128i fold512 = LoadPair(kFold512);
+  for (data += 64; blocks_end - data >= 64; data += 64) {
+    x0 = FoldInto(x0, fold512, Load128(data));
+    x1 = FoldInto(x1, fold512, Load128(data + 16));
+    x2 = FoldInto(x2, fold512, Load128(data + 32));
+    x3 = FoldInto(x3, fold512, Load128(data + 48));
+  }
+  // Merge the four lanes into one, then fold the remaining 16-byte blocks.
+  const __m128i fold128 = LoadPair(kFold128);
+  x0 = FoldInto(x0, fold128, x1);
+  x0 = FoldInto(x0, fold128, x2);
+  x0 = FoldInto(x0, fold128, x3);
+  for (; data < blocks_end; data += 16) {
+    x0 = FoldInto(x0, fold128, Load128(data));
+  }
+  // 128 → 96 → 64 bits, then the Barrett reduction to the 32-bit register
+  // (it lands in the second dword).
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  __m128i x = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                            _mm_clmulepi64_si128(x0, fold128, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32),
+                                         _mm_set_epi64x(0, kFold64), 0x00));
+  const __m128i barrett = LoadPair(kBarrett);
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  x = _mm_xor_si128(x, t);
+  crc = static_cast<std::uint32_t>(_mm_extract_epi32(x, 1));
+  return Crc32Scalar(crc, blocks_end, tail);
+}
+
+#else  // !PPDM_SIMD_PCLMUL
+
+std::uint32_t Crc32Avx2(std::uint32_t crc, const unsigned char* data,
+                        std::size_t size) {
+  return Crc32Scalar(crc, data, size);
+}
+
+#endif  // PPDM_SIMD_PCLMUL
 
 }  // namespace ppdm::engine::simd::internal

@@ -613,7 +613,9 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
                     result.ok() ? result.value() : std::string());
     conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
     global_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    Wake();
+    // A pool worker wakes the loop to flush; an inline job runs on the
+    // loop thread, whose next round polls the pending outbox anyway.
+    if (pool_ != nullptr) Wake();
   };
   if (pool_ == nullptr) {
     job();

@@ -10,7 +10,8 @@
 //   * Each request runs as one job on the server's engine pool. The job
 //     enqueues the response on the connection's outbox and wakes the
 //     loop through a self-pipe. num_threads == 0 runs every job inline
-//     on the event loop — same byte-exact behaviour, no concurrency.
+//     on the event loop — same byte-exact behaviour, no concurrency, and
+//     no self-pipe write: the loop's next round polls the outbox.
 //     Inside a job, engine primitives run inline on that worker (the
 //     pool's no-nested-fan-out rule), so concurrency comes from many
 //     in-flight requests and a saturated pool always drains.

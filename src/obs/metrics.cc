@@ -6,6 +6,8 @@
 #include <map>
 #include <utility>
 
+#include "common/check.h"
+
 namespace ppdm::obs {
 namespace {
 
@@ -186,16 +188,33 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+const char* MetricsRegistry::KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kCounter:
+      return "counter";
+    case Kind::kGauge:
+      return "gauge";
+    case Kind::kHistogram:
+      return "histogram";
+  }
+  return "?";
+}
+
 MetricsRegistry::Instrument* MetricsRegistry::Get(
     Kind kind, const std::string& name, const LabelSet& labels,
     std::vector<double>* bounds) {
   const std::string rendered = RenderLabelSet(labels);
   std::lock_guard<std::mutex> lock(mu_);
   for (Instrument& instrument : instruments_) {
-    // A kind-mismatch Get returns a null member: the first kind wins.
-    if (instrument.name == name && instrument.labels == rendered) {
-      return &instrument;
-    }
+    if (instrument.name != name) continue;
+    // A family has one kind: its exposition has one TYPE line, and the
+    // caller would dereference the requested kind's (empty) member.
+    PPDM_CHECK_MSG(instrument.kind == kind,
+                   ("metric '" + name + "' is a " +
+                    KindName(instrument.kind) + ", requested as a " +
+                    KindName(kind))
+                       .c_str());
+    if (instrument.labels == rendered) return &instrument;
   }
   Instrument& instrument = instruments_.emplace_back();
   instrument.kind = kind;
@@ -242,11 +261,7 @@ std::string MetricsRegistry::RenderText() const {
   }
   std::string out;
   for (const auto& [name, members] : families) {
-    const char* type = members.front()->kind == Kind::kCounter ? "counter"
-                       : members.front()->kind == Kind::kGauge
-                           ? "gauge"
-                           : "histogram";
-    out += "# TYPE " + name + " " + type + "\n";
+    out += "# TYPE " + name + " " + KindName(members.front()->kind) + "\n";
     for (const Instrument* instrument : members) {
       const std::string& labels = instrument->labels;
       switch (instrument->kind) {

@@ -235,9 +235,11 @@ class ScopedTimer {
 /// optional label set (empty for an unlabeled series) is canonicalised
 /// via RenderLabelSet. (name, rendered labels) identifies the instrument:
 /// re-Get'ing returns the same pointer, so function-local statics in
-/// instrumented code are cheap and safe. Getting an existing name with a
-/// mismatched kind or bucket layout returns the existing instrument (the
-/// first registration wins) — exposition must stay consistent.
+/// instrumented code are cheap and safe. A name has one kind across all
+/// its label sets: getting it as another kind is a programming error and
+/// fails a PPDM_CHECK naming both kinds. Getting an existing histogram
+/// with another bucket layout returns the existing instrument (the first
+/// registration wins) — exposition must stay consistent.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -283,8 +285,11 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// "counter" / "gauge" / "histogram", as the exposition's TYPE line.
+  static const char* KindName(Kind kind);
+
   /// The instrument named (`name`, rendered `labels`), created on first
-  /// use.
+  /// use. Aborts if `name` is registered with another kind.
   Instrument* Get(Kind kind, const std::string& name, const LabelSet& labels,
                   std::vector<double>* bounds);
 

@@ -1,10 +1,10 @@
 #include "store/codec.h"
 
-#include <array>
 #include <cstring>
 
 #include "common/check.h"
 #include "common/strings.h"
+#include "engine/simd.h"
 #include "obs/metrics.h"
 
 namespace ppdm::store {
@@ -26,41 +26,6 @@ constexpr bool kLittleEndianHost = true;
 #else
 constexpr bool kLittleEndianHost = false;
 #endif
-
-// Slicing-by-8 tables for the IEEE polynomial: tables[0] is the classic
-// bytewise table, and tables[k][b] is the CRC register after byte b is
-// followed by k zero bytes, so one step folds eight input bytes with
-// eight independent lookups.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-constexpr CrcTables BuildCrcTables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-    }
-    tables[0][i] = crc;
-  }
-  for (std::size_t k = 1; k < 8; ++k) {
-    for (std::size_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables[k - 1][i];
-      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
-    }
-  }
-  return tables;
-}
-
-constexpr CrcTables kCrcTables = BuildCrcTables();
-
-/// Little-endian u32 at `p`, whatever the host order or alignment (the
-/// compiler folds the shifts into one load on a little-endian host).
-inline std::uint32_t LoadLe32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 /// Appends `values` as the little-endian bytes of each 8-byte element.
 template <typename T>
@@ -104,21 +69,7 @@ void CopyLeArray(const char* bytes, std::vector<T>* out) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  const CrcTables& t = kCrcTables;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (; size >= 8; size -= 8, bytes += 8) {
-    const std::uint32_t lo = LoadLe32(bytes) ^ crc;
-    const std::uint32_t hi = LoadLe32(bytes + 4);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
-          t[0][hi >> 24];
-  }
-  for (; size > 0; --size, ++bytes) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return engine::simd::Crc32(data, size, engine::simd::ActivePath());
 }
 
 // ------------------------------------------------------------------ Writer

@@ -13,10 +13,12 @@
 // round-trip is bit-exact and files are exchangeable across hosts
 // (distributed PPDM sites share aggregated statistics this way).
 //
-// The CRC is the IEEE CRC-32 computed slicing-by-8 (eight table lookups
-// per eight input bytes). Arrays are bulk-copied on little-endian hosts
-// and built element by element on big-endian ones; both produce the same
-// bytes.
+// The CRC is the IEEE CRC-32 (zlib's polynomial, not the CRC-32C of the
+// x86 `crc32` instruction), computed by engine::simd::Crc32 on the active
+// SIMD path: a PCLMULQDQ fold on the AVX2 path, slicing-by-8 on the scalar
+// path, which is the reference the fold must equal. Arrays are bulk-copied
+// on little-endian hosts and built element by element on big-endian ones;
+// both produce the same bytes.
 
 #ifndef PPDM_STORE_CODEC_H_
 #define PPDM_STORE_CODEC_H_
@@ -31,7 +33,8 @@
 
 namespace ppdm::store {
 
-/// IEEE CRC-32 (polynomial 0xEDB88320) of `size` bytes at `data`.
+/// IEEE CRC-32 (polynomial 0xEDB88320) of `size` bytes at `data`, on
+/// engine::simd::ActivePath(); every path gives the same value.
 std::uint32_t Crc32(const void* data, std::size_t size);
 inline std::uint32_t Crc32(std::string_view bytes) {
   return Crc32(bytes.data(), bytes.size());

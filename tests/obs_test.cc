@@ -155,6 +155,22 @@ TEST(MetricsRegistryTest, IdentityIsNamePlusLabels) {
   EXPECT_EQ(h->bounds().size(), 2u);
 }
 
+// A name keeps the kind it was first registered with, under any label
+// set: asking for it as another kind aborts, naming both, instead of
+// handing back a null instrument the caller would dereference.
+TEST(MetricsRegistryDeathTest, KindClashAbortsNamingBothKinds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MetricsRegistry registry;
+  registry.GetGauge("obs_test_clash_total");
+  registry.GetHistogram("obs_test_clash_seconds", {1.0}, {{"verb", "a"}});
+  EXPECT_DEATH(registry.GetCounter("obs_test_clash_total"),
+               "'obs_test_clash_total' is a gauge, requested as a counter");
+  EXPECT_DEATH(
+      registry.GetGauge("obs_test_clash_seconds", {{"verb", "b"}}),
+      "'obs_test_clash_seconds' is a histogram, requested as a gauge");
+  EXPECT_NE(registry.GetGauge("obs_test_clash_total"), nullptr);
+}
+
 TEST(MetricsRegistryTest, ResetAllZeroesButKeepsPointers) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("obs_test_reset_total");

@@ -30,6 +30,7 @@
 #include "common/retry.h"
 #include "data/row_batch.h"
 #include "engine/shard_stats.h"
+#include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "store/codec.h"
@@ -116,7 +117,7 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
 // ------------------------------------------------------------------ crc32
 
 /// The bytewise-table IEEE CRC-32 the codec first shipped with: the
-/// reference the slicing-by-8 Crc32 must reproduce bit for bit.
+/// reference every CRC kernel must reproduce bit for bit.
 std::uint32_t ReferenceCrc32(const void* data, std::size_t size) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
@@ -144,6 +145,16 @@ std::string RandomBytes(std::size_t size, std::uint64_t seed) {
   return bytes;
 }
 
+/// The CRC kernel paths this binary can run: scalar always, AVX2 (the
+/// PCLMULQDQ fold) where the build and the CPU carry it.
+std::vector<engine::simd::Path> CrcPaths() {
+  std::vector<engine::simd::Path> paths = {engine::simd::Path::kScalar};
+  if (engine::simd::Avx2Supported()) {
+    paths.push_back(engine::simd::Path::kAvx2);
+  }
+  return paths;
+}
+
 TEST(Crc32Test, KnownAnswers) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
@@ -151,21 +162,36 @@ TEST(Crc32Test, KnownAnswers) {
   const std::string ones(std::size_t{1} << 20, '\xFF');
   EXPECT_EQ(Crc32(ones), 0x956BAC74u);
   EXPECT_EQ(ReferenceCrc32(ones.data(), ones.size()), 0x956BAC74u);
+  for (const engine::simd::Path path : CrcPaths()) {
+    SCOPED_TRACE(engine::simd::PathName(path));
+    EXPECT_EQ(engine::simd::Crc32("123456789", 9, path), 0xCBF43926u);
+    EXPECT_EQ(engine::simd::Crc32(nullptr, 0, path), 0u);
+    EXPECT_EQ(engine::simd::Crc32(ones.data(), ones.size(), path),
+              0x956BAC74u);
+  }
 }
 
-// Every length 0..257 at every start offset 0..7 covers each unaligned
-// head and each tail the eight-byte steps leave behind.
+// Every length 0..1100 at every start offset 0..15, on each path: the
+// fold's several 64-byte steps, each 16-byte block count it folds singly,
+// every tail it leaves to slicing-by-8, each unaligned head, and the
+// lengths under 64 that never fold.
 TEST(Crc32Test, MatchesTheBytewiseReferenceAtEveryLengthAndOffset) {
-  const std::string buffer = RandomBytes(257 + 8, 0xC0FFEE);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 257; ++len) {
-      const char* start = buffer.data() + offset;
-      ASSERT_EQ(Crc32(start, len), ReferenceCrc32(start, len))
-          << "offset " << offset << ", length " << len;
-    }
-  }
+  const std::string buffer = RandomBytes(1100 + 16, 0xC0FFEE);
   // One ingest-body-sized buffer (1024 rows of 9 doubles).
   const std::string body = RandomBytes(73728, 0xB0D1);
+  for (const engine::simd::Path path : CrcPaths()) {
+    SCOPED_TRACE(engine::simd::PathName(path));
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const char* start = buffer.data() + offset;
+        ASSERT_EQ(engine::simd::Crc32(start, len, path),
+                  ReferenceCrc32(start, len))
+            << "offset " << offset << ", length " << len;
+      }
+    }
+    EXPECT_EQ(engine::simd::Crc32(body.data(), body.size(), path),
+              ReferenceCrc32(body.data(), body.size()));
+  }
   EXPECT_EQ(Crc32(body), ReferenceCrc32(body.data(), body.size()));
 }
 
