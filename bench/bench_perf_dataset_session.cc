@@ -4,9 +4,11 @@
 // cost and accuracy of a tenant that refreshes after every batch as the
 // attribute count grows, and a cross-check that the dataset path's
 // estimates are byte-identical to N one-attribute sessions (the
-// equivalence contract). Honours PPDM_PAPER_SCALE=1 and
-// PPDM_BENCH_RECORDS=N (CI smoke); PPDM_BENCH_JSON=FILE appends a machine
-// fingerprint, the ingest rows and the refresh rows as NDJSON.
+// equivalence contract). The "tracked fold" rows time one IngestTracked at
+// each of the two batch shapes the served benchmark folds. Honours
+// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke);
+// PPDM_BENCH_JSON=FILE appends a machine fingerprint, the ingest rows and
+// the refresh rows as NDJSON.
 
 #include <algorithm>
 #include <cstdio>
@@ -126,6 +128,62 @@ int main() {
       dataset_seconds_4 = dataset_seconds;
       per_attr_seconds_4 = per_attr_seconds;
     }
+  }
+
+  // ------------------------------------------------ served fold shapes
+  // One IngestTracked per run, at the two shapes a daemon folds on every
+  // served ingest: perfbench's ingest-wire batch (1024 rows, 2 uniform
+  // attributes at K=30) and its refresh-em batch (64 rows, 9 Gaussian
+  // attributes at K=200). Rows carry the tracked columns alone, and the
+  // session has no pool: a batch this small is one shard. Each run folds
+  // the next batch of the record stream into one long-lived session.
+  struct FoldShape {
+    const char* label;
+    std::size_t rows;
+    std::size_t attrs;
+    std::size_t intervals;
+    perturb::NoiseKind noise;
+  };
+  for (const FoldShape& shape :
+       {FoldShape{"tracked fold 1024x2 uniform K=30", 1024, 2, 30,
+                  perturb::NoiseKind::kUniform},
+        FoldShape{"tracked fold 64x9 gauss K=200", 64, 9, 200,
+                  perturb::NoiseKind::kGaussian}}) {
+    const std::size_t batches = records / shape.rows;
+    if (batches == 0) continue;
+    const std::vector<double> source =
+        shape.noise == perturb::NoiseKind::kUniform
+            ? rows
+            : bench::PerturbedRowMajor(records, config.function, config.seed,
+                                       config.seed + 0x9E1517BULL, &cols,
+                                       shape.noise);
+    std::vector<double> tracked;
+    tracked.reserve(records * shape.attrs);
+    for (std::size_t r = 0; r < records; ++r) {
+      tracked.insert(tracked.end(), source.begin() + r * cols,
+                     source.begin() + r * cols + shape.attrs);
+    }
+    api::DatasetSessionSpec spec;
+    spec.schema = schema;
+    for (std::size_t column = 0; column < shape.attrs; ++column) {
+      api::AttributeSpec attr;
+      attr.column = column;
+      attr.intervals = shape.intervals;
+      attr.noise = shape.noise;
+      spec.attributes.push_back(attr);
+    }
+    auto session = api::DatasetSession::Open(spec);
+    if (!session.ok()) return 1;
+    std::size_t next = 0;
+    reporter.Measure(shape.label, shape.rows, "", [&] {
+      const double* batch =
+          tracked.data() + (next++ % batches) * shape.rows * shape.attrs;
+      if (!session.value()
+               ->IngestTracked(data::RowBatch(batch, shape.rows, shape.attrs))
+               .ok()) {
+        std::abort();
+      }
+    });
   }
 
   // ------------------------------------ refresh after every batch

@@ -53,21 +53,20 @@ inline std::size_t BenchRecords(std::size_t default_records) {
 /// Perturbed benchmark records flattened row-major — the provider
 /// arrival shape the streaming benches feed to sessions. Generates
 /// `records` rows of `function` from `seed`, perturbs every column with
-/// the paper's 100% uniform noise (streams seeded `noise_seed`), and
-/// transposes the column-major Dataset into one row-major vector;
-/// `*num_cols` receives the schema width.
-inline std::vector<double> PerturbedRowMajor(std::size_t records,
-                                             synth::Function function,
-                                             std::uint64_t seed,
-                                             std::uint64_t noise_seed,
-                                             std::size_t* num_cols) {
+/// 100% noise of `kind` (the paper's uniform noise by default; streams
+/// seeded `noise_seed`), and transposes the column-major Dataset into one
+/// row-major vector; `*num_cols` receives the schema width.
+inline std::vector<double> PerturbedRowMajor(
+    std::size_t records, synth::Function function, std::uint64_t seed,
+    std::uint64_t noise_seed, std::size_t* num_cols,
+    perturb::NoiseKind kind = perturb::NoiseKind::kUniform) {
   synth::GeneratorOptions gen;
   gen.num_records = records;
   gen.function = function;
   gen.seed = seed;
   const data::Dataset original = synth::Generate(gen);
   perturb::RandomizerOptions noise;
-  noise.kind = perturb::NoiseKind::kUniform;
+  noise.kind = kind;
   noise.privacy_fraction = 1.0;
   noise.seed = noise_seed;
   const data::Dataset perturbed =
@@ -155,23 +154,31 @@ inline double WallSeconds(const std::function<void()>& fn) {
 }
 
 /// Shared wall-clock/throughput reporter for the perf benches: each
-/// Measure() times one run, prints seconds, items/sec, and the speedup
+/// Measure() times a case, prints seconds, items/sec, and the speedup
 /// relative to the first measurement labelled `baseline_of` (pass the
-/// current label itself, or "" for an absolute row). Repeats each run
-/// `repeats` times and keeps the fastest, the usual guard against noisy
-/// neighbours on shared machines.
+/// current label itself, or "" for an absolute row). Runs each case at
+/// least `repeats` times and until the runs add up to kMinCaseSeconds
+/// (at most kMaxCaseSamples runs), so a microsecond case is a few
+/// thousand samples rather than three, and keeps the fastest, the usual
+/// guard against noisy neighbours on shared machines.
 ///
-/// Every repeat's wall time is kept per case, so the destructor can print
-/// exact per-case p50/p99 order statistics over the repeat samples. It is
+/// Every run's wall time is kept per case, so the destructor can print
+/// exact per-case p50/p99 order statistics over the samples. It is
 /// also fed into the process metrics registry as
 /// ppdm_bench_run_seconds{case="<label>"}, and PPDM_BENCH_METRICS=1 dumps
 /// the full Prometheus text exposition — engine/store counters included —
 /// after the rows.
 /// A non-empty `bench` additionally emits one NDJSON row per Measure()
-/// (EmitBenchJson: seconds, items/sec, items/sec/core, cores, speedup) so
-/// dashboards scrape the perf sweeps without parsing the table.
+/// (EmitBenchJson: seconds, the median run's seconds_p50, samples,
+/// items/sec, items/sec/core, cores, speedup) so dashboards scrape the
+/// perf sweeps without parsing the table.
 class ThroughputReporter {
  public:
+  /// Wall time a case's runs must add up to before Measure() stops.
+  static constexpr double kMinCaseSeconds = 0.1;
+  /// Bound on a case's runs, so a near-empty case cannot run forever.
+  static constexpr std::size_t kMaxCaseSamples = 100000;
+
   explicit ThroughputReporter(std::string unit = "records", int repeats = 3,
                               std::string bench = "")
       : unit_(std::move(unit)), repeats_(repeats), bench_(std::move(bench)) {
@@ -201,13 +208,20 @@ class ThroughputReporter {
             "ppdm_bench_run_seconds",
             obs::Histogram::LatencyBucketsSeconds(), {{"case", label}});
     std::vector<double>& samples = SamplesFor(label);
-    double seconds = 0.0;
-    for (int r = 0; r < std::max(repeats_, 1); ++r) {
+    std::vector<double> runs;
+    double total = 0.0;
+    while (runs.size() < kMaxCaseSamples &&
+           (runs.size() < static_cast<std::size_t>(std::max(repeats_, 1)) ||
+            total < kMinCaseSeconds)) {
       const double run = WallSeconds(fn);
       histogram->Observe(run);
-      samples.push_back(run);
-      if (r == 0 || run < seconds) seconds = run;
+      runs.push_back(run);
+      total += run;
     }
+    samples.insert(samples.end(), runs.begin(), runs.end());
+    std::sort(runs.begin(), runs.end());
+    const double seconds = runs.front();
+    const double median = NearestRank(runs, 0.5);
     // A sub-clock-resolution run (seconds == 0) can neither anchor nor
     // receive a meaningful speedup; such rows print "-" instead.
     if (!baseline_of.empty() && seconds > 0.0 &&
@@ -231,6 +245,8 @@ class ThroughputReporter {
     if (!bench_.empty()) {
       EmitBenchJson(bench_, label,
                     {{"seconds", seconds},
+                     {"seconds_p50", median},
+                     {"samples", static_cast<double>(runs.size())},
                      {"items", static_cast<double>(items)},
                      {"per_sec", throughput},
                      {"per_sec_per_core", per_core},
@@ -240,20 +256,20 @@ class ThroughputReporter {
     return seconds;
   }
 
-  /// Per-case p50/p99 across the repeat samples: exact order statistics
-  /// (nearest rank) of the recorded wall times. With few repeats p99 is
-  /// the slowest run.
+  /// Per-case p50/p99 across the samples: exact order statistics
+  /// (nearest rank) of the recorded wall times. With few runs p99 is the
+  /// slowest run.
   void PrintLatencySummary() const {
     if (cases_.empty()) return;
-    std::printf("\n%-36s %12s %12s %8s\n", "case (repeat samples)",
-                "p50 ms", "p99 ms", "n");
+    std::printf("\n%-36s %12s %12s %8s\n", "case (samples)",
+                "p50 us", "p99 us", "n");
     for (const auto& [label, samples] : cases_) {
       if (samples.empty()) continue;
       std::vector<double> sorted = samples;
       std::sort(sorted.begin(), sorted.end());
-      std::printf("%-36s %12.3f %12.3f %8zu\n", label.c_str(),
-                  1e3 * NearestRank(sorted, 0.5),
-                  1e3 * NearestRank(sorted, 0.99), sorted.size());
+      std::printf("%-36s %12.2f %12.2f %8zu\n", label.c_str(),
+                  1e6 * NearestRank(sorted, 0.5),
+                  1e6 * NearestRank(sorted, 0.99), sorted.size());
     }
   }
 
@@ -279,7 +295,7 @@ class ThroughputReporter {
   int repeats_;
   std::string bench_;  // NDJSON bench id; empty = table only
   std::map<std::string, double> baselines_;
-  /// Repeat wall times per case, in measurement order.
+  /// Run wall times per case, in measurement order.
   std::vector<std::pair<std::string, std::vector<double>>> cases_;
 };
 

@@ -10,8 +10,10 @@ state the file was committed at). Every numeric field the two rows share is
 printed as fresh / committed; a ratio beyond 1.5x either way prints a
 warning (a GitHub Actions "::warning::" line). Rows whose workload fields
 (records, items, fits, bytes, ...) differ are listed but not compared:
-their timings measure different work. The script reports only; it always
-exits 0.
+their timings measure different work. So are rows that share no timing
+field with their committed case (older rows carry summary fields such as
+records_per_s_median that no bench prints now); the summary line counts
+them. The script reports only; it always exits 0.
 """
 
 import json
@@ -21,6 +23,9 @@ THRESHOLD = 1.5
 # Fields that describe the work a row measured rather than how fast it ran.
 WORKLOAD_KEYS = {"items", "records", "batch_records", "fits", "bytes",
                  "refreshes", "cores", "runs"}
+# Fields that say how often a case ran, which neither describes the work
+# nor times it.
+SAMPLE_KEYS = {"samples"}
 
 
 def read_rows(path):
@@ -65,7 +70,7 @@ def main(argv):
         return 0
     fresh = read_rows(argv[1])
     committed = committed_index(argv[2:])
-    compared = warned = unmatched = 0
+    compared = warned = unmatched = untimed = 0
     for row in fresh:
         if row["case"].startswith("machine"):
             continue
@@ -80,9 +85,13 @@ def main(argv):
         if differs:
             print(f"{label}: not compared, workload differs ({', '.join(sorted(differs))})")
             continue
-        for key in sorted((mine.keys() & theirs.keys()) - WORKLOAD_KEYS):
-            if mine[key] == 0 or theirs[key] == 0:
-                continue
+        timing = sorted(key for key in (mine.keys() & theirs.keys()) - WORKLOAD_KEYS - SAMPLE_KEYS
+                        if mine[key] != 0 and theirs[key] != 0)
+        if not timing:
+            untimed += 1
+            print(f"{label}: not compared, no shared timing field")
+            continue
+        for key in timing:
             ratio = mine[key] / theirs[key]
             compared += 1
             line = f"{label}: {key} {mine[key]:.6g} vs committed {theirs[key]:.6g} ({ratio:.2f}x)"
@@ -92,7 +101,8 @@ def main(argv):
             else:
                 print(line)
     print(f"compare_bench_json: {compared} field(s) compared, {warned} beyond "
-          f"{THRESHOLD}x, {unmatched} fresh row(s) with no committed case")
+          f"{THRESHOLD}x, {untimed} matched row(s) with no shared timing field, "
+          f"{unmatched} fresh row(s) with no committed case")
     return 0
 
 

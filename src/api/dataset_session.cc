@@ -4,12 +4,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <utility>
 
 #include "api/spec.h"
 #include "common/strings.h"
 #include "engine/shard_stats.h"
+#include "engine/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -290,52 +292,51 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
                   rows.num_cols(), width));
   }
 
-  // One pass over the arriving records, sharded over the pool and outside
-  // the session lock: each shard bins every tracked attribute of its rows
-  // into its own integer counts. Shard boundaries depend only on the row
-  // count, and the per-attribute merge below runs in ascending shard
-  // order, so the folded counts are byte-identical to N independent
-  // per-attribute ingests of the same columns, for every pool size.
+  // Binning runs sharded over the pool and outside the session lock;
+  // counting runs under it. Every tracked value gets one bin index in
+  // `bins`, attribute-major (attribute a's indices are the run
+  // bins[a * num_rows, (a + 1) * num_rows)), and each shard fills its own
+  // rows of every run. The buffer holds 4 B per tracked value, at most
+  // half the batch's own 8 B per value. Counts are integers, so the
+  // folded counts are byte-identical for every pool size and SIMD path.
+  const std::size_t num_rows = rows.num_rows();
   const std::size_t num_attrs = attrs_.size();
+  std::vector<std::uint32_t> bins(num_rows * num_attrs);
   const std::vector<engine::ChunkRange> shards =
-      engine::MakeChunks(rows.num_rows(), engine::kIngestShardRows);
-  std::vector<std::vector<engine::ShardStats>> partials(shards.size());
-  for (std::vector<engine::ShardStats>& shard : partials) {
-    shard.reserve(num_attrs);
-    for (std::size_t a = 0; a < num_attrs; ++a) {
-      shard.emplace_back(attrs_[a].wgrid.intervals());
-    }
-  }
+      engine::MakeChunks(num_rows, engine::kIngestShardRows);
   std::atomic<bool> finite{true};
   engine::ParallelFor(pool_, shards.size(), [&](std::size_t s) {
-    std::vector<engine::ShardStats>& local = partials[s];
-    const std::size_t begin = shards[s].begin;
-    const std::size_t end = shards[s].end;
-    // Finiteness gate first: ingestion is all-or-nothing per batch, so
-    // validating before any counting lets the bin+increment fold below run
-    // branch-free over contiguous column batches.
-    for (std::size_t r = begin; r < end; ++r) {
-      const double* row = rows.row(r);
-      for (std::size_t a = 0; a < num_attrs; ++a) {
-        if (!std::isfinite(row[columns[a]])) {
-          finite.store(false, std::memory_order_relaxed);
-          return;  // abandon the shard; nothing is folded below
-        }
-      }
-    }
     // Per attribute: gather the strided column into a small contiguous
-    // batch and let ShardStats::AddBinned bin and count it on the w-grid.
+    // batch, gate it on finiteness, then bin it into this shard's slice of
+    // the attribute's run. The gate is branch-free: adding one to a
+    // value's exponent field carries into bit 63 exactly when the field is
+    // all ones (inf or NaN), and the batch ORs those sums. Ingestion is
+    // all-or-nothing per batch, so one bad value abandons the shard and
+    // the batch is rejected before anything is counted.
+    constexpr std::uint64_t kExponent = 0x7FF0000000000000ULL;
+    constexpr std::uint64_t kExponentOne = 0x0010000000000000ULL;
     constexpr std::size_t kBatch = 256;
     double vals[kBatch];
     for (std::size_t a = 0; a < num_attrs; ++a) {
       const stats::Partition& wgrid = attrs_[a].wgrid;
-      const std::size_t col = columns[a];
-      for (std::size_t r0 = begin; r0 < end; r0 += kBatch) {
-        const std::size_t n = std::min(kBatch, end - r0);
+      const double* column = rows.values() + columns[a];
+      std::uint32_t* run = bins.data() + a * num_rows;
+      for (std::size_t r0 = shards[s].begin; r0 < shards[s].end;
+           r0 += kBatch) {
+        const std::size_t n = std::min(kBatch, shards[s].end - r0);
+        std::uint64_t carries = 0;
         for (std::size_t j = 0; j < n; ++j) {
-          vals[j] = rows.row(r0 + j)[col];
+          vals[j] = column[(r0 + j) * width];
+          std::uint64_t bits = 0;
+          std::memcpy(&bits, &vals[j], sizeof(bits));
+          carries |= (bits & kExponent) + kExponentOne;
         }
-        local[a].AddBinned(vals, n, wgrid);
+        if (carries >> 63 != 0) {
+          finite.store(false, std::memory_order_relaxed);
+          return;
+        }
+        engine::simd::BinIndices(vals, n, wgrid.lo(), wgrid.hi(),
+                                 wgrid.width(), wgrid.intervals(), run + r0);
       }
     }
   });
@@ -346,14 +347,14 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
         "rejected");
   }
 
+  // Under the lock: O(rows x attrs) increments, one index run per
+  // attribute, each bound-checked once.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::vector<engine::ShardStats>& shard : partials) {
-      for (std::size_t a = 0; a < num_attrs; ++a) {
-        attrs_[a].counts.MergeFrom(shard[a]);
-      }
+    for (std::size_t a = 0; a < num_attrs; ++a) {
+      attrs_[a].counts.AddIndices(bins.data() + a * num_rows, num_rows);
     }
-    rows_ += rows.num_rows();
+    rows_ += num_rows;
     ++batches_;
   }
   IngestRecordsCounter().Increment(rows.num_rows());

@@ -10,14 +10,16 @@
 // tracked columns (what a provider ships when only those travel) through
 // the same fold.
 //
-// Determinism: each ingestion shard of engine::kIngestShardRows records
-// accumulates its own integer ShardStats per attribute and the shards
-// merge in ascending order, so the per-attribute counts are identical for
-// every batching. A session's first ReconstructAll() is therefore
-// byte-identical to the batch BayesReconstructor::Fit over each
-// concatenated column, and every estimate equals that of N one-attribute
-// sessions fed the same batches, at any thread count (property-tested in
-// tests/api_test.cc).
+// Determinism: a batch is binned in shards of engine::kIngestShardRows
+// records over the pool, outside the session lock, into one transient
+// index buffer (4 B per tracked value, at most half the batch's own
+// bytes); under the lock ShardStats::AddIndices counts each attribute's
+// index run. Counts are integers, so the per-attribute counts are
+// identical for every batching, pool size and SIMD path. A session's
+// first ReconstructAll() is therefore byte-identical to the batch
+// BayesReconstructor::Fit over each concatenated column, and every
+// estimate equals that of N one-attribute sessions fed the same batches,
+// at any thread count (property-tested in tests/api_test.cc).
 //
 // Memoized fits: a refresh refits from the uniform prior only once the
 // rows have grown by at least 1/kRefitGrowthDivisor since the last refit,
@@ -33,7 +35,8 @@
 // request jobs, and a SessionRegistry may evict (drop) the session while
 // either is in flight — callers hold the session via shared_ptr, so an
 // evicted session simply finishes its in-flight calls and dies with the
-// last reference. Ingestion folds under the session lock; ReconstructAll
+// last reference. Ingestion bins outside the session lock and holds it
+// only for its O(rows x attrs) count increments; ReconstructAll
 // reads the row count with the counts under the lock, runs the
 // per-attribute EM fan-out outside it, and installs its memo only if it
 // fitted more rows than the installed one, so racing refreshes never move
@@ -228,8 +231,13 @@ class DatasetSession {
 
   DatasetSession(const DatasetSessionSpec& spec, engine::ThreadPool* pool);
 
-  /// The one sharded fold behind Ingest and IngestTracked: rows are
-  /// `width` wide, and attribute a reads column `columns[a]`.
+  /// The one fold behind Ingest and IngestTracked: rows are `width` wide,
+  /// and attribute a reads column `columns[a]`. Shards of the batch gather,
+  /// finiteness-check and bin every tracked value over the pool, without
+  /// the lock, into one rows x attrs index buffer; only a batch whose
+  /// every value is finite takes mu_, to count each attribute's index run.
+  /// The lock is held for O(rows x attrs) increments, independent of the
+  /// w-grid sizes.
   Status Fold(const data::RowBatch& rows, std::size_t width,
               const std::vector<std::size_t>& columns);
 

@@ -44,11 +44,22 @@ void ShardStats::AddBinned(const double* values, std::size_t n,
     const std::size_t m = std::min(kBatch, n - i);
     simd::BinIndices(values + i, m, grid.lo(), grid.hi(), grid.width(), bins,
                      idx);
-    for (std::size_t j = 0; j < m; ++j) {
-      PPDM_CHECK_LT(idx[j], bins);
-      ++counts_[idx[j]];
-    }
+    AddIndices(idx, m);
   }
+}
+
+void ShardStats::AddIndices(const std::uint32_t* bins, std::size_t n) {
+  // One bound check for the run: its largest index must name a bin, so no
+  // increment below can land outside the counts. The OR of the run is at
+  // least its largest index and vectorizes on every x86-64 target, so the
+  // largest index itself is looked for only when the OR does not name a bin.
+  std::uint32_t any = 0;
+  for (std::size_t i = 0; i < n; ++i) any |= bins[i];
+  if (any >= counts_.size()) {
+    PPDM_CHECK_LT(*std::max_element(bins, bins + n), counts_.size());
+  }
+  std::uint64_t* const counts = counts_.data();
+  for (std::size_t i = 0; i < n; ++i) ++counts[bins[i]];
   record_count_ += n;
 }
 

@@ -1,10 +1,13 @@
-// Mergeable per-shard sufficient statistics for the server-side aggregate
-// workload: the perturbed-value bin counts of one attribute. Each
-// ingestion shard accumulates its own ShardStats; merging the shards in
-// ascending shard order reproduces the single-pass result exactly (counts
-// are integers, so the merge is not just associative but bit-exact), which
-// is what makes the parallel ingestion deterministic for every thread
-// count.
+// Mergeable sufficient statistics for the server-side aggregate workload:
+// the perturbed-value bin counts of one attribute. Values reach the
+// counts as bin indices: engine::simd::BinIndices maps a batch of values
+// to indices, and AddIndices increments the counts from an index run
+// after one bound check for the whole run. A dataset session bins a batch
+// outside its lock and runs AddIndices under it; the offline EM fit
+// (IngestBinnedColumn) counts each shard into its own ShardStats and
+// merges the shards in ascending order. Counts are integers, so either
+// way the result equals a single sequential pass bit for bit, which is
+// what makes ingestion deterministic for every thread count.
 
 #ifndef PPDM_ENGINE_SHARD_STATS_H_
 #define PPDM_ENGINE_SHARD_STATS_H_
@@ -38,9 +41,15 @@ class ShardStats {
   /// Records one observation falling in `bin`.
   void Add(std::size_t bin);
 
+  /// Records one observation in each of `bins[0..n)`: equal to an Add()
+  /// loop over the run. The run is checked once, not per value: its
+  /// largest index must be below num_bins() (PPDM_CHECK), so a bad index
+  /// aborts before any count moves. n == 0 is a no-op.
+  void AddIndices(const std::uint32_t* bins, std::size_t n);
+
   /// Bins `values[0..n)` on `grid`, which must have num_bins()
-  /// intervals, and counts them. Bin indices come from the dispatched
-  /// engine::simd::BinIndices batch kernel, which reproduces
+  /// intervals, and counts them: engine::simd::BinIndices in batches,
+  /// each followed by AddIndices. BinIndices reproduces
   /// stats::Partition::IntervalOf exactly on every SIMD path, so the
   /// counts equal a per-value Add(grid.IntervalOf(v)) loop for every
   /// PPDM_SIMD setting (integer outputs; no rounding freedom).

@@ -864,6 +864,78 @@ TEST(DatasetSessionTest, IngestTrackedRejectsNonFiniteAndWrongWidth) {
   EXPECT_EQ(session.value()->record_count(), num_rows);
 }
 
+// A NaN, +inf or -inf in a tracked column rejects the whole batch through
+// both ingest forms and at every pool size, wherever it sits: in the first
+// tracked attribute of row 0 (the first shard's first value) or in the
+// last tracked attribute of the last row (the second shard's last value).
+// A rejection leaves the session exactly as it was, and a clean batch
+// after the rejections folds as it would into a fresh session, so no
+// half-binned shard leaks into the counts.
+TEST(DatasetSessionTest, NonFiniteRejectsTheWholeBatchAtEveryPoolSize) {
+  const std::size_t num_rows = engine::kIngestShardRows + 10;
+  const StreamFixture fx(num_rows);
+  const std::vector<std::size_t> columns = {4, 0, 7};
+  DatasetSessionSpec spec = BenchmarkDatasetSpec(0);
+  for (const std::size_t column : columns) {
+    AttributeSpec attr;
+    attr.column = column;
+    attr.intervals = 16;
+    attr.noise = perturb::NoiseKind::kUniform;
+    attr.privacy_fraction = 1.0;
+    spec.attributes.push_back(attr);
+  }
+  const std::size_t width = fx.perturbed->NumCols();
+  const std::vector<double> rows = FlattenRows(*fx.perturbed);
+  const std::vector<double> tracked = Project(rows, width, columns);
+  const double kNonFinite[] = {std::nan(""),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
+    std::optional<engine::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    engine::ThreadPool* p = threads > 0 ? &*pool : nullptr;
+    for (const bool tracked_form : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (tracked_form ? ", IngestTracked" : ", Ingest"));
+      const std::vector<double>& clean = tracked_form ? tracked : rows;
+      const std::size_t cols = tracked_form ? columns.size() : width;
+      const auto ingest = [&](DatasetSession* session,
+                              const std::vector<double>& values) {
+        const data::RowBatch batch(values.data(), num_rows, cols);
+        return tracked_form ? session->IngestTracked(batch)
+                            : session->Ingest(batch);
+      };
+      const std::size_t first = tracked_form ? 0 : columns.front();
+      const std::size_t last =
+          (num_rows - 1) * cols + (tracked_form ? cols - 1 : columns.back());
+
+      auto session = DatasetSession::Open(spec, p);
+      ASSERT_TRUE(session.ok());
+      const DatasetSessionState empty = session.value()->ExportState();
+      for (const std::size_t at : {first, last}) {
+        for (const double bad : kNonFinite) {
+          std::vector<double> poisoned = clean;
+          poisoned[at] = bad;
+          EXPECT_EQ(ingest(session.value().get(), poisoned).code(),
+                    StatusCode::kInvalidArgument)
+              << "value " << bad << " at " << at;
+          EXPECT_EQ(session.value()->record_count(), 0u);
+          EXPECT_EQ(session.value()->batch_count(), 0u);
+          EXPECT_TRUE(SameState(empty, session.value()->ExportState()));
+        }
+      }
+      ASSERT_TRUE(ingest(session.value().get(), clean).ok());
+      auto fresh = DatasetSession::Open(spec, p);
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_TRUE(ingest(fresh.value().get(), clean).ok());
+      EXPECT_TRUE(SameState(fresh.value()->ExportState(),
+                            session.value()->ExportState()));
+    }
+  }
+}
+
 TEST(DatasetSessionTest, ApproxMemoryBytesGrowsWithAttributes) {
   auto one = DatasetSession::Open(BenchmarkDatasetSpec(1));
   auto four = DatasetSession::Open(BenchmarkDatasetSpec(4));

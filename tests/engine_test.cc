@@ -184,6 +184,47 @@ TEST(ShardStatsTest, MergeIsAssociative) {
   EXPECT_EQ(a_then_bc.record_count(), 1500u);
 }
 
+// AddIndices over a run equals an Add() loop over the same indices: a
+// random run, an empty one, and a run where every index is the last bin.
+TEST(ShardStatsTest, AddIndicesEqualsAddLoop) {
+  constexpr std::size_t kBins = 37;
+  Rng rng(11);
+  std::vector<std::uint32_t> random(1000);
+  for (std::uint32_t& bin : random) {
+    bin = static_cast<std::uint32_t>(rng.UniformInt(0, kBins - 1));
+  }
+  std::vector<std::uint32_t> last(300, kBins - 1);
+  std::vector<std::uint32_t> none;
+  for (const std::vector<std::uint32_t>* run : {&random, &last, &none}) {
+    ShardStats looped(kBins);
+    for (const std::uint32_t bin : *run) looped.Add(bin);
+    ShardStats batched(kBins);
+    batched.AddIndices(run->data(), run->size());
+    EXPECT_TRUE(StatsEqual(looped, batched)) << "n " << run->size();
+    EXPECT_EQ(batched.record_count(), run->size());
+  }
+  // Runs accumulate: two halves equal the whole.
+  ShardStats halves(kBins);
+  halves.AddIndices(random.data(), 400);
+  halves.AddIndices(random.data() + 400, random.size() - 400);
+  ShardStats whole(kBins);
+  whole.AddIndices(random.data(), random.size());
+  EXPECT_TRUE(StatsEqual(halves, whole));
+}
+
+// One index past the last bin, anywhere in the run, aborts on the run's
+// bound check before any count moves.
+TEST(ShardStatsDeathTest, AddIndicesRejectsAnIndexPastTheLastBin) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<std::uint32_t> run(100, 2);
+  run[57] = 8;  // num_bins() is 8
+  ShardStats stats(8);
+  EXPECT_DEATH(stats.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
+  run[57] = 1u << 31;
+  EXPECT_DEATH(stats.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
+  EXPECT_EQ(stats.record_count(), 0u);
+}
+
 TEST(ShardStatsTest, ShardedIngestEqualsSequentialPass) {
   Rng rng(7);
   std::vector<double> values(5000);
