@@ -18,12 +18,12 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
-#include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/by_class.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/histogram.h"
 #include "synth/generator.h"
 
 namespace {
@@ -165,10 +165,9 @@ int main() {
     const perturb::NoiseModel noise_model = perturb::NoiseForPrivacy(
         kind, 1.0, partition.hi() - partition.lo(), 0.95);
     const reconstruct::BayesReconstructor rec(noise_model, {});
-    const engine::ShardStats counts = engine::IngestBinnedColumn(
-        salary.data(), salary.size(), rec.PerturbedBinning(partition), &pool,
-        16384);
-    const std::vector<double> weights = counts.BinWeights();
+    stats::Histogram counts(rec.PerturbedBinning(partition));
+    counts.AddAll(salary);
+    const std::vector<double> weights = counts.Weights();
     const double total = static_cast<double>(salary.size());
     const reconstruct::KernelTable table = rec.BuildKernelTable(partition);
     std::snprintf(label, sizeof(label), "refit %s (table rebuilt)",

@@ -1,17 +1,13 @@
 #include "api/dataset_session.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
 #include "api/spec.h"
 #include "common/strings.h"
-#include "engine/shard_stats.h"
-#include "engine/simd.h"
+#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -164,8 +160,7 @@ DatasetSession::Attribute::Attribute(const data::FieldSpec& field,
                                              spec.privacy_fraction,
                                              field.Range(), spec.confidence),
                     reconstruct::ReconstructionOptions{}),
-      wgrid(reconstructor.PerturbedBinning(partition)),
-      counts(wgrid.intervals()) {}
+      counts(reconstructor.PerturbedBinning(partition)) {}
 
 DatasetSession::DatasetSession(const DatasetSessionSpec& spec,
                                engine::ThreadPool* pool)
@@ -191,11 +186,11 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   std::unique_ptr<DatasetSession> session(new DatasetSession(spec, pool));
 
   const std::size_t num_attrs = session->attrs_.size();
-  if (state.stats.size() != num_attrs ||
+  if (state.counts.size() != num_attrs ||
       state.last_masses.size() != num_attrs) {
     return Status::InvalidArgument(StrFormat(
         "snapshot state carries %zu/%zu attribute entries, spec has %zu",
-        state.stats.size(), state.last_masses.size(), num_attrs));
+        state.counts.size(), state.last_masses.size(), num_attrs));
   }
   if (state.fitted_rows > state.rows) {
     return Status::InvalidArgument(StrFormat(
@@ -207,16 +202,24 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   const bool has_memo = state.fitted_rows > 0;
   for (std::size_t a = 0; a < num_attrs; ++a) {
     const Attribute& derived = session->attrs_[a];
-    const engine::ShardStats& stats = state.stats[a];
-    if (stats.num_bins() != derived.wgrid.intervals()) {
+    const std::vector<std::uint64_t>& counts = state.counts[a];
+    if (counts.size() != derived.counts.bins()) {
       return Status::InvalidArgument(StrFormat(
           "attribute %zu: snapshot counts are %zu bins; the spec derives %zu",
-          a, stats.num_bins(), derived.wgrid.intervals()));
+          a, counts.size(), derived.counts.bins()));
     }
-    if (stats.record_count() != state.rows) {
+    // A sum that wraps around 2^64 is refused too, so astronomical counts
+    // cannot pass for the claimed rows.
+    std::uint64_t total = 0;
+    bool wrapped = false;
+    for (std::uint64_t c : counts) {
+      wrapped = wrapped || total + c < total;
+      total += c;
+    }
+    if (wrapped || total != state.rows) {
       return Status::InvalidArgument(StrFormat(
-          "attribute %zu: %llu records in counts, session claims %llu",
-          a, static_cast<unsigned long long>(stats.record_count()),
+          "attribute %zu: counts sum to %llu%s, session claims %llu", a,
+          static_cast<unsigned long long>(total), wrapped ? " (wrapped)" : "",
           static_cast<unsigned long long>(state.rows)));
     }
     const std::vector<double>& masses = state.last_masses[a];
@@ -247,8 +250,10 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
 
   // Shapes agree; install. No lock needed — the session has not escaped.
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    session->attrs_[a].counts = std::move(state.stats[a]);
-    session->attrs_[a].last_masses = std::move(state.last_masses[a]);
+    Attribute& attr = session->attrs_[a];
+    attr.counts = stats::Histogram(attr.counts.partition(),
+                                   std::move(state.counts[a]));
+    attr.last_masses = std::move(state.last_masses[a]);
   }
   session->rows_ = state.rows;
   session->batches_ = state.batches;
@@ -262,10 +267,10 @@ DatasetSessionState DatasetSession::ExportState() const {
   state.rows = rows_;
   state.batches = batches_;
   state.fitted_rows = fitted_rows_;
-  state.stats.reserve(attrs_.size());
+  state.counts.reserve(attrs_.size());
   state.last_masses.reserve(attrs_.size());
   for (const Attribute& attr : attrs_) {
-    state.stats.push_back(attr.counts);
+    state.counts.push_back(attr.counts.counts());
     state.last_masses.push_back(attr.last_masses);
   }
   return state;
@@ -292,55 +297,19 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
                   rows.num_cols(), width));
   }
 
-  // Binning runs sharded over the pool and outside the session lock;
-  // counting runs under it. Every tracked value gets one bin index in
-  // `bins`, attribute-major (attribute a's indices are the run
-  // bins[a * num_rows, (a + 1) * num_rows)), and each shard fills its own
-  // rows of every run. The buffer holds 4 B per tracked value, at most
-  // half the batch's own 8 B per value. Counts are integers, so the
-  // folded counts are byte-identical for every pool size and SIMD path.
+  // Binning runs over the pool and outside the session lock; counting runs
+  // under it. `bins` holds 4 B per tracked value, at most half the batch's
+  // own 8 B per value. One non-finite value rejects the whole batch before
+  // anything is counted.
   const std::size_t num_rows = rows.num_rows();
   const std::size_t num_attrs = attrs_.size();
+  std::vector<const stats::Partition*> grids(num_attrs);
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    grids[a] = &attrs_[a].counts.partition();
+  }
   std::vector<std::uint32_t> bins(num_rows * num_attrs);
-  const std::vector<engine::ChunkRange> shards =
-      engine::MakeChunks(num_rows, engine::kIngestShardRows);
-  std::atomic<bool> finite{true};
-  engine::ParallelFor(pool_, shards.size(), [&](std::size_t s) {
-    // Per attribute: gather the strided column into a small contiguous
-    // batch, gate it on finiteness, then bin it into this shard's slice of
-    // the attribute's run. The gate is branch-free: adding one to a
-    // value's exponent field carries into bit 63 exactly when the field is
-    // all ones (inf or NaN), and the batch ORs those sums. Ingestion is
-    // all-or-nothing per batch, so one bad value abandons the shard and
-    // the batch is rejected before anything is counted.
-    constexpr std::uint64_t kExponent = 0x7FF0000000000000ULL;
-    constexpr std::uint64_t kExponentOne = 0x0010000000000000ULL;
-    constexpr std::size_t kBatch = 256;
-    double vals[kBatch];
-    for (std::size_t a = 0; a < num_attrs; ++a) {
-      const stats::Partition& wgrid = attrs_[a].wgrid;
-      const double* column = rows.values() + columns[a];
-      std::uint32_t* run = bins.data() + a * num_rows;
-      for (std::size_t r0 = shards[s].begin; r0 < shards[s].end;
-           r0 += kBatch) {
-        const std::size_t n = std::min(kBatch, shards[s].end - r0);
-        std::uint64_t carries = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-          vals[j] = column[(r0 + j) * width];
-          std::uint64_t bits = 0;
-          std::memcpy(&bits, &vals[j], sizeof(bits));
-          carries |= (bits & kExponent) + kExponentOne;
-        }
-        if (carries >> 63 != 0) {
-          finite.store(false, std::memory_order_relaxed);
-          return;
-        }
-        engine::simd::BinIndices(vals, n, wgrid.lo(), wgrid.hi(),
-                                 wgrid.width(), wgrid.intervals(), run + r0);
-      }
-    }
-  });
-  if (!finite.load(std::memory_order_relaxed)) {
+  if (!engine::BinColumns(rows.values(), num_rows, width, columns, grids,
+                          pool_, bins.data())) {
     IngestRejectedCounter().Increment();
     return Status::InvalidArgument(
         "batch contains a non-finite value in a tracked column; batch "
@@ -388,8 +357,8 @@ DatasetSession::ReconstructAll() {
       return estimates;
     }
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      weights[a] = attrs_[a].counts.BinWeights();
-      totals[a] = static_cast<double>(attrs_[a].counts.record_count());
+      weights[a] = attrs_[a].counts.Weights();
+      totals[a] = static_cast<double>(attrs_[a].counts.total());
       kernels[a] = attrs_[a].kernel_table;
     }
   }
@@ -450,7 +419,7 @@ std::size_t DatasetSession::ApproxMemoryBytes() const {
     // workloads were sized for; ROADMAP's spill-churn item drops it
     // together with the benchmark change that resizes spill-churn.
     const std::size_t phantom = sizeof(std::vector<std::size_t>) +
-                                attr.wgrid.intervals() * sizeof(std::size_t);
+                                attr.counts.bins() * sizeof(std::size_t);
     bytes += sizeof(Attribute) + attr.counts.ApproxHeapBytes() + phantom +
              attr.last_masses.capacity() * sizeof(double);
   }

@@ -10,14 +10,17 @@
 // tracked columns (what a provider ships when only those travel) through
 // the same fold.
 //
-// Determinism: a batch is binned in shards of engine::kIngestShardRows
+// Determinism: each attribute counts on one stats::Histogram over its
+// w-grid. A batch is binned by engine::BinColumns, the fold the offline
+// BayesReconstructor::Fit bins with, in shards of engine::kIngestShardRows
 // records over the pool, outside the session lock, into one transient
 // index buffer (4 B per tracked value, at most half the batch's own
-// bytes); under the lock ShardStats::AddIndices counts each attribute's
-// index run. Counts are integers, so the per-attribute counts are
-// identical for every batching, pool size and SIMD path. A session's
-// first ReconstructAll() is therefore byte-identical to the batch
-// BayesReconstructor::Fit over each concatenated column, and every
+// bytes); under the lock Histogram::AddIndices counts each attribute's
+// index run. A Histogram's grid never changes after construction, so the
+// bin pass reads it without the lock. Counts are integers, so the
+// per-attribute counts are identical for every batching, pool size and
+// SIMD path. A session's first ReconstructAll() is therefore
+// byte-identical to the batch Fit over each concatenated column, and every
 // estimate equals that of N one-attribute sessions fed the same batches,
 // at any thread count (property-tested in tests/api_test.cc).
 //
@@ -54,10 +57,10 @@
 #include "common/status.h"
 #include "data/row_batch.h"
 #include "data/schema.h"
-#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "perturb/noise_model.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/histogram.h"
 #include "stats/partition.h"
 
 namespace ppdm::api {
@@ -115,8 +118,8 @@ struct DatasetSessionState {
   /// Rows the memoized fit was computed from; 0 before the first refit
   /// over a non-empty session.
   std::uint64_t fitted_rows = 0;
-  /// One entry per attribute, in spec order.
-  std::vector<engine::ShardStats> stats;
+  /// Each attribute's w-grid bin counts, in spec order.
+  std::vector<std::vector<std::uint64_t>> counts;
   /// The memoized fit per attribute: Fit over the first `fitted_rows`
   /// rows, served verbatim until the next refit. Every entry is empty
   /// when `fitted_rows` is 0, and none is empty otherwise.
@@ -212,12 +215,10 @@ class DatasetSession {
     // Fixed layout — immutable, safe to read without the lock.
     const stats::Partition partition;
     const reconstruct::BayesReconstructor reconstructor;
-    /// The w-grid perturbed values are binned on:
-    /// reconstructor.PerturbedBinning(partition).
-    const stats::Partition wgrid;
 
-    // Accumulation — guarded by mu_.
-    engine::ShardStats counts;
+    // Accumulation — guarded by mu_, except the grid: the perturbed-value
+    // counts over reconstructor.PerturbedBinning(partition).
+    stats::Histogram counts;
     /// The memoized fit: the masses of the last refit, empty before the
     /// first refit over a non-empty session.
     std::vector<double> last_masses;
@@ -232,8 +233,8 @@ class DatasetSession {
   DatasetSession(const DatasetSessionSpec& spec, engine::ThreadPool* pool);
 
   /// The one fold behind Ingest and IngestTracked: rows are `width` wide,
-  /// and attribute a reads column `columns[a]`. Shards of the batch gather,
-  /// finiteness-check and bin every tracked value over the pool, without
+  /// and attribute a reads column `columns[a]`. engine::BinColumns gathers,
+  /// finiteness-checks and bins every tracked value over the pool, without
   /// the lock, into one rows x attrs index buffer; only a batch whose
   /// every value is finite takes mu_, to count each attribute's index run.
   /// The lock is held for O(rows x attrs) increments, independent of the

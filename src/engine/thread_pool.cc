@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/check.h"
+#include "engine/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -186,6 +188,62 @@ std::vector<ChunkRange> MakeChunks(std::size_t n, std::size_t chunk_size) {
     chunks.push_back(ChunkRange{begin, std::min(begin + chunk_size, n)});
   }
   return chunks;
+}
+
+bool BinColumns(const double* values, std::size_t num_rows,
+                std::size_t width, const std::vector<std::size_t>& columns,
+                const std::vector<const stats::Partition*>& grids,
+                ThreadPool* pool, std::uint32_t* bins) {
+  PPDM_CHECK_EQ(columns.size(), grids.size());
+  const std::size_t num_cols = columns.size();
+  const std::vector<ChunkRange> shards =
+      MakeChunks(num_rows, kIngestShardRows);
+  std::atomic<bool> finite{true};
+  ParallelFor(pool, shards.size(), [&](std::size_t s) {
+    // Per column: gather the strided values into a small contiguous batch,
+    // gate it on finiteness, then bin it into this shard's slice of the
+    // column's run; a contiguous column (width 1, as Fit's) is gated and
+    // binned in place. The gate is branch-free: adding one to a value's
+    // exponent field carries into bit 63 exactly when the field is all ones
+    // (inf or NaN), and the batch ORs those sums. One bad value abandons
+    // the shard, and the caller counts nothing.
+    constexpr std::uint64_t kExponent = 0x7FF0000000000000ULL;
+    constexpr std::uint64_t kExponentOne = 0x0010000000000000ULL;
+    const auto carry = [](double value) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      return (bits & kExponent) + kExponentOne;
+    };
+    constexpr std::size_t kBatch = 256;
+    double vals[kBatch];
+    for (std::size_t a = 0; a < num_cols; ++a) {
+      const stats::Partition& grid = *grids[a];
+      const double* column = values + columns[a];
+      std::uint32_t* run = bins + a * num_rows;
+      for (std::size_t r0 = shards[s].begin; r0 < shards[s].end;
+           r0 += kBatch) {
+        const std::size_t n = std::min(kBatch, shards[s].end - r0);
+        const double* batch = column + r0;
+        std::uint64_t carries = 0;
+        if (width == 1) {
+          for (std::size_t j = 0; j < n; ++j) carries |= carry(batch[j]);
+        } else {
+          for (std::size_t j = 0; j < n; ++j) {
+            vals[j] = column[(r0 + j) * width];
+            carries |= carry(vals[j]);
+          }
+          batch = vals;
+        }
+        if (carries >> 63 != 0) {
+          finite.store(false, std::memory_order_relaxed);
+          return;
+        }
+        simd::BinIndices(batch, n, grid.lo(), grid.hi(), grid.width(),
+                         grid.intervals(), run + r0);
+      }
+    }
+  });
+  return finite.load(std::memory_order_relaxed);
 }
 
 }  // namespace ppdm::engine

@@ -1,4 +1,7 @@
-// Fixed-size worker pool and the data-parallel primitives built on it.
+// Fixed-size worker pool, the data-parallel primitives built on it, and
+// the one bin pass of ingestion: a dataset session folding a record batch
+// and the offline EM fit binning a column both bin through BinColumns,
+// then count the indices with stats::Histogram::AddIndices.
 //
 // Design rules that every user of this header relies on:
 //
@@ -19,11 +22,14 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "stats/partition.h"
 
 namespace ppdm::engine {
 
@@ -81,22 +87,24 @@ struct ChunkRange {
 /// left-to-right accumulation bit for bit. n == 0 yields no chunks.
 std::vector<ChunkRange> MakeChunks(std::size_t n, std::size_t chunk_size);
 
-/// Chunked reduce: computes `map(chunk_index, range)` for every chunk (in
-/// parallel over the pool) and folds the per-chunk results with
-/// `fold(accumulator, chunk_result)` in ascending chunk order. The ordered
-/// fold makes the result independent of the pool size for a fixed chunking.
-template <typename T, typename Map, typename Fold>
-T ChunkedReduce(ThreadPool* pool, const std::vector<ChunkRange>& chunks,
-                T init, const Map& map, const Fold& fold) {
-  std::vector<T> partials(chunks.size());
-  ParallelFor(pool, chunks.size(),
-              [&](std::size_t c) { partials[c] = map(c, chunks[c]); });
-  T acc = std::move(init);
-  for (std::size_t c = 0; c < partials.size(); ++c) {
-    fold(&acc, partials[c]);
-  }
-  return acc;
-}
+/// Ingestion grain: rows per binning shard, for the offline EM fit and for
+/// every dataset session. Each shard writes its own indices, so no grain
+/// changes a bit; it is one constant only so every fold does the same work.
+inline constexpr std::size_t kIngestShardRows = 16384;
+
+/// Bins `columns.size()` strided columns of a row-major batch of `num_rows`
+/// rows, each `width` values wide: column a's value at row r is
+/// values[r * width + columns[a]], and its interval on *grids[a]
+/// (simd::BinIndices, equal to Partition::IntervalOf on every SIMD path)
+/// lands at bins[a * num_rows + r]. So each column's indices are one run
+/// for Histogram::AddIndices. Shards of kIngestShardRows rows run over
+/// `pool`, so the indices, and any counts made from them, are identical for
+/// every pool size and SIMD path. Returns false when any value is inf or
+/// NaN; `bins` is then partly written and must not be counted.
+bool BinColumns(const double* values, std::size_t num_rows,
+                std::size_t width, const std::vector<std::size_t>& columns,
+                const std::vector<const stats::Partition*>& grids,
+                ThreadPool* pool, std::uint32_t* bins);
 
 }  // namespace ppdm::engine
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "common/check.h"
-#include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
@@ -186,14 +187,19 @@ BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
 Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
                                        const stats::Partition& partition,
                                        engine::ThreadPool* pool) const {
-  // Sharded ingestion: per-shard integer bin counts merged in shard order
-  // are exactly the sequential histogram, for every pool size. Under kNone
-  // noise the w-grid is the partition itself, so the counts are the exact
-  // histogram FitFromCounts normalizes.
-  const engine::ShardStats ingested = engine::IngestBinnedColumn(
-      perturbed.data(), perturbed.size(), PerturbedBinning(partition), pool,
-      engine::kIngestShardRows);
-  return FitFromCounts(ingested.BinWeights(),
+  // The ingestion fold: bin the column over the pool, then count it. Under
+  // kNone noise the w-grid is the partition itself, so the counts are the
+  // exact histogram FitFromCounts normalizes.
+  const stats::Partition wgrid = PerturbedBinning(partition);
+  // Left uninitialized: BinColumns writes every index before it is read.
+  const std::unique_ptr<std::uint32_t[]> bins(
+      new std::uint32_t[perturbed.size()]);
+  PPDM_CHECK_MSG(engine::BinColumns(perturbed.data(), perturbed.size(), 1,
+                                    {0}, {&wgrid}, pool, bins.get()),
+                 "Fit: a perturbed value is inf or NaN");
+  stats::Histogram counts(wgrid);
+  counts.AddIndices(bins.get(), perturbed.size());
+  return FitFromCounts(counts.Weights(),
                        static_cast<double>(perturbed.size()),
                        BuildKernelTable(partition), pool);
 }

@@ -107,11 +107,13 @@ class BayesReconstructor {
   /// perturbed values w_i = x_i + y_i. With kNone noise this degenerates
   /// to the exact histogram of the samples. An empty sample yields the
   /// uniform distribution (the EM prior). Bins the column into
-  /// PerturbedBinning(partition) in fixed-size shards, builds the kernel
-  /// table and runs FitFromCounts, both over `pool` (nullptr, or a
-  /// 0-thread pool, runs the same decomposition inline). Shards merge
-  /// integer counts and the E-step's partials fold in chunk order, so the
-  /// result is bit-identical for every pool size and every SIMD path.
+  /// PerturbedBinning(partition) through engine::BinColumns (the fold a
+  /// DatasetSession ingests with), counts the indices, builds the kernel
+  /// table and runs FitFromCounts, all over `pool` (nullptr, or a 0-thread
+  /// pool, runs the same decomposition inline). Counts are integers and
+  /// the E-step's partials fold in chunk order, so the result is
+  /// bit-identical for every pool size and every SIMD path. Every value
+  /// must be finite (PPDM_CHECK); the CSV reader rejects inf and NaN cells.
   Reconstruction Fit(const std::vector<double>& perturbed,
                      const stats::Partition& partition,
                      engine::ThreadPool* pool = nullptr) const;

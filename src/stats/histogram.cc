@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
 namespace ppdm::stats {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : partition_(lo, hi, bins), counts_(bins, 0) {}
+    : Histogram(Partition(lo, hi, bins)) {}
+
+Histogram::Histogram(const Partition& partition)
+    : partition_(partition), counts_(partition.intervals(), 0) {}
+
+Histogram::Histogram(const Partition& partition,
+                     std::vector<std::uint64_t> counts)
+    : partition_(partition), counts_(std::move(counts)) {
+  PPDM_CHECK_EQ(counts_.size(), partition_.intervals());
+  for (std::uint64_t c : counts_) total_ += c;
+}
 
 void Histogram::Add(double value) {
   ++counts_[partition_.IntervalOf(value)];
@@ -17,6 +28,25 @@ void Histogram::Add(double value) {
 
 void Histogram::AddAll(const std::vector<double>& values) {
   for (double v : values) Add(v);
+}
+
+void Histogram::AddIndices(const std::uint32_t* bins, std::size_t n) {
+  // One bound check for the run: its largest index must name a bin, so no
+  // increment below can land outside the counts. The OR of the run is at
+  // least its largest index and vectorizes on every x86-64 target, so the
+  // largest index itself is looked for only when the OR does not name a bin.
+  std::uint32_t any = 0;
+  for (std::size_t i = 0; i < n; ++i) any |= bins[i];
+  if (any >= counts_.size()) {
+    PPDM_CHECK_LT(*std::max_element(bins, bins + n), counts_.size());
+  }
+  std::uint64_t* const counts = counts_.data();
+  for (std::size_t i = 0; i < n; ++i) ++counts[bins[i]];
+  total_ += n;
+}
+
+std::vector<double> Histogram::Weights() const {
+  return std::vector<double>(counts_.begin(), counts_.end());
 }
 
 std::vector<double> Histogram::Masses() const {

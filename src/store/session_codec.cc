@@ -1,6 +1,7 @@
 #include "store/session_codec.h"
 
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -48,15 +49,16 @@ Result<data::AttributeKind> AttributeKindFromWire(std::uint8_t wire) {
 
 }  // namespace
 
-// -------------------------------------------------------------- ShardStats
+// ------------------------------------------------------------------ counts
 
-void EncodeShardStats(const engine::ShardStats& stats, Writer* writer) {
-  writer->PutU64(stats.num_bins());
-  writer->PutU64(stats.record_count());
-  writer->PutU64Array(stats.counts());
+void EncodeCounts(const std::vector<std::uint64_t>& counts, Writer* writer) {
+  writer->PutU64(counts.size());
+  writer->PutU64(std::accumulate(counts.begin(), counts.end(),
+                                 std::uint64_t{0}));
+  writer->PutU64Array(counts);
 }
 
-Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
+Result<std::vector<std::uint64_t>> DecodeCounts(Reader* reader) {
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t num_bins, reader->ReadU64());
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t record_count, reader->ReadU64());
   PPDM_ASSIGN_OR_RETURN(std::vector<std::uint64_t> counts,
@@ -66,25 +68,17 @@ Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
         "snapshot counts are %zu entries for %llu bins", counts.size(),
         static_cast<unsigned long long>(num_bins)));
   }
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) {
-    // Detect wraparound: without it a crafted snapshot could sum (mod
-    // 2^64) to a tiny record_count and slip astronomical per-bin counts
-    // past this consistency check.
-    if (total + c < total) {
-      return Status::InvalidArgument(
-          "snapshot counts overflow a 64-bit record total");
-    }
-    total += c;
-  }
+  // A sum that wraps around 2^64 is refused by DatasetSession::Restore,
+  // which every decoded state passes through.
+  const std::uint64_t total =
+      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
   if (total != record_count) {
     return Status::InvalidArgument(StrFormat(
         "snapshot counts sum to %llu but claim %llu records",
         static_cast<unsigned long long>(total),
         static_cast<unsigned long long>(record_count)));
   }
-  return engine::ShardStats::FromCounts(static_cast<std::size_t>(num_bins),
-                                        record_count, std::move(counts));
+  return counts;
 }
 
 // ------------------------------------------------------ DatasetSessionSpec
@@ -183,9 +177,9 @@ std::string EncodeDatasetSession(const api::DatasetSession& session) {
   writer.PutU64(state.rows);
   writer.PutU64(state.batches);
   writer.PutU64(state.fitted_rows);
-  writer.PutU64(state.stats.size());
-  for (std::size_t a = 0; a < state.stats.size(); ++a) {
-    EncodeShardStats(state.stats[a], &writer);
+  writer.PutU64(state.counts.size());
+  for (std::size_t a = 0; a < state.counts.size(); ++a) {
+    EncodeCounts(state.counts[a], &writer);
     writer.PutDoubleArray(state.last_masses[a]);
   }
   writer.EndSection();
@@ -226,9 +220,9 @@ Result<std::unique_ptr<api::DatasetSession>> DecodeDatasetSession(
         static_cast<unsigned long long>(num_attrs), spec.attributes.size()));
   }
   for (std::uint64_t a = 0; a < num_attrs; ++a) {
-    PPDM_ASSIGN_OR_RETURN(engine::ShardStats stats,
-                          DecodeShardStats(&state_reader));
-    state.stats.push_back(std::move(stats));
+    PPDM_ASSIGN_OR_RETURN(std::vector<std::uint64_t> counts,
+                          DecodeCounts(&state_reader));
+    state.counts.push_back(std::move(counts));
     PPDM_ASSIGN_OR_RETURN(std::vector<double> masses,
                           state_reader.ReadDoubleArray());
     state.last_masses.push_back(std::move(masses));

@@ -1,5 +1,5 @@
-// Snapshot codec for the serving-layer state: engine::ShardStats, the
-// api::DatasetSessionSpec the open verb carries, and whole
+// Snapshot codec for the serving-layer state: an attribute's bin counts,
+// the api::DatasetSessionSpec the open verb carries, and whole
 // api::DatasetSession sessions, over the endian-stable Writer/Reader byte
 // layer. A snapshot carries the session spec (per attribute: column,
 // intervals, noise kind, privacy and confidence — what a provider
@@ -20,10 +20,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "api/dataset_session.h"
 #include "common/status.h"
-#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "store/codec.h"
 
@@ -47,8 +47,11 @@ inline constexpr std::uint32_t kStateSectionTag = 0x54415453;  // "STAT"
 // Field-level encoders: append into the caller's Writer (inside whatever
 // section the caller opened) and the bounds-checked inverses.
 
-void EncodeShardStats(const engine::ShardStats& stats, Writer* writer);
-Result<engine::ShardStats> DecodeShardStats(Reader* reader);
+/// One attribute's bin counts: num_bins, the record count (their sum),
+/// then the counts. Decode rejects an empty array, a length other than
+/// num_bins, and counts whose sum differs from the record count.
+void EncodeCounts(const std::vector<std::uint64_t>& counts, Writer* writer);
+Result<std::vector<std::uint64_t>> DecodeCounts(Reader* reader);
 
 void EncodeDatasetSessionSpec(const api::DatasetSessionSpec& spec,
                               Writer* writer);

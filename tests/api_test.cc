@@ -25,7 +25,6 @@
 #include "api/registry.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
-#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "perturb/randomizer.h"
@@ -755,13 +754,12 @@ std::vector<double> Project(const std::vector<double>& rows,
 
 bool SameState(const DatasetSessionState& a, const DatasetSessionState& b) {
   if (a.rows != b.rows || a.batches != b.batches ||
-      a.fitted_rows != b.fitted_rows || a.stats.size() != b.stats.size() ||
+      a.fitted_rows != b.fitted_rows || a.counts.size() != b.counts.size() ||
       a.last_masses.size() != b.last_masses.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    if (a.stats[i].counts() != b.stats[i].counts() ||
-        a.stats[i].record_count() != b.stats[i].record_count() ||
+  for (std::size_t i = 0; i < a.counts.size(); ++i) {
+    if (a.counts[i] != b.counts[i] ||
         !SameBytes(a.last_masses[i], b.last_masses[i])) {
       return false;
     }
@@ -847,8 +845,9 @@ TEST(DatasetSessionTest, IngestTrackedRejectsNonFiniteAndWrongWidth) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session.value()->record_count(), 0u);  // nothing folded
   EXPECT_EQ(session.value()->batch_count(), 0u);
-  for (const engine::ShardStats& stats : session.value()->ExportState().stats) {
-    EXPECT_EQ(stats.record_count(), 0u);
+  for (const std::vector<std::uint64_t>& counts :
+       session.value()->ExportState().counts) {
+    EXPECT_EQ(counts, std::vector<std::uint64_t>(counts.size(), 0));
   }
   // Tracked rows are num_attributes() wide, not schema-wide.
   const std::size_t cols = session.value()->spec().schema.NumFields();
@@ -947,6 +946,57 @@ TEST(DatasetSessionTest, ApproxMemoryBytesGrowsWithAttributes) {
   // state holds at least its bin-count table.
   EXPECT_GT(one_bytes, sizeof(DatasetSession));
   EXPECT_GT(four_bytes, one_bytes + 2 * 16 * sizeof(std::uint64_t));
+}
+
+// The exact per-tenant charge at the two served shapes: 2 uniform
+// attributes at 30 intervals (perfbench's ingest-wire) and 9 Gaussian
+// attributes at 200 (refresh-em). Registry budgets, spill-churn's readmit
+// ratio and perfbench's separation check all rest on this number, so a
+// change to the session's members or accounting shows here first. The
+// charge does not move on ingest (the counts are allocated at open) and
+// grows by the memoized masses on the first refresh.
+TEST(DatasetSessionTest, ApproxMemoryBytesIsPinnedAtTheServedShapes) {
+  struct Shape {
+    std::size_t attrs;
+    std::size_t intervals;
+    perturb::NoiseKind noise;
+    std::size_t rows;
+    std::size_t fresh;
+    std::size_t refreshed;
+  };
+  for (const Shape& shape :
+       {Shape{2, 30, perturb::NoiseKind::kUniform, 1024, 2552, 3032},
+        Shape{9, 200, perturb::NoiseKind::kGaussian, 64, 104496, 118896}}) {
+    SCOPED_TRACE(std::to_string(shape.attrs) + " attributes");
+    DatasetSessionSpec spec;
+    spec.schema = synth::BenchmarkSchema();
+    for (std::size_t column = 0; column < shape.attrs; ++column) {
+      AttributeSpec attr;
+      attr.column = column;
+      attr.intervals = shape.intervals;
+      attr.noise = shape.noise;
+      spec.attributes.push_back(attr);
+    }
+    auto session = DatasetSession::Open(spec);
+    ASSERT_TRUE(session.ok());
+    EXPECT_EQ(session.value()->ApproxMemoryBytes(), shape.fresh);
+
+    std::vector<double> rows(shape.rows * shape.attrs);
+    for (std::size_t r = 0; r < shape.rows; ++r) {
+      for (std::size_t a = 0; a < shape.attrs; ++a) {
+        const data::FieldSpec& field = spec.schema.Field(a);
+        rows[r * shape.attrs + a] =
+            field.lo + field.Range() * static_cast<double>(r % 7) / 7.0;
+      }
+    }
+    ASSERT_TRUE(session.value()
+                    ->IngestTracked(
+                        data::RowBatch(rows.data(), shape.rows, shape.attrs))
+                    .ok());
+    EXPECT_EQ(session.value()->ApproxMemoryBytes(), shape.fresh);
+    ASSERT_TRUE(session.value()->ReconstructAll().ok());
+    EXPECT_EQ(session.value()->ApproxMemoryBytes(), shape.refreshed);
+  }
 }
 
 // ---------------------------------------------------------------- registry

@@ -20,7 +20,6 @@
 #include "cli/commands.h"
 #include "common/fault.h"
 #include "data/csv.h"
-#include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "obs/metrics.h"
 #include "store/session_codec.h"
@@ -649,9 +648,9 @@ std::vector<std::vector<double>> CaptureCounts(const std::string& dir,
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   if (!session.ok()) return {};
   std::vector<std::vector<double>> counts;
-  for (const engine::ShardStats& stats :
-       session.value()->ExportState().stats) {
-    counts.push_back(stats.BinWeights());
+  for (const std::vector<std::uint64_t>& bins :
+       session.value()->ExportState().counts) {
+    counts.emplace_back(bins.begin(), bins.end());
   }
   return counts;
 }

@@ -1,5 +1,5 @@
 // Tests for the parallel execution engine: the thread pool and its
-// data-parallel primitives, mergeable shard statistics, and — the contract
+// data-parallel primitives, the ingestion bin pass, and — the contract
 // everything else leans on — thread-count invariance: every engine job
 // yields byte-identical results for every number of worker threads.
 
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -16,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
@@ -24,6 +24,7 @@
 #include "perturb/randomizer.h"
 #include "reconstruct/by_class.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/histogram.h"
 #include "stats/partition.h"
 #include "synth/generator.h"
 #include "tree/trainer.h"
@@ -109,161 +110,148 @@ TEST(ThreadPoolTest, MakeChunksEdgeCases) {
   EXPECT_EQ(MakeChunks(7, 100).size(), 1u);
 }
 
-TEST(ThreadPoolTest, ChunkedReduceFoldsInChunkOrder) {
-  ThreadPool pool(4);
-  const std::vector<ChunkRange> chunks = MakeChunks(100, 7);
-  // Concatenating chunk indices in fold order must yield 0,1,2,...
-  const std::vector<std::size_t> order = ChunkedReduce<std::vector<std::size_t>>(
-      &pool, chunks, {},
-      [](std::size_t c, const ChunkRange&) {
-        return std::vector<std::size_t>{c};
-      },
-      [](std::vector<std::size_t>* acc, const std::vector<std::size_t>& v) {
-        acc->insert(acc->end(), v.begin(), v.end());
-      });
-  ASSERT_EQ(order.size(), chunks.size());
-  for (std::size_t c = 0; c < order.size(); ++c) EXPECT_EQ(order[c], c);
+// ------------------------------------------------------------ ingestion
+
+// The counts of one column by the scalar reference binning, one value at a
+// time: what every sharded, strided or SIMD bin pass must reproduce.
+stats::Histogram AddLoop(const std::vector<double>& values,
+                         const stats::Partition& grid) {
+  stats::Histogram counts(grid);
+  counts.AddAll(values);
+  return counts;
 }
 
-// ------------------------------------------------------------- ShardStats
-
-ShardStats RandomStats(std::uint64_t seed, std::size_t bins, std::size_t n) {
-  Rng rng(seed);
-  ShardStats stats(bins);
-  for (std::size_t i = 0; i < n; ++i) {
-    stats.Add(static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(bins) - 1)));
+// Bins `columns` of a row-major `width`-wide block with BinColumns and
+// counts each column's run; empty when a value is not finite.
+std::vector<stats::Histogram> BinAndCount(
+    const std::vector<double>& rows, std::size_t width,
+    const std::vector<std::size_t>& columns,
+    const std::vector<const stats::Partition*>& grids, ThreadPool* pool) {
+  const std::size_t num_rows = rows.size() / width;
+  std::vector<std::uint32_t> bins(num_rows * columns.size());
+  if (!BinColumns(rows.data(), num_rows, width, columns, grids, pool,
+                  bins.data())) {
+    return {};
   }
-  return stats;
-}
-
-bool StatsEqual(const ShardStats& a, const ShardStats& b) {
-  return a.record_count() == b.record_count() && a.counts() == b.counts();
-}
-
-// The bins of a column by the scalar reference binning, one value at a
-// time — what every batched, sharded or SIMD ingest must reproduce.
-ShardStats SequentialIntervalOf(const std::vector<double>& values,
-                                const stats::Partition& grid) {
-  ShardStats stats(grid.intervals());
-  for (double v : values) stats.Add(grid.IntervalOf(v));
-  return stats;
-}
-
-TEST(ShardStatsTest, CountsAndAccessorsAgree) {
-  ShardStats stats(4);
-  stats.Add(0);
-  stats.Add(0);
-  stats.Add(3);
-  EXPECT_EQ(stats.num_bins(), 4u);
-  EXPECT_EQ(stats.record_count(), 3u);
-  EXPECT_EQ(stats.BinCount(0), 2u);
-  EXPECT_EQ(stats.BinCount(1), 0u);
-  EXPECT_EQ(stats.BinCount(3), 1u);
-  EXPECT_EQ(stats.BinWeights(), (std::vector<double>{2.0, 0.0, 0.0, 1.0}));
-}
-
-TEST(ShardStatsTest, MergeIsAssociative) {
-  const ShardStats a = RandomStats(1, 8, 500);
-  const ShardStats b = RandomStats(2, 8, 700);
-  const ShardStats c = RandomStats(3, 8, 300);
-
-  ShardStats left(8);  // (a ⊕ b) ⊕ c
-  left.MergeFrom(a);
-  left.MergeFrom(b);
-  ShardStats left_then_c = left;
-  left_then_c.MergeFrom(c);
-
-  ShardStats bc(8);  // a ⊕ (b ⊕ c)
-  bc.MergeFrom(b);
-  bc.MergeFrom(c);
-  ShardStats a_then_bc = a;
-  a_then_bc.MergeFrom(bc);
-
-  EXPECT_TRUE(StatsEqual(left_then_c, a_then_bc));
-  EXPECT_EQ(a_then_bc.record_count(), 1500u);
-}
-
-// AddIndices over a run equals an Add() loop over the same indices: a
-// random run, an empty one, and a run where every index is the last bin.
-TEST(ShardStatsTest, AddIndicesEqualsAddLoop) {
-  constexpr std::size_t kBins = 37;
-  Rng rng(11);
-  std::vector<std::uint32_t> random(1000);
-  for (std::uint32_t& bin : random) {
-    bin = static_cast<std::uint32_t>(rng.UniformInt(0, kBins - 1));
+  std::vector<stats::Histogram> counts;
+  for (std::size_t a = 0; a < columns.size(); ++a) {
+    counts.emplace_back(*grids[a]);
+    counts.back().AddIndices(bins.data() + a * num_rows, num_rows);
   }
-  std::vector<std::uint32_t> last(300, kBins - 1);
-  std::vector<std::uint32_t> none;
-  for (const std::vector<std::uint32_t>* run : {&random, &last, &none}) {
-    ShardStats looped(kBins);
-    for (const std::uint32_t bin : *run) looped.Add(bin);
-    ShardStats batched(kBins);
-    batched.AddIndices(run->data(), run->size());
-    EXPECT_TRUE(StatsEqual(looped, batched)) << "n " << run->size();
-    EXPECT_EQ(batched.record_count(), run->size());
-  }
-  // Runs accumulate: two halves equal the whole.
-  ShardStats halves(kBins);
-  halves.AddIndices(random.data(), 400);
-  halves.AddIndices(random.data() + 400, random.size() - 400);
-  ShardStats whole(kBins);
-  whole.AddIndices(random.data(), random.size());
-  EXPECT_TRUE(StatsEqual(halves, whole));
+  return counts;
 }
 
-// One index past the last bin, anywhere in the run, aborts on the run's
-// bound check before any count moves.
-TEST(ShardStatsDeathTest, AddIndicesRejectsAnIndexPastTheLastBin) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::vector<std::uint32_t> run(100, 2);
-  run[57] = 8;  // num_bins() is 8
-  ShardStats stats(8);
-  EXPECT_DEATH(stats.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
-  run[57] = 1u << 31;
-  EXPECT_DEATH(stats.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
-  EXPECT_EQ(stats.record_count(), 0u);
-}
-
-TEST(ShardStatsTest, ShardedIngestEqualsSequentialPass) {
+// The session's fold over strided columns, across a shard boundary, at
+// every pool size: each column's counts equal a per-value Add loop.
+TEST(IngestTest, BinColumnsEqualsAddLoopAtEveryPoolSize) {
+  constexpr std::size_t kWidth = 5;
+  const std::size_t num_rows = kIngestShardRows + 10;
   Rng rng(7);
-  std::vector<double> values(5000);
-  for (double& v : values) v = rng.UniformReal(-1.0, 2.0);
-  const stats::Partition grid(0.0, 1.0, 3);
-
-  const ShardStats sequential = SequentialIntervalOf(values, grid);
-  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+  std::vector<double> rows(num_rows * kWidth);
+  for (double& v : rows) v = rng.UniformReal(-1.0, 2.0);
+  const std::vector<std::size_t> columns = {3, 0, 4};
+  const stats::Partition coarse(0.0, 1.0, 3);
+  const stats::Partition fine(-0.5, 1.5, 41);
+  const std::vector<const stats::Partition*> grids = {&coarse, &fine,
+                                                      &coarse};
+  std::vector<stats::Histogram> reference;
+  for (std::size_t a = 0; a < columns.size(); ++a) {
+    std::vector<double> column(num_rows);
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      column[r] = rows[r * kWidth + columns[a]];
+    }
+    reference.push_back(AddLoop(column, *grids[a]));
+  }
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
-                                   std::size_t{10000}}) {
-      const ShardStats sharded = IngestBinnedColumn(
-          values.data(), values.size(), grid, &pool, shard_size);
-      EXPECT_TRUE(StatsEqual(sequential, sharded))
-          << "threads " << threads << " shard_size " << shard_size;
+    const std::vector<stats::Histogram> counts =
+        BinAndCount(rows, kWidth, columns, grids, &pool);
+    ASSERT_EQ(counts.size(), columns.size()) << "threads " << threads;
+    for (std::size_t a = 0; a < columns.size(); ++a) {
+      EXPECT_EQ(counts[a].counts(), reference[a].counts())
+          << "threads " << threads << " column " << columns[a];
+      EXPECT_EQ(counts[a].total(), num_rows);
     }
   }
 }
 
-TEST(ShardStatsTest, IngestEmptyInput) {
-  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+// Fit counts through the same fold: its estimate equals FitFromCounts over
+// the Add-loop counts bit for bit, at every pool size, across a shard
+// boundary.
+TEST(IngestTest, FitCountsLikeAnAddLoopAtEveryPoolSize) {
+  Rng rng(13);
+  std::vector<double> values(kIngestShardRows + 10);
+  for (double& v : values) v = rng.UniformReal(-0.5, 1.5);
+  const stats::Partition partition(0.0, 1.0, 20);
+  const reconstruct::BayesReconstructor rec(
+      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 1.0, 0.95),
+      {});
+  const stats::Histogram counts =
+      AddLoop(values, rec.PerturbedBinning(partition));
+  const reconstruct::Reconstruction reference = rec.FitFromCounts(
+      counts.Weights(), static_cast<double>(values.size()),
+      rec.BuildKernelTable(partition), nullptr);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1},
+                              std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    for (std::size_t shard_size : {std::size_t{1}, std::size_t{333},
-                                   std::size_t{10000}}) {
-      const ShardStats empty = IngestBinnedColumn(
-          nullptr, 0, stats::Partition(0.0, 1.0, 4), &pool, shard_size);
-      EXPECT_EQ(empty.record_count(), 0u);
-      EXPECT_EQ(empty.num_bins(), 4u);
-      EXPECT_EQ(empty.counts(), std::vector<std::uint64_t>(4, 0));
-    }
+    const reconstruct::Reconstruction fit =
+        rec.Fit(values, partition, &pool);
+    ASSERT_EQ(fit.masses.size(), reference.masses.size());
+    EXPECT_EQ(std::memcmp(fit.masses.data(), reference.masses.data(),
+                          fit.masses.size() * sizeof(double)),
+              0)
+        << "threads " << threads;
+    EXPECT_EQ(fit.iterations, reference.iterations);
   }
 }
 
-TEST(ShardStatsTest, ApproxHeapBytesTracksSizeNotCapacity) {
-  const ShardStats stats(21);
-  // The counts are allocated once at their final size; the accounting
-  // must report that size, not whatever the allocator rounded up to.
-  EXPECT_EQ(stats.ApproxHeapBytes(), 21u * sizeof(std::uint64_t));
-  EXPECT_EQ(stats.counts().size(), 21u);
+TEST(IngestTest, NoRowsBinNothing) {
+  const stats::Partition grid(0.0, 1.0, 4);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    std::uint32_t untouched = 7;
+    EXPECT_TRUE(BinColumns(nullptr, 0, 1, {0}, {&grid}, &pool, &untouched));
+    EXPECT_EQ(untouched, 7u);
+    const reconstruct::BayesReconstructor rec(
+        perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 1.0,
+                                 0.95),
+        {});
+    const reconstruct::Reconstruction fit = rec.Fit({}, grid, &pool);
+    EXPECT_EQ(fit.masses, std::vector<double>(4, 0.25));
+  }
+}
+
+// An inf or NaN in Fit's column is a programmer error (offline data is
+// finite: the CSV reader rejects such cells). Without the gate the SIMD
+// paths would bin a NaN differently; with it, Fit aborts naming the input,
+// wherever the value sits and at every pool size.
+TEST(IngestDeathTest, FitRejectsANonFiniteValue) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const stats::Partition partition(0.0, 1.0, 20);
+  const reconstruct::BayesReconstructor rec(
+      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 1.0, 0.95),
+      {});
+  std::vector<double> values(kIngestShardRows + 10, 0.5);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::size_t at : {std::size_t{0}, values.size() - 1}) {
+      for (const double bad : {std::nan(""),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+        std::vector<double> poisoned = values;
+        poisoned[at] = bad;
+        EXPECT_DEATH(
+            {
+              std::optional<ThreadPool> pool;
+              if (threads > 0) pool.emplace(threads);
+              (void)rec.Fit(poisoned, partition,
+                            threads > 0 ? &*pool : nullptr);
+            },
+            "perturbed value is inf or NaN")
+            << "threads " << threads << " at " << at << " value " << bad;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- SIMD
@@ -407,35 +395,42 @@ TEST(SimdTest, FourRowKernelsEqualFourSingleRowCalls) {
   }
 }
 
-TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
+// The bin pass counts the same on every SIMD path, across a shard
+// boundary and from a partial kernel batch on.
+TEST(SimdTest, BinColumnsEqualsAddLoopOnEveryPath) {
   PathGuard guard;
   const stats::Partition grid(0.0, 1.0, 12);
   Rng rng(47);
-  std::vector<double> values(5000);
+  std::vector<double> values(kIngestShardRows + 10);
   for (double& v : values) v = rng.UniformReal(-0.5, 1.5);
-  const ShardStats reference = SequentialIntervalOf(values, grid);
+  const stats::Histogram reference = AddLoop(values, grid);
 
   ThreadPool pool(4);
   std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
-    for (std::size_t shard_size : {std::size_t{0}, std::size_t{100},
-                                   std::size_t{333}}) {
-      const ShardStats binned = IngestBinnedColumn(
-          values.data(), values.size(), grid,
-          shard_size == 0 ? nullptr : &pool, shard_size);
-      EXPECT_TRUE(StatsEqual(reference, binned))
-          << "path=" << simd::PathName(path)
-          << " shard_size=" << shard_size;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::vector<stats::Histogram> binned =
+          BinAndCount(values, 1, {0}, {&grid}, p);
+      ASSERT_EQ(binned.size(), 1u);
+      EXPECT_EQ(binned[0].counts(), reference.counts())
+          << "path=" << simd::PathName(path) << " pool=" << (p != nullptr);
     }
-    // AddBinned over uneven runs (a partial kernel batch, then a run past
-    // one batch) counts the same as one pass.
-    ShardStats pieces(grid.intervals());
-    pieces.AddBinned(values.data(), 7, grid);
-    pieces.AddBinned(values.data() + 7, values.size() - 7, grid);
-    EXPECT_TRUE(StatsEqual(reference, pieces))
-        << "path=" << simd::PathName(path);
+    // Uneven runs (a partial kernel batch, then a run past one batch)
+    // count the same as one pass.
+    const std::vector<double> head(values.begin(), values.begin() + 7);
+    const std::vector<double> tail(values.begin() + 7, values.end());
+    const std::vector<stats::Histogram> head_counts =
+        BinAndCount(head, 1, {0}, {&grid}, &pool);
+    const std::vector<stats::Histogram> tail_counts =
+        BinAndCount(tail, 1, {0}, {&grid}, &pool);
+    ASSERT_EQ(head_counts.size() + tail_counts.size(), 2u);
+    for (std::size_t b = 0; b < grid.intervals(); ++b) {
+      EXPECT_EQ(head_counts[0].counts()[b] + tail_counts[0].counts()[b],
+                reference.counts()[b])
+          << "path=" << simd::PathName(path) << " bin " << b;
+    }
   }
 }
 

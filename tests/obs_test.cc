@@ -15,7 +15,6 @@
 #include "api/dataset_session.h"
 #include "common/random.h"
 #include "data/row_batch.h"
-#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -3,6 +3,7 @@
 // descriptive statistics.
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -188,7 +189,7 @@ TEST(HistogramTest, AddCountsOnThePartition) {
   // Out-of-range values clamp to the edge bins; an interior edge belongs
   // to the upper bin.
   h.AddAll({-3.0, 0.0, 2.0, 8.0, 10.0, 42.0});
-  EXPECT_EQ(h.counts(), (std::vector<std::size_t>{2, 1, 0, 0, 3}));
+  EXPECT_EQ(h.counts(), (std::vector<std::uint64_t>{2, 1, 0, 0, 3}));
   EXPECT_EQ(h.total(), 6u);
 }
 
@@ -206,6 +207,71 @@ TEST(HistogramTest, MassesSumToOne) {
 TEST(HistogramTest, EmptyHistogramHasZeroMasses) {
   Histogram h(0.0, 1.0, 4);
   for (double m : h.Masses()) EXPECT_DOUBLE_EQ(m, 0.0);
+}
+
+TEST(HistogramTest, CountsAndAccessorsAgree) {
+  Histogram h(Partition(0.0, 4.0, 4));
+  h.AddAll({0.5, 0.5, 3.5});
+  EXPECT_EQ(h.bins(), 4u);
+  EXPECT_EQ(h.total(), 3u);
+  EXPECT_EQ(h.counts(), (std::vector<std::uint64_t>{2, 0, 0, 1}));
+  EXPECT_EQ(h.Weights(), (std::vector<double>{2.0, 0.0, 0.0, 1.0}));
+  // Rebuilt from its counts, a histogram is the same histogram.
+  const Histogram rebuilt(h.partition(), h.counts());
+  EXPECT_EQ(rebuilt.counts(), h.counts());
+  EXPECT_EQ(rebuilt.total(), 3u);
+}
+
+// AddIndices over a run equals an Add() loop over values in the same
+// intervals: a random run, an empty one, and a run where every index is
+// the last bin.
+TEST(HistogramTest, AddIndicesEqualsAddLoop) {
+  constexpr std::size_t kBins = 37;
+  const Partition grid(-1.0, 2.0, kBins);
+  Rng rng(11);
+  std::vector<std::uint32_t> random(1000);
+  for (std::uint32_t& bin : random) {
+    bin = static_cast<std::uint32_t>(rng.UniformInt(0, kBins - 1));
+  }
+  std::vector<std::uint32_t> last(300, kBins - 1);
+  std::vector<std::uint32_t> none;
+  for (const std::vector<std::uint32_t>* run : {&random, &last, &none}) {
+    Histogram looped(grid);
+    for (const std::uint32_t bin : *run) looped.Add(grid.Mid(bin));
+    Histogram batched(grid);
+    batched.AddIndices(run->data(), run->size());
+    EXPECT_EQ(looped.counts(), batched.counts()) << "n " << run->size();
+    EXPECT_EQ(batched.total(), run->size());
+  }
+  // Runs accumulate: two halves equal the whole.
+  Histogram halves(grid);
+  halves.AddIndices(random.data(), 400);
+  halves.AddIndices(random.data() + 400, random.size() - 400);
+  Histogram whole(grid);
+  whole.AddIndices(random.data(), random.size());
+  EXPECT_EQ(halves.counts(), whole.counts());
+  EXPECT_EQ(halves.total(), whole.total());
+}
+
+// One index past the last bin, anywhere in the run, aborts on the run's
+// bound check before any count moves.
+TEST(HistogramDeathTest, AddIndicesRejectsAnIndexPastTheLastBin) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<std::uint32_t> run(100, 2);
+  run[57] = 8;  // bins() is 8
+  Histogram h(0.0, 1.0, 8);
+  EXPECT_DEATH(h.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
+  run[57] = 1u << 31;
+  EXPECT_DEATH(h.AddIndices(run.data(), run.size()), "PPDM_CHECK failed");
+  EXPECT_EQ(h.total(), 0u);
+}
+
+TEST(HistogramTest, ApproxHeapBytesTracksSizeNotCapacity) {
+  const Histogram h(0.0, 1.0, 21);
+  // The counts are allocated once at their final size; the accounting
+  // must report that size, not whatever the allocator rounded up to.
+  EXPECT_EQ(h.ApproxHeapBytes(), 21u * sizeof(std::uint64_t));
+  EXPECT_EQ(h.counts().size(), 21u);
 }
 
 // -------------------------------------------------------------- Distances

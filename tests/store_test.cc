@@ -1,7 +1,7 @@
 // Tests for the persistence subsystem: the endian-stable codec (every
 // malformed input — truncated, bit-flipped, wrong magic, future version —
 // comes back as a Status error, never a CHECK abort), byte-identical
-// snapshot/restore of ShardStats / DatasetSession, the
+// snapshot/restore of bin counts / DatasetSession, the
 // directory-backed SnapshotStore (atomic publication, corruption-safe
 // reads), and the registry spill tier (eviction demotes, TryLookup
 // transparently re-admits, equivalence with a never-evicted registry —
@@ -29,7 +29,6 @@
 #include "common/fault.h"
 #include "common/retry.h"
 #include "data/row_batch.h"
-#include "engine/shard_stats.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
@@ -430,45 +429,40 @@ TEST(CodecTest, SectionCrcCatchesEveryBitFlip) {
 
 // ----------------------------------------------------- field-level codecs
 
-TEST(ShardStatsCodecTest, RoundTripIsByteIdentical) {
-  engine::ShardStats stats(6);
-  stats.Add(0);
-  stats.Add(5);
-  stats.Add(5);
-  stats.Add(3);
+TEST(CountsCodecTest, RoundTripIsByteIdentical) {
+  const std::vector<std::uint64_t> counts = {1, 0, 0, 1, 0, 2};
 
   Writer writer;
-  EncodeShardStats(stats, &writer);
+  EncodeCounts(counts, &writer);
   Reader reader(writer.bytes());
-  const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
+  const Result<std::vector<std::uint64_t>> decoded = DecodeCounts(&reader);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(decoded.value().num_bins(), 6u);
-  EXPECT_EQ(decoded.value().record_count(), 4u);
-  EXPECT_EQ(decoded.value().counts(), stats.counts());
+  Reader fields(writer.bytes());
+  EXPECT_EQ(fields.ReadU64().value(), 6u);  // num_bins
+  EXPECT_EQ(fields.ReadU64().value(), 4u);  // the record count
+  EXPECT_EQ(decoded.value(), counts);
 
   Writer again;
-  EncodeShardStats(decoded.value(), &again);
+  EncodeCounts(decoded.value(), &again);
   EXPECT_EQ(again.bytes(), writer.bytes());
 }
 
-TEST(ShardStatsCodecTest, RejectsInconsistentCounts) {
-  engine::ShardStats stats(4);
-  stats.Add(1);
+TEST(CountsCodecTest, RejectsInconsistentCounts) {
   Writer writer;
-  EncodeShardStats(stats, &writer);
+  EncodeCounts({0, 1, 0, 0}, &writer);
 
   // Corrupt the record_count field (second u64) without touching counts;
   // the decoder must reject the inconsistency, not CHECK-abort.
   std::string bytes = writer.bytes();
   bytes[8] = 9;
   Reader reader(bytes);
-  const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
+  const Result<std::vector<std::uint64_t>> decoded = DecodeCounts(&reader);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardStatsCodecTest, RejectsCountsOfTheWrongLength) {
+TEST(CountsCodecTest, RejectsCountsOfTheWrongLength) {
   // A counts array one entry longer or shorter than num_bins, with a
   // consistent record count, is corruption too.
   for (const std::size_t length : {std::size_t{3}, std::size_t{5}}) {
@@ -477,7 +471,8 @@ TEST(ShardStatsCodecTest, RejectsCountsOfTheWrongLength) {
     writer.PutU64(length);  // record_count: one per entry below
     writer.PutU64Array(std::vector<std::uint64_t>(length, 1));
     Reader reader(writer.bytes());
-    const Result<engine::ShardStats> decoded = DecodeShardStats(&reader);
+    const Result<std::vector<std::uint64_t>> decoded =
+        DecodeCounts(&reader);
     EXPECT_FALSE(decoded.ok()) << "length " << length;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << "length " << length;
@@ -640,24 +635,22 @@ TEST(DatasetSnapshotTest, RestoreRejectsAnInconsistentMemo) {
        }},
       {"one attribute entry too few",
        [](api::DatasetSessionState* s) {
-         s->stats.pop_back();
+         s->counts.pop_back();
          s->last_masses.pop_back();
        }},
       {"counts over one bin more than the w-grid",
        [](api::DatasetSessionState* s) {
-         const std::size_t bins = s->stats[0].num_bins();
-         std::vector<std::uint64_t> counts(bins + 1, 0);
+         std::vector<std::uint64_t> counts(s->counts[0].size() + 1, 0);
          counts[0] = s->rows;
-         s->stats[0] = engine::ShardStats::FromCounts(bins + 1, s->rows,
-                                                      std::move(counts));
+         s->counts[0] = std::move(counts);
        }},
       {"counts totalling rows + 1",
+       [](api::DatasetSessionState* s) { ++s->counts[1][0]; }},
+      {"counts whose sum wraps around to rows",
        [](api::DatasetSessionState* s) {
-         const std::size_t bins = s->stats[1].num_bins();
-         std::vector<std::uint64_t> counts = s->stats[1].counts();
-         ++counts[0];
-         s->stats[1] = engine::ShardStats::FromCounts(bins, s->rows + 1,
-                                                      std::move(counts));
+         std::vector<std::uint64_t>& c = s->counts[1];
+         c[1] += c[0] + 1;
+         c[0] = std::numeric_limits<std::uint64_t>::max();
        }},
       {"masses of the wrong length",
        [](api::DatasetSessionState* s) { s->last_masses[0].push_back(0.0); }},
