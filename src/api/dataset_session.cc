@@ -307,9 +307,11 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
   for (std::size_t a = 0; a < num_attrs; ++a) {
     grids[a] = &attrs_[a].counts.partition();
   }
-  std::vector<std::uint32_t> bins(num_rows * num_attrs);
+  // Left uninitialized: BinColumns writes every index before it is read.
+  const std::unique_ptr<std::uint32_t[]> bins(
+      new std::uint32_t[num_rows * num_attrs]);
   if (!engine::BinColumns(rows.values(), num_rows, width, columns, grids,
-                          pool_, bins.data())) {
+                          pool_, bins.get())) {
     IngestRejectedCounter().Increment();
     return Status::InvalidArgument(
         "batch contains a non-finite value in a tracked column; batch "
@@ -321,7 +323,7 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      attrs_[a].counts.AddIndices(bins.data() + a * num_rows, num_rows);
+      attrs_[a].counts.AddIndices(bins.get() + a * num_rows, num_rows);
     }
     rows_ += num_rows;
     ++batches_;

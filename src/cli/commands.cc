@@ -93,8 +93,9 @@ Result<perturb::Randomizer> RandomizerFromFlags(const Args& args,
   return perturb::Randomizer(schema, options);
 }
 
-// --threads: the parallel engine's workers. --threads=0 (the default)
-// runs the same decompositions inline.
+// --threads: the parallel engine's workers (a daemon's event loops for
+// served and loadgen). --threads=0 (the default) runs the same
+// decompositions inline (one loop).
 Result<std::size_t> ThreadsFromFlag(const Args& args) {
   PPDM_ASSIGN_OR_RETURN(const long long threads, args.GetInt("threads", 0));
   if (threads < 0) {
@@ -117,8 +118,8 @@ struct StreamSimSpec {
 
 // Builds a StreamSimSpec from the --attrs/--attribute/--noise/--privacy/
 // --intervals/--function flags, validated through the spec layer.
-// --threads sizes only an in-process daemon's pool; it is validated here
-// too, so one flag set drives both loadgen modes.
+// --threads sizes only an in-process daemon's event loops; it is
+// validated here too, so one flag set drives both loadgen modes.
 Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
   StreamSimSpec sim;
   PPDM_ASSIGN_OR_RETURN(sim.function, FunctionFromFlag(args));
@@ -230,9 +231,9 @@ class ProviderStream {
   std::vector<double> values_;
 };
 
-// The daemon flags served and an in-process loadgen share: the worker
-// pool (--threads), --max-pending, --registry-mb, --checkpoint-dir,
-// --resume and --slow-ms. --faults arms the process-wide fault points for
+// The daemon flags served and an in-process loadgen share: the event
+// loops (--threads), --registry-mb, --checkpoint-dir, --resume and
+// --slow-ms. --faults arms the process-wide fault points for
 // this run, on top of whatever PPDM_FAULTS armed at startup (the chaos
 // harness uses both).
 Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
@@ -240,13 +241,10 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
     PPDM_RETURN_IF_ERROR(fault::ArmFromSpec(args.GetString("faults", "")));
   }
   PPDM_ASSIGN_OR_RETURN(const std::size_t threads, ThreadsFromFlag(args));
-  PPDM_ASSIGN_OR_RETURN(const long long max_pending,
-                        args.GetInt("max-pending", 0));
   PPDM_ASSIGN_OR_RETURN(const long long registry_mb,
                         args.GetInt("registry-mb", 0));
-  if (max_pending < 0 || registry_mb < 0) {
-    return Status::InvalidArgument(
-        "--max-pending and --registry-mb must be >= 0");
+  if (registry_mb < 0) {
+    return Status::InvalidArgument("--registry-mb must be >= 0");
   }
   // A byte count past size_t would wrap, to 0 (unbounded) at 2^44 MiB.
   constexpr long long kMaxRegistryMb =
@@ -257,7 +255,6 @@ Result<net::ServerOptions> ServerOptionsFromFlags(const Args& args) {
   }
   net::ServerOptions options;
   options.num_threads = threads;
-  options.max_pending = static_cast<std::size_t>(max_pending);
   options.registry_max_bytes = static_cast<std::size_t>(registry_mb) << 20;
   options.checkpoint_dir = args.GetString("checkpoint-dir", "");
   options.resume = args.Has("resume");
@@ -317,8 +314,8 @@ const char* UsageText() {
       "  snapshot    --dir=DIR                      list stored snapshots\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
       "              [--threads=T]\n"
-      "  served      [--host=H] [--port=P] [--threads=T] [--max-pending=N]\n"
-      "              [--registry-mb=M] [--checkpoint-dir=DIR] [--resume]\n"
+      "  served      [--host=H] [--port=P] [--threads=T] [--registry-mb=M]\n"
+      "              [--checkpoint-dir=DIR] [--resume]\n"
       "              [--faults=SPEC] [--trace-out=FILE] [--slow-ms=N]\n"
       "  loadgen     [--port=P] [--host=H] [--tenants=N] [--records=N]\n"
       "              [--batch-records=B] [--refresh=R] [--connections=C]\n"
@@ -328,7 +325,7 @@ const char* UsageText() {
       "              [--snapshot-every=K] [--ttl-ms=T]\n"
       "              [--masses-out=FILE] [--stats-out=FILE]\n"
       "              [--trace-out=FILE] [--tolerate-errors] [--close]\n"
-      "              without --port: [--registry-mb=M] [--max-pending=N]\n"
+      "              without --port: [--registry-mb=M]\n"
       "              [--checkpoint-dir=DIR] [--resume] [--faults=SPEC]\n"
       "              [--slow-ms=N]\n"
       "\n"
@@ -375,13 +372,15 @@ const char* UsageText() {
       "\n"
       "served is the real network daemon: it speaks the length-prefixed\n"
       "frame protocol (open/ingest/reconstruct/snapshot/close/stats) on\n"
-      "TCP, one poll() loop feeding a worker pool (--threads=0 serves\n"
-      "synchronously). --max-pending is the server-wide in-flight count\n"
-      "at which every connection's reads pause (TCP backpressure); a\n"
-      "connection's reads also pause at 16 requests in flight. It serves\n"
-      "at most 64 connections at once (further ones wait to be accepted)\n"
-      "and refuses, then closes, a frame whose body exceeds 64 MiB.\n"
-      "SIGTERM drains: in-flight requests finish, every open tenant is\n"
+      "TCP on --threads=T poll() loops (0 runs one). Loop 0 accepts and\n"
+      "deals connections round-robin; each loop runs the requests it\n"
+      "reads and answers a connection in request order, so a slow request\n"
+      "delays the other connections on its loop only. A loop stops\n"
+      "reading a connection while its unsent responses back up (TCP\n"
+      "backpressure). It serves at most 64 connections at once (further\n"
+      "ones wait to be accepted) and refuses, then closes, a frame whose\n"
+      "body exceeds 64 MiB.\n"
+      "SIGTERM drains: every request read is answered, every open tenant is\n"
       "checkpointed to --checkpoint-dir, and a restart with --resume\n"
       "re-admits them. served --trace-out=FILE writes the span ring as\n"
       "Chrome trace-event JSON at exit.\n"
@@ -700,9 +699,8 @@ void ServedSignalHandler(int) {
 
 Status RunServed(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown(
-          {"host", "port", "threads", "max-pending", "registry-mb",
-           "checkpoint-dir", "resume", "faults", "simd", "trace-out",
-           "slow-ms"});
+          {"host", "port", "threads", "registry-mb", "checkpoint-dir",
+           "resume", "faults", "simd", "trace-out", "slow-ms"});
       !s.ok()) {
     return s;
   }
@@ -736,9 +734,8 @@ Status RunServed(const Args& args, std::ostream& out) {
     server->RequestStop();
   }
   out << StrFormat(
-      "ppdm served listening on %s:%d (threads=%zu, max-pending=%zu%s%s)\n",
+      "ppdm served listening on %s:%d (threads=%zu%s%s)\n",
       options.host.c_str(), server->port(), options.num_threads,
-      options.max_pending,
       options.checkpoint_dir.empty()
           ? ""
           : StrFormat(", checkpoint-dir=%s",
@@ -781,8 +778,8 @@ Status RunServed(const Args& args, std::ostream& out) {
 // --port was configured on its own command line, so they are an error
 // there.
 constexpr const char* kDaemonFlags[] = {"registry-mb", "checkpoint-dir",
-                                        "resume",      "max-pending",
-                                        "faults",      "slow-ms"};
+                                        "resume",      "faults",
+                                        "slow-ms"};
 
 Status RunLoadgen(const Args& args, std::ostream& out) {
   std::vector<std::string> known = {
@@ -1104,8 +1101,8 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
   }
   if (!in_process) return Status::Ok();
 
-  // The in-process daemon's drain: in-flight requests finish, then every
-  // open tenant is checkpointed. A failed final capture ends the session
+  // The in-process daemon's drain: every request read is answered, then
+  // every open tenant is checkpointed. A failed final capture ends the session
   // in a permanent-error state: the report below still prints, and the
   // failure is the command's status.
   const Status stopped = server->Stop();

@@ -9,8 +9,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <limits>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "api/spec.h"
@@ -37,6 +38,8 @@ struct IngestBody {
 };
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Free space guaranteed in a connection's input buffer before each
 /// read; frames larger than this assemble across reads.
@@ -157,27 +160,44 @@ std::string TenantName(std::uint64_t tenant) {
   return StrFormat("t%llu", static_cast<unsigned long long>(tenant));
 }
 
-/// One live client connection. The event-loop thread owns the socket, the
-/// input buffer, and the parse/close state; the outbox is the one piece
-/// workers touch (completion callbacks append responses), so it sits
-/// behind its own mutex.
+/// One live client connection, owned by the one loop that serves it.
 struct Server::Connection {
   Socket sock;
-
-  // Event-loop thread only.
   InputBuffer inbuf;
+  /// When the latest read landed. Frames are answered after every read,
+  /// so each complete frame in `inbuf` was completed by that read.
+  Clock::time_point received_at;
+  std::string outbuf;
+  std::size_t out_pos = 0;
   bool close_after_flush = false;
-  bool paused = false;
+  /// Set by CloseConnection; the loop drops the connection after the
+  /// round.
+  bool closed = false;
 
-  std::mutex mu;
-  std::string outbuf;       // guarded by mu
-  std::size_t out_pos = 0;  // guarded by mu
+  bool has_unsent() const { return out_pos < outbuf.size(); }
+};
 
-  /// Requests dispatched and not yet answered (paired with the server's
-  /// global count); atomics because workers decrement on completion.
-  std::atomic<std::size_t> in_flight{0};
-  /// Set by CloseConnection so late completions drop their responses.
-  std::atomic<bool> closed{false};
+/// One event-loop thread: its wake pipe, its connections, and the
+/// sockets loop 0 has dealt it but it has not yet adopted.
+struct Server::EventLoop {
+  Socket wake_read;
+  Socket wake_write;
+  std::vector<std::unique_ptr<Connection>> connections;  // its thread only
+  std::mutex dealt_mu;
+  std::vector<Socket> dealt;  // guarded by dealt_mu
+  std::thread thread;
+
+  /// Async-signal-safe; a full pipe already guarantees a wakeup.
+  void Wake() const {
+    const char byte = 0;
+    [[maybe_unused]] ssize_t n = ::write(wake_write.fd(), &byte, 1);
+  }
+
+  void Adopt(Socket sock) {
+    auto conn = std::make_unique<Connection>();
+    conn->sock = std::move(sock);
+    connections.push_back(std::move(conn));
+  }
 };
 
 Server::Server(const ServerOptions& options)
@@ -224,32 +244,33 @@ Status Server::Init() {
     spill_.emplace(std::move(store));
   }
 
-  if (options_.num_threads > 0) {
-    pool_ = std::make_unique<engine::ThreadPool>(options_.num_threads);
-  }
-
+  // No pool: a handler's engine primitives run inline on its loop.
   api::SessionRegistryOptions registry_options;
   registry_options.max_bytes = options_.registry_max_bytes;
   registry_options.spill = spill_.has_value() ? &*spill_ : nullptr;
-  registry_ = std::make_unique<api::SessionRegistry>(registry_options,
-                                                     pool_.get());
+  registry_ = std::make_unique<api::SessionRegistry>(registry_options);
 
   PPDM_ASSIGN_OR_RETURN(
       listener_, ListenTcp(options_.host, options_.port, /*backlog=*/128));
   PPDM_RETURN_IF_ERROR(SetNonBlocking(listener_.fd()));
   PPDM_ASSIGN_OR_RETURN(port_, BoundPort(listener_));
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    return Status::IoError(
-        StrFormat("pipe: %s", std::strerror(errno)));
+  const std::size_t num_loops = std::max<std::size_t>(options_.num_threads, 1);
+  for (std::size_t i = 0; i < num_loops; ++i) {
+    auto loop = std::make_unique<EventLoop>();
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) {
+      return Status::IoError(StrFormat("pipe: %s", std::strerror(errno)));
+    }
+    loop->wake_read = Socket(pipe_fds[0]);
+    loop->wake_write = Socket(pipe_fds[1]);
+    PPDM_RETURN_IF_ERROR(SetNonBlocking(loop->wake_read.fd()));
+    PPDM_RETURN_IF_ERROR(SetNonBlocking(loop->wake_write.fd()));
+    loops_.push_back(std::move(loop));
   }
-  wake_read_ = Socket(pipe_fds[0]);
-  wake_write_ = Socket(pipe_fds[1]);
-  PPDM_RETURN_IF_ERROR(SetNonBlocking(wake_read_.fd()));
-  PPDM_RETURN_IF_ERROR(SetNonBlocking(wake_write_.fd()));
-
-  loop_thread_ = std::thread([this] { Loop(); });
+  for (const std::unique_ptr<EventLoop>& loop : loops_) {
+    loop->thread = std::thread([this, &loop = *loop] { Loop(loop); });
+  }
   return Status::Ok();
 }
 
@@ -257,31 +278,21 @@ Server::~Server() { (void)Stop(); }
 
 void Server::RequestStop() {
   draining_.store(true, std::memory_order_release);
-  // Async-signal-safe wakeup; a full pipe already guarantees a wakeup.
-  const char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(wake_write_.fd(), &byte, 1);
-}
-
-void Server::Wake() {
-  const char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(wake_write_.fd(), &byte, 1);
+  for (const std::unique_ptr<EventLoop>& loop : loops_) loop->Wake();
 }
 
 void Server::AwaitLoopExit() {
   std::unique_lock<std::mutex> lock(loop_mu_);
-  loop_cv_.wait(lock, [this] { return loop_exited_; });
+  loop_cv_.wait(lock, [this] { return loops_exited_ == loops_.size(); });
 }
 
 Status Server::Stop() {
   std::lock_guard<std::mutex> lock(stop_mu_);
   if (stopped_) return stop_status_;
   RequestStop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop normally exits with every dispatched request answered; only
-  // a failed poll() leaves jobs running, and the loop was their only
-  // submitter, so waiting them out is enough.
-  while (global_in_flight_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Every request a loop read is answered before the loop exits.
+  for (const std::unique_ptr<EventLoop>& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
   stop_status_ = CheckpointAll();
   stopped_ = true;
@@ -311,51 +322,44 @@ Status Server::CheckpointAll() {
   return first_failure;
 }
 
-void Server::Loop() {
+void Server::Loop(EventLoop& loop) {
+  const bool listens = &loop == loops_.front().get();
   std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Connection>> polled;
+  std::vector<Connection*> polled;
   while (true) {
     const bool draining = draining_.load(std::memory_order_acquire);
-
-    // Paused connections re-check their window each iteration (a worker
-    // completing a request wakes the loop); buffered frames parse first.
-    for (const std::shared_ptr<Connection>& conn : connections_) {
-      if (conn->paused && !draining) ParseFrames(conn);
+    {
+      std::lock_guard<std::mutex> lock(loop.dealt_mu);
+      for (Socket& sock : loop.dealt) loop.Adopt(std::move(sock));
+      loop.dealt.clear();
     }
 
     fds.clear();
     polled.clear();
-    fds.push_back({wake_read_.fd(), POLLIN, 0});
+    fds.push_back({loop.wake_read.fd(), POLLIN, 0});
     const bool accepting =
-        !draining && connections_.size() < kMaxConnections;
+        listens && !draining &&
+        open_connections_.load(std::memory_order_acquire) < kMaxConnections;
     if (accepting) fds.push_back({listener_.fd(), POLLIN, 0});
 
-    // Drain exit needs "no in-flight work AND every outbox flushed".
-    // In-flight is loaded BEFORE the outbox scan: a completion appends its
-    // response before decrementing, so a zero read here guarantees the
-    // scan below sees every append — the reverse order could miss one.
-    const bool no_in_flight =
-        global_in_flight_.load(std::memory_order_acquire) == 0;
-
+    // A connection with unsent bytes waits for POLLOUT instead of being
+    // read: that is the read pause. Drain exit needs every outbox
+    // flushed; no request is ever in flight between rounds.
     bool pending_writes = false;
-    for (const std::shared_ptr<Connection>& conn : connections_) {
+    for (const std::unique_ptr<Connection>& conn : loop.connections) {
       short events = 0;
-      if (!draining && !conn->paused && !conn->close_after_flush) {
-        events |= POLLIN;
-      }
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->out_pos < conn->outbuf.size()) {
-          events |= POLLOUT;
-          pending_writes = true;
-        }
+      if (conn->has_unsent()) {
+        events = POLLOUT;
+        pending_writes = true;
+      } else if (!draining && !conn->close_after_flush) {
+        events = POLLIN;
       }
       if (events == 0) continue;
       fds.push_back({conn->sock.fd(), events, 0});
-      polled.push_back(conn);
+      polled.push_back(conn.get());
     }
 
-    if (draining && no_in_flight && !pending_writes) break;
+    if (draining && !pending_writes) break;
 
     const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                              draining ? kDrainPollMs : kIdlePollMs);
@@ -365,7 +369,7 @@ void Server::Loop() {
     std::size_t index = 0;
     if (fds[index].revents & POLLIN) {
       char buf[256];
-      while (::read(wake_read_.fd(), buf, sizeof(buf)) > 0) {
+      while (::read(loop.wake_read.fd(), buf, sizeof(buf)) > 0) {
       }
     }
     ++index;
@@ -375,87 +379,88 @@ void Server::Loop() {
     }
 
     for (std::size_t c = 0; c < polled.size(); ++c, ++index) {
-      const std::shared_ptr<Connection>& conn = polled[c];
+      Connection& conn = *polled[c];
       const short revents = fds[index].revents;
-      if (revents == 0 || conn->closed.load(std::memory_order_acquire)) {
-        continue;
-      }
+      if (revents == 0) continue;
       if (revents & (POLLERR | POLLNVAL)) {
         CloseConnection(conn);
         continue;
       }
-      if (revents & POLLOUT) FlushWrites(conn);
-      if (conn->closed.load(std::memory_order_acquire)) continue;
-      if (revents & (POLLIN | POLLHUP)) {
-        if (ReadReady(conn)) {
-          ParseFrames(conn);
-        } else {
-          CloseConnection(conn);
-        }
+      if (revents & POLLOUT) {
+        FlushWrites(conn);
+        // A drained outbox ends the pause: answer the frames it held up.
+        if (!conn.has_unsent()) ParseFrames(conn);
       }
+      if (revents & (POLLIN | POLLHUP)) ServeReadable(conn);
     }
+    loop.connections.erase(
+        std::remove_if(loop.connections.begin(), loop.connections.end(),
+                       [](const std::unique_ptr<Connection>& conn) {
+                         return conn->closed;
+                       }),
+        loop.connections.end());
   }
 
   {
     std::lock_guard<std::mutex> lock(loop_mu_);
-    loop_exited_ = true;
+    ++loops_exited_;
   }
   loop_cv_.notify_all();
 }
 
 void Server::AcceptReady() {
-  while (connections_.size() < kMaxConnections) {
+  while (open_connections_.load(std::memory_order_acquire) < kMaxConnections) {
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
     if (fd < 0) {
       // EAGAIN/EWOULDBLOCK: backlog drained; anything else waits for the
       // next poll round too (a dying peer must not kill the loop).
       return;
     }
-    auto conn = std::make_shared<Connection>();
-    conn->sock = Socket(fd);
-    if (!SetNonBlocking(fd).ok()) continue;  // conn closes on scope exit
+    Socket sock(fd);
+    if (!SetNonBlocking(fd).ok()) continue;  // sock closes on scope exit
     SetNoDelay(fd);
-    connections_.push_back(std::move(conn));
+    open_connections_.fetch_add(1, std::memory_order_acq_rel);
     connections_total_->Increment();
     connections_open_->Add(1);
-  }
-}
-
-bool Server::ReadReady(const std::shared_ptr<Connection>& conn) {
-  while (true) {
-    const auto [room, room_size] = conn->inbuf.Room(kMinReadRoom);
-    const ssize_t n = ::read(conn->sock.fd(), room, room_size);
-    if (n > 0) {
-      conn->inbuf.Commit(static_cast<std::size_t>(n));
-      bytes_read_->Increment(static_cast<std::uint64_t>(n));
+    EventLoop& target = *loops_[next_loop_];
+    next_loop_ = (next_loop_ + 1) % loops_.size();
+    if (&target == loops_.front().get()) {
+      target.Adopt(std::move(sock));
       continue;
     }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    return false;
-  }
-}
-
-bool Server::ShouldPause(const Connection& conn) const {
-  if (conn.in_flight.load(std::memory_order_acquire) >= kConnectionWindow) {
-    return true;
-  }
-  return options_.max_pending > 0 &&
-         global_in_flight_.load(std::memory_order_acquire) >=
-             options_.max_pending;
-}
-
-void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
-  bool paused = false;
-  while (!conn->close_after_flush) {
-    if (ShouldPause(*conn)) {
-      paused = true;
-      break;
+    {
+      std::lock_guard<std::mutex> lock(target.dealt_mu);
+      target.dealt.push_back(std::move(sock));
     }
-    const std::string_view rest = conn->inbuf.unread();
+    target.Wake();
+  }
+}
+
+void Server::ServeReadable(Connection& conn) {
+  while (!conn.closed && !conn.close_after_flush && !conn.has_unsent() &&
+         !draining_.load(std::memory_order_acquire)) {
+    const auto [room, room_size] = conn.inbuf.Room(kMinReadRoom);
+    const ssize_t n = ::read(conn.sock.fd(), room, room_size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {  // peer closed, or a read error
+      CloseConnection(conn);
+      return;
+    }
+    conn.inbuf.Commit(static_cast<std::size_t>(n));
+    bytes_read_->Increment(static_cast<std::uint64_t>(n));
+    conn.received_at = Clock::now();
+    ParseFrames(conn);
+    // A short read emptied the socket; the next poll round reports more.
+    if (static_cast<std::size_t>(n) < room_size) return;
+  }
+}
+
+void Server::ParseFrames(Connection& conn) {
+  while (!conn.closed && !conn.close_after_flush) {
+    const std::string_view rest = conn.inbuf.unread();
     // HeaderBytesNeeded answers "wait for more" vs. "judge now".
-    if (HeaderBytesNeeded(rest) > 0) break;
+    if (HeaderBytesNeeded(rest) > 0) return;
     Result<FrameHeader> header = DecodeHeader(rest, kDefaultMaxBodyBytes);
     if (!header.ok()) {
       // HeaderBytesNeeded returned 0, so this is never mere truncation —
@@ -466,32 +471,37 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       const Result<FrameHeader> request =
           DecodeHeader(rest, std::numeric_limits<std::uint64_t>::max());
       protocol_errors_->Increment();
+      conn.close_after_flush = true;
       EnqueueResponse(conn, request.ok() ? request.value() : FrameHeader{},
                       header.status(), "");
-      conn->close_after_flush = true;
-      break;
+      FlushWrites(conn);
+      return;
     }
-    if (rest.size() - kHeaderSize < header.value().body_length) break;
+    if (rest.size() - kHeaderSize < header.value().body_length) return;
     const std::string_view body =
         rest.substr(kHeaderSize,
                     static_cast<std::size_t>(header.value().body_length));
     if (Status verified = VerifyBody(header.value(), body); !verified.ok()) {
       protocol_errors_->Increment();
+      conn.close_after_flush = true;
       EnqueueResponse(conn, header.value(), verified, "");
-      conn->close_after_flush = true;
-      break;
+      FlushWrites(conn);
+      return;
     }
-    // Dispatch copies what it keeps of the body before the bytes are
-    // released.
     Dispatch(conn, header.value(), body);
-    conn->inbuf.Consume(kHeaderSize + body.size());
+    conn.inbuf.Consume(kHeaderSize + body.size());
+    FlushWrites(conn);
+    // Unsent bytes pause the connection: the frames still buffered wait
+    // for the loop to flush them (and then parse on), and no read runs.
+    if (conn.has_unsent()) {
+      read_pauses_->Increment();
+      return;
+    }
   }
-  if (paused && !conn->paused) read_pauses_->Increment();
-  conn->paused = paused;
 }
 
-void Server::Dispatch(const std::shared_ptr<Connection>& conn,
-                      const FrameHeader& header, std::string_view body) {
+void Server::Dispatch(Connection& conn, const FrameHeader& header,
+                      std::string_view body) {
   verb_requests_[KnownVerb(header.verb) ? header.verb : 0]->Increment();
   if (!KnownVerb(header.verb)) {
     // Framing is intact — the connection survives an unknown verb.
@@ -502,10 +512,10 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
         "");
     return;
   }
-  if (static_cast<Verb>(header.verb) == Verb::kStats) {
-    // Cheap and read-only: answered inline on the event loop, so stats
-    // stay scrapeable even when the workers are saturated. The flag byte
-    // 0x01 also appends the span ring as Chrome trace JSON.
+  const auto verb = static_cast<Verb>(header.verb);
+  if (verb == Verb::kStats) {
+    // Cheap and read-only, so it is no job. The flag byte 0x01 also
+    // appends the span ring as Chrome trace JSON.
     const bool want_trace = body.size() == 1 && body[0] == '\x01';
     if (!body.empty() && !want_trace) {
       EnqueueResponse(conn, header,
@@ -513,15 +523,13 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
                       "");
       return;
     }
-    EnqueueResponse(conn, header, Status::Ok(), [want_trace] {
-      store::Writer writer;
-      writer.PutString(obs::MetricsRegistry::Global().RenderText());
-      if (want_trace) {
-        writer.PutString(
-            obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
-      }
-      return writer.Take();
-    }());
+    store::Writer writer;
+    writer.PutString(obs::MetricsRegistry::Global().RenderText());
+    if (want_trace) {
+      writer.PutString(
+          obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
+    }
+    EnqueueResponse(conn, header, Status::Ok(), writer.Take());
     return;
   }
   const std::string tenant_name = TenantName(header.tenant);
@@ -532,96 +540,62 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  global_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (header.ttl_ms > 0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(header.ttl_ms);
-  }
-  // The request's root span: opened here, closed when the job answers
-  // (possibly on a worker). A nonzero client trace id wins so the caller
-  // can stitch our tree into its own; otherwise mint one.
+  // The request's root span opens at the read that completed the frame,
+  // as do its service.queue wait and its ttl_ms deadline: a frame that
+  // waited behind earlier frames on this loop has spent that time. A
+  // nonzero client trace id wins so the caller can stitch our tree into
+  // its own; otherwise mint one.
+  const Clock::time_point received = conn.received_at;
   const std::uint64_t trace_id =
       header.trace_id != 0 ? header.trace_id : obs::NewTraceId();
   obs::PendingSpan request_span = obs::BeginSpan(
       "net.request", obs::TraceContext{trace_id, 0},
       obs::RenderLabelSet(
           {{"tenant", tenant_name}, {"verb", VerbName(header.verb)}}));
-  const auto started = std::chrono::steady_clock::now();
-  // The body leaves the input buffer here, in the one copy the job owns:
-  // an ingest is decoded straight into the doubles its RowBatch views,
-  // every other verb keeps its bytes.
-  std::function<Result<std::string>()> handler;
-  const auto verb = static_cast<Verb>(header.verb);
-  if (verb == Verb::kIngest || verb == Verb::kIngestTracked) {
-    handler = [this, tenant = header.tenant,
-               ingest = DecodeIngestBody(body, verb == Verb::kIngestTracked)] {
-      return HandleIngest(tenant, ingest);
-    };
-  } else {
-    handler = [this, header, body = std::string(body)] {
-      return HandleVerb(header, body);
-    };
-  }
-  const auto queued = std::chrono::steady_clock::now();
-  // The job captures `this`; safe because the pool is destroyed (joining
-  // every queued job) before the members a job touches.
-  auto job = [this, conn, header, handler = std::move(handler), deadline,
-              started, queued, tenant_name, trace_id,
-              request_span]() mutable {
+  request_span.start_ns = obs::SinceEpochNs(received);
+  const Result<std::string> result = [&]() -> Result<std::string> {
     // The queue and run spans (and everything under the handler) are
-    // children of the request span, whichever thread runs the job.
+    // children of the request span.
     obs::ScopedTraceContext adopt(
         obs::TraceContext{trace_id, request_span.span_id});
-    obs::RecordSpan("service.queue", queued, std::chrono::steady_clock::now(),
-                    queue_wait_seconds_);
-    const Result<std::string> result = [&]() -> Result<std::string> {
-      if (deadline.has_value() &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        expired_jobs_->Increment();
-        return Status::DeadlineExceeded("job deadline passed before it ran");
-      }
-      // The run span closes before the request span, so a slow-request
-      // tree rendered below includes it.
-      obs::ScopedSpan run_span("service.run", run_seconds_);
-      return handler();
-    }();
-    // Expired and handler errors travel back as the envelope's Status.
-    obs::EndSpan(&request_span);
-    if (obs::TimingEnabled()) {
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      request_seconds_->Observe(seconds);
-      if (options_.slow_request_ms > 0.0 &&
-          seconds * 1e3 >= options_.slow_request_ms) {
-        slow_requests_->Increment();
-        const std::string tree = obs::RenderSpanTree(
-            obs::TraceRing::Global().Snapshot(), trace_id);
-        std::fprintf(stderr,
-                     "[served] slow request (%.1f ms >= %.1f ms): %s\n%s",
-                     seconds * 1e3, options_.slow_request_ms,
-                     tenant_name.c_str(), tree.c_str());
-        std::lock_guard<std::mutex> lock(slow_mu_);
-        last_slow_tree_ = tree;
-      }
+    const Clock::time_point now = Clock::now();
+    obs::RecordSpan("service.queue", received, now, queue_wait_seconds_);
+    if (header.ttl_ms > 0 &&
+        now >= received + std::chrono::milliseconds(header.ttl_ms)) {
+      expired_jobs_->Increment();
+      return Status::DeadlineExceeded("request deadline passed before it ran");
     }
-    EnqueueResponse(conn, header,
-                    result.ok() ? Status::Ok() : result.status(),
-                    result.ok() ? result.value() : std::string());
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    global_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    // A pool worker wakes the loop to flush; an inline job runs on the
-    // loop thread, whose next round polls the pending outbox anyway.
-    if (pool_ != nullptr) Wake();
-  };
-  if (pool_ == nullptr) {
-    job();
-  } else {
-    pool_->Submit(std::move(job));
+    // The run span closes before the request span, so a slow-request
+    // tree rendered below includes it.
+    obs::ScopedSpan run_span("service.run", run_seconds_);
+    if (verb == Verb::kIngest || verb == Verb::kIngestTracked) {
+      // Decoded straight out of the input buffer into the doubles the
+      // session's RowBatch views.
+      return HandleIngest(header.tenant,
+                          DecodeIngestBody(body, verb == Verb::kIngestTracked));
+    }
+    return HandleVerb(header, body);
+  }();
+  // Expired and handler errors travel back as the envelope's Status.
+  obs::EndSpan(&request_span);
+  if (obs::TimingEnabled()) {
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - received).count();
+    request_seconds_->Observe(seconds);
+    if (options_.slow_request_ms > 0.0 &&
+        seconds * 1e3 >= options_.slow_request_ms) {
+      slow_requests_->Increment();
+      const std::string tree = obs::RenderSpanTree(
+          obs::TraceRing::Global().Snapshot(), trace_id);
+      std::fprintf(stderr, "[served] slow request (%.1f ms >= %.1f ms): %s\n%s",
+                   seconds * 1e3, options_.slow_request_ms,
+                   tenant_name.c_str(), tree.c_str());
+      std::lock_guard<std::mutex> lock(slow_mu_);
+      last_slow_tree_ = tree;
+    }
   }
+  EnqueueResponse(conn, header, result.ok() ? Status::Ok() : result.status(),
+                  result.ok() ? result.value() : std::string());
 }
 
 std::string Server::LastSlowRequestTree() const {
@@ -629,60 +603,55 @@ std::string Server::LastSlowRequestTree() const {
   return last_slow_tree_;
 }
 
-void Server::EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                             const FrameHeader& request, const Status& status,
-                             std::string_view payload) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  const std::string frame =
+void Server::EnqueueResponse(Connection& conn, const FrameHeader& request,
+                             const Status& status, std::string_view payload) {
+  std::string frame =
       EncodeFrame(request.verb, request.request_id, request.tenant,
                   /*ttl_ms=*/0, EncodeResponseBody(status, payload));
-  std::lock_guard<std::mutex> lock(conn->mu);
-  conn->outbuf.append(frame);
-}
-
-void Server::FlushWrites(const std::shared_ptr<Connection>& conn) {
-  bool done = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (conn->out_pos < conn->outbuf.size()) {
-      // MSG_NOSIGNAL: a client that resets with unread data must cost an
-      // EPIPE on this connection, not a SIGPIPE that kills every tenant.
-      const ssize_t n =
-          ::send(conn->sock.fd(), conn->outbuf.data() + conn->out_pos,
-                 conn->outbuf.size() - conn->out_pos, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        done = true;  // broken pipe: close below
-        conn->close_after_flush = true;
-        break;
-      }
-      conn->out_pos += static_cast<std::size_t>(n);
-      bytes_written_->Increment(static_cast<std::uint64_t>(n));
-    }
-    if (conn->out_pos == conn->outbuf.size()) {
-      conn->outbuf.clear();
-      conn->out_pos = 0;
-      done = true;
-    }
+  if (conn.outbuf.empty()) {
+    conn.outbuf = std::move(frame);
+  } else {
+    conn.outbuf.append(frame);
   }
-  if (done && conn->close_after_flush) CloseConnection(conn);
 }
 
-void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  conn->sock.Close();
-  connections_open_->Add(-1);
-  for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-    if (it->get() == conn.get()) {
-      connections_.erase(it);
-      break;
+void Server::FlushWrites(Connection& conn) {
+  while (conn.has_unsent()) {
+    // MSG_NOSIGNAL: a client that resets with unread data must cost an
+    // EPIPE on this connection, not a SIGPIPE that kills every tenant.
+    const ssize_t n =
+        ::send(conn.sock.fd(), conn.outbuf.data() + conn.out_pos,
+               conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EINTR) continue;
+      CloseConnection(conn);  // broken pipe
+      return;
     }
+    conn.out_pos += static_cast<std::size_t>(n);
+    bytes_written_->Increment(static_cast<std::uint64_t>(n));
+  }
+  conn.outbuf.clear();
+  conn.out_pos = 0;
+  if (conn.close_after_flush) CloseConnection(conn);
+}
+
+void Server::CloseConnection(Connection& conn) {
+  if (conn.closed) return;
+  conn.closed = true;
+  conn.sock.Close();
+  conn.outbuf.clear();
+  conn.out_pos = 0;
+  connections_open_->Add(-1);
+  // Loop 0 stopped polling the listener at the cap; this frees a slot.
+  if (open_connections_.fetch_sub(1, std::memory_order_acq_rel) ==
+      kMaxConnections) {
+    loops_.front()->Wake();
   }
 }
 
 Result<std::string> Server::HandleVerb(const FrameHeader& header,
-                                       const std::string& body) {
+                                       std::string_view body) {
   if (static_cast<Verb>(header.verb) != Verb::kOpen && !body.empty()) {
     return Status::InvalidArgument(
         StrFormat("%s takes no body, got %zu byte(s)",
@@ -699,11 +668,11 @@ Result<std::string> Server::HandleVerb(const FrameHeader& header,
       return HandleClose(header.tenant);
     case Verb::kIngest:         // decoded in Dispatch, run by HandleIngest
     case Verb::kIngestTracked:  // likewise
-    case Verb::kStats:          // answered inline in Dispatch
+    case Verb::kStats:          // answered in Dispatch
       break;
   }
   return Status::Internal(
-      StrFormat("verb %s reached the worker path",
+      StrFormat("verb %s reached HandleVerb",
                 VerbName(header.verb).c_str()));
 }
 
@@ -720,7 +689,7 @@ Result<std::shared_ptr<api::DatasetSession>> Server::LookupTenant(
 }
 
 Result<std::string> Server::HandleOpen(std::uint64_t tenant,
-                                       const std::string& body) {
+                                       std::string_view body) {
   store::Reader reader(body);
   PPDM_ASSIGN_OR_RETURN(const api::DatasetSessionSpec spec,
                         store::DecodeDatasetSessionSpec(&reader));

@@ -1,36 +1,36 @@
 // The multi-tenant network serving daemon (`ppdm served`): a TCP
-// listener + poll() event loop feeding an engine worker pool, with
-// the whole engine→session→registry→store→obs→resilience stack behind a
-// socket for the first time.
+// listener and N poll() event loops that run each request where they
+// read it, with the whole
+// engine→session→registry→store→obs→resilience stack behind a socket.
 //
-// Thread model — listener/worker split:
-//   * One event-loop thread owns every socket: it accepts connections
-//     (bounded by kMaxConnections), reads bytes into per-connection
-//     buffers, parses frames, and flushes per-connection write queues.
-//   * Each request runs as one job on the server's engine pool. The job
-//     enqueues the response on the connection's outbox and wakes the
-//     loop through a self-pipe. num_threads == 0 runs every job inline
-//     on the event loop — same byte-exact behaviour, no concurrency, and
-//     no self-pipe write: the loop's next round polls the outbox.
-//     Inside a job, engine primitives run inline on that worker (the
-//     pool's no-nested-fan-out rule), so concurrency comes from many
-//     in-flight requests and a saturated pool always drains.
-//   * Responses can leave a connection out of request order. With 2 or
-//     more workers a connection's in-flight requests finish in any
-//     order, and stats requests and inline refusals (an unknown verb, a
-//     service.enqueue fault) are answered on the loop, ahead of queued
-//     jobs, even with 1 worker. The echoed request id is the only
-//     correlation a pipelining client may rely on; net::Client waits
-//     for each answer before sending, so it is unaffected.
+// Thread model — N identical event loops, each serving the requests it
+// reads:
+//   * num_threads = N runs N event-loop threads (0 runs one, like 1).
+//     Loop 0 also owns the listener: it accepts connections (bounded by
+//     kMaxConnections across all loops) and deals connection i to loop
+//     i mod N, so two connections made back to back always land on two
+//     loops. A connection then lives on its loop for good.
+//   * A loop reads a connection's bytes, parses, verifies and decodes
+//     each complete frame, runs its handler inline, and sends the
+//     response before it parses the next frame: a request costs one
+//     wake-up and no thread handoff. Engine primitives under a handler run inline
+//     too (the registry has no pool).
+//   * Responses leave a connection in request order. The echoed request
+//     id is still the protocol's correlation; net::Client waits for each
+//     answer before sending, so it never pipelines anyway.
+//   * A slow request (a tenant's first wide fit, a snapshot) holds up
+//     the other connections on its loop, not a shared pool: connections
+//     on other loops keep being served.
 //
 // Admission, backpressure, degradation:
-//   * A frame's ttl_ms becomes the job's deadline: a request still
-//     queued at it answers kDeadlineExceeded without running.
-//   * Backpressure: the loop stops *reading* a connection (and stops
-//     parsing its buffered frames) while its in-flight requests reach
-//     kConnectionWindow, or the server-wide in-flight total reaches
-//     max_pending — TCP flow control then pushes back on the client.
-//     Load only pauses reads; it never sheds a request.
+//   * A frame's ttl_ms deadline counts from the read that completed the
+//     frame, so a request pipelined behind a slow one on the same loop
+//     answers kDeadlineExceeded without running once it has waited past
+//     it. Its service.queue span covers the same wait.
+//   * Backpressure: a loop stops parsing and reading a connection while
+//     that connection's outbox holds unsent bytes (each pause counts in
+//     ppdm_net_read_pauses_total) — TCP flow control then pushes back
+//     on the client. Load only pauses reads; it never sheds a request.
 //   * Every malformed frame (bad magic, future version, a body past
 //     kDefaultMaxBodyBytes, CRC mismatch) gets an error response and a
 //     connection close after flush; the process keeps serving other
@@ -46,8 +46,8 @@
 // Durability: with a checkpoint directory the registry gets a spill tier
 // (evictions demote instead of destroy) and graceful shutdown — Stop(),
 // normally triggered by SIGTERM via the async-signal-safe RequestStop()
-// — drains in-flight requests, flushes every response, then checkpoints
-// every tenant through the store. A daemon restarted with resume=true
+// — stops reading, flushes every response, then checkpoints every
+// tenant through the store. A daemon restarted with resume=true
 // re-admits tenants from their captures on the next open verb.
 
 #ifndef PPDM_NET_SERVER_H_
@@ -61,12 +61,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "api/registry.h"
 #include "common/status.h"
-#include "engine/thread_pool.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -78,28 +77,22 @@ namespace ppdm::net {
 /// A decoded ingest request (defined in server.cc).
 struct IngestBody;
 
-/// Concurrent connection cap; the listener stops accepting at the cap
-/// (further connects wait in the TCP backlog until a slot frees).
+/// Concurrent connection cap across every loop; the listener stops
+/// accepting at the cap (further connects wait in the TCP backlog until
+/// a slot frees).
 inline constexpr std::size_t kMaxConnections = 64;
 
-/// Per-connection in-flight request window; reads pause at the window.
-inline constexpr std::size_t kConnectionWindow = 16;
-
 /// The settings a deployment varies (the limits it does not vary are
-/// kMaxConnections, kConnectionWindow and kDefaultMaxBodyBytes).
-/// Validated by Server::Start.
+/// kMaxConnections and kDefaultMaxBodyBytes). Validated by Server::Start.
 struct ServerOptions {
   /// Bind address; loopback by default (an operator opts into exposure).
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with Server::port().
   int port = 0;
 
-  /// Worker pool size; 0 runs requests inline on the event loop.
+  /// Event loops, each serving its connections' requests inline; 0 runs
+  /// one loop, as 1 does.
   std::size_t num_threads = 0;
-
-  /// The server-wide in-flight count at which every connection's reads
-  /// pause (TCP backpressure); 0 = unbounded.
-  std::size_t max_pending = 0;
 
   /// Registry byte budget (0 = unbounded).
   std::size_t registry_max_bytes = 0;
@@ -130,10 +123,11 @@ class Server {
   int port() const { return port_; }
 
   /// Requests shutdown from any thread — async-signal-safe (an atomic
-  /// store plus a self-pipe write), so a SIGTERM handler may call it.
+  /// store plus one self-pipe write per loop), so a SIGTERM handler may
+  /// call it.
   void RequestStop();
 
-  /// Blocks until the event loop has drained and exited (after
+  /// Blocks until every event loop has drained and exited (after
   /// RequestStop, from this or another thread).
   void AwaitLoopExit();
 
@@ -160,38 +154,37 @@ class Server {
 
  private:
   struct Connection;
+  struct EventLoop;
 
   explicit Server(const ServerOptions& options);
 
   Status Init();
-  void Loop();
-  void Wake();
+  void Loop(EventLoop& loop);
+  /// Loop 0: accepts while under the cap and deals each connection to
+  /// the next loop in turn.
   void AcceptReady();
-  /// Reads available bytes; false when the connection died.
-  bool ReadReady(const std::shared_ptr<Connection>& conn);
-  /// Parses complete frames out of the connection's input buffer until
-  /// exhausted, paused, or a protocol error schedules a close. A header
+  /// Reads, parses and answers until the socket runs dry, the outbox
+  /// backs up (a read pause) or the connection closes.
+  void ServeReadable(Connection& conn);
+  /// Answers every complete frame in the connection's input buffer, in
+  /// order, or stops at a protocol error that schedules a close. A header
   /// is judged once HeaderBytesNeeded says so; an over-cap body's refusal
   /// echoes its request's verb, id and tenant.
-  void ParseFrames(const std::shared_ptr<Connection>& conn);
-  /// True when `conn` must not parse further frames right now.
-  bool ShouldPause(const Connection& conn) const;
-  void FlushWrites(const std::shared_ptr<Connection>& conn);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
-  /// Routes one parsed frame; `body` views the connection's input buffer
-  /// and is copied before this returns.
-  void Dispatch(const std::shared_ptr<Connection>& conn,
-                const FrameHeader& header, std::string_view body);
-  void EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                       const FrameHeader& request, const Status& status,
-                       std::string_view payload);
+  void ParseFrames(Connection& conn);
+  void FlushWrites(Connection& conn);
+  void CloseConnection(Connection& conn);
+  /// Runs one parsed frame and queues its response; `body` views the
+  /// connection's input buffer.
+  void Dispatch(Connection& conn, const FrameHeader& header,
+                std::string_view body);
+  void EnqueueResponse(Connection& conn, const FrameHeader& request,
+                       const Status& status, std::string_view payload);
 
-  /// Verb handlers — run inside request jobs (any worker). Each returns
-  /// the response payload; errors become the response envelope's Status.
+  /// Verb handlers. Each returns the response payload; errors become the
+  /// response envelope's Status.
   Result<std::string> HandleVerb(const FrameHeader& header,
-                                 const std::string& body);
-  Result<std::string> HandleOpen(std::uint64_t tenant,
-                                 const std::string& body);
+                                 std::string_view body);
+  Result<std::string> HandleOpen(std::uint64_t tenant, std::string_view body);
   Result<std::string> HandleIngest(std::uint64_t tenant,
                                    const Result<IngestBody>& decoded);
   Result<std::string> HandleReconstruct(std::uint64_t tenant);
@@ -212,16 +205,16 @@ class Server {
   std::unique_ptr<api::SessionRegistry> registry_;
 
   Socket listener_;
-  Socket wake_read_;
-  Socket wake_write_;
-  std::vector<std::shared_ptr<Connection>> connections_;  // loop thread only
+  std::vector<std::unique_ptr<EventLoop>> loops_;  // fixed after Init
+  std::size_t next_loop_ = 0;                      // loop 0 only
+  /// Connections accepted and not yet closed, across every loop.
+  std::atomic<std::size_t> open_connections_{0};
 
   std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> global_in_flight_{0};
 
   std::mutex loop_mu_;
   std::condition_variable loop_cv_;
-  bool loop_exited_ = false;  // guarded by loop_mu_
+  std::size_t loops_exited_ = 0;  // guarded by loop_mu_
 
   std::mutex stop_mu_;
   bool stopped_ = false;            // guarded by stop_mu_
@@ -242,20 +235,14 @@ class Server {
   obs::Histogram* request_seconds_;
   obs::Counter* verb_requests_[kLastVerb + 1];  // by verb, 0 = unknown
   obs::Counter* slow_requests_;
-  // Job telemetry: the queue-wait-vs-run split tells an operator whether
-  // latency is load (wait) or work (run); shed and expired jobs answered
-  // without running.
+  // Request telemetry: the queue-wait-vs-run split tells an operator
+  // whether latency is load (wait behind earlier frames on the loop) or
+  // work (run); shed and expired requests answered without running.
   obs::Counter* jobs_;
   obs::Counter* shed_jobs_;
   obs::Counter* expired_jobs_;
   obs::Histogram* queue_wait_seconds_;
   obs::Histogram* run_seconds_;
-
-  std::thread loop_thread_;
-
-  // Declared last so its destructor (which drains every queued job, and
-  // jobs touch the members above) runs first. Null with num_threads == 0.
-  std::unique_ptr<engine::ThreadPool> pool_;
 };
 
 /// The registry/store name of a tenant id ("t42").

@@ -62,13 +62,6 @@ void AppendJsonEscaped(std::string* out, const std::string& text) {
   }
 }
 
-std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          t.time_since_epoch())
-          .count());
-}
-
 /// The one sink every span kind closes through (ScopedSpan, EndSpan,
 /// RecordSpan): clamps the duration at 0, records the event into `ring`
 /// and the duration into `histogram` (either may be null), and disarms
@@ -114,6 +107,13 @@ std::uint64_t NewTraceId() {
 std::uint64_t NewSpanId() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
 }
 
 std::uint64_t SteadyNowNs() {

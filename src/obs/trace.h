@@ -58,6 +58,9 @@ std::uint64_t NewSpanId();
 /// Nanoseconds since the process's steady-clock epoch (the timestamp
 /// base every SpanEvent uses).
 std::uint64_t SteadyNowNs();
+/// The same timestamp for an earlier steady-clock reading (say, to open
+/// a PendingSpan at a time already taken).
+std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t);
 
 /// RAII adopt: installs `context` as this thread's current context and
 /// restores the previous one on destruction. This is the capture/adopt

@@ -226,7 +226,7 @@ TEST_F(CliFixture, LoadgenRefusesOutOfRangeTtlAndConnections) {
 TEST_F(CliFixture, LoadgenRejectsDaemonFlagsWithPort) {
   for (const char* flag :
        {"--registry-mb=4", "--checkpoint-dir=/nonexistent", "--resume",
-        "--max-pending=2", "--faults=store.put.io=once", "--slow-ms=5"}) {
+        "--faults=store.put.io=once", "--slow-ms=5"}) {
     SCOPED_TRACE(flag);
     std::string output;
     const Status status = Run({"loadgen", "--port=7001", flag}, &output);
@@ -242,7 +242,7 @@ TEST_F(CliFixture, LoadgenRejectsDaemonFlagsWithPort) {
   // Without --port the same flags configure the hosted daemon.
   std::string output;
   EXPECT_TRUE(Run({"loadgen", "--tenants=1", "--records=0",
-                   "--registry-mb=4", "--max-pending=2", "--slow-ms=5"},
+                   "--registry-mb=4", "--slow-ms=5"},
                   &output)
                   .ok())
       << output;

@@ -1,16 +1,16 @@
 // Tests for the network serving subsystem: the frame codec (every
 // malformed wire input — truncated at every prefix, bit-flipped, wrong
 // magic, other version, oversized body, seeded header mutations — is a
-// Status, never an abort),
-// the token-bucket rate limiter under a fake clock, and the daemon
-// itself over loopback TCP: byte-identical to a direct DatasetSession at
-// every worker-thread count, resilient to hostile frames / shed requests
-// / injected store faults (each answers a protocol error while the
-// process keeps serving), and drain→restart→resume preserving every
-// tenant's state exactly.
+// Status, never an abort), and the daemon itself over loopback TCP:
+// byte-identical to a direct DatasetSession at every event-loop count,
+// answering each connection in request order, pausing reads instead of
+// shedding, resilient to hostile frames / shed requests / injected store
+// faults (each answers a protocol error while the process keeps
+// serving), and drain→restart→resume preserving every tenant's state
+// exactly.
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -850,12 +851,12 @@ TEST(ServerTest, StartRejectsAThreadCountPastTheEngineLimit) {
   EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
 }
 
-// A frame's ttl_ms is its job's deadline. On a one-worker daemon, an
-// ingest pipelined behind a tenant's first 9-attribute Gaussian
-// reconstruct waits in the queue past a 1 ms ttl: it answers
-// kDeadlineExceeded without running, folds nothing, and the connection
-// keeps serving. A fast machine may finish the fit inside the ttl, so the
-// pair is retried on fresh tenants until one expires.
+// A frame's ttl_ms deadline counts from the read that completed it. On a
+// one-loop daemon, an ingest pipelined behind a tenant's first
+// 9-attribute Gaussian reconstruct waits on the loop past a 1 ms ttl: it
+// answers kDeadlineExceeded without running, folds nothing, and the
+// connection keeps serving. A fast machine may finish the fit inside the
+// ttl, so the pair is retried on fresh tenants until one expires.
 TEST(ServerTest, RequestQueuedPastItsTtlAnswersDeadlineExceeded) {
   Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(1));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -918,9 +919,9 @@ TEST(ServerTest, RequestQueuedPastItsTtlAnswersDeadlineExceeded) {
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
-// Stop waits for every request the loop already dispatched before it
-// checkpoints: a fit and an ingest queued behind it on the one worker
-// both answer, and the capture holds the ingest.
+// Stop waits for every request the loop already read before it
+// checkpoints: a fit and an ingest behind it on the one loop both
+// answer, and the capture holds the ingest.
 TEST(ServerTest, StopFinishesDispatchedRequestsBeforeCheckpointing) {
   TempDir dir;
   ServerOptions options = LoopbackOptions(1);
@@ -973,14 +974,29 @@ TEST(ServerTest, StopFinishesDispatchedRequestsBeforeCheckpointing) {
   ASSERT_TRUE(restarted.value()->Stop().ok());
 }
 
-// max_pending is the server-wide in-flight count at which reads pause,
-// not a shedding gate: four clients pipelining ingests and reconstructs
-// into a two-worker daemon held to one in-flight request all get OK
-// answers, nothing is shed, and the loop pauses reads.
-TEST(ServerTest, MaxPendingPausesReadsAndShedsNothing) {
-  ServerOptions options = LoopbackOptions(2);
-  options.max_pending = 1;
-  Result<std::unique_ptr<Server>> server = Server::Start(options);
+/// Clears O_NONBLOCK on a test client's socket.
+void SetBlocking(int fd) {
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK), 0);
+}
+
+/// One response frame, or a failure when none arrives within `timeout_ms`
+/// (a stuck loop fails the test instead of hanging it).
+Result<Frame> ReadFrameWithin(Client& client, int timeout_ms) {
+  pollfd readable{client.fd(), POLLIN, 0};
+  if (::poll(&readable, 1, timeout_ms) != 1) {
+    return Status::DeadlineExceeded("no response within the timeout");
+  }
+  return client.ReadFrame();
+}
+
+// Backpressure on a one-loop daemon: a client that pipelines and never
+// reads fills the daemon's send path with stats answers, the loop pauses
+// the connection's reads (ppdm_net_read_pauses_total), and TCP then fills
+// the client's send path with ingests until its sends block. Nothing is
+// shed, a second connection on the same loop is still answered, and once
+// the client reads, every request it sent is answered, in order.
+TEST(ServerTest, UnreadResponsesPauseReadsAndShedNothing) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(1));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const int port = server.value()->port();
   obs::Counter* shed_jobs = obs::MetricsRegistry::Global().GetCounter(
@@ -990,58 +1006,94 @@ TEST(ServerTest, MaxPendingPausesReadsAndShedsNothing) {
   const std::uint64_t shed_before = shed_jobs->Value();
   const std::uint64_t pauses_before = read_pauses->Value();
 
+  Result<Client> client = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2)).ok());
   std::size_t num_cols = 0;
-  const std::vector<double> rows = PerturbedRows(64, &num_cols);
-  const std::string ingest = FullIngestBody(64, num_cols, rows);
-  constexpr int kClients = 4;
-  constexpr std::uint64_t kRounds = 10;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (std::uint64_t tenant = 1; tenant <= kClients; ++tenant) {
-    clients.emplace_back([&, tenant] {
-      Result<Client> client = Client::Connect("127.0.0.1", port);
-      if (!client.ok() ||
-          !client.value().Open(tenant, BenchmarkDatasetSpec(2)).ok()) {
-        ++failures;
-        return;
+  const std::vector<double> rows = PerturbedRows(1000, &num_cols);
+  const std::string ingest = FullIngestBody(1000, num_cols, rows);
+
+  // Stats frames (tiny, each answered with the whole exposition) until
+  // the loop pauses, then ingest frames (~96 KB each) until a send has
+  // found no room for 300 ms. A stats frame goes only once the loop has
+  // written the last one's answer, so no backlog of renders piles up.
+  // `complete` counts the frames written whole.
+  obs::Counter* bytes_written = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_net_bytes_written_total");
+  const auto paused = [&] { return read_pauses->Value() > pauses_before; };
+  const int fd = client.value().fd();
+  ASSERT_TRUE(SetNonBlocking(fd).ok());
+  std::vector<Verb> verbs;  // verbs[i] is request id i + 1's
+  std::string frame;
+  std::size_t frame_pos = 0;
+  std::size_t complete = 0;
+  std::uint64_t written = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (true) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the client's sends never blocked";
+    if (frame_pos == frame.size()) {
+      if (!verbs.empty() && verbs.back() == Verb::kStats && !paused() &&
+          bytes_written->Value() == written) {
+        std::this_thread::yield();
+        continue;
       }
-      for (std::uint64_t round = 0; round < kRounds; ++round) {
-        // Three frames in one write: the loop meets the second while the
-        // first is still in flight.
-        const std::uint64_t id = 3 * round;
-        if (!client.value()
-                 .SendRaw(EncodeFrame(Verb::kIngest, id, tenant, 0, ingest) +
-                          EncodeFrame(Verb::kIngest, id + 1, tenant, 0,
-                                      ingest) +
-                          EncodeFrame(Verb::kReconstruct, id + 2, tenant, 0,
-                                      ""))
-                 .ok()) {
-          ++failures;
-          return;
-        }
-        for (std::uint64_t f = 0; f < 3; ++f) {
-          Result<Frame> response = client.value().ReadFrame();
-          if (!response.ok() || response.value().header.request_id != id + f) {
-            ++failures;
-            return;
-          }
-          Result<ResponseBody> envelope =
-              DecodeResponseBody(response.value().body);
-          if (!envelope.ok() || !envelope.value().status.ok()) ++failures;
-        }
-      }
-      Result<OpenResult> reopened =
-          client.value().Open(tenant, BenchmarkDatasetSpec(2));
-      if (!reopened.ok() ||
-          reopened.value().record_count != 2 * kRounds * 64) {
-        ++failures;
-      }
-    });
+      const std::uint64_t id = verbs.size() + 1;
+      verbs.push_back(paused() ? Verb::kIngest : Verb::kStats);
+      frame = verbs.back() == Verb::kIngest
+                  ? EncodeFrame(Verb::kIngest, id, 1, 0, ingest)
+                  : EncodeFrame(Verb::kStats, id, 0, 0, "");
+      frame_pos = 0;
+      written = bytes_written->Value();
+    }
+    const ssize_t n = ::send(fd, frame.data() + frame_pos,
+                             frame.size() - frame_pos, MSG_NOSIGNAL);
+    if (n > 0) {
+      frame_pos += static_cast<std::size_t>(n);
+      if (frame_pos == frame.size()) complete = verbs.size();
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, /*timeout=*/300) == 0 && paused()) break;
   }
-  for (std::thread& client : clients) client.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(shed_jobs->Value(), shed_before);
   EXPECT_GT(read_pauses->Value(), pauses_before);
+  EXPECT_NE(std::count(verbs.begin(), verbs.end(), Verb::kIngest), 0);
+
+  // The paused connection holds up no other connection on its loop.
+  Result<Client> second = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(
+      second.value().SendRaw(EncodeFrame(Verb::kStats, 77, 0, 0, "")).ok());
+  Result<Frame> answered = ReadFrameWithin(second.value(), 10000);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value().header.request_id, 77u);
+
+  // Now the client reads: every whole frame is answered in order (and a
+  // frame cut mid-send once its rest follows).
+  SetBlocking(fd);
+  std::uint64_t folded = 0;
+  for (std::size_t i = 0; i < verbs.size(); ++i) {
+    if (i == complete) {
+      ASSERT_TRUE(client.value()
+                      .SendRaw(std::string_view(frame).substr(frame_pos))
+                      .ok());
+    }
+    Result<Frame> response = client.value().ReadFrame();
+    ASSERT_TRUE(response.ok()) << i << ": " << response.status().ToString();
+    ASSERT_EQ(response.value().header.request_id, i + 1);
+    Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+    ASSERT_TRUE(envelope.ok());
+    ASSERT_TRUE(envelope.value().status.ok())
+        << envelope.value().status.ToString();
+    if (verbs[i] == Verb::kIngest) {
+      folded += 1000;
+      store::Reader reader(envelope.value().payload);
+      EXPECT_EQ(reader.ReadU64().value(), folded) << i;
+    }
+  }
+  EXPECT_EQ(shed_jobs->Value(), shed_before);
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
@@ -1193,21 +1245,15 @@ TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
   }
 }
 
-// Pipelined frames past the connection window: backpressure pauses the
-// daemon's reads, TCP pushes back, and every request id is answered
-// exactly once. A two-worker daemon whose reads pause after a single
-// in-flight request and a one-worker daemon held only by
-// kConnectionWindow run one of the connection's jobs at a time, so they
-// also answer in request order. A two-worker daemon with no pause mark
-// finishes in-flight requests in any order: there the echoed request id
-// is the only correlation a pipelining client may rely on, and the ids
-// are compared as a set, never in order.
-TEST(ServerTest, PipelinedFramesPastTheWindowAnswerEveryRequestIdOnce) {
+// Forty ingests pipelined in one write and read only afterwards: at every
+// loop count each request id is answered exactly once, in request order,
+// with the tenant's running record count.
+TEST(ServerTest, PipelinedIngestsAnswerInRequestOrderAtEveryLoopCount) {
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(50, &num_cols);
-  const std::string ingest_body =
-      FullIngestBody(rows.size() / num_cols, num_cols, rows);
-  const int kPipelined = 2 * static_cast<int>(kConnectionWindow) + 8;
+  const std::size_t batch_rows = rows.size() / num_cols;
+  const std::string ingest_body = FullIngestBody(batch_rows, num_cols, rows);
+  constexpr int kPipelined = 40;
   std::string burst;
   std::vector<std::uint64_t> sent;
   for (int i = 0; i < kPipelined; ++i) {
@@ -1216,18 +1262,11 @@ TEST(ServerTest, PipelinedFramesPastTheWindowAnswerEveryRequestIdOnce) {
     sent.push_back(100 + i);
   }
 
-  struct Shape {
-    std::size_t threads;
-    std::size_t max_pending;
-    bool in_order;
-  };
-  for (const Shape shape :
-       {Shape{2, 1, true}, Shape{1, 0, true}, Shape{2, 0, false}}) {
-    SCOPED_TRACE(testing::Message() << shape.threads << " workers, "
-                                    << "max_pending " << shape.max_pending);
-    ServerOptions options = LoopbackOptions(shape.threads);
-    options.max_pending = shape.max_pending;
-    Result<std::unique_ptr<Server>> server = Server::Start(options);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    Result<std::unique_ptr<Server>> server =
+        Server::Start(LoopbackOptions(threads));
     ASSERT_TRUE(server.ok());
     Result<Client> client = Client::Connect("127.0.0.1",
                                             server.value()->port());
@@ -1244,25 +1283,76 @@ TEST(ServerTest, PipelinedFramesPastTheWindowAnswerEveryRequestIdOnce) {
       Result<ResponseBody> envelope =
           DecodeResponseBody(response.value().body);
       ASSERT_TRUE(envelope.ok());
-      EXPECT_TRUE(envelope.value().status.ok())
+      ASSERT_TRUE(envelope.value().status.ok())
           << envelope.value().status.ToString();
+      store::Reader reader(envelope.value().payload);
+      EXPECT_EQ(reader.ReadU64().value(), (i + 1) * batch_rows) << i;
     }
-    if (shape.in_order) {
-      EXPECT_EQ(answered, sent);
-    }
-    std::sort(answered.begin(), answered.end());
     EXPECT_EQ(answered, sent);
     ASSERT_TRUE(server.value()->Stop().ok());
   }
 }
 
+// A peer that stops mid-frame holds no loop. On a two-loop daemon,
+// connections 0 and 1 (dealt to loops 0 and 1) each send half an open
+// frame; fresh connections 2 and 3, dealt to the same two loops, are
+// answered at once. The held frames then complete and answer too.
+TEST(ServerTest, HalfAFrameOnEachLoopDelaysNoFreshConnection) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  store::Writer spec;
+  store::EncodeDatasetSessionSpec(BenchmarkDatasetSpec(2), &spec);
+
+  std::vector<Client> holders;
+  std::vector<std::string> frames;
+  for (std::uint64_t tenant = 1; tenant <= 2; ++tenant) {
+    Result<Client> holder = Client::Connect("127.0.0.1", port);
+    ASSERT_TRUE(holder.ok());
+    frames.push_back(EncodeFrame(Verb::kOpen, /*request_id=*/tenant, tenant,
+                                 /*ttl_ms=*/0, spec.bytes()));
+    ASSERT_TRUE(holder.value()
+                    .SendRaw(std::string_view(frames.back())
+                                 .substr(0, frames.back().size() / 2))
+                    .ok());
+    holders.push_back(std::move(holder).value());
+  }
+
+  for (int fresh = 0; fresh < 2; ++fresh) {
+    SCOPED_TRACE(fresh);
+    Result<Client> client = Client::Connect("127.0.0.1", port);
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(
+        client.value().SendRaw(EncodeFrame(Verb::kStats, 9, 0, 0, "")).ok());
+    Result<Frame> response = ReadFrameWithin(client.value(), 5000);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().header.request_id, 9u);
+  }
+
+  for (std::size_t h = 0; h < holders.size(); ++h) {
+    SCOPED_TRACE(h);
+    ASSERT_TRUE(holders[h]
+                    .SendRaw(std::string_view(frames[h])
+                                 .substr(frames[h].size() / 2))
+                    .ok());
+    Result<Frame> response = ReadFrameWithin(holders[h], 5000);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().header.request_id, h + 1);
+    Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+    ASSERT_TRUE(envelope.ok());
+    EXPECT_TRUE(envelope.value().status.ok())
+        << envelope.value().status.ToString();
+  }
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
 // The input buffer under every shape of arrival: a burst of small frames
 // (many frames parsed out of one buffer), frames far larger than one
 // read, and the whole stream cut into odd-sized writes so headers and
-// bodies split anywhere. Inline execution parses every buffered frame in
-// one pass; on workers a max_pending of 1 pauses after each frame, so the
-// read offset walks the buffer one frame per wakeup. Both answer in request
-// order, with the tenant's running record count.
+// bodies split anywhere. Each loop answers every frame a read completes
+// before it reads again, so the read offset walks the buffer as the
+// writes land. One loop and two answer in request order, with the
+// tenant's running record count.
 TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(6000, &num_cols);
@@ -1296,7 +1386,6 @@ TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
   for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
     SCOPED_TRACE(threads);
     ServerOptions options = LoopbackOptions(threads);
-    options.max_pending = 1;
     Result<std::unique_ptr<Server>> server = Server::Start(options);
     ASSERT_TRUE(server.ok());
     Result<Client> client =
