@@ -60,7 +60,7 @@ bool SameMasses(const reconstruct::Reconstruction& a,
   return a.masses.size() == b.masses.size() &&
          std::memcmp(a.masses.data(), b.masses.data(),
                      a.masses.size() * sizeof(double)) == 0 &&
-         a.log_likelihood_trace == b.log_likelihood_trace;
+         a.iterations == b.iterations;
 }
 
 }  // namespace

@@ -177,8 +177,8 @@ class DatasetSession {
   /// attribute over the pool, byte-identical to Fit over each
   /// concatenated column, memoizes the masses and returns the fits
   /// unchanged. Otherwise it runs no EM and returns the memoized masses
-  /// with `iterations` 0, empty traces and `sample_count` = the rows they
-  /// were fitted from. An empty session yields the uniform distribution.
+  /// with `iterations` 0 and `sample_count` = the rows they were fitted
+  /// from. An empty session yields the uniform distribution.
   /// Byte-identical at any thread count.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
 

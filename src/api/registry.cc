@@ -263,7 +263,10 @@ bool SessionRegistry::Close(const std::string& name) {
     // Close retries the Drop, but the session is closed: it leaves the
     // open set and the spill ledger, and the failure shows in the counter.
     existed = true;
-    if (!options_.spill->Drop(name).ok()) ++spill_failures_;
+    if (!options_.spill->Drop(name).ok()) {
+      ++spill_failures_;
+      RegistryMetrics::Get().spill_failures.Increment();
+    }
   }
   spilled_.erase(name);
   UpdateGaugesLocked();

@@ -313,7 +313,6 @@ const char* UsageText() {
       "              [--intervals=K] [--print-tree] [--threads=T]\n"
       "  snapshot    --dir=DIR                      list stored snapshots\n"
       "  restore     --dir=DIR --name=NAME [--reconstruct] [--print-masses]\n"
-      "              [--threads=T]\n"
       "  served      [--host=H] [--port=P] [--threads=T] [--registry-mb=M]\n"
       "              [--checkpoint-dir=DIR] [--resume]\n"
       "              [--faults=SPEC] [--trace-out=FILE] [--slow-ms=N]\n"
@@ -621,7 +620,7 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
 
 Status RunRestore(const Args& args, std::ostream& out) {
   if (Status s = args.CheckKnown({"dir", "name", "reconstruct",
-                                  "print-masses", "threads", "simd"});
+                                  "print-masses", "simd"});
       !s.ok()) {
     return s;
   }
@@ -630,13 +629,11 @@ Status RunRestore(const Args& args, std::ostream& out) {
   if (dir.empty() || name.empty()) {
     return Status::InvalidArgument("restore needs --dir and --name");
   }
-  PPDM_ASSIGN_OR_RETURN(const std::size_t threads, ThreadsFromFlag(args));
   PPDM_ASSIGN_OR_RETURN(const store::SnapshotStore store,
                         store::SnapshotStore::Open(dir));
   PPDM_ASSIGN_OR_RETURN(const std::string bytes, store.Get(name));
-  engine::ThreadPool pool(threads);
   PPDM_ASSIGN_OR_RETURN(const std::unique_ptr<api::DatasetSession> session,
-                        store::DecodeDatasetSession(bytes, &pool));
+                        store::DecodeDatasetSession(bytes));
 
   out << StrFormat(
       "restored '%s': %llu records in %llu batches, %zu attribute(s), "

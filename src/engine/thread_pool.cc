@@ -180,9 +180,9 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
 }
 
 std::vector<ChunkRange> MakeChunks(std::size_t n, std::size_t chunk_size) {
+  PPDM_CHECK_GT(chunk_size, 0u);
   std::vector<ChunkRange> chunks;
   if (n == 0) return chunks;
-  if (chunk_size == 0) chunk_size = n;
   chunks.reserve((n + chunk_size - 1) / chunk_size);
   for (std::size_t begin = 0; begin < n; begin += chunk_size) {
     chunks.push_back(ChunkRange{begin, std::min(begin + chunk_size, n)});

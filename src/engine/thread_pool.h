@@ -82,9 +82,8 @@ struct ChunkRange {
 };
 
 /// Splits [0, n) into consecutive chunks of `chunk_size` (the last chunk may
-/// be short). chunk_size == 0 means "one chunk spanning everything" — the
-/// degenerate decomposition whose ordered merge reproduces a sequential
-/// left-to-right accumulation bit for bit. n == 0 yields no chunks.
+/// be short); chunk_size must be positive (PPDM_CHECK). n == 0 yields no
+/// chunks.
 std::vector<ChunkRange> MakeChunks(std::size_t n, std::size_t chunk_size);
 
 /// Ingestion grain: rows per binning shard, for the offline EM fit and for

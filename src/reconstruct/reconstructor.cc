@@ -90,13 +90,11 @@ Reconstruction RunEm(const std::vector<double>& weights,
   // threads never write into each other's cache lines (no false sharing).
   const std::size_t acc_stride = (stride + 7) / 8 * 8;
   simd::AlignedDoubles partial_arena(chunks.size() * acc_stride);
-  std::vector<double> partial_ll(chunks.size(), 0.0);
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     engine::ParallelFor(pool, chunks.size(), [&](std::size_t c) {
       double* local = partial_arena.data() + c * acc_stride;
       std::fill(local, local + acc_stride, 0.0);
-      double ll = 0.0;
       // One row's E-step given its density `denom` — the single-row path.
       const auto apply_row = [&](std::size_t j, const double* row,
                                  double denom) {
@@ -104,10 +102,8 @@ Reconstruction RunEm(const std::vector<double>& weights,
           // No component reaches this observation (clamped edge bin under
           // bounded noise): attribute it wholly to the nearest interval.
           local[fallback[j]] += weights[j];
-          ll += weights[j] * std::log(kTinyDensity);
           return;
         }
-        ll += weights[j] * std::log(denom);
         simd::ScaleAdd(local, row, p.data(), weights[j] / denom, stride,
                        path);
       };
@@ -132,9 +128,7 @@ Reconstruction RunEm(const std::vector<double>& weights,
         }
         double scales[4];
         for (std::size_t r = 0; r < 4; ++r) {
-          const double w = weights[live[i + r]];
-          ll += w * std::log(denoms[r]);
-          scales[r] = w / denoms[r];
+          scales[r] = weights[live[i + r]] / denoms[r];
         }
         simd::ScaleAdd4(local, rows, p.data(), scales, stride, path);
       }
@@ -142,18 +136,15 @@ Reconstruction RunEm(const std::vector<double>& weights,
         const double* row = table.Row(live[i]);
         apply_row(live[i], row, simd::Dot(row, p.data(), stride, path));
       }
-      partial_ll[c] = ll;
     });
     // Ordered fold of the chunk partials — the only place chunk results
     // meet, and it is sequential in chunk index by construction.
     std::fill(next.begin(), next.end(), 0.0);
-    double log_likelihood = 0.0;
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       const double* local = partial_arena.data() + c * acc_stride;
       for (std::size_t k = 0; k < num_intervals; ++k) {
         next[k] += local[k];
       }
-      log_likelihood += partial_ll[c];
     }
     for (std::size_t k = 0; k < num_intervals; ++k) next[k] /= total_weight;
 
@@ -164,8 +155,6 @@ Reconstruction RunEm(const std::vector<double>& weights,
     for (std::size_t k = 0; k < num_intervals; ++k) next[k] /= mass;
 
     const double chi2 = stats::ChiSquareDistance(next, p);
-    out.log_likelihood_trace.push_back(log_likelihood);
-    out.chi_square_trace.push_back(chi2);
     p.swap(next);
     ++out.iterations;
     if (chi2 < options.chi_square_epsilon) break;

@@ -4,9 +4,9 @@
 // The iterative Bayes update of §4 is, in the interval-partitioned form of
 // §4.3, exactly the EM algorithm for a finite mixture with known component
 // densities f_Y(w − m_k) and unknown weights p_k (the observation made by
-// Agrawal & Aggarwal, PODS '01). This implementation therefore exposes the
-// log-likelihood trace, whose monotone increase is EM's signature and is
-// property-tested in tests/reconstruct_test.cc.
+// Agrawal & Aggarwal, PODS '01). EM's signature, a log-likelihood that
+// never falls from one iterate to the next, is property-tested in
+// tests/reconstruct_test.cc on the iterates this implementation returns.
 
 #ifndef PPDM_RECONSTRUCT_RECONSTRUCTOR_H_
 #define PPDM_RECONSTRUCT_RECONSTRUCTOR_H_
@@ -41,15 +41,11 @@ struct Reconstruction {
   /// Estimated P(X ∈ I_k) per interval; sums to 1.
   std::vector<double> masses;
 
-  /// Number of EM iterations performed.
+  /// Number of EM iterations performed. Every fit starts from the uniform
+  /// prior, so a fit capped at `max_iterations = i` returns iterate i of a
+  /// longer fit bit for bit: a caller that wants per-iteration values
+  /// computes them from successive capped fits.
   std::size_t iterations = 0;
-
-  /// χ² between successive iterates, one entry per iteration.
-  std::vector<double> chi_square_trace;
-
-  /// Log-likelihood of the perturbed sample under the estimate, one entry
-  /// per iteration; non-decreasing (EM).
-  std::vector<double> log_likelihood_trace;
 
   /// Number of perturbed samples the estimate was fitted from.
   std::size_t sample_count = 0;

@@ -149,8 +149,6 @@ struct StreamFixture {
 bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
                               const reconstruct::Reconstruction& b) {
   return a.masses == b.masses && a.iterations == b.iterations &&
-         a.chi_square_trace == b.chi_square_trace &&
-         a.log_likelihood_trace == b.log_likelihood_trace &&
          a.sample_count == b.sample_count;
 }
 
@@ -293,8 +291,6 @@ TEST(DatasetSessionTest, RefreshWithinDeltaServesTheMemo) {
     ASSERT_TRUE(memo.ok());
     EXPECT_TRUE(SameBytes(memo.value().masses, fit.value().masses));
     EXPECT_EQ(memo.value().iterations, 0u);
-    EXPECT_TRUE(memo.value().chi_square_trace.empty());
-    EXPECT_TRUE(memo.value().log_likelihood_trace.empty());
     EXPECT_EQ(memo.value().sample_count, fitted);
   }
   EXPECT_EQ(em_iterations.Count(), fits_before);

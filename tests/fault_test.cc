@@ -110,8 +110,6 @@ std::vector<double> PerturbedRows(std::size_t num_records,
 bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
                               const reconstruct::Reconstruction& b) {
   return a.masses == b.masses && a.iterations == b.iterations &&
-         a.chi_square_trace == b.chi_square_trace &&
-         a.log_likelihood_trace == b.log_likelihood_trace &&
          a.sample_count == b.sample_count;
 }
 

@@ -120,6 +120,31 @@ bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+// Iterate i of `rec`'s EM on `perturbed`: the uniform prior at i = 0, else
+// the fit capped at i iterations. Every fit starts from the uniform prior,
+// so this is the i-th estimate of any fit that ran at least i iterations.
+std::vector<double> Iterate(const BayesReconstructor& rec,
+                            const std::vector<double>& perturbed,
+                            const Partition& p, std::size_t i) {
+  if (i == 0) {
+    return std::vector<double>(p.intervals(),
+                               1.0 / static_cast<double>(p.intervals()));
+  }
+  ReconstructionOptions capped = rec.options();
+  capped.max_iterations = i;
+  return BayesReconstructor(rec.noise(), capped).Fit(perturbed, p).masses;
+}
+
+// χ² between a fit's estimate and the iterate before it: the statistic
+// its last iteration tested against the stopping threshold (RunEm's
+// padding lanes are zeros, which ChiSquareDistance skips).
+double LastChiSquare(const BayesReconstructor& rec,
+                     const std::vector<double>& perturbed, const Partition& p,
+                     const Reconstruction& fit) {
+  return stats::ChiSquareDistance(
+      fit.masses, Iterate(rec, perturbed, p, fit.iterations - 1));
+}
+
 TEST(ReconstructorTest, NoNoiseGivesExactHistogram) {
   // With kNone noise the fit is the exact histogram over the partition:
   // each value counted in Partition::IntervalOf, values at or beyond the
@@ -162,7 +187,7 @@ class ReconstructionProperty : public ::testing::TestWithParam<ReconCase> {
     const stats::PlateauDistribution truth(0.0, 1.0, 0.25);
     noise_ = std::make_unique<NoiseModel>(perturb::NoiseForPrivacy(
         GetParam().noise, GetParam().privacy, 1.0, 0.95));
-    std::vector<double> perturbed(n);
+    perturbed_.resize(n);
     truth_hist_ = std::make_unique<stats::Histogram>(0.0, 1.0, 20);
     perturbed_hist_ = std::make_unique<stats::Histogram>(0.0, 1.0, 20);
     for (std::size_t i = 0; i < n; ++i) {
@@ -170,12 +195,38 @@ class ReconstructionProperty : public ::testing::TestWithParam<ReconCase> {
       const double w = x + noise_->Sample(&rng);
       truth_hist_->Add(x);
       perturbed_hist_->Add(w);
-      perturbed[i] = w;
+      perturbed_[i] = w;
     }
-    const BayesReconstructor rec(*noise_, {});  // default stopping rule
-    result_ = rec.Fit(perturbed, Partition(0.0, 1.0, 20));
+    // Default stopping rule.
+    rec_ = std::make_unique<BayesReconstructor>(*noise_,
+                                                ReconstructionOptions{});
+    result_ = rec_->Fit(perturbed_, partition_);
   }
 
+  // Log-likelihood of the binned perturbed sample under `masses`, the
+  // objective EM climbs: sum_j w_j log(sum_k T[j][k] masses[k]) over the
+  // w-bins of PerturbedBinning, T the kernel table. A row no component
+  // reaches scores log(1e-300), the E-step's dead-row floor.
+  double LogLikelihood(const std::vector<double>& masses) const {
+    stats::Histogram counts(rec_->PerturbedBinning(partition_));
+    counts.AddAll(perturbed_);
+    const KernelTable table = rec_->BuildKernelTable(partition_);
+    double ll = 0.0;
+    for (std::size_t j = 0; j < table.wbins; ++j) {
+      const double w = static_cast<double>(counts.counts()[j]);
+      if (w == 0.0) continue;
+      double density = 0.0;
+      for (std::size_t k = 0; k < masses.size(); ++k) {
+        density += table.Row(j)[k] * masses[k];
+      }
+      ll += w * std::log(std::max(density, 1e-300));
+    }
+    return ll;
+  }
+
+  const Partition partition_{0.0, 1.0, 20};
+  std::vector<double> perturbed_;
+  std::unique_ptr<BayesReconstructor> rec_;
   std::unique_ptr<NoiseModel> noise_;
   std::unique_ptr<stats::Histogram> truth_hist_;
   std::unique_ptr<stats::Histogram> perturbed_hist_;
@@ -194,11 +245,19 @@ TEST_P(ReconstructionProperty, MassesFormADistribution) {
 
 TEST_P(ReconstructionProperty, LogLikelihoodIsMonotone) {
   Run();
-  const auto& trace = result_.log_likelihood_trace;
-  ASSERT_GE(trace.size(), 2u);
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_GE(trace[i], trace[i - 1] - 1e-6)
+  ASSERT_GE(result_.iterations, 2u);
+  double previous = LogLikelihood(Iterate(*rec_, perturbed_, partition_, 0));
+  for (std::size_t i = 1; i <= result_.iterations; ++i) {
+    const std::vector<double> iterate =
+        Iterate(*rec_, perturbed_, partition_, i);
+    const double ll = LogLikelihood(iterate);
+    EXPECT_GE(ll, previous - 1e-6)
         << "EM log-likelihood decreased at iteration " << i;
+    previous = ll;
+    if (i == result_.iterations) {
+      EXPECT_TRUE(BytesEqual(iterate, result_.masses))
+          << "a fit capped at its own iteration count must reproduce it";
+    }
   }
 }
 
@@ -213,11 +272,11 @@ TEST_P(ReconstructionProperty, BeatsPerturbedHistogram) {
   EXPECT_LT(recon_err, 0.15);
 }
 
-TEST_P(ReconstructionProperty, ChiSquareTraceEndsSmall) {
+TEST_P(ReconstructionProperty, FinalChiSquareIsSmall) {
   Run();
-  ASSERT_FALSE(result_.chi_square_trace.empty());
+  ASSERT_GE(result_.iterations, 1u);
   // Either converged below epsilon or hit the cap with a small statistic.
-  EXPECT_LT(result_.chi_square_trace.back(), 1e-3);
+  EXPECT_LT(LastChiSquare(*rec_, perturbed_, partition_, result_), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -291,9 +350,11 @@ TEST(ReconstructorTest, StopsEarlyWhenConverged) {
   options.max_iterations = 500;
   options.chi_square_epsilon = 1e-6;
   const BayesReconstructor rec(noise, options);
-  const Reconstruction r = rec.Fit(perturbed, Partition(0.0, 1.0, 10));
+  const Partition p(0.0, 1.0, 10);
+  const Reconstruction r = rec.Fit(perturbed, p);
   EXPECT_LT(r.iterations, 500u);
-  EXPECT_LT(r.chi_square_trace.back(), 1e-6);
+  ASSERT_GE(r.iterations, 1u);
+  EXPECT_LT(LastChiSquare(rec, perturbed, p, r), 1e-6);
 }
 
 TEST(ReconstructorTest, SampleCountIsRecorded) {
@@ -351,15 +412,13 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
             rec.Fit(w, p, threads == 0 ? nullptr : &pool);
         EXPECT_TRUE(BytesEqual(got.masses, reference.masses))
             << "path=" << simd::PathName(path) << " threads=" << threads;
-        EXPECT_EQ(got.log_likelihood_trace, reference.log_likelihood_trace)
-            << "path=" << simd::PathName(path) << " threads=" << threads;
       }
     }
   }
 }
 
 // The one-decomposition invariant: Fit with no pool and Fit over a pool
-// agree bytewise — masses and log-likelihood trace — for every pool size
+// agree bytewise for every pool size
 // and every SIMD path. 100 intervals under U(0.3) give 160 w-bins, so the
 // E-step spans several kEmChunkBins chunks.
 TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
@@ -384,9 +443,6 @@ TEST(SimdDeterminismProperty, FitIsPoolInvariantBytewise) {
       const Reconstruction got = rec.Fit(w, p, pool);
       const std::size_t threads = pool == nullptr ? 0 : pool->size();
       EXPECT_TRUE(BytesEqual(got.masses, fit.masses))
-          << "path=" << simd::PathName(path) << " threads=" << threads;
-      EXPECT_TRUE(
-          BytesEqual(got.log_likelihood_trace, fit.log_likelihood_trace))
           << "path=" << simd::PathName(path) << " threads=" << threads;
     }
   }
@@ -513,10 +569,8 @@ Reconstruction SingleRowEm(const KernelTable& table,
   Reconstruction out;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     std::vector<double> next(stride, 0.0);
-    double log_likelihood = 0.0;
     for (std::size_t begin = 0; begin < table.wbins; begin += 32) {
       std::vector<double> local(stride, 0.0);
-      double ll = 0.0;
       for (std::size_t j = begin; j < std::min(begin + 32, table.wbins);
            ++j) {
         const double w = weights[j];
@@ -524,23 +578,18 @@ Reconstruction SingleRowEm(const KernelTable& table,
         const double denom = simd::Dot(table.Row(j), p.data(), stride, path);
         if (denom <= kTiny) {
           local[table.fallback[j]] += w;
-          ll += w * std::log(kTiny);
           continue;
         }
-        ll += w * std::log(denom);
         simd::ScaleAdd(local.data(), table.Row(j), p.data(), w / denom,
                        stride, path);
       }
       for (std::size_t k = 0; k < table.intervals; ++k) next[k] += local[k];
-      log_likelihood += ll;
     }
     for (std::size_t k = 0; k < table.intervals; ++k) next[k] /= total;
     double mass = 0.0;
     for (std::size_t k = 0; k < table.intervals; ++k) mass += next[k];
     for (std::size_t k = 0; k < table.intervals; ++k) next[k] /= mass;
     const double chi2 = stats::ChiSquareDistance(next, p);
-    out.log_likelihood_trace.push_back(log_likelihood);
-    out.chi_square_trace.push_back(chi2);
     p.swap(next);
     ++out.iterations;
     if (chi2 < options.chi_square_epsilon) break;
@@ -611,11 +660,6 @@ TEST(KernelTableTest, FourRowEStepEqualsSingleRowEm) {
             " pool=" + (maybe_pool == nullptr ? "none" : "2");
         EXPECT_EQ(got.iterations, want.iterations) << where;
         EXPECT_TRUE(BytesEqual(got.masses, want.masses)) << where;
-        EXPECT_TRUE(
-            BytesEqual(got.log_likelihood_trace, want.log_likelihood_trace))
-            << where;
-        EXPECT_TRUE(BytesEqual(got.chi_square_trace, want.chi_square_trace))
-            << where;
       }
     }
   }
@@ -689,7 +733,6 @@ TEST(ReconstructorTest, TinyDensityFallbackAbsorbsDeadBins) {
   EXPECT_NEAR(total, 1.0, 1e-12);
   // The fallback interval of the leftmost bin is interval 0.
   EXPECT_GT(r.masses[0], 0.99);
-  for (double ll : r.log_likelihood_trace) EXPECT_TRUE(std::isfinite(ll));
 }
 
 TEST(ReconstructorTest, NoNoiseEmptyInputYieldsUniform) {
