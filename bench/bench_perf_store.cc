@@ -5,11 +5,15 @@
 // encode / store put / store get / decode+restore throughput as the
 // session grows (attribute count), and the registry's spill path —
 // re-admission latency of a TryLookup served from disk vs. one served
-// from RAM. Ends with the round-trip equivalence cross-check (restore,
-// continue, byte-compare against the never-snapshotted session). Honours
-// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke); the codec rows
-// and a machine fingerprint go to PPDM_BENCH_JSON as NDJSON.
+// from RAM, and the daemon's drain of 64 tenants that overflow a 1 MiB
+// registry (wall time of Server::Stop, store puts and re-admissions).
+// Ends with the round-trip equivalence cross-check (restore, continue,
+// byte-compare against the never-snapshotted session). Honours
+// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke); the codec rows,
+// the drain row and a machine fingerprint go to PPDM_BENCH_JSON as
+// NDJSON.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -26,7 +30,10 @@
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
 #include "engine/simd.h"
+#include "net/client.h"
 #include "net/frame.h"
+#include "net/server.h"
+#include "obs/metrics.h"
 #include "perturb/randomizer.h"
 #include "store/codec.h"
 #include "store/session_codec.h"
@@ -176,6 +183,86 @@ void RunCodecRows() {
   std::printf("\n");
 }
 
+/// The drain of a daemon whose tenants overflow its budget: 64 tenants
+/// of 9 uniform attributes at 100 intervals, 40 rows each, under a
+/// 1 MiB registry, so Stop() finds some resident and some spilled.
+/// Times Stop() on fresh daemons and prints the median wall time with
+/// the store puts and re-admissions one drain makes. Returns false when
+/// a daemon cannot be driven.
+bool RunDrainRow(const std::string& dir) {
+  constexpr std::uint64_t kTenants = 64;
+  constexpr std::size_t kRows = 40;
+  constexpr int kRuns = 7;
+  api::DatasetSessionSpec spec = SpecFor(synth::BenchmarkSchema(), 9);
+  for (api::AttributeSpec& attr : spec.attributes) attr.intervals = 100;
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = bench::PerturbedRowMajor(
+      kTenants * kRows, synth::Function::kF1, 20000607, 99, &num_cols);
+  const obs::Counter& puts =
+      *obs::MetricsRegistry::Global().GetCounter("ppdm_store_puts_total");
+
+  std::vector<double> seconds;
+  std::uint64_t drain_puts = 0, readmissions = 0;
+  std::size_t resident = 0, spilled = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    std::filesystem::remove_all(dir);
+    net::ServerOptions options;
+    options.checkpoint_dir = dir;
+    options.registry_max_bytes = std::size_t{1} << 20;
+    Result<std::unique_ptr<net::Server>> server = net::Server::Start(options);
+    if (!server.ok()) return false;
+    {
+      Result<net::Client> client =
+          net::Client::Connect("127.0.0.1", server.value()->port());
+      if (!client.ok()) return false;
+      for (std::uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+        const std::vector<double> slice(
+            rows.begin() + tenant * kRows * num_cols,
+            rows.begin() + (tenant + 1) * kRows * num_cols);
+        if (!client.value().Open(tenant, spec).ok() ||
+            !client.value().Ingest(tenant, kRows, num_cols, slice).ok()) {
+          return false;
+        }
+      }
+    }
+    const api::SessionRegistry::Stats before =
+        server.value()->registry_stats();
+    const std::uint64_t puts_before = puts.Value();
+    bool stopped = false;
+    seconds.push_back(bench::WallSeconds(
+        [&] { stopped = server.value()->Stop().ok(); }));
+    if (!stopped || server.value()->drained_checkpoints() != kTenants) {
+      return false;
+    }
+    drain_puts = puts.Value() - puts_before;
+    readmissions =
+        server.value()->registry_stats().readmissions - before.readmissions;
+    resident = before.open_sessions;
+    spilled = before.spilled_sessions;
+  }
+  std::vector<double> sorted = seconds;
+  std::sort(sorted.begin(), sorted.end());
+  const double p50 = sorted[sorted.size() / 2];
+  const std::string label = "drain 64 tenants under 1 MiB";
+  std::printf("%-36s %8.2f ms p50 (min %.2f), %llu put(s), "
+              "%llu readmission(s); %zu resident, %zu spilled\n",
+              label.c_str(), 1e3 * p50, 1e3 * sorted.front(),
+              static_cast<unsigned long long>(drain_puts),
+              static_cast<unsigned long long>(readmissions), resident,
+              spilled);
+  bench::EmitBenchJson(
+      "perf_store", label,
+      {{"seconds", sorted.front()},
+       {"seconds_p50", p50},
+       {"samples", static_cast<double>(sorted.size())},
+       {"store_puts", static_cast<double>(drain_puts)},
+       {"readmissions", static_cast<double>(readmissions)},
+       {"resident", static_cast<double>(resident)},
+       {"spilled", static_cast<double>(spilled)}});
+  std::filesystem::remove_all(dir);
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -186,6 +273,12 @@ int main() {
   std::printf("records=%zu  K=%zu  hardware threads=%u\n\n", records,
               kIntervals, std::thread::hardware_concurrency());
   RunCodecRows();
+  if (!RunDrainRow((std::filesystem::temp_directory_path() /
+                    "ppdm_bench_store_drain")
+                       .string())) {
+    std::printf("FAILED to drive the drain daemon\n");
+    return 1;
+  }
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ppdm_bench_store").string();

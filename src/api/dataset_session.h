@@ -35,7 +35,7 @@
 // request.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
-// request jobs, and a SessionRegistry may evict (drop) the session while
+// threads (a daemon's event loops), and a SessionRegistry may evict (drop) the session while
 // either is in flight — callers hold the session via shared_ptr, so an
 // evicted session simply finishes its in-flight calls and dies with the
 // last reference. Ingestion bins outside the session lock and holds it

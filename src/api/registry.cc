@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "obs/metrics.h"
 
 namespace ppdm::api {
@@ -39,6 +40,13 @@ struct RegistryMetrics {
     return *metrics;
   }
 };
+
+// Fails a demotion before any bytes are encoded: the registry must keep
+// the session resident. Checkpoints do not fire it.
+fault::FaultPoint& DemoteFault() {
+  static fault::FaultPoint& point = fault::Point("spill.demote");
+  return point;
+}
 
 obs::Histogram& AdmitSecondsHistogram() {
   static obs::Histogram& histogram =
@@ -75,8 +83,11 @@ SessionRegistry::DemoteLocked(
     if (entry.spill_failures > 0 && Now() < entry.spill_retry_after) {
       return std::next(victim);
     }
+    const Status injected = DemoteFault().Fire();
     const Result<std::uint64_t> spilled =
-        options_.spill->Spill(victim->first, *victim->second.session);
+        injected.ok()
+            ? options_.spill->Spill(victim->first, *victim->second.session)
+            : Result<std::uint64_t>(injected);
     if (!spilled.ok()) {
       // Graceful degradation: keep the session resident (over budget if
       // need be) rather than destroy evidence the backend failed to
@@ -112,8 +123,7 @@ std::size_t SessionRegistry::TotalBytesLocked() const {
 }
 
 bool SessionRegistry::NameTakenLocked(const std::string& name) const {
-  return entries_.count(name) != 0 ||
-         (options_.spill != nullptr && options_.spill->Contains(name));
+  return entries_.count(name) != 0 || spilled_.count(name) != 0;
 }
 
 void SessionRegistry::EnforceBudgetLocked(const std::string& keep) {
@@ -190,6 +200,14 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::Open(
     return Status::FailedPrecondition("session '" + name +
                                       "' is already open");
   }
+  if (options_.spill != nullptr) {
+    // A capture this registry does not hold (a previous process's, not
+    // handed over) is stale: the fresh open supersedes it.
+    const Status dropped = options_.spill->Drop(name);
+    if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
+      return dropped;
+    }
+  }
   Entry& entry = entries_[name];
   entry.session = shared;
   TouchLocked(&entry);
@@ -221,7 +239,7 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::TryLookup(
     return session;
   }
   // Transparent re-admission from the spill tier.
-  if (options_.spill != nullptr && options_.spill->Contains(name)) {
+  if (spilled_.count(name) != 0) {
     obs::ScopedTimer admit_timer(&AdmitSecondsHistogram());
     Result<std::shared_ptr<DatasetSession>> admitted =
         options_.spill->Admit(name, pool_);
@@ -255,22 +273,44 @@ Result<std::shared_ptr<DatasetSession>> SessionRegistry::TryLookup(
 
 bool SessionRegistry::Close(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool resident = entries_.erase(name) != 0;
-  bool existed = resident;
-  if (options_.spill != nullptr && options_.spill->Contains(name)) {
-    // The name did exist either way. A failed Drop leaves the capture on
-    // disk, where it still blocks the name (NameTakenLocked) until a later
-    // Close retries the Drop, but the session is closed: it leaves the
-    // open set and the spill ledger, and the failure shows in the counter.
-    existed = true;
-    if (!options_.spill->Drop(name).ok()) {
+  const bool existed = entries_.erase(name) + spilled_.erase(name) != 0;
+  if (existed && options_.spill != nullptr) {
+    // A failed Drop leaves the capture on disk, never served, until the
+    // next Open of the name drops it; the session is closed either way,
+    // and the failure shows in the counter.
+    const Status dropped = options_.spill->Drop(name);
+    if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
       ++spill_failures_;
       RegistryMetrics::Get().spill_failures.Increment();
     }
   }
-  spilled_.erase(name);
   UpdateGaugesLocked();
   return existed;
+}
+
+Result<std::uint64_t> SessionRegistry::Checkpoint(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (options_.spill == nullptr) {
+    return Status::FailedPrecondition("registry has no spill tier");
+  }
+  const auto it = entries_.find(name);
+  if (it != entries_.end()) {
+    return options_.spill->Spill(name, *it->second.session);
+  }
+  const auto spilled = spilled_.find(name);
+  if (spilled != spilled_.end()) return spilled->second;
+  return Status::NotFound("no session named '" + name + "'");
+}
+
+Status SessionRegistry::AdoptCaptures() {
+  if (options_.spill == nullptr) return Status::Ok();
+  std::lock_guard<std::mutex> lock(mu_);
+  PPDM_ASSIGN_OR_RETURN(const auto captures, options_.spill->List());
+  for (const auto& [name, bytes] : captures) {
+    if (entries_.count(name) == 0) spilled_[name] = bytes;
+  }
+  UpdateGaugesLocked();
+  return Status::Ok();
 }
 
 std::vector<std::string> SessionRegistry::OpenNames() const {

@@ -4,13 +4,15 @@
 // ApproxMemoryBytes() against a configurable byte budget and evicts
 // least-recently-used sessions when the budget is exceeded.
 //
-// Spill tier: with a SessionSpill backend configured, eviction *demotes*
-// a session — its state is serialized to the backend before the in-RAM
-// entry is dropped — and TryLookup() transparently re-admits spilled
-// sessions, so hours of accumulated, privacy-perturbed evidence survive
-// memory pressure and process restarts. A spilled name still counts as
-// open: Open() refuses it, Close() drops both tiers. Without a backend,
-// eviction destroys the state (the pre-spill behaviour).
+// Spill tier: with a SessionSpill backend configured, the registry owns
+// every capture in it. Eviction *demotes* a session (its state is
+// serialized to the backend before the in-RAM entry is dropped) and
+// TryLookup() transparently re-admits it, so hours of accumulated,
+// privacy-perturbed evidence survive memory pressure and process
+// restarts. Only captures the registry holds are served: those it
+// demoted and those AdoptCaptures() took over. A spilled name still
+// counts as open: Open() refuses it, Close() drops both tiers. Without a
+// backend, eviction destroys the state (the pre-spill behaviour).
 //
 // Eviction safety: the registry hands out shared_ptr references, so
 // evicting (or Close()-ing) a session concurrently with an in-flight
@@ -25,9 +27,10 @@
 //
 // Lock order: registry mutex, then (via ApproxMemoryBytes / the spill
 // backend's ExportState) a session mutex. Sessions never call back into
-// the registry, so the order never inverts. Spill/admit I/O runs under
-// the registry mutex — re-admission latency serializes lookups; keep
-// backends fast (bench_perf_store measures this path).
+// the registry, so the order never inverts. Every spill-tier call runs
+// under the registry mutex, so two writes of one capture never
+// interleave; re-admission latency serializes lookups, so keep backends
+// fast (bench_perf_store measures this path).
 
 #ifndef PPDM_API_REGISTRY_H_
 #define PPDM_API_REGISTRY_H_
@@ -48,7 +51,7 @@
 
 namespace ppdm::api {
 
-/// Durable demotion target for registry sessions. Implementations (the
+/// Durable capture tier for registry sessions. Implementations (the
 /// store subsystem's SessionSpillStore) serialize a session's state on
 /// Spill and rebuild an equivalent session on Admit. All methods are
 /// called under the registry mutex; implementations need no locking of
@@ -71,8 +74,8 @@ class SessionSpill {
   virtual Result<std::shared_ptr<DatasetSession>> Admit(
       const std::string& name, engine::ThreadPool* pool) = 0;
 
-  /// True when a capture named `name` exists.
-  virtual bool Contains(const std::string& name) const = 0;
+  /// Every capture the backend holds, by name, with its size in bytes.
+  virtual Result<std::map<std::string, std::uint64_t>> List() const = 0;
 
   /// Discards the capture named `name` (kNotFound when absent).
   virtual Status Drop(const std::string& name) = 0;
@@ -117,8 +120,9 @@ class SessionRegistry {
 
   /// Validates `spec`, opens a session backed by the registry's pool, and
   /// registers it under `name` (kFailedPrecondition if the name is taken,
-  /// in RAM or in the spill tier). May evict/demote LRU sessions to make
-  /// room.
+  /// in RAM or in the spill tier), first discarding any capture the tier
+  /// holds under the name (the backend's Status if that fails). May
+  /// evict/demote LRU sessions to make room.
   Result<std::shared_ptr<DatasetSession>> Open(const std::string& name,
                                                const DatasetSessionSpec& spec);
 
@@ -134,13 +138,24 @@ class SessionRegistry {
   Result<std::shared_ptr<DatasetSession>> TryLookup(const std::string& name);
 
   /// Drops the registry's reference to `name` — both the in-RAM entry
-  /// and any spilled capture. Returns false when neither exists.
-  /// In-flight users holding the shared_ptr are unaffected.
+  /// and any capture of it. Returns false when the name is not open.
+  /// In-flight users holding the shared_ptr are unaffected. A capture
+  /// whose drop fails stays on disk, never served, until the next Open
+  /// of the name drops it.
   bool Close(const std::string& name);
 
-  /// Every name open in this registry, sorted: resident in RAM, or
-  /// demoted by it to the spill tier and not since re-admitted or closed.
-  /// A capture on disk that this registry never held is not listed.
+  /// Captures `name`'s current state in the spill tier and returns the
+  /// capture's size; a spilled session's capture is already current and
+  /// is not rewritten. kNotFound when the name is not open,
+  /// kFailedPrecondition without a backend.
+  Result<std::uint64_t> Checkpoint(const std::string& name);
+
+  /// Takes over every capture in the spill tier as a spilled session (the
+  /// restart path); resident names keep their RAM state.
+  Status AdoptCaptures();
+
+  /// Every name open in this registry, sorted: resident in RAM, or held
+  /// in the spill tier and not since re-admitted or closed.
   std::vector<std::string> OpenNames() const;
 
   /// Occupancy, eviction, and spill counters.
@@ -151,15 +166,13 @@ class SessionRegistry {
     std::uint64_t lookups = 0;      ///< TryLookup() calls.
     std::uint64_t hits = 0;         ///< Lookups served (RAM or re-admitted).
     std::uint64_t misses = 0;       ///< Lookups that found nothing anywhere.
-    /// Sessions this registry demoted to the spill tier and has not
-    /// since re-admitted or closed. (Checkpoints of resident sessions
-    /// written outside the registry share the directory but are not
-    /// spilled sessions and are not counted.)
+    /// Sessions held only as a spill-tier capture (demoted, or taken over
+    /// by AdoptCaptures) and not since re-admitted or closed.
     std::size_t spilled_sessions = 0;
     std::uint64_t spilled_bytes = 0;   ///< Their capture sizes in bytes.
     std::uint64_t spills = 0;          ///< Evictions demoted to the tier.
     std::uint64_t readmissions = 0;    ///< Lookups served from the tier.
-    std::uint64_t spill_failures = 0;  ///< Spill/Admit calls that errored.
+    std::uint64_t spill_failures = 0;  ///< Demote/Admit/Drop errors.
     /// Resident sessions whose last demotion attempt failed: retained
     /// (possibly over budget) rather than destroyed, awaiting their
     /// backoff window before the next attempt.
@@ -207,8 +220,8 @@ class SessionRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // guarded by mu_
-  /// Capture size per session this registry demoted and has not since
-  /// re-admitted or closed (the spill share of GetStats). Guarded by mu_.
+  /// Capture size per spilled session (the spill share of GetStats).
+  /// Guarded by mu_.
   std::map<std::string, std::uint64_t> spilled_;
   std::uint64_t tick_ = 0;                // guarded by mu_
   std::uint64_t evictions_ = 0;           // guarded by mu_

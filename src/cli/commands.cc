@@ -593,10 +593,12 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
   // One row per snapshot; corrupt files and other format versions are
   // reported as unreadable, not fatal — an operator inspecting a damaged
   // store must see the rest.
-  PPDM_ASSIGN_OR_RETURN(const std::vector<std::string> names, store.List());
+  PPDM_ASSIGN_OR_RETURN(const auto sizes, store.List());
   out << StrFormat("%-24s %8s %10s %8s %6s %10s\n", "name", "version",
                    "records", "batches", "attrs", "bytes");
-  for (const std::string& name : names) {
+  std::uint64_t total_bytes = 0;
+  for (const auto& [name, size] : sizes) {
+    total_bytes += size;
     const Result<std::string> bytes = store.Get(name);
     const Result<store::SnapshotInfo> info =
         bytes.ok() ? store::PeekDatasetSession(bytes.value())
@@ -612,8 +614,8 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
                      static_cast<unsigned long long>(info.value().batches),
                      info.value().attributes, bytes.value().size());
   }
-  out << StrFormat("%zu snapshot(s), %.1f KiB in %s\n", names.size(),
-                   static_cast<double>(store.TotalBytes()) / 1024.0,
+  out << StrFormat("%zu snapshot(s), %.1f KiB in %s\n", sizes.size(),
+                   static_cast<double>(total_bytes) / 1024.0,
                    dir.c_str());
   return Status::Ok();
 }
@@ -1127,7 +1129,7 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
       count(registry.spills), count(registry.readmissions));
   if (!options.checkpoint_dir.empty()) {
     out << StrFormat(
-        "store: %s — %llu checkpoint write(s), %llu spill(s), "
+        "store: %s — %llu checkpoint(s), %llu spill(s), "
         "%llu readmission(s), %llu spill failure(s)\n",
         options.checkpoint_dir.c_str(),
         count(snapshots_sent.load() - snapshots_failed.load() +

@@ -9,11 +9,10 @@
 // returned immediately: retrying a decode error burns attempts without
 // hope, and retrying a torn write could mask real damage.
 //
-// Determinism: backoff jitter is drawn from a seeded splitmix64 stream
-// keyed on (jitter_seed, attempt), so two runs with the same policy sleep
-// the same schedule. Tests inject a recording `sleep` and a zero-length
-// backoff; production code leaves the defaults (real sleeps, capped
-// exponential).
+// Schedule: kMaxAttempts attempts, with capped exponential backoff in
+// between. The jitter is drawn from a fixed-seed splitmix64 stream keyed
+// on the attempt, so every run sleeps the same schedule. Tests inject a
+// recording or no-op `sleep`; production code sleeps for real.
 //
 // Telemetry: every retry bumps ppdm_retry_attempts_total and every
 // exhausted policy bumps ppdm_retry_giveups_total, so a scrape shows
@@ -24,9 +23,7 @@
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "common/status.h"
 
@@ -35,26 +32,22 @@ namespace ppdm::retry {
 /// True when `status` is worth retrying (kUnavailable or kIoError).
 bool IsTransient(const Status& status);
 
-/// How many times to try and how long to wait in between.
+/// Total attempts, including the first.
+inline constexpr std::size_t kMaxAttempts = 3;
+
+/// Backoff before retry k (k = 1, 2, ...) is
+///   min(kInitialBackoff * 2^(k-1), kMaxBackoff)
+/// scaled by a deterministic jitter factor in [0.5, 1.0].
+inline constexpr std::chrono::microseconds kInitialBackoff{1000};
+inline constexpr std::chrono::microseconds kMaxBackoff{250000};
+
+/// The jittered backoff before retry `attempt` (1-based).
+std::chrono::microseconds BackoffFor(std::size_t attempt);
+
+/// How a retry loop waits between attempts.
 struct RetryPolicy {
-  /// Total attempts including the first; 0 behaves as 1 (no retries).
-  std::size_t max_attempts = 3;
-
-  /// Backoff before retry k (k = 1, 2, ...) is
-  ///   min(initial_backoff * multiplier^(k-1), max_backoff)
-  /// scaled by a deterministic jitter factor in [0.5, 1.0].
-  std::chrono::microseconds initial_backoff{1000};
-  double multiplier = 2.0;
-  std::chrono::microseconds max_backoff{250000};
-
-  /// Seed of the jitter stream; a fixed seed gives a fixed schedule.
-  std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
-
   /// Test hook: replaces std::this_thread::sleep_for when set.
   std::function<void(std::chrono::microseconds)> sleep;
-
-  /// The jittered backoff before retry `attempt` (1-based).
-  std::chrono::microseconds BackoffFor(std::size_t attempt) const;
 };
 
 namespace internal {
@@ -66,7 +59,7 @@ void CountRetry();
 void CountGiveup();
 void TouchMetrics();
 
-/// Sleeps policy.BackoffFor(attempt) via policy.sleep or the real clock.
+/// Sleeps BackoffFor(attempt) via policy.sleep or the real clock.
 void SleepFor(const RetryPolicy& policy, std::size_t attempt);
 
 inline const Status& StatusOf(const Status& status) { return status; }
@@ -77,20 +70,18 @@ Status StatusOf(const Result<T>& result) {
 
 }  // namespace internal
 
-/// Runs `op` (returning Status or Result<T>) up to policy.max_attempts
-/// times, sleeping the jittered backoff between transient failures, and
+/// Runs `op` (returning Status or Result<T>) up to kMaxAttempts times,
+/// sleeping the jittered backoff between transient failures, and
 /// returns the last attempt's value. Permanent failures return
 /// immediately; an exhausted policy returns the final transient failure
 /// (and counts a giveup).
 template <typename Fn>
 auto Retry(const RetryPolicy& policy, Fn&& op) -> decltype(op()) {
-  const std::size_t attempts =
-      policy.max_attempts == 0 ? 1 : policy.max_attempts;
   for (std::size_t attempt = 1;; ++attempt) {
     auto result = op();
     const Status status = internal::StatusOf(result);
     if (status.ok() || !IsTransient(status)) return result;
-    if (attempt >= attempts) {
+    if (attempt >= kMaxAttempts) {
       internal::CountGiveup();
       return result;
     }

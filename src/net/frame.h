@@ -26,10 +26,10 @@
 // so protocol-level failures (shed, expired, store fault)
 // travel as first-class Status values and the connection keeps serving.
 //
-// A response echoes its request's verb, request id and tenant, and that
-// echo is the only correlation a pipelining peer may rely on: the daemon
-// may answer a connection's requests out of request order (see the
-// thread model in server.h).
+// A response echoes its request's verb, request id and tenant. The
+// daemon answers a connection's requests in request order (see the
+// thread model in server.h); the echo is the correlation a pipelining
+// peer checks.
 
 #ifndef PPDM_NET_FRAME_H_
 #define PPDM_NET_FRAME_H_

@@ -154,6 +154,13 @@ Result<IngestBody> DecodeIngestBody(std::string_view body, bool tracked) {
   return ingest;
 }
 
+// The answer to a request for a tenant the registry does not hold.
+Status TenantNotOpen(std::uint64_t tenant) {
+  return Status::NotFound(
+      StrFormat("tenant %llu is not open (send an open frame first)",
+                static_cast<unsigned long long>(tenant)));
+}
+
 }  // namespace
 
 std::string TenantName(std::uint64_t tenant) {
@@ -240,7 +247,6 @@ Status Server::Init() {
   if (!options_.checkpoint_dir.empty()) {
     PPDM_ASSIGN_OR_RETURN(store::SnapshotStore store,
                           store::SnapshotStore::Open(options_.checkpoint_dir));
-    snapshots_.emplace(store);
     spill_.emplace(std::move(store));
   }
 
@@ -249,6 +255,9 @@ Status Server::Init() {
   registry_options.max_bytes = options_.registry_max_bytes;
   registry_options.spill = spill_.has_value() ? &*spill_ : nullptr;
   registry_ = std::make_unique<api::SessionRegistry>(registry_options);
+  // A resumed daemon takes over the captures on disk; any other daemon
+  // never serves them, and a tenant's first open discards its capture.
+  if (options_.resume) PPDM_RETURN_IF_ERROR(registry_->AdoptCaptures());
 
   PPDM_ASSIGN_OR_RETURN(
       listener_, ListenTcp(options_.host, options_.port, /*backlog=*/128));
@@ -294,32 +303,21 @@ Status Server::Stop() {
   for (const std::unique_ptr<EventLoop>& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  stop_status_ = CheckpointAll();
-  stopped_ = true;
-  return stop_status_;
-}
-
-Status Server::CheckpointAll() {
-  drained_checkpoints_ = 0;
-  if (!snapshots_.has_value()) return Status::Ok();
-  Status first_failure = Status::Ok();
-  for (const std::string& name : registry_->OpenNames()) {
-    Result<std::shared_ptr<api::DatasetSession>> session =
-        registry_->TryLookup(name);
-    if (!session.ok()) {
-      if (session.status().code() == StatusCode::kNotFound) continue;
-      if (first_failure.ok()) first_failure = session.status();
-      continue;
-    }
-    const std::string bytes = store::EncodeDatasetSession(*session.value());
-    if (Status put = snapshots_->Put(name, bytes); !put.ok()) {
-      if (first_failure.ok()) first_failure = put;
+  // Drain: a resident tenant's capture is written, a spilled one's is
+  // already current. The first failure is the stop status.
+  for (const std::string& name : spill_.has_value()
+                                     ? registry_->OpenNames()
+                                     : std::vector<std::string>()) {
+    const Result<std::uint64_t> captured = registry_->Checkpoint(name);
+    if (!captured.ok()) {
+      if (stop_status_.ok()) stop_status_ = captured.status();
       continue;
     }
     ++drained_checkpoints_;
     drain_checkpoints_metric_->Increment();
   }
-  return first_failure;
+  stopped_ = true;
+  return stop_status_;
 }
 
 void Server::Loop(EventLoop& loop) {
@@ -681,9 +679,7 @@ Result<std::shared_ptr<api::DatasetSession>> Server::LookupTenant(
   Result<std::shared_ptr<api::DatasetSession>> session =
       registry_->TryLookup(TenantName(tenant));
   if (!session.ok() && session.status().code() == StatusCode::kNotFound) {
-    return Status::NotFound(StrFormat(
-        "tenant %llu is not open (send an open frame first)",
-        static_cast<unsigned long long>(tenant)));
+    return TenantNotOpen(tenant);
   }
   return session;
 }
@@ -698,22 +694,13 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
   }
   const std::string name = TenantName(tenant);
 
-  const std::vector<std::string> open = registry_->OpenNames();
-  const bool known = std::binary_search(open.begin(), open.end(), name);
-  if (!known && !options_.resume && snapshots_.has_value() &&
-      snapshots_->Contains(name)) {
-    // A fresh (non-resume) daemon must not silently resurrect a previous
-    // life's capture: the first open of the tenant supersedes it.
-    PPDM_RETURN_IF_ERROR(snapshots_->Delete(name));
-  }
-
   bool resumed = true;
   std::shared_ptr<api::DatasetSession> session;
   Result<std::shared_ptr<api::DatasetSession>> looked =
       registry_->TryLookup(name);
   if (looked.ok()) {
-    // Already open this life, or re-admitted from a capture (the resume
-    // path). Open is idempotent either way, for the same spec.
+    // Already open, or re-admitted from a capture the registry holds.
+    // Open is idempotent either way, for the same spec.
     session = std::move(looked.value());
   } else if (looked.status().code() == StatusCode::kNotFound) {
     Result<std::shared_ptr<api::DatasetSession>> opened =
@@ -809,16 +796,19 @@ Result<std::string> Server::HandleReconstruct(std::uint64_t tenant) {
 }
 
 Result<std::string> Server::HandleSnapshot(std::uint64_t tenant) {
-  if (!snapshots_.has_value()) {
+  if (!spill_.has_value()) {
     return Status::FailedPrecondition(
         "daemon has no checkpoint directory (start with --checkpoint-dir)");
   }
-  PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
-                        LookupTenant(tenant));
-  const std::string bytes = store::EncodeDatasetSession(*session);
-  PPDM_RETURN_IF_ERROR(snapshots_->Put(TenantName(tenant), bytes));
+  const Result<std::uint64_t> captured =
+      registry_->Checkpoint(TenantName(tenant));
+  if (!captured.ok()) {
+    return captured.status().code() == StatusCode::kNotFound
+               ? TenantNotOpen(tenant)
+               : captured.status();
+  }
   store::Writer writer;
-  writer.PutU64(bytes.size());
+  writer.PutU64(captured.value());
   return writer.Take();
 }
 

@@ -44,11 +44,12 @@
 //     kFailedPrecondition and folds nothing.
 //
 // Durability: with a checkpoint directory the registry gets a spill tier
-// (evictions demote instead of destroy) and graceful shutdown — Stop(),
+// and owns every capture in it: evictions demote instead of destroy, the
+// snapshot verb checkpoints through it, and graceful shutdown — Stop(),
 // normally triggered by SIGTERM via the async-signal-safe RequestStop()
 // — stops reading, flushes every response, then checkpoints every
-// tenant through the store. A daemon restarted with resume=true
-// re-admits tenants from their captures on the next open verb.
+// resident tenant. A daemon restarted with resume=true hands the
+// directory's captures to the registry; any other never serves them.
 
 #ifndef PPDM_NET_SERVER_H_
 #define PPDM_NET_SERVER_H_
@@ -69,7 +70,6 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
-#include "store/snapshot_store.h"
 #include "store/spill_store.h"
 
 namespace ppdm::net {
@@ -101,7 +101,7 @@ struct ServerOptions {
   /// then answers kFailedPrecondition and shutdown skips checkpoints).
   std::string checkpoint_dir;
   /// Admit pre-existing captures on open (crash/drain recovery). When
-  /// false, a stale capture of a newly opened tenant is deleted instead.
+  /// false they are never served, and a fresh open deletes its tenant's.
   bool resume = false;
 
   /// Slow-request log threshold: a request whose wall time reaches this
@@ -132,7 +132,7 @@ class Server {
   void AwaitLoopExit();
 
   /// Full graceful shutdown: RequestStop + drain + join, then checkpoint
-  /// every tenant through the store. Idempotent. Returns the first
+  /// every open tenant through the registry. Idempotent. Returns the first
   /// checkpoint failure (kOk without a store or on success).
   Status Stop();
 
@@ -144,7 +144,7 @@ class Server {
     return registry_->GetStats();
   }
 
-  /// Tenants checkpointed by the last Stop().
+  /// Open tenants the last Stop() left with a current capture.
   std::size_t drained_checkpoints() const { return drained_checkpoints_; }
 
   /// The most recent slow-request span tree (empty until a request
@@ -194,13 +194,9 @@ class Server {
   Result<std::shared_ptr<api::DatasetSession>> LookupTenant(
       std::uint64_t tenant);
 
-  /// Serializes every open tenant to the snapshot store (drain step).
-  Status CheckpointAll();
-
   const ServerOptions options_;
   int port_ = 0;
 
-  std::optional<store::SnapshotStore> snapshots_;
   std::optional<store::SessionSpillStore> spill_;
   std::unique_ptr<api::SessionRegistry> registry_;
 

@@ -9,9 +9,10 @@
 // Causality propagates through a thread_local TraceContext: a scope that
 // opens a span installs itself as the current context, so spans opened
 // beneath it (same thread) become children automatically. Work that hops
-// threads — a daemon request job crossing the pool queue, ParallelFor
-// shards — carries a TraceContext from the submission site and adopts it
-// on the worker via ScopedTraceContext, stitching the tree back together.
+// threads — ParallelFor shards — carries a TraceContext from the
+// submission site and adopts it on the worker via ScopedTraceContext,
+// stitching the tree back together; the daemon adopts a request's root
+// span the same way for the spans under its handler.
 //
 // Spans are call-granularity (one per request, ingest batch, refresh,
 // snapshot put…), never per-record, so a mutex-guarded ring is plenty:
@@ -136,10 +137,10 @@ class TraceRing {
   std::uint64_t total_ = 0;        // guarded by mu_
 };
 
-/// A span whose open and close happen in different stack frames (or on
-/// different threads): the daemon opens one per request at dispatch and
-/// closes it in the completion callback. Value-copyable so it can ride
-/// inside a std::function.
+/// A span whose open and close are not one C++ scope, and whose start
+/// may be set after it opens: the daemon opens one per request at
+/// dispatch, back-dates its start to the read that completed the frame,
+/// and closes it once the handler returns. Value-copyable.
 struct PendingSpan {
   const char* name = nullptr;  // null when disarmed or already ended
   std::string labels;
@@ -184,7 +185,7 @@ void EndSpan(PendingSpan* span, TraceRing* ring = &TraceRing::Global());
 /// Records an already-measured interval as a span under this thread's
 /// current context (and, when given one, into `histogram`) — for
 /// intervals whose endpoints are not scoped to one stack frame, like a
-/// job's queue wait. No-op when timing is disabled.
+/// request's wait on its loop. No-op when timing is disabled.
 void RecordSpan(const char* name,
                 std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point stop,

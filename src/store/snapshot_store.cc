@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -147,8 +146,8 @@ Result<SnapshotStore> SnapshotStore::Open(const std::string& directory) {
     return Status::IoError(StrFormat("%s is not a directory",
                                      directory.c_str()));
   }
-  // Sweep temp files orphaned by crashes mid-Put, which List/TotalBytes
-  // skip (wrong extension) and nothing else would ever delete — a
+  // Sweep temp files orphaned by crashes mid-Put, which List skips
+  // (wrong extension) and nothing else would ever delete — a
   // crash-looping checkpointed server must not grow the directory
   // unboundedly. Only stale temps go: a recent one may belong to a live
   // writer in another process.
@@ -179,7 +178,7 @@ Status SnapshotStore::Put(const std::string& name,
                        obs::RenderLabelSet({{"key", name}}));
   StoreMetrics::Get().puts.Increment();
   // An empty name would encode to the dotfile ".snap" — reachable by
-  // Get/Contains but invisible to the extension-driven List/Count scans.
+  // Get/Contains but invisible to the extension-driven List scan.
   if (name.empty()) {
     StoreMetrics::Get().io_failures.Increment();
     return Status::InvalidArgument("snapshot name must be non-empty");
@@ -327,45 +326,27 @@ Status SnapshotStore::Delete(const std::string& name) const {
   return Status::Ok();
 }
 
-Result<std::vector<std::string>> SnapshotStore::List() const {
-  std::vector<std::string> names;
+Result<std::map<std::string, std::uint64_t>> SnapshotStore::List() const {
+  std::map<std::string, std::uint64_t> sizes;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory_, ec)) {
-    std::error_code type_ec;
-    if (!entry.is_regular_file(type_ec)) continue;
+    std::error_code entry_ec;
+    if (!entry.is_regular_file(entry_ec)) continue;
     const fs::path& path = entry.path();
     if (path.extension() != kSnapshotExtension) continue;
     const Result<std::string> name =
         DecodeSnapshotName(path.stem().string());
     if (!name.ok()) continue;  // foreign file; not ours to report
-    names.push_back(name.value());
+    const std::uintmax_t size = entry.file_size(entry_ec);
+    if (entry_ec) continue;  // vanished between the scan and the stat
+    sizes[name.value()] = size;
   }
   if (ec) {
     return Status::IoError(StrFormat("cannot list %s: %s",
                                      directory_.c_str(),
                                      ec.message().c_str()));
   }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::size_t SnapshotStore::Count() const {
-  const Result<std::vector<std::string>> names = List();
-  return names.ok() ? names.value().size() : 0;
-}
-
-std::uint64_t SnapshotStore::TotalBytes() const {
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(directory_, ec)) {
-    std::error_code type_ec;
-    if (!entry.is_regular_file(type_ec)) continue;
-    if (entry.path().extension() != kSnapshotExtension) continue;
-    std::error_code size_ec;
-    const std::uintmax_t size = entry.file_size(size_ec);
-    if (!size_ec) total += size;
-  }
-  return total;
+  return sizes;
 }
 
 }  // namespace ppdm::store

@@ -13,11 +13,10 @@
 // fsync or close — the bytes may be torn or not durable — surfaces
 // kDataLoss and never reports success.
 //
-// Resilience: Put and Get run under a retry::RetryPolicy (transient
-// failures retried with jittered exponential backoff; see
-// set_retry_policy) and carry the store.put.io / store.put.sync /
-// store.put.rename / store.get.io fault points, so chaos runs can fail
-// any stage deterministically.
+// Resilience: Put and Get retry transient failures (retry::Retry) and
+// carry the store.put.io / store.put.sync / store.put.rename /
+// store.get.io fault points, so chaos runs can fail any stage
+// deterministically.
 //
 // Instances are cheap views over the directory (no in-memory index), so
 // several SnapshotStores — a spill tier and an operator CLI, say — can
@@ -27,10 +26,10 @@
 #define PPDM_STORE_SNAPSHOT_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/retry.h"
 #include "common/status.h"
@@ -61,9 +60,8 @@ class SnapshotStore {
   /// under the retry policy.
   Result<std::string> Get(const std::string& name) const;
 
-  /// Replaces the policy Put/Get retry transient failures under. The
-  /// default is 3 attempts with 1ms..250ms jittered exponential backoff;
-  /// `{.max_attempts = 1}` disables retries.
+  /// Replaces how Put/Get wait between retries (a test's fake sleep);
+  /// attempts and backoff are the retry:: constants.
   void set_retry_policy(retry::RetryPolicy policy) {
     retry_ = std::move(policy);
   }
@@ -74,16 +72,9 @@ class SnapshotStore {
   /// Removes `name`; kNotFound when absent.
   Status Delete(const std::string& name) const;
 
-  /// All snapshot names in the directory, sorted.
-  Result<std::vector<std::string>> List() const;
-
-  /// Snapshots currently stored (directory scan).
-  std::size_t Count() const;
-
-  /// Sum of on-disk snapshot sizes in bytes (directory scan).
-  std::uint64_t TotalBytes() const;
-
-  const std::string& directory() const { return directory_; }
+  /// Every snapshot in the directory, by name, with its on-disk size in
+  /// bytes (one directory scan).
+  Result<std::map<std::string, std::uint64_t>> List() const;
 
  private:
   explicit SnapshotStore(std::string directory)

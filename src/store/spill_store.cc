@@ -8,16 +8,8 @@
 namespace ppdm::store {
 namespace {
 
-// Fault points at the tier boundary, distinct from the snapshot store's
-// own I/O points: spill.demote fails a demotion before any bytes are
-// encoded (the registry must keep the session resident), registry.readmit
-// fails a re-admission before the capture is read (the registry must
-// surface a clean Status and leave the capture intact).
-fault::FaultPoint& DemoteFault() {
-  static fault::FaultPoint& point = fault::Point("spill.demote");
-  return point;
-}
-
+// Fails a re-admission before the capture is read: the registry must
+// surface a clean Status and leave the capture intact.
 fault::FaultPoint& ReadmitFault() {
   static fault::FaultPoint& point = fault::Point("registry.readmit");
   return point;
@@ -27,7 +19,6 @@ fault::FaultPoint& ReadmitFault() {
 
 Result<std::uint64_t> SessionSpillStore::Spill(
     const std::string& name, const api::DatasetSession& session) {
-  PPDM_RETURN_IF_ERROR(DemoteFault().Fire());
   const std::string bytes = EncodeDatasetSession(session);
   PPDM_RETURN_IF_ERROR(store_.Put(name, bytes));
   return static_cast<std::uint64_t>(bytes.size());
@@ -43,10 +34,6 @@ Result<std::shared_ptr<api::DatasetSession>> SessionSpillStore::Admit(
   // checkpoint until the next Spill overwrites it (or Drop discards it),
   // so a crash right after re-admission still recovers to this state.
   return std::shared_ptr<api::DatasetSession>(std::move(session));
-}
-
-bool SessionSpillStore::Contains(const std::string& name) const {
-  return store_.Contains(name);
 }
 
 Status SessionSpillStore::Drop(const std::string& name) {

@@ -1,8 +1,8 @@
-// The registry's durable demotion backend: api::SessionSpill implemented
-// over a SnapshotStore directory and the session codec. Eviction-time
-// Spill serializes the session's point-in-time state to "<name>.snap";
-// Admit decodes it back into an equivalent session, leaving the capture
-// on disk as the name's checkpoint until the next Spill overwrites it.
+// The registry's durable capture tier: api::SessionSpill implemented
+// over a SnapshotStore directory and the session codec. Spill (a
+// demotion or checkpoint) serializes the session's state to
+// "<name>.snap"; Admit decodes it back into an equivalent session,
+// leaving the capture on disk until the next Spill overwrites it.
 // Decode failures leave the file in place for inspection and surface as
 // Status (the registry counts them and treats the lookup as a miss).
 
@@ -10,6 +10,7 @@
 #define PPDM_STORE_SPILL_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -31,7 +32,9 @@ class SessionSpillStore : public api::SessionSpill {
                               const api::DatasetSession& session) override;
   Result<std::shared_ptr<api::DatasetSession>> Admit(
       const std::string& name, engine::ThreadPool* pool) override;
-  bool Contains(const std::string& name) const override;
+  Result<std::map<std::string, std::uint64_t>> List() const override {
+    return store_.List();
+  }
   Status Drop(const std::string& name) override;
 
  private:

@@ -31,9 +31,13 @@
 #include "reconstruct/reconstructor.h"
 #include "stats/histogram.h"
 #include "synth/generator.h"
+#include "test_util.h"
 
 namespace ppdm::api {
 namespace {
+
+using test::BenchmarkDatasetSpec;
+using test::ReconstructionsIdentical;
 
 // ------------------------------------------------------------- validation
 
@@ -145,12 +149,6 @@ struct StreamFixture {
   std::optional<data::Dataset> perturbed;
   std::unique_ptr<perturb::Randomizer> randomizer;
 };
-
-bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
-                              const reconstruct::Reconstruction& b) {
-  return a.masses == b.masses && a.iterations == b.iterations &&
-         a.sample_count == b.sample_count;
-}
 
 /// Folds `count` values of one column into a one-attribute session over a
 /// one-field schema: the column is already a row-major batch.
@@ -401,22 +399,6 @@ TEST(DatasetSessionTest, NoNoiseSessionIsExactHistogram) {
 
 // -------------------------------------------------------- dataset session
 
-/// A dataset-session spec over the first `num_attrs` benchmark columns.
-DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
-                                        std::size_t intervals = 16) {
-  DatasetSessionSpec spec;
-  spec.schema = synth::BenchmarkSchema();
-  for (std::size_t column = 0; column < num_attrs; ++column) {
-    AttributeSpec attr;
-    attr.column = column;
-    attr.intervals = intervals;
-    attr.noise = perturb::NoiseKind::kUniform;
-    attr.privacy_fraction = 1.0;
-    spec.attributes.push_back(attr);
-  }
-  return spec;
-}
-
 /// The StreamFixture's perturbed table flattened row-major (no labels).
 std::vector<double> FlattenRows(const data::Dataset& dataset) {
   std::vector<double> rows(dataset.NumRows() * dataset.NumCols());
@@ -430,28 +412,28 @@ std::vector<double> FlattenRows(const data::Dataset& dataset) {
 }
 
 TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
-  DatasetSessionSpec no_attrs = BenchmarkDatasetSpec(0);
+  DatasetSessionSpec no_attrs = BenchmarkDatasetSpec(0, 16);
   EXPECT_EQ(no_attrs.Validate().code(), StatusCode::kInvalidArgument);
 
-  DatasetSessionSpec bad_column = BenchmarkDatasetSpec(2);
+  DatasetSessionSpec bad_column = BenchmarkDatasetSpec(2, 16);
   bad_column.attributes[1].column = 99;
   EXPECT_EQ(bad_column.Validate().code(), StatusCode::kInvalidArgument);
 
-  DatasetSessionSpec duplicate = BenchmarkDatasetSpec(2);
+  DatasetSessionSpec duplicate = BenchmarkDatasetSpec(2, 16);
   duplicate.attributes[1].column = duplicate.attributes[0].column;
   EXPECT_EQ(duplicate.Validate().code(), StatusCode::kInvalidArgument);
 
-  DatasetSessionSpec zero_intervals = BenchmarkDatasetSpec(2);
+  DatasetSessionSpec zero_intervals = BenchmarkDatasetSpec(2, 16);
   zero_intervals.attributes[1].intervals = 0;
   EXPECT_EQ(zero_intervals.Validate().code(),
             StatusCode::kInvalidArgument);
 
-  DatasetSessionSpec bad_privacy = BenchmarkDatasetSpec(1);
+  DatasetSessionSpec bad_privacy = BenchmarkDatasetSpec(1, 16);
   bad_privacy.attributes[0].privacy_fraction = -1.0;
   EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
 
   // A domain the schema accepts (lo < hi) but no partition can cover.
-  DatasetSessionSpec infinite_domain = BenchmarkDatasetSpec(1);
+  DatasetSessionSpec infinite_domain = BenchmarkDatasetSpec(1, 16);
   infinite_domain.schema = data::Schema(
       {{"x", data::AttributeKind::kContinuous, 0.0,
         std::numeric_limits<double>::infinity()}});
@@ -462,7 +444,7 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
       << infinite.message();
 
   // The message names the attribute.
-  DatasetSessionSpec bad_confidence = BenchmarkDatasetSpec(1);
+  DatasetSessionSpec bad_confidence = BenchmarkDatasetSpec(1, 16);
   bad_confidence.attributes[0].confidence = 1.5;
   const Status confidence = bad_confidence.Validate();
   EXPECT_EQ(confidence.code(), StatusCode::kInvalidArgument);
@@ -474,7 +456,7 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   EXPECT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 
-  EXPECT_TRUE(BenchmarkDatasetSpec(4).Validate().ok());
+  EXPECT_TRUE(BenchmarkDatasetSpec(4, 16).Validate().ok());
 }
 
 // One row per hostile spec that would abort session construction: a
@@ -528,13 +510,13 @@ TEST(DatasetSessionSpecValidationTest, OpenRejectsHostileLayouts) {
        }},
   };
   for (const Case& row : rejected) {
-    DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+    DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 16);
     row.mutate(&spec);
     EXPECT_EQ(DatasetSession::Open(spec).status().code(),
               StatusCode::kInvalidArgument)
         << row.name;
   }
-  EXPECT_TRUE(DatasetSession::Open(BenchmarkDatasetSpec(1)).ok());
+  EXPECT_TRUE(DatasetSession::Open(BenchmarkDatasetSpec(1, 16)).ok());
 }
 
 /// A one-attribute spec over the full schema: `spec`'s attribute `index`
@@ -553,7 +535,7 @@ DatasetSessionSpec OneAttribute(const DatasetSessionSpec& spec,
 TEST(DatasetSessionTest, ReconstructAllMatchesPerColumnFitsAndSessions) {
   const StreamFixture fx;
   const std::size_t num_attrs = 4;
-  const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs, 16);
   const std::vector<double> rows = FlattenRows(*fx.perturbed);
   const std::size_t num_rows = fx.perturbed->NumRows();
   const data::RowBatch all_rows(rows.data(), num_rows,
@@ -634,7 +616,7 @@ TEST(DatasetSessionTest, KernelTableIsBuiltOncePerAttribute) {
   const std::vector<double> rows = FlattenRows(*fx.perturbed);
   const data::RowBatch all_rows(rows.data(), fx.perturbed->NumRows(),
                                 fx.perturbed->NumCols());
-  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
+  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2, 16));
   ASSERT_TRUE(session.ok());
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Counter& builds =
@@ -660,7 +642,7 @@ TEST(DatasetSessionTest, KernelTableIsBuiltOncePerAttribute) {
 TEST(DatasetSessionTest, RefreshEveryBatchIsThreadCountInvariant) {
   const StreamFixture fx;
   const std::size_t num_attrs = 3;
-  const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs, 16);
   const std::vector<double> rows = FlattenRows(*fx.perturbed);
   const std::size_t num_rows = fx.perturbed->NumRows();
   const data::RowBatch all_rows(rows.data(), num_rows,
@@ -707,7 +689,7 @@ TEST(DatasetSessionTest, RefreshEveryBatchIsThreadCountInvariant) {
 }
 
 TEST(DatasetSessionTest, SinglePassIngestRejectsNonFiniteAtomically) {
-  const DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 16);
   auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
 
@@ -729,7 +711,7 @@ TEST(DatasetSessionTest, SinglePassIngestRejectsNonFiniteAtomically) {
 }
 
 TEST(DatasetSessionTest, RejectsWrongWidthBatch) {
-  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
+  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2, 16));
   ASSERT_TRUE(session.ok());
   std::vector<double> rows(4, 30000.0);
   EXPECT_EQ(session.value()->Ingest(data::RowBatch(rows.data(), 2, 2)).code(),
@@ -769,7 +751,7 @@ bool SameState(const DatasetSessionState& a, const DatasetSessionState& b) {
 // The first batch is over 16384 rows, so it spans two ingestion shards.
 TEST(DatasetSessionTest, IngestTrackedMatchesIngestAtEveryThreadCount) {
   const StreamFixture fx(20000);
-  DatasetSessionSpec spec = BenchmarkDatasetSpec(0);
+  DatasetSessionSpec spec = BenchmarkDatasetSpec(0, 16);
   for (const std::size_t column : {4, 0, 7}) {
     AttributeSpec attr;
     attr.column = column;
@@ -824,7 +806,7 @@ TEST(DatasetSessionTest, IngestTrackedMatchesIngestAtEveryThreadCount) {
 }
 
 TEST(DatasetSessionTest, IngestTrackedRejectsNonFiniteAndWrongWidth) {
-  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2));
+  auto session = DatasetSession::Open(BenchmarkDatasetSpec(2, 16));
   ASSERT_TRUE(session.ok());
   // A NaN in the second shard of a two-shard batch rejects all of it.
   const std::size_t num_rows = engine::kIngestShardRows + 10;
@@ -870,7 +852,7 @@ TEST(DatasetSessionTest, NonFiniteRejectsTheWholeBatchAtEveryPoolSize) {
   const std::size_t num_rows = engine::kIngestShardRows + 10;
   const StreamFixture fx(num_rows);
   const std::vector<std::size_t> columns = {4, 0, 7};
-  DatasetSessionSpec spec = BenchmarkDatasetSpec(0);
+  DatasetSessionSpec spec = BenchmarkDatasetSpec(0, 16);
   for (const std::size_t column : columns) {
     AttributeSpec attr;
     attr.column = column;
@@ -932,8 +914,8 @@ TEST(DatasetSessionTest, NonFiniteRejectsTheWholeBatchAtEveryPoolSize) {
 }
 
 TEST(DatasetSessionTest, ApproxMemoryBytesGrowsWithAttributes) {
-  auto one = DatasetSession::Open(BenchmarkDatasetSpec(1));
-  auto four = DatasetSession::Open(BenchmarkDatasetSpec(4));
+  auto one = DatasetSession::Open(BenchmarkDatasetSpec(1, 16));
+  auto four = DatasetSession::Open(BenchmarkDatasetSpec(4, 16));
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(four.ok());
   const std::size_t one_bytes = one.value()->ApproxMemoryBytes();
@@ -999,11 +981,11 @@ TEST(DatasetSessionTest, ApproxMemoryBytesIsPinnedAtTheServedShapes) {
 
 TEST(SessionRegistryTest, OpenLookupCloseLifecycle) {
   SessionRegistry registry({});
-  auto opened = registry.Open("alpha", BenchmarkDatasetSpec(2));
+  auto opened = registry.Open("alpha", BenchmarkDatasetSpec(2, 16));
   ASSERT_TRUE(opened.ok());
 
   // Opening the same name again is a precondition failure, not a crash.
-  EXPECT_EQ(registry.Open("alpha", BenchmarkDatasetSpec(1)).status().code(),
+  EXPECT_EQ(registry.Open("alpha", BenchmarkDatasetSpec(1, 16)).status().code(),
             StatusCode::kFailedPrecondition);
 
   const Result<std::shared_ptr<DatasetSession>> found =
@@ -1031,7 +1013,7 @@ TEST(SessionRegistryTest, OpenLookupCloseLifecycle) {
                   .ok());
 
   // An invalid spec is rejected before touching the registry.
-  EXPECT_EQ(registry.Open("gamma", BenchmarkDatasetSpec(0)).status().code(),
+  EXPECT_EQ(registry.Open("gamma", BenchmarkDatasetSpec(0, 16)).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -1039,17 +1021,17 @@ TEST(SessionRegistryTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // Budget sized for two sessions: opening a third evicts the least
   // recently used one.
   const std::size_t per_session =
-      DatasetSession::Open(BenchmarkDatasetSpec(2))
+      DatasetSession::Open(BenchmarkDatasetSpec(2, 16))
           .value()
           ->ApproxMemoryBytes();
   SessionRegistryOptions options;
   options.max_bytes = 2 * per_session + per_session / 2;
   SessionRegistry registry(options);
 
-  ASSERT_TRUE(registry.Open("a", BenchmarkDatasetSpec(2)).ok());
-  ASSERT_TRUE(registry.Open("b", BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(registry.Open("a", BenchmarkDatasetSpec(2, 16)).ok());
+  ASSERT_TRUE(registry.Open("b", BenchmarkDatasetSpec(2, 16)).ok());
   ASSERT_TRUE(registry.TryLookup("a").ok());  // touch: b is now LRU
-  ASSERT_TRUE(registry.Open("c", BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(registry.Open("c", BenchmarkDatasetSpec(2, 16)).ok());
 
   EXPECT_TRUE(registry.TryLookup("a").ok());
   // "b" was evicted as LRU.

@@ -28,9 +28,13 @@
 #include "stats/partition.h"
 #include "synth/generator.h"
 #include "tree/trainer.h"
+#include "test_util.h"
 
 namespace ppdm::engine {
 namespace {
+
+using test::PathGuard;
+using test::ReconstructionsIdentical;
 
 // ------------------------------------------------------------- ThreadPool
 
@@ -250,12 +254,6 @@ TEST(IngestDeathTest, FitRejectsANonFiniteValue) {
 
 // ------------------------------------------------------------------- SIMD
 
-// Restores the dispatched path on scope exit.
-struct PathGuard {
-  simd::Path saved = simd::ActivePath();
-  ~PathGuard() { (void)simd::SetPath(saved); }
-};
-
 TEST(SimdTest, PadLanesRoundsUpToLaneMultiple) {
   EXPECT_EQ(simd::PadLanes(0), 0u);
   EXPECT_EQ(simd::PadLanes(1), 4u);
@@ -458,12 +456,6 @@ struct EngineFixture {
   std::optional<data::Dataset> perturbed;
   std::unique_ptr<perturb::Randomizer> randomizer;
 };
-
-bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
-                              const reconstruct::Reconstruction& b) {
-  return a.masses == b.masses && a.iterations == b.iterations &&
-         a.sample_count == b.sample_count;
-}
 
 TEST(BatchTest, FitIsThreadCountInvariant) {
   const EngineFixture fx;

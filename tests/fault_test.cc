@@ -35,29 +35,17 @@
 #include "store/snapshot_store.h"
 #include "store/spill_store.h"
 #include "synth/generator.h"
+#include "test_util.h"
 
 namespace ppdm {
 namespace {
 
-namespace fs = std::filesystem;
+using test::BenchmarkDatasetSpec;
+using test::PerturbedRows;
+using test::ReconstructionsIdentical;
+using test::TempDir;
 
-// A unique on-disk directory per test, removed on destruction.
-struct TempDir {
-  TempDir() {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    path = (fs::temp_directory_path() /
-            (std::string("ppdm_fault_test_") + info->test_suite_name() +
-             "_" + info->name()))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+namespace fs = std::filesystem;
 
 // Faults are process-wide; a leaked arming would poison every later test.
 class FaultTest : public ::testing::Test {
@@ -65,53 +53,6 @@ class FaultTest : public ::testing::Test {
   void SetUp() override { fault::DisarmAll(); }
   void TearDown() override { fault::DisarmAll(); }
 };
-
-api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
-                                             std::size_t intervals = 8) {
-  api::DatasetSessionSpec spec;
-  spec.schema = synth::BenchmarkSchema();
-  for (std::size_t column = 0; column < num_attrs; ++column) {
-    api::AttributeSpec attr;
-    attr.column = column;
-    attr.intervals = intervals;
-    attr.noise = perturb::NoiseKind::kUniform;
-    attr.privacy_fraction = 1.0;
-    spec.attributes.push_back(attr);
-  }
-  return spec;
-}
-
-// Perturbed benchmark records, flattened row-major (the session's arrival
-// shape).
-std::vector<double> PerturbedRows(std::size_t num_records,
-                                  std::size_t* num_cols,
-                                  std::uint64_t seed = 23) {
-  synth::GeneratorOptions gen;
-  gen.num_records = num_records;
-  gen.seed = seed;
-  const data::Dataset original = synth::Generate(gen);
-  perturb::RandomizerOptions noise;
-  noise.kind = perturb::NoiseKind::kUniform;
-  noise.privacy_fraction = 1.0;
-  noise.seed = seed ^ 0x5DEECE66DULL;
-  const data::Dataset perturbed =
-      perturb::Randomizer(original.schema(), noise).Perturb(original);
-  *num_cols = perturbed.NumCols();
-  std::vector<double> rows(perturbed.NumRows() * perturbed.NumCols());
-  for (std::size_t c = 0; c < perturbed.NumCols(); ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < perturbed.NumRows(); ++r) {
-      rows[r * perturbed.NumCols() + c] = column[r];
-    }
-  }
-  return rows;
-}
-
-bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
-                              const reconstruct::Reconstruction& b) {
-  return a.masses == b.masses && a.iterations == b.iterations &&
-         a.sample_count == b.sample_count;
-}
 
 // ----------------------------------------------------------- fault points
 
@@ -217,7 +158,6 @@ TEST_F(FaultTest, RegisteredPointsListsArmedAndFiredNames) {
 
 TEST_F(FaultTest, RetryRidesThroughTransientFailures) {
   retry::RetryPolicy policy;
-  policy.max_attempts = 4;
   std::vector<std::chrono::microseconds> slept;
   policy.sleep = [&slept](std::chrono::microseconds d) {
     slept.push_back(d);
@@ -231,13 +171,12 @@ TEST_F(FaultTest, RetryRidesThroughTransientFailures) {
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(calls, 3);
   ASSERT_EQ(slept.size(), 2u);
-  EXPECT_EQ(slept[0], policy.BackoffFor(1));
-  EXPECT_EQ(slept[1], policy.BackoffFor(2));
+  EXPECT_EQ(slept[0], retry::BackoffFor(1));
+  EXPECT_EQ(slept[1], retry::BackoffFor(2));
 }
 
 TEST_F(FaultTest, RetryReturnsPermanentFailuresImmediately) {
   retry::RetryPolicy policy;
-  policy.max_attempts = 5;
   policy.sleep = [](std::chrono::microseconds) {
     FAIL() << "permanent failures must not back off";
   };
@@ -252,7 +191,6 @@ TEST_F(FaultTest, RetryReturnsPermanentFailuresImmediately) {
 
 TEST_F(FaultTest, RetryGivesUpAfterMaxAttempts) {
   retry::RetryPolicy policy;
-  policy.max_attempts = 3;
   policy.sleep = [](std::chrono::microseconds) {};
   int calls = 0;
   const Result<int> result =
@@ -266,26 +204,17 @@ TEST_F(FaultTest, RetryGivesUpAfterMaxAttempts) {
 }
 
 TEST_F(FaultTest, BackoffIsDeterministicCappedAndJittered) {
-  retry::RetryPolicy policy;
-  policy.initial_backoff = std::chrono::microseconds(1000);
-  policy.multiplier = 2.0;
-  policy.max_backoff = std::chrono::microseconds(8000);
+  EXPECT_EQ(retry::kInitialBackoff, std::chrono::milliseconds(1));
+  EXPECT_EQ(retry::kMaxBackoff, std::chrono::milliseconds(250));
   for (std::size_t attempt = 1; attempt <= 12; ++attempt) {
-    const auto backoff = policy.BackoffFor(attempt);
-    EXPECT_EQ(backoff, policy.BackoffFor(attempt));  // stateless
+    const auto backoff = retry::BackoffFor(attempt);
+    EXPECT_EQ(backoff, retry::BackoffFor(attempt));  // stateless
     const double base =
         std::min(1000.0 * std::pow(2.0, static_cast<double>(attempt - 1)),
-                 8000.0);
+                 250000.0);
     EXPECT_GE(backoff.count(), static_cast<long long>(0.5 * base) - 1);
     EXPECT_LE(backoff.count(), static_cast<long long>(base));
   }
-  retry::RetryPolicy reseeded = policy;
-  reseeded.jitter_seed = policy.jitter_seed + 1;
-  bool any_differs = false;
-  for (std::size_t attempt = 1; attempt <= 12; ++attempt) {
-    any_differs |= reseeded.BackoffFor(attempt) != policy.BackoffFor(attempt);
-  }
-  EXPECT_TRUE(any_differs);
 }
 
 // ------------------------------------------------------- store under fault
@@ -319,13 +248,13 @@ TEST_F(FaultTest, ExhaustedRetriesSurfaceTheTransientFailure) {
   auto store = store::SnapshotStore::Open(dir.path);
   ASSERT_TRUE(store.ok());
   retry::RetryPolicy fast;
-  fast.max_attempts = 2;
   fast.sleep = [](std::chrono::microseconds) {};
   store.value().set_retry_policy(fast);
   ASSERT_TRUE(fault::ArmFromSpec("store.put.io=prob:1").ok());
   const Status status = store.value().Put("name", "payload");
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_GE(fault::Point("store.put.io").injected(), 2u);  // both attempts
+  EXPECT_GE(fault::Point("store.put.io").injected(),
+            retry::kMaxAttempts);  // every attempt
   EXPECT_FALSE(store.value().Contains("name"));
 }
 
@@ -370,7 +299,6 @@ TEST_F(FaultTest, RealRenameFailureIsIoErrorAndRemovesTemp) {
     occupant << "x";
   }
   retry::RetryPolicy fast;
-  fast.max_attempts = 2;
   fast.sleep = [](std::chrono::microseconds) {};
   store.value().set_retry_policy(fast);
   const Status status = store.value().Put("blocked", "payload");
@@ -394,7 +322,7 @@ TEST_F(FaultTest, FailedSpillKeepsTheSessionResidentAndRetriesLater) {
   options.spill = &spill;
   options.clock = [&now] { return now; };
   api::SessionRegistry registry(options, nullptr);
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 8);
 
   auto a = registry.Open("a", spec);
   ASSERT_TRUE(a.ok());
@@ -452,7 +380,7 @@ TEST_F(FaultTest, FailedSpillRespectsItsBackoffWindow) {
   options.spill = &spill;
   options.clock = [&now] { return now; };
   api::SessionRegistry registry(options, nullptr);
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 8);
   ASSERT_TRUE(registry.Open("a", spec).ok());
   ASSERT_TRUE(fault::ArmFromSpec("spill.demote=prob:1").ok());
   ASSERT_TRUE(registry.Open("b", spec).ok());
@@ -481,7 +409,7 @@ TEST_F(FaultTest, FailedReadmitSurfacesACleanStatusAndHealsOnRetry) {
   options.max_bytes = 1;
   options.spill = &spill;
   api::SessionRegistry registry(options, nullptr);
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 8);
   auto a = registry.Open("a", spec);
   ASSERT_TRUE(a.ok());
   std::size_t cols = 0;
@@ -498,7 +426,7 @@ TEST_F(FaultTest, FailedReadmitSurfacesACleanStatusAndHealsOnRetry) {
 
   // Clean failure: the capture is intact, the name still taken, and the
   // next (disarmed) attempt re-admits every record.
-  EXPECT_TRUE(spill.Contains("a"));
+  EXPECT_TRUE(snapshots.value().Contains("a"));
   const auto healed = registry.TryLookup("a");
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(healed.value()->record_count(), 32u);
@@ -514,14 +442,15 @@ TEST_F(FaultTest, CorruptCaptureSurfacesDecodeStatusAndCloseDiscardsIt) {
   api::SessionRegistryOptions options;
   options.spill = &spill;
   api::SessionRegistry registry(options, nullptr);
+  ASSERT_TRUE(registry.AdoptCaptures().ok());  // the restart hand-over
   const auto looked = registry.TryLookup("ghost");
   EXPECT_FALSE(looked.ok());
   EXPECT_NE(looked.status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(spill.Contains("ghost"));  // kept for inspection
+  EXPECT_TRUE(snapshots.value().Contains("ghost"));  // kept for inspection
   EXPECT_GE(registry.GetStats().spill_failures, 1u);
 
   EXPECT_TRUE(registry.Close("ghost"));
-  EXPECT_FALSE(spill.Contains("ghost"));
+  EXPECT_FALSE(snapshots.value().Contains("ghost"));
   EXPECT_EQ(registry.TryLookup("ghost").status().code(),
             StatusCode::kNotFound);
 }
@@ -534,7 +463,6 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
   auto snapshots = store::SnapshotStore::Open(dir.path);
   ASSERT_TRUE(snapshots.ok());
   retry::RetryPolicy fast;
-  fast.max_attempts = 2;
   fast.sleep = [](std::chrono::microseconds) {};
   snapshots.value().set_retry_policy(fast);
   store::SessionSpillStore spill(snapshots.value());
@@ -558,7 +486,7 @@ TEST_F(FaultTest, EveryPointArmedAtProbabilityOneNeverAborts) {
   options.max_bytes = 1;
   options.spill = &spill;
   api::SessionRegistry registry(options, nullptr);
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 8);
   auto a = registry.Open("a", spec);
   ASSERT_TRUE(a.ok());
   std::size_t cols = 0;
@@ -590,7 +518,7 @@ Result<std::vector<reconstruct::Reconstruction>> RunSpillStream(
   options.max_bytes = 1;
   options.spill = &spill;
   api::SessionRegistry registry(options, pool.get());
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 8);
 
   std::size_t cols = 0;
   const std::vector<double> rows = PerturbedRows(512, &cols);

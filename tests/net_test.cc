@@ -44,78 +44,24 @@
 #include "perturb/randomizer.h"
 #include "store/codec.h"
 #include "store/session_codec.h"
+#include "store/snapshot_store.h"
 #include "synth/generator.h"
+#include "test_util.h"
 
 namespace ppdm::net {
 namespace {
 
-namespace fs = std::filesystem;
+using test::BenchmarkDatasetSpec;
+using test::PerturbedRows;
+using test::TempDir;
 
-// A unique on-disk directory per test, removed on destruction.
-struct TempDir {
-  TempDir() {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    path = (fs::temp_directory_path() /
-            (std::string("ppdm_net_test_") + info->test_suite_name() + "_" +
-             info->name()))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+namespace fs = std::filesystem;
 
 // Disarms every fault point on scope exit so one test's chaos never
 // leaks into the next.
 struct FaultGuard {
   ~FaultGuard() { fault::DisarmAll(); }
 };
-
-/// A dataset-session spec over the first `num_attrs` benchmark columns.
-api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
-                                             std::size_t intervals = 12) {
-  api::DatasetSessionSpec spec;
-  spec.schema = synth::BenchmarkSchema();
-  for (std::size_t column = 0; column < num_attrs; ++column) {
-    api::AttributeSpec attr;
-    attr.column = column;
-    attr.intervals = intervals;
-    attr.noise = perturb::NoiseKind::kUniform;
-    attr.privacy_fraction = 1.0;
-    spec.attributes.push_back(attr);
-  }
-  return spec;
-}
-
-/// Perturbed benchmark records, flattened row-major (same arrival shape
-/// the loadgen driver sends).
-std::vector<double> PerturbedRows(std::size_t num_records,
-                                  std::size_t* num_cols,
-                                  std::uint64_t seed = 23) {
-  synth::GeneratorOptions gen;
-  gen.num_records = num_records;
-  gen.seed = seed;
-  const data::Dataset original = synth::Generate(gen);
-  perturb::RandomizerOptions noise;
-  noise.kind = perturb::NoiseKind::kUniform;
-  noise.privacy_fraction = 1.0;
-  noise.seed = seed ^ 0x5DEECE66DULL;
-  const data::Dataset perturbed =
-      perturb::Randomizer(original.schema(), noise).Perturb(original);
-  *num_cols = perturbed.NumCols();
-  std::vector<double> rows(perturbed.NumRows() * perturbed.NumCols());
-  for (std::size_t c = 0; c < perturbed.NumCols(); ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < perturbed.NumRows(); ++r) {
-      rows[r * perturbed.NumCols() + c] = column[r];
-    }
-  }
-  return rows;
-}
 
 /// A full-row ingest body: [u64 rows][u64 cols][double array].
 std::string FullIngestBody(std::uint64_t rows, std::uint64_t cols,
@@ -429,7 +375,7 @@ TEST(SocketTest, SetNoDelayDisablesNagleOnBothEnds) {
 // ------------------------------------------------------------ loopback
 
 TEST(ServerTest, LoopbackIsByteIdenticalToDirectSessionAtEveryThreadCount) {
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(600, &num_cols);
   const std::size_t num_rows = rows.size() / num_cols;
@@ -513,7 +459,7 @@ TEST(ServerTest, MalformedFramesAnswerErrorsAndTheProcessKeepsServing) {
   Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const int port = server.value()->port();
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
 
   // A healthy tenant on its own connection, open before the abuse.
   Result<Client> healthy = Client::Connect("127.0.0.1", port);
@@ -677,7 +623,7 @@ TEST(ServerTest, RequestsForUnknownTenantsAnswerNotFound) {
   writer.PutU64(10);  // rows
   writer.PutU64(3);   // cols
   writer.PutDoubleArray({1.0, 2.0});  // 2 values, not 30
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
   ASSERT_TRUE(client.value().Open(1, spec).ok());
   Result<ResponseBody> response =
       client.value().Call(Verb::kIngest, 1, 0, writer.Take());
@@ -706,9 +652,9 @@ TEST(ServerTest, HostileLayoutOpensAnswerInvalidArgument) {
   Result<Client> client = Client::Connect("127.0.0.1",
                                           server.value()->port());
   ASSERT_TRUE(client.ok());
-  api::DatasetSessionSpec huge_grid = BenchmarkDatasetSpec(1);
+  api::DatasetSessionSpec huge_grid = BenchmarkDatasetSpec(1, 12);
   huge_grid.attributes[0].intervals = std::size_t{1} << 40;
-  api::DatasetSessionSpec huge_padding = BenchmarkDatasetSpec(1);
+  api::DatasetSessionSpec huge_padding = BenchmarkDatasetSpec(1, 12);
   huge_padding.attributes[0].confidence = 1e-12;
   for (const api::DatasetSessionSpec& spec : {huge_grid, huge_padding}) {
     const Result<OpenResult> refused = client.value().Open(1, spec);
@@ -717,7 +663,7 @@ TEST(ServerTest, HostileLayoutOpensAnswerInvalidArgument) {
         << refused.status().ToString();
   }
   const Result<OpenResult> opened =
-      client.value().Open(1, BenchmarkDatasetSpec(1));
+      client.value().Open(1, BenchmarkDatasetSpec(1, 12));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_FALSE(opened.value().resumed);
   ASSERT_TRUE(server.value()->Stop().ok());
@@ -744,7 +690,7 @@ TEST(ServerTest, RequestBodiesWithTrailingBytesAreRejected) {
   // An open body in the version-1 layout: after each attribute it also
   // carried EM options (u64 max_iterations, f64 epsilon, u8 binned), and
   // after the attributes a u64 shard size and a u8 warm-start flag.
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
   store::Writer old_layout;
   store::EncodeDatasetSessionSpec(spec, &old_layout);
   old_layout.PutU64(500);
@@ -788,7 +734,7 @@ TEST(ServerTest, ShedAndInjectedStoreFaultsAreProtocolErrorsNotCrashes) {
   Result<Client> client = Client::Connect("127.0.0.1",
                                           server.value()->port());
   ASSERT_TRUE(client.ok());
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
   ASSERT_TRUE(client.value().Open(1, spec).ok());
 
   // Dispatch's service.enqueue fault point refuses a request before it
@@ -1008,7 +954,7 @@ TEST(ServerTest, UnreadResponsesPauseReadsAndShedNothing) {
 
   Result<Client> client = Client::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2, 12)).ok());
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(1000, &num_cols);
   const std::string ingest = FullIngestBody(1000, num_cols, rows);
@@ -1127,7 +1073,7 @@ TEST(ServerTest, ClientTraceIdYieldsACausalTreeWithLabeledMetrics) {
 
     const std::uint64_t trace = obs::NewTraceId();
     client.value().set_trace_id(trace);
-    const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+    const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
     ASSERT_TRUE(client.value().Open(1, spec).ok());
     std::size_t num_cols = 0;
     const std::vector<double> rows = PerturbedRows(150, &num_cols);
@@ -1271,7 +1217,7 @@ TEST(ServerTest, PipelinedIngestsAnswerInRequestOrderAtEveryLoopCount) {
     Result<Client> client = Client::Connect("127.0.0.1",
                                             server.value()->port());
     ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1)).ok());
+    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1, 12)).ok());
 
     // Blast the ingests without reading.
     ASSERT_TRUE(client.value().SendRaw(burst).ok());
@@ -1302,7 +1248,7 @@ TEST(ServerTest, HalfAFrameOnEachLoopDelaysNoFreshConnection) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const int port = server.value()->port();
   store::Writer spec;
-  store::EncodeDatasetSessionSpec(BenchmarkDatasetSpec(2), &spec);
+  store::EncodeDatasetSessionSpec(BenchmarkDatasetSpec(2, 12), &spec);
 
   std::vector<Client> holders;
   std::vector<std::string> frames;
@@ -1391,7 +1337,7 @@ TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
     Result<Client> client =
         Client::Connect("127.0.0.1", server.value()->port());
     ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1)).ok());
+    ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(1, 12)).ok());
 
     // Writes of 1, 7, 4093, 65537, ... bytes, cycling.
     const std::size_t cuts[] = {1, 7, 4093, 65537, 13, 100003};
@@ -1425,7 +1371,7 @@ TEST(ServerTest, MixedSizeFramesSplitAcrossWritesAllAnswerInOrder) {
 
 TEST(ServerTest, DrainCheckpointsEveryTenantAndResumeRestoresThemExactly) {
   TempDir dir;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(400, &num_cols);
   const std::size_t num_rows = rows.size() / num_cols;
@@ -1502,7 +1448,7 @@ TEST(ServerTest, DrainCheckpointsEveryTenantAndResumeRestoresThemExactly) {
 // tenant — then a resumed daemon re-admits each one exactly.
 TEST(ServerTest, DrainUnderATightBudgetCheckpointsEveryOpenTenant) {
   TempDir dir;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(600, &num_cols);
   const std::size_t share = rows.size() / num_cols / 3;
@@ -1598,7 +1544,7 @@ TEST(ServerTest, CloseDropsTheTenantAndWithoutResumeStaleCapturesDie) {
   TempDir dir;
   ServerOptions options = LoopbackOptions(0);
   options.checkpoint_dir = dir.path;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
   {
     Result<std::unique_ptr<Server>> server = Server::Start(options);
     ASSERT_TRUE(server.ok());
@@ -1630,16 +1576,176 @@ TEST(ServerTest, CloseDropsTheTenantAndWithoutResumeStaleCapturesDie) {
   }
 }
 
+// A daemon started without resume never serves a capture it finds on
+// disk: until the tenant's first open every verb for it answers
+// kNotFound and the capture's bytes stay as they were, and that open is
+// fresh and discards the capture.
+TEST(ServerTest, WithoutResumeAnOldCaptureIsNeverServed) {
+  TempDir dir;
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(100, &num_cols);
+  ServerOptions options = LoopbackOptions(0);
+  options.checkpoint_dir = dir.path;
+  {
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client = Client::Connect("127.0.0.1",
+                                            server.value()->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value().Open(1, spec).ok());
+    ASSERT_TRUE(client.value().Ingest(1, 100, num_cols, rows).ok());
+    ASSERT_TRUE(server.value()->Stop().ok());
+    ASSERT_EQ(server.value()->drained_checkpoints(), 1u);
+  }
+  const store::SnapshotStore snapshots =
+      store::SnapshotStore::Open(dir.path).value();
+  const Result<std::string> planted = snapshots.Get("t1");
+  ASSERT_TRUE(planted.ok());
+
+  Result<std::unique_ptr<Server>> server = Server::Start(options);
+  ASSERT_TRUE(server.ok());
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          server.value()->port());
+  ASSERT_TRUE(client.ok());
+  std::vector<double> column(100);
+  for (std::size_t r = 0; r < column.size(); ++r) {
+    column[r] = rows[r * num_cols];
+  }
+  const std::pair<Verb, std::string> requests[] = {
+      {Verb::kReconstruct, ""},
+      {Verb::kIngest, FullIngestBody(100, num_cols, rows)},
+      {Verb::kIngestTracked, TrackedIngestBody(100, {0}, column)},
+      {Verb::kSnapshot, ""},
+      {Verb::kClose, ""},
+  };
+  for (const auto& [verb, body] : requests) {
+    SCOPED_TRACE(VerbName(static_cast<std::uint32_t>(verb)));
+    Result<ResponseBody> response = client.value().Call(verb, 1, 0, body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status.code(), StatusCode::kNotFound)
+        << response.value().status.ToString();
+  }
+  EXPECT_EQ(snapshots.Get("t1").value(), planted.value());
+  EXPECT_EQ(server.value()->tenant_count(), 0u);
+
+  Result<OpenResult> opened = client.value().Open(1, spec);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_FALSE(opened.value().resumed);
+  EXPECT_EQ(opened.value().record_count, 0u);
+  EXPECT_FALSE(snapshots.Contains("t1"));
+  ASSERT_TRUE(server.value()->Stop().ok());
+  // The drain checkpoints the fresh tenant, not the old state.
+  const Result<std::string> drained = snapshots.Get("t1");
+  ASSERT_TRUE(drained.ok());
+  const auto decoded = store::DecodeDatasetSession(drained.value());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value()->record_count(), 0u);
+}
+
+// Drain writes each resident tenant once and leaves spilled tenants
+// alone: their captures are already current. 64 tenants of 9 attributes
+// at 100 intervals overflow a 1 MiB budget, so some are spilled when
+// Stop() runs; it must re-admit and demote none of them, put exactly the
+// resident ones, and still leave every tenant resumable to the masses of
+// an unbounded daemon.
+TEST(ServerTest, DrainWritesResidentTenantsOnceAndReadmitsNone) {
+  TempDir dir;
+  constexpr std::uint64_t kTenants = 64;
+  constexpr std::size_t kRowsPerTenant = 40;
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(9, 100);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows =
+      PerturbedRows(kTenants * kRowsPerTenant, &num_cols);
+  const auto slice = [&](std::uint64_t tenant) {
+    return std::vector<double>(
+        rows.begin() + tenant * kRowsPerTenant * num_cols,
+        rows.begin() + (tenant + 1) * kRowsPerTenant * num_cols);
+  };
+  const auto feed = [&](Client& client) {
+    for (std::uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+      ASSERT_TRUE(client.Open(tenant, spec).ok());
+      ASSERT_TRUE(
+          client.Ingest(tenant, kRowsPerTenant, num_cols, slice(tenant))
+              .ok());
+    }
+  };
+
+  ServerOptions options = LoopbackOptions(0);
+  options.checkpoint_dir = dir.path;
+  options.registry_max_bytes = std::size_t{1} << 20;
+  {
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client = Client::Connect("127.0.0.1",
+                                            server.value()->port());
+    ASSERT_TRUE(client.ok());
+    feed(client.value());
+    const api::SessionRegistry::Stats before =
+        server.value()->registry_stats();
+    ASSERT_GT(before.open_sessions, 0u);
+    ASSERT_GT(before.spilled_sessions, 0u);
+    ASSERT_EQ(before.open_sessions + before.spilled_sessions, kTenants);
+    const obs::Counter& puts =
+        *obs::MetricsRegistry::Global().GetCounter("ppdm_store_puts_total");
+    const std::uint64_t puts_before = puts.Value();
+
+    ASSERT_TRUE(server.value()->Stop().ok());
+    const api::SessionRegistry::Stats after =
+        server.value()->registry_stats();
+    EXPECT_EQ(after.readmissions, before.readmissions);
+    EXPECT_EQ(after.spills, before.spills);
+    EXPECT_EQ(puts.Value() - puts_before, before.open_sessions);
+    EXPECT_EQ(server.value()->drained_checkpoints(), kTenants);
+  }
+
+  Result<std::unique_ptr<Server>> control = Server::Start(LoopbackOptions(0));
+  ASSERT_TRUE(control.ok());
+  Result<Client> control_client =
+      Client::Connect("127.0.0.1", control.value()->port());
+  ASSERT_TRUE(control_client.ok());
+  feed(control_client.value());
+
+  options.resume = true;
+  Result<std::unique_ptr<Server>> restarted = Server::Start(options);
+  ASSERT_TRUE(restarted.ok());
+  EXPECT_EQ(restarted.value()->registry_stats().spilled_sessions, kTenants);
+  Result<Client> client = Client::Connect("127.0.0.1",
+                                          restarted.value()->port());
+  ASSERT_TRUE(client.ok());
+  for (std::uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    SCOPED_TRACE("tenant " + std::to_string(tenant));
+    Result<OpenResult> opened = client.value().Open(tenant, spec);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_TRUE(opened.value().resumed);
+    EXPECT_EQ(opened.value().record_count, kRowsPerTenant);
+    Result<std::vector<AttributeEstimate>> resumed =
+        client.value().Reconstruct(tenant);
+    Result<std::vector<AttributeEstimate>> expected =
+        control_client.value().Reconstruct(tenant);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(resumed.value().size(), expected.value().size());
+    for (std::size_t a = 0; a < expected.value().size(); ++a) {
+      EXPECT_EQ(resumed.value()[a].masses, expected.value()[a].masses)
+          << "attribute " << a;
+    }
+  }
+  EXPECT_EQ(restarted.value()->registry_stats().readmissions, kTenants);
+  ASSERT_TRUE(restarted.value()->Stop().ok());
+  ASSERT_TRUE(control.value()->Stop().ok());
+}
+
 // Open is idempotent only for the spec the tenant holds: a reopen that
 // asks for other attributes, intervals or noise is refused, both while
 // the tenant is open and after drain → resume re-admits its capture.
 TEST(ServerTest, ReopenWithADifferentSpecIsRefused) {
   TempDir dir;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   api::DatasetSessionSpec noisier = spec;
   noisier.attributes[1].privacy_fraction = 0.5;
   const std::vector<api::DatasetSessionSpec> others = {
-      BenchmarkDatasetSpec(1), BenchmarkDatasetSpec(2, /*intervals=*/20),
+      BenchmarkDatasetSpec(1, 12), BenchmarkDatasetSpec(2, /*intervals=*/20),
       noisier};
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(64, &num_cols);
@@ -1714,7 +1820,7 @@ TEST(ServerTest, TrackedIngestsCountUnderTheirOwnVerb) {
   ASSERT_GE(SeriesValue(before.value(), tracked_series), 0.0)
       << before.value();
 
-  ASSERT_TRUE(client.value().Open(3, BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(client.value().Open(3, BenchmarkDatasetSpec(2, 12)).ok());
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(40, &num_cols);
   for (int i = 0; i < 5; ++i) {
@@ -1747,7 +1853,7 @@ TEST(ServerTest, TrackedIngestRefusesForeignColumnsAndMalformedBodies) {
   const int port = server.value()->port();
   Result<Client> client = Client::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(client.value().Open(1, BenchmarkDatasetSpec(2, 12)).ok());
   const std::vector<double> two_rows = {20.0, 30.0, 40.0, 50.0};
   const auto expect_code = [&](std::uint64_t tenant, std::string body,
                                StatusCode want) {
@@ -1789,22 +1895,22 @@ TEST(ServerTest, TrackedIngestRefusesForeignColumnsAndMalformedBodies) {
   // An unopened tenant.
   expect_code(2, TrackedIngestBody(2, {0, 1}, two_rows),
               StatusCode::kNotFound);
-  Result<OpenResult> untouched = client.value().Open(1, BenchmarkDatasetSpec(2));
+  Result<OpenResult> untouched = client.value().Open(1, BenchmarkDatasetSpec(2, 12));
   ASSERT_TRUE(untouched.ok());
   EXPECT_EQ(untouched.value().record_count, 0u);
 
   // Another connection closes tenant 5 and reopens it tracking other
   // columns: this connection's rows were cut for the old spec and are
   // refused, while the reopening connection ships the new columns.
-  api::DatasetSessionSpec other = BenchmarkDatasetSpec(0);
+  api::DatasetSessionSpec other = BenchmarkDatasetSpec(0, 12);
   for (const std::size_t column : {3, 5}) {
-    api::AttributeSpec attr = BenchmarkDatasetSpec(1).attributes[0];
+    api::AttributeSpec attr = BenchmarkDatasetSpec(1, 12).attributes[0];
     attr.column = column;
     other.attributes.push_back(attr);
   }
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(16, &num_cols);
-  ASSERT_TRUE(client.value().Open(5, BenchmarkDatasetSpec(2)).ok());
+  ASSERT_TRUE(client.value().Open(5, BenchmarkDatasetSpec(2, 12)).ok());
   ASSERT_TRUE(client.value().Ingest(5, 16, num_cols, rows).ok());
   Result<Client> second = Client::Connect("127.0.0.1", port);
   ASSERT_TRUE(second.ok());
@@ -1875,7 +1981,7 @@ TEST(ServerTest, SeededTrackedIngestMutationsAreStatusesOrExactFolds) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
   ASSERT_TRUE(client.ok());
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   const std::vector<std::uint64_t> spec_columns = {0, 1};
   ASSERT_TRUE(client.value().Open(1, spec).ok());
   Result<std::unique_ptr<api::DatasetSession>> mirror =

@@ -23,9 +23,12 @@
 #include "stats/histogram.h"
 #include "stats/partition.h"
 #include "synth/generator.h"
+#include "test_util.h"
 
 namespace ppdm::reconstruct {
 namespace {
+
+using test::PathGuard;
 
 using perturb::NoiseKind;
 using perturb::NoiseModel;
@@ -368,13 +371,6 @@ TEST(ReconstructorTest, SampleCountIsRecorded) {
 // --------------------------------------------------- SIMD path determinism
 
 namespace simd = engine::simd;
-
-// Restores the dispatched path on scope exit so a failing test can't leak
-// a forced path into later tests.
-struct PathGuard {
-  simd::Path saved = simd::ActivePath();
-  ~PathGuard() { (void)simd::SetPath(saved); }
-};
 
 std::vector<double> PlateauPerturbed(std::size_t n, const NoiseModel& noise) {
   Rng rng(31);

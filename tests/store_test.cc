@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -38,79 +39,17 @@
 #include "store/snapshot_store.h"
 #include "store/spill_store.h"
 #include "synth/generator.h"
+#include "test_util.h"
 
 namespace ppdm::store {
 namespace {
 
+using test::BenchmarkDatasetSpec;
+using test::PerturbedRows;
+using test::ReconstructionsIdentical;
+using test::TempDir;
+
 namespace fs = std::filesystem;
-
-// A unique on-disk directory per test, removed on destruction.
-struct TempDir {
-  TempDir() {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    path = (fs::temp_directory_path() /
-            (std::string("ppdm_store_test_") + info->test_suite_name() +
-             "_" + info->name()))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
-
-/// A dataset-session spec over the first `num_attrs` benchmark columns.
-api::DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
-                                             std::size_t intervals = 12) {
-  api::DatasetSessionSpec spec;
-  spec.schema = synth::BenchmarkSchema();
-  for (std::size_t column = 0; column < num_attrs; ++column) {
-    api::AttributeSpec attr;
-    attr.column = column;
-    attr.intervals = intervals;
-    attr.noise = perturb::NoiseKind::kUniform;
-    attr.privacy_fraction = 1.0;
-    spec.attributes.push_back(attr);
-  }
-  return spec;
-}
-
-/// Perturbed benchmark records, flattened row-major. (Mirrors
-/// bench::PerturbedRowMajor in bench/bench_util.h — kept local so the
-/// test tree does not include bench tooling; change both if the arrival
-/// shape ever changes.)
-std::vector<double> PerturbedRows(std::size_t num_records,
-                                  std::size_t* num_cols,
-                                  std::uint64_t seed = 23) {
-  synth::GeneratorOptions gen;
-  gen.num_records = num_records;
-  gen.seed = seed;
-  const data::Dataset original = synth::Generate(gen);
-  perturb::RandomizerOptions noise;
-  noise.kind = perturb::NoiseKind::kUniform;
-  noise.privacy_fraction = 1.0;
-  noise.seed = seed ^ 0x5DEECE66DULL;
-  const data::Dataset perturbed =
-      perturb::Randomizer(original.schema(), noise).Perturb(original);
-  *num_cols = perturbed.NumCols();
-  std::vector<double> rows(perturbed.NumRows() * perturbed.NumCols());
-  for (std::size_t c = 0; c < perturbed.NumCols(); ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < perturbed.NumRows(); ++r) {
-      rows[r * perturbed.NumCols() + c] = column[r];
-    }
-  }
-  return rows;
-}
-
-bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
-                              const reconstruct::Reconstruction& b) {
-  return a.masses == b.masses && a.iterations == b.iterations &&
-         a.sample_count == b.sample_count;
-}
 
 // ------------------------------------------------------------------ crc32
 
@@ -485,7 +424,7 @@ TEST(CountsCodecTest, RejectsCountsOfTheWrongLength) {
 // byte-identical to the never-snapshotted one, at 0/1/2/8 threads.
 TEST(DatasetSnapshotTest, SnapshotRestoreContinuationIsByteIdentical) {
   const std::size_t num_attrs = 3;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(3000, &num_cols);
   const std::size_t num_rows = rows.size() / num_cols;
@@ -536,7 +475,7 @@ TEST(DatasetSnapshotTest, SnapshotRestoreContinuationIsByteIdentical) {
 // replies; a v2 capture of the same session is refused.
 TEST(DatasetSnapshotTest, MemoizedFitSurvivesSnapshotRestore) {
   const std::size_t num_attrs = 2;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(3000, &num_cols);
   const std::size_t num_rows = rows.size() / num_cols;
@@ -597,7 +536,7 @@ TEST(DatasetSnapshotTest, MemoizedFitSurvivesSnapshotRestore) {
 // fitted row count without masses, and masses that are not a
 // distribution.
 TEST(DatasetSnapshotTest, RestoreRejectsAnInconsistentMemo) {
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(400, &num_cols);
   auto session = api::DatasetSession::Open(spec);
@@ -725,7 +664,7 @@ TEST(DatasetSnapshotTest, HostileLayoutParametersAreRejectedNotFatal) {
   // whose derived noise explodes the padded layout, and one with an
   // implausible interval count; spec validation rejects both.
   for (int variant = 0; variant < 2; ++variant) {
-    api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
+    api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1, 12);
     if (variant == 0) {
       spec.attributes[0].confidence = 1e-12;  // alpha = p*R/(2c) -> huge
     } else {
@@ -745,7 +684,7 @@ TEST(DatasetSnapshotTest, HostileLayoutParametersAreRejectedNotFatal) {
 }
 
 TEST(DatasetSnapshotTest, PeekReportsWithoutRebuilding) {
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(300, &num_cols);
   auto session = api::DatasetSession::Open(spec);
@@ -802,9 +741,8 @@ TEST(SnapshotStoreTest, PutGetListDeleteLifecycle) {
   EXPECT_TRUE(store.Contains("alpha"));
   EXPECT_EQ(store.Get("alpha").value(), "bytes-a");
   EXPECT_EQ(store.List().value(),
-            (std::vector<std::string>{"alpha", "beta"}));
-  EXPECT_EQ(store.Count(), 2u);
-  EXPECT_EQ(store.TotalBytes(), 14u);
+            (std::map<std::string, std::uint64_t>{{"alpha", 7},
+                                                  {"beta", 7}}));
 
   // Overwrite replaces atomically (shorter content, no stale tail).
   ASSERT_TRUE(store.Put("alpha", "v2").ok());
@@ -812,7 +750,8 @@ TEST(SnapshotStoreTest, PutGetListDeleteLifecycle) {
 
   EXPECT_TRUE(store.Delete("alpha").ok());
   EXPECT_EQ(store.Delete("alpha").code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.List().value(), (std::vector<std::string>{"beta"}));
+  EXPECT_EQ(store.List().value(),
+            (std::map<std::string, std::uint64_t>{{"beta", 7}}));
 }
 
 TEST(SnapshotStoreTest, NamesWithArbitraryBytesRoundTrip) {
@@ -827,11 +766,11 @@ TEST(SnapshotStoreTest, NamesWithArbitraryBytesRoundTrip) {
   for (const std::string& name : names) {
     EXPECT_EQ(store.Get(name).value(), "x" + name) << name;
   }
-  std::vector<std::string> sorted = names;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(store.List().value(), sorted);
-  // Everything stayed inside the store directory (no path traversal).
-  EXPECT_EQ(store.Count(), names.size());
+  // Every name lists under its own size: everything stayed inside the
+  // store directory (no path traversal).
+  std::map<std::string, std::uint64_t> sizes;
+  for (const std::string& name : names) sizes[name] = name.size() + 1;
+  EXPECT_EQ(store.List().value(), sizes);
 }
 
 TEST(SnapshotStoreTest, EmptyNameIsRejectedEverywhere) {
@@ -884,7 +823,7 @@ TEST(SpillRegistryTest, EvictionSpillsAndLookupTransparentlyReadmits) {
   SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
   SessionSpillStore spill(snapshots);
 
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   const std::size_t per_session =
       api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
   api::SessionRegistryOptions options;
@@ -950,8 +889,8 @@ class DropFailingSpill : public api::SessionSpill {
       const std::string& name, engine::ThreadPool* pool) override {
     return inner_->Admit(name, pool);
   }
-  bool Contains(const std::string& name) const override {
-    return inner_->Contains(name);
+  Result<std::map<std::string, std::uint64_t>> List() const override {
+    return inner_->List();
   }
   Status Drop(const std::string& name) override {
     if (fail_drop) return Status::IoError("injected drop failure");
@@ -966,15 +905,15 @@ class DropFailingSpill : public api::SessionSpill {
 // Close closes the name even when its spilled capture cannot be deleted:
 // the name leaves OpenNames() and the spill ledger (a drain must not
 // checkpoint a closed tenant), the failure is counted in Stats and in
-// ppdm_registry_spill_failures_total alike, the orphaned capture still
-// blocks the name, and a later Close retries the Drop.
+// ppdm_registry_spill_failures_total alike, the orphaned capture is
+// never served, and the next Open of the name retries the Drop.
 TEST(SpillRegistryTest, CloseWithAFailedDropStillClosesTheName) {
   TempDir dir;
   SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
   SessionSpillStore store(snapshots);
   DropFailingSpill spill(&store);
 
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   const std::size_t per_session =
       api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
   api::SessionRegistryOptions options;
@@ -1004,14 +943,14 @@ TEST(SpillRegistryTest, CloseWithAFailedDropStillClosesTheName) {
     EXPECT_EQ(stats.spilled_bytes, 0u);
   }
   EXPECT_TRUE(snapshots.Contains("a"));
-  EXPECT_EQ(registry.Open("a", spec).status().code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.TryLookup("a").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.Open("a", spec).status().code(), StatusCode::kIoError);
+  EXPECT_TRUE(snapshots.Contains("a"));
 
   spill.fail_drop = false;
-  EXPECT_TRUE(registry.Close("a"));
-  EXPECT_FALSE(snapshots.Contains("a"));
   EXPECT_FALSE(registry.Close("a"));
   EXPECT_TRUE(registry.Open("a", spec).ok());
+  EXPECT_FALSE(snapshots.Contains("a"));
 }
 
 // The acceptance property: traffic through a budget-starved registry with
@@ -1019,7 +958,7 @@ TEST(SpillRegistryTest, CloseWithAFailedDropStillClosesTheName) {
 // — sessions keep all their evidence across demote/re-admit cycles.
 TEST(SpillRegistryTest, SpilledRegistryEquivalentToNeverEvicted) {
   const std::size_t num_sessions = 3;
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   std::size_t num_cols = 0;
   const std::vector<double> rows = PerturbedRows(1200, &num_cols);
   const std::size_t num_rows = rows.size() / num_cols;
@@ -1150,6 +1089,112 @@ TEST(SpillRegistryTest, OversizedSessionNeverFlushesTenants) {
   EXPECT_EQ(stats.open_sessions, 2u);
 }
 
+// The registry serves only the captures it holds. A capture it neither
+// demoted nor was handed is invisible (every verb misses and its bytes
+// stay put) until a fresh Open of the name discards it; AdoptCaptures
+// hands every capture over, and Stats and the spilled-sessions gauge
+// count each one with its size.
+TEST(SpillRegistryTest, OnlyCapturesTheRegistryHoldsAreServed) {
+  TempDir dir;
+  SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
+  SessionSpillStore spill(snapshots);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  auto session = api::DatasetSession::Open(spec);
+  ASSERT_TRUE(session.ok());
+  const std::vector<double> row = SmallBatch(spec, 30000.0);
+  ASSERT_TRUE(session.value()
+                  ->Ingest(data::RowBatch(row.data(), 1,
+                                          spec.schema.NumFields()))
+                  .ok());
+  const std::string bytes = EncodeDatasetSession(*session.value());
+  ASSERT_TRUE(snapshots.Put("old", bytes).ok());
+  ASSERT_TRUE(snapshots.Put("kept", bytes).ok());
+  api::SessionRegistryOptions options;
+  options.spill = &spill;
+  {
+    api::SessionRegistry fresh(options);
+    EXPECT_EQ(fresh.TryLookup("old").status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(fresh.Checkpoint("old").status().code(),
+              StatusCode::kNotFound);
+    EXPECT_FALSE(fresh.Close("old"));
+    EXPECT_TRUE(fresh.OpenNames().empty());
+    EXPECT_EQ(snapshots.Get("old").value(), bytes);
+
+    const auto opened = fresh.Open("old", spec);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(opened.value()->record_count(), 0u);
+    EXPECT_FALSE(snapshots.Contains("old"));
+    EXPECT_EQ(fresh.GetStats().spilled_sessions, 0u);
+  }
+
+  api::SessionRegistry resumed(options);
+  ASSERT_TRUE(resumed.AdoptCaptures().ok());
+  const api::SessionRegistry::Stats stats = resumed.GetStats();
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.spilled_sessions, 1u);
+  EXPECT_EQ(stats.spilled_bytes, bytes.size());
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetGauge("ppdm_registry_spilled_sessions")
+                ->Value(),
+            1);
+  EXPECT_EQ(resumed.OpenNames(), std::vector<std::string>{"kept"});
+  EXPECT_EQ(resumed.Open("kept", spec).status().code(),
+            StatusCode::kFailedPrecondition);
+  const auto readmitted = resumed.TryLookup("kept");
+  ASSERT_TRUE(readmitted.ok());
+  EXPECT_EQ(readmitted.value()->record_count(), 1u);
+}
+
+// Checkpoint writes a resident session in place (it stays resident, and
+// the capture decodes to its state) and leaves a spilled session alone:
+// its capture is already current, so nothing is put or re-admitted.
+TEST(SpillRegistryTest, CheckpointWritesResidentSessionsOnly) {
+  TempDir dir;
+  SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
+  SessionSpillStore spill(snapshots);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  const std::size_t per_session =
+      api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
+  api::SessionRegistryOptions options;
+  options.max_bytes = per_session + per_session / 2;  // room for one
+  options.spill = &spill;
+  api::SessionRegistry registry(options);
+
+  auto a = registry.Open("a", spec);
+  ASSERT_TRUE(a.ok());
+  const std::vector<double> row = SmallBatch(spec, 30000.0);
+  ASSERT_TRUE(a.value()
+                  ->Ingest(data::RowBatch(row.data(), 1,
+                                          spec.schema.NumFields()))
+                  .ok());
+  a.value().reset();
+  const Result<std::uint64_t> captured = registry.Checkpoint("a");
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const Result<std::string> bytes = snapshots.Get("a");
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(captured.value(), bytes.value().size());
+  EXPECT_EQ(DecodeDatasetSession(bytes.value()).value()->record_count(), 1u);
+  EXPECT_EQ(registry.GetStats().open_sessions, 1u);
+  EXPECT_EQ(registry.GetStats().spills, 0u);
+
+  ASSERT_TRUE(registry.Open("b", spec).ok());  // demotes "a"
+  const obs::Counter& puts =
+      *obs::MetricsRegistry::Global().GetCounter("ppdm_store_puts_total");
+  const std::uint64_t puts_before = puts.Value();
+  const api::SessionRegistry::Stats before = registry.GetStats();
+  ASSERT_EQ(before.spilled_sessions, 1u);
+  EXPECT_EQ(registry.Checkpoint("a").value(), before.spilled_bytes);
+  EXPECT_EQ(puts.Value(), puts_before);
+  EXPECT_EQ(registry.GetStats().readmissions, before.readmissions);
+  EXPECT_EQ(registry.Checkpoint("absent").status().code(),
+            StatusCode::kNotFound);
+
+  api::SessionRegistry storeless({});
+  ASSERT_TRUE(storeless.Open("a", spec).ok());
+  EXPECT_EQ(storeless.Checkpoint("a").status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 // TryLookup of a corrupt capture is a miss that keeps the bytes (operator
 // forensics) until Close() discards them.
 TEST(SpillRegistryTest, CorruptCaptureIsAMissUntilClosed) {
@@ -1161,6 +1206,7 @@ TEST(SpillRegistryTest, CorruptCaptureIsAMissUntilClosed) {
   api::SessionRegistry registry(options);
 
   ASSERT_TRUE(snapshots.Put("broken", "these are not the bytes").ok());
+  ASSERT_TRUE(registry.AdoptCaptures().ok());  // the restart hand-over
   // The backend's decode Status surfaces, not kNotFound: the capture
   // exists but cannot be re-admitted.
   EXPECT_EQ(registry.TryLookup("broken").status().code(),
@@ -1172,13 +1218,13 @@ TEST(SpillRegistryTest, CorruptCaptureIsAMissUntilClosed) {
   }
   EXPECT_TRUE(snapshots.Contains("broken"));
   EXPECT_EQ(registry
-                .Open("broken", BenchmarkDatasetSpec(1))
+                .Open("broken", BenchmarkDatasetSpec(1, 12))
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(registry.Close("broken"));
   EXPECT_FALSE(snapshots.Contains("broken"));
-  EXPECT_TRUE(registry.Open("broken", BenchmarkDatasetSpec(1)).ok());
+  EXPECT_TRUE(registry.Open("broken", BenchmarkDatasetSpec(1, 12)).ok());
 }
 
 // Race check (ThreadSanitizer in CI): spill-tier demotions and
@@ -1269,7 +1315,7 @@ TEST(SpillRegistryTest, DemotionFailureMidEvictionKeepsTheLedgerExact) {
   SnapshotStore snapshots = SnapshotStore::Open(dir.path).value();
   SessionSpillStore spill(snapshots);
 
-  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2);
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
   const std::size_t per_session =
       api::DatasetSession::Open(spec).value()->ApproxMemoryBytes();
   auto now = std::chrono::steady_clock::now();
