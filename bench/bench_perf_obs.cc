@@ -1,11 +1,12 @@
 // P-OBS — cost of the observability layer's hot paths: recording a span
 // into a trace ring (armed and fully disarmed), adopting a trace context,
 // incrementing a labeled counter through the registry (cached-pointer and
-// per-call lookup), and the begin/end pending-span pair the daemon pays
-// per request. The disarmed rows bound the tracing tax when
+// per-call lookup), and the back-dated root span the daemon opens per
+// request. The disarmed rows bound the tracing tax when
 // SetTimingEnabled(false) turns the whole layer off — the determinism
 // contract says that toggle may change *nothing* but time.
 
+#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -41,19 +42,21 @@ int main() {
   });
   obs::SetTimingEnabled(true);
 
-  // The daemon's per-request shape: open at dispatch, close in the
-  // completion callback.
+  // The daemon's per-request shape: a root span under the request's
+  // trace id, opened at the read that completed the frame (taken before
+  // the loop, so every span is back-dated) and ended early.
   reporter.Measure("span.begin_end", ops, "span.record", [&] {
-    const obs::TraceContext parent{obs::NewTraceId(), 0};
+    obs::ScopedTraceContext root(obs::TraceContext{obs::NewTraceId(), 0});
+    const auto received = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < ops; ++i) {
-      obs::PendingSpan pending = obs::BeginSpan("bench.pending", parent);
-      obs::EndSpan(&pending, &ring);
+      obs::ScopedSpan span("bench.request", received, nullptr, &ring);
+      span.End();
     }
   });
 
   // Labeled counters: the steady-state increment through a cached
-  // pointer, then the full name+labels lookup the dispatch path pays
-  // when it resolves a tenant's series per request.
+  // pointer, then the full name+labels lookup, which no served request
+  // pays (every series the daemon touches is resolved at registration).
   obs::MetricsRegistry registry;
   obs::Counter* cached =
       registry.GetCounter("bench_labeled_total", obs::LabelSet{{"tenant", "t0"}});

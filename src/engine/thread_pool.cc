@@ -18,9 +18,9 @@ namespace {
 thread_local bool t_on_worker_thread = false;
 
 // Engine-primitive nesting depth on this thread. Only the outermost
-// ParallelFor of a request records an "engine.parallel_for" span —
-// nested chunk loops (EM iterations fanning out from inside a shard or a
-// job) would flood the trace ring without adding tree structure.
+// ParallelFor of a call records an "engine.parallel_for" span — nested
+// loops (an EM fit's chunk fan-out inside a per-class or per-attribute
+// task) would flood the trace ring without adding tree structure.
 thread_local int t_engine_trace_depth = 0;
 
 struct EngineTraceDepth {
@@ -28,10 +28,10 @@ struct EngineTraceDepth {
   ~EngineTraceDepth() { --t_engine_trace_depth; }
 };
 
-// Pool telemetry (process-wide across pools: this build runs one serving
-// pool; a second pool's traffic aggregates into the same family).
-// Per-task cost is two relaxed atomic ops — tasks are coarse (one chunk
-// of a fan-out or one request job), so this never shows on a profile.
+// Pool telemetry (process-wide across pools: every pool's traffic
+// aggregates into the same family). Per-task cost is two relaxed atomic
+// ops — tasks are coarse (one chunk of a fan-out), so this never shows
+// on a profile.
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& gauge =
       *obs::MetricsRegistry::Global().GetGauge("ppdm_engine_queue_depth");
@@ -105,9 +105,9 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // The span covers inline runs too (a request job's fan-out runs inline
-  // on its worker — it still belongs in the request's tree); the fan-out
-  // *histogram* below stays pool-path-only, as before.
+  // The span covers inline runs too (a served request's fan-out runs
+  // inline on its event loop — it still belongs in the request's tree);
+  // the fan-out *histogram* below stays pool-path-only.
   std::optional<obs::ScopedSpan> fan_out_span;
   if (t_engine_trace_depth == 0) {
     fan_out_span.emplace("engine.parallel_for");

@@ -24,19 +24,6 @@
 
 namespace ppdm::net {
 
-/// An ingest body, decoded straight out of the connection's input buffer
-/// into the doubles the session's RowBatch views. The full-row form is
-/// [u64 rows][u64 cols][double array]; the tracked form is
-/// [u64 rows][u64 array of tracked columns][double array], and its rows
-/// are `columns.size()` wide.
-struct IngestBody {
-  bool tracked = false;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::vector<std::uint64_t> columns;  // the tracked form only
-  std::vector<double> values;
-};
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -123,11 +110,22 @@ class InputBuffer {
   std::size_t end_ = 0;
 };
 
+/// An ingest body, decoded straight out of the connection's input buffer
+/// into the doubles the session's RowBatch views. The full-row form is
+/// [u64 rows][u64 cols][double array]; the tracked form is
+/// [u64 rows][u64 array of tracked columns][double array], and its rows
+/// are `columns.size()` wide.
+struct IngestBody {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::vector<std::uint64_t> columns;  // the tracked form only
+  std::vector<double> values;
+};
+
 /// Decodes either ingest form; `tracked` comes from the verb alone.
 Result<IngestBody> DecodeIngestBody(std::string_view body, bool tracked) {
   store::Reader reader(body);
   IngestBody ingest;
-  ingest.tracked = tracked;
   PPDM_ASSIGN_OR_RETURN(ingest.rows, reader.ReadU64());
   if (tracked) {
     PPDM_ASSIGN_OR_RETURN(ingest.columns, reader.ReadU64Array());
@@ -159,6 +157,31 @@ Status TenantNotOpen(std::uint64_t tenant) {
   return Status::NotFound(
       StrFormat("tenant %llu is not open (send an open frame first)",
                 static_cast<unsigned long long>(tenant)));
+}
+
+/// Refuses a body sent to a verb that takes none.
+Status NoBody(Verb verb, std::string_view body) {
+  if (body.empty()) return Status::Ok();
+  return Status::InvalidArgument(
+      StrFormat("%s takes no body, got %zu byte(s)",
+                VerbName(static_cast<std::uint32_t>(verb)).c_str(),
+                body.size()));
+}
+
+/// The stats verb: the metrics exposition, and with the flag byte 0x01
+/// also the span ring as Chrome trace JSON.
+Result<std::string> HandleStats(std::string_view body) {
+  const bool want_trace = body.size() == 1 && body[0] == '\x01';
+  if (!body.empty() && !want_trace) {
+    return Status::InvalidArgument("unknown stats request flags");
+  }
+  store::Writer writer;
+  writer.PutString(obs::MetricsRegistry::Global().RenderText());
+  if (want_trace) {
+    writer.PutString(
+        obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
+  }
+  return writer.Take();
 }
 
 }  // namespace
@@ -218,6 +241,8 @@ Server::Server(const ServerOptions& options)
       bytes_written_(NetCounter("ppdm_net_bytes_written_total")),
       drain_checkpoints_metric_(
           NetCounter("ppdm_net_drain_checkpoints_total")),
+      drain_deadline_closes_(obs::MetricsRegistry::Global().GetCounter(
+          "ppdm_net_forced_closes_total", {{"reason", "drain_deadline"}})),
       request_seconds_(LatencyHistogram("ppdm_net_request_seconds")),
       slow_requests_(NetCounter("ppdm_net_slow_requests_total")),
       jobs_(NetCounter("ppdm_service_jobs_total")),
@@ -324,8 +349,12 @@ void Server::Loop(EventLoop& loop) {
   const bool listens = &loop == loops_.front().get();
   std::vector<pollfd> fds;
   std::vector<Connection*> polled;
+  std::optional<Clock::time_point> drain_deadline;
   while (true) {
     const bool draining = draining_.load(std::memory_order_acquire);
+    if (draining && !drain_deadline) {
+      drain_deadline = Clock::now() + kDrainDeadline;
+    }
     {
       std::lock_guard<std::mutex> lock(loop.dealt_mu);
       for (Socket& sock : loop.dealt) loop.Adopt(std::move(sock));
@@ -341,8 +370,9 @@ void Server::Loop(EventLoop& loop) {
     if (accepting) fds.push_back({listener_.fd(), POLLIN, 0});
 
     // A connection with unsent bytes waits for POLLOUT instead of being
-    // read: that is the read pause. Drain exit needs every outbox
-    // flushed; no request is ever in flight between rounds.
+    // read: that is the read pause. Drain exit needs every outbox flushed
+    // or the drain deadline passed; no request is ever in flight between
+    // rounds.
     bool pending_writes = false;
     for (const std::unique_ptr<Connection>& conn : loop.connections) {
       short events = 0;
@@ -358,6 +388,15 @@ void Server::Loop(EventLoop& loop) {
     }
 
     if (draining && !pending_writes) break;
+    if (draining && Clock::now() >= *drain_deadline) {
+      // A peer that never reads forfeits the responses it is owed.
+      for (const std::unique_ptr<Connection>& conn : loop.connections) {
+        if (!conn->has_unsent()) continue;
+        CloseConnection(*conn);
+        drain_deadline_closes_->Increment();
+      }
+      break;
+    }
 
     const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                              draining ? kDrainPollMs : kIdlePollMs);
@@ -471,7 +510,7 @@ void Server::ParseFrames(Connection& conn) {
       protocol_errors_->Increment();
       conn.close_after_flush = true;
       EnqueueResponse(conn, request.ok() ? request.value() : FrameHeader{},
-                      header.status(), "");
+                      header.status());
       FlushWrites(conn);
       return;
     }
@@ -482,7 +521,7 @@ void Server::ParseFrames(Connection& conn) {
     if (Status verified = VerifyBody(header.value(), body); !verified.ok()) {
       protocol_errors_->Increment();
       conn.close_after_flush = true;
-      EnqueueResponse(conn, header.value(), verified, "");
+      EnqueueResponse(conn, header.value(), verified);
       FlushWrites(conn);
       return;
     }
@@ -501,40 +540,18 @@ void Server::ParseFrames(Connection& conn) {
 void Server::Dispatch(Connection& conn, const FrameHeader& header,
                       std::string_view body) {
   verb_requests_[KnownVerb(header.verb) ? header.verb : 0]->Increment();
-  if (!KnownVerb(header.verb)) {
-    // Framing is intact — the connection survives an unknown verb.
-    EnqueueResponse(
-        conn, header,
-        Status::InvalidArgument(StrFormat(
-            "unknown verb %s", VerbName(header.verb).c_str())),
-        "");
-    return;
-  }
-  const auto verb = static_cast<Verb>(header.verb);
-  if (verb == Verb::kStats) {
-    // Cheap and read-only, so it is no job. The flag byte 0x01 also
-    // appends the span ring as Chrome trace JSON.
-    const bool want_trace = body.size() == 1 && body[0] == '\x01';
-    if (!body.empty() && !want_trace) {
-      EnqueueResponse(conn, header,
-                      Status::InvalidArgument("unknown stats request flags"),
-                      "");
-      return;
-    }
-    store::Writer writer;
-    writer.PutString(obs::MetricsRegistry::Global().RenderText());
-    if (want_trace) {
-      writer.PutString(
-          obs::RenderChromeTrace(obs::TraceRing::Global().Snapshot()));
-    }
-    EnqueueResponse(conn, header, Status::Ok(), writer.Take());
+  // Stats and unknown verbs are cheap and change nothing: no job, no
+  // spans. Framing is intact, so an unknown verb's connection lives on.
+  if (!KnownVerb(header.verb) ||
+      static_cast<Verb>(header.verb) == Verb::kStats) {
+    EnqueueResponse(conn, header, Handle(header, body));
     return;
   }
   const std::string tenant_name = TenantName(header.tenant);
   jobs_->Increment();
   if (Status refused = EnqueueFault().Fire(); !refused.ok()) {
     shed_jobs_->Increment();
-    EnqueueResponse(conn, header, refused, "");
+    EnqueueResponse(conn, header, refused);
     return;
   }
 
@@ -542,58 +559,41 @@ void Server::Dispatch(Connection& conn, const FrameHeader& header,
   // as do its service.queue wait and its ttl_ms deadline: a frame that
   // waited behind earlier frames on this loop has spent that time. A
   // nonzero client trace id wins so the caller can stitch our tree into
-  // its own; otherwise mint one.
+  // its own; otherwise mint one. The queue and run spans (and everything
+  // under the handler) are children of the request span.
   const Clock::time_point received = conn.received_at;
   const std::uint64_t trace_id =
       header.trace_id != 0 ? header.trace_id : obs::NewTraceId();
-  obs::PendingSpan request_span = obs::BeginSpan(
-      "net.request", obs::TraceContext{trace_id, 0},
+  obs::ScopedTraceContext root(obs::TraceContext{trace_id, 0});
+  obs::ScopedSpan request_span(
+      "net.request", received, request_seconds_, &obs::TraceRing::Global(),
       obs::RenderLabelSet(
           {{"tenant", tenant_name}, {"verb", VerbName(header.verb)}}));
-  request_span.start_ns = obs::SinceEpochNs(received);
   const Result<std::string> result = [&]() -> Result<std::string> {
-    // The queue and run spans (and everything under the handler) are
-    // children of the request span.
-    obs::ScopedTraceContext adopt(
-        obs::TraceContext{trace_id, request_span.span_id});
-    const Clock::time_point now = Clock::now();
-    obs::RecordSpan("service.queue", received, now, queue_wait_seconds_);
+    obs::ScopedSpan("service.queue", received, queue_wait_seconds_).End();
     if (header.ttl_ms > 0 &&
-        now >= received + std::chrono::milliseconds(header.ttl_ms)) {
+        Clock::now() >= received + std::chrono::milliseconds(header.ttl_ms)) {
       expired_jobs_->Increment();
       return Status::DeadlineExceeded("request deadline passed before it ran");
     }
-    // The run span closes before the request span, so a slow-request
-    // tree rendered below includes it.
     obs::ScopedSpan run_span("service.run", run_seconds_);
-    if (verb == Verb::kIngest || verb == Verb::kIngestTracked) {
-      // Decoded straight out of the input buffer into the doubles the
-      // session's RowBatch views.
-      return HandleIngest(header.tenant,
-                          DecodeIngestBody(body, verb == Verb::kIngestTracked));
-    }
-    return HandleVerb(header, body);
+    return Handle(header, body);
   }();
-  // Expired and handler errors travel back as the envelope's Status.
-  obs::EndSpan(&request_span);
-  if (obs::TimingEnabled()) {
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - received).count();
-    request_seconds_->Observe(seconds);
-    if (options_.slow_request_ms > 0.0 &&
-        seconds * 1e3 >= options_.slow_request_ms) {
-      slow_requests_->Increment();
-      const std::string tree = obs::RenderSpanTree(
-          obs::TraceRing::Global().Snapshot(), trace_id);
-      std::fprintf(stderr, "[served] slow request (%.1f ms >= %.1f ms): %s\n%s",
-                   seconds * 1e3, options_.slow_request_ms,
-                   tenant_name.c_str(), tree.c_str());
-      std::lock_guard<std::mutex> lock(slow_mu_);
-      last_slow_tree_ = tree;
-    }
+  // Expired and handler errors travel back as the envelope's Status. The
+  // request span closes first, so a slow-request tree includes it.
+  const double seconds = request_span.End();
+  if (options_.slow_request_ms > 0.0 &&
+      seconds * 1e3 >= options_.slow_request_ms) {
+    slow_requests_->Increment();
+    const std::string tree =
+        obs::RenderSpanTree(obs::TraceRing::Global().Snapshot(), trace_id);
+    std::fprintf(stderr, "[served] slow request (%.1f ms >= %.1f ms): %s\n%s",
+                 seconds * 1e3, options_.slow_request_ms, tenant_name.c_str(),
+                 tree.c_str());
+    std::lock_guard<std::mutex> lock(slow_mu_);
+    last_slow_tree_ = tree;
   }
-  EnqueueResponse(conn, header, result.ok() ? Status::Ok() : result.status(),
-                  result.ok() ? result.value() : std::string());
+  EnqueueResponse(conn, header, result);
 }
 
 std::string Server::LastSlowRequestTree() const {
@@ -602,10 +602,12 @@ std::string Server::LastSlowRequestTree() const {
 }
 
 void Server::EnqueueResponse(Connection& conn, const FrameHeader& request,
-                             const Status& status, std::string_view payload) {
+                             const Result<std::string>& result) {
+  const std::string_view payload =
+      result.ok() ? std::string_view(result.value()) : std::string_view();
   std::string frame =
       EncodeFrame(request.verb, request.request_id, request.tenant,
-                  /*ttl_ms=*/0, EncodeResponseBody(status, payload));
+                  /*ttl_ms=*/0, EncodeResponseBody(result.status(), payload));
   if (conn.outbuf.empty()) {
     conn.outbuf = std::move(frame);
   } else {
@@ -648,30 +650,27 @@ void Server::CloseConnection(Connection& conn) {
   }
 }
 
-Result<std::string> Server::HandleVerb(const FrameHeader& header,
-                                       std::string_view body) {
-  if (static_cast<Verb>(header.verb) != Verb::kOpen && !body.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("%s takes no body, got %zu byte(s)",
-                  VerbName(header.verb).c_str(), body.size()));
-  }
+Result<std::string> Server::Handle(const FrameHeader& header,
+                                   std::string_view body) {
+  const std::uint64_t tenant = header.tenant;
   switch (static_cast<Verb>(header.verb)) {
     case Verb::kOpen:
-      return HandleOpen(header.tenant, body);
+      return HandleOpen(tenant, body);
+    case Verb::kIngest:
+      return HandleIngest(tenant, body, /*tracked=*/false);
+    case Verb::kIngestTracked:
+      return HandleIngest(tenant, body, /*tracked=*/true);
     case Verb::kReconstruct:
-      return HandleReconstruct(header.tenant);
+      return HandleReconstruct(tenant, body);
     case Verb::kSnapshot:
-      return HandleSnapshot(header.tenant);
+      return HandleSnapshot(tenant, body);
     case Verb::kClose:
-      return HandleClose(header.tenant);
-    case Verb::kIngest:         // decoded in Dispatch, run by HandleIngest
-    case Verb::kIngestTracked:  // likewise
-    case Verb::kStats:          // answered in Dispatch
-      break;
+      return HandleClose(tenant, body);
+    case Verb::kStats:
+      return HandleStats(body);
   }
-  return Status::Internal(
-      StrFormat("verb %s reached HandleVerb",
-                VerbName(header.verb).c_str()));
+  return Status::InvalidArgument(
+      StrFormat("unknown verb %s", VerbName(header.verb).c_str()));
 }
 
 Result<std::shared_ptr<api::DatasetSession>> Server::LookupTenant(
@@ -738,10 +737,13 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
   return writer.Take();
 }
 
-Result<std::string> Server::HandleIngest(
-    std::uint64_t tenant, const Result<IngestBody>& decoded) {
-  PPDM_RETURN_IF_ERROR(decoded.status());
-  const auto& [tracked, rows, cols, columns, values] = decoded.value();
+Result<std::string> Server::HandleIngest(std::uint64_t tenant,
+                                         std::string_view body, bool tracked) {
+  // Decoded straight out of the input buffer into the doubles the
+  // session's RowBatch views.
+  PPDM_ASSIGN_OR_RETURN(const IngestBody decoded,
+                        DecodeIngestBody(body, tracked));
+  const auto& [rows, cols, columns, values] = decoded;
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
                         LookupTenant(tenant));
   const std::size_t width = session->spec().schema.NumFields();
@@ -779,7 +781,9 @@ Result<std::string> Server::HandleIngest(
   return writer.Take();
 }
 
-Result<std::string> Server::HandleReconstruct(std::uint64_t tenant) {
+Result<std::string> Server::HandleReconstruct(std::uint64_t tenant,
+                                              std::string_view body) {
+  PPDM_RETURN_IF_ERROR(NoBody(Verb::kReconstruct, body));
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
                         LookupTenant(tenant));
   PPDM_ASSIGN_OR_RETURN(
@@ -795,7 +799,9 @@ Result<std::string> Server::HandleReconstruct(std::uint64_t tenant) {
   return writer.Take();
 }
 
-Result<std::string> Server::HandleSnapshot(std::uint64_t tenant) {
+Result<std::string> Server::HandleSnapshot(std::uint64_t tenant,
+                                           std::string_view body) {
+  PPDM_RETURN_IF_ERROR(NoBody(Verb::kSnapshot, body));
   if (!spill_.has_value()) {
     return Status::FailedPrecondition(
         "daemon has no checkpoint directory (start with --checkpoint-dir)");
@@ -812,7 +818,9 @@ Result<std::string> Server::HandleSnapshot(std::uint64_t tenant) {
   return writer.Take();
 }
 
-Result<std::string> Server::HandleClose(std::uint64_t tenant) {
+Result<std::string> Server::HandleClose(std::uint64_t tenant,
+                                        std::string_view body) {
+  PPDM_RETURN_IF_ERROR(NoBody(Verb::kClose, body));
   const std::string name = TenantName(tenant);
   if (!registry_->Close(name)) {
     return Status::NotFound(StrFormat(

@@ -47,7 +47,8 @@
 // and owns every capture in it: evictions demote instead of destroy, the
 // snapshot verb checkpoints through it, and graceful shutdown — Stop(),
 // normally triggered by SIGTERM via the async-signal-safe RequestStop()
-// — stops reading, flushes every response, then checkpoints every
+// — stops reading, flushes every response (past kDrainDeadline it closes
+// the connections still owed bytes instead), then checkpoints every
 // resident tenant. A daemon restarted with resume=true hands the
 // directory's captures to the registry; any other never serves them.
 
@@ -55,6 +56,7 @@
 #define PPDM_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -74,13 +76,17 @@
 
 namespace ppdm::net {
 
-/// A decoded ingest request (defined in server.cc).
-struct IngestBody;
-
 /// Concurrent connection cap across every loop; the listener stops
 /// accepting at the cap (further connects wait in the TCP backlog until
 /// a slot frees).
 inline constexpr std::size_t kMaxConnections = 64;
+
+/// How long a drain waits for peers to take their responses. At the
+/// deadline a loop closes each connection that still has unsent bytes
+/// (counted in ppdm_net_forced_closes_total{reason="drain_deadline"}) and
+/// exits, so a peer that never reads cannot keep Stop() from
+/// checkpointing.
+inline constexpr std::chrono::seconds kDrainDeadline{3};
 
 /// The settings a deployment varies (the limits it does not vary are
 /// kMaxConnections and kDefaultMaxBodyBytes). Validated by Server::Start.
@@ -177,19 +183,24 @@ class Server {
   /// connection's input buffer.
   void Dispatch(Connection& conn, const FrameHeader& header,
                 std::string_view body);
+  /// Queues the response frame: the result's Status, and its payload
+  /// when it holds one.
   void EnqueueResponse(Connection& conn, const FrameHeader& request,
-                       const Status& status, std::string_view payload);
+                       const Result<std::string>& result);
 
-  /// Verb handlers. Each returns the response payload; errors become the
-  /// response envelope's Status.
-  Result<std::string> HandleVerb(const FrameHeader& header,
-                                 std::string_view body);
+  /// The one switch over Verb; an unknown verb answers kInvalidArgument.
+  /// Each handler decodes its own body and returns the response payload;
+  /// errors become the response envelope's Status.
+  Result<std::string> Handle(const FrameHeader& header, std::string_view body);
   Result<std::string> HandleOpen(std::uint64_t tenant, std::string_view body);
-  Result<std::string> HandleIngest(std::uint64_t tenant,
-                                   const Result<IngestBody>& decoded);
-  Result<std::string> HandleReconstruct(std::uint64_t tenant);
-  Result<std::string> HandleSnapshot(std::uint64_t tenant);
-  Result<std::string> HandleClose(std::uint64_t tenant);
+  /// `tracked` picks the ingest_tracked body form over the full-row one.
+  Result<std::string> HandleIngest(std::uint64_t tenant, std::string_view body,
+                                   bool tracked);
+  Result<std::string> HandleReconstruct(std::uint64_t tenant,
+                                        std::string_view body);
+  Result<std::string> HandleSnapshot(std::uint64_t tenant,
+                                     std::string_view body);
+  Result<std::string> HandleClose(std::uint64_t tenant, std::string_view body);
 
   Result<std::shared_ptr<api::DatasetSession>> LookupTenant(
       std::uint64_t tenant);
@@ -228,6 +239,7 @@ class Server {
   obs::Counter* bytes_read_;
   obs::Counter* bytes_written_;
   obs::Counter* drain_checkpoints_metric_;
+  obs::Counter* drain_deadline_closes_;
   obs::Histogram* request_seconds_;
   obs::Counter* verb_requests_[kLastVerb + 1];  // by verb, 0 = unknown
   obs::Counter* slow_requests_;

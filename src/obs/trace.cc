@@ -29,6 +29,19 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x;
 }
 
+/// Nanoseconds since the process's steady-clock epoch (the timestamp base
+/// every SpanEvent uses).
+std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+}
+
+std::uint64_t SteadyNowNs() {
+  return SinceEpochNs(std::chrono::steady_clock::now());
+}
+
 Counter& TraceRecordedCounter() {
   static Counter* const counter =
       MetricsRegistry::Global().GetCounter("ppdm_trace_recorded_total");
@@ -62,27 +75,6 @@ void AppendJsonEscaped(std::string* out, const std::string& text) {
   }
 }
 
-/// The one sink every span kind closes through (ScopedSpan, EndSpan,
-/// RecordSpan): clamps the duration at 0, records the event into `ring`
-/// and the duration into `histogram` (either may be null), and disarms
-/// `span`.
-void CloseSpan(PendingSpan* span, std::uint64_t stop_ns, Histogram* histogram,
-               TraceRing* ring) {
-  SpanEvent event;
-  event.name = span->name;
-  event.start_ns = span->start_ns;
-  event.duration_ns = stop_ns > span->start_ns ? stop_ns - span->start_ns : 0;
-  event.trace_id = span->trace_id;
-  event.span_id = span->span_id;
-  event.parent_id = span->parent_id;
-  event.labels = std::move(span->labels);
-  span->name = nullptr;
-  if (histogram != nullptr) {
-    histogram->Observe(static_cast<double>(event.duration_ns) * 1e-9);
-  }
-  if (ring != nullptr) ring->Record(std::move(event));
-}
-
 std::string HexId(std::uint64_t id) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -107,17 +99,6 @@ std::uint64_t NewTraceId() {
 std::uint64_t NewSpanId() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          t.time_since_epoch())
-          .count());
-}
-
-std::uint64_t SteadyNowNs() {
-  return SinceEpochNs(std::chrono::steady_clock::now());
 }
 
 ScopedTraceContext::ScopedTraceContext(TraceContext context)
@@ -195,49 +176,40 @@ void TraceRing::Clear() {
 
 ScopedSpan::ScopedSpan(const char* name, Histogram* histogram, TraceRing* ring,
                        std::string labels)
-    : span_(BeginSpan(name, TraceContext::Current(), std::move(labels))),
-      histogram_(histogram),
-      ring_(ring) {
-  if (span_.name == nullptr) return;
-  t_current_context = TraceContext{span_.trace_id, span_.span_id};
+    : histogram_(histogram), ring_(ring) {
+  if (TimingEnabled()) Open(name, SteadyNowNs(), std::move(labels));
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (span_.name == nullptr) return;
-  t_current_context = TraceContext{span_.trace_id, span_.parent_id};
-  CloseSpan(&span_, SteadyNowNs(), histogram_, ring_);
+ScopedSpan::ScopedSpan(const char* name,
+                       std::chrono::steady_clock::time_point start,
+                       Histogram* histogram, TraceRing* ring,
+                       std::string labels)
+    : histogram_(histogram), ring_(ring) {
+  if (TimingEnabled()) Open(name, SinceEpochNs(start), std::move(labels));
 }
 
-PendingSpan BeginSpan(const char* name, TraceContext parent,
+void ScopedSpan::Open(const char* name, std::uint64_t start_ns,
                       std::string labels) {
-  PendingSpan span;
-  if (!TimingEnabled()) return span;
-  span.name = name;
-  span.labels = std::move(labels);
-  span.trace_id = parent.trace_id;
-  span.parent_id = parent.span_id;
-  span.span_id = NewSpanId();
-  span.start_ns = SteadyNowNs();
-  return span;
+  event_.name = name;
+  event_.start_ns = start_ns;
+  event_.trace_id = t_current_context.trace_id;
+  event_.parent_id = t_current_context.span_id;
+  event_.span_id = NewSpanId();
+  event_.labels = std::move(labels);
+  t_current_context = TraceContext{event_.trace_id, event_.span_id};
 }
 
-void EndSpan(PendingSpan* span, TraceRing* ring) {
-  if (span == nullptr || span->name == nullptr) return;
-  CloseSpan(span, SteadyNowNs(), nullptr, ring);
-}
-
-void RecordSpan(const char* name, std::chrono::steady_clock::time_point start,
-                std::chrono::steady_clock::time_point stop,
-                Histogram* histogram, TraceRing* ring) {
-  if (!TimingEnabled()) return;
-  const TraceContext parent = TraceContext::Current();
-  PendingSpan span;
-  span.name = name;
-  span.trace_id = parent.trace_id;
-  span.parent_id = parent.span_id;
-  span.span_id = NewSpanId();
-  span.start_ns = SinceEpochNs(start);
-  CloseSpan(&span, SinceEpochNs(stop), histogram, ring);
+double ScopedSpan::End() {
+  if (event_.span_id == 0) return 0.0;
+  t_current_context = TraceContext{event_.trace_id, event_.parent_id};
+  const std::uint64_t stop_ns = SteadyNowNs();
+  event_.duration_ns =
+      stop_ns > event_.start_ns ? stop_ns - event_.start_ns : 0;
+  const double seconds = static_cast<double>(event_.duration_ns) * 1e-9;
+  if (histogram_ != nullptr) histogram_->Observe(seconds);
+  if (ring_ != nullptr) ring_->Record(std::move(event_));
+  event_.span_id = 0;
+  return seconds;
 }
 
 std::string RenderChromeTrace(const std::vector<SpanEvent>& events) {

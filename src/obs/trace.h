@@ -11,8 +11,8 @@
 // beneath it (same thread) become children automatically. Work that hops
 // threads — ParallelFor shards — carries a TraceContext from the
 // submission site and adopts it on the worker via ScopedTraceContext,
-// stitching the tree back together; the daemon adopts a request's root
-// span the same way for the spans under its handler.
+// stitching the tree back together; the daemon installs a request's
+// trace id the same way before it opens the request's root span.
 //
 // Spans are call-granularity (one per request, ingest batch, refresh,
 // snapshot put…), never per-record, so a mutex-guarded ring is plenty:
@@ -56,17 +56,10 @@ struct TraceContext {
 std::uint64_t NewTraceId();
 std::uint64_t NewSpanId();
 
-/// Nanoseconds since the process's steady-clock epoch (the timestamp
-/// base every SpanEvent uses).
-std::uint64_t SteadyNowNs();
-/// The same timestamp for an earlier steady-clock reading (say, to open
-/// a PendingSpan at a time already taken).
-std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t);
-
 /// RAII adopt: installs `context` as this thread's current context and
 /// restores the previous one on destruction. This is the capture/adopt
 /// half of propagation — capture Current() where work is submitted,
-/// adopt it where the work runs (queue jobs, pool shards).
+/// adopt it where the work runs (pool shards).
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext context);
@@ -137,60 +130,40 @@ class TraceRing {
   std::uint64_t total_ = 0;        // guarded by mu_
 };
 
-/// A span whose open and close are not one C++ scope, and whose start
-/// may be set after it opens: the daemon opens one per request at
-/// dispatch, back-dates its start to the read that completed the frame,
-/// and closes it once the handler returns. Value-copyable.
-struct PendingSpan {
-  const char* name = nullptr;  // null when disarmed or already ended
-  std::string labels;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_id = 0;
-  std::uint64_t start_ns = 0;
-};
-
-/// RAII span: records [construction, destruction) into the ring (and,
-/// when given one, the same duration into a latency Histogram, so a code
-/// path gets aggregate percentiles and recent-event tracing from a single
-/// annotation). While open, the span is this thread's current context,
-/// so spans opened beneath it become its children.
+/// RAII span: records [start, End()) into the ring (and, when given one,
+/// the same duration into a latency Histogram, so a code path gets
+/// aggregate percentiles and recent-event tracing from a single
+/// annotation). It parents under this thread's current context and, while
+/// open, is that context, so spans opened beneath it become its children.
+/// It opens now or at an earlier steady-clock reading (the daemon's
+/// request span opens at the read that completed its frame), and closes
+/// at End() or destruction, whichever comes first. Free while timing is
+/// disabled.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, Histogram* histogram = nullptr,
                       TraceRing* ring = &TraceRing::Global(),
                       std::string labels = "");
+  ScopedSpan(const char* name, std::chrono::steady_clock::time_point start,
+             Histogram* histogram = nullptr,
+             TraceRing* ring = &TraceRing::Global(), std::string labels = "");
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  ~ScopedSpan();
+  ~ScopedSpan() { End(); }
+
+  /// Records now, restores the enclosing context and disarms; returns
+  /// the recorded seconds (0 if disarmed or already ended).
+  double End();
 
  private:
-  PendingSpan span_;  // disarmed (name null) while timing is disabled
+  void Open(const char* name, std::uint64_t start_ns, std::string labels);
+
+  SpanEvent event_;  // span_id 0 while disarmed or ended
   Histogram* const histogram_;
   TraceRing* const ring_;
 };
-
-/// Opens a pending span as a child of `parent` (does NOT touch the
-/// thread-local context — install {parent.trace_id, span.span_id} with
-/// ScopedTraceContext wherever descendants should attach). Disarmed
-/// (name null, ids 0) when timing is disabled.
-PendingSpan BeginSpan(const char* name, TraceContext parent,
-                      std::string labels = "");
-
-/// Closes `span` into `ring` and disarms it; safe to call twice.
-void EndSpan(PendingSpan* span, TraceRing* ring = &TraceRing::Global());
-
-/// Records an already-measured interval as a span under this thread's
-/// current context (and, when given one, into `histogram`) — for
-/// intervals whose endpoints are not scoped to one stack frame, like a
-/// request's wait on its loop. No-op when timing is disabled.
-void RecordSpan(const char* name,
-                std::chrono::steady_clock::time_point start,
-                std::chrono::steady_clock::time_point stop,
-                Histogram* histogram = nullptr,
-                TraceRing* ring = &TraceRing::Global());
 
 /// Renders `events` as Chrome trace-event JSON (chrome://tracing /
 /// Perfetto "traceEvents" format, complete "X" phases in microseconds).

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -862,6 +864,72 @@ TEST(ServerTest, RequestQueuedPastItsTtlAnswersDeadlineExceeded) {
     EXPECT_EQ(live.value(), acked.value() + num_rows);
   }
   EXPECT_TRUE(expired) << "no ttl_ms=1 ingest ever waited out its deadline";
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// A request's spans count from the read that completed its frame. A
+// tenant's first wide reconstruct and an ingest sent in one write under
+// one client trace id share that read: the reconstruct's net.request, the
+// ingest's net.request and the ingest's service.queue all start at it,
+// and the ingest's queue wait covers the reconstruct's run.
+TEST(ServerTest, RequestSpansStartAtTheReadThatCompletedTheirFrame) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(1));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(2000, &num_cols);
+  ASSERT_TRUE(client.value().Open(1, SlowFitSpec()).ok());
+  ASSERT_TRUE(client.value()
+                  .Ingest(1, rows.size() / num_cols, num_cols, rows)
+                  .ok());
+  const std::string one_row = FullIngestBody(
+      1, num_cols,
+      std::vector<double>(
+          rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(num_cols)));
+
+  const std::uint64_t trace = obs::NewTraceId();
+  ASSERT_TRUE(client.value()
+                  .SendRaw(EncodeFrame(Verb::kReconstruct, 1, 1, 0, "", trace) +
+                           EncodeFrame(Verb::kIngest, 2, 1, 0, one_row, trace))
+                  .ok());
+  for (std::uint64_t request_id : {1u, 2u}) {
+    Result<Frame> response = client.value().ReadFrame();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response.value().header.request_id, request_id);
+    Result<ResponseBody> envelope = DecodeResponseBody(response.value().body);
+    ASSERT_TRUE(envelope.ok());
+    ASSERT_TRUE(envelope.value().status.ok())
+        << envelope.value().status.ToString();
+  }
+
+  // Each request's root span, and its queue and run spans by root.
+  std::map<std::string, obs::SpanEvent> roots;  // by verb
+  std::map<std::uint64_t, std::map<std::string, obs::SpanEvent>> children;
+  for (const obs::SpanEvent& span : obs::TraceRing::Global().Snapshot()) {
+    if (span.trace_id != trace) continue;
+    if (span.name == "net.request") {
+      for (const char* verb : {"reconstruct", "ingest"}) {
+        if (span.labels.find(StrFormat("verb=\"%s\"", verb)) !=
+            std::string::npos) {
+          roots[verb] = span;
+        }
+      }
+    } else if (span.name == "service.queue" || span.name == "service.run") {
+      children[span.parent_id][span.name] = span;
+    }
+  }
+  ASSERT_EQ(roots.size(), 2u);
+  const obs::SpanEvent& reconstruct = roots["reconstruct"];
+  const obs::SpanEvent& ingest = roots["ingest"];
+  ASSERT_EQ(children[reconstruct.span_id].count("service.run"), 1u);
+  ASSERT_EQ(children[ingest.span_id].count("service.queue"), 1u);
+  const obs::SpanEvent& ingest_queue =
+      children[ingest.span_id]["service.queue"];
+  EXPECT_EQ(ingest.start_ns, reconstruct.start_ns);
+  EXPECT_EQ(ingest_queue.start_ns, reconstruct.start_ns);
+  EXPECT_GE(ingest_queue.duration_ns,
+            children[reconstruct.span_id]["service.run"].duration_ns);
   ASSERT_TRUE(server.value()->Stop().ok());
 }
 
@@ -1734,6 +1802,80 @@ TEST(ServerTest, DrainWritesResidentTenantsOnceAndReadmitsNone) {
   EXPECT_EQ(restarted.value()->registry_stats().readmissions, kTenants);
   ASSERT_TRUE(restarted.value()->Stop().ok());
   ASSERT_TRUE(control.value()->Stop().ok());
+}
+
+// A drain always ends. A client that pipelines stats frames until its
+// sends find no room, and never reads, leaves its loop holding unsent
+// answers. At kDrainDeadline the loop closes that connection, counted
+// once under reason drain_deadline, and exits; Stop() returns and the
+// checkpoint runs as usual. A second client's tenant drains to the bytes
+// an in-process replay of its ingest encodes. On two loops the two
+// clients land on different loops.
+TEST(ServerTest, DrainDeadlineClosesAPeerThatNeverReads) {
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(400, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  Result<std::unique_ptr<api::DatasetSession>> replay =
+      api::DatasetSession::Open(spec);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_TRUE(replay.value()
+                  ->Ingest(data::RowBatch(rows.data(), num_rows, num_cols))
+                  .ok());
+  const std::string replayed = store::EncodeDatasetSession(*replay.value());
+  const obs::Counter& forced = *obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_net_forced_closes_total", {{"reason", "drain_deadline"}});
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    TempDir dir;
+    ServerOptions options = LoopbackOptions(threads);
+    options.checkpoint_dir = dir.path;
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    Result<Client> stuck = Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(stuck.ok());
+    Result<Client> ingester =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(ingester.ok());
+    ASSERT_TRUE(ingester.value().Open(2, spec).ok());
+    ASSERT_TRUE(
+        ingester.value().Ingest(2, num_rows, num_cols, rows).ok());
+
+    const int fd = stuck.value().fd();
+    ASSERT_TRUE(SetNonBlocking(fd).ok());
+    const std::string frame = EncodeFrame(Verb::kStats, 1, 0, 0, "");
+    std::size_t frame_pos = 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (true) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+          << "the client's sends never blocked";
+      const ssize_t n = ::send(fd, frame.data() + frame_pos,
+                               frame.size() - frame_pos, MSG_NOSIGNAL);
+      if (n > 0) {
+        frame_pos = (frame_pos + static_cast<std::size_t>(n)) % frame.size();
+        continue;
+      }
+      ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+      pollfd writable{fd, POLLOUT, 0};
+      if (::poll(&writable, 1, /*timeout=*/300) == 0) break;
+    }
+
+    const std::uint64_t forced_before = forced.Value();
+    const auto stop_began = std::chrono::steady_clock::now();
+    ASSERT_TRUE(server.value()->Stop().ok());
+    const auto took = std::chrono::steady_clock::now() - stop_began;
+    EXPECT_GE(took, kDrainDeadline);
+    EXPECT_LT(took, kDrainDeadline + std::chrono::seconds(5));
+    EXPECT_EQ(forced.Value(), forced_before + 1);
+    EXPECT_EQ(server.value()->drained_checkpoints(), 1u);
+    std::ifstream capture(dir.path + "/t2.snap", std::ios::binary);
+    ASSERT_TRUE(capture.good());
+    const std::string drained((std::istreambuf_iterator<char>(capture)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_TRUE(drained == replayed) << "capture differs from the replay";
+  }
 }
 
 // Open is idempotent only for the spec the tenant holds: a reopen that

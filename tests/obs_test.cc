@@ -3,6 +3,7 @@
 // TSan job builds this binary), and the layer's core contract — telemetry
 // never changes what the serving stack computes.
 
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <regex>
@@ -355,25 +356,46 @@ TEST(ScopedSpanTest, NestedSpansParentCorrectly) {
             outer.start_ns + outer.duration_ns);
 }
 
-TEST(PendingSpanTest, BeginEndRecordsOnceAndIsIdempotent) {
+// The daemon's request-span shape: a root under an installed trace id,
+// opened at an earlier steady-clock reading and ended before its scope
+// closes. It records once, with its labels and the back-dated start, and
+// End() returns the seconds it recorded.
+TEST(ScopedSpanTest, BackDatedEndRecordsOnceAndIsIdempotent) {
   TraceRing ring(8);
   const std::uint64_t trace = obs::NewTraceId();
-  obs::PendingSpan pending =
-      obs::BeginSpan("obs_test.pending", obs::TraceContext{trace, 0},
-                     "tenant=\"t1\"");
-  obs::EndSpan(&pending, &ring);
-  obs::EndSpan(&pending, &ring);  // second close must be a no-op
+  const auto start =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
+  const auto start_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          start.time_since_epoch())
+          .count());
+  double seconds = 0.0;
+  {
+    obs::ScopedTraceContext root(obs::TraceContext{trace, 0});
+    ScopedSpan span("obs_test.request", start, nullptr, &ring,
+                    "tenant=\"t1\"");
+    seconds = span.End();
+    EXPECT_EQ(span.End(), 0.0);  // second close must be a no-op
+    // Ending restored the enclosing context.
+    EXPECT_EQ(obs::TraceContext::Current().trace_id, trace);
+    EXPECT_EQ(obs::TraceContext::Current().span_id, 0u);
+  }  // nor may the destructor record it again
   const std::vector<SpanEvent> spans = ring.Snapshot();
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "obs_test.pending");
+  EXPECT_EQ(spans[0].name, "obs_test.request");
   EXPECT_EQ(spans[0].trace_id, trace);
   EXPECT_EQ(spans[0].parent_id, 0u);
   EXPECT_EQ(spans[0].labels, "tenant=\"t1\"");
+  EXPECT_EQ(spans[0].start_ns, start_ns);
+  EXPECT_GE(spans[0].duration_ns, 5000000u);
+  EXPECT_DOUBLE_EQ(seconds, static_cast<double>(spans[0].duration_ns) * 1e-9);
 
   obs::SetTimingEnabled(false);
-  obs::PendingSpan disarmed =
-      obs::BeginSpan("obs_test.disarmed", obs::TraceContext{trace, 0});
-  obs::EndSpan(&disarmed, &ring);
+  {
+    obs::ScopedTraceContext root(obs::TraceContext{trace, 0});
+    ScopedSpan disarmed("obs_test.disarmed", start, nullptr, &ring);
+    EXPECT_EQ(disarmed.End(), 0.0);
+  }
   obs::SetTimingEnabled(true);
   EXPECT_EQ(ring.Snapshot().size(), 1u);
 }
