@@ -1,5 +1,6 @@
 #include "api/dataset_session.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -64,6 +65,13 @@ obs::Counter& KernelCacheBuildsCounter() {
   static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
       "ppdm_kernel_cache_builds_total");
   return counter;
+}
+
+// A fresh fit tag: one process-wide counter, so no two installs (in any
+// session) ever share a tag, and 0 is never minted.
+std::uint64_t NewFitTag() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Upper bound on an attribute's interval count and on the padding bins its
@@ -258,6 +266,7 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   session->rows_ = state.rows;
   session->batches_ = state.batches;
   session->fitted_rows_ = state.fitted_rows;
+  if (has_memo) session->fit_tag_ = NewFitTag();
   return session;
 }
 
@@ -334,14 +343,15 @@ Status DatasetSession::Fold(const data::RowBatch& rows, std::size_t width,
 }
 
 Result<std::vector<reconstruct::Reconstruction>>
-DatasetSession::ReconstructAll() {
+DatasetSession::ReconstructAll(std::uint64_t held_tag, std::uint64_t* tag) {
   obs::ScopedSpan span("session.reconstruct_all",
                        &ReconstructSecondsHistogram());
+  if (tag != nullptr) *tag = 0;
   // Under the lock: the row count and the memo, and on a refit the counts
   // they go with. The EM fan-out runs outside it so ingestion continues
   // while the estimates refresh.
   const std::size_t num_attrs = attrs_.size();
-  std::vector<reconstruct::Reconstruction> estimates(num_attrs);
+  std::vector<reconstruct::Reconstruction> estimates;
   std::vector<std::vector<double>> weights(num_attrs);
   std::vector<double> totals(num_attrs);
   std::vector<std::shared_ptr<const reconstruct::KernelTable>> kernels(
@@ -351,7 +361,11 @@ DatasetSession::ReconstructAll() {
     std::lock_guard<std::mutex> lock(mu_);
     rows = rows_;
     if (kRefitGrowthDivisor * (rows - fitted_rows_) < fitted_rows_) {
-      // A memo hit: the last refit's masses, no EM.
+      // A memo hit: the last refit's masses, no EM, and nothing at all
+      // for a caller that already holds them.
+      if (tag != nullptr) *tag = fit_tag_;
+      if (held_tag != 0 && held_tag == fit_tag_) return estimates;
+      estimates.resize(num_attrs);
       for (std::size_t a = 0; a < num_attrs; ++a) {
         estimates[a].masses = attrs_[a].last_masses;
         estimates[a].sample_count = static_cast<std::size_t>(fitted_rows_);
@@ -371,6 +385,7 @@ DatasetSession::ReconstructAll() {
   // invariant and its nested engine primitives run inline on a worker, so
   // each attribute's estimate matches a standalone session's byte for
   // byte.
+  estimates.resize(num_attrs);
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
     const Attribute& attr = attrs_[a];
     if (kernels[a] == nullptr) {
@@ -396,7 +411,11 @@ DatasetSession::ReconstructAll() {
         attrs_[a].kernel_table = std::move(kernels[a]);
       }
     }
-    if (install) fitted_rows_ = rows;
+    if (install) {
+      fitted_rows_ = rows;
+      fit_tag_ = NewFitTag();
+      if (tag != nullptr) *tag = fit_tag_;
+    }
   }
   return estimates;
 }

@@ -34,6 +34,15 @@
 // about log(n) / log(17/16) cold fits over n rows instead of one EM per
 // request.
 //
+// Fit tags: every memo install (a refit that installs, or a Restore that
+// carries a memo) mints a nonzero tag from one process-wide counter, so a
+// tag names one installed fit of one session for the life of the process.
+// A caller that passes the tag it holds back to ReconstructAll gets no
+// estimates on a memo hit of that same fit, and nothing is copied. A
+// closed-and-reopened or readmitted tenant is a new session with a new
+// tag, so a held tag never matches a fit it did not come from. Tags are
+// not part of the exported state.
+//
 // Thread safety: Ingest() and ReconstructAll() may race from different
 // threads (a daemon's event loops), and a SessionRegistry may evict (drop) the session while
 // either is in flight — callers hold the session via shared_ptr, so an
@@ -180,7 +189,15 @@ class DatasetSession {
   /// with `iterations` 0 and `sample_count` = the rows they were fitted
   /// from. An empty session yields the uniform distribution.
   /// Byte-identical at any thread count.
-  Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
+  ///
+  /// `tag`, when given, receives the installed memo's tag if the returned
+  /// estimates are that memo (a memo hit, or the refit that installed it),
+  /// and 0 otherwise (an empty session, or a refit that a racing refresh
+  /// over more rows overtook). On a memo hit whose tag equals a nonzero
+  /// `held_tag`, the result is empty and `*tag == held_tag`: the caller
+  /// already holds exactly these estimates.
+  Result<std::vector<reconstruct::Reconstruction>> ReconstructAll(
+      std::uint64_t held_tag = 0, std::uint64_t* tag = nullptr);
 
   /// Records ingested so far.
   std::uint64_t record_count() const;
@@ -252,6 +269,8 @@ class DatasetSession {
   std::uint64_t rows_ = 0;         // guarded by mu_
   std::uint64_t batches_ = 0;      // guarded by mu_
   std::uint64_t fitted_rows_ = 0;  // guarded by mu_
+  /// The installed memo's tag; 0 while there is no memo.
+  std::uint64_t fit_tag_ = 0;  // guarded by mu_
 };
 
 }  // namespace ppdm::api

@@ -34,9 +34,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
+#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/status.h"
 
@@ -174,32 +173,27 @@ std::uint32_t Crc32Avx2(std::uint32_t crc, const unsigned char* data,
 /// Cache-line-aligned, zero-initialized double buffer — the per-chunk
 /// E-step accumulators use one 64-byte-aligned slice per chunk so pool
 /// threads never write into each other's cache lines (no false sharing).
+///
+/// The buffer is a plain array kSlack doubles longer than asked, aligned
+/// from inside, not an aligned allocation. glibc's memalign asks its heap
+/// for the size plus the alignment and frees the unused ends as small
+/// chunks. Once other small allocations take those, a freed buffer no
+/// longer fits the next aligned request of the same size, which is then
+/// cut from the top of the heap. A served daemon fits once every few
+/// requests, and its heap grew by one stranded block per fit. A freed
+/// plain array fits the next one of the same size exactly.
 class AlignedDoubles {
  public:
   AlignedDoubles() = default;
   explicit AlignedDoubles(std::size_t n) : size_(n) {
     if (n == 0) return;
-    data_ = static_cast<double*>(
-        ::operator new[](n * sizeof(double), std::align_val_t(64)));
-    for (std::size_t i = 0; i < n; ++i) data_[i] = 0.0;
-  }
-  ~AlignedDoubles() {
-    if (data_ != nullptr) {
-      ::operator delete[](data_, std::align_val_t(64));
-    }
+    storage_ = std::make_unique<double[]>(n + kSlack);
+    const std::uintptr_t address =
+        reinterpret_cast<std::uintptr_t>(storage_.get());
+    data_ = storage_.get() +
+            (kAlignment - address % kAlignment) % kAlignment / sizeof(double);
   }
 
-  AlignedDoubles(AlignedDoubles&& other) noexcept
-      : size_(std::exchange(other.size_, 0)),
-        data_(std::exchange(other.data_, nullptr)) {}
-  AlignedDoubles& operator=(AlignedDoubles&& other) noexcept {
-    if (this != &other) {
-      this->~AlignedDoubles();
-      size_ = std::exchange(other.size_, 0);
-      data_ = std::exchange(other.data_, nullptr);
-    }
-    return *this;
-  }
   AlignedDoubles(const AlignedDoubles&) = delete;
   AlignedDoubles& operator=(const AlignedDoubles&) = delete;
 
@@ -208,7 +202,13 @@ class AlignedDoubles {
   std::size_t size() const { return size_; }
 
  private:
+  static constexpr std::size_t kAlignment = 64;
+  /// new[] aligns to at least 8 bytes, so at most 7 doubles precede the
+  /// first 64-byte boundary.
+  static constexpr std::size_t kSlack = kAlignment / sizeof(double) - 1;
+
   std::size_t size_ = 0;
+  std::unique_ptr<double[]> storage_;
   double* data_ = nullptr;
 };
 

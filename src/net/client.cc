@@ -120,10 +120,35 @@ Result<std::uint64_t> Client::Ingest(std::uint64_t tenant, std::uint64_t rows,
 
 Result<std::vector<AttributeEstimate>> Client::Reconstruct(
     std::uint64_t tenant, std::uint32_t ttl_ms) {
-  PPDM_ASSIGN_OR_RETURN(const std::string payload,
-                        Payload(Call(Verb::kReconstruct, tenant, ttl_ms, "")));
+  const auto held = fits_.find(tenant);
+  const std::uint64_t held_tag = held == fits_.end() ? 0 : held->second.tag;
+  store::Writer request;
+  request.PutU64(held_tag);
+  PPDM_ASSIGN_OR_RETURN(
+      const std::string payload,
+      Payload(Call(Verb::kReconstruct, tenant, ttl_ms, request.Take())));
   store::Reader reader(payload);
+  PPDM_ASSIGN_OR_RETURN(const std::uint64_t tag, reader.ReadU64());
+  if (reader.AtEnd()) {
+    // "Unchanged": the daemon still serves the fit held here, and a memo
+    // hit answers it with no EM.
+    if (held_tag == 0 || tag != held_tag) {
+      return Status::IoError(StrFormat(
+          "reconstruct answered fit tag %llu alone; this connection holds "
+          "%llu",
+          static_cast<unsigned long long>(tag),
+          static_cast<unsigned long long>(held_tag)));
+    }
+    return held->second.estimates;
+  }
   PPDM_ASSIGN_OR_RETURN(const std::uint64_t count, reader.ReadU64());
+  // Each estimate takes at least its iterations, sample count and mass
+  // count, so a count the answer cannot hold allocates nothing.
+  if (count > reader.remaining() / (3 * sizeof(std::uint64_t))) {
+    return Status::IoError(StrFormat(
+        "reconstruct answer claims %llu estimate(s), %zu byte(s) left",
+        static_cast<unsigned long long>(count), reader.remaining()));
+  }
   std::vector<AttributeEstimate> estimates;
   estimates.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t a = 0; a < count; ++a) {
@@ -132,6 +157,14 @@ Result<std::vector<AttributeEstimate>> Client::Reconstruct(
     PPDM_ASSIGN_OR_RETURN(estimate.sample_count, reader.ReadU64());
     PPDM_ASSIGN_OR_RETURN(estimate.masses, reader.ReadDoubleArray());
     estimates.push_back(std::move(estimate));
+  }
+  if (tag == 0) {
+    fits_.erase(tenant);
+  } else {
+    HeldFit& fit = fits_[tenant];
+    fit.tag = tag;
+    fit.estimates = estimates;
+    for (AttributeEstimate& estimate : fit.estimates) estimate.iterations = 0;
   }
   return estimates;
 }
@@ -146,6 +179,7 @@ Result<std::uint64_t> Client::Snapshot(std::uint64_t tenant,
 
 Status Client::CloseTenant(std::uint64_t tenant, std::uint32_t ttl_ms) {
   tracked_.erase(tenant);
+  fits_.erase(tenant);
   return Payload(Call(Verb::kClose, tenant, ttl_ms, "")).status();
 }
 

@@ -81,6 +81,16 @@ class Client {
                                const std::vector<double>& values,
                                std::uint32_t ttl_ms = 0);
 
+  /// Every tracked attribute's estimate, in spec order.
+  ///
+  /// The connection holds the last fit each tenant served it, with its
+  /// fit tag, and sends that tag: while the daemon still serves the same
+  /// fit it answers the tag alone (8 bytes instead of every mass), and
+  /// this returns the held masses with `iterations` 0 and the held
+  /// `sample_count` — exactly what the daemon's memo hit answers. A full
+  /// answer replaces the held fit, or forgets it when its tag is 0 (a fit
+  /// that is not the one installed); CloseTenant forgets it too. A
+  /// malformed answer is a Status, never an abort.
   Result<std::vector<AttributeEstimate>> Reconstruct(std::uint64_t tenant,
                                                      std::uint32_t ttl_ms = 0);
 
@@ -127,8 +137,16 @@ class Client {
     std::vector<std::uint64_t> columns;
   };
 
+  /// The last installed fit a tenant served this connection: its tag and
+  /// its estimates as a memo hit answers them (`iterations` 0).
+  struct HeldFit {
+    std::uint64_t tag = 0;
+    std::vector<AttributeEstimate> estimates;
+  };
+
   Socket sock_;
   std::unordered_map<std::uint64_t, TrackedLayout> tracked_;
+  std::unordered_map<std::uint64_t, HeldFit> fits_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t trace_id_ = 0;
 };

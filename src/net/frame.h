@@ -62,6 +62,11 @@ enum class Verb : std::uint32_t {
   kOpen = 1,         ///< Open (or resume) a tenant's dataset session.
   kIngest = 2,       ///< Fold one perturbed record batch into the session.
   kReconstruct = 3,  ///< Reconstruct every tracked attribute's distribution.
+                     ///< An empty body answers every estimate. An 8-byte
+                     ///< body, [u64 fit tag held, 0 = none], answers
+                     ///< [u64 served fit's tag] and then every estimate,
+                     ///< or the tag alone when it equals the nonzero tag
+                     ///< sent: the peer already holds that fit.
   kSnapshot = 4,     ///< Checkpoint the session through the daemon's store.
   kClose = 5,        ///< Close the tenant (drops RAM state and captures).
   kStats = 6,        ///< Metrics exposition (obs::RenderText) — GET /metrics.

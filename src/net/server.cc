@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -187,7 +188,11 @@ Result<std::string> HandleStats(std::string_view body) {
 }  // namespace
 
 std::string TenantName(std::uint64_t tenant) {
-  return StrFormat("t%llu", static_cast<unsigned long long>(tenant));
+  // "t" and at most 20 digits: no format-string parse per request.
+  char name[1 + std::numeric_limits<std::uint64_t>::digits10 + 1];
+  name[0] = 't';
+  const char* end = std::to_chars(name + 1, name + sizeof(name), tenant).ptr;
+  return std::string(name, static_cast<std::size_t>(end - name));
 }
 
 /// One live client connection, owned by the one loop that serves it.
@@ -243,6 +248,7 @@ Server::Server(const ServerOptions& options)
           NetCounter("ppdm_net_drain_checkpoints_total")),
       drain_deadline_closes_(obs::MetricsRegistry::Global().GetCounter(
           "ppdm_net_forced_closes_total", {{"reason", "drain_deadline"}})),
+      reconstruct_unchanged_(NetCounter("ppdm_net_reconstruct_unchanged_total")),
       request_seconds_(LatencyHistogram("ppdm_net_request_seconds")),
       slow_requests_(NetCounter("ppdm_net_slow_requests_total")),
       jobs_(NetCounter("ppdm_service_jobs_total")),
@@ -544,7 +550,8 @@ void Server::Dispatch(Connection& conn, const FrameHeader& header,
   // spans. Framing is intact, so an unknown verb's connection lives on.
   if (!KnownVerb(header.verb) ||
       static_cast<Verb>(header.verb) == Verb::kStats) {
-    EnqueueResponse(conn, header, Handle(header, body));
+    EnqueueResponse(conn, header,
+                    Handle(header, /*name=*/std::string(), body));
     return;
   }
   const std::string tenant_name = TenantName(header.tenant);
@@ -577,7 +584,7 @@ void Server::Dispatch(Connection& conn, const FrameHeader& header,
       return Status::DeadlineExceeded("request deadline passed before it ran");
     }
     obs::ScopedSpan run_span("service.run", run_seconds_);
-    return Handle(header, body);
+    return Handle(header, tenant_name, body);
   }();
   // Expired and handler errors travel back as the envelope's Status. The
   // request span closes first, so a slow-request tree includes it.
@@ -651,21 +658,22 @@ void Server::CloseConnection(Connection& conn) {
 }
 
 Result<std::string> Server::Handle(const FrameHeader& header,
+                                   const std::string& name,
                                    std::string_view body) {
   const std::uint64_t tenant = header.tenant;
   switch (static_cast<Verb>(header.verb)) {
     case Verb::kOpen:
-      return HandleOpen(tenant, body);
+      return HandleOpen(tenant, name, body);
     case Verb::kIngest:
-      return HandleIngest(tenant, body, /*tracked=*/false);
+      return HandleIngest(tenant, name, body, /*tracked=*/false);
     case Verb::kIngestTracked:
-      return HandleIngest(tenant, body, /*tracked=*/true);
+      return HandleIngest(tenant, name, body, /*tracked=*/true);
     case Verb::kReconstruct:
-      return HandleReconstruct(tenant, body);
+      return HandleReconstruct(tenant, name, body);
     case Verb::kSnapshot:
-      return HandleSnapshot(tenant, body);
+      return HandleSnapshot(tenant, name, body);
     case Verb::kClose:
-      return HandleClose(tenant, body);
+      return HandleClose(tenant, name, body);
     case Verb::kStats:
       return HandleStats(body);
   }
@@ -674,9 +682,9 @@ Result<std::string> Server::Handle(const FrameHeader& header,
 }
 
 Result<std::shared_ptr<api::DatasetSession>> Server::LookupTenant(
-    std::uint64_t tenant) {
+    std::uint64_t tenant, const std::string& name) {
   Result<std::shared_ptr<api::DatasetSession>> session =
-      registry_->TryLookup(TenantName(tenant));
+      registry_->TryLookup(name);
   if (!session.ok() && session.status().code() == StatusCode::kNotFound) {
     return TenantNotOpen(tenant);
   }
@@ -684,6 +692,7 @@ Result<std::shared_ptr<api::DatasetSession>> Server::LookupTenant(
 }
 
 Result<std::string> Server::HandleOpen(std::uint64_t tenant,
+                                       const std::string& name,
                                        std::string_view body) {
   store::Reader reader(body);
   PPDM_ASSIGN_OR_RETURN(const api::DatasetSessionSpec spec,
@@ -691,8 +700,6 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after the open body");
   }
-  const std::string name = TenantName(tenant);
-
   bool resumed = true;
   std::shared_ptr<api::DatasetSession> session;
   Result<std::shared_ptr<api::DatasetSession>> looked =
@@ -738,6 +745,7 @@ Result<std::string> Server::HandleOpen(std::uint64_t tenant,
 }
 
 Result<std::string> Server::HandleIngest(std::uint64_t tenant,
+                                         const std::string& name,
                                          std::string_view body, bool tracked) {
   // Decoded straight out of the input buffer into the doubles the
   // session's RowBatch views.
@@ -745,7 +753,7 @@ Result<std::string> Server::HandleIngest(std::uint64_t tenant,
                         DecodeIngestBody(body, tracked));
   const auto& [rows, cols, columns, values] = decoded;
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
-                        LookupTenant(tenant));
+                        LookupTenant(tenant, name));
   const std::size_t width = session->spec().schema.NumFields();
   // A tracked row may not be wider than the schema it was cut from.
   if (tracked ? cols > width : cols != width) {
@@ -782,14 +790,41 @@ Result<std::string> Server::HandleIngest(std::uint64_t tenant,
 }
 
 Result<std::string> Server::HandleReconstruct(std::uint64_t tenant,
+                                              const std::string& name,
                                               std::string_view body) {
-  PPDM_RETURN_IF_ERROR(NoBody(Verb::kReconstruct, body));
+  // No body, or the 8-byte tag of the fit the peer holds (0 for none).
+  const bool tagged = !body.empty();
+  std::uint64_t held_tag = 0;
+  if (body.size() == sizeof(held_tag)) {
+    store::Reader reader(body);
+    PPDM_ASSIGN_OR_RETURN(held_tag, reader.ReadU64());
+  } else if (tagged) {
+    return Status::InvalidArgument(StrFormat(
+        "reconstruct takes no body or an 8-byte fit tag, got %zu byte(s)",
+        body.size()));
+  }
   PPDM_ASSIGN_OR_RETURN(const std::shared_ptr<api::DatasetSession> session,
-                        LookupTenant(tenant));
+                        LookupTenant(tenant, name));
+  std::uint64_t tag = 0;
   PPDM_ASSIGN_OR_RETURN(
       const std::vector<reconstruct::Reconstruction> estimates,
-      session->ReconstructAll());
+      session->ReconstructAll(held_tag, &tag));
   store::Writer writer;
+  if (held_tag != 0 && tag == held_tag) {
+    // The peer holds this very fit: the tag alone says "unchanged".
+    reconstruct_unchanged_->Increment();
+    writer.PutU64(tag);
+    return writer.Take();
+  }
+  // One exact reservation: [tag] [count] then per attribute
+  // [iterations][sample count][mass count][masses].
+  std::size_t bytes = (tagged ? 2 : 1) * sizeof(std::uint64_t);
+  for (const reconstruct::Reconstruction& estimate : estimates) {
+    bytes +=
+        3 * sizeof(std::uint64_t) + estimate.masses.size() * sizeof(double);
+  }
+  writer.Reserve(bytes);
+  if (tagged) writer.PutU64(tag);
   writer.PutU64(estimates.size());
   for (const reconstruct::Reconstruction& estimate : estimates) {
     writer.PutU64(estimate.iterations);
@@ -800,6 +835,7 @@ Result<std::string> Server::HandleReconstruct(std::uint64_t tenant,
 }
 
 Result<std::string> Server::HandleSnapshot(std::uint64_t tenant,
+                                           const std::string& name,
                                            std::string_view body) {
   PPDM_RETURN_IF_ERROR(NoBody(Verb::kSnapshot, body));
   if (!spill_.has_value()) {
@@ -807,7 +843,7 @@ Result<std::string> Server::HandleSnapshot(std::uint64_t tenant,
         "daemon has no checkpoint directory (start with --checkpoint-dir)");
   }
   const Result<std::uint64_t> captured =
-      registry_->Checkpoint(TenantName(tenant));
+      registry_->Checkpoint(name);
   if (!captured.ok()) {
     return captured.status().code() == StatusCode::kNotFound
                ? TenantNotOpen(tenant)
@@ -819,9 +855,9 @@ Result<std::string> Server::HandleSnapshot(std::uint64_t tenant,
 }
 
 Result<std::string> Server::HandleClose(std::uint64_t tenant,
+                                        const std::string& name,
                                         std::string_view body) {
   PPDM_RETURN_IF_ERROR(NoBody(Verb::kClose, body));
-  const std::string name = TenantName(tenant);
   if (!registry_->Close(name)) {
     return Status::NotFound(StrFormat(
         "tenant %llu is not open", static_cast<unsigned long long>(tenant)));

@@ -36,12 +36,12 @@
 //     connection close after flush; the process keeps serving other
 //     connections.
 //   * A well-framed request whose body does not decode exactly — leftover
-//     bytes after an open spec or an ingest batch, or any body on
-//     reconstruct, snapshot or close — answers kInvalidArgument and
-//     changes nothing; the connection lives on. An ingest_tracked batch
-//     whose column list is not the tenant's spec (say, after another
-//     connection closed and reopened it with other columns) answers
-//     kFailedPrecondition and folds nothing.
+//     bytes after an open spec or an ingest batch, any body on snapshot or
+//     close, or a reconstruct body that is neither empty nor an 8-byte fit
+//     tag — answers kInvalidArgument and changes nothing; the connection
+//     lives on. An ingest_tracked batch whose column list is not the
+//     tenant's spec (say, after another connection closed and reopened it
+//     with other columns) answers kFailedPrecondition and folds nothing.
 //
 // Durability: with a checkpoint directory the registry gets a spill tier
 // and owns every capture in it: evictions demote instead of destroy, the
@@ -190,20 +190,31 @@ class Server {
 
   /// The one switch over Verb; an unknown verb answers kInvalidArgument.
   /// Each handler decodes its own body and returns the response payload;
-  /// errors become the response envelope's Status.
-  Result<std::string> Handle(const FrameHeader& header, std::string_view body);
-  Result<std::string> HandleOpen(std::uint64_t tenant, std::string_view body);
+  /// errors become the response envelope's Status. `name` is the tenant's
+  /// TenantName, formatted once per request (empty for stats and unknown
+  /// verbs, which name no tenant).
+  Result<std::string> Handle(const FrameHeader& header,
+                             const std::string& name, std::string_view body);
+  Result<std::string> HandleOpen(std::uint64_t tenant, const std::string& name,
+                                 std::string_view body);
   /// `tracked` picks the ingest_tracked body form over the full-row one.
-  Result<std::string> HandleIngest(std::uint64_t tenant, std::string_view body,
-                                   bool tracked);
+  Result<std::string> HandleIngest(std::uint64_t tenant,
+                                   const std::string& name,
+                                   std::string_view body, bool tracked);
+  /// An empty body answers every estimate; an 8-byte body is the fit tag
+  /// the peer holds, answered [u64 tag] alone when it names the served fit
+  /// and [u64 tag] + every estimate otherwise.
   Result<std::string> HandleReconstruct(std::uint64_t tenant,
+                                        const std::string& name,
                                         std::string_view body);
   Result<std::string> HandleSnapshot(std::uint64_t tenant,
+                                     const std::string& name,
                                      std::string_view body);
-  Result<std::string> HandleClose(std::uint64_t tenant, std::string_view body);
+  Result<std::string> HandleClose(std::uint64_t tenant, const std::string& name,
+                                  std::string_view body);
 
   Result<std::shared_ptr<api::DatasetSession>> LookupTenant(
-      std::uint64_t tenant);
+      std::uint64_t tenant, const std::string& name);
 
   const ServerOptions options_;
   int port_ = 0;
@@ -240,6 +251,8 @@ class Server {
   obs::Counter* bytes_written_;
   obs::Counter* drain_checkpoints_metric_;
   obs::Counter* drain_deadline_closes_;
+  /// Tagged reconstructs answered with the tag alone.
+  obs::Counter* reconstruct_unchanged_;
   obs::Histogram* request_seconds_;
   obs::Counter* verb_requests_[kLastVerb + 1];  // by verb, 0 = unknown
   obs::Counter* slow_requests_;

@@ -303,6 +303,91 @@ TEST(DatasetSessionTest, RefreshWithinDeltaServesTheMemo) {
                                        refit.value()));
 }
 
+// A fit tag names one installed memo. Every memo hit reports the same
+// nonzero tag, and a caller holding it gets no estimates back; each refit
+// that installs mints a new tag; an empty session reports 0. A Restore of
+// that state serves the same masses under a tag no other install has.
+TEST(DatasetSessionTest, FitTagNamesTheInstalledMemo) {
+  const StreamFixture fx(5000);
+  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
+  auto opened = DatasetSession::Open(fx.SalarySpec());
+  ASSERT_TRUE(opened.ok());
+  DatasetSession& session = *opened.value();
+
+  std::uint64_t tag = 99;
+  const auto empty = session.ReconstructAll(0, &tag);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value().size(), 1u);
+  EXPECT_EQ(tag, 0u);
+
+  ASSERT_TRUE(IngestColumn(&session, column.data(), 4000).ok());
+  std::uint64_t first = 0;
+  const auto fit = session.ReconstructAll(0, &first);
+  ASSERT_TRUE(fit.ok());
+  ASSERT_GT(fit.value().at(0).iterations, 0u);
+  ASSERT_NE(first, 0u);
+
+  ASSERT_TRUE(IngestColumn(&session, column.data() + 4000, 100).ok());
+  for (int refresh = 0; refresh < 3; ++refresh) {
+    SCOPED_TRACE("refresh " + std::to_string(refresh));
+    std::uint64_t held = 0;
+    const auto unchanged = session.ReconstructAll(first, &held);
+    ASSERT_TRUE(unchanged.ok());
+    EXPECT_TRUE(unchanged.value().empty());
+    EXPECT_EQ(held, first);
+    std::uint64_t other = 0;
+    const auto memo = session.ReconstructAll(first + 1, &other);
+    ASSERT_TRUE(memo.ok());
+    ASSERT_EQ(memo.value().size(), 1u);
+    EXPECT_TRUE(SameBytes(memo.value()[0].masses, fit.value()[0].masses));
+    EXPECT_EQ(memo.value()[0].iterations, 0u);
+    EXPECT_EQ(memo.value()[0].sample_count, 4000u);
+    EXPECT_EQ(other, first);
+  }
+  ASSERT_EQ(session.ReconstructAll().value().size(), 1u);  // no tag asked
+
+  // 4500 rows pass 4000 * 17/16: a refit, answered in full even to a
+  // caller that holds the old tag.
+  ASSERT_TRUE(IngestColumn(&session, column.data() + 4100, 400).ok());
+  std::uint64_t second = 0;
+  const auto refit = session.ReconstructAll(first, &second);
+  ASSERT_TRUE(refit.ok());
+  ASSERT_EQ(refit.value().size(), 1u);
+  EXPECT_TRUE(
+      ReconstructionsIdentical(fx.SalaryFitOver(4500), refit.value()[0]));
+  EXPECT_NE(second, 0u);
+  EXPECT_NE(second, first);
+
+  const DatasetSessionState state = session.ExportState();
+  auto restored = DatasetSession::Restore(fx.SalarySpec(), state);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::uint64_t third = 0;
+  const auto served = restored.value()->ReconstructAll(second, &third);
+  ASSERT_TRUE(served.ok());
+  ASSERT_EQ(served.value().size(), 1u);
+  EXPECT_TRUE(SameBytes(served.value()[0].masses, refit.value()[0].masses));
+  EXPECT_EQ(served.value()[0].iterations, 0u);
+  EXPECT_EQ(served.value()[0].sample_count, 4500u);
+  EXPECT_NE(third, 0u);
+  EXPECT_NE(third, first);
+  EXPECT_NE(third, second);
+  std::uint64_t stable = 0;
+  EXPECT_TRUE(restored.value()->ReconstructAll(third, &stable).value().empty());
+  EXPECT_EQ(stable, third);
+  // The source keeps its own tag, and a second Restore gets another.
+  std::uint64_t source = 0;
+  EXPECT_TRUE(session.ReconstructAll(second, &source).value().empty());
+  EXPECT_EQ(source, second);
+  std::uint64_t again = 0;
+  ASSERT_EQ(DatasetSession::Restore(fx.SalarySpec(), state)
+                .value()
+                ->ReconstructAll(third, &again)
+                .value()
+                .size(),
+            1u);
+  EXPECT_NE(again, third);
+}
+
 // The served estimate does not depend on the refresh cadence. The same
 // rows, refreshed after every 64-row batch and refreshed once: the
 // every-batch tenant's final masses are Fit over the first `fitted_rows`
@@ -943,8 +1028,8 @@ TEST(DatasetSessionTest, ApproxMemoryBytesIsPinnedAtTheServedShapes) {
     std::size_t refreshed;
   };
   for (const Shape& shape :
-       {Shape{2, 30, perturb::NoiseKind::kUniform, 1024, 2552, 3032},
-        Shape{9, 200, perturb::NoiseKind::kGaussian, 64, 104496, 118896}}) {
+       {Shape{2, 30, perturb::NoiseKind::kUniform, 1024, 2560, 3040},
+        Shape{9, 200, perturb::NoiseKind::kGaussian, 64, 104504, 118904}}) {
     SCOPED_TRACE(std::to_string(shape.attrs) + " attributes");
     DatasetSessionSpec spec;
     spec.schema = synth::BenchmarkSchema();

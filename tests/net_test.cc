@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -44,6 +45,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
+#include "reconstruct/reconstructor.h"
 #include "store/codec.h"
 #include "store/session_codec.h"
 #include "store/snapshot_store.h"
@@ -2206,6 +2208,286 @@ TEST(ServerTest, SeededTrackedIngestMutationsAreStatusesOrExactFolds) {
     EXPECT_EQ(served.value()[a].sample_count, want.value()[a].sample_count);
   }
   ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+
+// ------------------------------------------------- conditional reconstruct
+
+/// A tagged reconstruct body: the fit tag the peer holds (0 for none).
+std::string FitTagBody(std::uint64_t tag) {
+  store::Writer writer;
+  writer.PutU64(tag);
+  return writer.Take();
+}
+
+/// Every field of a served answer against the in-process one.
+void ExpectSameEstimates(const std::vector<AttributeEstimate>& served,
+                         const std::vector<reconstruct::Reconstruction>& want) {
+  ASSERT_EQ(served.size(), want.size());
+  for (std::size_t a = 0; a < served.size(); ++a) {
+    EXPECT_EQ(served[a].masses, want[a].masses) << "attribute " << a;
+    EXPECT_EQ(served[a].iterations, want[a].iterations) << "attribute " << a;
+    EXPECT_EQ(served[a].sample_count, want[a].sample_count)
+        << "attribute " << a;
+  }
+}
+
+// Tenant names key the registry, the captures on disk and the span
+// labels, so their bytes never change.
+TEST(ServerTest, TenantNamesArePinned) {
+  EXPECT_EQ(TenantName(0), "t0");
+  EXPECT_EQ(TenantName(42), "t42");
+  EXPECT_EQ(TenantName(std::numeric_limits<std::uint64_t>::max()),
+            "t18446744073709551615");
+}
+
+// Client::Reconstruct sends the fit tag it holds; while the daemon still
+// serves that fit the answer is the tag alone, and the client answers from
+// the held masses. After every batch, and again back to back, every answer
+// equals a direct session refreshed at the same points: masses bit for
+// bit, iterations and sample count. The short answers are exactly the
+// direct session's memo hits.
+TEST(ServerTest, ConditionalReconstructMatchesADirectSessionStepByStep) {
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(1200, &num_cols);
+  const std::size_t num_rows = rows.size() / num_cols;
+  const std::size_t batch_rows = 25;
+  obs::Counter* unchanged = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_net_reconstruct_unchanged_total");
+
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Result<std::unique_ptr<Server>> server =
+        Server::Start(LoopbackOptions(threads));
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    Result<Client> client =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Open(3, spec).ok());
+    Result<std::unique_ptr<api::DatasetSession>> direct =
+        api::DatasetSession::Open(spec);
+    ASSERT_TRUE(direct.ok());
+
+    const std::uint64_t unchanged_before = unchanged->Value();
+    std::uint64_t memo_hits = 0;
+    std::uint64_t direct_tag = 0;
+    for (std::size_t r = 0; r < num_rows; r += batch_rows) {
+      const std::size_t n = std::min(batch_rows, num_rows - r);
+      const std::vector<double> batch(rows.begin() + r * num_cols,
+                                      rows.begin() + (r + n) * num_cols);
+      ASSERT_TRUE(client.value().Ingest(3, n, num_cols, batch).ok());
+      ASSERT_TRUE(direct.value()
+                      ->Ingest(data::RowBatch(batch.data(), n, num_cols))
+                      .ok());
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        SCOPED_TRACE("rows=" + std::to_string(r + n) +
+                     " repeat=" + std::to_string(repeat));
+        std::uint64_t tag = 0;
+        const auto want = direct.value()->ReconstructAll(0, &tag);
+        ASSERT_TRUE(want.ok());
+        ASSERT_NE(tag, 0u);
+        if (tag == direct_tag) ++memo_hits;
+        direct_tag = tag;
+        Result<std::vector<AttributeEstimate>> served =
+            client.value().Reconstruct(3);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ExpectSameEstimates(served.value(), want.value());
+      }
+    }
+    // Every back-to-back repeat is a memo hit, and so are some batches.
+    EXPECT_GT(memo_hits, num_rows / batch_rows);
+    EXPECT_EQ(unchanged->Value() - unchanged_before, memo_hits);
+    ASSERT_TRUE(server.value()->Stop().ok());
+  }
+}
+
+// A held tag names one installed fit of one session, so it is answered in
+// full once the tenant is another session: closed and reopened by another
+// connection and fed as many rows with other values, or readmitted from
+// the spill tier with the very same memo.
+TEST(ServerTest, HeldFitIsAnsweredInFullAfterReopenOrReadmission) {
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(400, &num_cols);
+  const std::size_t half = rows.size() / num_cols / 2;
+  const std::vector<double> first(rows.begin(), rows.begin() + half * num_cols);
+  const std::vector<double> other(rows.begin() + half * num_cols, rows.end());
+  obs::Counter* unchanged = obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_net_reconstruct_unchanged_total");
+
+  {
+    SCOPED_TRACE("closed and reopened elsewhere");
+    Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+    ASSERT_TRUE(server.ok());
+    Result<Client> holder =
+        Client::Connect("127.0.0.1", server.value()->port());
+    Result<Client> other_client =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(holder.ok() && other_client.ok());
+    ASSERT_TRUE(holder.value().Open(5, spec).ok());
+    ASSERT_TRUE(holder.value().Ingest(5, half, num_cols, first).ok());
+    Result<std::vector<AttributeEstimate>> held =
+        holder.value().Reconstruct(5);
+    ASSERT_TRUE(held.ok());
+
+    ASSERT_TRUE(other_client.value().CloseTenant(5).ok());
+    ASSERT_TRUE(other_client.value().Open(5, spec).ok());
+    ASSERT_TRUE(other_client.value().Ingest(5, half, num_cols, other).ok());
+    ASSERT_TRUE(other_client.value().Reconstruct(5).ok());  // installs
+
+    Result<std::unique_ptr<api::DatasetSession>> direct =
+        api::DatasetSession::Open(spec);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(direct.value()
+                    ->Ingest(data::RowBatch(other.data(), half, num_cols))
+                    .ok());
+    ASSERT_TRUE(direct.value()->ReconstructAll().ok());
+    const auto want = direct.value()->ReconstructAll();  // a memo hit
+    ASSERT_TRUE(want.ok());
+
+    const std::uint64_t before = unchanged->Value();
+    Result<std::vector<AttributeEstimate>> served =
+        holder.value().Reconstruct(5);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(unchanged->Value(), before);
+    ExpectSameEstimates(served.value(), want.value());
+    EXPECT_NE(served.value()[0].masses, held.value()[0].masses);
+    ASSERT_TRUE(server.value()->Stop().ok());
+  }
+
+  {
+    SCOPED_TRACE("readmitted from spill");
+    TempDir dir;
+    ServerOptions options = LoopbackOptions(2);
+    options.checkpoint_dir = dir.path;
+    options.registry_max_bytes = 1;  // only the last tenant touched stays
+    Result<std::unique_ptr<Server>> server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    Result<Client> client =
+        Client::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value().Open(1, spec).ok());
+    ASSERT_TRUE(client.value().Ingest(1, half, num_cols, first).ok());
+    Result<std::vector<AttributeEstimate>> fit = client.value().Reconstruct(1);
+    ASSERT_TRUE(fit.ok());
+    std::uint64_t before = unchanged->Value();
+    Result<std::vector<AttributeEstimate>> resident =
+        client.value().Reconstruct(1);
+    ASSERT_TRUE(resident.ok());
+    EXPECT_EQ(unchanged->Value(), before + 1);
+
+    ASSERT_TRUE(client.value().Open(2, spec).ok());  // demotes tenant 1
+    ASSERT_EQ(server.value()->registry_stats().spilled_sessions, 1u);
+    before = unchanged->Value();
+    Result<std::vector<AttributeEstimate>> readmitted =
+        client.value().Reconstruct(1);
+    ASSERT_TRUE(readmitted.ok()) << readmitted.status().ToString();
+    EXPECT_EQ(unchanged->Value(), before);
+    ASSERT_EQ(readmitted.value().size(), fit.value().size());
+    for (std::size_t a = 0; a < fit.value().size(); ++a) {
+      EXPECT_EQ(readmitted.value()[a].masses, fit.value()[a].masses);
+      EXPECT_EQ(readmitted.value()[a].iterations, 0u);
+      EXPECT_EQ(readmitted.value()[a].sample_count, half);
+    }
+    // The readmitted session's own tag is held from here on.
+    ASSERT_TRUE(client.value().Reconstruct(1).ok());
+    EXPECT_EQ(unchanged->Value(), before + 1);
+    ASSERT_TRUE(server.value()->Stop().ok());
+  }
+}
+
+// The wire form: an empty body is answered as it always was; an 8-byte
+// body is answered [u64 tag] + that same payload, or the tag alone when it
+// is the served fit's; any other length is kInvalidArgument.
+TEST(ServerTest, TaggedReconstructFramesAnswerUnchangedInEightBytes) {
+  Result<std::unique_ptr<Server>> server = Server::Start(LoopbackOptions(2));
+  ASSERT_TRUE(server.ok());
+  Result<Client> client = Client::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client.ok());
+  const api::DatasetSessionSpec spec = BenchmarkDatasetSpec(2, 12);
+  std::size_t num_cols = 0;
+  const std::vector<double> rows = PerturbedRows(200, &num_cols);
+  ASSERT_TRUE(client.value().Open(4, spec).ok());
+  ASSERT_TRUE(
+      client.value().Ingest(4, rows.size() / num_cols, num_cols, rows).ok());
+  const auto reconstruct = [&](std::string body) {
+    return AckPayload(
+        client.value().Call(Verb::kReconstruct, 4, 0, std::move(body)));
+  };
+
+  ASSERT_TRUE(reconstruct("").ok());  // the refit
+  const Result<std::string> untagged = reconstruct("");  // a memo hit
+  const Result<std::string> full = reconstruct(FitTagBody(0));
+  ASSERT_TRUE(untagged.ok() && full.ok());
+  ASSERT_GT(full.value().size(), 8u);
+  store::Reader reader(full.value());
+  const std::uint64_t tag = reader.ReadU64().value();
+  ASSERT_NE(tag, 0u);
+  EXPECT_EQ(full.value().substr(8), untagged.value());
+
+  const Result<std::string> same = reconstruct(FitTagBody(tag));
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same.value(), FitTagBody(tag));
+  const Result<std::string> stale = reconstruct(FitTagBody(tag + 1));
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(stale.value(), full.value());
+
+  for (const std::string& body :
+       {std::string("x"), std::string(7, '\0'), FitTagBody(tag) + "x"}) {
+    SCOPED_TRACE(std::to_string(body.size()) + "-byte body");
+    Result<ResponseBody> response =
+        client.value().Call(Verb::kReconstruct, 4, 0, body);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().status.code(), StatusCode::kInvalidArgument)
+        << response.value().status.ToString();
+  }
+  ASSERT_TRUE(server.value()->Stop().ok());
+}
+
+// A reconstruct answer the client cannot trust is a Status, never an
+// abort: an attribute count far past the bytes that follow, a count whose
+// estimates are cut short, and an "unchanged" answer on a connection that
+// holds no fit. Each comes from a fake daemon that answers one frame.
+TEST(ClientTest, MalformedReconstructAnswersAreStatusesNotAborts) {
+  const auto payload = [](std::initializer_list<std::uint64_t> words) {
+    store::Writer writer;
+    for (const std::uint64_t word : words) writer.PutU64(word);
+    return writer.Take();
+  };
+  for (const std::string& answer :
+       {payload({1, std::uint64_t{1} << 40}), payload({1, 2, 0, 10, 0}),
+        payload({7})}) {
+    SCOPED_TRACE(std::to_string(answer.size()) + "-byte answer");
+    Result<Socket> listener = ListenTcp("127.0.0.1", 0, 1);
+    ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+    const Result<int> port = BoundPort(listener.value());
+    ASSERT_TRUE(port.ok());
+    std::thread daemon([&] {
+      const Socket peer(::accept(listener.value().fd(), nullptr, nullptr));
+      char header_bytes[kHeaderSize];
+      if (!ReadExact(peer.fd(), header_bytes, kHeaderSize).ok()) return;
+      const Result<FrameHeader> header = DecodeHeader(
+          std::string_view(header_bytes, kHeaderSize), kDefaultMaxBodyBytes);
+      if (!header.ok()) return;
+      std::string body(static_cast<std::size_t>(header.value().body_length),
+                       '\0');
+      if (!ReadExact(peer.fd(), body.data(), body.size()).ok()) return;
+      (void)WriteAll(peer.fd(),
+                     EncodeFrame(header.value().verb,
+                                 header.value().request_id,
+                                 header.value().tenant, 0,
+                                 EncodeResponseBody(Status::Ok(), answer)));
+    });
+    Result<Client> client = Client::Connect("127.0.0.1", port.value());
+    ASSERT_TRUE(client.ok());
+    Result<std::vector<AttributeEstimate>> estimates =
+        client.value().Reconstruct(1);
+    daemon.join();
+    EXPECT_EQ(estimates.status().code(), StatusCode::kIoError)
+        << estimates.status().ToString();
+  }
 }
 
 }  // namespace
